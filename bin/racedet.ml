@@ -644,6 +644,7 @@ let trace_v2_arg =
 
 let record_cmd =
   let action w threads scale seed sched_seed v2 path =
+    or_fail @@ fun () ->
     let p = params w threads scale seed in
     let to_file =
       if v2 then Dgrace_trace.Trace_format_v2.to_file

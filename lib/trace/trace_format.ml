@@ -21,16 +21,17 @@ let max_loc_len = 1 lsl 16
 
 exception Corrupt of string
 
+(* A top-level loop, so a write allocates no closure. *)
+let rec write_varint_loop buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    write_varint_loop buf (n lsr 7)
+  end
+
 let write_varint buf n =
   if n < 0 then invalid_arg "Trace_format.write_varint: negative";
-  let rec loop n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      loop (n lsr 7)
-    end
-  in
-  loop n
+  write_varint_loop buf n
 
 let read_varint ic =
   let rec loop acc shift =

@@ -34,17 +34,85 @@ let block_events = Batch.default_capacity
 let max_body_len = 1 lsl 24
 
 let zigzag d = if d >= 0 then d lsl 1 else (((-d) lsl 1) - 1)
-let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
+let[@inline] unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
 
 (* ------------------------------------------------------------------ *)
 (* encoding *)
 
+(* [e_last_loc]/[e_last_id] memoize the last location written, by
+   pointer: consecutive accesses from one site share one string, so
+   most access rows skip hashing it.  The initial sentinel is private,
+   so no caller's string can match it. *)
 type block_encoder = {
   e_locs : (string, int) Hashtbl.t;
   mutable e_next_loc : int;
+  mutable e_last_loc : string;
+  mutable e_last_id : int;
 }
 
-let block_encoder () = { e_locs = Hashtbl.create 64; e_next_loc = 0 }
+let block_encoder () =
+  {
+    e_locs = Hashtbl.create 64;
+    e_next_loc = 0;
+    e_last_loc = String.make 1 '\000';
+    e_last_id = -1;
+  }
+
+(* A location the reader would reject as too long is refused when it
+   is written, not discovered at replay. *)
+let check_loc loc =
+  let len = String.length loc in
+  if len > max_loc_len then
+    raise
+      (Error.E
+         (Error.Invalid_input
+            {
+              what = "trace location";
+              reason =
+                Printf.sprintf "%d bytes long; a trace holds at most %d" len
+                  max_loc_len;
+            }))
+
+(* End of the run of equal values that starts at row [i]. *)
+let run_end (col : int array) i n =
+  let v = col.(i) in
+  let j = ref (i + 1) in
+  while !j < n && col.(!j) = v do
+    incr j
+  done;
+  !j
+
+(* An RLE column of (varint value, varint run) pairs. *)
+let write_rle buf (col : int array) n =
+  let i = ref 0 in
+  while !i < n do
+    let j = run_end col !i n in
+    write_varint buf col.(!i);
+    write_varint buf (j - !i);
+    i := j
+  done
+
+let write_loc enc buf loc =
+  if loc == enc.e_last_loc then write_varint buf enc.e_last_id
+  else begin
+    let id =
+      match Hashtbl.find_opt enc.e_locs loc with
+      | Some id ->
+        write_varint buf id;
+        id
+      | None ->
+        check_loc loc;
+        let id = enc.e_next_loc in
+        enc.e_next_loc <- id + 1;
+        Hashtbl.replace enc.e_locs loc id;
+        write_varint buf id;
+        write_varint buf (String.length loc);
+        Buffer.add_string buf loc;
+        id
+    in
+    enc.e_last_loc <- loc;
+    enc.e_last_id <- id
+  end
 
 (* Encode one batch as a block body (no length prefix): the serve 'B'
    frame payload is exactly one body. *)
@@ -54,69 +122,57 @@ let encode_body enc (b : Batch.t) =
     invalid_arg "Trace_format_v2.encode_body: 1 <= batch length <= 4096 required";
   let buf = Buffer.create (n * 4) in
   write_varint buf n;
-  let rle get put =
-    let i = ref 0 in
-    while !i < n do
-      let v = get !i in
-      let j = ref (!i + 1) in
-      while !j < n && get !j = v do
-        incr j
-      done;
-      put v (!j - !i);
-      i := !j
-    done
-  in
-  rle
-    (fun i -> b.Batch.kind.(i))
-    (fun v run ->
-      Buffer.add_char buf (Char.chr v);
-      write_varint buf run);
-  rle
-    (fun i -> b.Batch.a.(i))
-    (fun v run ->
-      write_varint buf v;
-      write_varint buf run);
+  let kind = b.Batch.kind in
+  let i = ref 0 in
+  while !i < n do
+    let j = run_end kind !i n in
+    Buffer.add_char buf (Char.chr kind.(!i));
+    write_varint buf (j - !i);
+    i := j
+  done;
+  write_rle buf b.Batch.a n;
   let prev = ref 0 in
   for i = 0 to n - 1 do
     let v = b.Batch.b.(i) in
     write_varint buf (zigzag (v - !prev));
     prev := v
   done;
-  rle
-    (fun i -> b.Batch.c.(i))
-    (fun v run ->
-      write_varint buf v;
-      write_varint buf run);
+  write_rle buf b.Batch.c n;
   for i = 0 to n - 1 do
-    if b.Batch.kind.(i) <= tag_write then begin
-      let loc = b.Batch.loc.(i) in
-      match Hashtbl.find_opt enc.e_locs loc with
-      | Some id -> write_varint buf id
-      | None ->
-        let id = enc.e_next_loc in
-        enc.e_next_loc <- id + 1;
-        Hashtbl.replace enc.e_locs loc id;
-        write_varint buf id;
-        write_varint buf (String.length loc);
-        Buffer.add_string buf loc
-    end
+    if kind.(i) <= tag_write then write_loc enc buf b.Batch.loc.(i)
   done;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* writer: the v1 Trace_writer surface over block buffering *)
 
+(* [pending_bound] bounds the encoded size of the pending rows: at most
+   [row_bound] bytes of varints per row, plus the bytes of every
+   access's location unless it repeats the previous access's string.
+   A block closes before it could outgrow [max_body_len], the largest
+   body the reader accepts. *)
 type writer = {
   oc : out_channel;
   enc : block_encoder;
   pending : Batch.t;
+  mutable pending_bound : int;
+  mutable last_loc : string;
   mutable count : int;
 }
+
+let row_bound = 64
 
 let create oc =
   output_string oc magic;
   output_byte oc version;
-  { oc; enc = block_encoder (); pending = Batch.create (); count = 0 }
+  {
+    oc;
+    enc = block_encoder ();
+    pending = Batch.create ();
+    pending_bound = row_bound;
+    last_loc = "";
+    count = 0;
+  }
 
 let flush_block w =
   if Batch.length w.pending > 0 then begin
@@ -125,10 +181,24 @@ let flush_block w =
     write_varint hdr (String.length body);
     Buffer.output_buffer w.oc hdr;
     output_string w.oc body;
-    Batch.clear w.pending
+    Batch.clear w.pending;
+    w.pending_bound <- row_bound
   end
 
 let write w ev =
+  let bound =
+    match ev with
+    | Event.Access { loc; _ } ->
+      check_loc loc;
+      if loc == w.last_loc then row_bound
+      else begin
+        w.last_loc <- loc;
+        row_bound + String.length loc
+      end
+    | _ -> row_bound
+  in
+  if w.pending_bound + bound > max_body_len then flush_block w;
+  w.pending_bound <- w.pending_bound + bound;
   Batch.push w.pending ev;
   w.count <- w.count + 1;
   if Batch.is_full w.pending then flush_block w
@@ -155,49 +225,197 @@ let to_file path f =
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
+(* The location table is id-indexed: ids are dense (0 ..
+   d_next_loc-1, each fresh id is exactly the next one), so a string
+   array that doubles when full replaces a hash table. *)
 type stream_decoder = {
   path : string option;
-  d_locs : (int, string) Hashtbl.t;
+  mutable d_locs : string array;
   mutable d_next_loc : int;
   mutable events_read : int;
 }
 
 let stream_decoder ?path () =
-  { path; d_locs = Hashtbl.create 64; d_next_loc = 0; events_read = 0 }
+  { path; d_locs = Array.make 64 ""; d_next_loc = 0; events_read = 0 }
+
+let add_loc dec s =
+  let id = dec.d_next_loc in
+  if id = Array.length dec.d_locs then begin
+    let grown = Array.make (2 * id) "" in
+    Array.blit dec.d_locs 0 grown 0 id;
+    dec.d_locs <- grown
+  end;
+  Array.unsafe_set dec.d_locs id s;
+  dec.d_next_loc <- id + 1
 
 (* In-body cursor; [Corrupt] carries the reason, the caller maps it to
    an [Error.Corrupt_trace] at the cursor's absolute offset. *)
 type cursor = { s : string; mutable pos : int }
 
 let cur_byte cur =
-  if cur.pos >= String.length cur.s then raise (Corrupt "truncated block");
-  let b = Char.code (String.unsafe_get cur.s cur.pos) in
-  cur.pos <- cur.pos + 1;
-  b
+  let p = cur.pos in
+  if p >= String.length cur.s then raise (Corrupt "truncated block");
+  cur.pos <- p + 1;
+  Char.code (String.unsafe_get cur.s p)
 
-let cur_varint cur =
-  let rec loop acc shift =
-    if shift > 62 then raise (Corrupt "varint too long");
-    let b = cur_byte cur in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else loop acc (shift + 7)
-  in
-  let n = loop 0 0 in
+(* Multi-byte varints: a top-level loop, so no closure is allocated
+   per read. *)
+let rec varint_loop cur acc shift =
+  if shift > 62 then raise (Corrupt "varint too long");
+  let b = cur_byte cur in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_loop cur acc (shift + 7)
+
+let varint_slow cur =
+  let n = varint_loop cur 0 0 in
   if n < 0 then raise (Corrupt "varint overflow") else n
 
+(* Most varints are one byte (RLE runs of 1, small deltas, location
+   ids): read those inline; anything else, including a truncated
+   body, takes the loop, which raises exactly as a full read would. *)
+let[@inline] cur_varint cur =
+  let p = cur.pos in
+  if p < String.length cur.s then begin
+    let b = Char.code (String.unsafe_get cur.s p) in
+    if b < 0x80 then begin
+      cur.pos <- p + 1;
+      b
+    end
+    else varint_slow cur
+  end
+  else varint_slow cur
+
 let cur_take cur len =
-  if cur.pos + len > String.length cur.s then raise (Corrupt "truncated block");
+  if len > String.length cur.s - cur.pos then raise (Corrupt "truncated block");
   let s = String.sub cur.s cur.pos len in
   cur.pos <- cur.pos + len;
   s
 
-(* Decode one block body into [batch] (cleared first).  [base] is the
-   body's absolute offset in the stream, used for error offsets.  Rows
-   get [off = events_read + i]: a monotone stream position, the same
-   order key the shard splitter uses, so races merge identically. *)
+(* Decode one block body into [batch].  [base] is the body's absolute
+   offset in the stream, used for error offsets.  Rows get
+   [off = events_read + i]: a monotone stream position, the same order
+   key the shard splitter uses, so races merge identically.
+
+   Every check runs in the order of the reference decoder kept in
+   test/v2_oracle.ml, so a corrupt body fails with the same offset,
+   reason and events_read; run bounds are compared as [run > n - i]
+   so a huge varint cannot overflow past them.  Each row's location
+   is stored once, and only when the pointer changes; rows past [n]
+   left from the previous block are blanked so a parked batch pins no
+   strings. *)
+let decode_rows dec cur (batch : Batch.t) =
+  let n = cur_varint cur in
+  if n < 1 || n > block_events then
+    raise (Corrupt (Printf.sprintf "block event count %d out of range" n));
+  if n > Batch.capacity batch then
+    invalid_arg "Trace_format_v2.decode_body: batch capacity too small";
+  batch.Batch.len <- 0;
+  let kind = batch.Batch.kind
+  and a = batch.Batch.a
+  and b = batch.Batch.b
+  and c = batch.Batch.c
+  and loc = batch.Batch.loc in
+  (* kinds *)
+  let i = ref 0 in
+  while !i < n do
+    let tag = cur_byte cur in
+    if tag > max_tag then
+      raise (Corrupt (Printf.sprintf "unknown tag %d" tag));
+    let run = cur_varint cur in
+    if run < 1 || run > n - !i then raise (Corrupt "kind run out of range");
+    for j = !i to !i + run - 1 do
+      Array.unsafe_set kind j tag
+    done;
+    i := !i + run
+  done;
+  (* a column (tids/parents) *)
+  let i = ref 0 in
+  while !i < n do
+    let v = cur_varint cur in
+    if v > max_tid then
+      raise (Corrupt (Printf.sprintf "tid %d out of range" v));
+    let run = cur_varint cur in
+    if run < 1 || run > n - !i then raise (Corrupt "tid run out of range");
+    for j = !i to !i + run - 1 do
+      Array.unsafe_set a j v
+    done;
+    i := !i + run
+  done;
+  (* b column (addrs/locks/children), zigzag deltas *)
+  let prev = ref 0 in
+  for i = 0 to n - 1 do
+    let v = !prev + unzigzag (cur_varint cur) in
+    if v < 0 then raise (Corrupt "negative address");
+    let k = Array.unsafe_get kind i in
+    if (k = tag_fork || k = tag_join) && v > max_tid then
+      raise (Corrupt (Printf.sprintf "tid %d out of range" v));
+    Array.unsafe_set b i v;
+    prev := v
+  done;
+  (* c column (sizes/sync codes); a value <= 3 is valid for every kind *)
+  let i = ref 0 in
+  while !i < n do
+    let v = cur_varint cur in
+    let run = cur_varint cur in
+    if run < 1 || run > n - !i then raise (Corrupt "size run out of range");
+    for j = !i to !i + run - 1 do
+      if v > 3 then begin
+        let k = Array.unsafe_get kind j in
+        if k = tag_acquire || k = tag_release then
+          raise (Corrupt (Printf.sprintf "bad sync kind %d" v))
+        else if v > max_access_size then
+          raise (Corrupt (Printf.sprintf "size %d out of range" v))
+      end;
+      Array.unsafe_set c j v
+    done;
+    i := !i + run
+  done;
+  (* locations, access rows only *)
+  for i = 0 to n - 1 do
+    let s =
+      if Array.unsafe_get kind i <= tag_write then begin
+        let id = cur_varint cur in
+        if id < dec.d_next_loc then Array.unsafe_get dec.d_locs id
+        else if id = dec.d_next_loc then begin
+          let len = cur_varint cur in
+          if len > max_loc_len then
+            raise
+              (Corrupt (Printf.sprintf "location length %d out of range" len));
+          let s = cur_take cur len in
+          add_loc dec s;
+          s
+        end
+        else
+          raise (Corrupt (Printf.sprintf "location id %d from the future" id))
+      end
+      else ""
+    in
+    if Array.unsafe_get loc i != s then Array.unsafe_set loc i s
+  done;
+  if cur.pos <> String.length cur.s then
+    raise (Corrupt "trailing bytes in block");
+  n
+
 let decode_body_exn dec ~base body (batch : Batch.t) =
   let cur = { s = body; pos = 0 } in
-  let corrupt reason =
+  let old_len = batch.Batch.len in
+  match decode_rows dec cur batch with
+  | n ->
+    let loc = batch.Batch.loc and off = batch.Batch.off in
+    for i = n to old_len - 1 do
+      Array.unsafe_set loc i ""
+    done;
+    let first = dec.events_read in
+    for i = 0 to n - 1 do
+      Array.unsafe_set off i (first + i)
+    done;
+    batch.Batch.len <- n;
+    dec.events_read <- first + n
+  | exception Corrupt reason ->
+    (* once rows are being overwritten the batch reads as empty: drop
+       every location pointer it holds *)
+    if batch.Batch.len = 0 then
+      Array.fill batch.Batch.loc 0 (Array.length batch.Batch.loc) "";
     raise
       (Error.E
          (Error.Corrupt_trace
@@ -207,95 +425,6 @@ let decode_body_exn dec ~base body (batch : Batch.t) =
               events_read = dec.events_read;
               reason;
             }))
-  in
-  try
-    let n = cur_varint cur in
-    if n < 1 || n > block_events then
-      raise (Corrupt (Printf.sprintf "block event count %d out of range" n));
-    if n > Batch.capacity batch then
-      invalid_arg "Trace_format_v2.decode_body: batch capacity too small";
-    Batch.clear batch;
-    let kind = batch.Batch.kind
-    and a = batch.Batch.a
-    and b = batch.Batch.b
-    and c = batch.Batch.c
-    and loc = batch.Batch.loc
-    and off = batch.Batch.off in
-    (* kinds *)
-    let i = ref 0 in
-    while !i < n do
-      let tag = cur_byte cur in
-      if tag > max_tag then
-        raise (Corrupt (Printf.sprintf "unknown tag %d" tag));
-      let run = cur_varint cur in
-      if run < 1 || !i + run > n then raise (Corrupt "kind run out of range");
-      Array.fill kind !i run tag;
-      i := !i + run
-    done;
-    (* a column (tids/parents) *)
-    let i = ref 0 in
-    while !i < n do
-      let v = cur_varint cur in
-      if v > max_tid then
-        raise (Corrupt (Printf.sprintf "tid %d out of range" v));
-      let run = cur_varint cur in
-      if run < 1 || !i + run > n then raise (Corrupt "tid run out of range");
-      Array.fill a !i run v;
-      i := !i + run
-    done;
-    (* b column (addrs/locks/children), zigzag deltas *)
-    let prev = ref 0 in
-    for i = 0 to n - 1 do
-      let v = !prev + unzigzag (cur_varint cur) in
-      if v < 0 then raise (Corrupt "negative address");
-      if (kind.(i) = tag_fork || kind.(i) = tag_join) && v > max_tid then
-        raise (Corrupt (Printf.sprintf "tid %d out of range" v));
-      b.(i) <- v;
-      prev := v
-    done;
-    (* c column (sizes/sync codes) *)
-    let i = ref 0 in
-    while !i < n do
-      let v = cur_varint cur in
-      let run = cur_varint cur in
-      if run < 1 || !i + run > n then raise (Corrupt "size run out of range");
-      for j = !i to !i + run - 1 do
-        let k = kind.(j) in
-        if k = tag_acquire || k = tag_release then begin
-          if v > 3 then raise (Corrupt (Printf.sprintf "bad sync kind %d" v))
-        end
-        else if v > max_access_size then
-          raise (Corrupt (Printf.sprintf "size %d out of range" v));
-        c.(j) <- v
-      done;
-      i := !i + run
-    done;
-    (* locations, access rows only *)
-    for i = 0 to n - 1 do
-      if kind.(i) <= tag_write then begin
-        let id = cur_varint cur in
-        if id < dec.d_next_loc then loc.(i) <- Hashtbl.find dec.d_locs id
-        else if id = dec.d_next_loc then begin
-          let len = cur_varint cur in
-          if len > max_loc_len then
-            raise (Corrupt (Printf.sprintf "location length %d out of range" len));
-          let s = cur_take cur len in
-          Hashtbl.replace dec.d_locs id s;
-          dec.d_next_loc <- id + 1;
-          loc.(i) <- s
-        end
-        else raise (Corrupt (Printf.sprintf "location id %d from the future" id))
-      end
-      else loc.(i) <- ""
-    done;
-    if cur.pos <> String.length body then
-      raise (Corrupt "trailing bytes in block");
-    for i = 0 to n - 1 do
-      off.(i) <- dec.events_read + i
-    done;
-    batch.Batch.len <- n;
-    dec.events_read <- dec.events_read + n
-  with Corrupt reason -> corrupt reason
 
 let decode_body dec ~base body batch =
   match decode_body_exn dec ~base body batch with
