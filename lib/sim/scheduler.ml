@@ -46,3 +46,17 @@ let pick t ~current ~ready_tids ~n =
      | None ->
        t.budget <- chunk;
        Random.State.int t.rng n)
+
+(* A yielding thread re-enters the ready queue at the back.  With
+   budget left, [pick] finds it there; alone, it is index 0 under
+   every policy, after the budget reset and draw a one-element [pick]
+   makes.  Any other answer depends on a draw the loop must make. *)
+let stay t ~others =
+  match t.policy with
+  | Chunked _ when t.budget > 0 ->
+    t.budget <- t.budget - 1;
+    true
+  | _ ->
+    others = 0
+    && (ignore (pick t ~current:(-1) ~ready_tids:(fun _ -> -1) ~n:1);
+        true)

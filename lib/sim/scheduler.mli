@@ -34,3 +34,12 @@ val pick : t -> current:int -> ready_tids:(int -> int) -> n:int -> int
 (** [pick t ~current ~ready_tids ~n] chooses the index (in [0..n-1]) of
     the next runnable to execute, where [ready_tids i] gives the thread
     id of runnable [i].  [current] is the thread that just ran (or -1). *)
+
+val stay : t -> others:int -> bool
+(** [stay t ~others] is the simulator's inline preemption point for a
+    running thread while [others] other threads are ready.  It returns
+    [true], applying [pick]'s state change, exactly when [pick] — over
+    those threads followed by the running one — would choose the
+    running thread: a [Chunked] policy with chunk budget left (one
+    unit is consumed), or no other ready thread.  On [false] the
+    state is untouched and the caller must yield to [pick]. *)

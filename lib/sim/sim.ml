@@ -7,6 +7,8 @@ module Epoch = Dgrace_vclock.Epoch
 let sync_counter = ref 0
 let fresh_sync_id () = incr sync_counter; !sync_counter
 
+(* A thread that is not running: parked on a wait queue, or runnable
+   in the ready queue.  [wake] resumes it. *)
 type waiter = { wtid : int; wake : unit -> unit }
 
 type mutex = { lid : int; mutable owner : int; waiters : waiter Vec.t }
@@ -34,70 +36,6 @@ let semaphore count =
 
 let mutex_id m = m.lid
 
-type _ Effect.t +=
-  | E_self : int Effect.t
-  | E_spawn : (unit -> unit) -> int Effect.t
-  | E_join : int -> unit Effect.t
-  | E_access : Event.access_kind * int * int * string -> unit Effect.t
-  | E_lock : mutex -> unit Effect.t
-  | E_unlock : mutex -> unit Effect.t
-  | E_malloc : int * int -> int Effect.t (* align, size *)
-  | E_free : int -> unit Effect.t
-  | E_static : int * int -> int Effect.t (* align, size *)
-  | E_barrier : barrier -> unit Effect.t
-  | E_evt_set : event_flag -> unit Effect.t
-  | E_evt_wait : event_flag -> unit Effect.t
-  | E_atomic : int * int * string -> unit Effect.t
-  | E_atomic_access : Event.access_kind * int * int * string -> unit Effect.t
-  | E_trylock : mutex -> bool Effect.t
-  | E_cond_wait : condition * mutex -> unit Effect.t
-  | E_cond_wake : condition * bool -> unit Effect.t (* broadcast? *)
-  | E_sem_wait : semaphore -> unit Effect.t
-  | E_sem_post : semaphore -> unit Effect.t
-  | E_yield : unit Effect.t
-
-let self () = Effect.perform E_self
-let spawn body = Effect.perform (E_spawn body)
-let join tid = Effect.perform (E_join tid)
-let read ?(loc = "") addr size = Effect.perform (E_access (Event.Read, addr, size, loc))
-let write ?(loc = "") addr size = Effect.perform (E_access (Event.Write, addr, size, loc))
-let lock m = Effect.perform (E_lock m)
-let unlock m = Effect.perform (E_unlock m)
-
-let with_lock m f =
-  lock m;
-  match f () with
-  | v -> unlock m; v
-  | exception e -> unlock m; raise e
-
-let malloc ?(align = 8) size = Effect.perform (E_malloc (align, size))
-
-let calloc ?(align = 8) ?(loc = "") size =
-  let addr = malloc ~align size in
-  write ~loc addr size;
-  addr
-
-let free addr = Effect.perform (E_free addr)
-let static_alloc ?(align = 8) size = Effect.perform (E_static (align, size))
-let barrier_wait b = Effect.perform (E_barrier b)
-let event_set f = Effect.perform (E_evt_set f)
-let event_wait f = Effect.perform (E_evt_wait f)
-let atomic_rmw ?(loc = "") addr size = Effect.perform (E_atomic (addr, size, loc))
-
-let atomic_load ?(loc = "") addr size =
-  Effect.perform (E_atomic_access (Event.Read, addr, size, loc))
-
-let atomic_store ?(loc = "") addr size =
-  Effect.perform (E_atomic_access (Event.Write, addr, size, loc))
-
-let try_lock m = Effect.perform (E_trylock m)
-let cond_wait c m = Effect.perform (E_cond_wait (c, m))
-let cond_signal c = Effect.perform (E_cond_wake (c, false))
-let cond_broadcast c = Effect.perform (E_cond_wake (c, true))
-let sem_wait s = Effect.perform (E_sem_wait s)
-let sem_post s = Effect.perform (E_sem_post s)
-let yield () = Effect.perform E_yield
-
 type result = {
   threads : int;
   events : int;
@@ -105,21 +43,17 @@ type result = {
   total_allocated : int;
 }
 
-type thread_phase = Ready | Running | Blocked | Exited
-
 type thread_info = {
   tid : int;
-  mutable phase : thread_phase;
+  mutable exited : bool;
   joiners : waiter Vec.t;
 }
-
-type runnable = { rtid : int; run : unit -> unit }
 
 type world = {
   mem : Memory.t;
   sink : Event.t -> unit;
   threads : thread_info Vec.t;
-  ready : runnable Vec.t;
+  ready : waiter Vec.t;
   sched : Scheduler.t;
   atomic_syncs : (int, int) Hashtbl.t;
   held_locks : (int, int) Hashtbl.t;  (* mutex id -> owner tid *)
@@ -128,6 +62,328 @@ type world = {
   mutable events : int;
   mutable accesses : int;
 }
+
+(* Operations run on the calling thread's fiber and perform an effect
+   only to give up the CPU ([Yield]), to park on a wait queue
+   ([Suspend]), or to raise an exception that thread code must not see
+   ([Reraise]: the handler raises it out of [run] and drops the
+   continuation). *)
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Suspend : waiter Vec.t -> unit Effect.t
+  | Reraise : exn -> 'a Effect.t
+
+(* The running simulator, set by [run] for its duration. *)
+let current_world : world option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let world () =
+  match Domain.DLS.get current_world with
+  | Some w -> w
+  | None -> raise (Effect.Unhandled Yield)
+
+let reraise e = Effect.perform (Reraise e)
+
+let thread w tid = Vec.get w.threads tid
+
+let emit w e =
+  w.events <- w.events + 1;
+  (match e with
+   | Event.Access _ -> w.accesses <- w.accesses + 1
+   (* track mutex ownership so a deadlock report can name the held
+      locks (barrier/flag/atomic sync objects are not "held") *)
+   | Event.Acquire { tid; lock; sync = Event.Lock } ->
+     Hashtbl.replace w.held_locks lock tid
+   | Event.Release { lock; sync = Event.Lock; _ } ->
+     Hashtbl.remove w.held_locks lock
+   | _ -> ());
+  w.sink e
+
+(* [emit] from thread code: a sink exception (a budget stop, a detector
+   error) ends the run without unwinding through the workload. *)
+let emit_here w e = try emit w e with ex -> reraise ex
+
+(* The preemption point every non-blocking operation ends with: keep
+   running when the policy would pick this thread again, otherwise
+   yield to the scheduler loop. *)
+let switch w =
+  if not (Scheduler.stay w.sched ~others:(Vec.length w.ready)) then
+    Effect.perform Yield
+
+let new_thread w =
+  let tid = Vec.length w.threads in
+  if tid > Epoch.max_tid then
+    invalid_arg
+      (Printf.sprintf "Sim.spawn: more than %d threads" (Epoch.max_tid + 1));
+  Vec.push w.threads { tid; exited = false; joiners = Vec.create () };
+  w.live <- w.live + 1;
+  tid
+
+let park queue tid k =
+  Vec.push queue { wtid = tid; wake = (fun () -> Effect.Deep.continue k ()) }
+
+let exec w tid body =
+  Effect.Deep.match_with body ()
+    {
+      retc =
+        (fun () ->
+          let ti = thread w tid in
+          ti.exited <- true;
+          w.live <- w.live - 1;
+          emit w (Event.Thread_exit { tid });
+          Vec.iter (Vec.push w.ready) ti.joiners;
+          Vec.clear ti.joiners);
+      exnc = raise;
+      effc =
+        (fun (type c) (eff : c Effect.t) :
+             ((c, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Yield -> Some (fun k -> park w.ready tid k)
+          | Suspend queue -> Some (fun k -> park queue tid k)
+          | Reraise e -> Some (fun _ -> raise e)
+          | _ -> None);
+    }
+
+(* Blocking operations emit their acquire-side event after [Suspend]
+   returns, i.e. when the waker's hand-off has made the thread run
+   again — the order the events happen in. *)
+
+let self () =
+  let w = world () in
+  let tid = w.current in
+  switch w;
+  tid
+
+let spawn body =
+  let w = world () in
+  let parent = w.current in
+  let child = try new_thread w with e -> reraise e in
+  emit_here w (Event.Fork { parent; child });
+  Vec.push w.ready { wtid = child; wake = (fun () -> exec w child body) };
+  switch w;
+  child
+
+let join target =
+  let w = world () in
+  let parent = w.current in
+  let ti = try thread w target with e -> reraise e in
+  if ti.exited then begin
+    emit_here w (Event.Join { parent; child = target });
+    switch w
+  end
+  else begin
+    Effect.perform (Suspend ti.joiners);
+    emit_here w (Event.Join { parent; child = target })
+  end
+
+let access kind loc addr size =
+  let w = world () in
+  emit_here w (Event.Access { tid = w.current; kind; addr; size; loc });
+  switch w
+
+let read ?(loc = "") addr size = access Event.Read loc addr size
+let write ?(loc = "") addr size = access Event.Write loc addr size
+
+let lock m =
+  let w = world () in
+  let tid = w.current in
+  let acquire () = emit_here w (Event.Acquire { tid; lock = m.lid; sync = Event.Lock }) in
+  if m.owner < 0 then begin
+    m.owner <- tid;
+    acquire ();
+    switch w
+  end
+  else if m.owner = tid then invalid_arg "Sim.lock: mutex already held by caller"
+  else begin
+    (* the unlocker hands ownership over FIFO before waking us *)
+    Effect.perform (Suspend m.waiters);
+    acquire ()
+  end
+
+(* Release [m]'s ownership: hand it to the longest waiter, if any. *)
+let hand_off w m =
+  if Vec.length m.waiters > 0 then begin
+    let wtr = Vec.remove_ordered m.waiters 0 in
+    m.owner <- wtr.wtid;
+    Vec.push w.ready wtr
+  end
+  else m.owner <- -1
+
+let unlock m =
+  let w = world () in
+  let tid = w.current in
+  if m.owner <> tid then invalid_arg "Sim.unlock: mutex not held by caller";
+  emit_here w (Event.Release { tid; lock = m.lid; sync = Event.Lock });
+  hand_off w m;
+  switch w
+
+let with_lock m f =
+  lock m;
+  match f () with
+  | v -> unlock m; v
+  | exception e -> unlock m; raise e
+
+let try_lock m =
+  let w = world () in
+  let tid = w.current in
+  let acquired = m.owner < 0 in
+  if acquired then begin
+    m.owner <- tid;
+    emit_here w (Event.Acquire { tid; lock = m.lid; sync = Event.Lock })
+  end;
+  switch w;
+  acquired
+
+let malloc ?(align = 8) size =
+  let w = world () in
+  let addr = try Memory.alloc w.mem ~align size with e -> reraise e in
+  emit_here w (Event.Alloc { tid = w.current; addr; size });
+  switch w;
+  addr
+
+let calloc ?(align = 8) ?(loc = "") size =
+  let addr = malloc ~align size in
+  write ~loc addr size;
+  addr
+
+let free addr =
+  let w = world () in
+  let size = Memory.free w.mem addr in
+  emit_here w (Event.Free { tid = w.current; addr; size });
+  switch w
+
+let static_alloc ?(align = 8) size =
+  let w = world () in
+  let addr = try Memory.alloc_static w.mem ~align size with e -> reraise e in
+  switch w;
+  addr
+
+let barrier_wait b =
+  let w = world () in
+  let tid = w.current in
+  emit_here w (Event.Release { tid; lock = b.bid; sync = Event.Barrier });
+  if Vec.length b.arrived + 1 < b.parties then Effect.perform (Suspend b.arrived)
+  else begin
+    Vec.iter (Vec.push w.ready) b.arrived;
+    Vec.clear b.arrived;
+    switch w
+  end;
+  emit_here w (Event.Acquire { tid; lock = b.bid; sync = Event.Barrier })
+
+let event_set f =
+  let w = world () in
+  emit_here w (Event.Release { tid = w.current; lock = f.eid; sync = Event.Flag });
+  f.is_set <- true;
+  Vec.iter (Vec.push w.ready) f.ewaiters;
+  Vec.clear f.ewaiters;
+  switch w
+
+let event_wait f =
+  let w = world () in
+  let tid = w.current in
+  if f.is_set then switch w else Effect.perform (Suspend f.ewaiters);
+  emit_here w (Event.Acquire { tid; lock = f.eid; sync = Event.Flag })
+
+let atomic_sync_id w addr =
+  match Hashtbl.find_opt w.atomic_syncs addr with
+  | Some id -> id
+  | None ->
+    let id = fresh_sync_id () in
+    Hashtbl.replace w.atomic_syncs addr id;
+    id
+
+(* One access per [kinds] entry, bracketed by an acquire/release on
+   [addr]'s atomic sync object. *)
+let atomic kinds loc addr size =
+  let w = world () in
+  let tid = w.current in
+  let sid = atomic_sync_id w addr in
+  emit_here w (Event.Acquire { tid; lock = sid; sync = Event.Atomic });
+  List.iter
+    (fun kind -> emit_here w (Event.Access { tid; kind; addr; size; loc }))
+    kinds;
+  emit_here w (Event.Release { tid; lock = sid; sync = Event.Atomic });
+  switch w
+
+let atomic_rmw ?(loc = "") addr size = atomic [ Event.Read; Event.Write ] loc addr size
+let atomic_load ?(loc = "") addr size = atomic [ Event.Read ] loc addr size
+let atomic_store ?(loc = "") addr size = atomic [ Event.Write ] loc addr size
+
+let cond_wait c m =
+  let w = world () in
+  let tid = w.current in
+  if m.owner <> tid then invalid_arg "Sim.cond_wait: mutex not held by caller";
+  (* unlock the mutex (with hand-off), park on the condition, then
+     re-acquire the mutex before returning *)
+  emit_here w (Event.Release { tid; lock = m.lid; sync = Event.Lock });
+  hand_off w m;
+  Effect.perform (Suspend c.cwaiters);
+  emit_here w (Event.Acquire { tid; lock = c.cid; sync = Event.Flag });
+  if m.owner < 0 then m.owner <- tid else Effect.perform (Suspend m.waiters);
+  emit_here w (Event.Acquire { tid; lock = m.lid; sync = Event.Lock })
+
+let cond_wake c ~broadcast =
+  let w = world () in
+  emit_here w (Event.Release { tid = w.current; lock = c.cid; sync = Event.Flag });
+  if broadcast then begin
+    Vec.iter (Vec.push w.ready) c.cwaiters;
+    Vec.clear c.cwaiters
+  end
+  else if Vec.length c.cwaiters > 0 then Vec.push w.ready (Vec.remove_ordered c.cwaiters 0);
+  switch w
+
+let cond_signal c = cond_wake c ~broadcast:false
+let cond_broadcast c = cond_wake c ~broadcast:true
+
+let sem_wait s =
+  let w = world () in
+  let tid = w.current in
+  let acquire () = emit_here w (Event.Acquire { tid; lock = s.smid; sync = Event.Flag }) in
+  if s.count > 0 then begin
+    s.count <- s.count - 1;
+    acquire ();
+    switch w
+  end
+  else begin
+    (* the poster hands its permit straight to us *)
+    Effect.perform (Suspend s.swaiters);
+    acquire ()
+  end
+
+let sem_post s =
+  let w = world () in
+  emit_here w (Event.Release { tid = w.current; lock = s.smid; sync = Event.Flag });
+  if Vec.length s.swaiters > 0 then Vec.push w.ready (Vec.remove_ordered s.swaiters 0)
+  else s.count <- s.count + 1;
+  switch w
+
+let yield () = switch (world ())
+
+let deadlock w =
+  let blocked =
+    Vec.fold_left
+      (fun acc ti -> if ti.exited then acc else ti.tid :: acc)
+      [] w.threads
+  in
+  let held =
+    Hashtbl.fold (fun lock owner acc -> (lock, owner) :: acc) w.held_locks []
+    |> List.sort compare
+  in
+  Deadlock { blocked = List.rev blocked; held }
+
+let rec loop w =
+  let n = Vec.length w.ready in
+  if n = 0 then begin if w.live > 0 then raise (deadlock w) end
+  else begin
+    let i =
+      Scheduler.pick w.sched ~current:w.current
+        ~ready_tids:(fun i -> (Vec.get w.ready i).wtid)
+        ~n
+    in
+    let r = Vec.remove_ordered w.ready i in
+    w.current <- r.wtid;
+    r.wake ();
+    loop w
+  end
 
 let run ?(policy = Scheduler.default) ?(sink = fun (_ : Event.t) -> ()) main =
   let w =
@@ -145,352 +401,17 @@ let run ?(policy = Scheduler.default) ?(sink = fun (_ : Event.t) -> ()) main =
       accesses = 0;
     }
   in
-  let thread tid = Vec.get w.threads tid in
-  let emit e =
-    w.events <- w.events + 1;
-    (match e with
-     | Event.Access _ -> w.accesses <- w.accesses + 1
-     (* track mutex ownership so a deadlock report can name the held
-        locks (barrier/flag/atomic sync objects are not "held") *)
-     | Event.Acquire { tid; lock; sync = Event.Lock } ->
-       Hashtbl.replace w.held_locks lock tid
-     | Event.Release { lock; sync = Event.Lock; _ } ->
-       Hashtbl.remove w.held_locks lock
-     | _ -> ());
-    w.sink e
-  in
-  let enqueue tid run =
-    (thread tid).phase <- Ready;
-    Vec.push w.ready { rtid = tid; run }
-  in
-  let resume : type v. int -> (v, unit) Effect.Deep.continuation -> v -> unit =
-    fun tid k v -> enqueue tid (fun () -> Effect.Deep.continue k v)
-  in
-  let new_thread () =
-    let tid = Vec.length w.threads in
-    if tid > Epoch.max_tid then
-      invalid_arg
-        (Printf.sprintf "Sim.spawn: more than %d threads" (Epoch.max_tid + 1));
-    Vec.push w.threads { tid; phase = Ready; joiners = Vec.create () };
-    w.live <- w.live + 1;
-    tid
-  in
-  let block tid = (thread tid).phase <- Blocked in
-  let atomic_sync_id addr =
-    match Hashtbl.find_opt w.atomic_syncs addr with
-    | Some id -> id
-    | None ->
-      let id = fresh_sync_id () in
-      Hashtbl.replace w.atomic_syncs addr id;
-      id
-  in
-  let rec exec tid body =
-    Effect.Deep.match_with body ()
+  let outer = Domain.DLS.get current_world in
+  Domain.DLS.set current_world (Some w);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set current_world outer)
+    (fun () ->
+      let main_tid = new_thread w in
+      Vec.push w.ready { wtid = main_tid; wake = (fun () -> exec w main_tid main) };
+      loop w;
       {
-        retc =
-          (fun () ->
-            let ti = thread tid in
-            ti.phase <- Exited;
-            w.live <- w.live - 1;
-            emit (Event.Thread_exit { tid });
-            Vec.iter (fun wtr -> enqueue wtr.wtid wtr.wake) ti.joiners;
-            Vec.clear ti.joiners);
-        exnc = raise;
-        effc =
-          (fun (type c) (eff : c Effect.t) :
-               ((c, unit) Effect.Deep.continuation -> unit) option ->
-            match eff with
-            | E_self -> Some (fun k -> resume tid k tid)
-            | E_yield -> Some (fun k -> resume tid k ())
-            | E_access (kind, addr, size, loc) ->
-              Some
-                (fun k ->
-                  emit (Event.Access { tid; kind; addr; size; loc });
-                  resume tid k ())
-            | E_spawn body ->
-              Some
-                (fun k ->
-                  let child = new_thread () in
-                  emit (Event.Fork { parent = tid; child });
-                  enqueue child (fun () -> exec child body);
-                  resume tid k child)
-            | E_join target ->
-              Some
-                (fun k ->
-                  let ti = thread target in
-                  if ti.phase = Exited then begin
-                    emit (Event.Join { parent = tid; child = target });
-                    resume tid k ()
-                  end
-                  else begin
-                    block tid;
-                    Vec.push ti.joiners
-                      {
-                        wtid = tid;
-                        wake =
-                          (fun () ->
-                            emit (Event.Join { parent = tid; child = target });
-                            Effect.Deep.continue k ());
-                      }
-                  end)
-            | E_lock m ->
-              Some
-                (fun k ->
-                  if m.owner < 0 then begin
-                    m.owner <- tid;
-                    emit (Event.Acquire { tid; lock = m.lid; sync = Event.Lock });
-                    resume tid k ()
-                  end
-                  else if m.owner = tid then
-                    Effect.Deep.discontinue k
-                      (Invalid_argument "Sim.lock: mutex already held by caller")
-                  else begin
-                    block tid;
-                    Vec.push m.waiters
-                      {
-                        wtid = tid;
-                        wake =
-                          (fun () ->
-                            emit (Event.Acquire { tid; lock = m.lid; sync = Event.Lock });
-                            Effect.Deep.continue k ());
-                      }
-                  end)
-            | E_unlock m ->
-              Some
-                (fun k ->
-                  if m.owner <> tid then
-                    Effect.Deep.discontinue k
-                      (Invalid_argument "Sim.unlock: mutex not held by caller")
-                  else begin
-                    emit (Event.Release { tid; lock = m.lid; sync = Event.Lock });
-                    if Vec.length m.waiters > 0 then begin
-                      (* deterministic FIFO lock handoff *)
-                      let wtr = Vec.remove_ordered m.waiters 0 in
-                      m.owner <- wtr.wtid;
-                      enqueue wtr.wtid wtr.wake
-                    end
-                    else m.owner <- -1;
-                    resume tid k ()
-                  end)
-            | E_malloc (align, size) ->
-              Some
-                (fun k ->
-                  let addr = Memory.alloc w.mem ~align size in
-                  emit (Event.Alloc { tid; addr; size });
-                  resume tid k addr)
-            | E_free addr ->
-              Some
-                (fun k ->
-                  match Memory.free w.mem addr with
-                  | size ->
-                    emit (Event.Free { tid; addr; size });
-                    resume tid k ()
-                  | exception (Invalid_argument _ as e) ->
-                    Effect.Deep.discontinue k e)
-            | E_static (align, size) ->
-              Some (fun k -> resume tid k (Memory.alloc_static w.mem ~align size))
-            | E_barrier b ->
-              Some
-                (fun k ->
-                  emit (Event.Release { tid; lock = b.bid; sync = Event.Barrier });
-                  let wtr =
-                    {
-                      wtid = tid;
-                      wake =
-                        (fun () ->
-                          emit (Event.Acquire { tid; lock = b.bid; sync = Event.Barrier });
-                          Effect.Deep.continue k ());
-                    }
-                  in
-                  if Vec.length b.arrived + 1 < b.parties then begin
-                    block tid;
-                    Vec.push b.arrived wtr
-                  end
-                  else begin
-                    Vec.iter (fun wtr -> enqueue wtr.wtid wtr.wake) b.arrived;
-                    Vec.clear b.arrived;
-                    enqueue tid wtr.wake
-                  end)
-            | E_evt_set f ->
-              Some
-                (fun k ->
-                  emit (Event.Release { tid; lock = f.eid; sync = Event.Flag });
-                  f.is_set <- true;
-                  Vec.iter (fun wtr -> enqueue wtr.wtid wtr.wake) f.ewaiters;
-                  Vec.clear f.ewaiters;
-                  resume tid k ())
-            | E_evt_wait f ->
-              Some
-                (fun k ->
-                  let wtr =
-                    {
-                      wtid = tid;
-                      wake =
-                        (fun () ->
-                          emit (Event.Acquire { tid; lock = f.eid; sync = Event.Flag });
-                          Effect.Deep.continue k ());
-                    }
-                  in
-                  if f.is_set then enqueue tid wtr.wake
-                  else begin
-                    block tid;
-                    Vec.push f.ewaiters wtr
-                  end)
-            | E_atomic (addr, size, loc) ->
-              Some
-                (fun k ->
-                  let sid = atomic_sync_id addr in
-                  emit (Event.Acquire { tid; lock = sid; sync = Event.Atomic });
-                  emit (Event.Access { tid; kind = Event.Read; addr; size; loc });
-                  emit (Event.Access { tid; kind = Event.Write; addr; size; loc });
-                  emit (Event.Release { tid; lock = sid; sync = Event.Atomic });
-                  resume tid k ())
-            | E_atomic_access (kind, addr, size, loc) ->
-              Some
-                (fun k ->
-                  let sid = atomic_sync_id addr in
-                  emit (Event.Acquire { tid; lock = sid; sync = Event.Atomic });
-                  emit (Event.Access { tid; kind; addr; size; loc });
-                  emit (Event.Release { tid; lock = sid; sync = Event.Atomic });
-                  resume tid k ())
-            | E_trylock m ->
-              Some
-                (fun k ->
-                  if m.owner < 0 then begin
-                    m.owner <- tid;
-                    emit (Event.Acquire { tid; lock = m.lid; sync = Event.Lock });
-                    resume tid k true
-                  end
-                  else resume tid k false)
-            | E_cond_wait (c, m) ->
-              Some
-                (fun k ->
-                  if m.owner <> tid then
-                    Effect.Deep.discontinue k
-                      (Invalid_argument "Sim.cond_wait: mutex not held by caller")
-                  else begin
-                    (* unlock the mutex (with handoff), then park on the
-                       condition; the wake path re-acquires the mutex
-                       before resuming *)
-                    emit (Event.Release { tid; lock = m.lid; sync = Event.Lock });
-                    (if Vec.length m.waiters > 0 then begin
-                       let wtr = Vec.remove_ordered m.waiters 0 in
-                       m.owner <- wtr.wtid;
-                       enqueue wtr.wtid wtr.wake
-                     end
-                     else m.owner <- -1);
-                    block tid;
-                    let relock () =
-                      if m.owner < 0 then begin
-                        m.owner <- tid;
-                        emit (Event.Acquire { tid; lock = m.lid; sync = Event.Lock });
-                        Effect.Deep.continue k ()
-                      end
-                      else begin
-                        block tid;
-                        Vec.push m.waiters
-                          {
-                            wtid = tid;
-                            wake =
-                              (fun () ->
-                                emit
-                                  (Event.Acquire
-                                     { tid; lock = m.lid; sync = Event.Lock });
-                                Effect.Deep.continue k ());
-                          }
-                      end
-                    in
-                    Vec.push c.cwaiters
-                      {
-                        wtid = tid;
-                        wake =
-                          (fun () ->
-                            emit (Event.Acquire { tid; lock = c.cid; sync = Event.Flag });
-                            relock ());
-                      }
-                  end)
-            | E_cond_wake (c, broadcast) ->
-              Some
-                (fun k ->
-                  emit (Event.Release { tid; lock = c.cid; sync = Event.Flag });
-                  if broadcast then begin
-                    Vec.iter (fun wtr -> enqueue wtr.wtid wtr.wake) c.cwaiters;
-                    Vec.clear c.cwaiters
-                  end
-                  else if Vec.length c.cwaiters > 0 then begin
-                    let wtr = Vec.remove_ordered c.cwaiters 0 in
-                    enqueue wtr.wtid wtr.wake
-                  end;
-                  resume tid k ())
-            | E_sem_wait s ->
-              Some
-                (fun k ->
-                  if s.count > 0 then begin
-                    s.count <- s.count - 1;
-                    emit (Event.Acquire { tid; lock = s.smid; sync = Event.Flag });
-                    resume tid k ()
-                  end
-                  else begin
-                    block tid;
-                    Vec.push s.swaiters
-                      {
-                        wtid = tid;
-                        wake =
-                          (fun () ->
-                            emit (Event.Acquire { tid; lock = s.smid; sync = Event.Flag });
-                            Effect.Deep.continue k ());
-                      }
-                  end)
-            | E_sem_post s ->
-              Some
-                (fun k ->
-                  emit (Event.Release { tid; lock = s.smid; sync = Event.Flag });
-                  if Vec.length s.swaiters > 0 then begin
-                    (* the permit is handed directly to a waiter *)
-                    let wtr = Vec.remove_ordered s.swaiters 0 in
-                    enqueue wtr.wtid wtr.wake
-                  end
-                  else s.count <- s.count + 1;
-                  resume tid k ())
-            | _ -> None);
-      }
-  in
-  let main_tid = new_thread () in
-  enqueue main_tid (fun () -> exec main_tid main);
-  let rec loop () =
-    let n = Vec.length w.ready in
-    if n = 0 then begin
-      if w.live > 0 then begin
-        let blocked =
-          Vec.fold_left
-            (fun acc ti -> if ti.phase <> Exited then ti.tid :: acc else acc)
-            [] w.threads
-        in
-        let held =
-          Hashtbl.fold (fun lock owner acc -> (lock, owner) :: acc)
-            w.held_locks []
-          |> List.sort compare
-        in
-        raise (Deadlock { blocked = List.rev blocked; held })
-      end
-    end
-    else begin
-      let i =
-        Scheduler.pick w.sched ~current:w.current
-          ~ready_tids:(fun i -> (Vec.get w.ready i).rtid)
-          ~n
-      in
-      let r = Vec.remove_ordered w.ready i in
-      (thread r.rtid).phase <- Running;
-      w.current <- r.rtid;
-      r.run ();
-      loop ()
-    end
-  in
-  loop ();
-  {
-    threads = Vec.length w.threads;
-    events = w.events;
-    accesses = w.accesses;
-    total_allocated = Memory.total_allocated w.mem;
-  }
+        threads = Vec.length w.threads;
+        events = w.events;
+        accesses = w.accesses;
+        total_allocated = Memory.total_allocated w.mem;
+      })

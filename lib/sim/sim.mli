@@ -7,14 +7,16 @@
     event sink (the race detector under test).
 
     Thread bodies are ordinary OCaml functions that call the operations
-    below; the implementation uses OCaml 5 effect handlers to suspend
-    and resume threads, so arbitrary control flow (loops, recursion,
-    higher-order code) works unchanged inside a thread.
+    below; each thread runs on its own OCaml 5 fiber, so arbitrary
+    control flow (loops, recursion, higher-order code) works unchanged
+    inside a thread.  An operation runs directly on the calling fiber
+    and performs an effect only when the thread gives up the CPU (the
+    policy switches away, or the operation blocks).
 
     All operations except {!mutex}, {!barrier} and {!event} must be
-    called from inside {!run} (they perform effects handled by the
-    scheduler).  Calling them elsewhere raises
-    [Effect.Unhandled]. *)
+    called from inside {!run}, which makes the running simulator
+    reachable through domain-local state.  Calling them elsewhere
+    raises [Effect.Unhandled]. *)
 
 open Dgrace_events
 
@@ -179,4 +181,12 @@ val run :
 (** [run main] executes [main] as thread 0, scheduling all spawned
     threads until every thread has finished.  Each emitted event is
     passed to [sink] (default: ignore) before the next operation runs.
+
+    If [sink] raises, the run stops at that event: the exception
+    escapes [run] unchanged, no later event is delivered, and thread
+    code never sees it (a [with_lock] cleanup does not run).  The
+    same holds for an invalid allocation size or [join] target, and
+    the thread-id limit.  Misuse of a sync object ([lock] of a held
+    mutex, [unlock] or [cond_wait] without the mutex, a bad [free])
+    raises [Invalid_argument] in the calling thread instead.
     @raise Deadlock on global deadlock. *)

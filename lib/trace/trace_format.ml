@@ -19,6 +19,21 @@ let max_tid = 1023 (* Epoch.max_tid: the detectors' own thread ceiling *)
 let max_access_size = 1 lsl 30
 let max_loc_len = 1 lsl 16
 
+(* A location the reader would reject as too long is refused when it
+   is written, not discovered at replay. *)
+let check_loc loc =
+  let len = String.length loc in
+  if len > max_loc_len then
+    raise
+      (Dgrace_resilience.Error.E
+         (Dgrace_resilience.Error.Invalid_input
+            {
+              what = "trace location";
+              reason =
+                Printf.sprintf "%d bytes long; a trace holds at most %d" len
+                  max_loc_len;
+            }))
+
 exception Corrupt of string
 
 (* A top-level loop, so a write allocates no closure. *)

@@ -23,6 +23,11 @@ val max_tid : int
 val max_access_size : int
 val max_loc_len : int
 
+val check_loc : string -> unit
+(** What both writers do before recording a location: refuse one
+    longer than [max_loc_len], which the readers would reject.
+    @raise Dgrace_resilience.Error.E with [Invalid_input]. *)
+
 (** Event tag bytes. *)
 
 val tag_read : int

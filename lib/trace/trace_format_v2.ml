@@ -58,21 +58,6 @@ let block_encoder () =
     e_last_id = -1;
   }
 
-(* A location the reader would reject as too long is refused when it
-   is written, not discovered at replay. *)
-let check_loc loc =
-  let len = String.length loc in
-  if len > max_loc_len then
-    raise
-      (Error.E
-         (Error.Invalid_input
-            {
-              what = "trace location";
-              reason =
-                Printf.sprintf "%d bytes long; a trace holds at most %d" len
-                  max_loc_len;
-            }))
-
 (* End of the run of equal values that starts at row [i]. *)
 let run_end (col : int array) i n =
   let v = col.(i) in

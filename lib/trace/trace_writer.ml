@@ -37,6 +37,9 @@ let write t ev =
   let buf = t.buf in
   (match ev with
    | Event.Access { tid; kind; addr; size; loc } ->
+     (* before any byte of the record is buffered, so a refused
+        location leaves the trace readable up to the event before *)
+     check_loc loc;
      let tag = if kind = Event.Read then tag_read else tag_write in
      Buffer.add_char buf (Char.chr tag);
      write_varint buf tid;

@@ -449,6 +449,89 @@ let test_alloc_free_events_carry_size () =
       | Event.Free { size; _ } -> check_int "free size" 48 size
       | _ -> ()) evs
 
+(* ------------------------------------------------------------------ *)
+(* golden schedules: every digest matches the checked-in table *)
+
+let test_golden () =
+  let expected =
+    String.split_on_char '\n' Golden_table.text |> List.filter (( <> ) "")
+  in
+  let actual = List.map Sim_golden.line (Sim_golden.cases ()) in
+  check_int "table size" (List.length expected) (List.length actual);
+  let mismatches =
+    List.filter_map
+      (fun (e, a) -> if e = a then None else Some (e, a))
+      (List.combine expected actual)
+  in
+  List.iteri
+    (fun i (e, a) ->
+      if i < 5 then Printf.printf "expected: %s\nactual:   %s\n" e a)
+    mismatches;
+  check_int "mismatched runs" 0 (List.length mismatches)
+
+(* ------------------------------------------------------------------ *)
+(* sink-exception contract: an exception raised by the sink stops the
+   run at that event and escapes [Sim.run] unchanged; thread code
+   (with_lock's cleanup included) never sees it *)
+
+exception Sink_stop of int
+
+let contract_program unwound () =
+  let m = Sim.mutex () in
+  let b = Sim.barrier 2 in
+  let c = Sim.condition () in
+  let ready = ref false in
+  let a = Sim.static_alloc 16 in
+  let guard body () =
+    match body () with () -> () | exception e -> unwound := true; raise e
+  in
+  let worker i () =
+    Sim.with_lock m (fun () -> Sim.write (a + (4 * i)) 4; Sim.read a 4);
+    Sim.barrier_wait b;
+    Sim.with_lock m (fun () ->
+        if i = 0 then begin
+          ready := true;
+          Sim.cond_broadcast c
+        end
+        else while not !ready do Sim.cond_wait c m done;
+        Sim.write (a + 8) 4)
+  in
+  let t1 = Sim.spawn (guard (worker 0)) in
+  let t2 = Sim.spawn (guard (worker 1)) in
+  Sim.join t1;
+  Sim.join t2
+
+let test_sink_exception_contract () =
+  List.iter
+    (fun policy ->
+      let full = (Sim.run ~policy (contract_program (ref false))).events in
+      check_bool "stream long enough" true (full > 20);
+      for k = 1 to full do
+        let delivered = ref 0 in
+        let raised = Sink_stop k in
+        let sink _ =
+          incr delivered;
+          if !delivered = k then raise raised
+        in
+        let unwound = ref false in
+        (match Sim.run ~policy ~sink (contract_program unwound) with
+         | _ -> Alcotest.failf "k=%d: run completed" k
+         | exception e ->
+           check_bool (Printf.sprintf "k=%d: same exception" k) true (e == raised));
+        check_int (Printf.sprintf "k=%d: delivered" k) k !delivered;
+        check_bool (Printf.sprintf "k=%d: thread code unwound" k) false !unwound;
+        (* the simulator state was restored: the next run on this
+           domain is complete *)
+        let again = Sim.run ~policy (contract_program (ref false)) in
+        check_int (Printf.sprintf "k=%d: next run" k) full again.events
+      done)
+    [ Scheduler.Chunked { seed = 1; chunk = 64 }; Scheduler.Round_robin ]
+
+let test_outside_run () =
+  match Sim.yield () with
+  | () -> Alcotest.fail "an operation outside Sim.run returned"
+  | exception Effect.Unhandled _ -> ()
+
 let suites : unit Alcotest.test list =
     [
       ( "sim.events",
@@ -491,5 +574,13 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "500 threads" `Quick test_many_threads;
           Alcotest.test_case "thread-id limit" `Quick test_thread_limit;
           Alcotest.test_case "alignment" `Quick test_memory_alignment;
+        ] );
+      ( "sim.golden",
+        [ Alcotest.test_case "schedule digests" `Quick test_golden ] );
+      ( "sim.sink",
+        [
+          Alcotest.test_case "sink exception contract" `Quick
+            test_sink_exception_contract;
+          Alcotest.test_case "operation outside run" `Quick test_outside_run;
         ] );
     ]

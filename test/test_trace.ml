@@ -48,6 +48,25 @@ let test_loc_interning_compact () =
   Sys.remove path;
   Alcotest.(check bool) "interned (well under 50 copies)" true (size < 100 * 10)
 
+(* The writer refuses a location the reader would reject as out of
+   range, so every trace it records replays; the events before the
+   refused one stay a readable trace. *)
+let test_long_location_rejected () =
+  let path = tmp_file () in
+  let long = String.make 70001 'x' in
+  (match
+     Trace_writer.to_file path (fun sink ->
+         List.iter sink sample_events;
+         sink (Event.Access { tid = 0; kind = Write; addr = 0x40; size = 4; loc = long }))
+   with
+   | _ -> Alcotest.fail "an over-long location was recorded"
+   | exception Error.E (Error.Invalid_input { what; _ }) ->
+     Alcotest.(check string) "what" "trace location" what);
+  Alcotest.(check (list string)) "prefix replays"
+    (List.map Event.to_string sample_events)
+    (List.map Event.to_string (Trace_reader.read_file path));
+  Sys.remove path
+
 let test_varint () =
   let buf = Buffer.create 16 in
   List.iter (Trace_format.write_varint buf) [ 0; 1; 127; 128; 300; 1 lsl 40 ];
@@ -358,6 +377,8 @@ let suites : unit Alcotest.test list =
       ( "trace.format",
         [
           Alcotest.test_case "varint" `Quick test_varint;
+          Alcotest.test_case "over-long location refused" `Quick
+            test_long_location_rejected;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "short header" `Quick test_short_header;
           Alcotest.test_case "truncated event" `Quick test_truncated_event;
