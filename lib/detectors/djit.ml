@@ -35,10 +35,20 @@ let bitmap st tid =
     Vec.set st.bitmaps tid (Some b);
     b
 
+(* [absent] sentinel of shadow lookups: never stored *)
+let no_cell =
+  {
+    rvc = Vector_clock.create ();
+    wvc = Vector_clock.create ();
+    w_loc = "";
+    r_loc = "";
+    racy = false;
+  }
+
 let cell_at st a =
-  match Shadow_table.get st.shadow a with
-  | Some c -> c
-  | None ->
+  let c = Shadow_table.find st.shadow a ~absent:no_cell in
+  if c != no_cell then c
+  else
     let c =
       {
         rvc = Vector_clock.create ();

@@ -6,6 +6,11 @@ module Metrics = Dgrace_obs.Metrics
 module Span = Dgrace_obs.Span
 module State_matrix = Dgrace_obs.State_matrix
 
+(* Hot-path convention: integer-only [min]/[max], so a polymorphic
+   comparison (a C call through [compare_val]) cannot creep in. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 (* A cell is one vector clock shared by the locations in [lo, hi).
    Cells live in one plane only (read or write); the dormant history
    field of the other plane stays at its initial value.  [refs] counts
@@ -29,6 +34,21 @@ type cell = {
 
 (* header + 8 fields + the stored access location pointer *)
 let cell_cost = 8 * 10
+
+(* The [absent] sentinel of every shadow lookup: never stored in a
+   plane, never mutated, only compared physically. *)
+let no_cell =
+  {
+    lo = 0;
+    hi = 0;
+    refs = 0;
+    cstate = Share_state.Race;
+    born = Epoch.none;
+    w = Epoch.none;
+    r = Read_state.No_reads;
+    loc = "";
+    evidence = 0;
+  }
 
 (* Clock sharing is confined to aligned [share_granule]-byte lines of
    the address space: a sharing decision never inspects state across a
@@ -171,29 +191,29 @@ let update_hist st ~write c ~tid ~tvc ~here ~loc =
   c.loc <- loc
 
 (* Race check against the opposite plane over the accessed sub-range,
-   walking cell groups so a shared clock is tested once, not per slot. *)
-let find_conflict st ~write ~sub_lo ~sub_hi ~tvc =
-  let pl = if write then st.rplane else st.wplane in
-  let rec walk a =
-    if a >= sub_hi then None
+   walking cell groups so a shared clock is tested once, not per slot.
+   This and the other per-access walkers are top-level functions: a
+   local closure would be allocated on every analysed access. *)
+let rec find_conflict st pl ~write ~sub_hi ~tvc a =
+  if a >= sub_hi then None
+  else begin
+    let c = Shadow_table.group pl a ~hi:sub_hi ~absent:no_cell in
+    let ghi = Shadow_table.found_hi pl in
+    if c == no_cell || c.cstate = Share_state.Race then
+      find_conflict st pl ~write ~sub_hi ~tvc ghi
     else begin
-      let _, ghi, v = Shadow_table.group pl a ~hi:sub_hi in
-      match v with
-      | Some c when c.cstate <> Share_state.Race ->
-        (match c.r with
-         | Read_state.Vc _ when write -> Metrics.incr st.m_vc_op
-         | _ -> Metrics.incr st.m_epoch_cmp);
-        if write then
-          if not (Read_state.leq c.r tvc) then
-            Some (Race_info.of_read_state c.r ~against:tvc ~loc:c.loc)
-          else walk ghi
-        else if not (Vector_clock.epoch_leq c.w tvc) then
-          Some (Race_info.of_write ~w:c.w ~loc:c.loc)
-        else walk ghi
-      | Some _ | None -> walk ghi
+      (match c.r with
+       | Read_state.Vc _ when write -> Metrics.incr st.m_vc_op
+       | _ -> Metrics.incr st.m_epoch_cmp);
+      if write then
+        if not (Read_state.leq c.r tvc) then
+          Some (Race_info.of_read_state c.r ~against:tvc ~loc:c.loc)
+        else find_conflict st pl ~write ~sub_hi ~tvc ghi
+      else if not (Vector_clock.epoch_leq c.w tvc) then
+        Some (Race_info.of_write ~w:c.w ~loc:c.loc)
+      else find_conflict st pl ~write ~sub_hi ~tvc ghi
     end
-  in
-  walk sub_lo
+  end
 
 let check_races st ~write ~cell ~sub_lo ~sub_hi ~tvc =
   Span.timer_start st.tm_vc;
@@ -201,7 +221,10 @@ let check_races st ~write ~cell ~sub_lo ~sub_hi ~tvc =
   let conflict =
     if write && not (Vector_clock.epoch_leq cell.w tvc) then
       Some (Race_info.of_write ~w:cell.w ~loc:cell.loc)
-    else find_conflict st ~write ~sub_lo ~sub_hi ~tvc
+    else
+      find_conflict st
+        (if write then st.rplane else st.wplane)
+        ~write ~sub_hi ~tvc sub_lo
   in
   Span.timer_stop st.tm_vc;
   conflict
@@ -209,21 +232,20 @@ let check_races st ~write ~cell ~sub_lo ~sub_hi ~tvc =
 (* A write that passed the read-write check dominates the reads of
    every read cell fully inside the written range: collapse them back
    to the cheap representation (FastTrack's WRITE SHARED rule). *)
-let reset_contained_reads st ~sub_lo ~sub_hi =
-  let rec walk a =
-    if a < sub_hi then begin
-      let _, ghi, v = Shadow_table.group st.rplane a ~hi:sub_hi in
-      (match v with
-       | Some rc
-         when rc.cstate <> Share_state.Race && rc.lo >= sub_lo && rc.hi <= sub_hi
-         ->
-         Read_state.release rc.r;
-         rc.r <- Read_state.No_reads
-       | Some _ | None -> ());
-      walk ghi
-    end
-  in
-  walk sub_lo
+let rec reset_contained_reads st ~sub_lo ~sub_hi a =
+  if a < sub_hi then begin
+    let rc = Shadow_table.group st.rplane a ~hi:sub_hi ~absent:no_cell in
+    let ghi = Shadow_table.found_hi st.rplane in
+    if
+      rc != no_cell
+      && rc.cstate <> Share_state.Race
+      && rc.lo >= sub_lo && rc.hi <= sub_hi
+    then begin
+      Read_state.release rc.r;
+      rc.r <- Read_state.No_reads
+    end;
+    reset_contained_reads st ~sub_lo ~sub_hi ghi
+  end
 
 let must_step st c stimulus =
   match Share_state.step c.cstate stimulus with
@@ -254,9 +276,10 @@ let dissolve_and_report st ~write c ~current ~previous =
   let a = ref c.lo in
   while !a < c.hi do
     let slo, shi = Shadow_table.slot_bounds pl !a in
-    (match Shadow_table.get pl !a with
-     | Some c' when c' == c -> if !run_lo < 0 then run_lo := slo
-     | Some _ | None -> flush slo);
+    if Shadow_table.find pl !a ~absent:no_cell == c then begin
+      if !run_lo < 0 then run_lo := slo
+    end
+    else flush slo;
     a := shi
   done;
   flush c.hi;
@@ -279,31 +302,29 @@ let absorb st ~write ~into:nc l ~stimulus =
    new location's history would be exactly "this epoch", so neighbour
    eligibility is checked before allocating anything and a matching
    neighbour is extended in place. *)
+let eligible st ~write ~ulo ~uhi ~here nc =
+  nc != no_cell
+  && merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:ulo ~hi2:uhi
+  && (if write then Epoch.equal nc.w here else Read_state.same_epoch nc.r here)
+  &&
+  if st.init_state then Share_state.is_init nc.cstate
+  else Share_state.is_settled nc.cstate
+
 let first_access st ~write ~ulo ~uhi ~here ~tid ~tvc ~loc =
   let pl = plane st ~write in
-  let eligible nc =
-    merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:ulo ~hi2:uhi
-    && (if write then Epoch.equal nc.w here
-        else Read_state.same_epoch nc.r here)
-    &&
-    if st.init_state then Share_state.is_init nc.cstate
-    else Share_state.is_settled nc.cstate
-  in
-  let sharing_allowed =
-    st.sharing && ((not st.init_state) || st.init_sharing)
-  in
   let candidate =
-    if not sharing_allowed then None
-    else
-      match Shadow_table.prev_neighbor pl ulo with
-      | Some (_, _, nc) when eligible nc -> Some nc
-      | _ -> (
-        match Shadow_table.next_neighbor pl (uhi - 1) with
-        | Some (_, _, nc) when eligible nc -> Some nc
-        | _ -> None)
+    if not (st.sharing && ((not st.init_state) || st.init_sharing)) then
+      no_cell
+    else begin
+      let nc = Shadow_table.prev_neighbor pl ulo ~absent:no_cell in
+      if eligible st ~write ~ulo ~uhi ~here nc then nc
+      else
+        let nc = Shadow_table.next_neighbor pl (uhi - 1) ~absent:no_cell in
+        if eligible st ~write ~ulo ~uhi ~here nc then nc else no_cell
+    end
   in
-  match candidate with
-  | Some nc ->
+  if candidate != no_cell then begin
+    let nc = candidate in
     Shadow_table.set_range pl ~lo:ulo ~hi:uhi nc;
     nc.lo <- min nc.lo ulo;
     nc.hi <- max nc.hi uhi;
@@ -318,7 +339,8 @@ let first_access st ~write ~ulo ~uhi ~here ~tid ~tvc ~loc =
     Accounting.bind_locations st.account (uhi - ulo);
     decided st ~shared:true ~bytes:(nc.hi - nc.lo);
     nc
-  | None ->
+  end
+  else begin
     let state =
       if st.init_state then Share_state.Init_private else Share_state.Private
     in
@@ -330,6 +352,7 @@ let first_access st ~write ~ulo ~uhi ~here ~tid ~tvc ~loc =
     update_hist st ~write l ~tid ~tvc ~here ~loc;
     Shadow_table.set_range pl ~lo:ulo ~hi:uhi l;
     l
+  end
 
 (* Split [sub_lo, sub_hi) out of the Init cell [c] so the second-epoch
    decision applies to exactly the accessed location. *)
@@ -356,58 +379,79 @@ let split_off st ~write c ~sub_lo ~sub_hi =
     l
   end
 
+(* The endpoint of the access being analysed; built on the race path
+   only. *)
+let current ~tid ~write ~here ~loc =
+  Race_info.current ~tid
+    ~kind:(if write then Event.Write else Event.Read)
+    ~clock:(Epoch.clock here) ~loc
+
+(* Reads may share when the write plane is already shared across the
+   boundary and the neighbour has no conflicting read info. *)
+let write_guided st ~write ~sub_lo a =
+  (not write) && st.write_guided_reads
+  &&
+  let wa = Shadow_table.find st.wplane a ~absent:no_cell in
+  wa != no_cell && wa == Shadow_table.find st.wplane sub_lo ~absent:no_cell
+
+(* The settled neighbour at [a] that the freshly split cell [l] may
+   join, or [no_cell]. *)
+let neighbor_at st pl ~write l ~sub_lo ~sub_hi a =
+  let nc = Shadow_table.find pl a ~absent:no_cell in
+  if
+    nc != no_cell && nc != l
+    && merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:sub_lo ~hi2:sub_hi
+    && Share_state.is_settled nc.cstate
+    && (hist_equal ~write l nc
+        || (write_guided st ~write ~sub_lo a && Read_state.is_empty nc.r))
+  then nc
+  else no_cell
+
 (* Second-epoch access: split, race-check, then the firm sharing
    decision against the settled neighbours at the range boundaries. *)
-let second_epoch st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc ~current =
+let second_epoch st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc =
   let pl = plane st ~write in
   let l = split_off st ~write c ~sub_lo ~sub_hi in
   match check_races st ~write ~cell:l ~sub_lo ~sub_hi ~tvc with
   | Some previous ->
-    dissolve_and_report st ~write l ~current:(current ()) ~previous;
+    dissolve_and_report st ~write l
+      ~current:(current ~tid ~write ~here ~loc)
+      ~previous;
     l
   | None ->
     update_hist st ~write l ~tid ~tvc ~here ~loc;
-    if write then reset_contained_reads st ~sub_lo ~sub_hi;
-    let write_guided a =
-      (* reads may share when the write plane is already shared across
-         the boundary and the neighbour has no conflicting read info *)
-      (not write) && st.write_guided_reads
-      &&
-      match (Shadow_table.get st.wplane a, Shadow_table.get st.wplane sub_lo) with
-      | Some wa, Some wb -> wa == wb
-      | (Some _ | None), _ -> false
-    in
-    let neighbor_at a =
-      match Shadow_table.get pl a with
-      | Some nc
-        when nc != l
-             && merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:sub_lo
-                  ~hi2:sub_hi
-             && Share_state.is_settled nc.cstate
-             && (hist_equal ~write l nc
-                 || (write_guided a && nc.r = Read_state.No_reads)) -> Some nc
-      | Some _ | None -> None
-    in
+    if write then reset_contained_reads st ~sub_lo ~sub_hi sub_lo;
     let candidate =
-      if not st.sharing then None
+      if not st.sharing then no_cell
       else
-        match neighbor_at (sub_lo - 1) with
-        | Some nc -> Some nc
-        | None -> neighbor_at sub_hi
+        let nc = neighbor_at st pl ~write l ~sub_lo ~sub_hi (sub_lo - 1) in
+        if nc != no_cell then nc
+        else neighbor_at st pl ~write l ~sub_lo ~sub_hi sub_hi
     in
-    (match candidate with
-     | Some nc ->
-       absorb st ~write ~into:nc l ~stimulus:Share_state.Adopted_by_neighbor;
-       decided st ~shared:true ~bytes:(nc.hi - nc.lo);
-       nc
-     | None ->
-       must_step st l
-         (Share_state.Second_epoch_access { matching_settled_neighbor = false });
-       decided st ~shared:false ~bytes:(l.hi - l.lo);
-       l)
+    if candidate != no_cell then begin
+      let nc = candidate in
+      absorb st ~write ~into:nc l ~stimulus:Share_state.Adopted_by_neighbor;
+      decided st ~shared:true ~bytes:(nc.hi - nc.lo);
+      nc
+    end
+    else begin
+      must_step st l
+        (Share_state.Second_epoch_access { matching_settled_neighbor = false });
+      decided st ~shared:false ~bytes:(l.hi - l.lo);
+      l
+    end
 
 (* §VII extension: after k consecutive clock matches with a settled
    neighbour, re-open the sharing decision for a Private cell. *)
+let matching pl ~write c a =
+  let nc = Shadow_table.find pl a ~absent:no_cell in
+  if
+    nc != no_cell && nc != c
+    && merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:c.lo ~hi2:c.hi
+    && Share_state.is_settled nc.cstate && hist_equal ~write c nc
+  then nc
+  else no_cell
+
 let try_reshare st ~write c =
   if
     st.reshare_after > 0
@@ -415,39 +459,35 @@ let try_reshare st ~write c =
     && c.refs = c.hi - c.lo
   then begin
     let pl = plane st ~write in
-    let matching a =
-      match Shadow_table.get pl a with
-      | Some nc
-        when nc != c
-             && merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:c.lo ~hi2:c.hi
-             && Share_state.is_settled nc.cstate && hist_equal ~write c nc ->
-        Some nc
-      | Some _ | None -> None
+    let nc =
+      let nc = matching pl ~write c (c.lo - 1) in
+      if nc != no_cell then nc else matching pl ~write c c.hi
     in
-    match
-      (match matching (c.lo - 1) with Some nc -> Some nc | None -> matching c.hi)
-    with
-    | Some nc ->
+    if nc != no_cell then begin
       c.evidence <- c.evidence + 1;
       if c.evidence >= st.reshare_after && nc.refs = nc.hi - nc.lo then begin
         absorb st ~write ~into:nc c ~stimulus:Share_state.Adopted_by_neighbor;
         decided st ~shared:true ~bytes:(nc.hi - nc.lo)
       end
-    | None -> c.evidence <- 0
+    end
+    else c.evidence <- 0
   end
 
 (* Accesses after the firm decision: plain FastTrack on the cell. *)
-let steady st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc ~current =
+let steady st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc =
   Metrics.incr st.m_epoch_cmp;
   let same_epoch =
     if write then Epoch.equal c.w here else Read_state.same_epoch c.r here
   in
   if not same_epoch then begin
     match check_races st ~write ~cell:c ~sub_lo ~sub_hi ~tvc with
-    | Some previous -> dissolve_and_report st ~write c ~current:(current ()) ~previous
+    | Some previous ->
+      dissolve_and_report st ~write c
+        ~current:(current ~tid ~write ~here ~loc)
+        ~previous
     | None ->
       update_hist st ~write c ~tid ~tvc ~here ~loc;
-      if write then reset_contained_reads st ~sub_lo ~sub_hi;
+      if write then reset_contained_reads st ~sub_lo ~sub_hi sub_lo;
       try_reshare st ~write c
   end
 
@@ -498,22 +538,24 @@ let coarsen_plane st ~write =
       | None -> ()
       | Some c -> (
         (* the cell must still be live, hole-free and own its range *)
-        match Shadow_table.get pl c.lo with
-        | Some c' when c' == c && c.refs = c.hi - c.lo -> (
-          match Shadow_table.get pl (c.lo - 1) with
-          | Some nc
-            when nc != c
-                 && merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:c.lo
-                      ~hi2:c.hi
-                 && Share_state.is_settled nc.cstate
-                 && nc.refs = nc.hi - nc.lo && nc.hi = c.lo
-                 && hist_equal ~write c nc ->
+        if
+          Shadow_table.find pl c.lo ~absent:no_cell == c
+          && c.refs = c.hi - c.lo
+        then begin
+          let nc = Shadow_table.find pl (c.lo - 1) ~absent:no_cell in
+          if
+            nc != no_cell && nc != c
+            && merge_within_granule ~lo1:nc.lo ~hi1:nc.hi ~lo2:c.lo ~hi2:c.hi
+            && Share_state.is_settled nc.cstate
+            && nc.refs = nc.hi - nc.lo && nc.hi = c.lo
+            && hist_equal ~write c nc
+          then begin
             Hashtbl.remove cells lo;
             absorb st ~write ~into:nc c
               ~stimulus:Share_state.Adopted_by_neighbor;
             incr merged
-          | _ -> ())
-        | _ -> ()))
+          end
+        end))
     los;
   !merged
 
@@ -547,86 +589,84 @@ let degrade st =
     end
   end
 
+(* A settled hole-free cell is marked whole, so the rest of the granule
+   rides the same-epoch fast path for this epoch; Init cells mark only
+   the accessed group — they grow with every access and re-marking the
+   growing range would be quadratic. *)
+let mark_covered st ~tid ~write c ~glo ~ghi =
+  if st.bitmaps_on then begin
+    let bm = bitmap st tid in
+    if Share_state.is_settled c.cstate && c.refs = c.hi - c.lo then
+      Epoch_bitmap.mark bm ~write ~lo:c.lo ~hi:c.hi
+    else Epoch_bitmap.mark bm ~write ~lo:glo ~hi:ghi
+  end
+
+(* The analysed path: one shadow group at a time over the access. *)
+let analyse st ~tid ~write ~addr ~size ~loc =
+  Metrics.incr st.m_analysed;
+  let tvc = Vc_env.clock_of st.env tid in
+  let here = Epoch.make ~tid ~clock:(Vector_clock.get tvc tid) in
+  let pl = plane st ~write in
+  (* sub-word accesses switch the indexing arrays they touch to byte
+     slots (Fig. 4), so separately-protected packed fields never share
+     a shadow granule *)
+  Shadow_table.ensure_granularity pl ~addr ~size;
+  let access_hi = addr + size in
+  let a = ref addr in
+  while !a < access_hi do
+    Span.timer_start st.tm_shadow;
+    let v = Shadow_table.group pl !a ~hi:access_hi ~absent:no_cell in
+    let glo = Shadow_table.found_lo pl and ghi = Shadow_table.found_hi pl in
+    Span.timer_stop st.tm_shadow;
+    if v == no_cell then begin
+      Span.timer_start st.tm_gran;
+      let c = first_access st ~write ~ulo:glo ~uhi:ghi ~here ~tid ~tvc ~loc in
+      Span.timer_stop st.tm_gran;
+      (match check_races st ~write ~cell:c ~sub_lo:glo ~sub_hi:ghi ~tvc with
+       | Some previous ->
+         dissolve_and_report st ~write c
+           ~current:(current ~tid ~write ~here ~loc)
+           ~previous
+       | None ->
+         if write then reset_contained_reads st ~sub_lo:glo ~sub_hi:ghi glo);
+      mark_covered st ~tid ~write c ~glo ~ghi
+    end
+    else begin
+      let c = v in
+      let final =
+        if c.cstate = Share_state.Race then c
+        else if Share_state.is_init c.cstate then
+          if Epoch.equal here c.born then c (* first-epoch continuation *)
+          else begin
+            Span.timer_start st.tm_gran;
+            let c' =
+              second_epoch st ~write c ~sub_lo:glo ~sub_hi:ghi ~here ~tid ~tvc
+                ~loc
+            in
+            Span.timer_stop st.tm_gran;
+            c'
+          end
+        else begin
+          steady st ~write c ~sub_lo:glo ~sub_hi:ghi ~here ~tid ~tvc ~loc;
+          c
+        end
+      in
+      mark_covered st ~tid ~write final ~glo ~ghi
+    end;
+    a := ghi
+  done
+
 let on_access st ~tid ~kind ~addr ~size ~loc =
   st.stats.accesses <- st.stats.accesses + 1;
   let write = kind = Event.Write in
   if write then st.stats.writes <- st.stats.writes + 1
   else st.stats.reads <- st.stats.reads + 1;
-  let bm = if st.bitmaps_on then Some (bitmap st tid) else None in
-  let fast_path =
-    match bm with
-    | Some bm ->
-      Epoch_bitmap.test_range bm ~write ~lo:addr ~hi:(addr + size - 1)
-    | None -> false
-  in
-  if fast_path then st.stats.same_epoch <- st.stats.same_epoch + 1
-  else begin
-    Metrics.incr st.m_analysed;
-    let tvc = Vc_env.clock_of st.env tid in
-    let here = Epoch.make ~tid ~clock:(Vector_clock.get tvc tid) in
-    let current () =
-      Race_info.current ~tid ~kind ~clock:(Epoch.clock here) ~loc
-    in
-    let pl = plane st ~write in
-    (* sub-word accesses switch the indexing arrays they touch to byte
-       slots (Fig. 4), so separately-protected packed fields never
-       share a shadow granule *)
-    Shadow_table.ensure_granularity pl ~addr ~size;
-    let access_hi = addr + size in
-    (* A settled hole-free cell is marked whole, so the rest of the
-       granule rides the same-epoch fast path for this epoch; Init
-       cells mark only the accessed group — they grow with every
-       access and re-marking the growing range would be quadratic. *)
-    let mark_covered c ~glo ~ghi =
-      match bm with
-      | None -> ()
-      | Some bm ->
-        if Share_state.is_settled c.cstate && c.refs = c.hi - c.lo then
-          Epoch_bitmap.mark bm ~write ~lo:c.lo ~hi:c.hi
-        else Epoch_bitmap.mark bm ~write ~lo:glo ~hi:ghi
-    in
-    let a = ref addr in
-    while !a < access_hi do
-      Span.timer_start st.tm_shadow;
-      let glo, ghi, v = Shadow_table.group pl !a ~hi:access_hi in
-      Span.timer_stop st.tm_shadow;
-      (match v with
-       | None ->
-         Span.timer_start st.tm_gran;
-         let c =
-           first_access st ~write ~ulo:glo ~uhi:ghi ~here ~tid ~tvc ~loc
-         in
-         Span.timer_stop st.tm_gran;
-         (match check_races st ~write ~cell:c ~sub_lo:glo ~sub_hi:ghi ~tvc with
-          | Some previous ->
-            dissolve_and_report st ~write c ~current:(current ()) ~previous
-          | None ->
-            if write then reset_contained_reads st ~sub_lo:glo ~sub_hi:ghi);
-         mark_covered c ~glo ~ghi
-       | Some c ->
-         let final =
-           if c.cstate = Share_state.Race then c
-           else if Share_state.is_init c.cstate then
-             if Epoch.equal here c.born then c (* first-epoch continuation *)
-             else begin
-               Span.timer_start st.tm_gran;
-               let c' =
-                 second_epoch st ~write c ~sub_lo:glo ~sub_hi:ghi ~here ~tid
-                   ~tvc ~loc ~current
-               in
-               Span.timer_stop st.tm_gran;
-               c'
-             end
-           else begin
-             steady st ~write c ~sub_lo:glo ~sub_hi:ghi ~here ~tid ~tvc ~loc
-               ~current;
-             c
-           end
-         in
-         mark_covered final ~glo ~ghi);
-      a := ghi
-    done
-  end
+  if
+    st.bitmaps_on
+    && Epoch_bitmap.test_range (bitmap st tid) ~write ~lo:addr
+         ~hi:(addr + size - 1)
+  then st.stats.same_epoch <- st.stats.same_epoch + 1
+  else analyse st ~tid ~write ~addr ~size ~loc
 
 let on_free st ~addr ~size =
   st.stats.frees <- st.stats.frees + 1;
@@ -706,6 +746,8 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
   let on_boundary tid =
     if st.bitmaps_on then Epoch_bitmap.reset (bitmap st tid)
   in
+  (* initial value of the batch paths' bitmap cache; never marked *)
+  let no_bitmap = Epoch_bitmap.create () in
   let on_event ev =
     if Vc_env.handle st.env ev ~on_boundary then
       st.stats.sync_ops <- st.stats.sync_ops + 1
@@ -738,15 +780,16 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
        costs two bit tests and three stat bumps — the exact state
        changes [on_access]'s own fast path makes, in particular no
        collector tag (hits never report).  [i < n <= capacity] of
-       every column, so the reads are in bounds by construction. *)
-    let cached = ref None in
+       every column, so the reads are in bounds by construction.  The
+     cache is two refs, not an option of a pair, so a thread switch
+     allocates nothing. *)
+    let cached_tid = ref (-1) and cached_bm = ref no_bitmap in
     let bm_for tid =
-      match !cached with
-      | Some (t, bm) when t = tid -> bm
-      | _ ->
-        let bm = bitmap st tid in
-        cached := Some (tid, bm);
-        bm
+      if !cached_tid <> tid then begin
+        cached_tid := tid;
+        cached_bm := bitmap st tid
+      end;
+      !cached_bm
     in
     for i = 0 to n - 1 do
       let k = Array.unsafe_get kind i in
@@ -842,14 +885,13 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
     and tloc = b.Batch.loc
     and toff = b.Batch.off in
     let n0 = Report.Collector.count st.collector in
-    let cached = ref None in
+    let cached_tid = ref (-1) and cached_bm = ref no_bitmap in
     let bm_for tid =
-      match !cached with
-      | Some (t, bm) when t = tid -> bm
-      | _ ->
-        let bm = bitmap st tid in
-        cached := Some (tid, bm);
-        bm
+      if !cached_tid <> tid then begin
+        cached_tid := tid;
+        cached_bm := bitmap st tid
+      end;
+      !cached_bm
     in
     let apply_access i =
       let tid = Array.unsafe_get ta i in

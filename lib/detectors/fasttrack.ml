@@ -59,10 +59,14 @@ let retire_cell st c =
   Read_state.release c.r;
   c.r <- Read_state.No_reads
 
+(* [absent] sentinel of shadow lookups: never stored *)
+let no_cell =
+  { w = Epoch.none; w_loc = ""; r = Read_state.No_reads; r_loc = ""; racy = false }
+
 let cell_at st a =
-  match Shadow_table.get st.shadow a with
-  | Some c -> c
-  | None ->
+  let c = Shadow_table.find st.shadow a ~absent:no_cell in
+  if c != no_cell then c
+  else
     let c = fresh_cell st in
     Shadow_table.set st.shadow a c;
     c

@@ -35,10 +35,13 @@ type state = {
   pair_seen : (string * string, unit) Hashtbl.t;
 }
 
+(* [absent] sentinel of shadow lookups: never stored *)
+let no_cell = { entries = []; racy = false }
+
 let cell_at st a =
-  match Shadow_table.get st.shadow a with
-  | Some c -> c
-  | None ->
+  let c = Shadow_table.find st.shadow a ~absent:no_cell in
+  if c != no_cell then c
+  else
     let c = { entries = []; racy = false } in
     Accounting.vc_created st.account;
     Accounting.bind_locations st.account st.granularity;

@@ -27,10 +27,14 @@ type state = {
   collector : Report.Collector.t;
 }
 
+(* [absent] sentinel of shadow lookups: never stored *)
+let no_cell =
+  { phase = Virgin; candidates = Iset.empty; loc = ""; last_tid = -1; racy = false }
+
 let cell_at st a =
-  match Shadow_table.get st.shadow a with
-  | Some c -> c
-  | None ->
+  let c = Shadow_table.find st.shadow a ~absent:no_cell in
+  if c != no_cell then c
+  else
     let c =
       { phase = Virgin; candidates = Iset.empty; loc = ""; last_tid = -1; racy = false }
     in

@@ -43,6 +43,10 @@ let fresh_cell st n_locs =
   Accounting.add_vc st.account cell_cost;
   { w = Epoch.none; w_loc = ""; r = Read_state.No_reads; r_loc = ""; racy = false }
 
+(* [absent] sentinel of shadow lookups: never stored *)
+let no_cell =
+  { w = Epoch.none; w_loc = ""; r = Read_state.No_reads; r_loc = ""; racy = false }
+
 let retire_cell st c =
   Accounting.vc_freed st.account;
   Accounting.add_vc st.account (-cell_cost);
@@ -111,12 +115,13 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
         while !f < fhi do
           let slot = !f in
           let c =
-            match Shadow_table.get st.fine slot with
-            | Some c -> c
-            | None ->
+            let c = Shadow_table.find st.fine slot ~absent:no_cell in
+            if c != no_cell then c
+            else begin
               let c = fresh_cell st 4 in
               Shadow_table.set st.fine slot c;
               c
+            end
           in
           if not c.racy then
             ft_check_and_update st c ~write ~tid ~tvc ~here ~loc

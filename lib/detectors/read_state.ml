@@ -1,6 +1,12 @@
 open Dgrace_vclock
 
+(* Hot-path convention: integer-only [min]/[max]. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 type t = No_reads | Ep of Epoch.t | Vc of Vc_intern.snap
+
+let is_empty = function No_reads -> true | Ep _ | Vc _ -> false
 
 let equal a b =
   match (a, b) with

@@ -21,6 +21,9 @@ type t =
   | Vc of Vc_intern.snap
       (** read-shared: per-thread last read clocks, interned *)
 
+val is_empty : t -> bool
+(** [No_reads]? *)
+
 val equal : t -> t -> bool
 (** Structural equality — the "same vector clock" test used by sharing
     decisions. *)

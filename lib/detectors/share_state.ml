@@ -19,7 +19,9 @@ let step s x =
   | (Init_private | Init_shared), Init_neighbor_matched -> Some Init_shared
   | (Init_private | Init_shared), Second_epoch_access { matching_settled_neighbor }
     ->
-    Some (if matching_settled_neighbor then Shared else Private)
+    (* two constant [Some]s: the detector's second-epoch decision
+       allocates nothing *)
+    if matching_settled_neighbor then Some Shared else Some Private
   | Private, Adopted_by_neighbor -> Some Shared
   | Shared, Adopted_by_neighbor -> Some Shared
   | _, Race_on_l -> Some Race

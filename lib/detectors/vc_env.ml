@@ -2,12 +2,16 @@ open Dgrace_vclock
 open Dgrace_events
 module Vec = Dgrace_util.Vec
 
+(* Hot-path convention: integer-only [min]/[max]. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 type t = {
   threads : Vector_clock.t option Vec.t;  (* indexed by tid *)
-  locks : (int, Vector_clock.t) Hashtbl.t;
+  locks : Vector_clock.t Int_table.t;
 }
 
-let create () = { threads = Vec.create (); locks = Hashtbl.create 64 }
+let create () = { threads = Vec.create (); locks = Int_table.create 64 }
 
 let clock_of t tid =
   while Vec.length t.threads <= tid do
@@ -28,11 +32,11 @@ let epoch_of t tid =
 let thread_count t = Vec.length t.threads
 
 let lock_vc t lock =
-  match Hashtbl.find_opt t.locks lock with
-  | Some vc -> vc
-  | None ->
+  match Int_table.find t.locks lock with
+  | vc -> vc
+  | exception Not_found ->
     let vc = Vector_clock.create () in
-    Hashtbl.replace t.locks lock vc;
+    Int_table.replace t.locks lock vc;
     vc
 
 let acquire t ~tid ~lock = Vector_clock.join (clock_of t tid) (lock_vc t lock)
@@ -102,4 +106,4 @@ let handle_coded t ~kind ~a ~b ~on_boundary =
   else false
 
 let lock_vc_bytes t =
-  Hashtbl.fold (fun _ vc acc -> acc + (8 * Vector_clock.heap_words vc)) t.locks 0
+  Int_table.fold (fun _ vc acc -> acc + (8 * Vector_clock.heap_words vc)) t.locks 0

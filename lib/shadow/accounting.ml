@@ -1,3 +1,7 @@
+(* Hot-path convention: integer-only [min]/[max]. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 type t = {
   mutable hash : int;
   mutable vc : int;

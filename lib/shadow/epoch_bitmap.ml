@@ -11,6 +11,10 @@
    column is unchanged); after [reset] the footprint reads zero.
    Directory overhead is exposed through [stats]. *)
 
+(* Hot-path convention: integer-only [min]/[max]. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 type t = {
   block : int;  (* addresses covered per chunk *)
   block_bits : int;
@@ -24,11 +28,13 @@ type t = {
   (* one-chunk cache: accesses cluster heavily *)
   mutable cached_base : int;
   mutable cached_chunk : Bytes.t;
-  (* live chunk indices, for O(live) reset *)
-  mutable live : int list;
+  (* live chunk indices, for O(live) reset: a stack in [live.(0 ..
+     live_n - 1)], grown by doubling *)
+  mutable live : int array;
   mutable live_n : int;
-  (* zeroed chunks ready for reuse *)
-  mutable pool : Bytes.t list;
+  (* zeroed chunks ready for reuse: a stack in [pool.(0 .. pool_n - 1)].
+     Both stacks are arrays so the epoch cadence conses nothing. *)
+  pool : Bytes.t array;
   mutable pool_n : int;
   (* stats *)
   mutable chunk_allocs : int;
@@ -73,9 +79,9 @@ let create ?(block = 1024) ?account () =
     spill_rows = 0;
     cached_base = min_int;
     cached_chunk = no_chunk;
-    live = [];
+    live = Array.make 16 0;
     live_n = 0;
-    pool = [];
+    pool = Array.make pool_cap no_chunk;
     pool_n = 0;
     chunk_allocs = 0;
     chunk_recycles = 0;
@@ -154,18 +160,25 @@ let chunk t addr =
       if c != no_chunk then c
       else begin
         let c =
-          match t.pool with
-          | c :: rest ->
-            t.pool <- rest;
+          if t.pool_n > 0 then begin
             t.pool_n <- t.pool_n - 1;
+            let c = t.pool.(t.pool_n) in
+            t.pool.(t.pool_n) <- no_chunk;
             t.chunk_recycles <- t.chunk_recycles + 1;
             c
-          | [] ->
+          end
+          else begin
             t.chunk_allocs <- t.chunk_allocs + 1;
             Bytes.make (chunk_bytes t) '\000'
+          end
         in
         r.(s) <- c;
-        t.live <- (addr asr t.block_bits) :: t.live;
+        if t.live_n = Array.length t.live then begin
+          let grown = Array.make (2 * t.live_n) 0 in
+          Array.blit t.live 0 grown 0 t.live_n;
+          t.live <- grown
+        end;
+        t.live.(t.live_n) <- addr asr t.block_bits;
         t.live_n <- t.live_n + 1;
         account_delta t (chunk_bytes t + 16);
         c
@@ -182,11 +195,34 @@ let orset c i m =
   let b = Char.code (Bytes.get c i) in
   if b lor m <> b then Bytes.set c i (Char.chr (b lor m))
 
-(* Marking can cover whole shared granules, so it works byte-at-a-time
-   on the chunk (4 addresses per byte) rather than per address. *)
+(* Marking can cover whole shared granules, so it works on the chunk
+   in bulk rather than per address: partial bytes at the two ends of
+   the range, and the body a 64-bit word (32 addresses) at a time, with
+   single bytes only to reach the first word boundary and after the
+   last.  Every byte of the body gets the same plane pattern, so the
+   word's byte order does not matter. *)
+let word_pattern write =
+  if write then 0xAAAA_AAAA_AAAA_AAAAL else 0x5555_5555_5555_5555L
+
+let fill_body c ~byte_lo ~byte_hi ~pattern ~wpattern =
+  let i = ref byte_lo in
+  while !i < byte_hi && !i land 7 <> 0 do
+    orset c !i pattern;
+    incr i
+  done;
+  while !i + 8 <= byte_hi do
+    Bytes.set_int64_ne c !i (Int64.logor (Bytes.get_int64_ne c !i) wpattern);
+    i := !i + 8
+  done;
+  while !i < byte_hi do
+    orset c !i pattern;
+    incr i
+  done
+
 let mark t ~write ~lo ~hi =
   let bit = plane_bit write in
   let pattern = bit * 0x55 in
+  let wpattern = word_pattern write in
   let addr = ref lo in
   while !addr < hi do
     let base = !addr land lnot (t.block - 1) in
@@ -198,11 +234,9 @@ let mark t ~write ~lo ~hi =
       orset c (o lsr 2) (bit lsl ((o land 3) * 2))
     done;
     let body_end = off1 land lnot 3 in
-    let o = ref head_end in
-    while !o < body_end do
-      orset c (!o lsr 2) pattern;
-      o := !o + 4
-    done;
+    if body_end > head_end then
+      fill_body c ~byte_lo:(head_end lsr 2) ~byte_hi:(body_end lsr 2) ~pattern
+        ~wpattern;
     for o = max body_end head_end to off1 - 1 do
       orset c (o lsr 2) (bit lsl ((o land 3) * 2))
     done;
@@ -226,6 +260,11 @@ let test t ~write addr =
     b land (plane_bit write lsl shift) <> 0
   end
 
+let probe t c bit addr =
+  let off = addr land (t.block - 1) in
+  let i = off lsr 2 and shift = (off land 3) * 2 in
+  Char.code (Bytes.get c i) land (bit lsl shift) <> 0
+
 (* One lookup for the common whole-access probe: when [lo] and [hi]
    (inclusive) land in the same chunk — any access up to the block
    size that doesn't straddle a boundary — both bits come out of a
@@ -246,12 +285,7 @@ let test_range t ~write ~lo ~hi =
     if c == no_chunk then false
     else begin
       let bit = plane_bit write in
-      let probe addr =
-        let off = addr land (t.block - 1) in
-        let i = off lsr 2 and shift = (off land 3) * 2 in
-        Char.code (Bytes.get c i) land (bit lsl shift) <> 0
-      in
-      probe lo && (hi = lo || probe hi)
+      probe t c bit lo && (hi = lo || probe t c bit hi)
     end
   end
 
@@ -260,22 +294,21 @@ let test_range t ~write ~lo ~hi =
    themselves stay, so the next epoch's marks pay no directory or
    allocation cost. *)
 let reset t =
-  List.iter
-    (fun ci ->
-      let r = row_for t (ci asr row_bits) in
-      let s = ci land (row_chunks - 1) in
-      let c = r.(s) in
-      if c != no_chunk then begin
-        r.(s) <- no_chunk;
-        if t.pool_n < pool_cap then begin
-          Bytes.fill c 0 (Bytes.length c) '\000';
-          t.pool <- c :: t.pool;
-          t.pool_n <- t.pool_n + 1
-        end
-      end)
-    t.live;
+  for k = t.live_n - 1 downto 0 do
+    let ci = t.live.(k) in
+    let r = row_for t (ci asr row_bits) in
+    let s = ci land (row_chunks - 1) in
+    let c = r.(s) in
+    if c != no_chunk then begin
+      r.(s) <- no_chunk;
+      if t.pool_n < pool_cap then begin
+        Bytes.fill c 0 (Bytes.length c) '\000';
+        t.pool.(t.pool_n) <- c;
+        t.pool_n <- t.pool_n + 1
+      end
+    end
+  done;
   account_delta t (-t.live_n * (chunk_bytes t + 16));
-  t.live <- [];
   t.live_n <- 0;
   t.resets <- t.resets + 1;
   t.cached_base <- min_int;

@@ -33,6 +33,11 @@
    on [addr land 1] and masked even-but-unaligned (offset-2) accesses
    into word slots. *)
 
+(* Hot-path convention: integer-only [min]/[max], so a polymorphic
+   comparison (a C call through [compare_val]) cannot creep in. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 type mode = Fixed_bytes of int | Adaptive
 
 (* The unique "no value here" sentinel.  A private heap block, so it
@@ -44,13 +49,14 @@ let empty : Obj.t = Obj.repr (ref ())
 type page = {
   mutable p_base : int;  (* first address covered, block-aligned *)
   mutable slot_bytes : int;  (* current granularity of this page *)
+  mutable shift : int;  (* log2 slot_bytes: slot index by shift *)
   mutable slots : Obj.t array;  (* block / slot_bytes slots *)
   mutable used : int;  (* occupied slots; 0 releases the page *)
 }
 
 (* Distinguished absences, compared physically. *)
 let null_page : page =
-  { p_base = min_int; slot_bytes = 1; slots = [||]; used = 0 }
+  { p_base = min_int; slot_bytes = 1; shift = 0; slots = [||]; used = 0 }
 
 let no_row : page array = [||]
 
@@ -101,6 +107,9 @@ type 'a t = {
   mutable lookups : int;
   mutable mru_hits : int;
   mutable dir_words : int;
+  (* bounds stashed by the last group walk or neighbour scan *)
+  mutable found_lo : int;
+  mutable found_hi : int;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -150,6 +159,8 @@ let create ?(block = 128) ~mode ?account () =
     lookups = 0;
     mru_hits = 0;
     dir_words = 0;
+    found_lo = 0;
+    found_hi = 0;
   }
 
 let mode t = t.tmode
@@ -298,8 +309,8 @@ let make_page ?gran t addr =
   let g = match gran with Some g -> g | None -> default_gran t addr in
   let nslots = t.block / g in
   let p =
-    { p_base = base_of t addr; slot_bytes = g; slots = alloc_slots t nslots;
-      used = 0 }
+    { p_base = base_of t addr; slot_bytes = g; shift = log2 g;
+      slots = alloc_slots t nslots; used = 0 }
   in
   let r = ensure_row t (row_of t addr) in
   r.(page_slot t addr) <- p;
@@ -334,11 +345,12 @@ let expand t p =
   p.slots <- slots;
   p.used <- p.used * oldg;
   p.slot_bytes <- 1;
+  p.shift <- 0;
   t.expansions <- t.expansions + 1;
   Array.fill old 0 (Array.length old) empty;
   pool_slots t old
 
-let slot_index p addr = (addr - p.p_base) / p.slot_bytes
+let slot_index p addr = (addr - p.p_base) lsr p.shift
 
 (* ------------------------------------------------------------------ *)
 (* Point operations                                                   *)
@@ -365,12 +377,12 @@ let slot_bounds t addr =
   let lo = addr land lnot (g - 1) in
   (lo, lo + g)
 
-let get t addr =
+let find t addr ~absent =
   let p = find_page t addr in
-  if p == null_page then None
+  if p == null_page then absent
   else
     let v = p.slots.(slot_index p addr) in
-    if v == empty then None else Some (Obj.obj v)
+    if v == empty then absent else Obj.obj v
 
 let set t addr v =
   let p =
@@ -464,118 +476,137 @@ let remove_range t ~lo ~hi =
    containing [addr], crossing page boundaries as needed.  An absent
    page contributes virtual empty slots at the initial width, so a
    released neighbour and a never-touched one answer identically —
-   the dynamic detector's sharing decisions depend on that. *)
+   the dynamic detector's sharing decisions depend on that.
+
+   Every walker below is a top-level function taking its context as
+   arguments: a local [let rec] would close over that context and
+   allocate a closure per call, and these run several times on every
+   analysed access.  Results come back as the value (or the caller's
+   [absent]) with the slot bounds stashed in [found_lo]/[found_hi],
+   never as a tuple or an option. *)
 let scan_limit = 4
 
-let prev_neighbor t addr =
-  let slo, _ = slot_bounds t addr in
-  let w = initial_width t.tmode in
-  let rec back a remaining =
-    if remaining <= 0 || a < 0 then None
-    else
-      let p = find_page t a in
-      if p == null_page then begin
-        let base = base_of t a in
-        let nslots = ((a - base) / w) + 1 in
-        if nslots >= remaining then None
-        else back (base - 1) (remaining - nslots)
-      end
-      else begin
-        let i = slot_index p a in
-        let stop = max 0 (i - remaining + 1) in
-        let rec look i =
-          if i < stop then None
-          else if p.slots.(i) != empty then begin
-            let lo = p.p_base + (i * p.slot_bytes) in
-            Some (lo, lo + p.slot_bytes, Obj.obj p.slots.(i))
-          end
-          else look (i - 1)
-        in
-        match look i with
-        | Some _ as r -> r
-        | None ->
-          if stop = 0 then back (p.p_base - 1) (remaining - (i + 1)) else None
-      end
-  in
-  back (slo - 1) scan_limit
+let found t p i =
+  let lo = p.p_base + (i lsl p.shift) in
+  t.found_lo <- lo;
+  t.found_hi <- lo + p.slot_bytes;
+  Obj.obj p.slots.(i)
 
-let next_neighbor t addr =
-  let _, shi = slot_bounds t addr in
-  let w = initial_width t.tmode in
-  let rec fwd a remaining =
-    if remaining <= 0 then None
-    else
-      let p = find_page t a in
-      if p == null_page then begin
-        let base = base_of t a in
-        let nslots = (base + t.block - a) / w in
-        if nslots >= remaining then None
-        else fwd (base + t.block) (remaining - nslots)
-      end
-      else begin
-        let i = slot_index p a in
-        let n = Array.length p.slots in
-        let stop = min (n - 1) (i + remaining - 1) in
-        let rec look i =
-          if i > stop then None
-          else if p.slots.(i) != empty then begin
-            let lo = p.p_base + (i * p.slot_bytes) in
-            Some (lo, lo + p.slot_bytes, Obj.obj p.slots.(i))
-          end
-          else look (i + 1)
-        in
-        match look i with
-        | Some _ as r -> r
-        | None ->
-          if stop = n - 1 then
-            fwd (p.p_base + t.block) (remaining - (stop - i + 1))
-          else None
-      end
-  in
-  fwd shi scan_limit
+(* Index of the last occupied slot in [stop, i], or -1. *)
+let rec look_back p i stop =
+  if i < stop then -1
+  else if p.slots.(i) != empty then i
+  else look_back p (i - 1) stop
+
+(* Index of the first occupied slot in [i, stop], or -1. *)
+let rec look_fwd p i stop =
+  if i > stop then -1
+  else if p.slots.(i) != empty then i
+  else look_fwd p (i + 1) stop
+
+let rec scan_back t w a remaining absent =
+  if remaining <= 0 || a < 0 then absent
+  else
+    let p = find_page t a in
+    if p == null_page then begin
+      let base = base_of t a in
+      let nslots = ((a - base) / w) + 1 in
+      if nslots >= remaining then absent
+      else scan_back t w (base - 1) (remaining - nslots) absent
+    end
+    else begin
+      let i = slot_index p a in
+      let stop = max 0 (i - remaining + 1) in
+      let j = look_back p i stop in
+      if j >= 0 then found t p j
+      else if stop = 0 then
+        scan_back t w (p.p_base - 1) (remaining - (i + 1)) absent
+      else absent
+    end
+
+let rec scan_fwd t w a remaining absent =
+  if remaining <= 0 then absent
+  else
+    let p = find_page t a in
+    if p == null_page then begin
+      let base = base_of t a in
+      let nslots = (base + t.block - a) / w in
+      if nslots >= remaining then absent
+      else scan_fwd t w (base + t.block) (remaining - nslots) absent
+    end
+    else begin
+      let i = slot_index p a in
+      let n = Array.length p.slots in
+      let stop = min (n - 1) (i + remaining - 1) in
+      let j = look_fwd p i stop in
+      if j >= 0 then found t p j
+      else if stop = n - 1 then
+        scan_fwd t w (p.p_base + t.block) (remaining - (stop - i + 1)) absent
+      else absent
+    end
+
+(* Width of the slot containing [addr]: the page's granularity, or the
+   one a fresh page would get (same rule as [slot_bounds]). *)
+let slot_width t addr =
+  let p = find_page t addr in
+  if p == null_page then default_gran t addr else p.slot_bytes
+
+let prev_neighbor t addr ~absent =
+  let slo = addr land lnot (slot_width t addr - 1) in
+  scan_back t (initial_width t.tmode) (slo - 1) scan_limit absent
+
+let next_neighbor t addr ~absent =
+  let g = slot_width t addr in
+  let shi = (addr land lnot (g - 1)) + g in
+  scan_fwd t (initial_width t.tmode) shi scan_limit absent
+
+let found_lo t = t.found_lo
+let found_hi t = t.found_hi
 
 (* ------------------------------------------------------------------ *)
 (* Group walk                                                         *)
 
 (* Maximal run of consecutive slots starting at [addr]'s slot that
    all hold the same value (physical equality; the sentinel groups
-   with itself, so an untouched run groups as [None]), clipped to the
-   first slot boundary at or after [hi]. *)
-let group t addr ~hi =
-  let dflt = initial_width t.tmode in
+   with itself, so an untouched run groups as [absent]), clipped to
+   the first slot boundary at or after [hi].  One page lookup per
+   block; [cur] is always slot-aligned.  [group_walk] returns the
+   group's end. *)
+let round_up a g = (a + g - 1) land lnot (g - 1)
+
+let rec group_walk t v hi cur =
+  if cur >= hi then cur
+  else
+    let p = find_page t cur in
+    if p == null_page then begin
+      if v != empty then cur
+      else
+        let block_hi = base_of t cur + t.block in
+        if block_hi >= hi then round_up hi (initial_width t.tmode)
+        else group_walk t v hi block_hi
+    end
+    else group_slots t p v hi (p.p_base + t.block) cur
+
+and group_slots t p v hi block_hi cur =
+  if cur >= hi then round_up cur p.slot_bytes
+  else if cur >= block_hi then group_walk t v hi cur
+  else if p.slots.(slot_index p cur) == v then
+    group_slots t p v hi block_hi (cur + p.slot_bytes)
+  else cur
+
+let group t addr ~hi ~absent =
   let start = find_page t addr in
-  let g0 = if start == null_page then dflt else start.slot_bytes in
+  let g0 =
+    if start == null_page then initial_width t.tmode else start.slot_bytes
+  in
   let glo = addr land lnot (g0 - 1) in
   let v =
     if start == null_page then empty else start.slots.(slot_index start addr)
   in
-  let round_up a g = (a + g - 1) land lnot (g - 1) in
-  (* one page lookup per block; [cur] is always slot-aligned *)
-  let rec walk cur =
-    if cur >= hi then cur
-    else
-      let p = find_page t cur in
-      if p == null_page then begin
-        if v != empty then cur
-        else
-          let block_hi = base_of t cur + t.block in
-          if block_hi >= hi then round_up hi dflt else walk block_hi
-      end
-      else begin
-        let block_hi = p.p_base + t.block in
-        let rec slots cur =
-          if cur >= hi then round_up cur p.slot_bytes
-          else if cur >= block_hi then walk cur
-          else if p.slots.(slot_index p cur) == v then
-            slots (cur + p.slot_bytes)
-          else cur
-        in
-        slots cur
-      end
-  in
-  let ghi = walk (glo + g0) in
-  let value = if v == empty then None else Some (Obj.obj v) in
-  (glo, max ghi (glo + g0), value)
+  let ghi = group_walk t v hi (glo + g0) in
+  t.found_lo <- glo;
+  t.found_hi <- max ghi (glo + g0);
+  if v == empty then absent else Obj.obj v
 
 (* ------------------------------------------------------------------ *)
 (* Iteration and accounting                                           *)

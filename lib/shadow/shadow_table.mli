@@ -54,8 +54,19 @@ val slot_bounds : 'a t -> int -> int * int
     non-word-aligned address, the same predicate
     {!ensure_granularity} uses). *)
 
-val get : 'a t -> int -> 'a option
-(** Value of the slot containing the address, if any. *)
+(** {1 Lookups}
+
+    Lookups never allocate.  A caller names its own [absent] sentinel —
+    a value of the stored type that it never stores, compared
+    physically ([==]) — and gets it back wherever a slot is empty.
+    The group walk and the neighbour scans also report slot bounds;
+    those are stashed in the table and read back with {!found_lo} and
+    {!found_hi}, which stay valid until the next {!group},
+    {!prev_neighbor} or {!next_neighbor} call on the same table (other
+    operations, {!find} included, leave them alone). *)
+
+val find : 'a t -> int -> absent:'a -> 'a
+(** Value of the slot containing the address, or [absent]. *)
 
 val set : 'a t -> int -> 'a -> unit
 (** Point the slot containing the address at the value, creating the
@@ -78,17 +89,32 @@ val remove_range : 'a t -> lo:int -> hi:int -> unit
     first; bytes outside the range keep their value), widening to
     whole slots in fixed mode. *)
 
-val prev_neighbor : 'a t -> int -> (int * int * 'a) option
-(** [prev_neighbor t addr] is the nearest non-empty slot strictly
-    before the slot of [addr] — [(lo, hi, v)] — looking through
-    exactly [scan_limit = 4] slots, crossing page boundaries as
-    needed (the "nearest predecessor that has a valid vector clock"
-    of §III.A, bounded to the indexing neighbourhood).  Absent pages
-    count as empty slots at the initial width, so a freed neighbour
-    and a never-touched one answer identically. *)
+val prev_neighbor : 'a t -> int -> absent:'a -> 'a
+(** [prev_neighbor t addr ~absent] is the value of the nearest
+    non-empty slot strictly before the slot of [addr], looking through
+    exactly [scan_limit = 4] slots, crossing page boundaries as needed
+    (the "nearest predecessor that has a valid vector clock" of
+    §III.A, bounded to the indexing neighbourhood); [absent] when
+    there is none.  On a hit the slot's bounds are stashed.  Absent
+    pages count as empty slots at the initial width, so a freed
+    neighbour and a never-touched one answer identically. *)
 
-val next_neighbor : 'a t -> int -> (int * int * 'a) option
+val next_neighbor : 'a t -> int -> absent:'a -> 'a
 (** Symmetric successor search. *)
+
+val group : 'a t -> int -> hi:int -> absent:'a -> 'a
+(** [group t addr ~hi ~absent] walks the maximal run of consecutive
+    slots starting at [addr]'s slot that all point to the same value
+    (physical equality) or are all empty, clipped to the first slot
+    boundary at or after [hi].  It returns that value ([absent] for an
+    empty run) and stashes the run's bounds [\[glo, ghi)].  This is
+    the access-walk primitive of the dynamic-granularity detector: one
+    page lookup per block instead of one per slot. *)
+
+val found_lo : 'a t -> int
+val found_hi : 'a t -> int
+(** Bounds [\[lo, hi)] stashed by the last {!group} (always) or
+    neighbour scan (on a hit) on this table. *)
 
 val iter : (int -> int -> 'a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f lo hi v] to every non-empty slot. *)
@@ -105,14 +131,6 @@ val bytes : 'a t -> int
 (** Current index-structure footprint in bytes: live leaf pages only,
     as reported to the accounting sink.  Directory and free-list
     overhead is in {!stats}. *)
-
-val group : 'a t -> int -> hi:int -> int * int * 'a option
-(** [group t addr ~hi] is [(glo, ghi, v)]: the maximal run of
-    consecutive slots starting at [addr]'s slot that all point to the
-    same value [v] (physical equality) or are all empty ([None]),
-    clipped to the first slot boundary at or after [hi].  This is the
-    access-walk primitive of the dynamic-granularity detector: one
-    page lookup per block instead of one per slot. *)
 
 type stats = {
   pages_live : int;  (** live leaf pages (= {!entry_count}) *)

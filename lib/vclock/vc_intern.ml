@@ -13,12 +13,16 @@
    shard, and gauges are max-merged afterwards like the shadow.* ones.
    Only the uid counter is global, hence atomic. *)
 
+(* Hot-path convention: integer-only [min]/[max]. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 type t = {
   uid : int;  (* > 0; keyed into Vector_clock memo fields *)
   consing : bool;  (* false = legacy deep-copy mode (--no-vc-intern) *)
-  table : (int, snap list) Hashtbl.t;  (* content hash -> bucket *)
-  pool : (int, int array list) Hashtbl.t;  (* payload length -> spares *)
-  pool_count : (int, int) Hashtbl.t;
+  table : snap list Int_table.t;  (* content hash -> bucket *)
+  pool : int array list Int_table.t;  (* payload length -> spares *)
+  pool_count : int Int_table.t;
   scratch : Vector_clock.t;  (* shared mutable staging clock *)
   on_bytes : (int -> unit) option;
   mutable live : int;
@@ -58,9 +62,9 @@ let create ?(hash_consing = true) ?on_bytes () =
   {
     uid = Atomic.fetch_and_add next_uid 1;
     consing = hash_consing;
-    table = Hashtbl.create 256;
-    pool = Hashtbl.create 16;
-    pool_count = Hashtbl.create 16;
+    table = Int_table.create 256;
+    pool = Int_table.create 16;
+    pool_count = Int_table.create 16;
     scratch = Vector_clock.create ();
     on_bytes;
     live = 0;
@@ -112,27 +116,45 @@ let matches_prefix s (raw : int array) len =
 
 let pool_cap = 64
 
+(* Table lookups below use [find] and a [Not_found] handler: unlike
+   [find_opt] they allocate nothing on a hit. *)
+let find_or tbl key default =
+  match Int_table.find tbl key with v -> v | exception Not_found -> default
+
 let alloc_payload t len =
-  match Hashtbl.find_opt t.pool len with
-  | Some (a :: rest) ->
-    Hashtbl.replace t.pool len rest;
-    Hashtbl.replace t.pool_count len (Hashtbl.find t.pool_count len - 1);
+  match find_or t.pool len [] with
+  | a :: rest ->
+    Int_table.replace t.pool len rest;
+    Int_table.replace t.pool_count len (Int_table.find t.pool_count len - 1);
     t.pool_bytes <- t.pool_bytes - (8 * (1 + len));
     t.payload_recycles <- t.payload_recycles + 1;
     a
-  | Some [] | None ->
+  | [] ->
     t.payload_allocs <- t.payload_allocs + 1;
     Array.make len 0
 
 let recycle_payload t (a : int array) =
   let len = Array.length a in
-  let n = match Hashtbl.find_opt t.pool_count len with Some n -> n | None -> 0 in
+  let n = find_or t.pool_count len 0 in
   if n < pool_cap then begin
-    let spares = match Hashtbl.find_opt t.pool len with Some l -> l | None -> [] in
-    Hashtbl.replace t.pool len (a :: spares);
-    Hashtbl.replace t.pool_count len (n + 1);
+    Int_table.replace t.pool len (a :: find_or t.pool len []);
+    Int_table.replace t.pool_count len (n + 1);
     t.pool_bytes <- t.pool_bytes + (8 * (1 + len))
   end
+
+(* The bucket suffix starting at the snapshot whose payload is the
+   given prefix, [[]] when there is none: a search with no closure and
+   no option. *)
+let rec bucket_find (raw : int array) len = function
+  | [] -> []
+  | s :: _ as l when matches_prefix s raw len -> l
+  | _ :: rest -> bucket_find raw len rest
+
+(* The bucket without [s]; cells before [s] are rebuilt, and buckets
+   rarely hold more than one snapshot. *)
+let rec bucket_remove s = function
+  | [] -> []
+  | x :: rest -> if x == s then rest else x :: bucket_remove s rest
 
 let intern t vc =
   t.interns <- t.interns + 1;
@@ -155,18 +177,14 @@ let intern t vc =
     let raw = Vector_clock.raw vc in
     let len = Vector_clock.max_tid_set vc + 1 in
     let h = hash_prefix raw len in
-    let bucket =
-      if t.consing then
-        match Hashtbl.find_opt t.table h with Some l -> l | None -> []
-      else []
-    in
-    match List.find_opt (fun s -> matches_prefix s raw len) bucket with
-    | Some s ->
+    let bucket = if t.consing then find_or t.table h [] else [] in
+    match bucket_find raw len bucket with
+    | s :: _ ->
       t.hits <- t.hits + 1;
       s.refs <- s.refs + 1;
       Vector_clock.memo_store vc ~arena:t.uid (Obj.repr s);
       s
-    | None ->
+    | [] ->
       let payload = alloc_payload t len in
       Array.blit raw 0 payload 0 len;
       let s = { payload; hash = h; refs = 1; owner = t } in
@@ -174,7 +192,7 @@ let intern t vc =
       if t.live > t.peak_live then t.peak_live <- t.live;
       account t (snap_bytes s);
       if t.consing then begin
-        Hashtbl.replace t.table h (s :: bucket);
+        Int_table.replace t.table h (s :: bucket);
         Vector_clock.memo_store vc ~arena:t.uid (Obj.repr s)
       end;
       s
@@ -194,12 +212,9 @@ let release s =
     t.live <- t.live - 1;
     account t (-snap_bytes s);
     if t.consing then begin
-      match Hashtbl.find_opt t.table s.hash with
-      | Some l -> (
-        match List.filter (fun x -> x != s) l with
-        | [] -> Hashtbl.remove t.table s.hash
-        | l' -> Hashtbl.replace t.table s.hash l')
-      | None -> ()
+      match bucket_remove s (find_or t.table s.hash []) with
+      | [] -> Int_table.remove t.table s.hash
+      | l' -> Int_table.replace t.table s.hash l'
     end;
     recycle_payload t s.payload
   end

@@ -4,6 +4,10 @@
    can memoise "this exact clock state was already interned" (see
    Vc_intern); the memo fields belong to that protocol and carry no
    clock semantics. *)
+(* Hot-path convention: integer-only [min]/[max]. *)
+let[@warning "-32"] min = Int.min
+let[@warning "-32"] max = Int.max
+
 type t = {
   mutable clocks : int array;
   mutable last : int;  (* invariant: clocks.(i) = 0 for all i > last *)

@@ -1,0 +1,85 @@
+(* The dynamic-granularity detector family against its golden table,
+   and the allocation budget of its analysed-access path. *)
+
+module Workload = Dgrace_workloads.Workload
+module Registry = Dgrace_workloads.Registry
+
+let check_int = Alcotest.(check int)
+
+(* ------------------------------------------------------------------ *)
+(* golden results: every digest matches the checked-in table *)
+
+let test_golden () =
+  let expected =
+    String.split_on_char '\n' Detector_golden_table.text
+    |> List.filter (( <> ) "")
+  in
+  let actual = List.map Detector_golden.line (Detector_golden.cases ()) in
+  check_int "table size" (List.length expected) (List.length actual);
+  let mismatches =
+    List.filter_map
+      (fun (e, a) -> if e = a then None else Some (e, a))
+      (List.combine expected actual)
+  in
+  List.iteri
+    (fun i (e, a) ->
+      if i < 5 then Printf.printf "expected: %s\nactual:   %s\n" e a)
+    mismatches;
+  check_int "mismatched runs" 0 (List.length mismatches)
+
+(* ------------------------------------------------------------------ *)
+(* allocation budget *)
+
+(* Minor-heap words allocated per event while the detector consumes a
+   pre-recorded stream (batches are built before the count starts).
+   canneal and dedup spend most of their events on the analysed path,
+   where the detector keeps no per-access garbage: what remains is
+   cell and page creation, read-shared snapshots and the clock
+   machinery of sync events. *)
+let words_per_event det events ~batched =
+  let d = Detector_golden.detector det in
+  let bs = if batched then Detector_golden.batches events else [] in
+  let before = Gc.minor_words () in
+  if batched then Detector_golden.run_batched d bs
+  else Detector_golden.run_per_event d events;
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (Array.length events)
+
+(* At the time of writing the eight runs allocate 3.9-7.8 words per
+   event (58.7-80.5 before the analysed path stopped allocating); the
+   budget leaves about 25% headroom over the worst of them. *)
+let alloc_budget = 10.
+
+let test_alloc_budget () =
+  let over = ref [] in
+  List.iter
+    (fun wname ->
+      let w = Option.get (Registry.find wname) in
+      let events = Detector_golden.record w ~seed:1 in
+      List.iter
+        (fun det ->
+          List.iter
+            (fun batched ->
+              let wpe = words_per_event det events ~batched in
+              let label =
+                Printf.sprintf "%s/%s/%s: %.1f words/event" wname det
+                  (if batched then "batch" else "event")
+                  wpe
+              in
+              print_endline label;
+              if wpe > alloc_budget then over := label :: !over)
+            [ true; false ])
+        [ "dynamic"; "byte" ])
+    [ "canneal"; "dedup" ];
+  List.iter
+    (fun label -> Printf.printf "over the budget of %.0f: %s\n" alloc_budget label)
+    (List.rev !over);
+  check_int "runs over the budget" 0 (List.length !over)
+
+let suites : unit Alcotest.test list =
+  [
+    ( "detector.golden",
+      [ Alcotest.test_case "result digests" `Quick test_golden ] );
+    ( "detector.alloc_budget",
+      [ Alcotest.test_case "minor words per event" `Quick test_alloc_budget ] );
+  ]

@@ -18,6 +18,7 @@ let () =
          Test_fasttrack.suites;
          Test_djit.suites;
          Test_dynamic.suites;
+         Test_detector_golden.suites;
          Test_baselines.suites;
          Test_properties.suites;
          Test_related.suites;

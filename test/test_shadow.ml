@@ -6,16 +6,35 @@ open Dgrace_shadow
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* The lookups return the stored value or the caller's [absent]
+   sentinel, with slot bounds stashed in the table; these adapters
+   rebuild option/tuple answers for the assertions.  Stored values
+   are non-negative, so [-1] is never stored. *)
+let absent = -1
+let opt v = if v = absent then None else Some v
+let get t a = opt (Shadow_table.find t a ~absent)
+
+let bounded t v =
+  if v = absent then None
+  else Some (Shadow_table.found_lo t, Shadow_table.found_hi t, v)
+
+let prev_neighbor t a = bounded t (Shadow_table.prev_neighbor t a ~absent)
+let next_neighbor t a = bounded t (Shadow_table.next_neighbor t a ~absent)
+
+let group t a ~hi =
+  let v = Shadow_table.group t a ~hi ~absent in
+  (Shadow_table.found_lo t, Shadow_table.found_hi t, opt v)
+
 (* ------------------------------------------------------------------ *)
 (* Shadow_table, fixed mode *)
 
 let test_fixed_set_get () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
-  Alcotest.(check (option int)) "absent" None (Shadow_table.get t 0x1000);
+  Alcotest.(check (option int)) "absent" None (get t 0x1000);
   Shadow_table.set t 0x1001 7;
   (* slot covers the whole word *)
-  Alcotest.(check (option int)) "same slot" (Some 7) (Shadow_table.get t 0x1003);
-  Alcotest.(check (option int)) "next slot" None (Shadow_table.get t 0x1004);
+  Alcotest.(check (option int)) "same slot" (Some 7) (get t 0x1003);
+  Alcotest.(check (option int)) "next slot" None (get t 0x1004);
   Alcotest.(check (pair int int)) "slot bounds" (0x1000, 0x1004)
     (Shadow_table.slot_bounds t 0x1002)
 
@@ -23,9 +42,9 @@ let test_set_range_remove_range () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set_range t ~lo:0x1000 ~hi:0x1100 1;
   check_int "entries span blocks" 2 (Shadow_table.entry_count t);
-  Alcotest.(check (option int)) "covered" (Some 1) (Shadow_table.get t 0x10fc);
+  Alcotest.(check (option int)) "covered" (Some 1) (get t 0x10fc);
   Shadow_table.remove_range t ~lo:0x1000 ~hi:0x1100;
-  Alcotest.(check (option int)) "removed" None (Shadow_table.get t 0x1050);
+  Alcotest.(check (option int)) "removed" None (get t 0x1050);
   check_int "empty entries dropped" 0 (Shadow_table.entry_count t)
 
 let test_partial_remove_keeps_entry () =
@@ -33,7 +52,7 @@ let test_partial_remove_keeps_entry () =
   Shadow_table.set_range t ~lo:0x1000 ~hi:0x1080 1;
   Shadow_table.remove_range t ~lo:0x1000 ~hi:0x1040;
   check_int "entry kept" 1 (Shadow_table.entry_count t);
-  Alcotest.(check (option int)) "tail kept" (Some 1) (Shadow_table.get t 0x1060)
+  Alcotest.(check (option int)) "tail kept" (Some 1) (get t 0x1060)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive mode: m/4 -> m expansion *)
@@ -51,9 +70,9 @@ let test_adaptive_expansion () =
     (Shadow_table.slot_bounds t 0x1001);
   check_bool "index grew" true (Shadow_table.bytes t > before);
   (* the old word's pointer is inherited by each of its bytes *)
-  Alcotest.(check (option int)) "byte 0" (Some 1) (Shadow_table.get t 0x1000);
-  Alcotest.(check (option int)) "byte 3" (Some 1) (Shadow_table.get t 0x1003);
-  Alcotest.(check (option int)) "byte 4" None (Shadow_table.get t 0x1004)
+  Alcotest.(check (option int)) "byte 0" (Some 1) (get t 0x1000);
+  Alcotest.(check (option int)) "byte 3" (Some 1) (get t 0x1003);
+  Alcotest.(check (option int)) "byte 4" None (get t 0x1004)
 
 let test_adaptive_word_access_no_expansion () =
   let t = Shadow_table.create ~mode:Shadow_table.Adaptive () in
@@ -86,20 +105,20 @@ let test_offset2_set_without_ensure () =
   Alcotest.(check (pair int int)) "slot stays byte-wide" (0x5002, 0x5003)
     (Shadow_table.slot_bounds t 0x5002);
   Alcotest.(check (option int)) "word base not claimed" None
-    (Shadow_table.get t 0x5000);
+    (get t 0x5000);
   Alcotest.(check (option int)) "neighbouring byte not claimed" None
-    (Shadow_table.get t 0x5003);
+    (get t 0x5003);
   Alcotest.(check (option int)) "value stored" (Some 7)
-    (Shadow_table.get t 0x5002);
+    (get t 0x5002);
   (* same access against an existing word page expands it in place *)
   Shadow_table.set t 0x5100 1;
   Shadow_table.set t 0x5102 9;
   Alcotest.(check (pair int int)) "existing page refined" (0x5102, 0x5103)
     (Shadow_table.slot_bounds t 0x5102);
   Alcotest.(check (option int)) "word value inherited" (Some 1)
-    (Shadow_table.get t 0x5101);
+    (get t 0x5101);
   Alcotest.(check (option int)) "offset-2 byte overwritten" (Some 9)
-    (Shadow_table.get t 0x5102)
+    (get t 0x5102)
 
 (* ------------------------------------------------------------------ *)
 (* Neighbours and group *)
@@ -108,30 +127,30 @@ let test_neighbors () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set t 0x1000 1;
   Shadow_table.set t 0x1008 2;
-  (match Shadow_table.prev_neighbor t 0x1008 with
+  (match prev_neighbor t 0x1008 with
    | Some (lo, hi, v) ->
      check_int "prev lo" 0x1000 lo;
      check_int "prev hi" 0x1004 hi;
      check_int "prev v" 1 v
    | None -> Alcotest.fail "expected prev neighbor");
-  (match Shadow_table.next_neighbor t 0x1000 with
+  (match next_neighbor t 0x1000 with
    | Some (lo, _, v) ->
      check_int "next lo" 0x1008 lo;
      check_int "next v" 2 v
    | None -> Alcotest.fail "expected next neighbor");
-  check_bool "no prev of first" true (Shadow_table.prev_neighbor t 0x1000 = None)
+  check_bool "no prev of first" true (prev_neighbor t 0x1000 = None)
 
 let test_neighbor_scan_is_bounded () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set t 0x1000 1;
   (* a value far away is beyond the bounded neighbourhood *)
-  check_bool "too far" true (Shadow_table.prev_neighbor t 0x1060 = None)
+  check_bool "too far" true (prev_neighbor t 0x1060 = None)
 
 let test_neighbor_crosses_block () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set t 0x107c 5;
   (* 0x1080 is the next 128-byte block *)
-  match Shadow_table.prev_neighbor t 0x1080 with
+  match prev_neighbor t 0x1080 with
   | Some (lo, _, v) ->
     check_int "lo" 0x107c lo;
     check_int "v" 5 v
@@ -147,7 +166,7 @@ let test_neighbor_exact_radius () =
     (fun a ->
       let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
       Shadow_table.set t a 1;
-      match Shadow_table.prev_neighbor t probe with
+      match prev_neighbor t probe with
       | Some (lo, _, _) ->
         check_int (Printf.sprintf "found at 0x%x" a) a lo
       | None -> Alcotest.fail (Printf.sprintf "0x%x is within the radius" a))
@@ -155,17 +174,17 @@ let test_neighbor_exact_radius () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set t 0x1070 1;
   check_bool "5 slots back is out of radius" true
-    (Shadow_table.prev_neighbor t probe = None);
+    (prev_neighbor t probe = None);
   (* and forward, 4 slots into the next block *)
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set t 0x108c 2;
-  (match Shadow_table.next_neighbor t 0x107c with
+  (match next_neighbor t 0x107c with
    | Some (lo, _, _) -> check_int "4 slots forward across block" 0x108c lo
    | None -> Alcotest.fail "4th slot forward is within the radius");
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set t 0x1090 2;
   check_bool "5 slots forward is out of radius" true
-    (Shadow_table.next_neighbor t 0x107c = None)
+    (next_neighbor t 0x107c = None)
 
 (* A fully-released neighbouring block must answer exactly like a
    never-touched one — sharing decisions in the dynamic detector
@@ -190,24 +209,24 @@ let test_dropped_equals_untouched () =
       check_bool
         (Printf.sprintf "prev at 0x%x" probe)
         true
-        (Shadow_table.prev_neighbor dropped probe
-        = Shadow_table.prev_neighbor untouched probe);
+        (prev_neighbor dropped probe
+        = prev_neighbor untouched probe);
       check_bool
         (Printf.sprintf "next at 0x%x" probe)
         true
-        (Shadow_table.next_neighbor dropped probe
-        = Shadow_table.next_neighbor untouched probe))
+        (next_neighbor dropped probe
+        = next_neighbor untouched probe))
     [ 0x2000; 0x2004; 0x2078; 0x2084; 0x2090; 0x2100; 0x2104 ]
 
 let test_group () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set_range t ~lo:0x1000 ~hi:0x1010 1;
   Shadow_table.set_range t ~lo:0x1010 ~hi:0x1018 2;
-  let glo, ghi, v = Shadow_table.group t 0x1004 ~hi:0x1020 in
+  let glo, ghi, v = group t 0x1004 ~hi:0x1020 in
   check_int "group lo" 0x1004 glo;
   check_int "group hi stops at other cell" 0x1010 ghi;
   check_bool "value" true (v = Some 1);
-  let glo, ghi, v = Shadow_table.group t 0x1018 ~hi:0x1030 in
+  let glo, ghi, v = group t 0x1018 ~hi:0x1030 in
   check_int "empty group lo" 0x1018 glo;
   check_int "empty group extends" 0x1030 ghi;
   check_bool "empty value" true (v = None)
@@ -215,14 +234,14 @@ let test_group () =
 let test_group_clips_to_slot_boundary () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set_range t ~lo:0x1000 ~hi:0x1040 9;
-  let glo, ghi, _ = Shadow_table.group t 0x1006 ~hi:0x1007 in
+  let glo, ghi, _ = group t 0x1006 ~hi:0x1007 in
   check_int "lo aligned" 0x1004 glo;
   check_int "hi rounded up to slot" 0x1008 ghi
 
 let test_group_crosses_blocks () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set_range t ~lo:0x1000 ~hi:0x1200 3;
-  let _, ghi, v = Shadow_table.group t 0x1000 ~hi:0x1200 in
+  let _, ghi, v = group t 0x1000 ~hi:0x1200 in
   check_int "crosses two blocks" 0x1200 ghi;
   check_bool "same value" true (v = Some 3)
 
@@ -234,14 +253,14 @@ let test_fixed_range_boundaries_widen () =
   let t = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) () in
   Shadow_table.set_range t ~lo:0x1002 ~hi:0x1006 1;
   Alcotest.(check (option int)) "lo widened to slot" (Some 1)
-    (Shadow_table.get t 0x1000);
+    (get t 0x1000);
   Alcotest.(check (option int)) "hi widened to slot" (Some 1)
-    (Shadow_table.get t 0x1007);
+    (get t 0x1007);
   Alcotest.(check (option int)) "next slot untouched" None
-    (Shadow_table.get t 0x1008);
+    (get t 0x1008);
   Shadow_table.remove_range t ~lo:0x1002 ~hi:0x1006;
   Alcotest.(check (option int)) "remove widens too" None
-    (Shadow_table.get t 0x1000);
+    (get t 0x1000);
   check_int "no entries left" 0 (Shadow_table.entry_count t)
 
 (* Adaptive mode: ranges are byte-exact in both directions. *)
@@ -250,25 +269,25 @@ let test_adaptive_range_boundaries_exact () =
   (* unaligned lo: the stamp starts exactly at lo *)
   Shadow_table.set_range t ~lo:0x6002 ~hi:0x6010 1;
   Alcotest.(check (option int)) "byte below lo untouched" None
-    (Shadow_table.get t 0x6001);
-  Alcotest.(check (option int)) "lo stamped" (Some 1) (Shadow_table.get t 0x6002);
+    (get t 0x6001);
+  Alcotest.(check (option int)) "lo stamped" (Some 1) (get t 0x6002);
   (* unaligned hi: the stamp ends exactly at hi *)
   Shadow_table.set_range t ~lo:0x6010 ~hi:0x6016 2;
-  Alcotest.(check (option int)) "hi-1 stamped" (Some 2) (Shadow_table.get t 0x6015);
-  Alcotest.(check (option int)) "hi untouched" None (Shadow_table.get t 0x6016);
+  Alcotest.(check (option int)) "hi-1 stamped" (Some 2) (get t 0x6015);
+  Alcotest.(check (option int)) "hi untouched" None (get t 0x6016);
   (* removal cuts an occupied word slot exactly, in both directions *)
   let t2 = Shadow_table.create ~mode:Shadow_table.Adaptive () in
   Shadow_table.set_range t2 ~lo:0x7000 ~hi:0x7010 9;
   Shadow_table.remove_range t2 ~lo:0x7000 ~hi:0x7006;
   Alcotest.(check (option int)) "cleared below unaligned hi" None
-    (Shadow_table.get t2 0x7005);
+    (get t2 0x7005);
   Alcotest.(check (option int)) "kept at unaligned hi" (Some 9)
-    (Shadow_table.get t2 0x7006);
+    (get t2 0x7006);
   Shadow_table.remove_range t2 ~lo:0x700a ~hi:0x7010;
   Alcotest.(check (option int)) "kept below unaligned lo" (Some 9)
-    (Shadow_table.get t2 0x7009);
+    (get t2 0x7009);
   Alcotest.(check (option int)) "cleared at unaligned lo" None
-    (Shadow_table.get t2 0x700a);
+    (get t2 0x700a);
   (* full removal still releases the page *)
   Shadow_table.remove_range t2 ~lo:0x7006 ~hi:0x700a;
   check_int "page released after exact clears" 0
@@ -311,7 +330,7 @@ let model_test =
             Shadow_table.remove_range t ~lo:addr ~hi:(addr + size);
             for a = addr to addr + size - 1 do Hashtbl.remove model a done
           | _ ->
-            let got = Shadow_table.get t addr in
+            let got = get t addr in
             let expect = Hashtbl.find_opt model addr in
             if got <> expect then
               Test.fail_reportf "get 0x%x: got %s, expected %s" addr
@@ -356,19 +375,19 @@ let differential_test =
             let slo, shi = Shadow_table.slot_bounds adaptive addr in
             Shadow_table.set_range byte ~lo:slo ~hi:shi off
           | _ ->
-            let got = Shadow_table.get adaptive addr in
-            let expect = Shadow_table.get byte addr in
+            let got = get adaptive addr in
+            let expect = get byte addr in
             if got <> expect then
               Test.fail_reportf "get 0x%x: adaptive %s, reference %s" addr
                 (match got with Some v -> string_of_int v | None -> "-")
                 (match expect with Some v -> string_of_int v | None -> "-"));
           (* group's claim must hold byte-for-byte in the reference *)
-          let glo, ghi, v = Shadow_table.group adaptive addr ~hi:limit in
+          let glo, ghi, v = group adaptive addr ~hi:limit in
           if not (glo <= addr && addr < ghi) then
             Test.fail_reportf "group 0x%x: [0x%x,0x%x) misses the address"
               addr glo ghi;
           for a = glo to min ghi limit - 1 do
-            if Shadow_table.get byte a <> v then
+            if get byte a <> v then
               Test.fail_reportf
                 "group 0x%x claims [0x%x,0x%x)=%s but reference differs at \
                  0x%x"
@@ -390,6 +409,124 @@ let differential_test =
       Shadow_table.entry_count adaptive = 0
       && Shadow_table.bytes adaptive = 0
       && Shadow_table.entry_count byte = 0)
+
+(* Naive slot-by-slot model of the lookups, built only from [find] and
+   [slot_bounds].  The width of the slot holding [a] is what
+   [slot_bounds] reports for [a]'s word: a page's own width, or the
+   initial width for an absent page (a word-aligned probe never gets
+   the byte slot a fresh unaligned address would). *)
+let model_width t a =
+  let lo, hi = Shadow_table.slot_bounds t (a land lnot 3) in
+  hi - lo
+
+let model_slot t a =
+  let w = model_width t a in
+  let lo = a land lnot (w - 1) in
+  (lo, lo + w)
+
+(* At most [scan_limit = 4] slots on the given side, nearest first. *)
+let model_prev t addr =
+  let rec back a n =
+    if n = 0 then None
+    else
+      let lo, hi = model_slot t a in
+      match get t lo with
+      | Some v -> Some (lo, hi, v)
+      | None -> back (lo - 1) (n - 1)
+  in
+  back (fst (Shadow_table.slot_bounds t addr) - 1) 4
+
+let model_next t addr =
+  let rec fwd a n =
+    if n = 0 then None
+    else
+      let lo, hi = model_slot t a in
+      match get t lo with
+      | Some v -> Some (lo, hi, v)
+      | None -> fwd hi (n - 1)
+  in
+  fwd (snd (Shadow_table.slot_bounds t addr)) 4
+
+(* The run of equal slots from [addr]'s slot, stopping at the first
+   slot boundary at or past [hi]. *)
+let model_group t addr ~hi =
+  let glo, g0hi = model_slot t addr in
+  let v = get t addr in
+  let rec walk cur =
+    if cur >= hi then cur
+    else
+      let _, shi = model_slot t cur in
+      if get t cur = v then walk shi else cur
+  in
+  (glo, walk g0hi, v)
+
+(* An unaligned address on an absent adaptive page has a byte slot of
+   its own but sits inside a word-wide virtual slot.  A forward scan
+   from there counts only the whole virtual slots left in the block, so
+   the model's slot count is off by one; the detector never probes
+   such an address (its access refines the page to byte slots first),
+   and the law leaves forward scans from it out. *)
+let starts_mid_slot t addr =
+  let lo, hi = Shadow_table.slot_bounds t addr in
+  hi - lo < model_width t addr
+
+let show_hit = function
+  | Some (lo, hi, v) -> Printf.sprintf "[0x%x,0x%x)=%d" lo hi v
+  | None -> "-"
+
+let show_group (lo, hi, v) =
+  Printf.sprintf "[0x%x,0x%x)=%s" lo hi
+    (match v with Some v -> string_of_int v | None -> "-")
+
+(* The non-allocating neighbour scans and group walk return exactly
+   what the naive model returns, on random stamp/clear sequences over
+   eight blocks: clears drop whole pages (absent pages inside the scan
+   radius) and sub-word stamps leave byte-expanded pages beside
+   word-slot ones. *)
+let lookup_model_test =
+  let open QCheck in
+  let modes =
+    [| Shadow_table.Adaptive; Shadow_table.Fixed_bytes 4;
+       Shadow_table.Fixed_bytes 1 |]
+  in
+  Test.make ~name:"neighbour scans and group walk agree with slot model"
+    ~count:300
+    (pair (int_bound 2)
+       (small_list (quad (int_bound 2) (int_bound 1023) (int_bound 4) small_nat)))
+    (fun (mi, ops) ->
+      let t = Shadow_table.create ~mode:modes.(mi) () in
+      let base = 0x10000 in
+      let sizes = [| 1; 2; 4; 8; 200 |] in
+      List.iter
+        (fun (op, off, szi, v) ->
+          let addr = base + off and size = sizes.(szi) in
+          match op with
+          | 0 ->
+            Shadow_table.ensure_granularity t ~addr ~size;
+            Shadow_table.set_range t ~lo:addr ~hi:(addr + size) v
+          | 1 -> Shadow_table.remove_range t ~lo:addr ~hi:(addr + size)
+          | _ -> Shadow_table.set t addr v)
+        ops;
+      for off = -8 to 1024 + 8 do
+        let addr = base + off in
+        let got = prev_neighbor t addr and expect = model_prev t addr in
+        if got <> expect then
+          Test.fail_reportf "prev 0x%x: got %s, model %s" addr (show_hit got)
+            (show_hit expect);
+        let got = next_neighbor t addr and expect = model_next t addr in
+        if got <> expect && not (starts_mid_slot t addr) then
+          Test.fail_reportf "next 0x%x: got %s, model %s" addr (show_hit got)
+            (show_hit expect);
+        List.iter
+          (fun len ->
+            let hi = addr + len in
+            let got = group t addr ~hi and expect = model_group t addr ~hi in
+            if got <> expect then
+              Test.fail_reportf "group 0x%x ~hi:0x%x: got %s, model %s" addr
+                hi (show_group got) (show_group expect))
+          [ 1; 3; 8; 130; 400 ]
+      done;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch bitmap *)
@@ -502,6 +639,7 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "iter_range" `Quick test_iter_range;
           QCheck_alcotest.to_alcotest model_test;
           QCheck_alcotest.to_alcotest differential_test;
+          QCheck_alcotest.to_alcotest lookup_model_test;
         ] );
       ( "shadow.bitmap",
         [
