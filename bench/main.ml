@@ -47,10 +47,12 @@ let kernel_run spec wname =
   let w = Option.get (Dgrace_workloads.Registry.find wname) in
   fun () ->
     ignore
-      (Dgrace_core.Engine.run
-         ~policy:(Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 })
-         ~spec
-         (w.Dgrace_workloads.Workload.program w.defaults)
+      (Measure.analyze spec
+         (Dgrace_core.Engine.Source.Program
+            {
+              policy = Measure.bench_policy;
+              main = w.Dgrace_workloads.Workload.program w.defaults;
+            })
         : Dgrace_core.Engine.summary)
 
 let bechamel_tests () =

@@ -47,6 +47,17 @@ let suppression_for = function
 
 let cache : (string * string, m) Hashtbl.t = Hashtbl.create 64
 
+(* [Engine.analyze] for measurement runs: an error is a bench bug *)
+let run_config config source =
+  match Engine.analyze config source with
+  | Ok s -> s
+  | Error e -> failwith (Dgrace_resilience.Error.to_string e)
+
+let analyze ?(suppression = Suppression.empty) spec source =
+  run_config { (Engine.Config.make spec) with Engine.Config.suppression } source
+
+let bench_policy = Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 }
+
 (* One recorded event stream per workload at the current scale: the
    sharded measurements replay the identical trace for every detector
    and shard count. *)
@@ -60,9 +71,7 @@ let recorded (w : Workload.t) =
     let p = Workload.with_params ~scale:!scale w in
     let buf = ref [] in
     let sim =
-      Workload.run
-        ~policy:(Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 })
-        ~params:p
+      Workload.run ~policy:bench_policy ~params:p
         ~sink:(fun ev -> buf := ev :: !buf)
         w
     in
@@ -70,25 +79,16 @@ let recorded (w : Workload.t) =
     Hashtbl.replace recordings w.name r;
     r
 
-let replay_sharded_once (w : Workload.t) spec ~mode ~shards =
-  let events, _ = recorded w in
-  (* DGRACE_BENCH_NO_BATCH=1 forces the per-event dispatch path, for
-     separating format/dispatch effects from detector changes when a
-     timing table moves *)
-  let batched = Sys.getenv_opt "DGRACE_BENCH_NO_BATCH" = None in
-  Engine.replay_sharded ~batched ~mode ~suppression:(suppression_for spec)
-    ~shards ~spec (Array.to_seq events)
-
 let run_once (w : Workload.t) spec =
+  let suppression = suppression_for spec in
   if !shards > 1 then
-    replay_sharded_once w spec ~mode:Dgrace_par.Par.Parallel ~shards:!shards
-  else begin
+    run_config
+      { (Engine.Config.make spec) with Engine.Config.suppression; shards = !shards }
+      (Engine.Source.Events (Array.to_seq (fst (recorded w))))
+  else
     let p = Workload.with_params ~scale:!scale w in
-    Engine.run
-      ~policy:(Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 })
-      ~suppression:(suppression_for spec) ~spec
-      (w.program p)
-  end
+    analyze ~suppression spec
+      (Engine.Source.Program { policy = bench_policy; main = w.program p })
 
 let get (w : Workload.t) spec =
   let key = (w.name, Spec.name spec) in
@@ -165,33 +165,32 @@ type par_m = {
 
 let par_cache : (string * string * int, par_m) Hashtbl.t = Hashtbl.create 32
 
-let gauge_s (s : Engine.summary) name =
-  match List.assoc_opt name (Dgrace_obs.Metrics.gauges s.metrics) with
-  | Some v -> float_of_int v /. 1e6
-  | None -> Float.nan
-
 let par_get (w : Workload.t) spec ~shards:k =
   let key = (w.name, Spec.name spec, k) in
   match Hashtbl.find_opt par_cache key with
   | Some m -> m
   | None ->
     let best = ref None in
+    let events = fst (recorded w) in
+    let make (_ : int) =
+      Spec.to_detector ~suppression:(suppression_for spec) spec
+    in
     for _ = 1 to !reps do
-      let s =
-        replay_sharded_once w spec ~mode:Dgrace_par.Par.Sequential ~shards:k
+      let r =
+        Dgrace_par.Par.analyze ~mode:Dgrace_par.Par.Sequential ~make ~shards:k
+          ~granule:Dgrace_detectors.Dynamic_granularity.share_granule events
       in
-      let c = gauge_s s "par.critical_path_us" in
       match !best with
-      | Some (bc, _) when bc <= c -> ()
-      | _ -> best := Some (c, s)
+      | Some (b : Dgrace_par.Par.result) when b.critical_path_s <= r.critical_path_s -> ()
+      | _ -> best := Some r
     done;
-    let c, s = Option.get !best in
+    let r = Option.get !best in
     let m =
       {
-        p_events = Array.length (fst (recorded w));
-        p_critical_s = c;
-        p_split_s = gauge_s s "par.split_us";
-        p_races = s.race_count;
+        p_events = Array.length events;
+        p_critical_s = r.critical_path_s;
+        p_split_s = r.split_s;
+        p_races = List.length (Dgrace_par.Par.merged_races r);
       }
     in
     Hashtbl.replace par_cache key m;

@@ -35,11 +35,14 @@ let v2_file (w : Workload.t) =
     p
 
 let replay_v2_inline ?suppression path =
-  (* the PR 8 batched path: decode and detect alternate on one domain;
-     clustering off so the baseline predates this PR entirely *)
-  Engine.replay_batches ?suppression ~page_cluster:false ~spec:Spec.dynamic
-    (fun consume ->
-      Dgrace_trace.Trace_format_v2.fold_batches path (fun () b -> consume b) ())
+  (* decode and detect alternate on one domain: the clustered batch
+     path without the pipeline's overlap *)
+  Measure.analyze ?suppression Spec.dynamic
+    (Engine.Source.Batches
+       (fun consume ->
+         Dgrace_trace.Trace_format_v2.fold_batches path
+           (fun () b -> consume b)
+           ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -129,8 +132,8 @@ let table1 () =
                  ();
                let d = Unix.gettimeofday () -. t0 in
                let det =
-                 Engine.replay_batches ~suppression:supp ~page_cluster:true
-                   ~spec:dynamic (fun consume -> Array.iter consume bs)
+                 Measure.analyze ~suppression:supp dynamic
+                   (Engine.Source.Batches (fun consume -> Array.iter consume bs))
                in
                let critical = Float.max d det.Engine.elapsed in
                if critical > 0. then seq.elapsed /. critical else Float.nan)
@@ -337,11 +340,16 @@ let threads () =
   print_newline ();
   List.iter
     (fun t ->
-      let base = (Engine.run ~spec:Spec.No_detection (kernel t)).elapsed in
+      let run spec =
+        Measure.analyze spec
+          (Engine.Source.Program
+             { policy = Dgrace_sim.Scheduler.default; main = kernel t })
+      in
+      let base = (run Spec.No_detection).elapsed in
       Printf.printf "%-10d" t;
       List.iter
         (fun spec ->
-          let s = Engine.run ~spec (kernel t) in
+          let s = run spec in
           Printf.printf " | %12.2f %12d"
             (if base > 0. then s.elapsed /. base else Float.nan)
             (s.mem.peak_vc_bytes / 1024))
@@ -437,7 +445,10 @@ let fig1 () =
         (Dgrace_vclock.Vector_clock.to_string (Dgrace_detectors.Vc_env.clock_of env 0))
         (Dgrace_vclock.Vector_clock.to_string (Dgrace_detectors.Vc_env.clock_of env 1)))
     events;
-  let s = Engine.replay ~spec:(Spec.Djit { granularity = 4 }) (List.to_seq events) in
+  let s =
+    Measure.analyze (Spec.Djit { granularity = 4 })
+      (Engine.Source.Events (List.to_seq events))
+  in
   List.iter (fun r -> Printf.printf "\n  DJIT+ reports: %s\n" (Report.to_string r)) s.races
 
 (* ------------------------------------------------------------------ *)
@@ -504,8 +515,8 @@ let trace () =
     for _ = 1 to max 1 !Measure.reps do
       Gc.full_major ();
       let s =
-        Engine.replay ~suppression:supp ~spec:Spec.dynamic
-          (Array.to_seq events)
+        Measure.analyze ~suppression:supp Spec.dynamic
+          (Engine.Source.Events (Array.to_seq events))
       in
       (match Hashtbl.find_opt best_off w.name with
        | Some p when p.Engine.elapsed <= s.elapsed -> ()
@@ -514,8 +525,13 @@ let trace () =
       (* a fresh tracer per rep: rings must not accumulate across reps *)
       let t = Dgrace_obs.Span.create () in
       let s =
-        Engine.replay ~suppression:supp ~spec:Spec.dynamic ~tracer:t
-          (Array.to_seq events)
+        Measure.run_config
+          {
+            (Engine.Config.make Spec.dynamic) with
+            Engine.Config.suppression = supp;
+            tracer = Some t;
+          }
+          (Engine.Source.Events (Array.to_seq events))
       in
       match Hashtbl.find_opt best_on w.name with
       | Some (p, _) when p.Engine.elapsed <= s.elapsed -> ()
@@ -650,12 +666,12 @@ let batch () =
     in
     let run_pe () =
       Gc.full_major ();
-      Engine.replay ~suppression:supp ~spec:Spec.dynamic (Array.to_seq events)
+      Measure.analyze ~suppression:supp Spec.dynamic
+        (Engine.Source.Events (Array.to_seq events))
     in
     let run_b () =
       Gc.full_major ();
-      Engine.replay_batches ~suppression:supp ~spec:Spec.dynamic
-        (fun consume -> Array.iter consume bs)
+      Measure.analyze ~suppression:supp Spec.dynamic (Engine.Source.Batches (fun consume -> Array.iter consume bs))
     in
     let keep tbl (s : Engine.summary) =
       match Hashtbl.find_opt tbl w.name with
@@ -785,8 +801,7 @@ let batch () =
 (* Pipelined replay acceptance gate (doc/trace.md): replay the same
    recorded stream from a trace-v2 file three ways —
      S  inline:  decode and detect alternate on one domain
-                 (fold_batches feeding replay_batches, clustering off —
-                 the PR 8 batched path);
+                 (fold_batches feeding the clustered batch path);
      D  decode:  fold the file into batches and drop them;
      T  detect:  apply prebuilt batches, page clustering on.
    The pipeline overlaps D with T on two domains, so its critical path
@@ -850,8 +865,7 @@ let pipeline () =
     in
     let run_det () =
       Gc.full_major ();
-      Engine.replay_batches ~suppression:supp ~page_cluster:true
-        ~spec:Spec.dynamic (fun consume -> Array.iter consume bs)
+      Measure.analyze ~suppression:supp Spec.dynamic (Engine.Source.Batches (fun consume -> Array.iter consume bs))
     in
     let run_decode () =
       Gc.full_major ();
@@ -916,7 +930,8 @@ let pipeline () =
       let path = v2_file w in
       Gc.full_major ();
       Hashtbl.replace pipe_run w.name
-        (Engine.replay_pipelined ~suppression:supp ~spec:Spec.dynamic path))
+        (Measure.analyze ~suppression:supp Spec.dynamic
+           (Engine.Source.V2_file path)))
     Registry.all;
   let gauge (s : Engine.summary) name =
     Option.value ~default:0
@@ -1109,8 +1124,8 @@ let sampling () =
   let ratios : (string * float, float list ref) Hashtbl.t = Hashtbl.create 64 in
   let run_spec w spec =
     Gc.full_major ();
-    Engine.replay_batches ~suppression:supp ~spec (fun consume ->
-        Array.iter consume (batches w))
+    let bs = batches w in
+    Measure.analyze ~suppression:supp spec (Engine.Source.Batches (fun consume -> Array.iter consume bs))
   in
   let keep w spec (s : Engine.summary) =
     let key = (w.Workload.name, Spec.name spec) in
@@ -1253,9 +1268,15 @@ let sampling_scaled () =
     Dgrace_resilience.Budget.make ~max_shadow_bytes:scaled_budget_bytes ()
   in
   let supp = Measure.suppression_for Spec.dynamic in
+  let program = Engine.Source.Program { policy; main = w.program p } in
   let full =
-    Engine.run ~policy ~budget ~suppression:supp ~spec:Spec.dynamic
-      (w.program p)
+    Measure.run_config
+      {
+        (Engine.Config.make Spec.dynamic) with
+        Engine.Config.suppression = supp;
+        budget;
+      }
+      program
   in
   let stopped = full.partial <> None in
   Printf.printf
@@ -1272,7 +1293,11 @@ let sampling_scaled () =
       let d =
         Dgrace_detectors.Race_sampler.create ~rate:scaled_rate ~seed ~inner ()
       in
-      let s = Engine.with_detector ~policy ~budget d (w.program p) in
+      let s =
+        Measure.run_config
+          { (Engine.Config.of_detector d) with Engine.Config.budget }
+          program
+      in
       let ok = s.partial = None && not s.degraded in
       if not ok then all_ok := false;
       List.iter

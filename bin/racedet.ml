@@ -124,37 +124,6 @@ let no_vc_intern_arg =
            per-capture deep copies).  Escape hatch for one release; races are \
            identical either way.")
 
-let no_page_cluster_arg =
-  Arg.(
-    value & flag
-    & info [ "no-page-cluster" ]
-        ~doc:
-          "Disable page-clustered batch application (apply batch rows in row \
-           order instead of grouped by aligned shadow page).  Escape hatch \
-           for one release; races, report order and stats are identical \
-           either way (doc/shadow.md).")
-
-(* tri-state: None = auto (pipeline v2 inputs), Some true/false forced *)
-let pipeline_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "pipeline" ]
-              ~doc:
-                "Force the two-stage decode/detect pipeline (requires a v2 \
-                 trace).  This is already the default for v2 inputs; the \
-                 flag exists to make scripts explicit and to get an error \
-                 instead of a silent sequential replay on a v1 trace." );
-          ( Some false,
-            info [ "no-pipeline" ]
-              ~doc:
-                "Decode and detect on one domain, strictly alternating (the \
-                 pre-pipeline behaviour).  Races and offsets are identical; \
-                 this is a performance escape hatch." );
-        ])
-
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every race report.")
 
@@ -237,6 +206,15 @@ let suppression no_suppress =
   if no_suppress then Suppression.empty else Suppression.default_runtime
 
 let policy sched_seed = Dgrace_sim.Scheduler.Chunked { seed = sched_seed; chunk = 64 }
+
+let program sched_seed (w : Workload.t) p =
+  Engine.Source.Program { policy = policy sched_seed; main = w.program p }
+
+(* [Engine.analyze] with its errors raised for [or_fail] to report *)
+let analyze config source =
+  match Engine.analyze config source with
+  | Ok s -> s
+  | Error e -> raise (Rerr.E e)
 
 (* Heartbeat for long runs: reads the live detector state so the line
    shows real progress, not just an event count.  Lines go through the
@@ -332,12 +310,15 @@ let run_cmd =
         spec
     in
     let s =
-      Engine.with_detector ~policy:(policy sched_seed)
-        ~budget:(budget max_shadow max_events deadline)
-        ?sample_every:(Option.map (fun _ -> sample_every) metrics_out)
-        ?progress:(progress_for progress progress_every d)
-        ?tracer d
-        (w.Workload.program p)
+      analyze
+        {
+          (Engine.Config.of_detector d) with
+          Engine.Config.budget = budget max_shadow max_events deadline;
+          sample_every = Option.map (fun _ -> sample_every) metrics_out;
+          progress = progress_for progress progress_every d;
+          tracer;
+        }
+        (program sched_seed w p)
     in
     Format.printf "workload: %s (threads=%d scale=%d seed=%d)@." w.name p.threads
       p.scale p.seed;
@@ -377,6 +358,7 @@ let run_cmd =
 let compare_cmd =
   let action w threads scale seed sched_seed no_suppress no_vc_intern shards
       metrics_out sample_every trace_out =
+    or_fail @@ fun () ->
     let p = params w threads scale seed in
     let t0 = Unix.gettimeofday () in
     let tracer = tracer_for trace_out in
@@ -406,18 +388,25 @@ let compare_cmd =
     let summaries = ref [] in
     List.iter
       (fun spec ->
+        let config =
+          {
+            (Engine.Config.make spec) with
+            Engine.Config.suppression = suppression no_suppress;
+            vc_intern = not no_vc_intern;
+            shards;
+            tracer;
+          }
+        in
         let s =
           if shards > 1 then
-            Engine.replay_sharded ~suppression:(suppression no_suppress)
-              ~vc_intern:(not no_vc_intern) ?tracer ~shards ~spec
-              (Array.to_seq recorded)
+            analyze config (Engine.Source.Events (Array.to_seq recorded))
           else
-            Engine.run ~policy:(policy sched_seed)
-              ~suppression:(suppression no_suppress)
-              ~vc_intern:(not no_vc_intern)
-              ?sample_every:(Option.map (fun _ -> sample_every) metrics_out)
-              ?tracer ~spec
-              (w.Workload.program p)
+            analyze
+              {
+                config with
+                sample_every = Option.map (fun _ -> sample_every) metrics_out;
+              }
+              (program sched_seed w p)
         in
         summaries := s :: !summaries;
         if spec = Spec.No_detection then base := s.elapsed
@@ -506,6 +495,7 @@ let print_profile (s : Engine.summary) =
 let profile_cmd =
   let action w specs threads scale seed sched_seed no_suppress metrics_out
       sample_every progress progress_every =
+    or_fail @@ fun () ->
     let specs =
       if specs = [] then [ Spec.byte; Spec.word; Spec.dynamic ] else specs
     in
@@ -519,11 +509,14 @@ let profile_cmd =
             Spec.to_detector ~suppression:(suppression no_suppress) spec
           in
           let s =
-            Engine.with_detector ~policy:(policy sched_seed)
-              ?sample_every:(Option.map (fun _ -> sample_every) metrics_out)
-              ?progress:(progress_for progress progress_every d)
-              d
-              (w.Workload.program p)
+            analyze
+              {
+                (Engine.Config.of_detector d) with
+                Engine.Config.sample_every =
+                  Option.map (fun _ -> sample_every) metrics_out;
+                progress = progress_for progress progress_every d;
+              }
+              (program sched_seed w p)
           in
           print_profile s;
           s)
@@ -735,9 +728,9 @@ let convert_cmd =
       $ progress_every_arg)
 
 let replay_cmd =
-  let action path spec no_suppress no_vc_intern no_page_cluster pipeline
-      verbose resync no_batch shards metrics_out sample_every trace_out
-      progress progress_every max_shadow max_events deadline =
+  let action path spec no_suppress no_vc_intern verbose resync shards
+      metrics_out sample_every trace_out progress progress_every max_shadow
+      max_events deadline =
     or_fail @@ fun () ->
     let version = Dgrace_trace.Trace_reader.probe_version path in
     if resync && version >= 2 then
@@ -752,94 +745,41 @@ let replay_cmd =
               }));
     let tracer = tracer_for trace_out in
     let lane = Option.map Span.main tracer in
-    let budget = budget max_shadow max_events deadline in
-    let suppression = suppression no_suppress in
-    let progress = replay_progress progress progress_every in
-    let vc_intern = not no_vc_intern in
-    let page_cluster = not no_page_cluster in
-    let sample_every = Option.map (fun _ -> sample_every) metrics_out in
-    (* pipeline disposition: on for v2 inputs unless --no-pipeline or
-       --no-batch (auto); --pipeline forces it and faults on v1 *)
-    let use_pipeline =
-      match pipeline with
-      | Some false -> false
-      | Some true ->
-        if version < 2 then
-          raise
-            (Rerr.E
-               (Rerr.Invalid_input
-                  {
-                    what = "replay --pipeline";
-                    reason =
-                      "the decode/detect pipeline needs a v2 trace; convert \
-                       first (racedet convert --trace-v2)";
-                  }));
-        true
-      | None -> version >= 2 && not no_batch
+    let config =
+      {
+        (Engine.Config.make spec) with
+        Engine.Config.suppression = suppression no_suppress;
+        vc_intern = not no_vc_intern;
+        shards;
+        budget = budget max_shadow max_events deadline;
+        sample_every = Option.map (fun _ -> sample_every) metrics_out;
+        progress = replay_progress progress progress_every;
+        tracer;
+      }
     in
-    let read_events () =
-      (* decode vs dispatch: the trace shows file reading as its own
-         span, before the engine's replay span starts *)
-      (match lane with Some b -> Span.begin_span b "replay.decode" | None -> ());
-      let events, recovered_gaps =
-        if version >= 2 then (Dgrace_trace.Trace_format_v2.read_file path, 0)
-        else if resync then begin
-          let events, r = Dgrace_trace.Trace_reader.read_file_resync path in
-          if r.Dgrace_trace.Trace_reader.gaps > 0 then
-            Stderr_line.line
-              "racedet: resync: dropped %d byte(s) in %d gap(s), %d event(s) \
-               salvaged"
-              r.dropped_bytes r.gaps r.events;
-          (events, r.gaps)
-        end
-        else (Dgrace_trace.Trace_reader.read_file path, 0)
-      in
-      (match lane with Some b -> Span.end_span b "replay.decode" | None -> ());
-      (events, recovered_gaps)
-    in
-    let s, recovered_gaps =
-      if use_pipeline && shards = 1 then
-        (* decode on its own domain, detect here; identical races,
-           offsets and stop reasons as the sequential v2 paths *)
-        ( Engine.replay_pipelined ~budget ~suppression ~vc_intern ~page_cluster
-            ?sample_every ?progress ?tracer ~spec path,
-          0 )
-      else if
-        use_pipeline && shards > 1
-        && Budget.is_unlimited budget
-        && sample_every = None && progress = None && tracer = None
-      then
-        (* streaming sharded pipeline: planner prepass + decoder domain
-           + router + one detector domain per shard.  Per-event
-           machinery (budget/metrics/progress/tracer) needs the
-           materialised sharded path below. *)
-        ( Engine.replay_sharded_pipelined ~suppression ~vc_intern ~page_cluster
-            ~shards ~spec path,
-          0 )
-      else if version >= 2 && shards = 1 && not no_batch then
-        (* stream blocks straight into the detector's batch fast path;
-           decode interleaves with dispatch, no event list is built *)
-        ( Engine.replay_batches ~budget ~suppression ~vc_intern ~page_cluster
-            ?sample_every ?progress ?tracer ~spec
-            (fun consume ->
-              Dgrace_trace.Trace_format_v2.fold_batches path
-                (fun () b -> consume b)
-                ()),
-          0 )
+    let source, recovered_gaps =
+      if version >= 2 then (Engine.Source.V2_file path, 0)
       else begin
-        let events, recovered_gaps = read_events () in
-        let s =
-          if shards = 1 then
-            Engine.replay ~budget ~suppression ~vc_intern ~page_cluster
-              ?sample_every ?progress ?tracer ~spec (List.to_seq events)
-          else
-            Engine.replay_sharded ~batched:(not no_batch) ~budget ~suppression
-              ~vc_intern ~page_cluster ?sample_every ?progress ?tracer ~shards
-              ~spec (List.to_seq events)
+        (* decode vs dispatch: the trace shows file reading as its own
+           span, before the engine's replay span starts *)
+        (match lane with Some b -> Span.begin_span b "replay.decode" | None -> ());
+        let events, recovered_gaps =
+          if resync then begin
+            let events, r = Dgrace_trace.Trace_reader.read_file_resync path in
+            if r.Dgrace_trace.Trace_reader.gaps > 0 then
+              Stderr_line.line
+                "racedet: resync: dropped %d byte(s) in %d gap(s), %d event(s) \
+                 salvaged"
+                r.dropped_bytes r.gaps r.events;
+            (events, r.gaps)
+          end
+          else (Dgrace_trace.Trace_reader.read_file path, 0)
         in
-        (s, recovered_gaps)
+        (match lane with Some b -> Span.end_span b "replay.decode" | None -> ());
+        (Engine.Source.Events (List.to_seq events), recovered_gaps)
       end
     in
+    let s = analyze config source in
     Format.printf "%a@." Engine.pp_summary s;
     if verbose then
       List.iter (fun r -> Format.printf "%s@." (Report.to_string r)) s.races;
@@ -865,20 +805,10 @@ let replay_cmd =
              the next decodable record, report what was dropped on stderr, \
              and exit 3 (partial) if anything was.  v1 traces only.")
   in
-  let no_batch_arg =
-    Arg.(
-      value & flag
-      & info [ "no-batch" ]
-          ~doc:
-            "Force per-event dispatch even where the batch fast path would \
-             engage (v2 traces, sharded replay).  Races are identical \
-             either way; this is a performance escape hatch.")
-  in
   let term =
     Term.(
       const action $ path_arg $ spec_arg $ no_suppress_arg $ no_vc_intern_arg
-      $ no_page_cluster_arg $ pipeline_arg $ verbose_arg $ resync_arg
-      $ no_batch_arg $ shards_arg $ metrics_out_arg $ sample_every_arg
+      $ verbose_arg $ resync_arg $ shards_arg $ metrics_out_arg $ sample_every_arg
       $ trace_out_arg $ progress_arg $ progress_every_arg $ max_shadow_arg
       $ max_events_arg $ deadline_arg)
   in
@@ -891,12 +821,14 @@ let replay_cmd =
               $(b,--resync) is given, in which case decodable events around \
               the damage are still analysed (exit 3).";
            `P
-             "v2 traces replay through a two-stage pipeline by default: a \
-              decoder domain streams blocks into a bounded ring while the \
-              detector drains it ($(b,--shards) K adds a router and one \
-              detector domain per shard).  Races, report offsets, corruption \
-              offsets and budget stop reasons are bit-identical to the \
-              sequential path; $(b,--no-pipeline) restores it.  The summary \
+             "v2 traces replay through a two-stage pipeline: a decoder \
+              domain streams blocks into a bounded ring while the detector \
+              drains it.  With $(b,--shards) K a router feeds one detector \
+              domain per shard; a budget, $(b,--progress), \
+              $(b,--metrics-out) or $(b,--trace-out) make a sharded replay \
+              read the whole trace first.  Races, report offsets, corruption \
+              offsets and budget stop reasons are bit-identical to a \
+              per-event replay of the same events.  The summary \
               metrics report $(b,pipeline.decode_stall_us) / \
               $(b,pipeline.detect_stall_us) gauges, and with \
               $(b,--trace-out) the decoder runs on its own $(b,decoder) \
@@ -1059,6 +991,7 @@ let inject_cmd =
 
 let explore_cmd =
   let action w spec threads scale seed seeds no_suppress =
+    or_fail @@ fun () ->
     let p = params w threads scale seed in
     Format.printf "workload: %s, detector: %s, %d scheduler seeds@.@." w.name
       (Spec.name spec) seeds;
@@ -1066,9 +999,12 @@ let explore_cmd =
     let counts =
       List.init seeds (fun i ->
           let s =
-            Engine.run ~policy:(policy (i + 1))
-              ~suppression:(suppression no_suppress) ~spec
-              (w.Workload.program p)
+            analyze
+              {
+                (Engine.Config.make spec) with
+                Engine.Config.suppression = suppression no_suppress;
+              }
+              (program (i + 1) w p)
           in
           let addrs =
             List.map (fun (r : Report.t) -> r.addr) s.races

@@ -12,6 +12,12 @@ open Dgrace_core
 open Dgrace_sim
 open Dgrace_events
 
+(* the recorded [events] under [spec] *)
+let replay spec events =
+  match Engine.analyze (Engine.Config.make spec) (Engine.Source.Events events) with
+  | Ok s -> s
+  | Error e -> failwith (Dgrace_resilience.Error.to_string e)
+
 let () =
   let x = ref 0 in
   let trace = ref [] in
@@ -42,7 +48,7 @@ let () =
   print_newline ();
   List.iter
     (fun spec ->
-      let s = Engine.replay ~spec (List.to_seq !trace) in
+      let s = replay spec (List.to_seq !trace) in
       Printf.printf "%s: %d race(s)\n" s.detector s.race_count;
       List.iter (fun r -> Printf.printf "  %s\n" (Report.to_string r)) s.races)
     [ Spec.Djit { granularity = 4 }; Spec.dynamic ];

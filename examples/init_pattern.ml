@@ -38,12 +38,21 @@ let program () =
   let ts = List.init 4 (fun w -> Sim.spawn (fun () -> worker w)) in
   List.iter Sim.join ts
 
+(* [program] under [spec] with the default schedule *)
+let run spec program =
+  match
+    Engine.analyze (Engine.Config.make spec)
+      (Engine.Source.Program { policy = Scheduler.default; main = program })
+  with
+  | Ok s -> s
+  | Error e -> failwith (Dgrace_resilience.Error.to_string e)
+
 let () =
   Printf.printf "%-28s %8s %10s %12s %12s\n" "detector" "races" "peak VCs"
     "VC bytes" "avg share";
   List.iter
     (fun spec ->
-      let s = Engine.run ~spec program in
+      let s = run spec program in
       Printf.printf "%-28s %8d %10d %12d %12.1f\n" s.detector s.race_count
         s.mem.peak_vcs s.mem.peak_vc_bytes s.mem.avg_sharing)
     [
@@ -64,10 +73,7 @@ let () =
     "to decide but wrong for this pattern: watch its false alarms.";
   print_newline ();
   (* show one of the no-Init-state false alarms explicitly *)
-  let s =
-    Engine.run ~spec:(Spec.Dynamic { init_state = false; init_sharing = false })
-      program
-  in
+  let s = run (Spec.Dynamic { init_state = false; init_sharing = false }) program in
   match s.races with
   | r :: _ ->
     Printf.printf "no-Init-state false alarm example:\n  %s\n"

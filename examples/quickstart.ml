@@ -31,8 +31,17 @@ let program () =
   in
   List.iter Sim.join workers
 
+(* [program] under [spec] with the default schedule *)
+let run spec program =
+  match
+    Engine.analyze (Engine.Config.make spec)
+      (Engine.Source.Program { policy = Scheduler.default; main = program })
+  with
+  | Ok s -> s
+  | Error e -> failwith (Dgrace_resilience.Error.to_string e)
+
 let () =
-  let summary = Engine.run ~spec:Spec.dynamic program in
+  let summary = run Spec.dynamic program in
   Format.printf "%a@." Engine.pp_summary summary;
   match summary.races with
   | [] -> print_endline "no races found (unexpected!)"

@@ -48,12 +48,21 @@ let program () =
   let c2 = Sim.spawn (fun () -> consumer 1) in
   List.iter Sim.join [ p; c1; c2 ]
 
+(* [program] under [spec] with the default schedule *)
+let run spec program =
+  match
+    Engine.analyze (Engine.Config.make spec)
+      (Engine.Source.Program { policy = Scheduler.default; main = program })
+  with
+  | Ok s -> s
+  | Error e -> failwith (Dgrace_resilience.Error.to_string e)
+
 let () =
   Printf.printf "%-14s %8s %10s %10s  %s\n" "detector" "races" "time(ms)"
     "peak KB" "verdict";
   List.iter
     (fun spec ->
-      let s = Engine.run ~spec program in
+      let s = run spec program in
       let verdict =
         match (Spec.name spec, s.race_count) with
         | "eraser", n when n > 1 -> "lockset discipline: false alarms"

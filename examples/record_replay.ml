@@ -9,6 +9,12 @@ open Dgrace_core
 open Dgrace_workloads
 open Dgrace_trace
 
+(* the recorded [events] under [spec] *)
+let replay spec events =
+  match Engine.analyze (Engine.Config.make spec) (Engine.Source.Events events) with
+  | Ok s -> s
+  | Error e -> failwith (Dgrace_resilience.Error.to_string e)
+
 let () =
   let w = Option.get (Registry.find "pbzip2") in
   let path = Filename.temp_file "pbzip2" ".trace" in
@@ -26,7 +32,7 @@ let () =
   List.iter
     (fun spec ->
       let events = Trace_reader.fold_file path (fun acc e -> e :: acc) [] in
-      let s = Engine.replay ~spec (List.to_seq (List.rev events)) in
+      let s = replay spec (List.to_seq (List.rev events)) in
       Printf.printf "%-14s %8d %11.0f%%\n" s.detector s.race_count
         (100. *. Dgrace_detectors.Run_stats.same_epoch_ratio s.stats))
     [ Spec.byte; Spec.word; Spec.dynamic; Spec.Drd ];

@@ -12,6 +12,47 @@ module Export = Dgrace_obs.Export
 module Budget = Dgrace_resilience.Budget
 module Error = Dgrace_resilience.Error
 module Trace_pipeline = Dgrace_trace.Trace_pipeline
+module Clock = Dgrace_obs.Clock
+module Par = Dgrace_par.Par
+
+module Source = struct
+  type t =
+    | Program of { policy : Scheduler.policy; main : unit -> unit }
+    | Events of Event.t Seq.t
+    | Batches of ((Batch.t -> unit) -> unit)
+    | V2_file of string
+end
+
+module Config = struct
+  type detector = Spec of Spec.t | Detector of Detector.t
+
+  type t = {
+    detector : detector;
+    suppression : Suppression.t;
+    vc_intern : bool;
+    shards : int;
+    budget : Budget.t;
+    clock : Clock.source;
+    sample_every : int option;
+    progress : (int * (int -> unit)) option;
+    tracer : Span.t option;
+  }
+
+  let make spec =
+    {
+      detector = Spec spec;
+      suppression = Suppression.empty;
+      vc_intern = true;
+      shards = 1;
+      budget = Budget.unlimited;
+      clock = Clock.ns;
+      sample_every = None;
+      progress = None;
+      tracer = None;
+    }
+
+  let of_detector d = { (make Spec.No_detection) with detector = Detector d }
+end
 
 type summary = {
   detector : string;
@@ -132,9 +173,8 @@ let budget_guard ?(note = fun () -> ()) (d : Detector.t) (b : Budget.t)
 (* Compose the detector sink with budget checks, recorder ticks, the
    progress heartbeat and the tracing timer; when none are requested
    the sink is the detector's own handler and the event loop pays
-   nothing.  The progress period is validated by the CLI (its
-   [--progress-every] parser rejects non-positive values), so it is
-   taken as given here.
+   nothing.  [analyze] has already rejected a non-positive progress
+   period.
 
    A traced sink samples one event in [dispatch_stride]: only that
    event is dispatched with the lane armed (timing the dispatch and
@@ -198,40 +238,13 @@ let make_sink (d : Detector.t) ~budget ~recorder ~exact ~progress ~lane =
       incr events;
       progress_tick !events
 
-(* Accumulate pushed events into one reused batch and hand full
-   batches to the detector's [process_batch] — the batched shape of a
-   push-style source (the simulator, a v1 event sequence).  Only used
-   when nothing per-event is observable (no budget, recorder, progress
-   or lane), so the fallback per-event loop keeps those semantics
-   bit-exact.  [off] is the running event index: the same monotone
-   order key the shard splitter and the v2 decoder use. *)
-(* A batched run that had to unroll to the per-event loop (no
+(* A batch that had to unroll to the per-event loop (no
    [process_batch], or a budget/recorder/progress/lane forcing exact
    per-event semantics) is surfaced as the [engine.batch_fallback]
-   counter in the detector's registry: once per run for the push-style
-   entry points, once per unrolled batch in [replay_batches].  Silent
-   unrolling made sampling-detector slowdowns invisible. *)
+   counter in the detector's registry, once per unrolled batch.
+   Silent unrolling made sampling-detector slowdowns invisible. *)
 let note_batch_fallback (d : Detector.t) =
   Metrics.incr (Metrics.counter d.Detector.metrics "engine.batch_fallback")
-
-let batching_sink pb =
-  let batch = Batch.create () in
-  let n = ref 0 in
-  let sink ev =
-    Batch.push batch ~off:!n ev;
-    incr n;
-    if Batch.is_full batch then begin
-      pb batch;
-      Batch.clear batch
-    end
-  in
-  let flush () =
-    if Batch.length batch > 0 then begin
-      pb batch;
-      Batch.clear batch
-    end
-  in
-  (sink, flush)
 
 (* The flight recorder exists when the caller wants a sampled
    time-series ([sample_every], i.e. [--metrics-out]) or a trace
@@ -254,158 +267,103 @@ let feed_counter_tracks ~tracer ~prefix recorder =
       (Recorder.counter_series r)
   | (Some _ | None), _ -> ()
 
-(* Policy time (budget deadlines) reads the caller's clock source so a
-   mock clock drives it in tests; [elapsed] in the summary follows the
-   same source, which is the real wall clock by default. *)
-let seconds_of clock =
-  fun () -> float_of_int (clock ()) *. 1e-9
+(* Anything that needs per-event semantics: a budget, a time-series,
+   a heartbeat or a trace.  Without one, batch sources take the
+   detector's [process_batch] and sharded v2 replay streams. *)
+let observed (c : Config.t) =
+  (not (Budget.is_unlimited c.budget))
+  || c.sample_every <> None || c.progress <> None || c.tracer <> None
 
-let with_detector ?policy ?(batched = false) ?(budget = Budget.unlimited)
-    ?(clock = Dgrace_obs.Clock.ns) ?sample_every ?progress ?tracer
-    (d : Detector.t) program =
-  let lane = Option.map Span.main tracer in
-  let recorder = make_recorder d ~sample_every ~tracer in
-  let now_s = seconds_of clock in
-  let t0 = now_s () in
-  let degraded = ref false in
-  let sink, flush =
-    match d.Detector.process_batch with
-    | Some pb
-      when batched && Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      batching_sink pb
-    | _ ->
-      if batched then note_batch_fallback d;
-      ( make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane,
-        fun () -> () )
-  in
-  (match lane with Some b -> Span.begin_span b "engine.run" | None -> ());
-  let sim, partial =
-    match Sim.run ?policy ~sink program with
-    | sim -> (Some sim, None)
-    | exception Stop stop ->
-      (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
-      (None, Some stop)
-  in
-  flush ();
-  (match lane with Some b -> Span.end_span b "engine.run" | None -> ());
-  (match lane with
-   | Some b -> Span.span b "engine.finish" d.finish
-   | None -> d.finish ());
-  Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer ~prefix:d.name recorder;
-  let elapsed = now_s () -. t0 in
-  let timeseries = match sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed ~sim ~partial ~degraded:!degraded ~timeseries
+let pipeline_gauges metrics (p : Trace_pipeline.stats) =
+  let usec ns = ns / 1000 in
+  Metrics.set (Metrics.gauge metrics "pipeline.blocks") p.Trace_pipeline.blocks;
+  Metrics.set
+    (Metrics.gauge metrics "pipeline.decode_stall_us")
+    (usec p.Trace_pipeline.decode_stall_ns);
+  Metrics.set
+    (Metrics.gauge metrics "pipeline.detect_stall_us")
+    (usec p.Trace_pipeline.detect_stall_ns);
+  Metrics.set
+    (Metrics.gauge metrics "pipeline.decode_us")
+    (usec p.Trace_pipeline.decode_ns)
 
-let run ?policy ?batched ?budget ?clock ?suppression ?vc_intern ?page_cluster
-    ?sample_every ?progress ?tracer ~spec program =
-  with_detector ?policy ?batched ?budget ?clock ?sample_every ?progress ?tracer
-    (Spec.to_detector ?suppression ?vc_intern ?page_cluster
-       ?tracer:(Option.map Span.main tracer) spec)
-    program
+(* ------------------------------------------------------------------ *)
+(* one detector, on the calling domain *)
 
-let replay ?(batched = false) ?(budget = Budget.unlimited)
-    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster
-    ?sample_every ?progress ?tracer ~spec events =
-  let lane = Option.map Span.main tracer in
+let sequential (c : Config.t) ~now_s ~t0 (source : Source.t) =
+  let lane = Option.map Span.main c.tracer in
   let d =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster ?tracer:lane spec
+    match c.detector with
+    | Config.Detector d -> d
+    | Config.Spec spec ->
+      Spec.to_detector ~suppression:c.suppression ~vc_intern:c.vc_intern
+        ?tracer:lane spec
   in
-  let recorder = make_recorder d ~sample_every ~tracer in
-  let now_s = seconds_of clock in
-  let t0 = now_s () in
+  let recorder = make_recorder d ~sample_every:c.sample_every ~tracer:c.tracer in
   let degraded = ref false in
-  let sink, flush =
+  let sink () =
+    make_sink d ~budget:(Some (c.budget, degraded, now_s, t0)) ~recorder
+      ~exact:(c.sample_every <> None) ~progress:c.progress ~lane
+  in
+  let consume () =
     match d.Detector.process_batch with
-    | Some pb
-      when batched && Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      batching_sink pb
-    | _ ->
-      if batched then note_batch_fallback d;
-      ( make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane,
-        fun () -> () )
-  in
-  (match lane with Some b -> Span.begin_span b "engine.replay" | None -> ());
-  let partial =
-    match Seq.iter sink events with
-    | () -> None
-    | exception Stop stop ->
-      (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
-      Some stop
-  in
-  flush ();
-  (match lane with Some b -> Span.end_span b "engine.replay" | None -> ());
-  (match lane with
-   | Some b -> Span.span b "engine.finish" d.finish
-   | None -> d.finish ());
-  Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer ~prefix:d.name recorder;
-  let elapsed = now_s () -. t0 in
-  let timeseries = match sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed ~sim:None ~partial ~degraded:!degraded ~timeseries
-
-(* Batched replay proper: the producer pushes whole {!Batch.t} buffers
-   (decoded v2 blocks, pre-split shard batches).  An eligible detector
-   consumes them through [process_batch]; otherwise — or under any
-   budget, recorder, progress or tracer — each batch is unrolled
-   through the same composed per-event sink as {!replay}, preserving
-   those semantics exactly. *)
-let replay_batches ?(budget = Budget.unlimited) ?(clock = Dgrace_obs.Clock.ns)
-    ?suppression ?vc_intern ?page_cluster ?sample_every ?progress ?tracer ~spec
-    feed =
-  let lane = Option.map Span.main tracer in
-  let d =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster ?tracer:lane spec
-  in
-  let recorder = make_recorder d ~sample_every ~tracer in
-  let now_s = seconds_of clock in
-  let t0 = now_s () in
-  let degraded = ref false in
-  let consume =
-    match d.Detector.process_batch with
-    | Some pb
-      when Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      pb
-    | _ ->
-      let sink =
-        make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane
-      in
+    | Some pb when not (observed c) -> pb
+    | Some _ | None ->
+      let sink = sink () in
       fun b ->
         note_batch_fallback d;
         Batch.iter_events sink b
   in
-  (match lane with Some b -> Span.begin_span b "engine.replay" | None -> ());
+  let phase =
+    match source with Source.Program _ -> "engine.run" | _ -> "engine.replay"
+  in
+  (match lane with Some b -> Span.begin_span b phase | None -> ());
+  let sim = ref None and pipe = ref None in
   let partial =
-    match feed consume with
+    match
+      match source with
+      | Source.Program { policy; main } ->
+        sim := Some (Sim.run ~policy ~sink:(sink ()) main)
+      | Source.Events events -> Seq.iter (sink ()) events
+      | Source.Batches feed -> feed (consume ())
+      | Source.V2_file path ->
+        (* decode on its own domain, detect here; block decodes land on
+           a "decoder" lane so [racedet timings] shows the split *)
+        let span =
+          Option.map
+            (fun t ->
+              let dl = Span.lane t "decoder" in
+              fun name f -> Span.span dl name f)
+            c.tracer
+        in
+        let consumer_span =
+          Option.map (fun b -> fun name f -> Span.span b name f) lane
+        in
+        pipe :=
+          Some
+            (Trace_pipeline.feed ~clock:Clock.ns ?span ?consumer_span path
+               (consume ()))
+    with
     | () -> None
     | exception Stop stop ->
       (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
       Some stop
   in
-  (match lane with Some b -> Span.end_span b "engine.replay" | None -> ());
+  Option.iter (pipeline_gauges d.Detector.metrics) !pipe;
+  (match lane with Some b -> Span.end_span b phase | None -> ());
   (match lane with
    | Some b -> Span.span b "engine.finish" d.finish
    | None -> d.finish ());
   Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer ~prefix:d.name recorder;
-  let elapsed = now_s () -. t0 in
-  let timeseries = match sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed ~sim:None ~partial ~degraded:!degraded ~timeseries
+  feed_counter_tracks ~tracer:c.tracer ~prefix:d.name recorder;
+  let timeseries = match c.sample_every with Some _ -> recorder | None -> None in
+  summarize d ~elapsed:0. ~sim:!sim ~partial ~degraded:!degraded ~timeseries
 
 (* ------------------------------------------------------------------ *)
 (* sharded replay (doc/parallel.md): split the trace by address line,
-   replay one detector per shard — one OCaml domain each in [Parallel]
-   mode — and merge the per-shard outcomes into one summary that is
-   bit-identical to the sequential replay on races, transition counts
-   and exit code (test/test_par.ml is the differential proof). *)
-
-module Par = Dgrace_par.Par
+   replay one detector per shard — one OCaml domain each — and merge
+   the per-shard outcomes into one summary that is bit-identical to
+   the sequential replay on races, transition counts and exit code. *)
 
 let zero_mem =
   {
@@ -446,7 +404,7 @@ let merge_mem ms =
       (if m.total_vcs = 0 then 0. else m.avg_sharing /. float_of_int m.total_vcs);
   }
 
-let merge_sharded ~elapsed ~timeseries (r : Par.result) =
+let merge_sharded ~timeseries (r : Par.result) =
   let outs = r.Par.outcomes in
   let d0 = outs.(0).Par.detector in
   let stats = Run_stats.create () in
@@ -521,7 +479,7 @@ let merge_sharded ~elapsed ~timeseries (r : Par.result) =
            (fun (o : Par.shard_outcome) ->
              mem_of_account o.Par.detector.Detector.account)
            outs);
-    elapsed;
+    elapsed = 0.;
     sim = None;
     partial = Option.map snd (Par.merged_stop r);
     degraded = Par.any_degraded r;
@@ -530,215 +488,116 @@ let merge_sharded ~elapsed ~timeseries (r : Par.result) =
     timeseries;
   }
 
-let replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~shards ~spec events =
-  if shards < 1 then invalid_arg "Engine.replay_sharded: shards must be >= 1";
-  let t0 = Unix.gettimeofday () in
-  (* materialise first: the splitter needs two passes, and forcing the
-     sequence here surfaces corrupt-trace errors before any domain is
-     spawned *)
-  let events = Array.of_seq events in
+(* The whole stream as an array (the splitter needs two passes);
+   forcing it here surfaces corrupt-trace errors before any domain is
+   spawned. *)
+let materialise (source : Source.t) =
+  match source with
+  | Source.Program { policy; main } ->
+    let buf = ref [] in
+    let sim = Sim.run ~policy ~sink:(fun ev -> buf := ev :: !buf) main in
+    (Array.of_list (List.rev !buf), Some sim)
+  | Source.Events events -> (Array.of_seq events, None)
+  | Source.Batches feed ->
+    let buf = ref [] in
+    feed (Batch.iter_events (fun ev -> buf := ev :: !buf));
+    (Array.of_list (List.rev !buf), None)
+  | Source.V2_file path ->
+    (Array.of_list (Dgrace_trace.Trace_format_v2.read_file path), None)
+
+let sharded (c : Config.t) spec (source : Source.t) =
+  let shards = c.shards in
   (* shard [i]'s detector traces onto the same lane the shard's own
      spans land on (the [Par.shard_lane] convention) *)
   let make i =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster
-      ?tracer:(Option.map (fun t -> Span.lane t (Par.shard_lane i)) tracer)
+    Spec.to_detector ~suppression:c.suppression ~vc_intern:c.vc_intern
+      ?tracer:(Option.map (fun t -> Span.lane t (Par.shard_lane i)) c.tracer)
       spec
   in
-  let recorder_for =
-    match
-      (match (sample_every, tracer) with
-       | Some every, _ -> Some every
-       | None, Some _ -> Some 1024
-       | None, None -> None)
-    with
-    | None -> None
-    | Some every ->
-      Some
-        (fun (_ : int) (d : Detector.t) ->
+  let granule = Dynamic_granularity.share_granule in
+  match source with
+  | Source.V2_file path when not (observed c) ->
+    (* streaming: planner prepass, then a decoder domain, a router and
+       one detector domain per shard *)
+    let r, pipe = Par.analyze_pipelined ~clock:Clock.ns ~make ~shards ~granule path in
+    let s = merge_sharded ~timeseries:None r in
+    pipeline_gauges s.metrics pipe;
+    s
+  | _ ->
+    let events, sim = materialise source in
+    let recorder_for =
+      Option.map
+        (fun every (_ : int) (d : Detector.t) ->
           Some (Recorder.create ~every ~sources:(sampler_sources d) ()))
-  in
-  let budget =
-    match budget with
-    | Some b when not (Budget.is_unlimited b) -> Some b
-    | Some _ | None -> None
-  in
-  let r =
-    Par.analyze ?mode ?batched ?budget ?clock ?progress ?tracer ?recorder_for
-      ~make ~shards ~granule:Dynamic_granularity.share_granule events
-  in
-  let recorders =
-    Array.to_list r.Par.outcomes
-    |> List.filter_map (fun (o : Par.shard_outcome) -> o.Par.recorder)
-  in
-  (match tracer with
-   | Some t ->
-     Array.iter
-       (fun (o : Par.shard_outcome) ->
-         match o.Par.recorder with
-         | Some rc ->
-           List.iter
-             (fun (nm, series) ->
-               Span.add_counter_series t
-                 ~name:(Printf.sprintf "%s.%s" (Par.shard_lane o.Par.index) nm)
-                 series)
-             (Recorder.counter_series rc)
-         | None -> ())
-       r.Par.outcomes
-   | None -> ());
-  (* same rule as the sequential entry points: the merged time-series
-     reaches the summary only when the caller asked for one *)
-  let timeseries =
-    match sample_every with
-    | Some _ -> Recorder.merged_final recorders
-    | None -> None
-  in
-  merge_sharded ~elapsed:(Unix.gettimeofday () -. t0) ~timeseries r
+        (match (c.sample_every, c.tracer) with
+         | Some every, _ -> Some every
+         | None, Some _ -> Some 1024
+         | None, None -> None)
+    in
+    let budget = if Budget.is_unlimited c.budget then None else Some c.budget in
+    let r =
+      Par.analyze ?budget ~clock:c.clock ?progress:c.progress ?tracer:c.tracer
+        ?recorder_for ~make ~shards ~granule events
+    in
+    (match c.tracer with
+     | Some t ->
+       Array.iter
+         (fun (o : Par.shard_outcome) ->
+           match o.Par.recorder with
+           | Some rc ->
+             List.iter
+               (fun (nm, series) ->
+                 Span.add_counter_series t
+                   ~name:(Printf.sprintf "%s.%s" (Par.shard_lane o.Par.index) nm)
+                   series)
+               (Recorder.counter_series rc)
+           | None -> ())
+         r.Par.outcomes
+     | None -> ());
+    (* as in the sequential case, the merged time-series reaches the
+       summary only when the caller asked for one *)
+    let timeseries =
+      match c.sample_every with
+      | Some _ ->
+        Recorder.merged_final
+          (Array.to_list r.Par.outcomes
+          |> List.filter_map (fun (o : Par.shard_outcome) -> o.Par.recorder))
+      | None -> None
+    in
+    { (merge_sharded ~timeseries r) with sim }
 
 (* ------------------------------------------------------------------ *)
-(* pipelined replay (doc/trace.md): decode on its own domain, detect
-   here — the decode and detect stages of a v2 file replay overlap
-   instead of alternating.  Results are bit-identical to the
-   sequential [replay_batches] over [fold_batches]: same batches, same
-   row numbering, errors surfacing after the same prefix (the ring
-   drains before re-raising), and per-event semantics (budgets,
-   recorders, progress, tracing) via the same unrolled sink. *)
+(* the entry point *)
 
-let pipeline_gauges metrics (p : Trace_pipeline.stats) =
-  let usec ns = ns / 1000 in
-  Metrics.set (Metrics.gauge metrics "pipeline.blocks") p.Trace_pipeline.blocks;
-  Metrics.set
-    (Metrics.gauge metrics "pipeline.decode_stall_us")
-    (usec p.Trace_pipeline.decode_stall_ns);
-  Metrics.set
-    (Metrics.gauge metrics "pipeline.detect_stall_us")
-    (usec p.Trace_pipeline.detect_stall_ns);
-  Metrics.set
-    (Metrics.gauge metrics "pipeline.decode_us")
-    (usec p.Trace_pipeline.decode_ns)
+let invalid what reason = Error (Error.Invalid_input { what; reason })
 
-let replay_pipelined ?slots ?(budget = Budget.unlimited)
-    ?(clock = Dgrace_obs.Clock.ns) ?suppression ?vc_intern ?page_cluster
-    ?sample_every ?progress ?tracer ~spec path =
-  let lane = Option.map Span.main tracer in
-  let d =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster ?tracer:lane spec
-  in
-  let recorder = make_recorder d ~sample_every ~tracer in
-  let now_s = seconds_of clock in
-  let t0 = now_s () in
-  let degraded = ref false in
-  let consume =
-    match d.Detector.process_batch with
-    | Some pb
-      when Budget.is_unlimited budget && Option.is_none recorder
-           && Option.is_none progress && Option.is_none lane ->
-      pb
-    | _ ->
-      let sink =
-        make_sink d ~budget:(Some (budget, degraded, now_s, t0)) ~recorder
-          ~exact:(sample_every <> None) ~progress ~lane
-      in
-      fun b ->
-        note_batch_fallback d;
-        Batch.iter_events sink b
-  in
-  (* the decoder domain lands its block decodes on a "decoder" lane, so
-     [racedet timings] shows the decode-vs-detect split side by side *)
-  let span =
-    Option.map
-      (fun t ->
-        let dl = Span.lane t "decoder" in
-        fun name f -> Span.span dl name f)
-      tracer
-  in
-  let consumer_span =
-    Option.map (fun b -> fun name f -> Span.span b name f) lane
-  in
-  (match lane with Some b -> Span.begin_span b "engine.replay" | None -> ());
-  let pipe = ref None in
-  let partial =
-    match Trace_pipeline.feed ?slots ~clock ?span ?consumer_span path consume with
-    | stats ->
-      pipe := Some stats;
-      None
-    | exception Stop stop ->
-      (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
-      Some stop
-  in
-  Option.iter (pipeline_gauges d.Detector.metrics) !pipe;
-  (match lane with Some b -> Span.end_span b "engine.replay" | None -> ());
-  (match lane with
-   | Some b -> Span.span b "engine.finish" d.finish
-   | None -> d.finish ());
-  Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer ~prefix:d.name recorder;
-  let elapsed = now_s () -. t0 in
-  let timeseries = match sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed ~sim:None ~partial ~degraded:!degraded ~timeseries
-
-let replay_sharded_pipelined ?slots ?(clock = Dgrace_obs.Clock.ns) ?suppression
-    ?vc_intern ?page_cluster ~shards ~spec path =
-  if shards < 1 then
-    invalid_arg "Engine.replay_sharded_pipelined: shards must be >= 1";
-  let t0 = Unix.gettimeofday () in
-  let make (_ : int) =
-    Spec.to_detector ?suppression ?vc_intern ?page_cluster spec
-  in
-  let r, pipe =
-    Par.analyze_pipelined ?slots ~clock ~make ~shards
-      ~granule:Dynamic_granularity.share_granule path
-  in
-  let s = merge_sharded ~elapsed:(Unix.gettimeofday () -. t0) ~timeseries:None r in
-  pipeline_gauges s.metrics pipe;
-  s
-
-(* ------------------------------------------------------------------ *)
-(* checked entry points: structured errors instead of exceptions *)
-
-let checked f =
-  match f () with
-  | s -> Ok s
-  | exception Error.E e -> Error e
-  | exception Sim.Deadlock { Sim.blocked; held } ->
-    Error (Error.Deadlock { blocked; held })
-
-let run_checked ?policy ?batched ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~spec program =
-  checked (fun () ->
-      run ?policy ?batched ?budget ?clock ?suppression ?vc_intern ?page_cluster
-        ?sample_every ?progress ?tracer ~spec program)
-
-let replay_checked ?batched ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~spec events =
-  checked (fun () ->
-      replay ?batched ?budget ?clock ?suppression ?vc_intern ?page_cluster
-        ?sample_every ?progress ?tracer ~spec events)
-
-let replay_batches_checked ?budget ?clock ?suppression ?vc_intern ?page_cluster
-    ?sample_every ?progress ?tracer ~spec feed =
-  checked (fun () ->
-      replay_batches ?budget ?clock ?suppression ?vc_intern ?page_cluster
-        ?sample_every ?progress ?tracer ~spec feed)
-
-let replay_sharded_checked ?mode ?batched ?budget ?clock ?suppression
-    ?vc_intern ?page_cluster ?sample_every ?progress ?tracer ~shards ~spec
-    events =
-  checked (fun () ->
-      replay_sharded ?mode ?batched ?budget ?clock ?suppression ?vc_intern
-        ?page_cluster ?sample_every ?progress ?tracer ~shards ~spec events)
-
-let replay_pipelined_checked ?slots ?budget ?clock ?suppression ?vc_intern
-    ?page_cluster ?sample_every ?progress ?tracer ~spec path =
-  checked (fun () ->
-      replay_pipelined ?slots ?budget ?clock ?suppression ?vc_intern
-        ?page_cluster ?sample_every ?progress ?tracer ~spec path)
-
-let replay_sharded_pipelined_checked ?slots ?clock ?suppression ?vc_intern
-    ?page_cluster ~shards ~spec path =
-  checked (fun () ->
-      replay_sharded_pipelined ?slots ?clock ?suppression ?vc_intern
-        ?page_cluster ~shards ~spec path)
+let analyze (c : Config.t) (source : Source.t) =
+  match (c.detector, c.progress, c.sample_every) with
+  | _ when c.shards < 1 ->
+    invalid "Engine.analyze" (Printf.sprintf "shards must be >= 1, got %d" c.shards)
+  | _, Some (every, _), _ when every < 1 ->
+    invalid "Engine.analyze"
+      (Printf.sprintf "progress period must be positive, got %d" every)
+  | _, _, Some every when every < 1 ->
+    invalid "Engine.analyze"
+      (Printf.sprintf "sample_every must be positive, got %d" every)
+  | Config.Detector _, _, _ when c.shards > 1 ->
+    invalid "Engine.analyze"
+      "a caller-built detector cannot be sharded: give a Spec"
+  | detector, _, _ -> (
+    (* [elapsed] and the budget deadline both read [c.clock], the real
+       wall clock unless a test substitutes a ticker *)
+    let now_s () = float_of_int (c.clock ()) *. 1e-9 in
+    let t0 = now_s () in
+    match
+      match detector with
+      | Config.Spec spec when c.shards > 1 -> sharded c spec source
+      | Config.Spec _ | Config.Detector _ -> sequential c ~now_s ~t0 source
+    with
+    | s -> Ok { s with elapsed = now_s () -. t0 }
+    | exception Error.E e -> Error e
+    | exception Sim.Deadlock { Sim.blocked; held } ->
+      Error (Error.Deadlock { blocked; held }))
 
 let summarize_detector d ~elapsed ~partial ~degraded =
   summarize d ~elapsed ~sim:None ~partial ~degraded ~timeseries:None

@@ -4,33 +4,42 @@
     wall-clock time, and (on request) a sampled time-series plus the
     detector's own telemetry.
 
-    This is the main entry point of the library:
+    {!analyze} is the one entry point: a {!Config.t} says which
+    detector to run and how to observe it, a {!Source.t} says what to
+    analyse.
 
     {[
-      let summary =
-        Engine.run ~spec:Spec.dynamic (fun () ->
-          let a = Sim.malloc 64 in
-          let t = Sim.spawn (fun () -> Sim.write a 4) in
-          Sim.write a 4;
-          Sim.join t)
+      let program () =
+        let a = Sim.malloc 64 in
+        let t = Sim.spawn (fun () -> Sim.write a 4) in
+        Sim.write a 4;
+        Sim.join t
       in
-      List.iter (fun r -> print_endline (Report.to_string r)) summary.races
+      match
+        Engine.analyze (Engine.Config.make Spec.dynamic)
+          (Engine.Source.Program { policy = Scheduler.default; main = program })
+      with
+      | Ok s -> List.iter (fun r -> print_endline (Report.to_string r)) s.races
+      | Error e -> Format.eprintf "%a@." Dgrace_resilience.Error.pp e
     ]}
 
-    {b Resource budgets.}  Every entry point takes an optional
+    {b Resource budgets.}  [Config.budget] is a
     {!Dgrace_resilience.Budget.t}.  Exceeding the shadow-memory cap
     first asks the detector to degrade (shed shadow state; the summary
     is flagged [degraded]); exceeding the event or wall-clock cap —
     or the shadow cap once degradation is exhausted — ends the run
     early with [partial = Some reason].  A partial or degraded summary
     still reports every race found: results are a lower bound, never
-    garbage.  See [doc/resilience.md].
+    garbage.  Sharded runs apply the budget {e per shard}.  See
+    [doc/resilience.md].
 
-    {b Clocks.}  Every entry point also takes an optional
-    [clock : Dgrace_obs.Clock.source].  The budget's deadline check and
-    the summary's [elapsed] field read it instead of the wall clock, so
-    deadline behaviour is deterministic under {!Dgrace_obs.Clock.ticker}
-    in tests; the default is {!Dgrace_obs.Clock.ns}. *)
+    {b Clocks.}  [Config.clock] is read once when {!analyze} starts
+    and once when it ends — the difference is the summary's [elapsed]
+    field, whatever the source and shard count — and by the budget's
+    deadline check.  Under {!Dgrace_obs.Clock.ticker} both are
+    deterministic in tests; the default is {!Dgrace_obs.Clock.ns}.
+    The decode/detect pipeline's stall gauges always measure the real
+    wall clock. *)
 
 open Dgrace_events
 open Dgrace_detectors
@@ -72,302 +81,116 @@ and mem_summary = {
   avg_sharing : float;  (** average bytes sharing one vector clock *)
 }
 
-val run :
-  ?policy:Scheduler.policy ->
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  (unit -> unit) ->
-  summary
-(** Execute the program under the simulator, feeding every event to a
-    fresh detector built from [spec].
+module Source : sig
+  type t =
+    | Program of { policy : Scheduler.policy; main : unit -> unit }
+        (** execute [main] under the simulator with [policy], feeding
+            every event to the detector as it happens *)
+    | Events of Event.t Seq.t
+        (** a recorded stream, e.g. a v1 trace
+            ({!Dgrace_trace.Trace_reader.read}) *)
+    | Batches of ((Batch.t -> unit) -> unit)
+        (** [Batches feed]: [feed consume] pushes whole
+            {!Dgrace_events.Batch.t} buffers — decoded v2 blocks
+            ({!Dgrace_trace.Trace_format_v2.fold_batches}) or
+            pre-packed arrays *)
+    | V2_file of string  (** a trace-v2 file, decoded block by block *)
+end
 
-    [batched] (default [false]) accumulates the pushed events into
-    {!Dgrace_events.Batch.t} buffers and hands full batches to the
-    detector's [process_batch] fast path.  It engages only when the
-    detector has one {e and} nothing per-event is observable — no
-    budget, [sample_every], [progress] or [tracer] — so results are
-    always identical to the per-event loop (doc/trace.md).
+module Config : sig
+  type detector =
+    | Spec of Spec.t  (** a fresh detector per run (and per shard) *)
+    | Detector of Detector.t
+        (** a caller-built detector, for callers that hold on to it —
+            a heartbeat that reads its stats, a sampling campaign.
+            [suppression], [vc_intern] and the detector's phase timers
+            are the caller's business; it cannot be sharded. *)
 
-    [sample_every] snapshots shadow-memory accounting and stream
-    counters every N events into [summary.timeseries] (a final sample
-    is always taken at end of stream).  [progress] is [(every, f)]:
-    [f events] is called every [every] events — the CLI heartbeat;
-    [every] must be positive (the CLI argument parser enforces this).
+  type t = {
+    detector : detector;
+    suppression : Suppression.t;  (** report filter; default none *)
+    vc_intern : bool;
+        (** hash-cons vector-clock snapshots (default [true]); [false]
+            is the [--no-vc-intern] escape hatch, race-identical *)
+    shards : int;
+        (** [1] (default) runs on the calling domain; [K > 1] splits
+            the stream by hashed
+            {!Dgrace_detectors.Dynamic_granularity.share_granule}-sized
+            address line (sync events broadcast) and runs one detector
+            domain per shard (doc/parallel.md) *)
+    budget : Dgrace_resilience.Budget.t;  (** default unlimited *)
+    clock : Dgrace_obs.Clock.source;  (** default {!Dgrace_obs.Clock.ns} *)
+    sample_every : int option;
+        (** snapshot shadow-memory accounting and stream counters every
+            N events into [summary.timeseries] (a final sample is
+            always taken at end of stream) *)
+    progress : (int * (int -> unit)) option;
+        (** [(every, f)]: [f events] is called every [every] delivered
+            events — the CLI heartbeat *)
+    tracer : Dgrace_obs.Span.t option;
+        (** the flight recorder (doc/observability.md) *)
+  }
 
-    [tracer] turns on the flight recorder (doc/observability.md): the
-    run phase becomes an ["engine.run"] span on the ["main"] lane,
-    [d.finish] an ["engine.finish"] span, budget shedding and stops
-    ["budget.degrade"]/["budget.stop"] instants; the detector's
-    per-phase sampled timers and a ["detector.on_event"] timer land on
-    the same lane, and the recorder's series are attached as counter
-    tracks — export with {!Dgrace_obs.Chrome_trace.to_json}.
+  val make : Spec.t -> t
+  (** [make spec] runs [spec] on one shard with every other field at
+      its default; override fields with [{ (make spec) with ... }]. *)
 
-    When nothing is given the event loop is exactly the detector's own
-    handler: observability and governance cost nothing unless asked
-    for.
+  val of_detector : Detector.t -> t
+  (** [of_detector d] is [make] for a caller-built detector. *)
+end
 
-    @raise Sim.Deadlock when the workload globally deadlocks
-    (see {!run_checked} for the [result] form). *)
+val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) result
+(** Run the configured detector over the source.
 
-val replay :
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  Event.t Seq.t ->
-  summary
-(** Analyse a pre-recorded event stream (see {!Dgrace_trace}).
-    [batched] works as in {!run}; [tracer] works as in {!run}, with
-    the dispatch phase recorded as an ["engine.replay"] span.
-    @raise Dgrace_resilience.Error.E when forcing the sequence hits a
-    corrupt record (see {!replay_checked} for the [result] form). *)
+    How the source reaches the detector depends only on the source,
+    the shard count and whether an {e observer} — a limited budget,
+    [sample_every], [progress] or [tracer] — is present:
 
-val replay_batches :
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  ((Batch.t -> unit) -> unit) ->
-  summary
-(** Batched replay proper: [replay_batches ~spec feed] calls
-    [feed consume] and expects the producer to push whole
-    {!Dgrace_events.Batch.t} buffers — decoded v2 blocks
-    ({!Dgrace_trace.Trace_format_v2.fold_batches}) or pre-packed
-    arrays.  An eligible detector consumes them via [process_batch];
-    under any budget, [sample_every], [progress] or [tracer], or for a
-    detector without the fast path, each batch is unrolled through the
-    same composed per-event sink as {!replay}, so those semantics are
-    preserved exactly.  Budget stops raised while the producer runs
-    are converted to [partial] as usual; errors the producer raises
-    (e.g. a corrupt v2 block) propagate.
-    @raise Dgrace_resilience.Error.E on corrupt input (see
-    {!replay_batches_checked}). *)
+    - [Program] and [Events] on one shard dispatch every event to the
+      detector's [on_event] as it arrives;
+    - [Batches] and [V2_file] on one shard hand each batch to the
+      detector's [process_batch] ({!Dgrace_detectors.Batch_apply});
+      [V2_file] decodes on its own domain into a bounded ring of
+      recycled batches ({!Dgrace_trace.Trace_pipeline}) so decode and
+      detect overlap.  With an observer, or for a detector without
+      [process_batch], each batch is unrolled through the per-event
+      path and counted in [engine.batch_fallback];
+    - on [K > 1] shards a [V2_file] without an observer streams
+      through a planner prepass, a decoder domain and one detector
+      domain per shard ({!Dgrace_par.Par.analyze_pipelined}); every
+      other source is materialised first and split
+      ({!Dgrace_par.Par.analyze}: batches per shard, per-event with an
+      observer).
 
-val replay_sharded :
-  ?mode:Dgrace_par.Par.mode ->
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  shards:int ->
-  spec:Spec.t ->
-  Event.t Seq.t ->
-  summary
-(** Sharded parallel replay (doc/parallel.md): the stream is
-    partitioned by hashed {!Dynamic_granularity.share_granule}-sized
-    address line — sync events broadcast — and each shard replays on a
-    fresh detector, one OCaml domain per shard in the default
-    [Parallel] mode.  The merged summary is deterministic and
-    bit-identical to {!replay} on races (stable-sorted by trace
-    offset), transition counts and exit code; [test/test_par.ml]
-    asserts this for every bundled workload.  [batched] (default
-    [true]) lets each shard consume its stream as struct-of-arrays
-    batches when its detector has a [process_batch] fast path and
-    nothing per-event is requested (see {!Dgrace_par.Par.analyze});
-    races are bit-identical either way.  Differences from
-    {!replay}: [budget] applies {e per shard} (the merged [partial] is
-    the earliest shard stop), [sample_every] attaches one flight
-    recorder per shard and merges their {e final} samples into the
-    summary time-series (element-wise sum — intermediate samples do
-    not line up across shards), memory peaks are summed across shards,
-    and the merged metrics gain [par.*] gauges (shard count, split and
-    critical-path times, straddling-access and super-granule counts
-    from the splitter, per-shard event/busy figures).  [tracer] adds
-    one timeline lane per shard plus the main lane's split/join
-    markers (see {!Dgrace_par.Par.analyze}) and per-shard counter
-    tracks.
-    @raise Dgrace_resilience.Error.E when materialising the sequence
-    hits a corrupt record.
-    @raise Invalid_argument when [shards < 1]. *)
+    Every path gives the same races (content and order), [Run_stats]
+    and transition counts as dispatching the same events to a fresh
+    detector's [on_event] in order — on [K > 1] shards the stats
+    count broadcast sync events once and memory peaks sum across
+    shards.  [test/test_pipeline.ml] checks this lattice against that
+    oracle.
 
-val replay_pipelined :
-  ?slots:int ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  string ->
-  summary
-(** Pipelined replay of a trace-v2 file (doc/trace.md): a dedicated
-    decoder domain streams blocks into a bounded ring of [slots]
-    recycled batches ({!Dgrace_trace.Trace_pipeline}) while the
-    calling domain detects — decode and detect overlap instead of
-    alternating.  Results are bit-identical to
-    [replay_batches ~spec (fold_batches path)]: same batches and row
-    numbering; a [Corrupt_trace] surfaces at the same absolute offset
-    after the same prefix was analysed (the ring drains before
-    re-raising); budgets, [sample_every], [progress] and [tracer]
-    force the same per-event unrolled sink, with decode still
-    overlapped.  On completion the summary metrics gain the
-    [pipeline.blocks] / [pipeline.decode_stall_us] /
-    [pipeline.detect_stall_us] / [pipeline.decode_us] gauges (stall
-    time is measured on [clock]); with a [tracer], block decodes land
-    on a ["decoder"] lane so [racedet timings] shows the
-    decode-vs-detect split.
-    @raise Dgrace_resilience.Error.E on corrupt input (see
-    {!replay_pipelined_checked}). *)
+    Observation: [tracer] records the run phase as an ["engine.run"]
+    (program) or ["engine.replay"] span on the ["main"] lane,
+    [d.finish] as ["engine.finish"], budget shedding and stops as
+    ["budget.degrade"]/["budget.stop"] instants, a sampled
+    ["detector.on_event"] timer and the detector's per-phase timers;
+    v2 block decodes land on a ["decoder"] lane and each shard on its
+    own lane.  Sharded runs attach one recorder per shard and merge
+    their {e final} samples (element-wise sum) into the summary
+    time-series; the merged metrics gain [par.*] gauges (shard count,
+    split and critical-path times, straddling accesses, per-shard
+    events and busy time).  V2 replays gain [pipeline.blocks] /
+    [pipeline.decode_stall_us] / [pipeline.detect_stall_us] /
+    [pipeline.decode_us] gauges.  When nothing is observed the event
+    loop is exactly the detector's own handler.
 
-val replay_sharded_pipelined :
-  ?slots:int ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  shards:int ->
-  spec:Spec.t ->
-  string ->
-  summary
-(** Pipelined {e sharded} replay of a trace-v2 file: a sequential
-    planner prepass ({!Dgrace_trace.Trace_shard.planner}) learns the
-    straddle welds — and surfaces any [Corrupt_trace] at the
-    sequential offset — then a decoder domain streams blocks while the
-    calling domain routes rows into one bounded ring per shard and
-    [shards] detector domains drain them
-    ({!Dgrace_par.Par.analyze_pipelined}).  The merged summary is
-    bit-identical to {!replay_sharded} on races, stats, transitions
-    and exit code, and gains the same [pipeline.*] gauges as
-    {!replay_pipelined} on top of the [par.*] ones.  Per-event
-    machinery (budget, recorder, progress, tracer) is not offered on
-    this path — callers needing it use {!replay_sharded}.
-    @raise Dgrace_resilience.Error.E on corrupt input.
-    @raise Invalid_argument when [shards < 1]. *)
-
-val with_detector :
-  ?policy:Scheduler.policy ->
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  Detector.t ->
-  (unit -> unit) ->
-  summary
-(** Like {!run} for an externally constructed detector.  (The
-    detector's own phase timers are wired at construction — see
-    {!Spec.to_detector}; [tracer] here records the engine-level spans
-    and counter tracks.) *)
-
-(** {1 Checked entry points}
-
-    The same runs with every anticipated failure — deadlocked
-    workload, corrupt trace, exhausted budget raised as an error by a
-    lower layer — returned as a structured
-    {!Dgrace_resilience.Error.t} instead of an exception.  Budget
-    stops are {e not} errors here: they produce [Ok summary] with
-    [partial] set. *)
-
-val run_checked :
-  ?policy:Scheduler.policy ->
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  (unit -> unit) ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_checked :
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  Event.t Seq.t ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_batches_checked :
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  ((Batch.t -> unit) -> unit) ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_sharded_checked :
-  ?mode:Dgrace_par.Par.mode ->
-  ?batched:bool ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  shards:int ->
-  spec:Spec.t ->
-  Event.t Seq.t ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_pipelined_checked :
-  ?slots:int ->
-  ?budget:Dgrace_resilience.Budget.t ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  ?sample_every:int ->
-  ?progress:int * (int -> unit) ->
-  ?tracer:Dgrace_obs.Span.t ->
-  spec:Spec.t ->
-  string ->
-  (summary, Dgrace_resilience.Error.t) result
-
-val replay_sharded_pipelined_checked :
-  ?slots:int ->
-  ?clock:Dgrace_obs.Clock.source ->
-  ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
-  ?page_cluster:bool ->
-  shards:int ->
-  spec:Spec.t ->
-  string ->
-  (summary, Dgrace_resilience.Error.t) result
+    Every anticipated failure is an [Error]: a corrupt trace
+    ([Corrupt_trace], surfacing after the same prefix was analysed as
+    a sequential read), a deadlocked program ([Deadlock]), and an
+    invalid configuration ([Invalid_input]: [shards < 1], a
+    non-positive [progress] or [sample_every] period, or a
+    caller-built detector with [shards > 1]).  Budget stops are not
+    errors: they give [Ok] with [partial] set. *)
 
 val summarize_detector :
   Detector.t ->

@@ -79,7 +79,8 @@ let inject_trace_fault ~spec ~seed ~program tf =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        Engine.replay_checked ~spec (Trace_reader.read ~path:bad_path ic))
+        Engine.analyze (Engine.Config.make spec)
+          (Engine.Source.Events (Trace_reader.read ~path:bad_path ic)))
   in
   match strict with
   | Ok summary -> Completed summary
@@ -87,7 +88,10 @@ let inject_trace_fault ~spec ~seed ~program tf =
     (* the declared path worked; now prove the resync path salvages
        what it can from the same image *)
     let events, recovery = Trace_reader.read_file_resync bad_path in
-    match Engine.replay_checked ~spec (List.to_seq events) with
+    match
+      Engine.analyze (Engine.Config.make spec)
+        (Engine.Source.Events (List.to_seq events))
+    with
     | Ok summary -> Recovered { recovery; summary }
     | Error e -> Declared e)
   | Error e -> Declared e
@@ -128,8 +132,9 @@ let lost_unlock_program () =
 
 let inject_sched_fault ~spec ~seed prog =
   match
-    Engine.run_checked ~policy:(Scheduler.Chunked { seed; chunk = 8 }) ~spec
-      prog
+    Engine.analyze (Engine.Config.make spec)
+      (Engine.Source.Program
+         { policy = Scheduler.Chunked { seed; chunk = 8 }; main = prog })
   with
   | Ok summary -> Completed summary
   | Error e -> Declared e

@@ -68,7 +68,7 @@ val run :
 
     For {!Stall}/{!Lost_unlock}: [program] is ignored and a small
     synthetic workload with the scheduler fault baked in runs under
-    {!Engine.run_checked}; the expected outcome is a {!Declared}
+    {!Engine.analyze}; the expected outcome is a {!Declared}
     deadlock naming the stuck threads (and, for lost unlocks, the
     orphaned mutex).
 

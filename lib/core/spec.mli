@@ -56,18 +56,13 @@ val all_names : string list
 val to_detector :
   ?suppression:Suppression.t ->
   ?vc_intern:bool ->
-  ?page_cluster:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   t ->
   Detector.t
 (** Instantiate a fresh detector.  [~vc_intern:false] disables
     hash-consing of vector-clock snapshots in the detectors that keep
     them (the FastTrack family, DRD, Inspector, RaceTrack) — the
-    [--no-vc-intern] escape hatch.  [~page_cluster:false] disables
-    page-clustered batch application in the detectors with a batched
-    fast path (the FastTrack family) — the [--no-page-cluster] escape
-    hatch; per-event dispatch is unaffected either way.
-    [~tracer:lane] registers sampled per-phase timers on the given
+    [--no-vc-intern] escape hatch.  [~tracer:lane] registers sampled per-phase timers on the given
     tracing lane in the detectors that support them (the FastTrack
     family — see {!Dynamic_granularity.create}); other detectors
     ignore it. *)

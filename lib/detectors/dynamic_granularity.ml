@@ -686,7 +686,7 @@ let on_free st ~addr ~size =
 let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
     ?(reshare_after = 0) ?(write_guided_reads = false)
     ?(index = Shadow_table.Adaptive) ?name ?(suppression = Suppression.empty)
-    ?(vc_intern = true) ?(page_cluster = true) ?tracer () =
+    ?(vc_intern = true) ?tracer () =
   let account = Accounting.create () in
   let metrics = Metrics.create () in
   let intern =
@@ -746,8 +746,6 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
   let on_boundary tid =
     if st.bitmaps_on then Epoch_bitmap.reset (bitmap st tid)
   in
-  (* initial value of the batch paths' bitmap cache; never marked *)
-  let no_bitmap = Epoch_bitmap.create () in
   let on_event ev =
     if Vc_env.handle st.env ev ~on_boundary then
       st.stats.sync_ops <- st.stats.sync_ops + 1
@@ -760,286 +758,15 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
       | Event.Acquire _ | Event.Release _ | Event.Fork _ | Event.Join _
       | Event.Thread_exit _ -> ()
   in
-  (* Batched fast path: walk the struct-of-arrays columns directly so
-     the shadow-page MRU and the [Vc_intern] memo stay hot across the
-     whole batch and accesses skip the event match entirely.  Sync
-     rows run the same clock machinery as [on_event] through the
-     kind-coded dispatch.  The collector tag is stamped per
-     row so races attribute to stream positions exactly as the
-     per-event engine loop does. *)
-  let process_batch_rows (b : Batch.t) =
-    let n = Batch.length b in
-    let kind = b.Batch.kind
-    and ta = b.Batch.a
-    and tb = b.Batch.b
-    and tc = b.Batch.c
-    and tloc = b.Batch.loc
-    and toff = b.Batch.off in
-    (* The same-epoch test is inlined here with the thread's bitmap
-       cached across the run of same-tid rows, so a fast-path hit
-       costs two bit tests and three stat bumps — the exact state
-       changes [on_access]'s own fast path makes, in particular no
-       collector tag (hits never report).  [i < n <= capacity] of
-       every column, so the reads are in bounds by construction.  The
-     cache is two refs, not an option of a pair, so a thread switch
-     allocates nothing. *)
-    let cached_tid = ref (-1) and cached_bm = ref no_bitmap in
-    let bm_for tid =
-      if !cached_tid <> tid then begin
-        cached_tid := tid;
-        cached_bm := bitmap st tid
-      end;
-      !cached_bm
-    in
-    for i = 0 to n - 1 do
-      let k = Array.unsafe_get kind i in
-      if k <= Batch.code_write then begin
-        let tid = Array.unsafe_get ta i in
-        let addr = Array.unsafe_get tb i in
-        let size = Array.unsafe_get tc i in
-        let write = k = Batch.code_write in
-        if
-          st.bitmaps_on
-          &&
-          Epoch_bitmap.test_range (bm_for tid) ~write ~lo:addr
-            ~hi:(addr + size - 1)
-        then begin
-          st.stats.accesses <- st.stats.accesses + 1;
-          if write then st.stats.writes <- st.stats.writes + 1
-          else st.stats.reads <- st.stats.reads + 1;
-          st.stats.same_epoch <- st.stats.same_epoch + 1
-        end
-        else begin
-          Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-          on_access st ~tid
-            ~kind:(if write then Event.Write else Event.Read)
-            ~addr ~size ~loc:(Array.unsafe_get tloc i)
-        end
-      end
-      else if k = Batch.code_alloc then st.stats.allocs <- st.stats.allocs + 1
-      else if k = Batch.code_free then begin
-        Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-        on_free st ~addr:(Array.unsafe_get tb i) ~size:(Array.unsafe_get tc i)
-      end
-      else if
-        Vc_env.handle_coded st.env ~kind:k ~a:(Array.unsafe_get ta i)
-          ~b:(Array.unsafe_get tb i) ~on_boundary
-      then st.stats.sync_ops <- st.stats.sync_ops + 1
-    done
-  in
-  (* Page-clustered batch application (doc/shadow.md).  Access rows are
-     grouped by aligned share-granule line (= one 4 KiB shadow page)
-     and applied line-by-line, so Shadow_table leaf pages, their MRU
-     slots and the epoch-bitmap chunk cache are each touched once per
-     line per batch instead of once per row.  Equivalence rests on the
-     share-granule confinement invariant: no sharing decision, merge
-     probe or report ever crosses an aligned line, so rows on distinct
-     lines commute.  The exceptions become barriers that flush pending
-     groups and apply solo, in row order:
-
-     - sync rows (they advance clocks and reset epoch bitmaps),
-     - frees (they dissolve cells over an arbitrary range),
-     - line-straddling accesses (the one way a cell can span lines) —
-       and every later access to a line such a cell may live on, via
-       the persistent [welded] set.
-
-     Alloc rows only bump a counter, so they commute and apply
-     immediately.  Order within a line is preserved by construction;
-     the collector resort restores global report order (tags are
-     per-row, so the result is byte-identical to row order — the
-     QCheck law in test/test_pipeline.ml exercises exactly this).
-
-     Bookkeeping is run-length: consecutive rows on the same line
-     collapse into one (start, len) run — the common case is a single
-     compare-and-increment per row — and runs chain per group.  The
-     page→group map is a direct-mapped slot cache; a collision simply
-     opens a second group for the page, which is still order-correct
-     (groups apply in creation order and a line's rows land in its
-     groups in row order). *)
-  let max_groups = 64 in
-  let slot_mask = 255 in
-  let group_page = Array.make max_groups 0 in
-  let group_first = Array.make max_groups (-1) in
-  let group_last = Array.make max_groups (-1) in
-  let page_slot = Array.make (slot_mask + 1) (-1) in
-  let run_start = ref (Array.make Batch.default_capacity 0) in
-  let run_len = ref (Array.make Batch.default_capacity 0) in
-  let run_next = ref (Array.make Batch.default_capacity (-1)) in
-  let welded : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let weld_count = ref 0 in
-  let m_cluster_rows = Metrics.counter metrics "cluster.rows" in
-  let m_cluster_pages = Metrics.counter metrics "cluster.pages" in
-  let m_cluster_barriers = Metrics.counter metrics "cluster.barriers" in
-  let process_batch_clustered (b : Batch.t) =
-    let n = Batch.length b in
-    if Array.length !run_start < n then begin
-      run_start := Array.make n 0;
-      run_len := Array.make n 0;
-      run_next := Array.make n (-1)
-    end;
-    let rs = !run_start and rl = !run_len and rn = !run_next in
-    let kind = b.Batch.kind
-    and ta = b.Batch.a
-    and tb = b.Batch.b
-    and tc = b.Batch.c
-    and tloc = b.Batch.loc
-    and toff = b.Batch.off in
-    let n0 = Report.Collector.count st.collector in
-    let cached_tid = ref (-1) and cached_bm = ref no_bitmap in
-    let bm_for tid =
-      if !cached_tid <> tid then begin
-        cached_tid := tid;
-        cached_bm := bitmap st tid
-      end;
-      !cached_bm
-    in
-    let apply_access i =
-      let tid = Array.unsafe_get ta i in
-      let addr = Array.unsafe_get tb i in
-      let size = Array.unsafe_get tc i in
-      let write = Array.unsafe_get kind i = Batch.code_write in
-      if
-        st.bitmaps_on
-        &&
-        Epoch_bitmap.test_range (bm_for tid) ~write ~lo:addr
-          ~hi:(addr + size - 1)
-      then begin
-        st.stats.accesses <- st.stats.accesses + 1;
-        if write then st.stats.writes <- st.stats.writes + 1
-        else st.stats.reads <- st.stats.reads + 1;
-        st.stats.same_epoch <- st.stats.same_epoch + 1
-      end
-      else begin
-        Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-        on_access st ~tid
-          ~kind:(if write then Event.Write else Event.Read)
-          ~addr ~size ~loc:(Array.unsafe_get tloc i)
-      end
-    in
-    let ngroups = ref 0
-    and nruns = ref 0
-    and pending = ref 0
-    and last_page = ref (-1)
-    and last_row = ref (-2)
-    and last_run = ref (-1) in
-    let flush () =
-      if !ngroups > 0 then begin
-        for g = 0 to !ngroups - 1 do
-          let r = ref (Array.unsafe_get group_first g) in
-          while !r >= 0 do
-            let s = Array.unsafe_get rs !r in
-            for i = s to s + Array.unsafe_get rl !r - 1 do
-              apply_access i
-            done;
-            r := Array.unsafe_get rn !r
-          done
-        done;
-        Metrics.add m_cluster_pages !ngroups;
-        Metrics.add m_cluster_rows !pending;
-        ngroups := 0;
-        nruns := 0;
-        pending := 0;
-        last_page := -1;
-        last_row := -2;
-        last_run := -1
-      end
-    in
-    for i = 0 to n - 1 do
-      let k = Array.unsafe_get kind i in
-      if k <= Batch.code_write then begin
-        let addr = Array.unsafe_get tb i in
-        let size = Array.unsafe_get tc i in
-        if size > 1 && not (same_granule addr (addr + size - 1)) then begin
-          (* line-straddling access: barrier, and weld its lines so
-             every later access to them stays ordered behind the cell
-             this row may create *)
-          flush ();
-          Metrics.incr m_cluster_barriers;
-          for p = addr lsr share_granule_bits
-              to (addr + size - 1) lsr share_granule_bits do
-            if not (Hashtbl.mem welded p) then begin
-              Hashtbl.replace welded p ();
-              incr weld_count
-            end
-          done;
-          apply_access i
-        end
-        else if
-          !weld_count > 0 && Hashtbl.mem welded (addr lsr share_granule_bits)
-        then begin
-          flush ();
-          Metrics.incr m_cluster_barriers;
-          apply_access i
-        end
-        else begin
-          let page = addr lsr share_granule_bits in
-          if !last_page = page && !last_row + 1 = i then begin
-            (* the hot path: this row continues the current run *)
-            Array.unsafe_set rl !last_run (Array.unsafe_get rl !last_run + 1);
-            last_row := i;
-            incr pending
-          end
-          else begin
-            let s = page land slot_mask in
-            let cand = Array.unsafe_get page_slot s in
-            let g =
-              if
-                cand >= 0 && cand < !ngroups
-                && Array.unsafe_get group_page cand = page
-              then cand
-              else begin
-                (* slot miss (new page, or a collision evicted it): a
-                   fresh group is always order-correct, and if the
-                   table is full an early flush is just a virtual
-                   barrier — correctness is unaffected *)
-                if !ngroups = max_groups then flush ();
-                let g = !ngroups in
-                group_page.(g) <- page;
-                group_first.(g) <- -1;
-                group_last.(g) <- -1;
-                Array.unsafe_set page_slot s g;
-                ngroups := g + 1;
-                g
-              end
-            in
-            let r = !nruns in
-            nruns := r + 1;
-            Array.unsafe_set rs r i;
-            Array.unsafe_set rl r 1;
-            Array.unsafe_set rn r (-1);
-            if Array.unsafe_get group_first g < 0 then
-              Array.unsafe_set group_first g r
-            else Array.unsafe_set rn (Array.unsafe_get group_last g) r;
-            Array.unsafe_set group_last g r;
-            last_page := page;
-            last_row := i;
-            last_run := r;
-            incr pending
-          end
-        end
-      end
-      else if k = Batch.code_alloc then
-        (* a pure counter bump commutes with any pending group; the
-           row break is enough to end the current run *)
-        st.stats.allocs <- st.stats.allocs + 1
-      else if k = Batch.code_free then begin
-        flush ();
-        Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-        on_free st ~addr:(Array.unsafe_get tb i) ~size:(Array.unsafe_get tc i)
-      end
-      else begin
-        flush ();
-        if
-          Vc_env.handle_coded st.env ~kind:k ~a:(Array.unsafe_get ta i)
-            ~b:(Array.unsafe_get tb i) ~on_boundary
-        then st.stats.sync_ops <- st.stats.sync_ops + 1
-      end
-    done;
-    flush ();
-    Report.Collector.resort_since st.collector n0
-  in
+  (* A cell created by a line-straddling access may span two pages,
+     so such pages are welded.  With the bitmaps shed every access
+     takes the analysed path: a never-marked bitmap always misses. *)
+  let no_bitmap = Epoch_bitmap.create () in
   let process_batch =
-    if page_cluster then process_batch_clustered else process_batch_rows
+    Batch_apply.make ~granularity:1 ~weld:true ~metrics ~stats:st.stats
+      ~collector:st.collector ~env:st.env
+      ~bitmap:(fun tid -> if st.bitmaps_on then bitmap st tid else no_bitmap)
+      ~on_boundary ~on_access:(on_access st) ~on_free:(on_free st)
   in
   let name =
     match name with

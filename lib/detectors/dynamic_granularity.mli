@@ -49,7 +49,6 @@ val create :
   ?name:string ->
   ?suppression:Suppression.t ->
   ?vc_intern:bool ->
-  ?page_cluster:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   unit ->
   Detector.t
@@ -80,10 +79,8 @@ val create :
     materialises a private snapshot, reproducing the legacy deep-copy
     memory behaviour with identical race verdicts.
 
-    [~page_cluster:false] disables page-clustered batch application
-    (the [--no-page-cluster] escape hatch): [process_batch] then walks
-    rows strictly in order.  With clustering on (the default), access
-    rows are grouped by aligned share-granule line and applied
+    [process_batch] applies a batch page-clustered ({!Batch_apply}):
+    access rows are grouped by aligned share-granule line and applied
     line-by-line — sync rows, frees and line-straddling accesses act
     as in-order barriers — which is report- and stats-identical to row
     order (doc/shadow.md gives the argument; [cluster.rows] /

@@ -166,13 +166,8 @@ let on_free st ~addr ~size =
     st.shadow ~lo:addr ~hi:(addr + size);
   Shadow_table.remove_range st.shadow ~lo:addr ~hi:(addr + size)
 
-(* Page-clustered batch application groups by aligned 4 KiB shadow
-   pages — the same alignment as [Dynamic_granularity.share_granule]
-   and the shadow tables' leaf pages. *)
-let cluster_page_bits = 12
-
 let create ?(granularity = 1) ?(suppression = Suppression.empty)
-    ?(vc_intern = true) ?(page_cluster = true) ?tracer () =
+    ?(vc_intern = true) ?tracer () =
   if granularity <= 0 || granularity land (granularity - 1) <> 0 then
     invalid_arg "Fasttrack.create: granularity must be a power of two";
   let account = Accounting.create () in
@@ -222,243 +217,12 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty)
       | Event.Acquire _ | Event.Release _ | Event.Fork _ | Event.Join _
       | Event.Thread_exit _ -> ()
   in
-  (* Batched fast path; see the dynamic-granularity twin for the
-     shape.  Accesses walk the columns directly, sync rows go through
-     the kind-coded clock dispatch, and the collector tag is stamped
-     per row. *)
-  let process_batch_rows (b : Batch.t) =
-    let n = Batch.length b in
-    let kind = b.Batch.kind
-    and ta = b.Batch.a
-    and tb = b.Batch.b
-    and tc = b.Batch.c
-    and tloc = b.Batch.loc
-    and toff = b.Batch.off in
-    (* Same-epoch test inlined with the thread's bitmap cached across
-       same-tid runs; a hit makes exactly the state changes
-       [on_access]'s fast path would (no collector tag — hits never
-       report).  [i < n <= capacity] of every column, so the reads are
-       in bounds by construction. *)
-    let cached = ref None in
-    let bm_for tid =
-      match !cached with
-      | Some (t, bm) when t = tid -> bm
-      | _ ->
-        let bm = bitmap st tid in
-        cached := Some (tid, bm);
-        bm
-    in
-    for i = 0 to n - 1 do
-      let k = Array.unsafe_get kind i in
-      if k <= Batch.code_write then begin
-        let tid = Array.unsafe_get ta i in
-        let addr = Array.unsafe_get tb i in
-        let size = Array.unsafe_get tc i in
-        let write = k = Batch.code_write in
-        if
-          Epoch_bitmap.test_range (bm_for tid) ~write ~lo:addr
-            ~hi:(addr + size - 1)
-        then begin
-          st.stats.accesses <- st.stats.accesses + 1;
-          if write then st.stats.writes <- st.stats.writes + 1
-          else st.stats.reads <- st.stats.reads + 1;
-          st.stats.same_epoch <- st.stats.same_epoch + 1
-        end
-        else begin
-          Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-          on_access st ~tid
-            ~kind:(if write then Event.Write else Event.Read)
-            ~addr ~size ~loc:(Array.unsafe_get tloc i)
-        end
-      end
-      else if k = Batch.code_alloc then st.stats.allocs <- st.stats.allocs + 1
-      else if k = Batch.code_free then begin
-        Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-        on_free st ~addr:(Array.unsafe_get tb i) ~size:(Array.unsafe_get tc i)
-      end
-      else if
-        Vc_env.handle_coded st.env ~kind:k ~a:(Array.unsafe_get ta i)
-          ~b:(Array.unsafe_get tb i) ~on_boundary
-      then st.stats.sync_ops <- st.stats.sync_ops + 1
-    done
-  in
-  (* Page-clustered variant (doc/shadow.md): slots are [granularity]
-     bytes, aligned, so for granularity <= 4096 no cell ever spans a
-     4 KiB page — rows whose rounded slot range stays inside one page
-     commute across pages, and only sync rows, frees and accesses
-     whose slot range straddles a page act as in-order barriers
-     (unlike the dynamic detector there is no persistent cell that
-     spans pages, so no weld set is needed).  Order within a page and
-     the per-batch collector resort give byte-identical reports. *)
-  let max_groups = 64 in
-  let slot_mask = 255 in
-  let group_page = Array.make max_groups 0 in
-  let group_first = Array.make max_groups (-1) in
-  let group_last = Array.make max_groups (-1) in
-  let page_slot = Array.make (slot_mask + 1) (-1) in
-  let run_start = ref (Array.make Batch.default_capacity 0) in
-  let run_len = ref (Array.make Batch.default_capacity 0) in
-  let run_next = ref (Array.make Batch.default_capacity (-1)) in
-  let m_cluster_rows = Metrics.counter metrics "cluster.rows" in
-  let m_cluster_pages = Metrics.counter metrics "cluster.pages" in
-  let m_cluster_barriers = Metrics.counter metrics "cluster.barriers" in
-  let process_batch_clustered (b : Batch.t) =
-    let n = Batch.length b in
-    if Array.length !run_start < n then begin
-      run_start := Array.make n 0;
-      run_len := Array.make n 0;
-      run_next := Array.make n (-1)
-    end;
-    let rs = !run_start and rl = !run_len and rn = !run_next in
-    let kind = b.Batch.kind
-    and ta = b.Batch.a
-    and tb = b.Batch.b
-    and tc = b.Batch.c
-    and tloc = b.Batch.loc
-    and toff = b.Batch.off in
-    let n0 = Report.Collector.count st.collector in
-    let cached = ref None in
-    let bm_for tid =
-      match !cached with
-      | Some (t, bm) when t = tid -> bm
-      | _ ->
-        let bm = bitmap st tid in
-        cached := Some (tid, bm);
-        bm
-    in
-    let apply_access i =
-      let tid = Array.unsafe_get ta i in
-      let addr = Array.unsafe_get tb i in
-      let size = Array.unsafe_get tc i in
-      let write = Array.unsafe_get kind i = Batch.code_write in
-      if
-        Epoch_bitmap.test_range (bm_for tid) ~write ~lo:addr
-          ~hi:(addr + size - 1)
-      then begin
-        st.stats.accesses <- st.stats.accesses + 1;
-        if write then st.stats.writes <- st.stats.writes + 1
-        else st.stats.reads <- st.stats.reads + 1;
-        st.stats.same_epoch <- st.stats.same_epoch + 1
-      end
-      else begin
-        Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-        on_access st ~tid
-          ~kind:(if write then Event.Write else Event.Read)
-          ~addr ~size ~loc:(Array.unsafe_get tloc i)
-      end
-    in
-    let g = st.granularity in
-    let ngroups = ref 0
-    and nruns = ref 0
-    and pending = ref 0
-    and last_page = ref (-1)
-    and last_row = ref (-2)
-    and last_run = ref (-1) in
-    let flush () =
-      if !ngroups > 0 then begin
-        for gi = 0 to !ngroups - 1 do
-          let r = ref (Array.unsafe_get group_first gi) in
-          while !r >= 0 do
-            let s = Array.unsafe_get rs !r in
-            for i = s to s + Array.unsafe_get rl !r - 1 do
-              apply_access i
-            done;
-            r := Array.unsafe_get rn !r
-          done
-        done;
-        Metrics.add m_cluster_pages !ngroups;
-        Metrics.add m_cluster_rows !pending;
-        ngroups := 0;
-        nruns := 0;
-        pending := 0;
-        last_page := -1;
-        last_row := -2;
-        last_run := -1
-      end
-    in
-    for i = 0 to n - 1 do
-      let k = Array.unsafe_get kind i in
-      if k <= Batch.code_write then begin
-        let addr = Array.unsafe_get tb i in
-        let size = Array.unsafe_get tc i in
-        (* the rounded slot range [lo, hi) is what the slow path
-           walks; cluster by its page, barrier when it spans two *)
-        let lo = addr land lnot (g - 1) in
-        let hi = (addr + size + g - 1) land lnot (g - 1) in
-        if lo lsr cluster_page_bits <> (hi - 1) lsr cluster_page_bits then begin
-          flush ();
-          Metrics.incr m_cluster_barriers;
-          apply_access i
-        end
-        else begin
-          let page = lo lsr cluster_page_bits in
-          if !last_page = page && !last_row + 1 = i then begin
-            (* the hot path: this row continues the current run *)
-            Array.unsafe_set rl !last_run (Array.unsafe_get rl !last_run + 1);
-            last_row := i;
-            incr pending
-          end
-          else begin
-            let s = page land slot_mask in
-            let cand = Array.unsafe_get page_slot s in
-            let gi =
-              if
-                cand >= 0 && cand < !ngroups
-                && Array.unsafe_get group_page cand = page
-              then cand
-              else begin
-                (* slot miss (new page, or a collision evicted it): a
-                   fresh group is always order-correct, and if the
-                   table is full an early flush is just a virtual
-                   barrier — correctness is unaffected *)
-                if !ngroups = max_groups then flush ();
-                let gi = !ngroups in
-                group_page.(gi) <- page;
-                group_first.(gi) <- -1;
-                group_last.(gi) <- -1;
-                Array.unsafe_set page_slot s gi;
-                ngroups := gi + 1;
-                gi
-              end
-            in
-            let r = !nruns in
-            nruns := r + 1;
-            Array.unsafe_set rs r i;
-            Array.unsafe_set rl r 1;
-            Array.unsafe_set rn r (-1);
-            if Array.unsafe_get group_first gi < 0 then
-              Array.unsafe_set group_first gi r
-            else Array.unsafe_set rn (Array.unsafe_get group_last gi) r;
-            Array.unsafe_set group_last gi r;
-            last_page := page;
-            last_row := i;
-            last_run := r;
-            incr pending
-          end
-        end
-      end
-      else if k = Batch.code_alloc then
-        st.stats.allocs <- st.stats.allocs + 1
-      else if k = Batch.code_free then begin
-        flush ();
-        Report.Collector.set_tag st.collector (Array.unsafe_get toff i);
-        on_free st ~addr:(Array.unsafe_get tb i) ~size:(Array.unsafe_get tc i)
-      end
-      else begin
-        flush ();
-        if
-          Vc_env.handle_coded st.env ~kind:k ~a:(Array.unsafe_get ta i)
-            ~b:(Array.unsafe_get tb i) ~on_boundary
-        then st.stats.sync_ops <- st.stats.sync_ops + 1
-      end
-    done;
-    flush ();
-    Report.Collector.resort_since st.collector n0
-  in
+  (* Slots are [granularity] bytes, aligned, so no cell spans a page
+     up to 4096 and no weld set is needed. *)
   let process_batch =
-    if page_cluster && granularity <= 1 lsl cluster_page_bits then
-      process_batch_clustered
-    else process_batch_rows
+    Batch_apply.make ~granularity ~weld:false ~metrics ~stats:st.stats
+      ~collector:st.collector ~env:st.env ~bitmap:(bitmap st) ~on_boundary
+      ~on_access:(on_access st) ~on_free:(on_free st)
   in
   let finish () =
     let g name v = Metrics.set (Metrics.gauge metrics name) v in

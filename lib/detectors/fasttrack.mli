@@ -14,15 +14,13 @@ val create :
   ?granularity:int ->
   ?suppression:Suppression.t ->
   ?vc_intern:bool ->
-  ?page_cluster:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   unit ->
   Detector.t
 (** [create ~granularity ()] — granularity defaults to 1 (byte).  Must
     be a power of two.  [~vc_intern:false] disables hash-consing of
     read-shared snapshots (legacy deep-copy memory behaviour).
-    [~page_cluster:false] disables page-clustered batch application
-    (only effective for granularities <= 4096, where no shadow cell
-    spans a page; see {!Dynamic_granularity.create}).  [~tracer:buf]
-    registers sampled [phase.*] timers on the tracing lane, as in
-    {!Dynamic_granularity.create}. *)
+    [process_batch] applies a batch page-clustered ({!Batch_apply});
+    above 4096 bytes every slot spans a page and rows apply in order.
+    [~tracer:buf] registers sampled [phase.*] timers on the tracing
+    lane, as in {!Dynamic_granularity.create}. *)

@@ -79,14 +79,14 @@ let budget_guard (d : Detector.t) (b : Budget.t) ~degraded ~now_s ~t0 =
    it (the collector's tag mechanism: the offset is stamped before
    each dispatch, and batched detectors stamp it per row themselves).
 
-   With [batched] and an eligible detector the stream is packed into
-   struct-of-arrays batches and handed to [process_batch]; the packing
-   happens before [busy_s] starts, mirroring how the split itself is
-   outside the per-shard analysis time.  The batch path engages only
-   when nothing per-event is requested — no budget guard, recorder,
-   progress heartbeat or tracing lane — so those semantics are exactly
-   the per-event loop's whenever they are observable. *)
-let run_shard ~batched ~budget ~now_s ~progress ~lane ~recorder_for make
+   A detector with a [process_batch] fast path gets the stream packed
+   into struct-of-arrays batches; the packing happens before [busy_s]
+   starts, mirroring how the split itself is outside the per-shard
+   analysis time.  The batch path engages only when nothing per-event
+   is requested — no budget guard, recorder, progress heartbeat or
+   tracing lane — so those semantics are exactly the per-event loop's
+   whenever they are observable. *)
+let run_shard ~budget ~now_s ~progress ~lane ~recorder_for make
     (stream : (int * Event.t) array) index =
   let d : Detector.t = make index in
   let recorder =
@@ -99,9 +99,7 @@ let run_shard ~batched ~budget ~now_s ~progress ~lane ~recorder_for make
     | Some _ | None -> false
   in
   let batches =
-    if
-      batched && (not want_guard) && recorder = None && lane = None
-      && progress = None
+    if (not want_guard) && recorder = None && lane = None && progress = None
     then
       match d.process_batch with
       | Some pb -> Some (pb, Trace_shard.batches_of stream)
@@ -182,7 +180,7 @@ let run_shard ~batched ~budget ~now_s ~progress ~lane ~recorder_for make
     recorder;
   }
 
-let analyze ?(mode = Parallel) ?(batched = true) ?budget
+let analyze ?(mode = Parallel) ?budget
     ?(clock = Dgrace_obs.Clock.ns) ?progress ?tracer ?recorder_for ~make
     ~shards ~granule events =
   let now_s () = float_of_int (clock ()) *. 1e-9 in
@@ -224,7 +222,7 @@ let analyze ?(mode = Parallel) ?(batched = true) ?budget
           end)
   in
   let run i =
-    run_shard ~batched ~budget ~now_s ~progress:progress_hook
+    run_shard ~budget ~now_s ~progress:progress_hook
       ~lane:lanes.(i) ~recorder_for make plan.shards.(i) i
   in
   let outcomes =
@@ -262,8 +260,8 @@ let analyze ?(mode = Parallel) ?(batched = true) ?budget
    only ever sees a clean file), then the pipelined pass routes.
    Routing, broadcast classes and row offsets match [split] exactly,
    so the merged outcome is bit-identical to [analyze] — the engine
-   falls back to the materialised path whenever budgets, recorders,
-   progress or tracing need per-event semantics. *)
+   takes the materialised path whenever budgets, recorders, progress
+   or tracing need per-event semantics. *)
 
 exception Router_stopped
 

@@ -14,7 +14,7 @@
 
     This module runs shards and reports raw per-shard outcomes; the
     deterministic merge into an engine summary lives in
-    [Dgrace_core.Engine.replay_sharded] (the summary type is defined
+    [Dgrace_core.Engine.analyze] (the summary type is defined
     there). *)
 
 open Dgrace_events
@@ -64,7 +64,6 @@ type result = {
 
 val analyze :
   ?mode:mode ->
-  ?batched:bool ->
   ?budget:Budget.t ->
   ?clock:Dgrace_obs.Clock.source ->
   ?progress:int * (int -> unit) ->
@@ -75,14 +74,12 @@ val analyze :
   granule:int ->
   Event.t array ->
   result
-(** [analyze ~make ~shards ~granule events] splits and replays.
-    [batched] (default [true]) lets a shard whose detector has a
-    [process_batch] fast path consume its stream as struct-of-arrays
-    batches ({!Dgrace_trace.Trace_shard.batches_of}); the batch path
-    engages only when no budget, recorder, progress heartbeat or
-    tracer is in play, so per-event semantics are preserved whenever
-    observable, and races are bit-identical either way (the
-    differential harness covers both).
+(** [analyze ~make ~shards ~granule events] splits and replays.  A
+    shard whose detector has a [process_batch] fast path consumes its
+    stream as struct-of-arrays batches
+    ({!Dgrace_trace.Trace_shard.batches_of}) when no budget, recorder,
+    progress heartbeat or tracer is in play, so per-event semantics
+    are preserved whenever observable.
     [make i] must build a fresh detector for shard [i] (called once
     per shard, inside the shard's domain; suppression tables are
     immutable and safe to share).  [budget] applies {e per shard} with

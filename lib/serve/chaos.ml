@@ -11,7 +11,7 @@ module Report = Dgrace_events.Report
    - the faulted session ends {e declared}: the server holds it as a
      poisoned session with a structured error, never a crash;
    - the healthy session is untouched: its race lines match a direct
-     one-shot [Engine.replay] of the same events, byte for byte;
+     one-shot [Engine.analyze] of the same events, byte for byte;
    - nothing leaks: once every session is terminal the status document
      reports zero live shadow bytes.
 
@@ -58,8 +58,12 @@ let run ?(spec = Spec.dynamic) ?socket ~events fault =
   try
     (* the oracle: the same events through the plain engine *)
     let baseline =
-      let s = Engine.replay ~spec (List.to_seq events) in
-      List.map Report.to_string s.Engine.races
+      match
+        Engine.analyze (Engine.Config.make spec)
+          (Engine.Source.Events (List.to_seq events))
+      with
+      | Ok s -> List.map Report.to_string s.Engine.races
+      | Error e -> raise (Dgrace_resilience.Error.E e)
     in
     let cfg = { Server.default_config with domains = 2; max_sessions = 8 } in
     let server = Server.start ~cfg ~socket () in

@@ -6,7 +6,7 @@
     client streams the same events concurrently.  The contract checked
     is {e recover-or-declare, per session, with zero blast radius}:
     the faulted session must end poisoned with a structured error, the
-    healthy session's races must match a direct {!Dgrace_core.Engine.replay}
+    healthy session's races must match a direct {!Dgrace_core.Engine.analyze}
     byte for byte, and the status document must show no leaked shadow
     bytes once every session is terminal. *)
 

@@ -63,8 +63,8 @@ type ack = { ack_events : int; new_races : Report.t list }
 let decode_pool_slots = 4
 
 let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
-    ?vc_intern ?page_cluster ?tracer ~id ~spec () =
-  let d = Spec.to_detector ?suppression ?vc_intern ?page_cluster ?tracer spec in
+    ?vc_intern ?tracer ~id ~spec () =
+  let d = Spec.to_detector ?suppression ?vc_intern ?tracer spec in
   let now_s () = float_of_int (clock ()) *. 1e-9 in
   {
     id;

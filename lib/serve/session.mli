@@ -43,7 +43,6 @@ val open_ :
   ?clock:Dgrace_obs.Clock.source ->
   ?suppression:Suppression.t ->
   ?vc_intern:bool ->
-  ?page_cluster:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   id:int ->
   spec:Spec.t ->

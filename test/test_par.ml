@@ -14,7 +14,7 @@ open Dgrace_workloads
 module Trace_shard = Dgrace_trace.Trace_shard
 
 let seeds = [ 1; 2; 3 ]
-let shard_counts = [ 1; 2; 4; 7 ]
+let shard_counts = [ 2; 4; 7 ]
 let policy seed = Dgrace_sim.Scheduler.Chunked { seed; chunk = 64 }
 
 (* One recording per (workload, seed), shared by every shard count and
@@ -72,55 +72,45 @@ let diff_workload (w : Workload.t) spec () =
   List.iter
     (fun seed ->
       let events = recorded w seed in
-      let seq = Engine.replay ~spec (Array.to_seq events) in
+      let seq = Tutil.(analyze (config spec) (event_array events)) in
       List.iter
         (fun shards ->
-          let par =
-            Engine.replay_sharded ~shards ~spec (Array.to_seq events)
-          in
+          let par = Tutil.(analyze (config ~shards spec) (event_array events)) in
           let ctx = Printf.sprintf "%s seed=%d shards=%d" w.name seed shards in
           check_equivalent ~ctx seq par)
         shard_counts)
     seeds
 
-(* The batch dispatch cross-product: the struct-of-arrays fast path
-   and the per-event sink must be indistinguishable on everything
-   [check_equivalent] looks at, for every workload, with and without
-   vector-clock interning, sequential and sharded.  One seed — the
-   batch path has no scheduling freedom of its own, so extra seeds
-   only re-test the splitter (covered above). *)
+(* The batch dispatch cross-product on real workloads: the clustered
+   struct-of-arrays path (one shard, and per shard) and the per-event
+   shard path (forced by a heartbeat) must match per-event dispatch on
+   everything [check_equivalent] looks at, with and without
+   vector-clock interning.  One seed — the batch path has no
+   scheduling freedom of its own, so extra seeds only re-test the
+   splitter (covered above). *)
 let diff_batch_workload (w : Workload.t) () =
   let events = recorded w 1 in
+  let batches =
+    Trace_shard.batches_of (Array.mapi (fun i ev -> (i, ev)) events)
+  in
+  let heartbeat = Some (4096, fun (_ : int) -> ()) in
   List.iter
     (fun vc_intern ->
-      let seq =
-        Engine.replay ~batched:false ~vc_intern ~spec:Spec.dynamic
-          (Array.to_seq events)
+      let run ?progress shards source =
+        Tutil.(analyze (config ~vc_intern ~shards ?progress Spec.dynamic) source)
       in
+      let seq = run 1 (Tutil.event_array events) in
       List.iter
-        (fun shards ->
-          List.iter
-            (fun batched ->
-              let par =
-                Engine.replay_sharded ~batched ~vc_intern ~shards
-                  ~spec:Spec.dynamic (Array.to_seq events)
-              in
-              let ctx =
-                Printf.sprintf "%s vc_intern=%b shards=%d batched=%b" w.name
-                  vc_intern shards batched
-              in
-              check_equivalent ~ctx seq par)
-            [ true; false ])
-        [ 1; 4 ];
-      (* sequential batched path (Engine.replay ~batched:true) against
-         the same per-event reference *)
-      let seq_batched =
-        Engine.replay ~batched:true ~vc_intern ~spec:Spec.dynamic
-          (Array.to_seq events)
-      in
-      check_equivalent
-        ~ctx:(Printf.sprintf "%s vc_intern=%b replay batched" w.name vc_intern)
-        seq seq_batched)
+        (fun (name, s) ->
+          check_equivalent
+            ~ctx:(Printf.sprintf "%s vc_intern=%b %s" w.name vc_intern name)
+            seq s)
+        [
+          ( "batches",
+            run 1 (Engine.Source.Batches (fun consume -> Array.iter consume batches)) );
+          ("4 shards batched", run 4 (Tutil.event_array events));
+          ("4 shards per-event", run ?progress:heartbeat 4 (Tutil.event_array events));
+        ])
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)
@@ -222,8 +212,7 @@ let test_budget_partial () =
   let events = recorded (Option.get (Registry.find "pbzip2")) 1 in
   let budget = Dgrace_resilience.Budget.make ~max_events:1000 () in
   let s =
-    Engine.replay_sharded ~budget ~shards:4 ~spec:Spec.dynamic
-      (Array.to_seq events)
+    Tutil.(analyze (config ~budget ~shards:4 Spec.dynamic) (event_array events))
   in
   Alcotest.(check bool) "partial" true (s.partial <> None);
   Alcotest.(check int) "exit 3" Dgrace_resilience.Error.exit_partial
@@ -232,12 +221,11 @@ let test_budget_partial () =
 let test_budget_degraded () =
   let events = recorded (Option.get (Registry.find "raytrace")) 1 in
   let seq_races =
-    (Engine.replay ~spec:Spec.dynamic (Array.to_seq events)).race_count
+    Tutil.((analyze (config Spec.dynamic) (event_array events)).race_count)
   in
   let budget = Dgrace_resilience.Budget.make ~max_shadow_bytes:100_000 () in
   let s =
-    Engine.replay_sharded ~budget ~shards:4 ~spec:Spec.dynamic
-      (Array.to_seq events)
+    Tutil.(analyze (config ~budget ~shards:4 Spec.dynamic) (event_array events))
   in
   Alcotest.(check bool) "degraded" true s.degraded;
   Alcotest.(check bool) "races still reported (lower bound)" true
@@ -261,13 +249,13 @@ let test_sharded_metrics_merge () =
       | [] -> Alcotest.fail "empty time-series")
   in
   let seq =
-    Engine.replay ~sample_every:512 ~spec:Spec.dynamic (Array.to_seq events)
+    Tutil.(analyze (config ~sample_every:512 Spec.dynamic) (event_array events))
   in
   List.iter
     (fun shards ->
       let par =
-        Engine.replay_sharded ~sample_every:512 ~shards ~spec:Spec.dynamic
-          (Array.to_seq events)
+        Tutil.(
+          analyze (config ~sample_every:512 ~shards Spec.dynamic) (event_array events))
       in
       (* the merged values (additive sources) must equal the sequential
          run's last sample; the merged at_event counts each broadcast
@@ -286,10 +274,12 @@ let test_sharded_trace_validates () =
   let events = recorded (Option.get (Registry.find "pbzip2")) 1 in
   let tracer = Dgrace_obs.Span.create () in
   let traced =
-    Engine.replay_sharded ~tracer ~sample_every:1024 ~shards:4
-      ~spec:Spec.dynamic (Array.to_seq events)
+    Tutil.(
+      analyze
+        (config ~tracer ~sample_every:1024 ~shards:4 Spec.dynamic)
+        (event_array events))
   in
-  let plain = Engine.replay ~spec:Spec.dynamic (Array.to_seq events) in
+  let plain = Tutil.(analyze (config Spec.dynamic) (event_array events)) in
   Alcotest.(check (list report)) "tracing does not change the races"
     plain.races traced.races;
   let doc = Dgrace_obs.Chrome_trace.to_json tracer in

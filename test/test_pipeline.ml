@@ -1,6 +1,11 @@
 (* Differential proof for the pipelined decode→detect replay and the
    page-clustered batch application (doc/trace.md, doc/shadow.md):
 
+   - the config-lattice law: every source (events, batches, v2 file)
+     x shard count x observer x detector must match per-event
+     dispatch of the same rows to a fresh detector on races (content
+     and order), transition counts and exit code, and on stream stats
+     on one shard;
    - the pipelined replay must be bit-identical to the sequential
      batched path on races (content and order), stream stats,
      transition counts and exit code — corpus traces and random
@@ -9,11 +14,6 @@
      with exactly the sequential error (same absolute offset, same
      events_read) after exactly the sequential prefix;
    - budget stops must pin the same stop_reason and partial summary;
-   - page-clustered application (grouping a batch's rows by aligned
-     share-granule page) must be report- and stats-identical to
-     row-order application for the dynamic and fixed-granularity
-     detectors, with and without vector-clock interning, sharded or
-     not;
    - the batch ring honours its recycling protocol: FIFO, error only
      after drain, abort releases a blocked producer. *)
 
@@ -40,6 +40,9 @@ let write_file path s =
 
 let fold_feed path consume =
   Trace_format_v2.fold_batches path (fun () b -> consume b) ()
+
+let run ?budget ?progress ?sample_every ?(shards = 1) spec source =
+  Tutil.(analyze (config ?budget ?progress ?sample_every ~shards spec) source)
 
 let report = Alcotest.testable (Fmt.of_to_string Report.to_string) ( = )
 
@@ -183,8 +186,8 @@ let diff_corpus name () =
   let events = Trace_format_v2.read_file path in
   List.iter
     (fun spec ->
-      let seq = Engine.replay_batches ~spec (fold_feed path) in
-      let pipe = Engine.replay_pipelined ~spec path in
+      let seq = run spec (Tutil.v2_batches path) in
+      let pipe = run spec (Engine.Source.V2_file path) in
       let ctx = Printf.sprintf "%s %s pipelined" name (Spec.name spec) in
       check_equivalent ~ctx seq pipe;
       (* the pipeline gauges land in the summary metrics *)
@@ -192,8 +195,8 @@ let diff_corpus name () =
         (List.mem_assoc "pipeline.blocks" (Metrics.gauges pipe.metrics));
       List.iter
         (fun shards ->
-          let base = Engine.replay_sharded ~shards ~spec (List.to_seq events) in
-          let sp = Engine.replay_sharded_pipelined ~shards ~spec path in
+          let base = run ~shards spec (Tutil.event_list events) in
+          let sp = run ~shards spec (Engine.Source.V2_file path) in
           let ctx =
             Printf.sprintf "%s %s sharded=%d pipelined" name (Spec.name spec)
               shards
@@ -252,12 +255,14 @@ let test_truncate_every_offset_pipelined () =
 let test_corrupt_corpus_error_identity () =
   (* the bundled truncated trace, through the full engine *)
   let path = corpus "truncated" in
-  let run f = match f () with _ -> None | exception Error.E e -> Some e in
-  let seq = run (fun () -> Engine.replay_batches ~spec:Spec.dynamic (fold_feed path)) in
-  let pipe = run (fun () -> Engine.replay_pipelined ~spec:Spec.dynamic path) in
-  let sp = run (fun () ->
-      Engine.replay_sharded_pipelined ~shards:4 ~spec:Spec.dynamic path)
+  let run ?(shards = 1) source =
+    match Engine.analyze (Tutil.config ~shards Spec.dynamic) source with
+    | Ok _ -> None
+    | Error e -> Some e
   in
+  let seq = run (Tutil.v2_batches path) in
+  let pipe = run (Engine.Source.V2_file path) in
+  let sp = run ~shards:4 (Engine.Source.V2_file path) in
   let err = Alcotest.testable (Fmt.of_to_string Error.to_string) ( = ) in
   Alcotest.(check (option err)) "pipelined error identical" seq pipe;
   Alcotest.(check (option err)) "sharded pipelined error identical" seq sp;
@@ -270,16 +275,9 @@ let test_budget_stop_identity () =
   let path = corpus "racy" in
   List.iter
     (fun limit ->
-      let seq =
-        Engine.replay_batches
-          ~budget:(Budget.make ~max_events:limit ())
-          ~spec:Spec.dynamic (fold_feed path)
-      in
-      let pipe =
-        Engine.replay_pipelined
-          ~budget:(Budget.make ~max_events:limit ())
-          ~spec:Spec.dynamic path
-      in
+      let budget = Budget.make ~max_events:limit () in
+      let seq = run ~budget Spec.dynamic (Tutil.v2_batches path) in
+      let pipe = run ~budget Spec.dynamic (Engine.Source.V2_file path) in
       let stop = function
         | None -> "none"
         | Some s -> Budget.stop_to_string s
@@ -359,35 +357,101 @@ let with_v2 events f =
   let (), _ = Trace_format_v2.to_file v2 (fun sink -> List.iter sink events) in
   Fun.protect ~finally:(fun () -> Sys.remove v2) (fun () -> f v2)
 
-let qcheck_page_cluster_law =
+(* The config lattice against the per-event oracle.  Accesses crowd
+   the edges of three pages, so batches hold page runs, straddles and
+   welds; a handful of threads, locks and access locations keeps
+   clocks interacting and reorderings visible in the reports.
+   The [Batches] source cuts the rows into 37-row batches so batch
+   boundaries fall mid-run. *)
+let arb_lattice_events =
+  let open QCheck.Gen in
+  let tid = int_bound 3 in
+  let addr =
+    map2
+      (fun page off -> (page * 4096) + off)
+      (int_bound 2)
+      (oneof [ int_bound 15; map (fun o -> 4096 - 1 - o) (int_bound 15) ])
+  in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  let access kind =
+    map
+      (fun ((t, a), (s, loc)) -> Event.Access { tid = t; kind; addr = a; size = s; loc })
+      (pair (pair tid addr) (pair size (oneofl [ "a"; "b"; "c"; "d" ])))
+  in
+  let sync = oneofl Event.[ Lock; Barrier ] in
+  let event =
+    frequency
+      [
+        (6, access Event.Read);
+        (6, access Event.Write);
+        (1, map (fun (t, l, s) -> Event.Acquire { tid = t; lock = l; sync = s }) (triple tid (int_bound 2) sync));
+        (1, map (fun (t, l, s) -> Event.Release { tid = t; lock = l; sync = s }) (triple tid (int_bound 2) sync));
+        (1, map (fun (p, c) -> Event.Fork { parent = p; child = c }) (pair tid tid));
+        (1, map (fun (p, c) -> Event.Join { parent = p; child = c }) (pair tid tid));
+        (1, map (fun (t, a) -> Event.Alloc { tid = t; addr = a; size = 64 }) (pair tid addr));
+        (1, map (fun (t, a) -> Event.Free { tid = t; addr = a; size = 64 }) (pair tid addr));
+      ]
+  in
+  QCheck.make
+    ~print:(fun evs -> String.concat "\n" (List.map Event.to_string evs))
+    (list_size (int_range 0 300) event)
+
+let batches_of_rows ~rows events =
+  let arr = Array.of_list events in
+  Engine.Source.Batches
+    (fun consume ->
+      let b = Batch.create ~capacity:rows () in
+      Array.iteri
+        (fun i ev ->
+          Batch.push b ~off:i ev;
+          if Batch.is_full b || i = Array.length arr - 1 then begin
+            consume b;
+            Batch.clear b
+          end)
+        arr)
+
+let oracle spec events =
+  let d = Spec.to_detector spec in
+  Batch.iter_events d.on_event (Batch.of_events events);
+  d.finish ();
+  Engine.summarize_detector d ~elapsed:0. ~partial:None ~degraded:false
+
+let qcheck_config_lattice =
   QCheck.Test.make
-    ~name:
-      "pipeline: page-clustered = row-order (dynamic+word x intern x shards)"
-    ~count:25 arb_events (fun events ->
+    ~name:"pipeline: config lattice = per-event oracle" ~count:30
+    arb_lattice_events (fun events ->
       with_v2 events (fun v2 ->
           List.for_all
             (fun spec ->
+              let want = oracle spec events in
               List.for_all
-                (fun vc_intern ->
-                  let base =
-                    Engine.replay_batches ~vc_intern ~page_cluster:false ~spec
-                      (fold_feed v2)
-                  in
-                  let clustered =
-                    Engine.replay_batches ~vc_intern ~page_cluster:true ~spec
-                      (fold_feed v2)
-                  in
-                  equivalent base clustered
-                  && List.for_all
-                       (fun shards ->
-                         let sh =
-                           Engine.replay_sharded ~vc_intern ~page_cluster:true
-                             ~shards ~spec (List.to_seq events)
-                         in
-                         equivalent base sh)
-                       [ 1; 4 ])
-                [ true; false ])
-            [ Spec.dynamic; Spec.word ]))
+                (fun source ->
+                  List.for_all
+                    (fun shards ->
+                      List.for_all
+                        (fun (progress, sample_every) ->
+                          let got =
+                            run ?progress ?sample_every ~shards spec source
+                          in
+                          List.map Report.to_string want.races
+                          = List.map Report.to_string got.races
+                          && Dgrace_obs.Json.equal (transitions_json want)
+                               (transitions_json got)
+                          && Engine.exit_code_of_summary want
+                             = Engine.exit_code_of_summary got
+                          && (shards > 1 || stats_tuple want = stats_tuple got))
+                        [
+                          (None, None);
+                          (Some (7, fun (_ : int) -> ()), None);
+                          (None, Some 5);
+                        ])
+                    [ 1; 2; 4 ])
+                [
+                  Tutil.event_list events;
+                  batches_of_rows ~rows:37 events;
+                  Engine.Source.V2_file v2;
+                ])
+            [ Spec.dynamic; Spec.byte; Spec.word ]))
 
 let qcheck_pipelined_identical =
   QCheck.Test.make ~name:"pipeline: pipelined replay = sequential batched"
@@ -395,9 +459,9 @@ let qcheck_pipelined_identical =
       with_v2 events (fun v2 ->
           List.for_all
             (fun spec ->
-              let seq = Engine.replay_batches ~spec (fold_feed v2) in
-              let pipe = Engine.replay_pipelined ~spec v2 in
-              let sharded = Engine.replay_sharded_pipelined ~shards:4 ~spec v2 in
+              let seq = run spec (Tutil.v2_batches v2) in
+              let pipe = run spec (Engine.Source.V2_file v2) in
+              let sharded = run ~shards:4 spec (Engine.Source.V2_file v2) in
               equivalent seq pipe && equivalent seq sharded)
             [ Spec.dynamic; Spec.word ]))
 
@@ -429,7 +493,7 @@ let suites : unit Alcotest.test list =
             test_corrupt_corpus_error_identity;
           Alcotest.test_case "budget stop identity" `Quick
             test_budget_stop_identity;
-          QCheck_alcotest.to_alcotest qcheck_page_cluster_law;
+          QCheck_alcotest.to_alcotest qcheck_config_lattice;
           QCheck_alcotest.to_alcotest qcheck_pipelined_identical;
         ] );
     ( "pipeline.serve",

@@ -15,6 +15,9 @@ let program w =
 
 let policy = Scheduler.Chunked { seed = 1; chunk = 64 }
 
+let run ?(budget = Budget.unlimited) spec main =
+  Tutil.analyze (Tutil.config ~budget spec) (Tutil.program ~policy main)
+
 let race_addrs (s : Engine.summary) =
   List.map (fun (r : Dgrace_events.Report.t) -> r.addr) s.races
   |> List.sort_uniq compare
@@ -41,8 +44,7 @@ let test_budget_validation () =
 
 let test_event_budget_stops () =
   let s =
-    Engine.run ~policy ~budget:(Budget.make ~max_events:1000 ())
-      ~spec:Spec.dynamic (program "raytrace")
+    run ~budget:(Budget.make ~max_events:1000 ()) Spec.dynamic (program "raytrace")
   in
   (match s.partial with
    | Some (Budget.Max_events { limit }) ->
@@ -56,8 +58,7 @@ let test_event_budget_stops () =
 
 let test_deadline_stops () =
   let s =
-    Engine.run ~policy ~budget:(Budget.make ~deadline_s:1e-6 ())
-      ~spec:Spec.dynamic (program "raytrace")
+    run ~budget:(Budget.make ~deadline_s:1e-6 ()) Spec.dynamic (program "raytrace")
   in
   match s.partial with
   | Some (Budget.Deadline { limit_s; elapsed_s }) ->
@@ -69,12 +70,11 @@ let test_deadline_stops () =
    sampling detector (literace) finds on the same schedule. *)
 let test_degraded_run_superset_of_literace () =
   let s =
-    Engine.run ~policy ~budget:(Budget.make ~max_shadow_bytes:320_000 ())
-      ~spec:Spec.dynamic (program "raytrace")
+    run ~budget:(Budget.make ~max_shadow_bytes:320_000 ()) Spec.dynamic (program "raytrace")
   in
   Alcotest.(check bool) "degraded" true s.degraded;
   Alcotest.(check bool) "but completed" true (s.partial = None);
-  let lite = Engine.run ~policy ~spec:Spec.Literace (program "raytrace") in
+  let lite = run Spec.Literace (program "raytrace") in
   let got = race_addrs s and want = race_addrs lite in
   Alcotest.(check bool)
     (Printf.sprintf "degraded dynamic (%d races) >= literace (%d races)"
@@ -98,8 +98,7 @@ let test_degradation_exhausted_stops () =
   (* a budget below the irreducible floor (hash slots can't be shed)
      must end the run with a Shadow_bytes stop, not spin forever *)
   let s =
-    Engine.run ~policy ~budget:(Budget.make ~max_shadow_bytes:30_000 ())
-      ~spec:Spec.dynamic (program "raytrace")
+    run ~budget:(Budget.make ~max_shadow_bytes:30_000 ()) Spec.dynamic (program "raytrace")
   in
   (match s.partial with
    | Some (Budget.Shadow_bytes { limit; bytes }) ->
@@ -114,8 +113,7 @@ let test_degradation_exhausted_stops () =
 let test_null_detector_cannot_degrade () =
   (* a detector with no degrade hook goes straight to the stop *)
   let s =
-    Engine.run ~policy ~budget:(Budget.make ~max_shadow_bytes:1 ())
-      ~spec:Spec.byte (program "dedup")
+    run ~budget:(Budget.make ~max_shadow_bytes:1 ()) Spec.byte (program "dedup")
   in
   match s.partial with
   | Some (Budget.Shadow_bytes _) -> ()
@@ -126,9 +124,10 @@ let test_null_detector_cannot_degrade () =
 
 let test_run_checked_deadlock () =
   match
-    Engine.run_checked ~policy ~spec:Spec.dynamic (fun () ->
-        let flag = Sim.event () in
-        Sim.event_wait flag)
+    Engine.analyze (Engine.Config.make Spec.dynamic)
+      (Tutil.program ~policy (fun () ->
+           let flag = Sim.event () in
+           Sim.event_wait flag))
   with
   | Error (Error.Deadlock { blocked; held }) ->
     Alcotest.(check (list int)) "main thread blocked" [ 0 ] blocked;
@@ -148,8 +147,8 @@ let test_replay_checked_corrupt () =
         close_in_noerr ic;
         Sys.remove path)
       (fun () ->
-        Engine.replay_checked ~spec:Spec.dynamic
-          (Dgrace_trace.Trace_reader.read ~path ic))
+        Engine.analyze (Engine.Config.make Spec.dynamic)
+          (Engine.Source.Events (Dgrace_trace.Trace_reader.read ~path ic)))
   in
   match result with
   | Error (Error.Corrupt_trace { path = Some p; _ }) ->

@@ -196,13 +196,11 @@ let test_rate_one_identical_to_inner () =
   List.iter
     (fun base ->
       let events = Trace_reader.read_file (corpus (base ^ ".trace")) in
-      let inner = Engine.replay ~spec:Spec.dynamic (List.to_seq events) in
+      let inner = analyze (config Spec.dynamic) (event_list events) in
       List.iter
         (fun granule ->
           let s =
-            Engine.replay
-              ~spec:(Spec.Sampling { rate = 1.0; granule })
-              (List.to_seq events)
+            analyze (config (Spec.Sampling { rate = 1.0; granule })) (event_list events)
           in
           check_same_run
             (Printf.sprintf "%s granule=%b" base granule)
@@ -219,11 +217,9 @@ let test_rate_one_identical_to_inner_batched () =
       let feed consume =
         Trace_format_v2.fold_batches path (fun () b -> consume b) ()
       in
-      let inner = Engine.replay_batches ~spec:Spec.dynamic feed in
+      let inner = analyze (config Spec.dynamic) (Engine.Source.Batches feed) in
       let s =
-        Engine.replay_batches
-          ~spec:(Spec.Sampling { rate = 1.0; granule = true })
-          feed
+        analyze (config (Spec.Sampling { rate = 1.0; granule = true })) (Engine.Source.Batches feed)
       in
       check_same_run (base ^ ".v2") inner s)
     corpus_names
@@ -242,8 +238,8 @@ let test_batched_matches_per_event () =
       List.iter
         (fun granule ->
           let spec = Spec.Sampling { rate = 0.37; granule } in
-          let per_event = Engine.replay ~spec (List.to_seq events) in
-          let batched = Engine.replay_batches ~spec feed in
+          let per_event = analyze (config spec) (event_list events) in
+          let batched = analyze (config spec) (Engine.Source.Batches feed) in
           check_same_run
             (Printf.sprintf "%s rate 0.37 granule=%b" base granule)
             per_event batched)
@@ -264,21 +260,22 @@ let test_batch_fallback_counter () =
       ()
   in
   (* no process_batch: every batch unrolls, and the counter says so *)
-  let drd = Engine.replay_batches ~spec:Spec.Drd feed in
+  let drd = analyze (config Spec.Drd) (Engine.Source.Batches feed) in
   Alcotest.(check bool) "drd fallback surfaced" true (fallback_of drd > 0);
   (* samplers ride the batched pipeline: no fallback *)
   let sampler =
-    Engine.replay_batches ~spec:(Spec.Sampling { rate = 0.5; granule = true }) feed
+    analyze (config (Spec.Sampling { rate = 0.5; granule = true })) (Engine.Source.Batches feed)
   in
   Alcotest.(check int) "sampler: no fallback" 0 (fallback_of sampler);
-  let literace = Engine.replay_batches ~spec:Spec.Literace feed in
+  let literace = analyze (config Spec.Literace) (Engine.Source.Batches feed) in
   Alcotest.(check int) "literace: no fallback" 0 (fallback_of literace);
   (* a budget forces exact per-event semantics — surfaced, not silent *)
   let budgeted =
-    Engine.replay_batches
-      ~budget:(Dgrace_resilience.Budget.make ~max_events:1_000_000 ())
-      ~spec:(Spec.Sampling { rate = 0.5; granule = true })
-      feed
+    analyze
+      (config
+         ~budget:(Dgrace_resilience.Budget.make ~max_events:1_000_000 ())
+         (Spec.Sampling { rate = 0.5; granule = true }))
+      (Engine.Source.Batches feed)
   in
   Alcotest.(check bool) "budgeted run surfaced" true (fallback_of budgeted > 0)
 

@@ -40,7 +40,7 @@ let racy_events () =
 let race_lines (s : Engine.summary) = List.map Report.to_string s.races
 
 let baseline_lines ?vc_intern events =
-  race_lines (Engine.replay ?vc_intern ~spec:Spec.dynamic (List.to_seq events))
+  race_lines Tutil.(analyze (config ?vc_intern Spec.dynamic) (event_list events))
 
 let temp_socket () =
   let p = Filename.temp_file "dgrace-serve" ".sock" in
@@ -409,16 +409,17 @@ let with_server ?(cfg = { Server.default_config with domains = 3 }) f =
 let test_server_concurrent_differential () =
   let events = racy_events () in
   let oracle = baseline_lines events in
-  (* the oracle itself is stable across the engine's own modes *)
+  (* the oracle itself is stable across the engine's own paths: batched
+     shards, and per-event shards under a heartbeat *)
   List.iter
-    (fun batched ->
+    (fun progress ->
       Alcotest.(check (list string))
-        (Printf.sprintf "sharded oracle agrees (batched=%b)" batched)
+        (Printf.sprintf "sharded oracle agrees (observed=%b)" (progress <> None))
         oracle
         (race_lines
-           (Engine.replay_sharded ~batched ~shards:4 ~spec:Spec.dynamic
-              (List.to_seq events))))
-    [ true; false ];
+           Tutil.(
+             analyze (config ?progress ~shards:4 Spec.dynamic) (event_list events))))
+    [ None; Some (1000, fun (_ : int) -> ()) ];
   Alcotest.(check (list string))
     "no-intern oracle agrees" oracle
     (baseline_lines ~vc_intern:false events);

@@ -73,9 +73,12 @@ let test_settled_final () =
 let dynamic_run () =
   let w = Option.get (Dgrace_workloads.Registry.find "pbzip2") in
   let p = Dgrace_workloads.Workload.with_params ~scale:2 w in
-  Dgrace_core.Engine.run
-    ~policy:(Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 })
-    ~spec:Dgrace_core.Spec.dynamic (w.program p)
+  Tutil.(
+    analyze
+      (config Dgrace_core.Spec.dynamic)
+      (program
+         ~policy:(Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 })
+         (w.program p)))
 
 let test_transition_telemetry () =
   let module M = Dgrace_obs.State_matrix in

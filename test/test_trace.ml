@@ -257,8 +257,10 @@ let corpus name =
     (Filename.concat "corpus" name)
 
 let replay_corpus name =
-  Dgrace_core.Engine.replay ~spec:Dgrace_core.Spec.dynamic
-    (List.to_seq (Trace_reader.read_file (corpus name)))
+  Tutil.(
+    analyze
+      (config Dgrace_core.Spec.dynamic)
+      (event_list (Trace_reader.read_file (corpus name))))
 
 let test_corpus_clean () =
   let events = Trace_reader.read_file (corpus "clean.trace") in
@@ -306,9 +308,7 @@ let test_corpus_truncated () =
    batched replay path agrees with the per-event verdicts above. *)
 
 let replay_corpus_v2_batched name =
-  Dgrace_core.Engine.replay_batches ~spec:Dgrace_core.Spec.dynamic
-    (fun consume ->
-      Trace_format_v2.fold_batches (corpus name) (fun () b -> consume b) ())
+  Tutil.(analyze (config Dgrace_core.Spec.dynamic) (v2_batches (corpus name)))
 
 let test_corpus_v2_twins () =
   List.iter
@@ -357,8 +357,7 @@ let test_corpus_straddle_welds () =
   List.iter
     (fun shards ->
       let s =
-        Dgrace_core.Engine.replay_sharded ~shards ~spec:Dgrace_core.Spec.dynamic
-          (List.to_seq events)
+        Tutil.(analyze (config ~shards Dgrace_core.Spec.dynamic) (event_list events))
       in
       let tag = Printf.sprintf "shards=%d: " shards in
       Alcotest.(check int) (tag ^ "race survives sharding") 1 s.race_count;
@@ -370,7 +369,7 @@ let test_corpus_straddle_welds () =
         (tag ^ "one welded super-granule")
         1
         (gauge s "par.super_granules"))
-    [ 1; 4 ]
+    [ 2; 4 ]
 
 let suites : unit Alcotest.test list =
     [

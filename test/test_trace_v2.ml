@@ -113,11 +113,8 @@ let test_v1_interchange () =
   in
   Alcotest.(check int) "v1 is v1" 1 (Trace_reader.probe_version v1);
   Alcotest.(check int) "v2 is v2" 2 (Trace_reader.probe_version v2);
-  let per_event = Engine.replay ~spec:Spec.dynamic (List.to_seq events) in
-  let batched =
-    Engine.replay_batches ~spec:Spec.dynamic (fun consume ->
-        Trace_format_v2.fold_batches v2 (fun () b -> consume b) ())
-  in
+  let per_event = Tutil.(analyze (config Spec.dynamic) (event_list events)) in
+  let batched = Tutil.(analyze (config Spec.dynamic) (v2_batches v2)) in
   Sys.remove v1;
   Sys.remove v2;
   Alcotest.(check (list string))
@@ -497,11 +494,8 @@ let qcheck_batched_replay_identical =
       let (), _ =
         Trace_format_v2.to_file v2 (fun sink -> List.iter sink events)
       in
-      let per_event = Engine.replay ~spec:Spec.dynamic (List.to_seq events) in
-      let batched =
-        Engine.replay_batches ~spec:Spec.dynamic (fun consume ->
-            Trace_format_v2.fold_batches v2 (fun () b -> consume b) ())
-      in
+      let per_event = Tutil.(analyze (config Spec.dynamic) (event_list events)) in
+      let batched = Tutil.(analyze (config Spec.dynamic) (v2_batches v2)) in
       Sys.remove v2;
       List.map Report.to_string per_event.races
       = List.map Report.to_string batched.races)

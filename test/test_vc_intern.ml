@@ -202,11 +202,7 @@ let check_same ~ctx (on : Engine.summary) (off : Engine.summary) =
     (Engine.exit_code_of_summary on)
 
 let analyse w spec ~vc_intern ~shards =
-  let events = Array.to_seq (recorded w) in
-  if shards = 1 then Engine.replay ~vc_intern ~spec events
-  else
-    Engine.replay_sharded ~mode:Dgrace_par.Par.Sequential ~vc_intern ~shards
-      ~spec events
+  Tutil.(analyze (config ~vc_intern ~shards spec) (event_array (recorded w)))
 
 let test_differential (w : Workload.t) () =
   List.iter

@@ -8,7 +8,7 @@ open Dgrace_events
 let small w = Workload.with_params ~scale:1 w
 
 let run ?(suppression = Suppression.default_runtime) spec (w : Workload.t) =
-  Engine.run ~suppression ~spec (w.program (small w))
+  Tutil.(analyze (config ~suppression spec) (program (w.program (small w))))
 
 let find name = Option.get (Registry.find name)
 
@@ -140,8 +140,13 @@ let test_determinism () =
 (* scale parameter scales the stream *)
 let test_scale () =
   let w = find "hmmsearch" in
-  let s1 = Engine.run ~spec:Spec.No_detection (w.program (Workload.with_params ~scale:1 w)) in
-  let s2 = Engine.run ~spec:Spec.No_detection (w.program (Workload.with_params ~scale:2 w)) in
+  let run scale =
+    Tutil.(
+      analyze (config Spec.No_detection)
+        (program (w.program (Workload.with_params ~scale w))))
+  in
+  let s1 = run 1 in
+  let s2 = run 2 in
   Alcotest.(check bool) "roughly doubles" true
     (s2.stats.accesses = 0 (* null detector counts nothing *)
      &&

@@ -66,3 +66,38 @@ let check_each_hb name prog expected =
         (Printf.sprintf "%s: %s" name dn)
         expected (race_count d))
     (hb_detectors ())
+
+(* The engine entry point, failing the test on an [Error]. *)
+module Engine = Dgrace_core.Engine
+
+let analyze config source =
+  match Engine.analyze config source with
+  | Ok s -> s
+  | Error e ->
+    Alcotest.failf "Engine.analyze: %s" (Dgrace_resilience.Error.to_string e)
+
+let config ?(suppression = Suppression.empty) ?(vc_intern = true) ?(shards = 1)
+    ?(budget = Dgrace_resilience.Budget.unlimited) ?sample_every ?progress
+    ?tracer spec =
+  {
+    (Engine.Config.make spec) with
+    Engine.Config.suppression;
+    vc_intern;
+    shards;
+    budget;
+    sample_every;
+    progress;
+    tracer;
+  }
+
+let program ?(policy = Scheduler.default) main =
+  Engine.Source.Program { policy; main }
+
+let event_list events = Engine.Source.Events (List.to_seq events)
+let event_array events = Engine.Source.Events (Array.to_seq events)
+
+(* a v2 file's blocks as a [Batches] source *)
+let v2_batches path =
+  Engine.Source.Batches
+    (fun consume ->
+      Dgrace_trace.Trace_format_v2.fold_batches path (fun () b -> consume b) ())
