@@ -188,7 +188,10 @@ let max_events_arg =
     value
     & opt (some pos_int) None
     & info [ "max-events" ] ~docv:"N"
-        ~doc:"Stop (partial results) after analysing $(docv) events.")
+        ~doc:
+          "Analyse at most $(docv) events: a longer stream stops with \
+           partial results (exit 3), a stream of exactly $(docv) events \
+           completes.")
 
 let deadline_arg =
   Arg.(

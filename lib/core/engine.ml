@@ -123,58 +123,9 @@ let sampler_sources (d : Detector.t) =
     ("races", fun () -> Report.Collector.count d.collector);
   ]
 
-(* Raised from the sink when a budget limit is breached: unwinds
-   [Sim.run] (any suspended thread continuations are simply collected
-   by the GC) or the replay loop, and is converted to the [partial]
-   field of the summary.  Never escapes this module. *)
-exception Stop of Budget.stop
-
-(* Enforce the budget after each delivered event.  Shadow pressure is
-   answered by asking the detector to degrade — one shedding step at a
-   time — and only stops the run once the detector can shed nothing
-   more and the accounting is still over the cap.  The deadline is
-   polled every 256 events to keep the clock read off the hot path;
-   [now_s] comes from the caller's {!Dgrace_obs.Clock.source} so
-   deadline behaviour is testable on a mock clock.  [note] marks each
-   shedding pass on the trace timeline. *)
-let budget_guard ?(note = fun () -> ()) (d : Detector.t) (b : Budget.t)
-    ~degraded ~now_s ~t0 =
-  let events = ref 0 in
-  let over limit = Accounting.current_bytes d.account > limit in
-  let rec shed limit =
-    if over limit then
-      match d.degrade with
-      | Some step when step () ->
-        degraded := true;
-        note ();
-        shed limit
-      | Some _ | None ->
-        raise
-          (Stop
-             (Budget.Shadow_bytes
-                { limit; bytes = Accounting.current_bytes d.account }))
-  in
-  fun () ->
-    incr events;
-    (match b.Budget.max_events with
-     | Some limit when !events >= limit ->
-       raise (Stop (Budget.Max_events { limit }))
-     | Some _ | None -> ());
-    (match b.Budget.max_shadow_bytes with
-     | Some limit -> if over limit then shed limit
-     | None -> ());
-    match b.Budget.deadline_s with
-    | Some limit_s when !events land 255 = 0 ->
-      let elapsed_s = now_s () -. t0 in
-      if elapsed_s > limit_s then
-        raise (Stop (Budget.Deadline { limit_s; elapsed_s }))
-    | Some _ | None -> ()
-
-(* Compose the detector sink with budget checks, recorder ticks, the
-   progress heartbeat and the tracing timer; when none are requested
-   the sink is the detector's own handler and the event loop pays
-   nothing.  [analyze] has already rejected a non-positive progress
-   period.
+(* Compose the detector sink with the budget guard, recorder ticks
+   and the tracing timer; when none are requested the sink is the
+   detector's own handler and the event loop pays nothing.
 
    A traced sink samples one event in [dispatch_stride]: only that
    event is dispatched with the lane armed (timing the dispatch and
@@ -187,21 +138,10 @@ let budget_guard ?(note = fun () -> ()) (d : Detector.t) (b : Budget.t)
    batch-ticked on sampled events. *)
 let dispatch_stride = 64
 
-let make_sink (d : Detector.t) ~budget ~recorder ~exact ~progress ~lane =
-  let guard =
-    match budget with
-    | Some (b, degraded, now_s, t0) when not (Budget.is_unlimited b) ->
-      let note =
-        match lane with
-        | Some buf -> fun () -> Span.instant buf "budget.degrade"
-        | None -> fun () -> ()
-      in
-      Some (budget_guard ~note d b ~degraded ~now_s ~t0)
-    | Some _ | None -> None
-  in
-  match (guard, recorder, progress, lane) with
-  | None, None, None, None -> d.on_event
-  | None, _, None, Some buf when not exact ->
+let make_sink (d : Detector.t) ~guard ~recorder ~exact ~lane =
+  match (guard, recorder, lane) with
+  | None, None, None -> d.on_event
+  | None, _, Some buf when not exact ->
     (* the [--trace-out]-only shape (no budget, no heartbeat, no
        [--metrics-out]): the whole traced loop is the dispatch
        wrapper, with the counter-track recorder batch-ticked on
@@ -213,7 +153,7 @@ let make_sink (d : Detector.t) ~budget ~recorder ~exact ~progress ~lane =
     in
     Span.wrap_dispatch buf ~name:"detector.on_event" ~stride:dispatch_stride
       ~on_sample d.on_event
-  | _ ->
+  | _ -> (
     let on_event =
       match lane with
       | None -> d.on_event
@@ -225,24 +165,23 @@ let make_sink (d : Detector.t) ~budget ~recorder ~exact ~progress ~lane =
           ~on_sample:(fun () -> ())
           d.on_event
     in
-    let events = ref 0 in
-    let progress_tick =
-      match progress with
-      | None -> fun (_ : int) -> ()
-      | Some (every, f) -> fun n -> if n mod every = 0 then f n
+    let deliver =
+      match recorder with
+      | None -> on_event
+      | Some r ->
+        fun ev ->
+          on_event ev;
+          Recorder.tick r
     in
-    fun ev ->
-      on_event ev;
-      (match guard with Some g -> g () | None -> ());
-      (match recorder with Some r -> Recorder.tick r | None -> ());
-      incr events;
-      progress_tick !events
+    match guard with
+    | None -> deliver
+    | Some g -> Budget_guard.event g d deliver)
 
 (* A batch that had to unroll to the per-event loop (no
-   [process_batch], or a budget/recorder/progress/lane forcing exact
-   per-event semantics) is surfaced as the [engine.batch_fallback]
-   counter in the detector's registry, once per unrolled batch.
-   Silent unrolling made sampling-detector slowdowns invisible. *)
+   [process_batch], or a recorder or tracing lane needing per-event
+   samples) is surfaced as the [engine.batch_fallback] counter in the
+   detector's registry, once per unrolled batch.  Silent unrolling
+   made sampling-detector slowdowns invisible. *)
 let note_batch_fallback (d : Detector.t) =
   Metrics.incr (Metrics.counter d.Detector.metrics "engine.batch_fallback")
 
@@ -268,8 +207,7 @@ let feed_counter_tracks ~tracer ~prefix recorder =
   | (Some _ | None), _ -> ()
 
 (* Anything that needs per-event semantics: a budget, a time-series,
-   a heartbeat or a trace.  Without one, batch sources take the
-   detector's [process_batch] and sharded v2 replay streams. *)
+   a heartbeat or a trace.  Without one, sharded v2 replay streams. *)
 let observed (c : Config.t) =
   (not (Budget.is_unlimited c.budget))
   || c.sample_every <> None || c.progress <> None || c.tracer <> None
@@ -300,15 +238,26 @@ let sequential (c : Config.t) ~now_s ~t0 (source : Source.t) =
         ?tracer:lane spec
   in
   let recorder = make_recorder d ~sample_every:c.sample_every ~tracer:c.tracer in
-  let degraded = ref false in
+  (* budgets and the heartbeat are batch-granular (Budget_guard), so
+     only a recorder — [sample_every] or [tracer] — unrolls batches *)
+  let guard =
+    if Budget.is_unlimited c.budget && c.progress = None then None
+    else
+      let note =
+        match lane with
+        | Some buf -> fun () -> Span.instant buf "budget.degrade"
+        | None -> fun () -> ()
+      in
+      Some (Budget_guard.create ~note ?progress:c.progress ~now_s ~t0 c.budget)
+  in
   let sink () =
-    make_sink d ~budget:(Some (c.budget, degraded, now_s, t0)) ~recorder
-      ~exact:(c.sample_every <> None) ~progress:c.progress ~lane
+    make_sink d ~guard ~recorder ~exact:(c.sample_every <> None) ~lane
   in
   let consume () =
-    match d.Detector.process_batch with
-    | Some pb when not (observed c) -> pb
-    | Some _ | None ->
+    match (d.Detector.process_batch, recorder, guard) with
+    | Some pb, None, None -> pb
+    | Some pb, None, Some g -> Budget_guard.batch g d pb
+    | Some _, Some _, _ | None, _, _ ->
       let sink = sink () in
       fun b ->
         note_batch_fallback d;
@@ -345,7 +294,7 @@ let sequential (c : Config.t) ~now_s ~t0 (source : Source.t) =
                (consume ()))
     with
     | () -> None
-    | exception Stop stop ->
+    | exception Budget_guard.Stop stop ->
       (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
       Some stop
   in
@@ -357,7 +306,10 @@ let sequential (c : Config.t) ~now_s ~t0 (source : Source.t) =
   Option.iter Recorder.flush recorder;
   feed_counter_tracks ~tracer:c.tracer ~prefix:d.name recorder;
   let timeseries = match c.sample_every with Some _ -> recorder | None -> None in
-  summarize d ~elapsed:0. ~sim:!sim ~partial ~degraded:!degraded ~timeseries
+  let degraded =
+    match guard with Some g -> Budget_guard.degraded g | None -> false
+  in
+  summarize d ~elapsed:0. ~sim:!sim ~partial ~degraded ~timeseries
 
 (* ------------------------------------------------------------------ *)
 (* sharded replay (doc/parallel.md): split the trace by address line,

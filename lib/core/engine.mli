@@ -24,11 +24,14 @@
     ]}
 
     {b Resource budgets.}  [Config.budget] is a
-    {!Dgrace_resilience.Budget.t}.  Exceeding the shadow-memory cap
+    {!Dgrace_resilience.Budget.t}, enforced by
+    {!Dgrace_detectors.Budget_guard}.  Exceeding the shadow-memory cap
     first asks the detector to degrade (shed shadow state; the summary
     is flagged [degraded]); exceeding the event or wall-clock cap —
     or the shadow cap once degradation is exhausted — ends the run
-    early with [partial = Some reason].  A partial or degraded summary
+    early with [partial = Some reason].  The event cap stops the run
+    when event [max_events + 1] arrives, so a stream of exactly
+    [max_events] events completes.  A partial or degraded summary
     still reports every race found: results are a lower bound, never
     garbage.  Sharded runs apply the budget {e per shard}.  See
     [doc/resilience.md].
@@ -152,7 +155,12 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
       detector's [process_batch] ({!Dgrace_detectors.Batch_apply});
       [V2_file] decodes on its own domain into a bounded ring of
       recycled batches ({!Dgrace_trace.Trace_pipeline}) so decode and
-      detect overlap.  With an observer, or for a detector without
+      detect overlap.  A budget and a [progress] heartbeat keep this
+      path ({!Dgrace_detectors.Budget_guard.batch}): the event limit
+      cuts the batch at the limit row, shadow bytes and the deadline
+      are checked after each batch (up to one batch late), and the
+      heartbeat fires once per multiple of its period.  With
+      [sample_every] or [tracer], or for a detector without
       [process_batch], each batch is unrolled through the per-event
       path and counted in [engine.batch_fallback];
     - on [K > 1] shards a [V2_file] without an observer streams

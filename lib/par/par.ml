@@ -1,6 +1,5 @@
 open Dgrace_events
 open Dgrace_detectors
-open Dgrace_shadow
 module Budget = Dgrace_resilience.Budget
 module Trace_shard = Dgrace_trace.Trace_shard
 module Span = Dgrace_obs.Span
@@ -33,47 +32,6 @@ type result = {
   elapsed_s : float;
 }
 
-(* Raised from the per-shard budget guard; never escapes this module. *)
-exception Stop of Budget.stop
-
-(* Same budget semantics as the sequential engine, applied to one
-   shard's stream: shadow pressure is answered by asking the detector
-   to degrade one step at a time and only stops the shard once nothing
-   more can be shed; event and deadline caps stop the shard outright.
-   The deadline is polled every 256 events to keep the clock read off
-   the hot path; [now_s] comes from the caller's clock source so
-   deadline behaviour is mockable in tests. *)
-let budget_guard (d : Detector.t) (b : Budget.t) ~degraded ~now_s ~t0 =
-  let events = ref 0 in
-  let over limit = Accounting.current_bytes d.account > limit in
-  let rec shed limit =
-    if over limit then
-      match d.degrade with
-      | Some step when step () ->
-        degraded := true;
-        shed limit
-      | Some _ | None ->
-        raise
-          (Stop
-             (Budget.Shadow_bytes
-                { limit; bytes = Accounting.current_bytes d.account }))
-  in
-  fun () ->
-    incr events;
-    (match b.Budget.max_events with
-     | Some limit when !events >= limit ->
-       raise (Stop (Budget.Max_events { limit }))
-     | Some _ | None -> ());
-    (match b.Budget.max_shadow_bytes with
-     | Some limit -> if over limit then shed limit
-     | None -> ());
-    match b.Budget.deadline_s with
-    | Some limit_s when !events land 255 = 0 ->
-      let elapsed_s = now_s () -. t0 in
-      if elapsed_s > limit_s then
-        raise (Stop (Budget.Deadline { limit_s; elapsed_s }))
-    | Some _ | None -> ()
-
 (* Replay one shard's stream on a fresh detector, tagging every new
    race report with the global trace offset of the event that produced
    it (the collector's tag mechanism: the offset is stamped before
@@ -92,14 +50,14 @@ let run_shard ~budget ~now_s ~progress ~lane ~recorder_for make
   let recorder =
     match recorder_for with Some f -> f index d | None -> None
   in
-  let degraded = ref false in
-  let want_guard =
+  let guard =
     match budget with
-    | Some b when not (Budget.is_unlimited b) -> true
-    | Some _ | None -> false
+    | Some b when not (Budget.is_unlimited b) ->
+      Some (Budget_guard.create ~now_s ~t0:(now_s ()) b)
+    | Some _ | None -> None
   in
   let batches =
-    if (not want_guard) && recorder = None && lane = None && progress = None
+    if Option.is_none guard && recorder = None && lane = None && progress = None
     then
       match d.process_batch with
       | Some pb -> Some (pb, Trace_shard.batches_of stream)
@@ -111,12 +69,6 @@ let run_shard ~budget ~now_s ~progress ~lane ~recorder_for make
     else None
   in
   let t0 = Unix.gettimeofday () in
-  let guard =
-    match budget with
-    | Some b when want_guard ->
-      Some (budget_guard d b ~degraded ~now_s ~t0:(now_s ()))
-    | Some _ | None -> None
-  in
   let delivered = ref 0 in
   let stop = ref None in
   (match batches with
@@ -147,18 +99,23 @@ let run_shard ~budget ~now_s ~progress ~lane ~recorder_for make
      in
      let last_off = ref (-1) in
      (match lane with Some buf -> Span.begin_span buf "shard.run" | None -> ());
+     let deliver ev =
+       on_event ev;
+       incr delivered;
+       (match recorder with Some r -> Recorder.tick r | None -> ());
+       progress ()
+     in
+     let deliver =
+       match guard with Some g -> Budget_guard.event g d deliver | None -> deliver
+     in
      (try
         Array.iter
           (fun (off, ev) ->
             last_off := off;
             Report.Collector.set_tag d.collector off;
-            on_event ev;
-            incr delivered;
-            (match recorder with Some r -> Recorder.tick r | None -> ());
-            progress ();
-            match guard with Some g -> g () | None -> ())
+            deliver ev)
           stream
-      with Stop s ->
+      with Budget_guard.Stop s ->
         stop := Some (!last_off, s);
         (match lane with
          | Some buf -> Span.instant buf "budget.stop"
@@ -174,7 +131,8 @@ let run_shard ~budget ~now_s ~progress ~lane ~recorder_for make
     detector = d;
     tagged_races = Report.Collector.tagged_races d.collector;
     stop = !stop;
-    degraded = !degraded;
+    degraded =
+      (match guard with Some g -> Budget_guard.degraded g | None -> false);
     events = !delivered;
     busy_s;
     recorder;

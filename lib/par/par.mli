@@ -82,9 +82,10 @@ val analyze :
     are preserved whenever observable.
     [make i] must build a fresh detector for shard [i] (called once
     per shard, inside the shard's domain; suppression tables are
-    immutable and safe to share).  [budget] applies {e per shard} with
-    the sequential engine's semantics — shadow pressure degrades
-    before stopping, event/deadline caps stop the shard.  [clock] is
+    immutable and safe to share).  [budget] applies {e per shard}
+    through the sequential engine's per-event guard
+    ({!Dgrace_detectors.Budget_guard.event}) — shadow pressure
+    degrades before stopping, event/deadline caps stop the shard.  [clock] is
     the time source the deadline check reads (default
     {!Dgrace_obs.Clock.ns}; a {!Dgrace_obs.Clock.ticker} makes it
     deterministic in tests).  [progress] is a global heartbeat over

@@ -36,7 +36,7 @@ type phase =
 type t = {
   id : int;
   spec_name : string;
-  budget : Budget.t;
+  guard : Budget_guard.t;  (* event count, degraded flag, budget checks *)
   now_s : unit -> float;
   t0 : float;
   dec : Trace_codec.decoder;
@@ -49,8 +49,6 @@ type t = {
   mu : Mutex.t;
   mutable detector : Detector.t option;  (* None once terminal *)
   mutable phase : phase;
-  mutable degraded : bool;
-  mutable events : int;
   mutable reported : int;  (* races already handed out via acks *)
 }
 
@@ -66,12 +64,13 @@ let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
     ?vc_intern ?tracer ~id ~spec () =
   let d = Spec.to_detector ?suppression ?vc_intern ?tracer spec in
   let now_s () = float_of_int (clock ()) *. 1e-9 in
+  let t0 = now_s () in
   {
     id;
     spec_name = Spec.name spec;
-    budget;
+    guard = Budget_guard.create ~now_s ~t0 budget;
     now_s;
-    t0 = now_s ();
+    t0;
     dec = Trace_codec.decoder ();
     v2 = Trace_format_v2.stream_decoder ();
     v2_base = 0;
@@ -82,8 +81,6 @@ let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
     mu = Mutex.create ();
     detector = Some d;
     phase = Streaming;
-    degraded = false;
-    events = 0;
     reported = 0;
   }
 
@@ -92,12 +89,13 @@ let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
    prove the crash-only contract contains it. *)
 let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
   let now_s () = float_of_int (clock ()) *. 1e-9 in
+  let t0 = now_s () in
   {
     id;
     spec_name = d.Detector.name;
-    budget;
+    guard = Budget_guard.create ~now_s ~t0 budget;
     now_s;
-    t0 = now_s ();
+    t0;
     dec = Trace_codec.decoder ();
     v2 = Trace_format_v2.stream_decoder ();
     v2_base = 0;
@@ -108,8 +106,6 @@ let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
     mu = Mutex.create ();
     detector = Some d;
     phase = Streaming;
-    degraded = false;
-    events = 0;
     reported = 0;
   }
 
@@ -119,43 +115,9 @@ let locked t f =
 
 let id t = t.id
 let detector_name t = t.spec_name
-let events t = t.events
-let degraded t = locked t (fun () -> t.degraded)
+let events t = Budget_guard.events t.guard
+let degraded t = locked t (fun () -> Budget_guard.degraded t.guard)
 let elapsed_s t = t.now_s () -. t.t0
-
-exception Stop_ of Budget.stop
-
-(* Same degrade-don't-die semantics as the engine's budget guard,
-   per delivered event; the deadline is polled every 256 events and
-   reads the session's (mockable) clock. *)
-let check_budget t (d : Detector.t) =
-  (match t.budget.Budget.max_events with
-   | Some limit when t.events >= limit ->
-     raise (Stop_ (Budget.Max_events { limit }))
-   | Some _ | None -> ());
-  (match t.budget.Budget.max_shadow_bytes with
-   | Some limit ->
-     let over () = Accounting.current_bytes d.account > limit in
-     let rec shed () =
-       if over () then
-         match d.degrade with
-         | Some step when step () ->
-           t.degraded <- true;
-           shed ()
-         | Some _ | None ->
-           raise
-             (Stop_
-                (Budget.Shadow_bytes
-                   { limit; bytes = Accounting.current_bytes d.account }))
-     in
-     shed ()
-   | None -> ());
-  match t.budget.Budget.deadline_s with
-  | Some limit_s when t.events land 255 = 0 ->
-    let elapsed_s = t.now_s () -. t.t0 in
-    if elapsed_s > limit_s then
-      raise (Stop_ (Budget.Deadline { limit_s; elapsed_s }))
-  | Some _ | None -> ()
 
 (* Terminal transitions.  [seal] finishes the detector and packages
    the summary exactly as a one-shot run would; [poison] abandons the
@@ -167,7 +129,7 @@ let seal t (d : Detector.t) ~partial =
   let s =
     Engine.summarize_detector d
       ~elapsed:(t.now_s () -. t.t0)
-      ~partial ~degraded:t.degraded
+      ~partial ~degraded:(Budget_guard.degraded t.guard)
   in
   t.detector <- None;
   s
@@ -204,8 +166,8 @@ let take_new_races t (races : Report.t list) =
 let deliver_locked t (d : Detector.t) run =
   match run () with
   | () ->
-    Ok { ack_events = t.events; new_races = take_new_races t (Detector.races d) }
-  | exception Stop_ stop ->
+    Ok { ack_events = events t; new_races = take_new_races t (Detector.races d) }
+  | exception Budget_guard.Stop stop ->
     (* seal the partial summary now; the feed itself answers the
        budget error so the client knows to stop sending *)
     (match seal t d ~partial:(Some stop) with
@@ -224,26 +186,15 @@ let deliver_locked t (d : Detector.t) run =
          { where = "session.detector"; reason = Printexc.to_string exn });
     Error (terminal_error t.phase)
 
-(* The batch fast path engages only when nothing observable depends on
-   per-event granularity: an unlimited budget makes [check_budget] a
-   no-op, so handing the detector a whole struct-of-arrays batch is
-   race-identical to the event loop (the differential serve tests lock
-   this in). *)
-let batch_sink t (d : Detector.t) =
-  if Budget.is_unlimited t.budget then d.Detector.process_batch else None
-
+(* Batches go through the detector's [process_batch] under any
+   budget: the guard truncates a batch at the event limit and checks
+   shadow bytes and the deadline after it, as the engine's batch
+   replay does.  A detector without [process_batch] is fed event by
+   event. *)
 let deliver_batch t (d : Detector.t) (b : Batch.t) =
-  match batch_sink t d with
-  | Some pb ->
-    pb b;
-    t.events <- t.events + Batch.length b
-  | None ->
-    Batch.iter_events
-      (fun ev ->
-        d.Detector.on_event ev;
-        t.events <- t.events + 1;
-        check_budget t d)
-      b
+  match d.Detector.process_batch with
+  | Some pb -> Budget_guard.batch t.guard d pb b
+  | None -> Batch.iter_events (Budget_guard.event t.guard d d.Detector.on_event) b
 
 let feed_events t evs =
   locked t @@ fun () ->
@@ -251,46 +202,24 @@ let feed_events t evs =
   | Streaming ->
     let d = Option.get t.detector in
     deliver_locked t d (fun () ->
-        List.iter
-          (fun ev ->
-            d.Detector.on_event ev;
-            t.events <- t.events + 1;
-            check_budget t d)
-          evs)
+        List.iter (Budget_guard.event t.guard d d.Detector.on_event) evs)
   | ph -> Error (terminal_error ph)
 
 let feed_frame t payload =
   locked t @@ fun () ->
   match t.phase with
-  | Streaming -> (
+  | Streaming ->
     let d = Option.get t.detector in
-    match batch_sink t d with
-    | Some pb ->
-      (* decode straight into the reused batch and deliver
-         struct-of-arrays; a decode error surfaces as [Error.E] and
-         poisons like the list path *)
-      deliver_locked t d (fun () ->
-          match
-            Trace_codec.decode_frame_batch t.dec payload ~batch:t.batch
-              (fun b ->
-                pb b;
-                t.events <- t.events + Batch.length b)
-          with
-          | Ok () -> ()
-          | Error e -> raise (Error.E e))
-    | None -> (
-      match Trace_codec.decode_frame t.dec payload with
-      | Ok evs ->
-        deliver_locked t d (fun () ->
-            List.iter
-              (fun ev ->
-                d.Detector.on_event ev;
-                t.events <- t.events + 1;
-                check_budget t d)
-              evs)
-      | Error e ->
-        poison_locked t e;
-        Error e))
+    (* decode straight into the reused batch and deliver
+       struct-of-arrays; a decode error surfaces as [Error.E] and
+       poisons *)
+    deliver_locked t d (fun () ->
+        match
+          Trace_codec.decode_frame_batch t.dec payload ~batch:t.batch
+            (deliver_batch t d)
+        with
+        | Ok () -> ()
+        | Error e -> raise (Error.E e))
   | ph -> Error (terminal_error ph)
 
 (* Reader-side decode of one BATCH frame — the serve half of the

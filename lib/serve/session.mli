@@ -66,19 +66,20 @@ val of_detector :
 val feed_frame : t -> string -> (ack, Error.t) result
 (** Decode one FEED payload ({!Dgrace_trace.Trace_codec}) and deliver
     its events.  A decode error poisons the session ([Corrupt_trace]
-    at the absolute stream offset).  When the session's budget is
-    unlimited and its detector has a batch fast path, records decode
-    straight into a reused {!Dgrace_events.Batch.t} and are delivered
-    struct-of-arrays — race-identical, no per-event allocation. *)
+    at the absolute stream offset).  Records decode straight into a
+    reused {!Dgrace_events.Batch.t} and are delivered struct-of-arrays
+    when the detector has a batch fast path — race-identical, no
+    per-event allocation, under any budget. *)
 
 val feed_batch_frame : t -> string -> (ack, Error.t) result
 (** Decode one BATCH payload — a v2 block body
     ({!Dgrace_trace.Trace_format_v2.encode_body}) — and deliver it.
     Locations intern across frames on a persistent v2 decoder; a
     decode error poisons with the offset absolute in the session's
-    batch stream.  Delivery uses the detector's batch fast path under
-    an unlimited budget and falls back to the per-event loop (with
-    full budget semantics) otherwise. *)
+    batch stream.  Delivery uses the detector's batch fast path when
+    it has one; the budget is checked per batch
+    ({!Dgrace_detectors.Budget_guard}: the event limit is exact,
+    shadow bytes and the deadline may fire up to one batch late). *)
 
 val feed_batch : t -> Dgrace_events.Batch.t -> (ack, Error.t) result
 (** Deliver an already-decoded batch (the spool/in-process path). *)
@@ -112,9 +113,10 @@ val poison_decoded : t -> Error.t -> (ack, Error.t) result
     terminal answer otherwise) — always an [Error]. *)
 
 val feed_events : t -> Event.t list -> (ack, Error.t) result
-(** Deliver already-decoded events.  Budget semantics match the
-    engine: shadow pressure degrades first and only stops when the
-    detector can shed nothing more; events/deadline stop at the limit.
+(** Deliver already-decoded events, checking the budget per event
+    ({!Dgrace_detectors.Budget_guard}, the engine's guard): shadow
+    pressure degrades first and only stops when the detector can shed
+    nothing more; events/deadline stop at the limit.
     A budget stop seals the partial summary (fetch it with
     {!finalize}) and this call returns the [Budget_exhausted] error so
     the client stops sending. *)

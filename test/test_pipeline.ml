@@ -416,6 +416,11 @@ let oracle spec events =
   d.finish ();
   Engine.summarize_detector d ~elapsed:0. ~partial:None ~degraded:false
 
+(* a budget on all three dimensions that no test stream reaches: the
+   guard runs its checks, and the result must not move *)
+let never_spent =
+  Budget.make ~max_shadow_bytes:max_int ~max_events:max_int ~deadline_s:1e9 ()
+
 let qcheck_config_lattice =
   QCheck.Test.make
     ~name:"pipeline: config lattice = per-event oracle" ~count:30
@@ -429,9 +434,10 @@ let qcheck_config_lattice =
                   List.for_all
                     (fun shards ->
                       List.for_all
-                        (fun (progress, sample_every) ->
+                        (fun (budget, progress, sample_every) ->
                           let got =
-                            run ?progress ?sample_every ~shards spec source
+                            run ?budget ?progress ?sample_every ~shards spec
+                              source
                           in
                           List.map Report.to_string want.races
                           = List.map Report.to_string got.races
@@ -441,9 +447,10 @@ let qcheck_config_lattice =
                              = Engine.exit_code_of_summary got
                           && (shards > 1 || stats_tuple want = stats_tuple got))
                         [
-                          (None, None);
-                          (Some (7, fun (_ : int) -> ()), None);
-                          (None, Some 5);
+                          (None, None, None);
+                          (None, Some (7, fun (_ : int) -> ()), None);
+                          (None, None, Some 5);
+                          (Some never_spent, None, None);
                         ])
                     [ 1; 2; 4 ])
                 [
@@ -464,6 +471,147 @@ let qcheck_pipelined_identical =
               let sharded = run ~shards:4 spec (Engine.Source.V2_file v2) in
               equivalent seq pipe && equivalent seq sharded)
             [ Spec.dynamic; Spec.word ]))
+
+(* ------------------------------------------------------------------ *)
+(* batch-granular budgets (Budget_guard): the event limit is exact on
+   every source; shadow bytes and the deadline are checked after each
+   batch, so they may fire up to one batch late *)
+
+let raytrace_events () =
+  Test_par.recorded (Option.get (Dgrace_workloads.Registry.find "raytrace")) 1
+
+let stop_string (s : Engine.summary) =
+  match s.partial with None -> "none" | Some st -> Budget.stop_to_string st
+
+let test_max_events_boundary () =
+  let events = raytrace_events () in
+  let n = Array.length events in
+  let evs = Array.to_list events in
+  with_v2 evs (fun v2 ->
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun limit ->
+              let budget = Budget.make ~max_events:limit () in
+              (* the heartbeat fires once per multiple of its period,
+                 per event or per batch *)
+              let beats_of source =
+                let beats = ref [] in
+                let s =
+                  run ~budget ~progress:(1000, fun n -> beats := n :: !beats)
+                    spec source
+                in
+                (s, List.rev !beats)
+              in
+              let want, want_beats = beats_of (Tutil.event_array events) in
+              let ctx = Printf.sprintf "%s max_events=%d" (Spec.name spec) limit in
+              Alcotest.(check string) (ctx ^ ": per-event stop")
+                (if limit < n then
+                   Budget.stop_to_string (Budget.Max_events { limit })
+                 else "none")
+                (stop_string want);
+              Alcotest.(check (list int)) (ctx ^ ": per-event heartbeats")
+                (List.init (min limit n / 1000) (fun k -> (k + 1) * 1000))
+                want_beats;
+              List.iter
+                (fun (what, source) ->
+                  let got, got_beats = beats_of source in
+                  let ctx =
+                    Printf.sprintf "%s max_events=%d %s" (Spec.name spec) limit what
+                  in
+                  Alcotest.(check string) (ctx ^ ": stop reason")
+                    (stop_string want) (stop_string got);
+                  Alcotest.(check (list int)) (ctx ^ ": heartbeats") want_beats
+                    got_beats;
+                  check_equivalent ~ctx want got)
+                [
+                  ("37-row batches", batches_of_rows ~rows:37 evs);
+                  ("4096-row batches", batches_of_rows ~rows:4096 evs);
+                  ("v2 file", Engine.Source.V2_file v2);
+                ])
+            [ 1; 4095; 4096; 4097; n - 1; n; n + 1 ])
+        [ Spec.dynamic; Spec.byte ])
+
+(* The analysis of the first [k] events, unbudgeted. *)
+let prefix_run spec events k =
+  run spec (Tutil.event_array (Array.sub events 0 k))
+
+let check_same_prefix ~ctx (want : Engine.summary) (got : Engine.summary) =
+  Alcotest.(check (list report)) (ctx ^ ": races") want.races got.races;
+  if stats_tuple want <> stats_tuple got then
+    Alcotest.failf "%s: stream stats differ" ctx
+
+let test_deadline_lateness () =
+  let events = raytrace_events () in
+  with_v2 (Array.to_list events) (fun v2 ->
+      (* one second per clock reading: the start reads 0 s, then the
+         batch source reads once per batch and the per-event source
+         once per 256 events; 3 s is the first reading past 2.5 s *)
+      let budgeted source =
+        Tutil.analyze
+          {
+            (Tutil.config ~budget:(Budget.make ~deadline_s:2.5 ()) Spec.dynamic) with
+            Engine.Config.clock = Dgrace_obs.Clock.ticker ~step:1_000_000_000 ();
+          }
+          source
+      in
+      let deadline_stop (s : Engine.summary) =
+        match s.partial with
+        | Some (Budget.Deadline { limit_s; elapsed_s }) -> (limit_s, elapsed_s)
+        | _ -> Alcotest.failf "expected a deadline stop, got %s" (stop_string s)
+      in
+      let blocks =
+        List.rev
+          (Trace_format_v2.fold_batches v2
+             (fun acc b -> Batch.length b :: acc)
+             [])
+      in
+      let first3 = List.fold_left ( + ) 0 (List.filteri (fun i _ -> i < 3) blocks) in
+      Alcotest.(check bool) "trace longer than three blocks" true
+        (List.length blocks > 3);
+      let v2_run = budgeted (Engine.Source.V2_file v2) in
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        "v2: stops at the third batch boundary" (2.5, 3.0) (deadline_stop v2_run);
+      check_same_prefix ~ctx:"v2: analysed exactly three blocks"
+        (prefix_run Spec.dynamic events first3) v2_run;
+      let ev_run = budgeted (Tutil.event_array events) in
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        "events: stops at the third poll" (2.5, 3.0) (deadline_stop ev_run);
+      check_same_prefix ~ctx:"events: analysed exactly 768 events"
+        (prefix_run Spec.dynamic events 768) ev_run)
+
+let test_shadow_lateness () =
+  let events = raytrace_events () in
+  with_v2 (Array.to_list events) (fun v2 ->
+      let cap = 320_000 in
+      let d = Spec.to_detector Spec.dynamic in
+      (* every heartbeat runs after its batch's shed loop: by then the
+         accounting is back under the cap, or the guard has stopped *)
+      let over = ref 0 and beats = ref 0 in
+      let check_cap (_ : int) =
+        incr beats;
+        if Dgrace_shadow.Accounting.current_bytes d.Dgrace_detectors.Detector.account > cap
+        then incr over
+      in
+      let s =
+        Tutil.analyze
+          {
+            (Engine.Config.of_detector d) with
+            Engine.Config.budget = Budget.make ~max_shadow_bytes:cap ();
+            progress = Some (1, check_cap);
+          }
+          (Engine.Source.V2_file v2)
+      in
+      Alcotest.(check bool) "degraded" true s.degraded;
+      Alcotest.(check bool) "degrade.passes > 0" true
+        (Option.value ~default:0 (Metrics.find_counter s.metrics "degrade.passes") > 0);
+      Alcotest.(check int) "batched, no fallback" 0
+        (Option.value ~default:0 (Metrics.find_counter s.metrics "engine.batch_fallback"));
+      Alcotest.(check bool) "heartbeats ran" true (!beats > 0);
+      Alcotest.(check int) "over the cap after a shed loop" 0 !over;
+      match s.partial with
+      | None | Some (Budget.Shadow_bytes _) -> ()
+      | Some st -> Alcotest.failf "unexpected stop: %s" (Budget.stop_to_string st))
 
 let suites : unit Alcotest.test list =
   [
@@ -496,6 +644,13 @@ let suites : unit Alcotest.test list =
           QCheck_alcotest.to_alcotest qcheck_config_lattice;
           QCheck_alcotest.to_alcotest qcheck_pipelined_identical;
         ] );
+    ( "pipeline.budget",
+      [
+        Alcotest.test_case "max-events boundary law" `Quick
+          test_max_events_boundary;
+        Alcotest.test_case "deadline lateness" `Quick test_deadline_lateness;
+        Alcotest.test_case "shadow-bytes lateness" `Quick test_shadow_lateness;
+      ] );
     ( "pipeline.serve",
       [
         Alcotest.test_case "split decode/apply = inline" `Quick

@@ -269,15 +269,52 @@ let test_batch_fallback_counter () =
   Alcotest.(check int) "sampler: no fallback" 0 (fallback_of sampler);
   let literace = analyze (config Spec.Literace) (Engine.Source.Batches feed) in
   Alcotest.(check int) "literace: no fallback" 0 (fallback_of literace);
-  (* a budget forces exact per-event semantics — surfaced, not silent *)
-  let budgeted =
-    analyze
-      (config
-         ~budget:(Dgrace_resilience.Budget.make ~max_events:1_000_000 ())
-         (Spec.Sampling { rate = 0.5; granule = true }))
-      (Engine.Source.Batches feed)
+  (* a budget and a heartbeat are batch-granular: every built-in
+     detector with a [process_batch] keeps it; one without still
+     unrolls, and says so *)
+  let has_batch name =
+    (Spec.to_detector (Result.get_ok (Spec.of_string name))).Detector.process_batch
+    <> None
   in
-  Alcotest.(check bool) "budgeted run surfaced" true (fallback_of budgeted > 0)
+  (* the contract below is vacuous for a detector that loses its
+     batch path, so pin which ones have it *)
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check bool) (name ^ " has process_batch") want (has_batch name))
+    [
+      ("dynamic", true); ("byte", true); ("word", true);
+      ("sample-granule:0.5", true); ("literace", true); ("drd", false);
+    ];
+  let watched =
+    Dgrace_resilience.Budget.make ~max_shadow_bytes:max_int
+      ~max_events:1_000_000 ~deadline_s:3600. ()
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (what, source) ->
+          let s =
+            analyze
+              (config ~budget:watched
+                 ~progress:(1000, fun (_ : int) -> ())
+                 (Result.get_ok (Spec.of_string name)))
+              source
+          in
+          let ctx = Printf.sprintf "%s under budget+heartbeat (%s)" name what in
+          if has_batch name then Alcotest.(check int) ctx 0 (fallback_of s)
+          else
+            Alcotest.(check bool) (ctx ^ ": fallback surfaced") true
+              (fallback_of s > 0))
+        [
+          ("batches", Engine.Source.Batches feed);
+          ("v2 file", Engine.Source.V2_file (corpus "racy.trace.v2"));
+        ])
+    [
+      "none"; "byte"; "word"; "ft:8"; "dynamic"; "dynamic-no-init-sharing";
+      "dynamic-no-init-state"; "dynamic-ext"; "djit"; "drd"; "inspector";
+      "eraser"; "multirace"; "racetrack"; "literace"; "sample:0.5";
+      "sample-granule:0.5";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* spec strings *)

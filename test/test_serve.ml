@@ -290,6 +290,56 @@ let test_session_budget_stop_is_answerable () =
     | _ -> Alcotest.fail "summary not flagged partial")
   | Error e -> Alcotest.fail (Error.to_string e)
 
+(* The event budget is exact through every feed: a session fed exactly
+   [limit] events completes; one more event, also mid-batch, stops it
+   with the first [limit] events analysed, as a one-shot run does. *)
+let test_session_event_budget_exact () =
+  let events = racy_events () in
+  let n = List.length events in
+  let one_shot limit =
+    Tutil.(
+      analyze
+        (config ~budget:(Budget.make ~max_events:limit ()) Spec.dynamic)
+        (event_list events))
+  in
+  let feeds =
+    [
+      ("events", fun s -> Session.feed_events s events);
+      ("batch", fun s -> Session.feed_batch s (Batch.of_events events));
+      ("frame", fun s -> Session.feed_frame s (Codec.encode_all events));
+    ]
+  in
+  List.iter
+    (fun limit ->
+      let want = one_shot limit in
+      Alcotest.(check bool)
+        (Printf.sprintf "one-shot partial at max_events=%d" limit)
+        (limit < n) (want.partial <> None);
+      List.iter
+        (fun (what, feed) ->
+          let ctx = Printf.sprintf "%s, max_events=%d" what limit in
+          let s =
+            Session.open_ ~budget:(Budget.make ~max_events:limit ()) ~id:7
+              ~spec:Spec.dynamic ()
+          in
+          (match (feed s, want.Engine.partial) with
+           | Ok _, None -> ()
+           | Error (Error.Budget_exhausted { budget = "events"; _ }), Some _ -> ()
+           | Ok _, Some _ -> Alcotest.failf "%s: budget not enforced" ctx
+           | Error e, _ -> Alcotest.failf "%s: %s" ctx (Error.to_string e));
+          match Session.finalize s with
+          | Ok got ->
+            Alcotest.(check (list string)) (ctx ^ ": races") (race_lines want)
+              (race_lines got);
+            Alcotest.(check int) (ctx ^ ": accesses")
+              want.stats.Dgrace_detectors.Run_stats.accesses
+              got.stats.Dgrace_detectors.Run_stats.accesses;
+            Alcotest.(check bool) (ctx ^ ": partial") (want.partial <> None)
+              (got.partial <> None)
+          | Error e -> Alcotest.failf "%s: %s" ctx (Error.to_string e))
+        feeds)
+    [ 1; n / 2; n - 1; n; n + 1 ]
+
 let test_session_deadline_on_mock_clock () =
   (* one second per clock reading; the deadline poll (every 256 events)
      crosses 3 s deterministically, with zero real waiting *)
@@ -745,6 +795,8 @@ let suites : unit Alcotest.test list =
           test_session_deadline_on_mock_clock;
         Alcotest.test_case "watchdog expiry hook" `Quick
           test_session_expiry_watchdog_hook;
+        Alcotest.test_case "event budget is exact" `Quick
+          test_session_event_budget_exact;
       ] );
     ( "serve.pool",
       [
