@@ -9,9 +9,10 @@
 
    Part 2 — allocation profile of the read-capture loop: minor-GC
    words per million capture events, comparing hash-consed interning,
-   the --no-vc-intern arena (pooled but not consed) and the pre-arena
-   per-capture deep copy.  The interning-vs-deep-copy reduction is the
-   acceptance number recorded in EXPERIMENTS.md.
+   the unconsed contrast arena (~hash_consing:false: pooled but not
+   consed) and the pre-arena per-capture deep copy.  The
+   interning-vs-deep-copy reduction is the acceptance number recorded
+   in EXPERIMENTS.md.
 
    Part 3 — `vcstat` lines, one per workload: the dynamic detector's
    vclock.* gauges in machine-readable form for the CI bench-smoke

@@ -115,15 +115,6 @@ let no_suppress_arg =
     & info [ "no-suppressions" ]
         ~doc:"Disable the default runtime suppression rules (libc/ld/pthread).")
 
-let no_vc_intern_arg =
-  Arg.(
-    value & flag
-    & info [ "no-vc-intern" ]
-        ~doc:
-          "Disable hash-consing of vector-clock snapshots (fall back to \
-           per-capture deep copies).  Escape hatch for one release; races are \
-           identical either way.")
-
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every race report.")
 
@@ -300,15 +291,14 @@ let trace_out_arg =
 (* run *)
 
 let run_cmd =
-  let action w spec threads scale seed sched_seed no_suppress no_vc_intern
-      verbose metrics_out sample_every trace_out progress progress_every
-      max_shadow max_events deadline =
+  let action w spec threads scale seed sched_seed no_suppress verbose
+      metrics_out sample_every trace_out progress progress_every max_shadow
+      max_events deadline =
     or_fail @@ fun () ->
     let p = params w threads scale seed in
     let tracer = tracer_for trace_out in
     let d =
       Spec.to_detector ~suppression:(suppression no_suppress)
-        ~vc_intern:(not no_vc_intern)
         ?tracer:(Option.map Span.main tracer)
         spec
     in
@@ -340,10 +330,9 @@ let run_cmd =
   let term =
     Term.(
       const action $ workload_arg $ spec_arg $ threads_arg $ scale_arg
-      $ seed_arg $ sched_seed_arg $ no_suppress_arg $ no_vc_intern_arg
-      $ verbose_arg $ metrics_out_arg $ sample_every_arg $ trace_out_arg
-      $ progress_arg $ progress_every_arg $ max_shadow_arg $ max_events_arg
-      $ deadline_arg)
+      $ seed_arg $ sched_seed_arg $ no_suppress_arg $ verbose_arg
+      $ metrics_out_arg $ sample_every_arg $ trace_out_arg $ progress_arg
+      $ progress_every_arg $ max_shadow_arg $ max_events_arg $ deadline_arg)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one detector."
@@ -359,8 +348,8 @@ let run_cmd =
 (* compare *)
 
 let compare_cmd =
-  let action w threads scale seed sched_seed no_suppress no_vc_intern shards
-      metrics_out sample_every trace_out =
+  let action w threads scale seed sched_seed no_suppress shards metrics_out
+      sample_every trace_out =
     or_fail @@ fun () ->
     let p = params w threads scale seed in
     let t0 = Unix.gettimeofday () in
@@ -395,7 +384,6 @@ let compare_cmd =
           {
             (Engine.Config.make spec) with
             Engine.Config.suppression = suppression no_suppress;
-            vc_intern = not no_vc_intern;
             shards;
             tracer;
           }
@@ -443,7 +431,7 @@ let compare_cmd =
   let term =
     Term.(
       const action $ workload_arg $ threads_arg $ scale_arg $ seed_arg
-      $ sched_seed_arg $ no_suppress_arg $ no_vc_intern_arg $ shards_arg
+      $ sched_seed_arg $ no_suppress_arg $ shards_arg
       $ metrics_out_arg $ sample_every_arg $ trace_out_arg)
   in
   Cmd.v (Cmd.info "compare" ~doc:"Run one workload under every detector.") term
@@ -731,9 +719,9 @@ let convert_cmd =
       $ progress_every_arg)
 
 let replay_cmd =
-  let action path spec no_suppress no_vc_intern verbose resync shards
-      metrics_out sample_every trace_out progress progress_every max_shadow
-      max_events deadline =
+  let action path spec no_suppress verbose resync shards metrics_out
+      sample_every trace_out progress progress_every max_shadow max_events
+      deadline =
     or_fail @@ fun () ->
     let version = Dgrace_trace.Trace_reader.probe_version path in
     if resync && version >= 2 then
@@ -752,7 +740,6 @@ let replay_cmd =
       {
         (Engine.Config.make spec) with
         Engine.Config.suppression = suppression no_suppress;
-        vc_intern = not no_vc_intern;
         shards;
         budget = budget max_shadow max_events deadline;
         sample_every = Option.map (fun _ -> sample_every) metrics_out;
@@ -810,8 +797,8 @@ let replay_cmd =
   in
   let term =
     Term.(
-      const action $ path_arg $ spec_arg $ no_suppress_arg $ no_vc_intern_arg
-      $ verbose_arg $ resync_arg $ shards_arg $ metrics_out_arg $ sample_every_arg
+      const action $ path_arg $ spec_arg $ no_suppress_arg $ verbose_arg
+      $ resync_arg $ shards_arg $ metrics_out_arg $ sample_every_arg
       $ trace_out_arg $ progress_arg $ progress_every_arg $ max_shadow_arg
       $ max_events_arg $ deadline_arg)
   in
@@ -1191,7 +1178,7 @@ let socket_arg =
 
 let serve_cmd =
   let action socket spool domains max_sessions inbox session_deadline
-      drain_deadline spec no_vc_intern max_shadow max_events deadline =
+      drain_deadline spec max_shadow max_events deadline =
     or_fail @@ fun () ->
     let cfg =
       {
@@ -1203,7 +1190,6 @@ let serve_cmd =
         drain_deadline_s = drain_deadline;
         log = Stderr_line.emit;
         spool_spec = spec;
-        spool_vc_intern = not no_vc_intern;
         spool_budget = budget max_shadow max_events deadline;
       }
     in
@@ -1275,7 +1261,7 @@ let serve_cmd =
       value & opt pos_int 64
       & info [ "inbox" ] ~docv:"FRAMES"
           ~doc:
-            "Per-session inbox bound; FEED frames past it are shed with \
+            "Per-session inbox bound; BATCH frames past it are shed with \
              Overloaded (the client retries the same frame).")
   in
   let session_deadline_arg =
@@ -1299,7 +1285,7 @@ let serve_cmd =
     Term.(
       const action $ socket_arg $ spool_arg $ domains_arg $ max_sessions_arg
       $ inbox_arg $ session_deadline_arg $ drain_deadline_arg $ spec_arg
-      $ no_vc_intern_arg $ max_shadow_arg $ max_events_arg $ deadline_arg)
+      $ max_shadow_arg $ max_events_arg $ deadline_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1342,25 +1328,20 @@ let req_socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Server socket to connect to.")
 
 let client_replay_cmd =
-  let action path socket spec no_vc_intern chunk_events fault fault_after
-      verbose max_shadow max_events deadline =
+  let action path socket spec chunk_events fault fault_after verbose
+      max_shadow max_events deadline =
     or_fail @@ fun () ->
-    let v2 = Dgrace_trace.Trace_reader.probe_version path >= 2 in
+    (* a v1 trace is read into events like a v2 one; the client packs
+       both into BATCH frames *)
     let events =
-      if v2 then Dgrace_trace.Trace_format_v2.read_file path
+      if Dgrace_trace.Trace_reader.probe_version path >= 2 then
+        Dgrace_trace.Trace_format_v2.read_file path
       else Dgrace_trace.Trace_reader.read_file path
     in
     match
-      (* a v2 trace streams as BATCH frames (the server's batch fast
-         path); fault injection exercises the v1 FEED framing *)
-      if v2 && fault = None then
-        Serve_client.replay_batched ~spec:(Spec.name spec)
-          ~vc_intern:(not no_vc_intern) ?max_events ?deadline_s:deadline
-          ?max_shadow_bytes:max_shadow ~chunk_events ~socket events
-      else
-        Serve_client.replay ~spec:(Spec.name spec) ~vc_intern:(not no_vc_intern)
-          ?max_events ?deadline_s:deadline ?max_shadow_bytes:max_shadow
-          ~chunk_events ?fault ~fault_after_frames:fault_after ~socket events
+      Serve_client.replay ~spec:(Spec.name spec) ?max_events
+        ?deadline_s:deadline ?max_shadow_bytes:max_shadow ~chunk_events ?fault
+        ~fault_after_frames:fault_after ~socket events
     with
     | Ok { Serve_client.races; summary } ->
       if verbose then List.iter print_endline races;
@@ -1399,7 +1380,9 @@ let client_replay_cmd =
     Arg.(
       value & opt pos_int 512
       & info [ "chunk-events" ] ~docv:"N"
-          ~doc:"Events per FEED frame (default 512).")
+          ~doc:
+            "Events per BATCH frame (default 512, at most 4096); a frame is \
+             cut earlier where a v2 trace block would be.")
   in
   let fault_arg =
     Arg.(
@@ -1415,12 +1398,12 @@ let client_replay_cmd =
     Arg.(
       value & opt int 2
       & info [ "fault-after" ] ~docv:"FRAMES"
-          ~doc:"Inject after $(docv) FEED frames (default 2).")
+          ~doc:"Inject after $(docv) BATCH frames (default 2).")
   in
   let term =
     Term.(
       const action $ trace_pos_arg $ req_socket_arg $ spec_arg
-      $ no_vc_intern_arg $ chunk_events_arg $ fault_arg $ fault_after_arg
+      $ chunk_events_arg $ fault_arg $ fault_after_arg
       $ verbose_arg $ max_shadow_arg $ max_events_arg $ deadline_arg)
   in
   Cmd.v

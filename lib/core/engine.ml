@@ -29,7 +29,6 @@ module Config = struct
   type t = {
     detector : detector;
     suppression : Suppression.t;
-    vc_intern : bool;
     shards : int;
     budget : Budget.t;
     clock : Clock.source;
@@ -42,7 +41,6 @@ module Config = struct
     {
       detector = Spec spec;
       suppression = Suppression.empty;
-      vc_intern = true;
       shards = 1;
       budget = Budget.unlimited;
       clock = Clock.ns;
@@ -234,8 +232,7 @@ let sequential (c : Config.t) ~now_s ~t0 (source : Source.t) =
     match c.detector with
     | Config.Detector d -> d
     | Config.Spec spec ->
-      Spec.to_detector ~suppression:c.suppression ~vc_intern:c.vc_intern
-        ?tracer:lane spec
+      Spec.to_detector ~suppression:c.suppression ?tracer:lane spec
   in
   let recorder = make_recorder d ~sample_every:c.sample_every ~tracer:c.tracer in
   (* budgets and the heartbeat are batch-granular (Budget_guard), so
@@ -462,7 +459,7 @@ let sharded (c : Config.t) spec (source : Source.t) =
   (* shard [i]'s detector traces onto the same lane the shard's own
      spans land on (the [Par.shard_lane] convention) *)
   let make i =
-    Spec.to_detector ~suppression:c.suppression ~vc_intern:c.vc_intern
+    Spec.to_detector ~suppression:c.suppression
       ?tracer:(Option.map (fun t -> Span.lane t (Par.shard_lane i)) c.tracer)
       spec
   in

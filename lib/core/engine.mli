@@ -106,15 +106,12 @@ module Config : sig
     | Detector of Detector.t
         (** a caller-built detector, for callers that hold on to it —
             a heartbeat that reads its stats, a sampling campaign.
-            [suppression], [vc_intern] and the detector's phase timers
+            [suppression] and the detector's phase timers
             are the caller's business; it cannot be sharded. *)
 
   type t = {
     detector : detector;
     suppression : Suppression.t;  (** report filter; default none *)
-    vc_intern : bool;
-        (** hash-cons vector-clock snapshots (default [true]); [false]
-            is the [--no-vc-intern] escape hatch, race-identical *)
     shards : int;
         (** [1] (default) runs on the calling domain; [K > 1] splits
             the stream by hashed

@@ -55,14 +55,10 @@ val all_names : string list
 
 val to_detector :
   ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   t ->
   Detector.t
-(** Instantiate a fresh detector.  [~vc_intern:false] disables
-    hash-consing of vector-clock snapshots in the detectors that keep
-    them (the FastTrack family, DRD, Inspector, RaceTrack) — the
-    [--no-vc-intern] escape hatch.  [~tracer:lane] registers sampled per-phase timers on the given
-    tracing lane in the detectors that support them (the FastTrack
-    family — see {!Dynamic_granularity.create}); other detectors
-    ignore it. *)
+(** Instantiate a fresh detector.  [~tracer:lane] registers sampled
+    per-phase timers on the given tracing lane in the detectors that
+    support them (the FastTrack family — see
+    {!Dynamic_granularity.create}); other detectors ignore it. *)

@@ -293,13 +293,12 @@ let on_free st ~addr ~size =
   Vec.iter (function Some s -> purge s | None -> ()) st.current;
   List.iter purge st.finished
 
-let create ?(granularity = 4) ?(suppression = Suppression.empty)
-    ?(vc_intern = true) () =
+let create ?(granularity = 4) ?(suppression = Suppression.empty) () =
   if granularity <= 0 || granularity land (granularity - 1) <> 0 then
     invalid_arg "Drd_segment.create: granularity must be a power of two";
   let account = Accounting.create () in
   let intern =
-    Vc_intern.create ~hash_consing:vc_intern
+    Vc_intern.create
       ~on_bytes:(fun d ->
         Accounting.add_vc account d;
         Accounting.add_interned account d)

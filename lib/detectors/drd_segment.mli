@@ -20,9 +20,6 @@ open Dgrace_events
 val create :
   ?granularity:int ->
   ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
   unit ->
   Detector.t
-(** Granularity defaults to 4 bytes, DRD's natural word tracking.
-    [~vc_intern:false] disables hash-consing of the per-segment clock
-    snapshots. *)
+(** Granularity defaults to 4 bytes, DRD's natural word tracking. *)

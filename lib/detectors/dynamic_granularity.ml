@@ -686,11 +686,11 @@ let on_free st ~addr ~size =
 let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
     ?(reshare_after = 0) ?(write_guided_reads = false)
     ?(index = Shadow_table.Adaptive) ?name ?(suppression = Suppression.empty)
-    ?(vc_intern = true) ?tracer () =
+    ?tracer () =
   let account = Accounting.create () in
   let metrics = Metrics.create () in
   let intern =
-    Vc_intern.create ~hash_consing:vc_intern
+    Vc_intern.create
       ~on_bytes:(fun d ->
         Accounting.add_vc account d;
         Accounting.add_interned account d)

@@ -48,7 +48,6 @@ val create :
   ?index:Dgrace_shadow.Shadow_table.mode ->
   ?name:string ->
   ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   unit ->
   Detector.t
@@ -73,11 +72,6 @@ val create :
     adapting after the second epoch), and [~write_guided_reads:true]
     lets a read location with no read history of its own join a
     neighbour when their {e write} clocks are already shared.
-
-    [~vc_intern:false] disables hash-consing in the read-shared
-    snapshot arena (the [--no-vc-intern] escape hatch): every capture
-    materialises a private snapshot, reproducing the legacy deep-copy
-    memory behaviour with identical race verdicts.
 
     [process_batch] applies a batch page-clustered ({!Batch_apply}):
     access rows are grouped by aligned share-granule line and applied

@@ -166,14 +166,13 @@ let on_free st ~addr ~size =
     st.shadow ~lo:addr ~hi:(addr + size);
   Shadow_table.remove_range st.shadow ~lo:addr ~hi:(addr + size)
 
-let create ?(granularity = 1) ?(suppression = Suppression.empty)
-    ?(vc_intern = true) ?tracer () =
+let create ?(granularity = 1) ?(suppression = Suppression.empty) ?tracer () =
   if granularity <= 0 || granularity land (granularity - 1) <> 0 then
     invalid_arg "Fasttrack.create: granularity must be a power of two";
   let account = Accounting.create () in
   let metrics = Metrics.create () in
   let intern =
-    Vc_intern.create ~hash_consing:vc_intern
+    Vc_intern.create
       ~on_bytes:(fun d ->
         Accounting.add_vc account d;
         Accounting.add_interned account d)

@@ -13,14 +13,13 @@ open Dgrace_events
 val create :
   ?granularity:int ->
   ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   unit ->
   Detector.t
 (** [create ~granularity ()] — granularity defaults to 1 (byte).  Must
-    be a power of two.  [~vc_intern:false] disables hash-consing of
-    read-shared snapshots (legacy deep-copy memory behaviour).
-    [process_batch] applies a batch page-clustered ({!Batch_apply});
+    be a power of two.  Read-shared snapshots are hash-consed in a
+    {!Dgrace_vclock.Vc_intern} arena.  [process_batch] applies a batch
+    page-clustered ({!Batch_apply});
     above 4096 bytes every slot spans a page and rows apply in order.
     [~tracer:buf] registers sampled [phase.*] timers on the tracing
     lane, as in {!Dynamic_granularity.create}. *)

@@ -146,14 +146,14 @@ let on_free st ~addr ~size =
     st.shadow ~lo:addr ~hi:(addr + size);
   Shadow_table.remove_range st.shadow ~lo:addr ~hi:(addr + size)
 
-let create ?(granularity = 4) ?(history = 2) ?(suppression = Suppression.empty)
-    ?(vc_intern = true) () =
+let create ?(granularity = 4) ?(history = 2)
+    ?(suppression = Suppression.empty) () =
   if granularity <= 0 || granularity land (granularity - 1) <> 0 then
     invalid_arg "Hybrid_inspector.create: granularity must be a power of two";
   if history < 1 then invalid_arg "Hybrid_inspector.create: empty history";
   let account = Accounting.create () in
   let intern =
-    Vc_intern.create ~hash_consing:vc_intern
+    Vc_intern.create
       ~on_bytes:(fun d ->
         Accounting.add_vc account d;
         Accounting.add_interned account d)

@@ -22,8 +22,6 @@ val create :
   ?granularity:int ->
   ?history:int ->
   ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
   unit ->
   Detector.t
-(** [history] is the per-granule access-window length (default 2).
-    [~vc_intern:false] disables hash-consing of the history snapshots. *)
+(** [history] is the per-granule access-window length (default 2). *)

@@ -178,13 +178,12 @@ let on_free st ~addr ~size =
     st.fine ~lo:addr ~hi:(addr + size);
   Shadow_table.remove_range st.fine ~lo:addr ~hi:(addr + size)
 
-let create ?(region = 64) ?(suppression = Suppression.empty)
-    ?(vc_intern = true) () =
+let create ?(region = 64) ?(suppression = Suppression.empty) () =
   if region < 4 || region land (region - 1) <> 0 then
     invalid_arg "Racetrack_adaptive.create: region must be a power of two >= 4";
   let account = Accounting.create () in
   let intern =
-    Vc_intern.create ~hash_consing:vc_intern
+    Vc_intern.create
       ~on_bytes:(fun d ->
         Accounting.add_vc account d;
         Accounting.add_interned account d)

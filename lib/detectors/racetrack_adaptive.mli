@@ -25,8 +25,7 @@ open Dgrace_events
 val create :
   ?region:int ->
   ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
   unit ->
   Detector.t
 (** [region] is the coarse detection unit in bytes (default 64; power
-    of two).  [~vc_intern:false] disables snapshot hash-consing. *)
+    of two). *)

@@ -1,6 +1,6 @@
 module Json = Dgrace_obs.Json
-module Trace_codec = Dgrace_trace.Trace_codec
 module Trace_format_v2 = Dgrace_trace.Trace_format_v2
+module Batch = Dgrace_events.Batch
 
 (* Client side of the serve wire protocol — used by [racedet client],
    the differential tests and the socket-path fault harness.  The
@@ -12,7 +12,6 @@ module Trace_format_v2 = Dgrace_trace.Trace_format_v2
 
 type t = {
   fd : Unix.file_descr;
-  enc : Trace_codec.encoder;
   benc : Trace_format_v2.block_encoder;  (* 'B' frame bodies *)
   mutable races : string list;  (* newest first *)
 }
@@ -34,13 +33,7 @@ let connect ~socket =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX socket) with
   | () ->
-    Ok
-      {
-        fd;
-        enc = Trace_codec.encoder ();
-        benc = Trace_format_v2.block_encoder ();
-        races = [];
-      }
+    Ok { fd; benc = Trace_format_v2.block_encoder (); races = [] }
   | exception Unix.Unix_error (e, _, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error (Protocol (Printf.sprintf "connect %s: %s" socket (Unix.error_message e)))
@@ -105,10 +98,10 @@ let request t frame ~expect =
   in
   go 0
 
-let open_session ?(spec = "dynamic") ?(vc_intern = true) ?max_events
-    ?deadline_s ?max_shadow_bytes t =
+let open_session ?(spec = "dynamic") ?max_events ?deadline_s
+    ?max_shadow_bytes t =
   let fields =
-    [ ("spec", Json.String spec); ("vc_intern", Json.Bool vc_intern) ]
+    [ ("spec", Json.String spec) ]
     @ (match max_events with Some n -> [ ("max_events", Json.Int n) ] | None -> [])
     @ (match deadline_s with
        | Some s -> [ ("deadline_s", Json.Float s) ]
@@ -123,13 +116,6 @@ let open_session ?(spec = "dynamic") ?(vc_intern = true) ?max_events
       match Json.member "session" j with
       | Some (Json.Int id) -> Some id
       | _ -> None)
-    | _ -> None)
-
-let feed t events =
-  let buf = Buffer.create 4096 in
-  List.iter (Trace_codec.encode t.enc buf) events;
-  request t (Wire.Feed (Buffer.contents buf)) ~expect:(function
-    | Wire.Ack j -> Some j
     | _ -> None)
 
 (* One BATCH frame: the batch encodes to a v2 block body once, so an
@@ -181,7 +167,7 @@ let inject t fault =
         it as a protocol error and poisons the session *)
      write_raw t.fd "\xff\xff\xff\xff\xff"
    | Truncate ->
-     let frame = Wire.encode (Wire.Feed (String.make 64 '\x00')) in
+     let frame = Wire.encode (Wire.Feed_batch (String.make 64 '\x00')) in
      write_raw t.fd (String.sub frame 0 (String.length frame / 2))
    | Disconnect -> ());
   close t
@@ -191,21 +177,12 @@ let inject t fault =
 
 type outcome = { races : string list; summary : Json.t }
 
-let chunks n l =
-  let rec take k acc = function
-    | [] -> (List.rev acc, [])
-    | rest when k = 0 -> (List.rev acc, rest)
-    | x :: rest -> take (k - 1) (x :: acc) rest
-  in
-  let rec loop acc = function
-    | [] -> List.rev acc
-    | l ->
-      let c, rest = take n [] l in
-      loop (c :: acc) rest
-  in
-  loop [] l
-
-let replay ?spec ?vc_intern ?max_events ?deadline_s ?max_shadow_bytes
+(* Connect, open, feed, finish, close.  The events travel as BATCH
+   frames cut where the v2 writer cuts its blocks: at [chunk_events]
+   rows, and before a body could outgrow the server's frame limit
+   (distinct long locations make big bodies).  With [fault], the fault
+   replaces frame [fault_after_frames]. *)
+let replay ?spec ?max_events ?deadline_s ?max_shadow_bytes
     ?(chunk_events = 512) ?fault ?(fault_after_frames = 2) ~socket events =
   match connect ~socket with
   | Error f -> Error f
@@ -214,56 +191,33 @@ let replay ?spec ?vc_intern ?max_events ?deadline_s ?max_shadow_bytes
       close t;
       r
     in
-    (match
-       open_session ?spec ?vc_intern ?max_events ?deadline_s ?max_shadow_bytes t
-     with
+    (match open_session ?spec ?max_events ?deadline_s ?max_shadow_bytes t with
      | Error f -> finally_close (Error f)
      | Ok _id ->
-       let rec feed_all i = function
-         | [] -> Ok ()
-         | c :: rest -> (
-           match fault with
-           | Some f when i = fault_after_frames ->
-             inject t f;
-             Error (Protocol "fault injected")
-           | _ -> (
-             match feed t c with
-             | Ok _ -> feed_all (i + 1) rest
-             | Error f -> Error f))
+       let cut = Trace_format_v2.cutter ~rows:chunk_events in
+       let batch = Batch.create () in
+       let sent = ref 0 in
+       let send () =
+         match fault with
+         | Some f when !sent = fault_after_frames ->
+           inject t f;
+           Error (Protocol "fault injected")
+         | _ ->
+           incr sent;
+           let r = feed_batch t batch in
+           Batch.clear batch;
+           Result.map ignore r
        in
-       (match feed_all 0 (chunks chunk_events events) with
-        | Error f -> finally_close (Error f)
-        | Ok () -> (
-          match finish t with
-          | Error f -> finally_close (Error f)
-          | Ok summary -> finally_close (Ok { races = races t; summary }))))
-
-(* Same lifecycle over BATCH frames: each chunk is packed into a
-   struct-of-arrays batch and sent as one v2 block body.  Chunks are
-   clamped to the v2 block capacity. *)
-let replay_batched ?spec ?vc_intern ?max_events ?deadline_s ?max_shadow_bytes
-    ?(chunk_events = 512) ~socket events =
-  let chunk_events = min chunk_events Trace_format_v2.block_events in
-  match connect ~socket with
-  | Error f -> Error f
-  | Ok t ->
-    let finally_close r =
-      close t;
-      r
-    in
-    (match
-       open_session ?spec ?vc_intern ?max_events ?deadline_s ?max_shadow_bytes t
-     with
-     | Error f -> finally_close (Error f)
-     | Ok _id ->
        let rec feed_all = function
-         | [] -> Ok ()
-         | c :: rest -> (
-           match feed_batch t (Dgrace_events.Batch.of_events c) with
-           | Ok _ -> feed_all rest
+         | [] -> if Batch.length batch = 0 then Ok () else send ()
+         | ev :: rest -> (
+           match if Trace_format_v2.admit cut ev then Ok () else send () with
+           | Ok () ->
+             Batch.push batch ev;
+             feed_all rest
            | Error f -> Error f)
        in
-       (match feed_all (chunks chunk_events events) with
+       (match feed_all events with
         | Error f -> finally_close (Error f)
         | Ok () -> (
           match finish t with

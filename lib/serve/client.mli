@@ -26,7 +26,6 @@ val close : t -> unit
 
 val open_session :
   ?spec:string ->
-  ?vc_intern:bool ->
   ?max_events:int ->
   ?deadline_s:float ->
   ?max_shadow_bytes:int ->
@@ -34,14 +33,13 @@ val open_session :
   (int, failure) result
 (** Returns the server-assigned session id. *)
 
-val feed : t -> Dgrace_events.Event.t list -> (Json.t, failure) result
-(** Encode and send one FEED frame; returns the [Ack] body.  Location
-    strings are interned per connection across feeds. *)
-
 val feed_batch : t -> Dgrace_events.Batch.t -> (Json.t, failure) result
-(** Encode the batch as one v2 block body and send it as a BATCH
-    frame; returns the [Ack] body.  Locations intern per connection
-    across batch frames (independently of {!feed}'s table). *)
+(** Encode the batch (1 to {!Dgrace_trace.Trace_format_v2.block_events}
+    rows) as one v2 block body and send it as a BATCH frame; returns
+    the [Ack] body.  Locations intern per connection across frames.
+    The caller keeps the body under the server's frame limit;
+    {!replay} cuts its batches with
+    {!Dgrace_trace.Trace_format_v2.admit} for that. *)
 
 val finish : t -> (Json.t, failure) result
 (** Finalize; returns the [Summary] body (the run envelope). *)
@@ -69,7 +67,6 @@ type outcome = { races : string list; summary : Json.t }
 
 val replay :
   ?spec:string ->
-  ?vc_intern:bool ->
   ?max_events:int ->
   ?deadline_s:float ->
   ?max_shadow_bytes:int ->
@@ -80,21 +77,10 @@ val replay :
   Dgrace_events.Event.t list ->
   (outcome, failure) result
 (** The whole client lifecycle over one session: connect, open, feed
-    in [chunk_events]-sized frames (default 512), finish, close.  With
-    [fault], the fault is injected instead of frame
-    [fault_after_frames] and the call reports how the session died. *)
-
-val replay_batched :
-  ?spec:string ->
-  ?vc_intern:bool ->
-  ?max_events:int ->
-  ?deadline_s:float ->
-  ?max_shadow_bytes:int ->
-  ?chunk_events:int ->
-  socket:string ->
-  Dgrace_events.Event.t list ->
-  (outcome, failure) result
-(** {!replay} over BATCH frames: each chunk travels as one v2 block
-    body and the server delivers it through the detector's batch fast
-    path.  Results are bit-identical to {!replay} — the differential
-    serve tests compare the two. *)
+    the events as BATCH frames, finish, close.  A frame holds at most
+    [chunk_events] rows (default 512, at most
+    {!Dgrace_trace.Trace_format_v2.block_events}) and is cut earlier
+    where the v2 writer would close a block, so no frame outgrows the
+    server's frame limit.  With [fault], the fault is injected instead
+    of frame [fault_after_frames] (default 2) and the call reports how
+    the session died. *)

@@ -5,6 +5,7 @@ module Spec = Dgrace_core.Spec
 module Budget = Dgrace_resilience.Budget
 module Error = Dgrace_resilience.Error
 module Report = Dgrace_events.Report
+module Batch = Dgrace_events.Batch
 
 (* The supervised serve loop.  Two kinds of threads of control:
 
@@ -20,7 +21,7 @@ module Report = Dgrace_events.Report
 
    Backpressure is explicit at two points: admission (too many live
    sessions → [Overloaded] with a retry hint, nothing is created) and
-   the per-session inbox (full → the FEED is shed with [Overloaded];
+   the per-session inbox (full → the BATCH is shed with [Overloaded];
    the client retries the same frame, ordering is preserved because
    nothing later was accepted either).
 
@@ -41,7 +42,6 @@ type config = {
   log : string -> unit;  (* supervision log line (bin wires Stderr_line) *)
   spool_spec : Spec.t;  (* detector for spool-mode sessions *)
   spool_budget : Budget.t;
-  spool_vc_intern : bool;
 }
 
 let default_config =
@@ -57,12 +57,10 @@ let default_config =
     log = prerr_endline;
     spool_spec = Spec.dynamic;
     spool_budget = Budget.unlimited;
-    spool_vc_intern = true;
   }
 
 type item =
-  | Feed_payload of string
-  | Decoded_batch of Dgrace_events.Batch.t
+  | Decoded_batch of Batch.t
       (* one 'B' frame, decoded on the connection thread
          (Session.decode_batch_frame) so decode overlaps detection *)
   | Decode_failed of Error.t
@@ -127,6 +125,22 @@ let responder fd =
 (* ------------------------------------------------------------------ *)
 (* worker side: drain one session's inbox serially *)
 
+(* Answer one fed batch: its new race lines, then the ack — or the
+   session's error. *)
+let respond_fed entry = function
+  | Ok ack ->
+    List.iter
+      (fun r -> entry.respond (Wire.Race (Report.to_string r)))
+      ack.Session.new_races;
+    entry.respond
+      (Wire.Ack
+         (Json.Obj
+            [
+              ("events", Json.Int ack.Session.ack_events);
+              ("races", Json.Int (List.length ack.Session.new_races));
+            ]))
+  | Error e -> entry.respond (err_frame e)
+
 let rec drain_inbox entry =
   Mutex.lock entry.emu;
   let item =
@@ -139,27 +153,11 @@ let rec drain_inbox entry =
   Mutex.unlock entry.emu;
   match item with
   | None -> ()
-  | Some ((Feed_payload _ | Decoded_batch _ | Decode_failed _) as it) ->
-    let fed =
-      match it with
-      | Feed_payload payload -> Session.feed_frame entry.session payload
-      | Decoded_batch b -> Session.apply_decoded entry.session b
-      | Decode_failed e -> Session.poison_decoded entry.session e
-      | Finish_req -> assert false
-    in
-    (match fed with
-     | Ok ack ->
-       List.iter
-         (fun r -> entry.respond (Wire.Race (Report.to_string r)))
-         ack.Session.new_races;
-       entry.respond
-         (Wire.Ack
-            (Json.Obj
-               [
-                 ("events", Json.Int ack.Session.ack_events);
-                 ("races", Json.Int (List.length ack.Session.new_races));
-               ]))
-     | Error e -> entry.respond (err_frame e));
+  | Some (Decoded_batch b) ->
+    respond_fed entry (Session.apply_decoded entry.session b);
+    drain_inbox entry
+  | Some (Decode_failed e) ->
+    respond_fed entry (Session.poison_decoded entry.session e);
     drain_inbox entry
   | Some Finish_req ->
     (match Session.finalize entry.session with
@@ -228,9 +226,6 @@ let open_session t ~(respond : Wire.frame -> unit) j =
     | Some (Json.String s) -> s
     | _ -> "dynamic"
   in
-  let vc_intern =
-    match Json.member "vc_intern" j with Some (Json.Bool b) -> b | _ -> true
-  in
   match Spec.of_string spec_name with
   | Error reason -> Error (Error.Invalid_input { what = "open.spec"; reason })
   | Ok spec -> (
@@ -245,7 +240,7 @@ let open_session t ~(respond : Wire.frame -> unit) j =
         t.next_id <- id + 1;
         t.opened_total <- t.opened_total + 1;
         let session =
-          Session.open_ ~budget ~clock:t.cfg.clock ~vc_intern ~id ~spec ()
+          Session.open_ ~budget ~clock:t.cfg.clock ~id ~spec ()
         in
         let entry =
           {
@@ -366,7 +361,7 @@ let handle_conn t fd =
             | Error e ->
               respond (err_frame e);
               loop ()))
-      | Wire.Feed _ | Wire.Feed_batch _ -> (
+      | Wire.Feed_batch payload -> (
         match !current with
         | None ->
           respond
@@ -392,17 +387,13 @@ let handle_conn t fd =
           end
           else begin
             let item =
-              match frame with
-              | Wire.Feed payload -> Feed_payload payload
-              | Wire.Feed_batch payload -> (
-                (* decode on this connection thread — outside [emu],
-                   since an exhausted pool blocks until the worker
-                   recycles — so decode overlaps the worker's
-                   detection of earlier batches *)
-                match Session.decode_batch_frame entry.session payload with
-                | Ok b -> Decoded_batch b
-                | Error e -> Decode_failed e)
-              | _ -> assert false
+              (* decode on this connection thread — outside [emu],
+                 since an exhausted pool blocks until the worker
+                 recycles — so decode overlaps the worker's detection
+                 of earlier batches *)
+              match Session.decode_batch_frame entry.session payload with
+              | Ok b -> Decoded_batch b
+              | Error e -> Decode_failed e
             in
             let disposition =
               Mutex.lock entry.emu;
@@ -599,53 +590,51 @@ let shed_total t = locked t (fun () -> t.shed)
 
 (* ------------------------------------------------------------------ *)
 (* spool mode: every trace file in a directory becomes one session,
-   fed in frame-sized chunks through the same session layer (so spool
-   runs exercise the identical budget/poison semantics), processed in
+   fed batch by batch through the same session layer (so spool runs
+   exercise the identical budget/poison semantics), processed in
    parallel on a pool, results in file-name order. *)
 
-let chunks n l =
-  let rec take k acc = function
-    | [] -> (List.rev acc, [])
-    | rest when k = 0 -> (List.rev acc, rest)
-    | x :: rest -> take (k - 1) (x :: acc) rest
-  in
-  let rec loop acc = function
-    | [] -> List.rev acc
-    | l ->
-      let c, rest = take n [] l in
-      loop (c :: acc) rest
-  in
-  loop [] l
-
 let process_one_spool ~cfg ~id path =
+  let session =
+    Session.open_ ~budget:cfg.spool_budget ~clock:cfg.clock ~id
+      ~spec:cfg.spool_spec ()
+  in
+  let feed () b =
+    match Session.feed_batch session b with
+    | Ok _ -> ()
+    | Error e -> raise (Error.E e)
+  in
   match
     (* spool directories may mix v1 and v2 traces *)
     if Dgrace_trace.Trace_reader.probe_version path >= 2 then
-      Dgrace_trace.Trace_format_v2.read_file path
-    else Dgrace_trace.Trace_reader.read_file path
+      Dgrace_trace.Trace_format_v2.fold_batches path feed ()
+    else begin
+      let b = Batch.create () in
+      List.iter
+        (fun ev ->
+          Batch.push b ev;
+          if Batch.is_full b then begin
+            feed () b;
+            Batch.clear b
+          end)
+        (Dgrace_trace.Trace_reader.read_file path);
+      if Batch.length b > 0 then feed () b
+    end
   with
-  | exception Error.E e -> Error e
+  | () -> Session.finalize session
+  | exception Error.E (Error.Budget_exhausted _) ->
+    (* budget stop mid-stream: the sealed partial summary is the
+       documented outcome, same as a one-shot budgeted run *)
+    Session.finalize session
+  | exception Error.E e ->
+    Session.abort session e;
+    Error e
   | exception exn ->
-    Error (Error.Internal { where = "spool.read"; reason = Printexc.to_string exn })
-  | events -> (
-    let session =
-      Session.open_ ~budget:cfg.spool_budget ~clock:cfg.clock
-        ~vc_intern:cfg.spool_vc_intern ~id ~spec:cfg.spool_spec ()
+    let e =
+      Error.Internal { where = "spool.read"; reason = Printexc.to_string exn }
     in
-    let rec feed = function
-      | [] -> Ok ()
-      | c :: rest -> (
-        match Session.feed_events session c with
-        | Ok _ -> feed rest
-        | Error e -> Error e)
-    in
-    match feed (chunks 4096 events) with
-    | Ok () -> Session.finalize session
-    | Error (Error.Budget_exhausted _) ->
-      (* budget stop mid-stream: the sealed partial summary is the
-         documented outcome, same as a one-shot budgeted run *)
-      Session.finalize session
-    | Error e -> Error e)
+    Session.abort session e;
+    Error e
 
 let process_spool ?(cfg = default_config) ~dir () =
   let files =

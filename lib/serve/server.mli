@@ -6,7 +6,7 @@
     one worker at a time, so a session is single-threaded while
     distinct sessions run in parallel.
 
-    Backpressure is explicit: admission past [max_sessions] and FEED
+    Backpressure is explicit: admission past [max_sessions] and BATCH
     frames past the [inbox_frames] bound are answered with an
     [Overloaded] frame carrying a retry hint and counted in {!shed_total};
     nothing is silently dropped out of order.  Failures are
@@ -34,7 +34,6 @@ type config = {
   log : string -> unit;  (** supervision log sink *)
   spool_spec : Spec.t;  (** detector for spool-mode sessions *)
   spool_budget : Budget.t;
-  spool_vc_intern : bool;
 }
 
 val default_config : config
@@ -88,8 +87,9 @@ val process_spool :
   unit ->
   (string * (Dgrace_core.Engine.summary, Error.t) result) list
 (** One-shot batch mode: every [*.trc] file in [dir] becomes one
-    session fed in frame-sized chunks through the same session layer
-    (identical budget/poison semantics), processed in parallel on a
-    pool, results in file-name order.  A budget stop yields that
-    session's sealed partial summary; corrupt traces yield their
-    structured error. *)
+    session fed batch by batch through the same session layer
+    (identical budget/poison semantics): a v2 trace block by block, a
+    v1 trace in {!Dgrace_events.Batch.default_capacity}-row batches;
+    processed in parallel on a pool, results in file-name order.  A
+    budget stop yields that session's sealed partial summary; corrupt
+    traces yield their structured error. *)

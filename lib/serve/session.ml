@@ -5,14 +5,13 @@ module Spec = Dgrace_core.Spec
 module Budget = Dgrace_resilience.Budget
 module Error = Dgrace_resilience.Error
 module Accounting = Dgrace_shadow.Accounting
-module Trace_codec = Dgrace_trace.Trace_codec
 module Trace_format_v2 = Dgrace_trace.Trace_format_v2
 module Batch_ring = Dgrace_trace.Batch_ring
 module Clock = Dgrace_obs.Clock
 
 (* One trace session as a reusable incremental handle: a detector fed
-   batch by batch, owning its own budget state, frame decoder and
-   clock.  The design is crash-only: every failure — corrupt frame,
+   batch by batch, owning its own budget state, batch-frame decoder
+   and clock.  The design is crash-only: every failure — corrupt frame,
    budget exhaustion, an exception escaping the detector — becomes a
    terminal state stored on the session, and every later call answers
    from that state.  Nothing raises across the session boundary, so a
@@ -35,14 +34,11 @@ type phase =
 
 type t = {
   id : int;
-  spec_name : string;
   guard : Budget_guard.t;  (* event count, degraded flag, budget checks *)
   now_s : unit -> float;
   t0 : float;
-  dec : Trace_codec.decoder;
   v2 : Trace_format_v2.stream_decoder;  (* B-frame (batch) decoder *)
   mutable v2_base : int;  (* bytes of v2 bodies consumed so far *)
-  batch : Batch.t;  (* reused decode target for both batch paths *)
   dmu : Mutex.t;  (* serialises reader-side B-frame decodes *)
   dpool : Batch_ring.t;  (* bounded pool of reader-side decode targets *)
   mutable dec_failed : Error.t option;  (* sticky decode failure *)
@@ -60,21 +56,19 @@ type ack = { ack_events : int; new_races : Report.t list }
    thread simply stops reading the socket). *)
 let decode_pool_slots = 4
 
-let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
-    ?vc_intern ?tracer ~id ~spec () =
-  let d = Spec.to_detector ?suppression ?vc_intern ?tracer spec in
+(* Build a session around a detector.  [open_] passes a fresh one
+   from its spec; the test suite passes one that raises, to prove the
+   crash-only contract contains it. *)
+let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
   let now_s () = float_of_int (clock ()) *. 1e-9 in
   let t0 = now_s () in
   {
     id;
-    spec_name = Spec.name spec;
     guard = Budget_guard.create ~now_s ~t0 budget;
     now_s;
     t0;
-    dec = Trace_codec.decoder ();
     v2 = Trace_format_v2.stream_decoder ();
     v2_base = 0;
-    batch = Batch.create ();
     dmu = Mutex.create ();
     dpool = Batch_ring.create ~slots:decode_pool_slots ();
     dec_failed = None;
@@ -84,37 +78,14 @@ let open_ ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?suppression
     reported = 0;
   }
 
-(* Build a session around an externally constructed detector — the
-   test hook that lets the suite inject a detector that raises and
-   prove the crash-only contract contains it. *)
-let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
-  let now_s () = float_of_int (clock ()) *. 1e-9 in
-  let t0 = now_s () in
-  {
-    id;
-    spec_name = d.Detector.name;
-    guard = Budget_guard.create ~now_s ~t0 budget;
-    now_s;
-    t0;
-    dec = Trace_codec.decoder ();
-    v2 = Trace_format_v2.stream_decoder ();
-    v2_base = 0;
-    batch = Batch.create ();
-    dmu = Mutex.create ();
-    dpool = Batch_ring.create ~slots:decode_pool_slots ();
-    dec_failed = None;
-    mu = Mutex.create ();
-    detector = Some d;
-    phase = Streaming;
-    reported = 0;
-  }
+let open_ ?budget ?clock ?suppression ?tracer ~id ~spec () =
+  of_detector ?budget ?clock ~id (Spec.to_detector ?suppression ?tracer spec)
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let id t = t.id
-let detector_name t = t.spec_name
 let events t = Budget_guard.events t.guard
 let degraded t = locked t (fun () -> Budget_guard.degraded t.guard)
 let elapsed_s t = t.now_s () -. t.t0
@@ -159,12 +130,20 @@ let take_new_races t (races : Report.t list) =
   t.reported <- n;
   fresh
 
-(* Run one delivery action (per-event loop, batch dispatch, or a
-   decode-and-deliver closure) under the session's crash-only contract:
-   success acks, a budget stop seals the partial summary, a decode
-   error or detector exception poisons.  Called with [t.mu] held. *)
-let deliver_locked t (d : Detector.t) run =
-  match run () with
+(* Deliver one batch under the session's crash-only contract: success
+   acks, a budget stop seals the partial summary, a detector exception
+   poisons.  Batches go through the detector's [process_batch] under
+   any budget: the guard truncates a batch at the event limit and
+   checks shadow bytes and the deadline after it, as the engine's
+   batch replay does.  A detector without [process_batch] is fed event
+   by event.  Called with [t.mu] held. *)
+let deliver_locked t (d : Detector.t) (b : Batch.t) =
+  match
+    match d.Detector.process_batch with
+    | Some pb -> Budget_guard.batch t.guard d pb b
+    | None ->
+      Batch.iter_events (Budget_guard.event t.guard d d.Detector.on_event) b
+  with
   | () ->
     Ok { ack_events = events t; new_races = take_new_races t (Detector.races d) }
   | exception Budget_guard.Stop stop ->
@@ -186,40 +165,10 @@ let deliver_locked t (d : Detector.t) run =
          { where = "session.detector"; reason = Printexc.to_string exn });
     Error (terminal_error t.phase)
 
-(* Batches go through the detector's [process_batch] under any
-   budget: the guard truncates a batch at the event limit and checks
-   shadow bytes and the deadline after it, as the engine's batch
-   replay does.  A detector without [process_batch] is fed event by
-   event. *)
-let deliver_batch t (d : Detector.t) (b : Batch.t) =
-  match d.Detector.process_batch with
-  | Some pb -> Budget_guard.batch t.guard d pb b
-  | None -> Batch.iter_events (Budget_guard.event t.guard d d.Detector.on_event) b
-
-let feed_events t evs =
+let feed_batch t b =
   locked t @@ fun () ->
   match t.phase with
-  | Streaming ->
-    let d = Option.get t.detector in
-    deliver_locked t d (fun () ->
-        List.iter (Budget_guard.event t.guard d d.Detector.on_event) evs)
-  | ph -> Error (terminal_error ph)
-
-let feed_frame t payload =
-  locked t @@ fun () ->
-  match t.phase with
-  | Streaming ->
-    let d = Option.get t.detector in
-    (* decode straight into the reused batch and deliver
-       struct-of-arrays; a decode error surfaces as [Error.E] and
-       poisons *)
-    deliver_locked t d (fun () ->
-        match
-          Trace_codec.decode_frame_batch t.dec payload ~batch:t.batch
-            (deliver_batch t d)
-        with
-        | Ok () -> ()
-        | Error e -> raise (Error.E e))
+  | Streaming -> deliver_locked t (Option.get t.detector) b
   | ph -> Error (terminal_error ph)
 
 (* Reader-side decode of one BATCH frame — the serve half of the
@@ -268,13 +217,7 @@ let decode_batch_frame t payload =
 let apply_decoded t b =
   Fun.protect
     ~finally:(fun () -> Batch_ring.recycle t.dpool b)
-    (fun () ->
-      locked t @@ fun () ->
-      match t.phase with
-      | Streaming ->
-        let d = Option.get t.detector in
-        deliver_locked t d (fun () -> deliver_batch t d b)
-      | ph -> Error (terminal_error ph))
+    (fun () -> feed_batch t b)
 
 (* Worker side of a reader decode failure, applied at its position in
    the stream: every batch decoded before it has been applied by now,
@@ -287,20 +230,12 @@ let poison_decoded t e =
     Error e
   | ph -> Error (terminal_error ph)
 
-(* One BATCH frame, decoded and applied in one call — the spool/test
-   path; the socket path splits it across reader and worker. *)
+(* One BATCH frame, decoded and applied in one call; the socket path
+   splits it across reader and worker. *)
 let feed_batch_frame t payload =
   match decode_batch_frame t payload with
   | Ok b -> apply_decoded t b
   | Error e -> poison_decoded t e
-
-let feed_batch t b =
-  locked t @@ fun () ->
-  match t.phase with
-  | Streaming ->
-    let d = Option.get t.detector in
-    deliver_locked t d (fun () -> deliver_batch t d b)
-  | ph -> Error (terminal_error ph)
 
 let races_so_far t =
   locked t @@ fun () ->

@@ -3,7 +3,8 @@
     A session wraps {!Dgrace_core.Spec.to_detector} as a reusable
     handle that accepts the trace batch by batch — the unit the serve
     layer multiplexes onto worker domains.  Each session owns its own
-    {!Dgrace_resilience.Budget.t} state, frame decoder, and clock.
+    {!Dgrace_resilience.Budget.t} state, batch-frame decoder, and
+    clock.
 
     The contract is {e crash-only}: no call ever raises.  Every
     failure — a corrupt frame, budget exhaustion, an exception
@@ -42,14 +43,14 @@ val open_ :
   ?budget:Budget.t ->
   ?clock:Dgrace_obs.Clock.source ->
   ?suppression:Suppression.t ->
-  ?vc_intern:bool ->
   ?tracer:Dgrace_obs.Span.buf ->
   id:int ->
   spec:Spec.t ->
   unit ->
   t
-(** Fresh session around a fresh detector.  [clock] drives both the
-    budget deadline and summary elapsed time — pass
+(** Fresh session around a fresh detector:
+    [of_detector] over {!Dgrace_core.Spec.to_detector}.  [clock] drives
+    both the budget deadline and summary elapsed time — pass
     {!Dgrace_obs.Clock.ticker} in tests for deterministic expiry. *)
 
 val of_detector :
@@ -63,14 +64,6 @@ val of_detector :
 
 (** {1 Feeding} *)
 
-val feed_frame : t -> string -> (ack, Error.t) result
-(** Decode one FEED payload ({!Dgrace_trace.Trace_codec}) and deliver
-    its events.  A decode error poisons the session ([Corrupt_trace]
-    at the absolute stream offset).  Records decode straight into a
-    reused {!Dgrace_events.Batch.t} and are delivered struct-of-arrays
-    when the detector has a batch fast path — race-identical, no
-    per-event allocation, under any budget. *)
-
 val feed_batch_frame : t -> string -> (ack, Error.t) result
 (** Decode one BATCH payload — a v2 block body
     ({!Dgrace_trace.Trace_format_v2.encode_body}) — and deliver it.
@@ -82,7 +75,10 @@ val feed_batch_frame : t -> string -> (ack, Error.t) result
     shadow bytes and the deadline may fire up to one batch late). *)
 
 val feed_batch : t -> Dgrace_events.Batch.t -> (ack, Error.t) result
-(** Deliver an already-decoded batch (the spool/in-process path). *)
+(** Deliver an already-decoded batch (the spool path) under the same
+    per-batch budget.  A budget stop seals the partial summary (fetch
+    it with {!finalize}) and this call, like every later feed, returns
+    the [Budget_exhausted] error so the caller stops sending. *)
 
 (** {2 Pipelined BATCH feeding}
 
@@ -111,15 +107,6 @@ val poison_decoded : t -> Error.t -> (ack, Error.t) result
 (** Record a {!decode_batch_frame} failure at its position in the
     stream: poisons a streaming session with the given error (the
     terminal answer otherwise) — always an [Error]. *)
-
-val feed_events : t -> Event.t list -> (ack, Error.t) result
-(** Deliver already-decoded events, checking the budget per event
-    ({!Dgrace_detectors.Budget_guard}, the engine's guard): shadow
-    pressure degrades first and only stops when the detector can shed
-    nothing more; events/deadline stop at the limit.
-    A budget stop seals the partial summary (fetch it with
-    {!finalize}) and this call returns the [Budget_exhausted] error so
-    the client stops sending. *)
 
 (** {1 Results} *)
 
@@ -153,7 +140,6 @@ type state = [ `Streaming | `Stopped | `Finalized | `Poisoned of Error.t ]
 
 val state : t -> state
 val id : t -> int
-val detector_name : t -> string
 val events : t -> int
 val degraded : t -> bool
 val elapsed_s : t -> float

@@ -8,15 +8,15 @@ module Json = Dgrace_obs.Json
      N bytes  payload
 
    Requests use upper-case types, responses lower-case.  Payloads are
-   minified JSON except FEED, whose payload is a run of binary trace
-   records (Trace_codec).  The reader is deliberately paranoid: an
-   unknown type byte or an over-size length is a protocol error, not a
-   crash — the server answers it by poisoning that one session. *)
+   minified JSON except BATCH, whose payload is one v2 block body
+   (Trace_format_v2), and RACE, a rendered report line.  The reader
+   is deliberately paranoid: an unknown type byte or an over-size
+   length is a protocol error, not a crash — the server answers it by
+   poisoning that one session. *)
 
 type frame =
   (* requests *)
-  | Open of Json.t  (* session options: spec, budget, vc_intern *)
-  | Feed of string  (* binary event records *)
+  | Open of Json.t  (* session options: spec, budget *)
   | Feed_batch of string  (* one v2 block body (Trace_format_v2) *)
   | Finish
   | Status
@@ -32,7 +32,7 @@ type frame =
 (* Frames a client may send; everything else arriving on the server
    side is a protocol error. *)
 let is_request = function
-  | Open _ | Feed _ | Feed_batch _ | Finish | Status -> true
+  | Open _ | Feed_batch _ | Finish | Status -> true
   | _ -> false
 
 let default_max_frame_bytes = 16 * 1024 * 1024
@@ -46,7 +46,6 @@ let ignore_sigpipe () =
 
 let type_byte = function
   | Open _ -> 'O'
-  | Feed _ -> 'F'
   | Feed_batch _ -> 'B'
   | Finish -> 'N'
   | Status -> 'S'
@@ -62,7 +61,7 @@ let payload = function
   | Open j | Opened j | Ack j | Summary j | Err j | Overloaded j
   | Status_doc j ->
     Json.to_string ~minify:true j
-  | Feed s | Feed_batch s | Race s -> s
+  | Feed_batch s | Race s -> s
   | Finish | Status -> ""
 
 (* ------------------------------------------------------------------ *)
@@ -116,7 +115,6 @@ let parse_json s =
 let frame_of ~typ ~body =
   match typ with
   | 'O' -> Result.map (fun j -> Open j) (parse_json body)
-  | 'F' -> Ok (Feed body)
   | 'B' -> Ok (Feed_batch body)
   | 'N' -> Ok Finish
   | 'S' -> Ok Status

@@ -2,27 +2,25 @@
 
     One frame is [4-byte big-endian payload length | 1 type byte |
     payload].  Requests use upper-case type bytes, responses
-    lower-case; payloads are minified JSON except {!Feed}/{!Race},
-    which carry binary trace records / rendered report lines.  See
+    lower-case; payloads are minified JSON except {!Feed_batch}/{!Race},
+    which carry one v2 block body / a rendered report line.  See
     [doc/serve.md] for the full protocol. *)
 
 module Json = Dgrace_obs.Json
 
 type frame =
   | Open of Json.t
-      (** open a session: [{"spec": name, "vc_intern": bool,
+      (** open a session: [{"spec": name,
           "max_events"/"deadline_s"/"max_shadow_bytes": budget}] *)
-  | Feed of string  (** binary event records ({!Dgrace_trace.Trace_codec}) *)
   | Feed_batch of string
-      (** one v2 block body ({!Dgrace_trace.Trace_format_v2.encode_body}):
-          the batched feed path — the server decodes it straight into a
-          struct-of-arrays {!Dgrace_events.Batch.t} and, when the
-          session's detector has a batch fast path and the budget is
-          unlimited, delivers it without materializing events *)
+      (** one v2 block body ({!Dgrace_trace.Trace_format_v2.encode_body}),
+          the only feed frame — the server decodes it straight into a
+          struct-of-arrays {!Dgrace_events.Batch.t} and delivers it
+          through the detector's batch fast path *)
   | Finish  (** finalize the session and request its summary *)
   | Status  (** request the server status document *)
   | Opened of Json.t  (** [{"session": id}] *)
-  | Ack of Json.t  (** per-FEED receipt: [{"events": n, "races": n}] *)
+  | Ack of Json.t  (** per-BATCH receipt: [{"events": n, "races": n}] *)
   | Race of string  (** one incremental race report line *)
   | Summary of Json.t  (** the finalized run envelope *)
   | Err of Json.t

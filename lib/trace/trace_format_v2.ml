@@ -129,23 +129,64 @@ let encode_body enc (b : Batch.t) =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
+(* block cutting *)
+
+(* [bytes] bounds the encoded size of the [rows] counted so far: at most
+   [row_bound] bytes of varints per row, plus the bytes of every
+   access's location unless it repeats the previous access's string
+   (which the encoder has then already interned).  A block closes
+   before it could outgrow [max_body_len], the largest body the reader
+   accepts, or hold more than [limit] rows. *)
+type cutter = {
+  limit : int;
+  mutable rows : int;
+  mutable bytes : int;
+  mutable last_loc : string;
+}
+
+let row_bound = 64
+
+let cutter ~rows =
+  {
+    limit = max 1 (min rows block_events);
+    rows = 0;
+    bytes = row_bound;
+    last_loc = "";
+  }
+
+let admit c ev =
+  let bound =
+    match ev with
+    | Event.Access { loc; _ } ->
+      check_loc loc;
+      if loc == c.last_loc then row_bound
+      else begin
+        c.last_loc <- loc;
+        row_bound + String.length loc
+      end
+    | _ -> row_bound
+  in
+  if c.rows < c.limit && c.bytes + bound <= max_body_len then begin
+    c.rows <- c.rows + 1;
+    c.bytes <- c.bytes + bound;
+    true
+  end
+  else begin
+    c.rows <- 1;
+    c.bytes <- row_bound + bound;
+    false
+  end
+
+(* ------------------------------------------------------------------ *)
 (* writer: the v1 Trace_writer surface over block buffering *)
 
-(* [pending_bound] bounds the encoded size of the pending rows: at most
-   [row_bound] bytes of varints per row, plus the bytes of every
-   access's location unless it repeats the previous access's string.
-   A block closes before it could outgrow [max_body_len], the largest
-   body the reader accepts. *)
 type writer = {
   oc : out_channel;
   enc : block_encoder;
   pending : Batch.t;
-  mutable pending_bound : int;
-  mutable last_loc : string;
+  cut : cutter;
   mutable count : int;
 }
-
-let row_bound = 64
 
 let create oc =
   output_string oc magic;
@@ -154,8 +195,7 @@ let create oc =
     oc;
     enc = block_encoder ();
     pending = Batch.create ();
-    pending_bound = row_bound;
-    last_loc = "";
+    cut = cutter ~rows:block_events;
     count = 0;
   }
 
@@ -166,27 +206,13 @@ let flush_block w =
     write_varint hdr (String.length body);
     Buffer.output_buffer w.oc hdr;
     output_string w.oc body;
-    Batch.clear w.pending;
-    w.pending_bound <- row_bound
+    Batch.clear w.pending
   end
 
 let write w ev =
-  let bound =
-    match ev with
-    | Event.Access { loc; _ } ->
-      check_loc loc;
-      if loc == w.last_loc then row_bound
-      else begin
-        w.last_loc <- loc;
-        row_bound + String.length loc
-      end
-    | _ -> row_bound
-  in
-  if w.pending_bound + bound > max_body_len then flush_block w;
-  w.pending_bound <- w.pending_bound + bound;
+  if not (admit w.cut ev) then flush_block w;
   Batch.push w.pending ev;
-  w.count <- w.count + 1;
-  if Batch.is_full w.pending then flush_block w
+  w.count <- w.count + 1
 
 let sink w ev = write w ev
 let events_written w = w.count

@@ -38,6 +38,28 @@ val block_encoder : unit -> block_encoder
     exactly one body. *)
 val encode_body : block_encoder -> Batch.t -> string
 
+(** {1 Block cutting}
+
+    Where a producer of block bodies closes a block: the {!writer}
+    and the serve client's batch frames cut by the same rule. *)
+
+type cutter
+
+(** [cutter ~rows] starts an empty block of at most [rows] rows
+    ([rows] is clamped to [1 .. block_events]). *)
+val cutter : rows:int -> cutter
+
+(** [admit c ev] counts [ev] into the block being filled and is [true]
+    while it fits: at most [rows] rows, and a bound on the encoded body
+    (a fixed varint allowance per row plus each new location's bytes)
+    no larger than {!max_body_len}.  [false] means [ev] does not fit:
+    close the pending block, and [ev] opens the next one (it is
+    already counted there).  The bound assumes the blocks go through
+    one {!block_encoder}, in order.
+    @raise Dgrace_resilience.Error.E on a location longer than
+    [Trace_format.max_loc_len]; nothing is counted then. *)
+val admit : cutter -> Event.t -> bool
+
 (** {1 Writer} — the {!Trace_writer} surface over block buffering. *)
 
 type writer

@@ -19,7 +19,7 @@ let[@warning "-32"] max = Int.max
 
 type t = {
   uid : int;  (* > 0; keyed into Vector_clock memo fields *)
-  consing : bool;  (* false = legacy deep-copy mode (--no-vc-intern) *)
+  consing : bool;  (* false = the unconsed contrast arena (tests, bench) *)
   table : snap list Int_table.t;  (* content hash -> bucket *)
   pool : int array list Int_table.t;  (* payload length -> spares *)
   pool_count : int Int_table.t;

@@ -40,10 +40,12 @@ type stats = {
 }
 
 val create : ?hash_consing:bool -> ?on_bytes:(int -> unit) -> unit -> t
-(** A fresh arena.  [hash_consing:false] disables deduplication and the
-    generation memo — every intern materialises a private snapshot,
-    reproducing the legacy deep-copy behaviour (the [--no-vc-intern]
-    escape hatch) while keeping the same ownership protocol.
+(** A fresh arena.  Every detector uses the default, hash-consed arena.
+    [hash_consing:false] builds the contrast arena that only the
+    arena's QCheck laws and [bench/vclock_bench.ml] use:
+    no deduplication and no generation memo — every intern
+    materialises a private snapshot, the deep-copy behaviour — under
+    the same ownership protocol.
     [on_bytes] is called with the signed byte delta whenever snapshot
     memory is allocated or freed, letting the caller mirror the arena
     into its {!Dgrace_shadow.Accounting} axes without a dependency

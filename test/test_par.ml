@@ -84,8 +84,7 @@ let diff_workload (w : Workload.t) spec () =
 (* The batch dispatch cross-product on real workloads: the clustered
    struct-of-arrays path (one shard, and per shard) and the per-event
    shard path (forced by a heartbeat) must match per-event dispatch on
-   everything [check_equivalent] looks at, with and without
-   vector-clock interning.  One seed — the batch path has no
+   everything [check_equivalent] looks at.  One seed — the batch path has no
    scheduling freedom of its own, so extra seeds only re-test the
    splitter (covered above). *)
 let diff_batch_workload (w : Workload.t) () =
@@ -94,24 +93,21 @@ let diff_batch_workload (w : Workload.t) () =
     Trace_shard.batches_of (Array.mapi (fun i ev -> (i, ev)) events)
   in
   let heartbeat = Some (4096, fun (_ : int) -> ()) in
+  let run ?progress shards source =
+    Tutil.(analyze (config ~shards ?progress Spec.dynamic) source)
+  in
+  let seq = run 1 (Tutil.event_array events) in
   List.iter
-    (fun vc_intern ->
-      let run ?progress shards source =
-        Tutil.(analyze (config ~vc_intern ~shards ?progress Spec.dynamic) source)
-      in
-      let seq = run 1 (Tutil.event_array events) in
-      List.iter
-        (fun (name, s) ->
-          check_equivalent
-            ~ctx:(Printf.sprintf "%s vc_intern=%b %s" w.name vc_intern name)
-            seq s)
-        [
-          ( "batches",
-            run 1 (Engine.Source.Batches (fun consume -> Array.iter consume batches)) );
-          ("4 shards batched", run 4 (Tutil.event_array events));
-          ("4 shards per-event", run ?progress:heartbeat 4 (Tutil.event_array events));
-        ])
-    [ true; false ]
+    (fun (name, s) ->
+      check_equivalent ~ctx:(Printf.sprintf "%s %s" w.name name) seq s)
+    [
+      ( "batches",
+        run 1
+          (Engine.Source.Batches (fun consume -> Array.iter consume batches)) );
+      ("4 shards batched", run 4 (Tutil.event_array events));
+      ( "4 shards per-event",
+        run ?progress:heartbeat 4 (Tutil.event_array events) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* splitter invariants *)

@@ -1,4 +1,4 @@
-(* The serve stack: wire framing, the streamed trace codec, crash-only
+(* The serve stack: wire framing, the batch-frame codec, crash-only
    sessions, the supervised domain pool, the socket server (concurrent
    differential vs the one-shot engine, backpressure, drain, watchdog),
    spool mode, and the wire-level fault harness. *)
@@ -10,7 +10,7 @@ module Error = Dgrace_resilience.Error
 module Json = Dgrace_obs.Json
 module Clock = Dgrace_obs.Clock
 module Wire = Dgrace_serve.Wire
-module Codec = Dgrace_trace.Trace_codec
+module Trace_format_v2 = Dgrace_trace.Trace_format_v2
 module Session = Dgrace_serve.Session
 module Pool = Dgrace_serve.Pool
 module Server = Dgrace_serve.Server
@@ -39,8 +39,13 @@ let racy_events () =
 
 let race_lines (s : Engine.summary) = List.map Report.to_string s.races
 
-let baseline_lines ?vc_intern events =
-  race_lines Tutil.(analyze (config ?vc_intern Spec.dynamic) (event_list events))
+let baseline_lines events =
+  race_lines Tutil.(analyze (config Spec.dynamic) (event_list events))
+
+(* One BATCH payload: the events (at most one block's worth) as a v2
+   block body from [enc], the connection's encoder. *)
+let body ?(enc = Trace_format_v2.block_encoder ()) events =
+  Trace_format_v2.encode_body enc (Batch.of_events events)
 
 let temp_socket () =
   let p = Filename.temp_file "dgrace-serve" ".sock" in
@@ -67,7 +72,6 @@ let temp_dir () =
 
 let frames_equal a b =
   match (a, b) with
-  | Wire.Feed x, Wire.Feed y
   | Wire.Feed_batch x, Wire.Feed_batch y
   | Wire.Race x, Wire.Race y ->
     x = y
@@ -94,8 +98,7 @@ let test_wire_roundtrip () =
   let sample = Json.Obj [ ("spec", Json.String "dynamic"); ("n", Json.Int 3) ] in
   let all =
     [
-      Wire.Open sample; Wire.Feed "\x00\x01binary\xff";
-      Wire.Feed_batch "\x00\x01block\xff"; Wire.Finish;
+      Wire.Open sample; Wire.Feed_batch "\x00\x01block\xff"; Wire.Finish;
       Wire.Status; Wire.Opened sample; Wire.Ack sample; Wire.Race "race on 0x1";
       Wire.Summary sample; Wire.Err sample; Wire.Overloaded sample;
       Wire.Status_doc sample;
@@ -121,14 +124,18 @@ let test_wire_eof_and_garbage () =
       match Wire.read b with
       | Ok None -> ()
       | _ -> Alcotest.fail "expected clean EOF");
-  (* unknown type byte *)
-  with_socketpair (fun a b ->
-      ignore (Unix.write_substring a "\x00\x00\x00\x00Z" 0 5);
-      match Wire.read b with
-      | Error e ->
-        Alcotest.(check bool) "names the byte" true
-          (contains ~affix:"unknown frame type" e)
-      | _ -> Alcotest.fail "garbage type accepted");
+  (* unknown type byte — 'F' too: an old client's event-record feed
+     frame is no longer part of the protocol *)
+  List.iter
+    (fun typ ->
+      with_socketpair (fun a b ->
+          ignore (Unix.write_substring a ("\x00\x00\x00\x00" ^ typ) 0 5);
+          match Wire.read b with
+          | Error e ->
+            Alcotest.(check bool) ("names the byte " ^ typ) true
+              (contains ~affix:"unknown frame type" e)
+          | _ -> Alcotest.failf "garbage type %s accepted" typ))
+    [ "Z"; "F" ];
   (* over-limit length *)
   with_socketpair (fun a b ->
       ignore (Unix.write_substring a "\xff\xff\xff\xff\xff" 0 5);
@@ -139,7 +146,7 @@ let test_wire_eof_and_garbage () =
       | _ -> Alcotest.fail "oversize length accepted");
   (* peer vanishing mid-frame *)
   with_socketpair (fun a b ->
-      ignore (Unix.write_substring a "\x00\x00\x00\x10F12" 0 7);
+      ignore (Unix.write_substring a "\x00\x00\x00\x10B12" 0 7);
       Unix.close a;
       match Wire.read b with
       | Error e ->
@@ -148,16 +155,11 @@ let test_wire_eof_and_garbage () =
       | _ -> Alcotest.fail "truncated frame accepted")
 
 (* ------------------------------------------------------------------ *)
-(* trace codec *)
+(* batch-frame codec: v2 block bodies over one connection *)
 
 let test_codec_roundtrip_across_frames () =
   let events = racy_events () in
-  let enc = Codec.encoder () in
-  let chunk evs =
-    let buf = Buffer.create 256 in
-    List.iter (Codec.encode enc buf) evs;
-    Buffer.contents buf
-  in
+  let enc = Trace_format_v2.block_encoder () in
   let rec split3 = function
     | a :: b :: c :: rest ->
       let xs, ys, zs = split3 rest in
@@ -165,25 +167,35 @@ let test_codec_roundtrip_across_frames () =
     | rest -> (rest, [], [])
   in
   let c1, c2, c3 = split3 events in
-  let dec = Codec.decoder () in
+  let dec = Trace_format_v2.stream_decoder () in
+  let base = ref 0 in
   let decode payload =
-    match Codec.decode_frame dec payload with
-    | Ok evs -> evs
+    let b = Batch.create () in
+    match Trace_format_v2.decode_body dec ~base:!base payload b with
+    | Ok () ->
+      base := !base + String.length payload;
+      List.init (Batch.length b) (Batch.event b)
     | Error e -> Alcotest.fail (Error.to_string e)
   in
   (* locations sent in frame 1 must resolve by id in frames 2 and 3 *)
-  let round = decode (chunk c1) @ decode (chunk c2) @ decode (chunk c3) in
+  let round =
+    decode (body ~enc c1) @ decode (body ~enc c2) @ decode (body ~enc c3)
+  in
   Alcotest.(check int) "count" (List.length events) (List.length round);
   Alcotest.(check bool) "payload equal" true (List.sort compare events = List.sort compare round)
 
 let test_codec_corruption_absolute_offset () =
-  let dec = Codec.decoder () in
-  let first = Codec.encode_all (racy_events ()) in
-  (match Codec.decode_frame dec first with
-   | Ok _ -> ()
+  let dec = Trace_format_v2.stream_decoder () in
+  let first = body (racy_events ()) in
+  let b = Batch.create () in
+  (match Trace_format_v2.decode_body dec ~base:0 first b with
+   | Ok () -> ()
    | Error e -> Alcotest.fail (Error.to_string e));
-  match Codec.decode_frame dec "\xee\xee\xee" with
-  | Ok _ -> Alcotest.fail "garbage decoded"
+  (* one row whose kind tag is no kind *)
+  match
+    Trace_format_v2.decode_body dec ~base:(String.length first) "\x01\xee\x01" b
+  with
+  | Ok () -> Alcotest.fail "garbage decoded"
   | Error (Error.Corrupt_trace { offset; reason; _ }) ->
     Alcotest.(check bool) "offset is absolute in the stream" true
       (offset >= String.length first);
@@ -197,7 +209,7 @@ let test_codec_corruption_absolute_offset () =
 let test_session_matches_oneshot () =
   let events = racy_events () in
   let s = Session.open_ ~id:0 ~spec:Spec.dynamic () in
-  (match Session.feed_frame s (Codec.encode_all events) with
+  (match Session.feed_batch_frame s (body events) with
    | Ok ack ->
      Alcotest.(check int) "events acked" (List.length events)
        ack.Session.ack_events
@@ -218,16 +230,19 @@ let test_session_matches_oneshot () =
 
 let test_session_poisoned_by_corrupt_frame () =
   let s = Session.open_ ~id:1 ~spec:Spec.dynamic () in
-  (match Session.feed_frame s (Codec.encode_all (racy_events ())) with
+  let first = body (racy_events ()) in
+  (match Session.feed_batch_frame s first with
    | Ok _ -> ()
    | Error e -> Alcotest.fail (Error.to_string e));
   let stored =
-    match Session.feed_frame s "\xee\xee" with
+    match Session.feed_batch_frame s "\xee\xee" with
     | Ok _ -> Alcotest.fail "corrupt frame accepted"
     | Error e -> e
   in
   (match stored with
-   | Error.Corrupt_trace _ -> ()
+   | Error.Corrupt_trace { offset; _ } ->
+     Alcotest.(check bool) "offset is absolute in the session's stream" true
+       (offset >= String.length first)
    | e -> Alcotest.fail ("wrong error: " ^ Error.to_string e));
   (match Session.state s with
    | `Poisoned _ -> ()
@@ -236,7 +251,7 @@ let test_session_poisoned_by_corrupt_frame () =
   Alcotest.(check (list string)) "no races from a poisoned session" []
     (List.map Report.to_string (Session.races_so_far s));
   (* every later call answers the stored error *)
-  (match Session.feed_events s [ Tutil.wr 1 0x1000 ] with
+  (match Session.feed_batch s (Batch.of_events [ Tutil.wr 1 0x1000 ]) with
    | Error e ->
      Alcotest.(check string) "feed answers stored error"
        (Error.to_string stored) (Error.to_string e)
@@ -251,10 +266,11 @@ let test_session_contains_crashing_detector () =
   let d =
     { (Dgrace_detectors.Detector.null ()) with
       on_event = (fun _ -> failwith "detector bug");
+      process_batch = None;
     }
   in
   let s = Session.of_detector ~id:2 d in
-  (match Session.feed_events s [ Tutil.wr 1 0x1000 ] with
+  (match Session.feed_batch s (Batch.of_events [ Tutil.wr 1 0x1000 ]) with
    | Error (Error.Internal { where; reason }) ->
      Alcotest.(check string) "where" "session.detector" where;
      Alcotest.(check bool) "reason" true
@@ -271,14 +287,14 @@ let test_session_budget_stop_is_answerable () =
     Session.open_ ~budget:(Budget.make ~max_events:50 ()) ~id:3
       ~spec:Spec.dynamic ()
   in
-  (match Session.feed_events s events with
+  (match Session.feed_batch s (Batch.of_events events) with
    | Error (Error.Budget_exhausted { budget; _ }) ->
      Alcotest.(check string) "events budget" "events" budget
    | Error e -> Alcotest.fail (Error.to_string e)
    | Ok _ -> Alcotest.fail "budget not enforced");
   Alcotest.(check bool) "stopped" true (Session.state s = `Stopped);
   (* further feeds keep answering the budget error... *)
-  (match Session.feed_events s [ Tutil.wr 1 0x1000 ] with
+  (match Session.feed_batch s (Batch.of_events [ Tutil.wr 1 0x1000 ]) with
    | Error (Error.Budget_exhausted _) -> ()
    | _ -> Alcotest.fail "stopped session did not answer budget error");
   (* ...while finalize returns the sealed partial summary *)
@@ -290,7 +306,7 @@ let test_session_budget_stop_is_answerable () =
     | _ -> Alcotest.fail "summary not flagged partial")
   | Error e -> Alcotest.fail (Error.to_string e)
 
-(* The event budget is exact through every feed: a session fed exactly
+(* The event budget is exact through both feeds: a session fed exactly
    [limit] events completes; one more event, also mid-batch, stops it
    with the first [limit] events analysed, as a one-shot run does. *)
 let test_session_event_budget_exact () =
@@ -304,9 +320,8 @@ let test_session_event_budget_exact () =
   in
   let feeds =
     [
-      ("events", fun s -> Session.feed_events s events);
       ("batch", fun s -> Session.feed_batch s (Batch.of_events events));
-      ("frame", fun s -> Session.feed_frame s (Codec.encode_all events));
+      ("batch frame", fun s -> Session.feed_batch_frame s (body events));
     ]
   in
   List.iter
@@ -341,19 +356,27 @@ let test_session_event_budget_exact () =
     [ 1; n / 2; n - 1; n; n + 1 ]
 
 let test_session_deadline_on_mock_clock () =
-  (* one second per clock reading; the deadline poll (every 256 events)
-     crosses 3 s deterministically, with zero real waiting *)
+  (* one second per clock reading; the deadline check after each
+     batch crosses 3 s deterministically, with zero real waiting *)
   let clock = Clock.ticker ~step:1_000_000_000 () in
   let s =
     Session.open_ ~budget:(Budget.make ~deadline_s:3.0 ()) ~clock ~id:4
       ~spec:Spec.dynamic ()
   in
-  let events = List.init 2000 (fun i -> Tutil.wr 1 (0x1000 + (i mod 32) * 4)) in
-  (match Session.feed_events s events with
-   | Error (Error.Budget_exhausted { budget; _ }) ->
-     Alcotest.(check string) "deadline budget" "deadline_s" budget
-   | Error e -> Alcotest.fail (Error.to_string e)
-   | Ok _ -> Alcotest.fail "mock deadline not enforced");
+  let batch =
+    Batch.of_events
+      (List.init 256 (fun i -> Tutil.wr 1 (0x1000 + (i mod 32 * 4))))
+  in
+  let rec feed n =
+    if n = 0 then Alcotest.fail "mock deadline not enforced"
+    else
+      match Session.feed_batch s batch with
+      | Ok _ -> feed (n - 1)
+      | Error (Error.Budget_exhausted { budget; _ }) ->
+        Alcotest.(check string) "deadline budget" "deadline_s" budget
+      | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  feed 8;
   match Session.finalize s with
   | Ok summary -> (
     match summary.Engine.partial with
@@ -364,7 +387,7 @@ let test_session_deadline_on_mock_clock () =
 let test_session_expiry_watchdog_hook () =
   let clock = Clock.ticker ~step:1_000_000_000 () in
   let s = Session.open_ ~clock ~id:5 ~spec:Spec.dynamic () in
-  (match Session.feed_events s [ Tutil.wr 1 0x1000 ] with
+  (match Session.feed_batch s (Batch.of_events [ Tutil.wr 1 0x1000 ]) with
    | Ok _ -> ()
    | Error e -> Alcotest.fail (Error.to_string e));
   (match Session.expire_if_over s ~deadline_s:0.5 with
@@ -470,37 +493,21 @@ let test_server_concurrent_differential () =
            Tutil.(
              analyze (config ?progress ~shards:4 Spec.dynamic) (event_list events))))
     [ None; Some (1000, fun (_ : int) -> ()) ];
-  Alcotest.(check (list string))
-    "no-intern oracle agrees" oracle
-    (baseline_lines ~vc_intern:false events);
   with_server (fun _server socket ->
-      (* N concurrent sessions across client configurations — half over
-         'E' event frames, half over 'B' v2-block batch frames: every
-         one must report the oracle's races, byte for byte *)
-      let configs =
-        [
-          (`Events, true, 512); (`Events, true, 64); (`Events, false, 512);
-          (`Batches, true, 7); (`Batches, false, 131); (`Batches, true, 2048);
-        ]
-      in
+      (* N concurrent sessions, each cutting the stream into BATCH
+         frames of a different size: every one must report the
+         oracle's races, byte for byte *)
       let results =
         List.map
-          (fun (framing, vc_intern, chunk_events) ->
+          (fun chunk_events ->
             let slot = ref (Error (Client.Protocol "not run")) in
             let th =
               Thread.create
-                (fun () ->
-                  slot :=
-                    (match framing with
-                     | `Events ->
-                       Client.replay ~vc_intern ~chunk_events ~socket events
-                     | `Batches ->
-                       Client.replay_batched ~vc_intern ~chunk_events ~socket
-                         events))
+                (fun () -> slot := Client.replay ~chunk_events ~socket events)
                 ()
             in
             (th, slot))
-          configs
+          [ 7; 64; 131; 512; 2048; 4096 ]
       in
       List.iter (fun (th, _) -> Thread.join th) results;
       List.iteri
@@ -518,6 +525,31 @@ let test_server_concurrent_differential () =
              | _ -> Alcotest.fail "summary missing race count")
           | Error f -> Alcotest.fail (Client.failure_to_string f))
         results)
+
+(* Frames stay under the server's 16 MiB frame limit when locations
+   are long and distinct: 600 accesses with distinct 40 KiB locations
+   would make a 512-row frame of about 20 MiB, so the client cuts its
+   frames where the v2 writer cuts its blocks. *)
+let test_server_long_locations () =
+  let loc i = Printf.sprintf "%04d%s" i (String.make (40 * 1024) 'l') in
+  let events =
+    Tutil.fork 0 1
+    :: List.concat_map
+         (fun i ->
+           let addr = 0x1000 + (i * 8) in
+           [
+             Tutil.wr ~loc:(loc (2 * i)) 0 addr;
+             Tutil.wr ~loc:(loc ((2 * i) + 1)) 1 addr;
+           ])
+         (List.init 300 Fun.id)
+  in
+  let oracle = baseline_lines events in
+  Alcotest.(check bool) "the stream races" true (oracle <> []);
+  with_server (fun _server socket ->
+      match Client.replay ~socket events with
+      | Ok { Client.races; _ } ->
+        Alcotest.(check (list string)) "matches one-shot" oracle races
+      | Error f -> Alcotest.fail (Client.failure_to_string f))
 
 let test_server_admission_overload () =
   let cfg = { Server.default_config with domains = 2; max_sessions = 1 } in
@@ -563,27 +595,30 @@ let test_server_inbox_backpressure () =
           (match Wire.read fd with
            | Ok (Some (Wire.Opened _)) -> ()
            | _ -> Alcotest.fail "open failed");
-          (* one big frame keeps the only worker busy; tiny frames
-             behind it overflow the 2-deep inbox.  One encoder for the
-             whole connection: loc interning is per-session state. *)
-          let enc = Codec.encoder () in
-          let payload evs =
-            let buf = Buffer.create 4096 in
-            List.iter (Codec.encode enc buf) evs;
-            Buffer.contents buf
+          (* full blocks of fresh addresses keep the only worker busy;
+             frames behind them overflow the 2-deep inbox.  One encoder
+             for the whole connection, and one location, interned by
+             the first frame (which is never shed): a shed frame must
+             not leave later frames naming a location the server never
+             saw. *)
+          let enc = Trace_format_v2.block_encoder () in
+          let rows = Trace_format_v2.block_events in
+          let big k =
+            body ~enc
+              (List.init rows (fun i ->
+                   Tutil.wr 0 (0x100000 + (((k * rows) + i) * 64))))
           in
-          let big =
-            payload
-              (List.init 300_000 (fun i -> Tutil.wr 0 (0x100000 + (i * 8))))
-          in
-          Wire.write fd (Wire.Feed big);
-          let tiny = payload [ Tutil.wr 0 0x10 ] in
-          let sent = 24 in
-          for _ = 1 to sent do
-            Wire.write fd (Wire.Feed tiny)
+          let bigs = 8 in
+          for k = 0 to bigs - 1 do
+            Wire.write fd (Wire.Feed_batch (big k))
+          done;
+          let tiny = body ~enc [ Tutil.wr 0 0x10 ] in
+          let sent = bigs + 24 in
+          for _ = bigs + 1 to sent do
+            Wire.write fd (Wire.Feed_batch tiny)
           done;
           let acks = ref 0 and overloaded = ref 0 in
-          for _ = 1 to sent + 1 do
+          for _ = 1 to sent do
             match Wire.read fd with
             | Ok (Some (Wire.Ack _)) -> incr acks
             | Ok (Some (Wire.Overloaded _)) -> incr overloaded
@@ -618,7 +653,7 @@ let test_server_drain_seals_partial () =
     (match Client.open_session c with
      | Ok _ -> ()
      | Error f -> Alcotest.fail (Client.failure_to_string f));
-    (match Client.feed c (racy_events ()) with
+    (match Client.feed_batch c (Batch.of_events (racy_events ())) with
      | Ok _ -> ()
      | Error f -> Alcotest.fail (Client.failure_to_string f));
     (* SIGTERM path: the session never sends Finish; drain must seal
@@ -743,6 +778,9 @@ let test_spool_matches_oneshot_and_isolates () =
   let events = racy_events () in
   write_trace (Filename.concat dir "a.trc") events;
   write_trace (Filename.concat dir "b.trc") [ Tutil.wr 0 0x10 ];
+  ignore
+    (Trace_format_v2.to_file (Filename.concat dir "c.trc") (fun sink ->
+         List.iter sink events));
   let oc = open_out_bin (Filename.concat dir "corrupt.trc") in
   output_string oc "DGRT\x01\xee\xee\xee\xee";
   close_out oc;
@@ -752,9 +790,14 @@ let test_spool_matches_oneshot_and_isolates () =
       ~dir ()
   in
   (match results with
-   | [ ("a.trc", Ok a); ("b.trc", Ok b); ("corrupt.trc", Error e) ] ->
+   | [
+       ("a.trc", Ok a); ("b.trc", Ok b); ("c.trc", Ok c);
+       ("corrupt.trc", Error e);
+     ] ->
      Alcotest.(check (list string))
        "a.trc matches one-shot" (baseline_lines events) (race_lines a);
+     Alcotest.(check (list string))
+       "v2 c.trc matches one-shot" (baseline_lines events) (race_lines c);
      Alcotest.(check int) "b.trc clean" 0 b.Engine.race_count;
      (match e with
       | Error.Corrupt_trace _ -> ()
@@ -810,6 +853,8 @@ let suites : unit Alcotest.test list =
       [
         Alcotest.test_case "concurrent differential" `Slow
           test_server_concurrent_differential;
+        Alcotest.test_case "long locations stay under the frame limit" `Quick
+          test_server_long_locations;
         Alcotest.test_case "admission overload" `Quick
           test_server_admission_overload;
         Alcotest.test_case "inbox backpressure" `Slow

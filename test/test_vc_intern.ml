@@ -1,11 +1,10 @@
 (* The hash-consed vector-clock arena (lib/vclock/vc_intern.ml):
-   QCheck laws for the snapshot/refcount discipline, and the
-   differential guard that interning is a pure memory optimisation —
-   every workload reports bit-identical races with interning on and
-   off, sequential and sharded. *)
+   QCheck laws for the snapshot/refcount discipline, checked against
+   the unconsed contrast arena ([~hash_consing:false]), and the
+   arena's gauges in run summaries.  Detectors always intern;
+   test/golden pins their races on that one path. *)
 
 open Dgrace_core
-open Dgrace_events
 open Dgrace_workloads
 module Vc = Dgrace_vclock.Vector_clock
 module Vi = Dgrace_vclock.Vc_intern
@@ -173,75 +172,16 @@ let test_accounting_callback () =
   Alcotest.(check int) "free reported" 0 !delta
 
 (* ------------------------------------------------------------------ *)
-(* differential guard: interning on vs off, sequential and sharded —
-   the race columns must be bit-identical for every workload *)
-
-let policy = Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 }
-let recordings : (string, Event.t array) Hashtbl.t = Hashtbl.create 16
-
-let recorded (w : Workload.t) =
-  match Hashtbl.find_opt recordings w.name with
-  | Some a -> a
-  | None ->
-    let p = Workload.with_params ~scale:1 ~seed:1 w in
-    let buf = ref [] in
-    ignore
-      (Workload.run ~policy ~params:p ~sink:(fun ev -> buf := ev :: !buf) w);
-    let a = Array.of_list (List.rev !buf) in
-    Hashtbl.replace recordings w.name a;
-    a
-
-let report = Alcotest.testable (Fmt.of_to_string Report.to_string) ( = )
-
-let check_same ~ctx (on : Engine.summary) (off : Engine.summary) =
-  Alcotest.(check (list report)) (ctx ^ ": race reports") off.races on.races;
-  Alcotest.(check int) (ctx ^ ": suppressed") off.suppressed on.suppressed;
-  Alcotest.(check int)
-    (ctx ^ ": exit code")
-    (Engine.exit_code_of_summary off)
-    (Engine.exit_code_of_summary on)
-
-let analyse w spec ~vc_intern ~shards =
-  Tutil.(analyze (config ~vc_intern ~shards spec) (event_array (recorded w)))
-
-let test_differential (w : Workload.t) () =
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun shards ->
-          let ctx =
-            Printf.sprintf "%s/%s/shards=%d" w.name (Spec.name spec) shards
-          in
-          let on = analyse w spec ~vc_intern:true ~shards in
-          let off = analyse w spec ~vc_intern:false ~shards in
-          check_same ~ctx on off)
-        [ 1; 4 ])
-    [ Spec.dynamic ]
-
-(* the snapshot-heavy detectors get the same guard on the workloads
-   that stress them hardest (drd interns per segment, inspector per
-   history entry, raytrace/canneal produce the most snapshots) *)
-let test_differential_detectors () =
-  List.iter
-    (fun wname ->
-      let w = Option.get (Registry.find wname) in
-      List.iter
-        (fun spec ->
-          List.iter
-            (fun shards ->
-              let ctx =
-                Printf.sprintf "%s/%s/shards=%d" w.name (Spec.name spec) shards
-              in
-              let on = analyse w spec ~vc_intern:true ~shards in
-              let off = analyse w spec ~vc_intern:false ~shards in
-              check_same ~ctx on off)
-            [ 1; 4 ])
-        [ Spec.byte; Spec.Drd; Spec.Inspector; Spec.Racetrack { region = 64 } ])
-    [ "raytrace"; "canneal"; "ffmpeg" ]
-
-(* ------------------------------------------------------------------ *)
 (* the vclock.* gauges surface in summaries and survive the sharded
    max-merge *)
+
+let policy = Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 }
+
+let recorded (w : Workload.t) =
+  let p = Workload.with_params ~scale:1 ~seed:1 w in
+  let buf = ref [] in
+  ignore (Workload.run ~policy ~params:p ~sink:(fun ev -> buf := ev :: !buf) w);
+  Array.of_list (List.rev !buf)
 
 let test_gauges_exported_and_merged () =
   let w = Option.get (Registry.find "raytrace") in
@@ -250,14 +190,18 @@ let test_gauges_exported_and_merged () =
     | Some v -> v
     | None -> Alcotest.failf "gauge %s missing" name
   in
-  let s1 = analyse w Spec.dynamic ~vc_intern:true ~shards:1 in
+  let events = recorded w in
+  let analyse shards =
+    Tutil.(analyze (config ~shards Spec.dynamic) (event_array events))
+  in
+  let s1 = analyse 1 in
   Alcotest.(check bool)
     "sequential run interned snapshots" true
     (gauge s1 "vclock.interns" > 0);
   Alcotest.(check bool)
     "arena peak accounted" true
     (gauge s1 "vclock.arena_peak_bytes" > 0);
-  let s4 = analyse w Spec.dynamic ~vc_intern:true ~shards:4 in
+  let s4 = analyse 4 in
   (* gauges are max-merged: the merged peak is the hottest shard's,
      positive and never above the sequential arena's *)
   Alcotest.(check bool)
@@ -269,10 +213,7 @@ let test_gauges_exported_and_merged () =
   (* interned memory also reaches the engine's memory summary *)
   Alcotest.(check bool)
     "peak_interned_bytes surfaced" true
-    (s1.mem.peak_interned_bytes > 0);
-  (* and with interning off the arena never cons-shares *)
-  let off = analyse w Spec.dynamic ~vc_intern:false ~shards:1 in
-  Alcotest.(check int) "no memo hits when off" 0 (gauge off "vclock.memo_hits")
+    (s1.mem.peak_interned_bytes > 0)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -293,17 +234,6 @@ let suites =
         Alcotest.test_case "accounting callback" `Quick
           test_accounting_callback;
       ] );
-    ( "vc_intern.differential",
-      List.map
-        (fun (w : Workload.t) ->
-          Alcotest.test_case
-            (Printf.sprintf "%s on=off, shards 1 & 4" w.name)
-            `Quick (test_differential w))
-        Registry.all
-      @ [
-          Alcotest.test_case "drd/inspector/racetrack/byte on=off" `Quick
-            test_differential_detectors;
-        ] );
     ( "vc_intern.gauges",
       [
         Alcotest.test_case "exported and max-merged" `Quick

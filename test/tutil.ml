@@ -76,13 +76,12 @@ let analyze config source =
   | Error e ->
     Alcotest.failf "Engine.analyze: %s" (Dgrace_resilience.Error.to_string e)
 
-let config ?(suppression = Suppression.empty) ?(vc_intern = true) ?(shards = 1)
+let config ?(suppression = Suppression.empty) ?(shards = 1)
     ?(budget = Dgrace_resilience.Budget.unlimited) ?sample_every ?progress
     ?tracer spec =
   {
     (Engine.Config.make spec) with
     Engine.Config.suppression;
-    vc_intern;
     shards;
     budget;
     sample_every;
