@@ -128,7 +128,7 @@ let matrix_states = Array.append [| "start" |] Share_state.names
 let start_index = 0
 let state_index s = 1 + Share_state.index s
 
-let decided st ~shared ~bytes =
+let[@inline] decided st ~shared ~bytes =
   Metrics.incr st.m_decisions;
   if shared then begin
     Metrics.incr st.m_dec_shared;
@@ -141,7 +141,7 @@ let decided st ~shared ~bytes =
 
 let plane st ~write = if write then st.wplane else st.rplane
 
-let bitmap st tid =
+let[@inline] bitmap st tid =
   while Vec.length st.bitmaps <= tid do
     Vec.push st.bitmaps None
   done;
@@ -180,7 +180,7 @@ let retire st c =
 let hist_equal ~write a b =
   if write then Epoch.equal a.w b.w else Read_state.equal a.r b.r
 
-let update_hist st ~write c ~tid ~tvc ~here ~loc =
+let[@inline] update_hist st ~write c ~tid ~tvc ~here ~loc =
   if write then c.w <- here
   else begin
     c.r <- Read_state.update ~intern:st.intern c.r ~tid ~tvc;
@@ -215,7 +215,7 @@ let rec find_conflict st pl ~write ~sub_hi ~tvc a =
     end
   end
 
-let check_races st ~write ~cell ~sub_lo ~sub_hi ~tvc =
+let[@inline] check_races st ~write ~cell ~sub_lo ~sub_hi ~tvc =
   Span.timer_start st.tm_vc;
   if write then Metrics.incr st.m_epoch_cmp;
   let conflict =
@@ -593,7 +593,7 @@ let degrade st =
    rides the same-epoch fast path for this epoch; Init cells mark only
    the accessed group — they grow with every access and re-marking the
    growing range would be quadratic. *)
-let mark_covered st ~tid ~write c ~glo ~ghi =
+let[@inline] mark_covered st ~tid ~write c ~glo ~ghi =
   if st.bitmaps_on then begin
     let bm = bitmap st tid in
     if Share_state.is_settled c.cstate && c.refs = c.hi - c.lo then

@@ -6,7 +6,7 @@ let[@warning "-32"] max = Int.max
 
 type t = No_reads | Ep of Epoch.t | Vc of Vc_intern.snap
 
-let is_empty = function No_reads -> true | Ep _ | Vc _ -> false
+let[@inline] is_empty = function No_reads -> true | Ep _ | Vc _ -> false
 
 let equal a b =
   match (a, b) with
@@ -15,16 +15,16 @@ let equal a b =
   | Vc s1, Vc s2 -> Vc_intern.equal s1 s2
   | (No_reads | Ep _ | Vc _), _ -> false
 
-let leq r tvc =
+let[@inline] leq r tvc =
   match r with
   | No_reads -> true
   | Ep e -> Vector_clock.epoch_leq e tvc
   | Vc s -> Vc_intern.leq_clock s tvc
 
-let same_epoch r e =
+let[@inline] same_epoch r e =
   match r with Ep e' -> Epoch.equal e e' | No_reads | Vc _ -> false
 
-let update ~intern r ~tid ~tvc =
+let[@inline] update ~intern r ~tid ~tvc =
   let here = Epoch.make ~tid ~clock:(Vector_clock.get tvc tid) in
   match r with
   | No_reads -> Ep here

@@ -33,8 +33,8 @@ let step s x =
   | (Private | Init_private), Sharing_dissolved -> None
   | Race, Sharing_dissolved -> Some Race
 
-let is_init = function Init_private | Init_shared -> true | _ -> false
-let is_settled = function Shared | Private -> true | _ -> false
+let[@inline] is_init = function Init_private | Init_shared -> true | _ -> false
+let[@inline] is_settled = function Shared | Private -> true | _ -> false
 let equal (a : t) b = a = b
 
 let pp ppf s =

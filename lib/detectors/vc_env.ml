@@ -13,7 +13,7 @@ type t = {
 
 let create () = { threads = Vec.create (); locks = Int_table.create 64 }
 
-let clock_of t tid =
+let[@inline] clock_of t tid =
   while Vec.length t.threads <= tid do
     Vec.push t.threads None
   done;
@@ -25,7 +25,7 @@ let clock_of t tid =
     Vec.set t.threads tid (Some vc);
     vc
 
-let epoch_of t tid =
+let[@inline] epoch_of t tid =
   let vc = clock_of t tid in
   Epoch.make ~tid ~clock:(Vector_clock.get vc tid)
 

@@ -63,7 +63,7 @@ let log2_floor v =
   done;
   !b
 
-let observe h v =
+let[@inline] observe h v =
   let b = if v <= 1 then 0 else log2_floor v in
   let b = if b >= n_buckets then n_buckets - 1 else b in
   h.buckets.(b) <- h.buckets.(b) + 1;

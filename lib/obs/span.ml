@@ -154,7 +154,9 @@ let timer (b : buf) ~name ~mask =
   tm
 
 (* A timer that never samples: its gate is a private always-false ref,
-   so [timer_start]/[timer_stop] reduce to a load and a branch.  Lets
+   so [timer_start]/[timer_stop] reduce to a load and a branch once
+   inlined into the caller.  That takes a build without -opaque (the
+   workspace's release profile); under -opaque each is a full call.  Lets
    per-access call sites keep one unconditional code path whether or
    not a tracer was attached; never registered on a lane, never
    exported. *)

@@ -1,6 +1,7 @@
 module Json = Dgrace_obs.Json
 module Trace_format_v2 = Dgrace_trace.Trace_format_v2
 module Batch = Dgrace_events.Batch
+module Error = Dgrace_resilience.Error
 
 (* Client side of the serve wire protocol — used by [racedet client],
    the differential tests and the socket-path fault harness.  The
@@ -121,11 +122,53 @@ let open_session ?(spec = "dynamic") ?max_events ?deadline_s
 (* One BATCH frame: the batch encodes to a v2 block body once, so an
    Overloaded retry resends the identical bytes (the encoder's intern
    table advanced exactly once). *)
-let feed_batch t batch =
-  let body = Trace_format_v2.encode_body t.benc batch in
+let feed_frame t frame =
+  let body = Trace_format_v2.encode_body t.benc frame in
   request t (Wire.Feed_batch body) ~expect:(function
     | Wire.Ack j -> Some j
     | _ -> None)
+
+(* The client's one cut rule: [batch] goes out as the BATCH frames the
+   v2 writer would cut it into blocks, each of at most [rows] rows and
+   closed before its body could outgrow the server's frame limit
+   (distinct long locations make big bodies).  Every row is admitted
+   before the first frame is encoded, so a row no frame can hold (a
+   location over the trace format's limit) fails the call with the
+   connection's location table untouched.  [send] sends one frame;
+   the result is the last frame's. *)
+let feed_cut ~rows ~send batch =
+  let n = Batch.length batch in
+  if n = 0 then Error (Protocol "empty batch")
+  else
+    let cut = Trace_format_v2.cutter ~rows in
+    match
+      (* the rows that open a new frame *)
+      let cuts = ref [] in
+      for i = 0 to n - 1 do
+        if not (Trace_format_v2.admit cut (Batch.event batch i)) then
+          cuts := i :: !cuts
+      done;
+      List.rev !cuts
+    with
+    | exception Error.E e -> Error (Protocol (Error.to_string e))
+    | cuts ->
+      let frame = Batch.create () in
+      let send_rows lo hi =
+        Batch.clear frame;
+        for i = lo to hi - 1 do
+          Batch.copy_row ~src:batch i ~dst:frame
+        done;
+        send frame
+      in
+      let rec go lo = function
+        | [] -> send_rows lo n
+        | hi :: rest -> (
+          match send_rows lo hi with Ok _ -> go hi rest | e -> e)
+      in
+      go 0 cuts
+
+let feed_batch t batch =
+  feed_cut ~rows:Trace_format_v2.block_events ~send:(feed_frame t) batch
 
 let finish t =
   request t Wire.Finish ~expect:(function
@@ -194,30 +237,23 @@ let replay ?spec ?max_events ?deadline_s ?max_shadow_bytes
     (match open_session ?spec ?max_events ?deadline_s ?max_shadow_bytes t with
      | Error f -> finally_close (Error f)
      | Ok _id ->
-       let cut = Trace_format_v2.cutter ~rows:chunk_events in
-       let batch = Batch.create () in
        let sent = ref 0 in
-       let send () =
+       let send frame =
          match fault with
          | Some f when !sent = fault_after_frames ->
            inject t f;
            Error (Protocol "fault injected")
          | _ ->
            incr sent;
-           let r = feed_batch t batch in
-           Batch.clear batch;
-           Result.map ignore r
+           feed_frame t frame
        in
-       let rec feed_all = function
-         | [] -> if Batch.length batch = 0 then Ok () else send ()
-         | ev :: rest -> (
-           match if Trace_format_v2.admit cut ev then Ok () else send () with
-           | Ok () ->
-             Batch.push batch ev;
-             feed_all rest
-           | Error f -> Error f)
+       let fed =
+         if events = [] then Ok ()
+         else
+           Result.map ignore
+             (feed_cut ~rows:chunk_events ~send (Batch.of_events events))
        in
-       (match feed_all events with
+       (match fed with
         | Error f -> finally_close (Error f)
         | Ok () -> (
           match finish t with

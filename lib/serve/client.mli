@@ -34,12 +34,16 @@ val open_session :
 (** Returns the server-assigned session id. *)
 
 val feed_batch : t -> Dgrace_events.Batch.t -> (Json.t, failure) result
-(** Encode the batch (1 to {!Dgrace_trace.Trace_format_v2.block_events}
-    rows) as one v2 block body and send it as a BATCH frame; returns
-    the [Ack] body.  Locations intern per connection across frames.
-    The caller keeps the body under the server's frame limit;
-    {!replay} cuts its batches with
-    {!Dgrace_trace.Trace_format_v2.admit} for that. *)
+(** Send a non-empty batch of any length as BATCH frames (v2 block
+    bodies) and return the last frame's [Ack] body.  The batch is cut
+    where the v2 writer would close its blocks
+    ({!Dgrace_trace.Trace_format_v2.admit}: at most
+    {!Dgrace_trace.Trace_format_v2.block_events} rows, and before a
+    body could outgrow the server's frame limit), the same rule
+    {!replay} cuts by.  Locations intern per connection across frames.
+    A row no frame can hold (a location over the trace format's
+    limit) returns [Error (Protocol _)] before any frame is sent, with
+    the connection's location table unchanged. *)
 
 val finish : t -> (Json.t, failure) result
 (** Finalize; returns the [Summary] body (the run envelope). *)

@@ -42,23 +42,23 @@ let update_peaks t =
   if t.vc > t.peak_vc then t.peak_vc <- t.vc;
   if t.bitmap > t.peak_bitmap then t.peak_bitmap <- t.bitmap
 
-let add_hash t d = t.hash <- t.hash + d; update_peaks t
-let add_vc t d = t.vc <- t.vc + d; update_peaks t
-let add_bitmap t d = t.bitmap <- t.bitmap + d; update_peaks t
+let[@inline] add_hash t d = t.hash <- t.hash + d; update_peaks t
+let[@inline] add_vc t d = t.vc <- t.vc + d; update_peaks t
+let[@inline] add_bitmap t d = t.bitmap <- t.bitmap + d; update_peaks t
 
 (* the interned axis annotates how much of [vc] is deduplicated
    snapshot storage; it is not a fourth factor of [current_bytes] *)
-let add_interned t d =
+let[@inline] add_interned t d =
   t.interned <- t.interned + d;
   if t.interned > t.peak_interned then t.peak_interned <- t.interned
 
-let vc_created t =
+let[@inline] vc_created t =
   t.live_vcs <- t.live_vcs + 1;
   t.created_vcs <- t.created_vcs + 1;
   if t.live_vcs > t.peak_vcs then t.peak_vcs <- t.live_vcs
 
-let vc_freed t = t.live_vcs <- t.live_vcs - 1
-let bind_locations t n = t.bound_locations <- t.bound_locations + n
+let[@inline] vc_freed t = t.live_vcs <- t.live_vcs - 1
+let[@inline] bind_locations t n = t.bound_locations <- t.bound_locations + n
 
 let hash_bytes t = t.hash
 let vc_bytes t = t.vc

@@ -99,7 +99,7 @@ let chunk_bytes t = t.block / 4
 let row_of t addr = addr asr (t.block_bits + row_bits)
 let row_slot t addr = (addr asr t.block_bits) land (row_chunks - 1)
 
-let row_for t ri =
+let[@inline] row_for t ri =
   let i = ri - t.row_base in
   if i >= 0 && i < Array.length t.rows then t.rows.(i)
   else if t.spill_rows = 0 then no_row
@@ -149,7 +149,7 @@ let ensure_row t ri =
     fresh
   end
 
-let chunk t addr =
+let[@inline] chunk t addr =
   let base = addr land lnot (t.block - 1) in
   if base = t.cached_base then t.cached_chunk
   else begin
@@ -191,7 +191,7 @@ let chunk t addr =
 
 let plane_bit write = if write then 2 else 1
 
-let orset c i m =
+let[@inline] orset c i m =
   let b = Char.code (Bytes.get c i) in
   if b lor m <> b then Bytes.set c i (Char.chr (b lor m))
 
@@ -204,7 +204,7 @@ let orset c i m =
 let word_pattern write =
   if write then 0xAAAA_AAAA_AAAA_AAAAL else 0x5555_5555_5555_5555L
 
-let fill_body c ~byte_lo ~byte_hi ~pattern ~wpattern =
+let[@inline] fill_body c ~byte_lo ~byte_hi ~pattern ~wpattern =
   let i = ref byte_lo in
   while !i < byte_hi && !i land 7 <> 0 do
     orset c !i pattern;
@@ -219,7 +219,7 @@ let fill_body c ~byte_lo ~byte_hi ~pattern ~wpattern =
     incr i
   done
 
-let mark t ~write ~lo ~hi =
+let[@inline] mark t ~write ~lo ~hi =
   let bit = plane_bit write in
   let pattern = bit * 0x55 in
   let wpattern = word_pattern write in
@@ -243,7 +243,7 @@ let mark t ~write ~lo ~hi =
     addr := upper
   done
 
-let test t ~write addr =
+let[@inline] test t ~write addr =
   let base = addr land lnot (t.block - 1) in
   let c =
     if base = t.cached_base then t.cached_chunk
@@ -260,7 +260,7 @@ let test t ~write addr =
     b land (plane_bit write lsl shift) <> 0
   end
 
-let probe t c bit addr =
+let[@inline] probe t c bit addr =
   let off = addr land (t.block - 1) in
   let i = off lsr 2 and shift = (off land 3) * 2 in
   Char.code (Bytes.get c i) land (bit lsl shift) <> 0
@@ -270,7 +270,7 @@ let probe t c bit addr =
    size that doesn't straddle a boundary — both bits come out of a
    single cached-chunk fetch; a straddling probe falls back to two
    independent tests. *)
-let test_range t ~write ~lo ~hi =
+let[@inline] test_range t ~write ~lo ~hi =
   let base = lo land lnot (t.block - 1) in
   if hi land lnot (t.block - 1) <> base then
     test t ~write lo && test t ~write hi

@@ -174,7 +174,7 @@ let account_delta t d =
   t.bytes <- t.bytes + d;
   match t.account with Some a -> Accounting.add_hash a d | None -> ()
 
-let base_of t addr = addr land lnot (t.block - 1)
+let[@inline] base_of t addr = addr land lnot (t.block - 1)
 
 (* [asr], not [lsr]: neighbour probes can step below address zero and
    the directory must index sign-consistently. *)
@@ -184,7 +184,7 @@ let page_slot t addr = (addr asr t.block_bits) land (row_pages - 1)
 (* ------------------------------------------------------------------ *)
 (* Directory                                                          *)
 
-let row_for t ri =
+let[@inline] row_for t ri =
   if ri = t.mru_row_idx then t.mru_row
   else begin
     let i = ri - t.row_base in
@@ -250,7 +250,7 @@ let ensure_row t ri =
   end
 
 (* Page lookup; [null_page] when absent. *)
-let find_page t addr =
+let[@inline] find_page t addr =
   t.lookups <- t.lookups + 1;
   let base = addr land lnot (t.block - 1) in
   if t.mru.p_base = base then begin
@@ -350,12 +350,12 @@ let expand t p =
   Array.fill old 0 (Array.length old) empty;
   pool_slots t old
 
-let slot_index p addr = (addr - p.p_base) lsr p.shift
+let[@inline] slot_index p addr = (addr - p.p_base) lsr p.shift
 
 (* ------------------------------------------------------------------ *)
 (* Point operations                                                   *)
 
-let ensure_granularity t ~addr ~size =
+let[@inline] ensure_granularity t ~addr ~size =
   match t.tmode with
   | Fixed_bytes _ -> ()
   | Adaptive ->
@@ -377,7 +377,7 @@ let slot_bounds t addr =
   let lo = addr land lnot (g - 1) in
   (lo, lo + g)
 
-let find t addr ~absent =
+let[@inline] find t addr ~absent =
   let p = find_page t addr in
   if p == null_page then absent
   else
@@ -486,7 +486,7 @@ let remove_range t ~lo ~hi =
    never as a tuple or an option. *)
 let scan_limit = 4
 
-let found t p i =
+let[@inline] found t p i =
   let lo = p.p_base + (i lsl p.shift) in
   t.found_lo <- lo;
   t.found_hi <- lo + p.slot_bytes;
@@ -547,7 +547,7 @@ let rec scan_fwd t w a remaining absent =
 
 (* Width of the slot containing [addr]: the page's granularity, or the
    one a fresh page would get (same rule as [slot_bounds]). *)
-let slot_width t addr =
+let[@inline] slot_width t addr =
   let p = find_page t addr in
   if p == null_page then default_gran t addr else p.slot_bytes
 
@@ -560,8 +560,8 @@ let next_neighbor t addr ~absent =
   let shi = (addr land lnot (g - 1)) + g in
   scan_fwd t (initial_width t.tmode) shi scan_limit absent
 
-let found_lo t = t.found_lo
-let found_hi t = t.found_hi
+let[@inline] found_lo t = t.found_lo
+let[@inline] found_hi t = t.found_hi
 
 (* ------------------------------------------------------------------ *)
 (* Group walk                                                         *)
@@ -594,7 +594,7 @@ and group_slots t p v hi block_hi cur =
     group_slots t p v hi block_hi (cur + p.slot_bytes)
   else cur
 
-let group t addr ~hi ~absent =
+let[@inline] group t addr ~hi ~absent =
   let start = find_page t addr in
   let g0 =
     if start == null_page then initial_width t.tmode else start.slot_bytes

@@ -8,16 +8,16 @@ let tid_bits = 10
 let max_tid = (1 lsl tid_bits) - 1
 let none = 0
 
-let make ~tid ~clock =
+let[@inline] make ~tid ~clock =
   if tid < 0 || tid > max_tid then
     invalid_arg (Printf.sprintf "Epoch.make: tid %d out of range" tid);
   if clock < 0 then invalid_arg "Epoch.make: negative clock";
   (clock lsl tid_bits) lor tid
 
-let tid e = e land max_tid
-let clock e = e lsr tid_bits
+let[@inline] tid e = e land max_tid
+let[@inline] clock e = e lsr tid_bits
 let is_none e = e = none
-let equal (a : t) (b : t) = a = b
+let[@inline] equal (a : t) (b : t) = a = b
 
 let pp ppf e =
   if is_none e then Format.pp_print_string ppf "-"

@@ -30,7 +30,7 @@ let create ?(capacity = 4) () =
     memo_snap = no_memo;
   }
 
-let get vc tid = if tid < Array.length vc.clocks then vc.clocks.(tid) else 0
+let[@inline] get vc tid = if tid < Array.length vc.clocks then vc.clocks.(tid) else 0
 
 let grow vc needed =
   let cap = max needed (2 * Array.length vc.clocks) in
@@ -131,7 +131,7 @@ let rec prefix_eq (a : int array) (b : int array) i last =
 let leq a b = a.last <= b.last && prefix_leq a.clocks b.clocks 0 a.last
 let equal a b = a.last = b.last && prefix_eq a.clocks b.clocks 0 a.last
 
-let epoch_leq e vc = Epoch.clock e <= get vc (Epoch.tid e)
+let[@inline] epoch_leq e vc = Epoch.clock e <= get vc (Epoch.tid e)
 
 let of_epoch e =
   let vc = create ~capacity:(Epoch.tid e + 1) () in

@@ -551,6 +551,43 @@ let test_server_long_locations () =
         Alcotest.(check (list string)) "matches one-shot" oracle races
       | Error f -> Alcotest.fail (Client.failure_to_string f))
 
+(* A caller-built batch gets the same cut: 512 rows with distinct
+   40 KiB locations (about 20 MiB as one body) fed through
+   [Client.feed_batch] go out as several frames.  A row no frame can
+   hold fails alone, before anything is sent, and leaves the
+   connection's location table as it was: the next batch reuses the
+   failed batch's first location and must still decode. *)
+let test_server_feed_batch_cuts () =
+  let loc i = Printf.sprintf "%04d%s" i (String.make (40 * 1024) 'b') in
+  let events =
+    Tutil.fork 0 1
+    :: List.init 511 (fun i ->
+           Tutil.wr ~loc:(loc i) (i land 1) (0x1000 + (i / 2 * 8)))
+  in
+  let oracle = baseline_lines events in
+  Alcotest.(check bool) "the stream races" true (oracle <> []);
+  let unfit =
+    let too_long = String.make (Dgrace_trace.Trace_format.max_loc_len + 1) 'x' in
+    [ Tutil.wr ~loc:(loc 0) 0 0x1000; Tutil.wr ~loc:too_long 0 0x1004 ]
+  in
+  let ok what = function
+    | Ok v -> v
+    | Error f -> Alcotest.failf "%s: %s" what (Client.failure_to_string f)
+  in
+  with_server (fun _server socket ->
+      let c = ok "connect" (Client.connect ~socket) in
+      ignore (ok "open" (Client.open_session c) : int);
+      (match Client.feed_batch c (Batch.of_events unfit) with
+       | Error (Client.Protocol _) -> ()
+       | Ok _ -> Alcotest.fail "an over-long location was sent"
+       | Error f -> Alcotest.fail (Client.failure_to_string f));
+      let batch = Batch.of_events events in
+      Alcotest.(check int) "one caller-built batch" 512 (Batch.length batch);
+      ignore (ok "feed" (Client.feed_batch c batch) : Json.t);
+      ignore (ok "finish" (Client.finish c) : Json.t);
+      Alcotest.(check (list string)) "matches one-shot" oracle (Client.races c);
+      Client.close c)
+
 let test_server_admission_overload () =
   let cfg = { Server.default_config with domains = 2; max_sessions = 1 } in
   with_server ~cfg (fun server socket ->
@@ -855,6 +892,8 @@ let suites : unit Alcotest.test list =
           test_server_concurrent_differential;
         Alcotest.test_case "long locations stay under the frame limit" `Quick
           test_server_long_locations;
+        Alcotest.test_case "feed_batch cuts a caller-built batch" `Quick
+          test_server_feed_batch_cuts;
         Alcotest.test_case "admission overload" `Quick
           test_server_admission_overload;
         Alcotest.test_case "inbox backpressure" `Slow
