@@ -23,7 +23,6 @@ let all_tables : (string * (unit -> unit)) list =
     ("table4", Tables.table4);
     ("table5", Tables.table5);
     ("table6", Tables.table6);
-    ("par", Tables.par);
     ("trace", Tables.trace);
     ("batch", Tables.batch);
     ("pipeline", Tables.pipeline);
@@ -141,14 +140,6 @@ let () =
     | "--reps" :: n :: rest ->
       Measure.reps := int_of_string n;
       parse sel rest
-    | "--shards" :: n :: rest ->
-      let k = int_of_string n in
-      if k < 1 then begin
-        Printf.eprintf "--shards must be >= 1\n";
-        exit 1
-      end;
-      Measure.shards := k;
-      parse sel rest
     | "--metrics-out" :: file :: rest ->
       metrics_out := Some file;
       parse sel rest
@@ -161,7 +152,7 @@ let () =
     | name :: rest when List.mem_assoc name all_tables -> parse (name :: sel) rest
     | other :: _ ->
       Printf.eprintf
-        "unknown argument %S; expected: %s, --scale N, --reps N, --shards K, \
+        "unknown argument %S; expected: %s, --scale N, --reps N, \
          --bechamel, --faults, --metrics-out FILE\n"
         other
         (String.concat ", " (List.map fst all_tables));
@@ -177,9 +168,8 @@ let () =
     else selected
   in
   Printf.printf
-    "dgrace benchmark harness — scale=%d reps=%d shards=%d (threads/workload \
-     defaults)\n"
-    !Measure.scale !Measure.reps !Measure.shards;
+    "dgrace benchmark harness — scale=%d reps=%d (threads/workload defaults)\n"
+    !Measure.scale !Measure.reps;
   List.iter (fun name -> (List.assoc name all_tables) ()) selected;
   match !metrics_out with
   | None -> ()

@@ -30,13 +30,6 @@ type m = {
 let scale = ref 4
 let reps = ref 3
 
-let shards = ref 1
-(* With [--shards K > 1] every measured analysis run becomes a sharded
-   replay of the workload's recorded stream (doc/parallel.md) — same
-   races, same columns; only timing and the par.* metrics move.  The
-   CI bench-smoke job diffs the race columns of a 1-shard and a
-   4-shard run of table1 to keep that equivalence locked in. *)
-
 (* Full summaries of every (workload x detector) run this process made,
    for the self-describing BENCH metrics export. *)
 let summaries : (string * string, Engine.summary) Hashtbl.t = Hashtbl.create 64
@@ -59,8 +52,8 @@ let analyze ?(suppression = Suppression.empty) spec source =
 let bench_policy = Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 }
 
 (* One recorded event stream per workload at the current scale: the
-   sharded measurements replay the identical trace for every detector
-   and shard count. *)
+   replay measurements analyse the identical trace for every
+   detector. *)
 let recordings : (string, Event.t array * Dgrace_sim.Sim.result) Hashtbl.t =
   Hashtbl.create 16
 
@@ -79,16 +72,22 @@ let recorded (w : Workload.t) =
     Hashtbl.replace recordings w.name r;
     r
 
+(* One recording packed into struct-of-arrays batches for the
+   detectors' [process_batch] path; row offsets are stream positions. *)
+let batches_of events =
+  let n = Array.length events in
+  let cap = Batch.default_capacity in
+  Array.init ((n + cap - 1) / cap) (fun bi ->
+      let b = Batch.create ~capacity:cap () in
+      for i = bi * cap to min n ((bi + 1) * cap) - 1 do
+        Batch.push b ~off:i events.(i)
+      done;
+      b)
+
 let run_once (w : Workload.t) spec =
-  let suppression = suppression_for spec in
-  if !shards > 1 then
-    run_config
-      { (Engine.Config.make spec) with Engine.Config.suppression; shards = !shards }
-      (Engine.Source.Events (Array.to_seq (fst (recorded w))))
-  else
-    let p = Workload.with_params ~scale:!scale w in
-    analyze ~suppression spec
-      (Engine.Source.Program { policy = bench_policy; main = w.program p })
+  let p = Workload.with_params ~scale:!scale w in
+  analyze ~suppression:(suppression_for spec) spec
+    (Engine.Source.Program { policy = bench_policy; main = w.program p })
 
 let get (w : Workload.t) spec =
   let key = (w.name, Spec.name spec) in
@@ -148,54 +147,6 @@ let mem_vs_byte w spec =
 let geomean = Dgrace_util.Stat.geomean
 let kb n = n / 1024
 
-(* ------------------------------------------------------------------ *)
-(* Critical-path measurement for the par table.  Shards run back to
-   back on the calling domain ([Sequential] mode) so each shard's busy
-   time is uncontended; the critical path — the max per-shard busy
-   time — is the analysis time a machine with one free core per shard
-   would observe.  That keeps the speedup column meaningful on
-   core-starved CI runners too (EXPERIMENTS.md records the method). *)
-
-type par_m = {
-  p_events : int;  (** events in the recorded trace *)
-  p_critical_s : float;  (** max per-shard analysis time, min over reps *)
-  p_split_s : float;  (** trace-routing time for that best rep *)
-  p_races : int;
-}
-
-let par_cache : (string * string * int, par_m) Hashtbl.t = Hashtbl.create 32
-
-let par_get (w : Workload.t) spec ~shards:k =
-  let key = (w.name, Spec.name spec, k) in
-  match Hashtbl.find_opt par_cache key with
-  | Some m -> m
-  | None ->
-    let best = ref None in
-    let events = fst (recorded w) in
-    let make (_ : int) =
-      Spec.to_detector ~suppression:(suppression_for spec) spec
-    in
-    for _ = 1 to !reps do
-      let r =
-        Dgrace_par.Par.analyze ~mode:Dgrace_par.Par.Sequential ~make ~shards:k
-          ~granule:Dgrace_detectors.Dynamic_granularity.share_granule events
-      in
-      match !best with
-      | Some (b : Dgrace_par.Par.result) when b.critical_path_s <= r.critical_path_s -> ()
-      | _ -> best := Some r
-    done;
-    let r = Option.get !best in
-    let m =
-      {
-        p_events = Array.length events;
-        p_critical_s = r.critical_path_s;
-        p_split_s = r.split_s;
-        p_races = List.length (Dgrace_par.Par.merged_races r);
-      }
-    in
-    Hashtbl.replace par_cache key m;
-    m
-
 (* Everything measured so far as one versioned document: each run is
    the same JSON body [racedet run --metrics-out] writes, so BENCH
    trajectories carry their own schema. *)
@@ -222,6 +173,5 @@ let metrics_json () =
     [
       ("scale", Json.Int !scale);
       ("reps", Json.Int !reps);
-      ("shards", Json.Int !shards);
       ("runs", Json.List runs);
     ]

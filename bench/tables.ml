@@ -96,12 +96,20 @@ let table1 () =
   Printf.printf "dynamic uses %.0f%% less memory than byte (paper: 60%%).\n"
     (100. *. (1. -. avg (fun w -> Measure.mem_vs_byte w dynamic)));
   (* detector-only ratio: replay the recorded trace (no simulation in
-     the loop) and compare per-shard busy time, byte vs dynamic *)
+     the loop) through the engine's batched dispatch — the path a v2
+     replay takes — best of [reps], byte vs dynamic *)
+  let replay_s w spec =
+    let bs = Measure.batches_of (fst (Measure.recorded w)) in
+    List.fold_left Float.min Float.infinity
+      (List.init !Measure.reps (fun _ ->
+           (Measure.analyze ~suppression:(Measure.suppression_for spec) spec
+              (Engine.Source.Batches (fun consume -> Array.iter consume bs)))
+             .elapsed))
+  in
   let det_only =
     avg (fun w ->
-        let b = (Measure.par_get w byte ~shards:1).p_critical_s in
-        let d = (Measure.par_get w dynamic ~shards:1).p_critical_s in
-        if d > 0. then b /. d else Float.nan)
+        let d = replay_s w dynamic in
+        if d > 0. then replay_s w byte /. d else Float.nan)
   in
   Printf.printf
     "detector-time-only (trace replay): dynamic is %.2fx faster than byte.\n"
@@ -121,10 +129,7 @@ let table1 () =
                let path = v2_file w in
                let supp = Measure.suppression_for dynamic in
                let events, _ = Measure.recorded w in
-               let bs =
-                 Dgrace_trace.Trace_shard.batches_of
-                   (Array.mapi (fun i ev -> (i, ev)) events)
-               in
+               let bs = Measure.batches_of events in
                let seq = replay_v2_inline ~suppression:supp path in
                let t0 = Unix.gettimeofday () in
                Dgrace_trace.Trace_format_v2.fold_batches path
@@ -640,8 +645,7 @@ let batch () =
     | None ->
       let events, _ = Measure.recorded w in
       let b =
-        Dgrace_trace.Trace_shard.batches_of
-          (Array.mapi (fun i ev -> (i, ev)) events)
+        Measure.batches_of events
       in
       Hashtbl.replace batches_for w.name b;
       b
@@ -806,8 +810,7 @@ let batch () =
      T  detect:  apply prebuilt batches, page clustering on.
    The pipeline overlaps D with T on two domains, so its critical path
    is max(D, T) — the analysis time a machine with a free core for the
-   decoder would observe, the same modelling the par table uses for
-   sharded critical paths (a box without a spare core measures
+   decoder would observe (a box without a spare core measures
    domain-spawn cost and GC cross-talk, not overlap).  The speedup
    statistic is the median of ABBA-paired ratios S / max(D, T) exactly
    as in the batch table; losing the geomean after the noise-retry
@@ -830,8 +833,7 @@ let pipeline () =
     | None ->
       let events, _ = Measure.recorded w in
       let b =
-        Dgrace_trace.Trace_shard.batches_of
-          (Array.mapi (fun i ev -> (i, ev)) events)
+        Measure.batches_of events
       in
       Hashtbl.replace batches_for w.name b;
       b
@@ -1011,7 +1013,7 @@ let pipeline () =
   print_endline
     "seq / max(dec, det): the pipeline's critical path on a machine with";
   print_endline
-    "a free core for the decoder, as in the par table.  dstall% / clhit%";
+    "a free core for the decoder.  dstall% / clhit%";
   print_endline
     "come from a live two-domain run that also gates race identity.";
   if !mismatches > 0 then begin
@@ -1043,49 +1045,6 @@ let pipeline () =
 
 (* ------------------------------------------------------------------ *)
 
-let par () =
-  let k = if !Measure.shards > 1 then !Measure.shards else 4 in
-  header
-    (Printf.sprintf
-       "Table P. Sharded replay (dynamic detector): analysis critical path, \
-        %d shards vs 1" k);
-  Printf.printf "%-14s %10s %9s %9s %10s %8s | %7s %7s\n" "program" "events"
-    "T1(ms)" (Printf.sprintf "T%d(ms)" k) "split(ms)" "speedup" "races1"
-    (Printf.sprintf "races%d" k);
-  let speedups = ref [] in
-  let mismatches = ref 0 in
-  List.iter
-    (fun (w : Workload.t) ->
-      let m1 = Measure.par_get w Spec.dynamic ~shards:1 in
-      let mk = Measure.par_get w Spec.dynamic ~shards:k in
-      let sp =
-        if mk.p_critical_s > 0. then m1.p_critical_s /. mk.p_critical_s
-        else Float.nan
-      in
-      speedups := sp :: !speedups;
-      if m1.p_races <> mk.p_races then incr mismatches;
-      Printf.printf "%-14s %10d %9.2f %9.2f %10.2f %7.2fx | %7d %7d%s\n" w.name
-        m1.p_events
-        (1000. *. m1.p_critical_s)
-        (1000. *. mk.p_critical_s)
-        (1000. *. mk.p_split_s)
-        sp m1.p_races mk.p_races
-        (if m1.p_races <> mk.p_races then "  RACE MISMATCH" else ""))
-    Registry.all;
-  Printf.printf "%-14s %10s %9s %9s %10s %7.2fx | (geomean)\n" "geomean" "" ""
-    "" ""
-    (Measure.geomean !speedups);
-  print_endline
-    "\nT1/TK are per-shard busy times measured uncontended (Sequential mode):";
-  print_endline
-    "the critical path a machine with one core per shard would observe.";
-  print_endline "Split time is paid once per replay and is not in T.";
-  if !mismatches > 0 then begin
-    Printf.eprintf "bench: par: %d race-set mismatch(es) vs 1 shard\n"
-      !mismatches;
-    exit 1
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Sampling table: races-found vs fraction-sampled vs speedup for the
    granule sampler (doc/sampling.md) wrapped around the dynamic
@@ -1114,8 +1073,7 @@ let sampling () =
     | None ->
       let events, _ = Measure.recorded w in
       let b =
-        Dgrace_trace.Trace_shard.batches_of
-          (Array.mapi (fun i ev -> (i, ev)) events)
+        Measure.batches_of events
       in
       Hashtbl.replace batches_for w.name b;
       b

@@ -150,17 +150,6 @@ let progress_every_arg =
           "Heartbeat period in events for $(b,--progress) (must be \
            positive; default 100000).")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt pos_int 1
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Shard the analysis K ways by hashed address line and replay one \
-           OCaml domain per shard (doc/parallel.md).  Results — races, \
-           transition counts, exit code — are identical to $(b,--shards 1); \
-           only the timing and the $(b,par.*) metrics change.")
-
 (* Budget flags (doc/resilience.md): exceeding the shadow cap degrades
    the detector and keeps going; exceeding events/deadline stops the
    run with partial results and exit code 3. *)
@@ -229,10 +218,10 @@ let progress_for flag every (d : Dgrace_detectors.Detector.t) =
             (Unix.gettimeofday () -. t0) )
   end
 
-(* Heartbeat for replays: detector state lives in the replay (or in
-   per-shard domains), so the line reports the event count only.  It
-   goes to stderr, like every other diagnostic, so it can never
-   interleave with the summary on stdout under cram. *)
+(* Heartbeat for replays: detector state lives inside the replay, so
+   the line reports the event count only.  It goes to stderr, like
+   every other diagnostic, so it can never interleave with the summary
+   on stdout under cram. *)
 let replay_progress flag every =
   if not flag then None
   else
@@ -282,9 +271,9 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Write the run's span timeline as Chrome trace_event JSON to \
-           $(docv): one lane per shard plus the main lane, sampled \
-           per-phase detector timers, and counter tracks.  Load it in \
-           Perfetto (ui.perfetto.dev) or chrome://tracing, or summarise \
+           $(docv): the main lane (plus a decoder lane for v2 replays), \
+           sampled per-phase detector timers, and counter tracks.  Load it \
+           in Perfetto (ui.perfetto.dev) or chrome://tracing, or summarise \
            it with $(b,racedet timings).")
 
 (* ------------------------------------------------------------------ *)
@@ -348,7 +337,7 @@ let run_cmd =
 (* compare *)
 
 let compare_cmd =
-  let action w threads scale seed sched_seed no_suppress shards metrics_out
+  let action w threads scale seed sched_seed no_suppress metrics_out
       sample_every trace_out =
     or_fail @@ fun () ->
     let p = params w threads scale seed in
@@ -356,23 +345,6 @@ let compare_cmd =
     let tracer = tracer_for trace_out in
     Format.printf "workload: %s (threads=%d scale=%d seed=%d)@.@." w.name
       p.threads p.scale p.seed;
-    if shards > 1 then
-      Format.printf "shards: %d (recorded once, replayed sharded)@.@." shards;
-    (* sharded comparison analyses a recorded stream: capture the
-       workload's events once so every detector replays the identical
-       trace (exactly what `record` + `replay --shards` would do,
-       without the file) *)
-    let recorded =
-      if shards = 1 then [||]
-      else begin
-        let buf = ref [] in
-        ignore
-          (Workload.run ~policy:(policy sched_seed) ~params:p
-             ~sink:(fun ev -> buf := ev :: !buf)
-             w);
-        Array.of_list (List.rev !buf)
-      end
-    in
     Format.printf "%-28s %8s %10s %12s %10s %10s@." "detector" "races"
       "time(ms)" "peak-mem" "peak-VCs" "same-ep";
     let base = ref 0. in
@@ -380,24 +352,15 @@ let compare_cmd =
     let summaries = ref [] in
     List.iter
       (fun spec ->
-        let config =
-          {
-            (Engine.Config.make spec) with
-            Engine.Config.suppression = suppression no_suppress;
-            shards;
-            tracer;
-          }
-        in
         let s =
-          if shards > 1 then
-            analyze config (Engine.Source.Events (Array.to_seq recorded))
-          else
-            analyze
-              {
-                config with
-                sample_every = Option.map (fun _ -> sample_every) metrics_out;
-              }
-              (program sched_seed w p)
+          analyze
+            {
+              (Engine.Config.make spec) with
+              Engine.Config.suppression = suppression no_suppress;
+              sample_every = Option.map (fun _ -> sample_every) metrics_out;
+              tracer;
+            }
+            (program sched_seed w p)
         in
         summaries := s :: !summaries;
         if spec = Spec.No_detection then base := s.elapsed
@@ -431,8 +394,8 @@ let compare_cmd =
   let term =
     Term.(
       const action $ workload_arg $ threads_arg $ scale_arg $ seed_arg
-      $ sched_seed_arg $ no_suppress_arg $ shards_arg
-      $ metrics_out_arg $ sample_every_arg $ trace_out_arg)
+      $ sched_seed_arg $ no_suppress_arg $ metrics_out_arg $ sample_every_arg
+      $ trace_out_arg)
   in
   Cmd.v (Cmd.info "compare" ~doc:"Run one workload under every detector.") term
 
@@ -719,7 +682,7 @@ let convert_cmd =
       $ progress_every_arg)
 
 let replay_cmd =
-  let action path spec no_suppress verbose resync shards metrics_out
+  let action path spec no_suppress verbose resync metrics_out
       sample_every trace_out progress progress_every max_shadow max_events
       deadline =
     or_fail @@ fun () ->
@@ -731,8 +694,9 @@ let replay_cmd =
               {
                 what = "replay --resync";
                 reason =
-                  "v2 traces are length-prefixed blocks with no resync scan; \
-                   convert to v1 first (racedet convert)";
+                  "v2 traces cannot be resynced: a corrupt block's extent \
+                   is unknown.  Replay without --resync; the corruption \
+                   error gives the damaged byte offset";
               }));
     let tracer = tracer_for trace_out in
     let lane = Option.map Span.main tracer in
@@ -740,7 +704,6 @@ let replay_cmd =
       {
         (Engine.Config.make spec) with
         Engine.Config.suppression = suppression no_suppress;
-        shards;
         budget = budget max_shadow max_events deadline;
         sample_every = Option.map (fun _ -> sample_every) metrics_out;
         progress = replay_progress progress progress_every;
@@ -798,7 +761,7 @@ let replay_cmd =
   let term =
     Term.(
       const action $ path_arg $ spec_arg $ no_suppress_arg $ verbose_arg
-      $ resync_arg $ shards_arg $ metrics_out_arg $ sample_every_arg
+      $ resync_arg $ metrics_out_arg $ sample_every_arg
       $ trace_out_arg $ progress_arg $ progress_every_arg $ max_shadow_arg
       $ max_events_arg $ deadline_arg)
   in
@@ -809,16 +772,15 @@ let replay_cmd =
            `P
              "A corrupt trace fails with a structured error (exit 4) unless \
               $(b,--resync) is given, in which case decodable events around \
-              the damage are still analysed (exit 3).";
+              the damage are still analysed (exit 3).  Only v1 traces can \
+              be resynced: a v2 trace's error names the damaged byte \
+              offset instead.";
            `P
              "v2 traces replay through a two-stage pipeline: a decoder \
               domain streams blocks into a bounded ring while the detector \
-              drains it.  With $(b,--shards) K a router feeds one detector \
-              domain per shard; a budget, $(b,--progress), \
-              $(b,--metrics-out) or $(b,--trace-out) make a sharded replay \
-              read the whole trace first.  Races, report offsets, corruption \
-              offsets and budget stop reasons are bit-identical to a \
-              per-event replay of the same events.  The summary \
+              drains it.  Races, report offsets, corruption offsets and \
+              budget stop reasons are bit-identical to a per-event replay \
+              of the same events.  The summary \
               metrics report $(b,pipeline.decode_stall_us) / \
               $(b,pipeline.detect_stall_us) gauges, and with \
               $(b,--trace-out) the decoder runs on its own $(b,decoder) \

@@ -4,8 +4,8 @@
    errors, resync reports, "written to" notices, serve's supervision
    log — goes through [line]: the whole line (tag, newline included)
    is rendered first, then written and flushed as one critical section
-   under one mutex.  Sharded replay and `racedet serve` run detectors
-   on several domains; without this, a heartbeat fired from one domain
+   under one mutex.  `racedet serve` runs detectors on several
+   domains; without this, a heartbeat fired from one domain
    could interleave mid-line with an error printed from another.
    [Printf.eprintf] buffers per call site and flushes independently,
    which is exactly the interleaving hazard.

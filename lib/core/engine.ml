@@ -13,7 +13,6 @@ module Budget = Dgrace_resilience.Budget
 module Error = Dgrace_resilience.Error
 module Trace_pipeline = Dgrace_trace.Trace_pipeline
 module Clock = Dgrace_obs.Clock
-module Par = Dgrace_par.Par
 
 module Source = struct
   type t =
@@ -29,7 +28,6 @@ module Config = struct
   type t = {
     detector : detector;
     suppression : Suppression.t;
-    shards : int;
     budget : Budget.t;
     clock : Clock.source;
     sample_every : int option;
@@ -41,7 +39,6 @@ module Config = struct
     {
       detector = Spec spec;
       suppression = Suppression.empty;
-      shards = 1;
       budget = Budget.unlimited;
       clock = Clock.ns;
       sample_every = None;
@@ -204,12 +201,6 @@ let feed_counter_tracks ~tracer ~prefix recorder =
       (Recorder.counter_series r)
   | (Some _ | None), _ -> ()
 
-(* Anything that needs per-event semantics: a budget, a time-series,
-   a heartbeat or a trace.  Without one, sharded v2 replay streams. *)
-let observed (c : Config.t) =
-  (not (Budget.is_unlimited c.budget))
-  || c.sample_every <> None || c.progress <> None || c.tracer <> None
-
 let pipeline_gauges metrics (p : Trace_pipeline.stats) =
   let usec ns = ns / 1000 in
   Metrics.set (Metrics.gauge metrics "pipeline.blocks") p.Trace_pipeline.blocks;
@@ -226,7 +217,7 @@ let pipeline_gauges metrics (p : Trace_pipeline.stats) =
 (* ------------------------------------------------------------------ *)
 (* one detector, on the calling domain *)
 
-let sequential (c : Config.t) ~now_s ~t0 (source : Source.t) =
+let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
   let lane = Option.map Span.main c.tracer in
   let d =
     match c.detector with
@@ -309,240 +300,24 @@ let sequential (c : Config.t) ~now_s ~t0 (source : Source.t) =
   summarize d ~elapsed:0. ~sim:!sim ~partial ~degraded ~timeseries
 
 (* ------------------------------------------------------------------ *)
-(* sharded replay (doc/parallel.md): split the trace by address line,
-   replay one detector per shard — one OCaml domain each — and merge
-   the per-shard outcomes into one summary that is bit-identical to
-   the sequential replay on races, transition counts and exit code. *)
-
-let zero_mem =
-  {
-    peak_bytes = 0;
-    peak_hash_bytes = 0;
-    peak_vc_bytes = 0;
-    peak_bitmap_bytes = 0;
-    peak_interned_bytes = 0;
-    peak_vcs = 0;
-    total_vcs = 0;
-    avg_sharing = 0.;
-  }
-
-(* Peaks are per-domain observations; their sum is the honest upper
-   bound on what the sharded run held live at once (the shards really
-   do coexist in [Parallel] mode).  [avg_sharing] is weighted by each
-   shard's clock population. *)
-let merge_mem ms =
-  let m =
-    Array.fold_left
-      (fun acc m ->
-        {
-          peak_bytes = acc.peak_bytes + m.peak_bytes;
-          peak_hash_bytes = acc.peak_hash_bytes + m.peak_hash_bytes;
-          peak_vc_bytes = acc.peak_vc_bytes + m.peak_vc_bytes;
-          peak_bitmap_bytes = acc.peak_bitmap_bytes + m.peak_bitmap_bytes;
-          peak_interned_bytes = acc.peak_interned_bytes + m.peak_interned_bytes;
-          peak_vcs = acc.peak_vcs + m.peak_vcs;
-          total_vcs = acc.total_vcs + m.total_vcs;
-          avg_sharing =
-            acc.avg_sharing +. (m.avg_sharing *. float_of_int m.total_vcs);
-        })
-      zero_mem ms
-  in
-  {
-    m with
-    avg_sharing =
-      (if m.total_vcs = 0 then 0. else m.avg_sharing /. float_of_int m.total_vcs);
-  }
-
-let merge_sharded ~timeseries (r : Par.result) =
-  let outs = r.Par.outcomes in
-  let d0 = outs.(0).Par.detector in
-  let stats = Run_stats.create () in
-  Array.iter
-    (fun (o : Par.shard_outcome) ->
-      let s = o.Par.detector.Detector.stats in
-      stats.Run_stats.accesses <- stats.Run_stats.accesses + s.Run_stats.accesses;
-      stats.Run_stats.reads <- stats.Run_stats.reads + s.Run_stats.reads;
-      stats.Run_stats.writes <- stats.Run_stats.writes + s.Run_stats.writes;
-      stats.Run_stats.same_epoch <-
-        stats.Run_stats.same_epoch + s.Run_stats.same_epoch)
-    outs;
-  (* sync/alloc/free events are broadcast to every shard; summing the
-     per-shard counts would multiply them by the shard count, so the
-     merged stats take the splitter's global counts instead *)
-  stats.Run_stats.sync_ops <- r.Par.plan.Dgrace_trace.Trace_shard.sync_ops;
-  stats.Run_stats.allocs <- r.Par.plan.Dgrace_trace.Trace_shard.allocs;
-  stats.Run_stats.frees <- r.Par.plan.Dgrace_trace.Trace_shard.frees;
-  let metrics = Metrics.create () in
-  Array.iter
-    (fun (o : Par.shard_outcome) ->
-      Metrics.merge_into ~into:metrics o.Par.detector.Detector.metrics)
-    outs;
-  let usec s = int_of_float (s *. 1e6) in
-  Metrics.set (Metrics.gauge metrics "par.shards") (Array.length outs);
-  Metrics.set (Metrics.gauge metrics "par.split_us") (usec r.Par.split_s);
-  Metrics.set
-    (Metrics.gauge metrics "par.critical_path_us")
-    (usec r.Par.critical_path_s);
-  Metrics.set
-    (Metrics.gauge metrics "par.straddling")
-    r.Par.plan.Dgrace_trace.Trace_shard.straddling;
-  Metrics.set
-    (Metrics.gauge metrics "par.super_granules")
-    r.Par.plan.Dgrace_trace.Trace_shard.super_granules;
-  Array.iter
-    (fun (o : Par.shard_outcome) ->
-      let pfx = Printf.sprintf "par.shard%d." o.Par.index in
-      Metrics.set (Metrics.gauge metrics (pfx ^ "events")) o.Par.events;
-      Metrics.set (Metrics.gauge metrics (pfx ^ "busy_us")) (usec o.Par.busy_s))
-    outs;
-  let transitions =
-    match d0.Detector.transitions with
-    | None -> None
-    | Some m0 ->
-      let states =
-        Array.init (State_matrix.n_states m0) (State_matrix.state_name m0)
-      in
-      let acc = State_matrix.create ~states in
-      Array.iter
-        (fun (o : Par.shard_outcome) ->
-          match o.Par.detector.Detector.transitions with
-          | Some m -> State_matrix.merge_into ~into:acc m
-          | None -> ())
-        outs;
-      Some acc
-  in
-  let races = Par.merged_races r in
-  {
-    detector = d0.Detector.name;
-    races;
-    race_count = List.length races;
-    suppressed =
-      Array.fold_left
-        (fun acc (o : Par.shard_outcome) ->
-          acc + Report.Collector.suppressed o.Par.detector.Detector.collector)
-        0 outs;
-    stats;
-    mem =
-      merge_mem
-        (Array.map
-           (fun (o : Par.shard_outcome) ->
-             mem_of_account o.Par.detector.Detector.account)
-           outs);
-    elapsed = 0.;
-    sim = None;
-    partial = Option.map snd (Par.merged_stop r);
-    degraded = Par.any_degraded r;
-    metrics;
-    transitions;
-    timeseries;
-  }
-
-(* The whole stream as an array (the splitter needs two passes);
-   forcing it here surfaces corrupt-trace errors before any domain is
-   spawned. *)
-let materialise (source : Source.t) =
-  match source with
-  | Source.Program { policy; main } ->
-    let buf = ref [] in
-    let sim = Sim.run ~policy ~sink:(fun ev -> buf := ev :: !buf) main in
-    (Array.of_list (List.rev !buf), Some sim)
-  | Source.Events events -> (Array.of_seq events, None)
-  | Source.Batches feed ->
-    let buf = ref [] in
-    feed (Batch.iter_events (fun ev -> buf := ev :: !buf));
-    (Array.of_list (List.rev !buf), None)
-  | Source.V2_file path ->
-    (Array.of_list (Dgrace_trace.Trace_format_v2.read_file path), None)
-
-let sharded (c : Config.t) spec (source : Source.t) =
-  let shards = c.shards in
-  (* shard [i]'s detector traces onto the same lane the shard's own
-     spans land on (the [Par.shard_lane] convention) *)
-  let make i =
-    Spec.to_detector ~suppression:c.suppression
-      ?tracer:(Option.map (fun t -> Span.lane t (Par.shard_lane i)) c.tracer)
-      spec
-  in
-  let granule = Dynamic_granularity.share_granule in
-  match source with
-  | Source.V2_file path when not (observed c) ->
-    (* streaming: planner prepass, then a decoder domain, a router and
-       one detector domain per shard *)
-    let r, pipe = Par.analyze_pipelined ~clock:Clock.ns ~make ~shards ~granule path in
-    let s = merge_sharded ~timeseries:None r in
-    pipeline_gauges s.metrics pipe;
-    s
-  | _ ->
-    let events, sim = materialise source in
-    let recorder_for =
-      Option.map
-        (fun every (_ : int) (d : Detector.t) ->
-          Some (Recorder.create ~every ~sources:(sampler_sources d) ()))
-        (match (c.sample_every, c.tracer) with
-         | Some every, _ -> Some every
-         | None, Some _ -> Some 1024
-         | None, None -> None)
-    in
-    let budget = if Budget.is_unlimited c.budget then None else Some c.budget in
-    let r =
-      Par.analyze ?budget ~clock:c.clock ?progress:c.progress ?tracer:c.tracer
-        ?recorder_for ~make ~shards ~granule events
-    in
-    (match c.tracer with
-     | Some t ->
-       Array.iter
-         (fun (o : Par.shard_outcome) ->
-           match o.Par.recorder with
-           | Some rc ->
-             List.iter
-               (fun (nm, series) ->
-                 Span.add_counter_series t
-                   ~name:(Printf.sprintf "%s.%s" (Par.shard_lane o.Par.index) nm)
-                   series)
-               (Recorder.counter_series rc)
-           | None -> ())
-         r.Par.outcomes
-     | None -> ());
-    (* as in the sequential case, the merged time-series reaches the
-       summary only when the caller asked for one *)
-    let timeseries =
-      match c.sample_every with
-      | Some _ ->
-        Recorder.merged_final
-          (Array.to_list r.Par.outcomes
-          |> List.filter_map (fun (o : Par.shard_outcome) -> o.Par.recorder))
-      | None -> None
-    in
-    { (merge_sharded ~timeseries r) with sim }
-
-(* ------------------------------------------------------------------ *)
 (* the entry point *)
 
 let invalid what reason = Error (Error.Invalid_input { what; reason })
 
 let analyze (c : Config.t) (source : Source.t) =
-  match (c.detector, c.progress, c.sample_every) with
-  | _ when c.shards < 1 ->
-    invalid "Engine.analyze" (Printf.sprintf "shards must be >= 1, got %d" c.shards)
-  | _, Some (every, _), _ when every < 1 ->
+  match (c.progress, c.sample_every) with
+  | Some (every, _), _ when every < 1 ->
     invalid "Engine.analyze"
       (Printf.sprintf "progress period must be positive, got %d" every)
-  | _, _, Some every when every < 1 ->
+  | _, Some every when every < 1 ->
     invalid "Engine.analyze"
       (Printf.sprintf "sample_every must be positive, got %d" every)
-  | Config.Detector _, _, _ when c.shards > 1 ->
-    invalid "Engine.analyze"
-      "a caller-built detector cannot be sharded: give a Spec"
-  | detector, _, _ -> (
+  | _ -> (
     (* [elapsed] and the budget deadline both read [c.clock], the real
        wall clock unless a test substitutes a ticker *)
     let now_s () = float_of_int (c.clock ()) *. 1e-9 in
     let t0 = now_s () in
-    match
-      match detector with
-      | Config.Spec spec when c.shards > 1 -> sharded c spec source
-      | Config.Spec _ | Config.Detector _ -> sequential c ~now_s ~t0 source
-    with
+    match run c ~now_s ~t0 source with
     | s -> Ok { s with elapsed = now_s () -. t0 }
     | exception Error.E e -> Error e
     | exception Sim.Deadlock { Sim.blocked; held } ->

@@ -33,12 +33,11 @@
     when event [max_events + 1] arrives, so a stream of exactly
     [max_events] events completes.  A partial or degraded summary
     still reports every race found: results are a lower bound, never
-    garbage.  Sharded runs apply the budget {e per shard}.  See
-    [doc/resilience.md].
+    garbage.  See [doc/resilience.md].
 
     {b Clocks.}  [Config.clock] is read once when {!analyze} starts
     and once when it ends — the difference is the summary's [elapsed]
-    field, whatever the source and shard count — and by the budget's
+    field, whatever the source — and by the budget's
     deadline check.  Under {!Dgrace_obs.Clock.ticker} both are
     deterministic in tests; the default is {!Dgrace_obs.Clock.ns}.
     The decode/detect pipeline's stall gauges always measure the real
@@ -102,22 +101,16 @@ end
 
 module Config : sig
   type detector =
-    | Spec of Spec.t  (** a fresh detector per run (and per shard) *)
+    | Spec of Spec.t  (** a fresh detector per run *)
     | Detector of Detector.t
         (** a caller-built detector, for callers that hold on to it —
             a heartbeat that reads its stats, a sampling campaign.
             [suppression] and the detector's phase timers
-            are the caller's business; it cannot be sharded. *)
+            are the caller's business. *)
 
   type t = {
     detector : detector;
     suppression : Suppression.t;  (** report filter; default none *)
-    shards : int;
-        (** [1] (default) runs on the calling domain; [K > 1] splits
-            the stream by hashed
-            {!Dgrace_detectors.Dynamic_granularity.share_granule}-sized
-            address line (sync events broadcast) and runs one detector
-            domain per shard (doc/parallel.md) *)
     budget : Dgrace_resilience.Budget.t;  (** default unlimited *)
     clock : Dgrace_obs.Clock.source;  (** default {!Dgrace_obs.Clock.ns} *)
     sample_every : int option;
@@ -132,8 +125,7 @@ module Config : sig
   }
 
   val make : Spec.t -> t
-  (** [make spec] runs [spec] on one shard with every other field at
-      its default; override fields with [{ (make spec) with ... }]. *)
+  (** [make spec] runs [spec] with every other field at its default; override fields with [{ (make spec) with ... }]. *)
 
   val of_detector : Detector.t -> t
   (** [of_detector d] is [make] for a caller-built detector. *)
@@ -142,13 +134,14 @@ end
 val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) result
 (** Run the configured detector over the source.
 
-    How the source reaches the detector depends only on the source,
-    the shard count and whether an {e observer} — a limited budget,
-    [sample_every], [progress] or [tracer] — is present:
+    The detector runs on the calling domain.  How the source reaches
+    it depends only on the source and on whether an {e observer} — a
+    limited budget, [sample_every], [progress] or [tracer] — is
+    present:
 
-    - [Program] and [Events] on one shard dispatch every event to the
-      detector's [on_event] as it arrives;
-    - [Batches] and [V2_file] on one shard hand each batch to the
+    - [Program] and [Events] dispatch every event to the detector's
+      [on_event] as it arrives;
+    - [Batches] and [V2_file] hand each batch to the
       detector's [process_batch] ({!Dgrace_detectors.Batch_apply});
       [V2_file] decodes on its own domain into a bounded ring of
       recycled batches ({!Dgrace_trace.Trace_pipeline}) so decode and
@@ -159,32 +152,19 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
       heartbeat fires once per multiple of its period.  With
       [sample_every] or [tracer], or for a detector without
       [process_batch], each batch is unrolled through the per-event
-      path and counted in [engine.batch_fallback];
-    - on [K > 1] shards a [V2_file] without an observer streams
-      through a planner prepass, a decoder domain and one detector
-      domain per shard ({!Dgrace_par.Par.analyze_pipelined}); every
-      other source is materialised first and split
-      ({!Dgrace_par.Par.analyze}: batches per shard, per-event with an
-      observer).
+      path and counted in [engine.batch_fallback].
 
     Every path gives the same races (content and order), [Run_stats]
     and transition counts as dispatching the same events to a fresh
-    detector's [on_event] in order — on [K > 1] shards the stats
-    count broadcast sync events once and memory peaks sum across
-    shards.  [test/test_pipeline.ml] checks this lattice against that
-    oracle.
+    detector's [on_event] in order.  [test/test_pipeline.ml] checks
+    this lattice against that oracle.
 
     Observation: [tracer] records the run phase as an ["engine.run"]
     (program) or ["engine.replay"] span on the ["main"] lane,
     [d.finish] as ["engine.finish"], budget shedding and stops as
     ["budget.degrade"]/["budget.stop"] instants, a sampled
     ["detector.on_event"] timer and the detector's per-phase timers;
-    v2 block decodes land on a ["decoder"] lane and each shard on its
-    own lane.  Sharded runs attach one recorder per shard and merge
-    their {e final} samples (element-wise sum) into the summary
-    time-series; the merged metrics gain [par.*] gauges (shard count,
-    split and critical-path times, straddling accesses, per-shard
-    events and busy time).  V2 replays gain [pipeline.blocks] /
+    v2 block decodes land on a ["decoder"] lane.  V2 replays gain [pipeline.blocks] /
     [pipeline.decode_stall_us] / [pipeline.detect_stall_us] /
     [pipeline.decode_us] gauges.  When nothing is observed the event
     loop is exactly the detector's own handler.
@@ -192,9 +172,8 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
     Every anticipated failure is an [Error]: a corrupt trace
     ([Corrupt_trace], surfacing after the same prefix was analysed as
     a sequential read), a deadlocked program ([Deadlock]), and an
-    invalid configuration ([Invalid_input]: [shards < 1], a
-    non-positive [progress] or [sample_every] period, or a
-    caller-built detector with [shards > 1]).  Budget stops are not
+    invalid configuration ([Invalid_input]: a non-positive [progress]
+    or [sample_every] period).  Budget stops are not
     errors: they give [Ok] with [partial] set. *)
 
 val summarize_detector :

@@ -2,8 +2,7 @@
     (doc/resilience.md).
 
     One guard enforces a {!Dgrace_resilience.Budget.t} for the engine's
-    sequential replay, each shard of a sharded replay and each serve
-    session.  It has two entries: {!event} for a detector fed event by
+    replay and each serve session.  It has two entries: {!event} for a detector fed event by
     event and {!batch} for one fed whole batches through its
     [process_batch].  Both keep the same contract:
 

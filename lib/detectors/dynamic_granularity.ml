@@ -53,9 +53,8 @@ let no_cell =
 (* Clock sharing is confined to aligned [share_granule]-byte lines of
    the address space: a sharing decision never inspects state across a
    line, so the detector's verdict for a line depends only on the
-   accesses that touch it (plus the globally-ordered sync events).
-   This is what makes the sharded offline analysis of [Dgrace_par]
-   bit-identical to the sequential run — see doc/parallel.md.  The
+   accesses that touch it (plus the globally-ordered sync events),
+   so an address-partitioned replay sees the sequential verdicts.  The
    line is far wider than any neighbour scan ([Shadow_table] looks at
    most one 128-byte block away), so in practice it only suppresses
    the rare coalescing attempt that straddles a 4 KiB boundary. *)

@@ -33,9 +33,9 @@ val share_granule : int
     second-epoch decision, resharing, and forced coarsening under a
     shadow budget — refuses a merge whose resulting span would straddle
     a line.  The detector's verdict for a line therefore depends only on
-    the accesses that touch it plus the global sync-event order, which
-    is what lets {!Dgrace_par} shard a trace by address line and replay
-    the shards in parallel bit-identically (doc/parallel.md).  A cell
+    the accesses that touch it plus the global sync-event order, so a
+    replay partitioned by address line reports exactly the sequential
+    races.  A cell
     created by a single line-straddling access may span two lines; such
     a cell simply never coalesces further. *)
 

@@ -8,9 +8,8 @@
     {!Dynamic_granularity.share_granule} line that bounds vector-clock
     sharing — not the individual byte or access.
 
-    Why granules: sharing (and, since the sharded replay of
-    doc/parallel.md, the whole detector verdict) is partitionable by
-    granule — what a detector reports for addresses inside one granule
+    Why granules: sharing (and with it the whole detector verdict) is
+    partitionable by granule — what a detector reports for addresses inside one granule
     depends only on the accesses touching that granule plus the global
     synchronisation order, which the sampler always forwards.  Sampling
     whole granules therefore keeps the inner detector {e exact on the

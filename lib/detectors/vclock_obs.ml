@@ -1,9 +1,6 @@
 (* Publish a Vc_intern arena's statistics as vclock.* gauges.  Raw
-   counts only — ratios (hit rate, dedup, shares-per-copy) are derived
-   downstream so the gauges stay max-mergeable across shards like the
-   shadow.* family (lib/obs Metrics.merge_into takes the max of
-   gauges, which for per-shard monotone counts is the hottest
-   shard). *)
+   counts only, like the shadow.* family: ratios (hit rate, dedup,
+   shares-per-copy) are derived downstream from the counts. *)
 
 open Dgrace_vclock
 module Metrics = Dgrace_obs.Metrics

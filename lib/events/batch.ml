@@ -134,9 +134,9 @@ let push t ?(off = -1) ev =
   t.off.(i) <- off;
   t.len <- i + 1
 
-(* Copy one row between batches — the shard router's primitive when it
-   repacks a recycled decoder batch into per-shard batches.  The copy
-   is columnar (six array stores), so routing costs no allocation. *)
+(* Copy one row between batches, e.g. out of a recycled decoder batch.
+   The copy is columnar (six array stores), so it costs no
+   allocation. *)
 let copy_row ~src i ~dst =
   let j = dst.len in
   if j >= Array.length dst.kind then invalid_arg "Batch.copy_row: batch full";

@@ -7,8 +7,7 @@
     contract.
 
     {b Recycling contract.}  Every producer in this codebase — the v2
-    stream decoder, the pipeline ring, the shard packer, the serve
-    session — reuses a small pool of batches: a batch handed to a
+    stream decoder, the pipeline ring, the serve session — reuses a small pool of batches: a batch handed to a
     consumer callback is {e invalid the moment the callback returns}
     (it will be cleared and refilled with unrelated rows).  A consumer
     that needs rows past the callback must copy them out — either with

@@ -100,28 +100,6 @@ let histogram_buckets h =
   done;
   !out
 
-let merge_into ~into src =
-  List.iter
-    (fun c ->
-      let dst = counter into c.c_name in
-      dst.c_value <- dst.c_value + c.c_value)
-    (List.rev src.counters_rev);
-  (* gauges are point-in-time readings; max is the only merge that
-     makes sense for the peaks we track (live bytes, capacities) *)
-  List.iter
-    (fun g ->
-      let dst = gauge into g.g_name in
-      if g.g_value > dst.g_value then dst.g_value <- g.g_value)
-    (List.rev src.gauges_rev);
-  List.iter
-    (fun h ->
-      let dst = histogram into h.h_name in
-      Array.iteri (fun b n -> dst.buckets.(b) <- dst.buckets.(b) + n) h.buckets;
-      dst.h_count <- dst.h_count + h.h_count;
-      dst.h_sum <- dst.h_sum + h.h_sum;
-      if h.h_max > dst.h_max then dst.h_max <- h.h_max)
-    (List.rev src.histograms_rev)
-
 let to_json t =
   let counters = List.map (fun (n, v) -> (n, Json.Int v)) (counters t) in
   let gauges = List.map (fun (n, v) -> (n, Json.Int v)) (gauges t) in

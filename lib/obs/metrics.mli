@@ -60,14 +60,6 @@ val histogram_buckets : histogram -> (int * int * int) list
 (** Non-empty buckets as [(lo, hi, count)] with [lo]/[hi] the inclusive
     value range the bucket covers. *)
 
-val merge_into : into:t -> t -> unit
-(** Fold [src] into [into], registering missing instruments on demand:
-    counters and histogram buckets/count/sum add, gauge values and
-    histogram maxima take the max (gauges are point-in-time peaks —
-    live bytes, capacities — so summing them would double-count).
-    Used by the sharded replay to collapse per-shard registries into
-    one merged document. *)
-
 val to_json : t -> Json.t
 (** [{ "counters": {..}, "gauges": {..}, "histograms": {..} }]; fields
     sorted by name so output is deterministic. *)

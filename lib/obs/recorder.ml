@@ -64,29 +64,6 @@ let counter_series t =
          ))
        names)
 
-(* Merge per-shard recorders (see Sampler.merged_final): the single
-   merged sample is stamped at the latest shard reading. *)
-let merged_final rs =
-  match Sampler.merged_final (List.map (fun r -> r.sampler) rs) with
-  | None -> None
-  | Some s ->
-    let t0 =
-      List.fold_left (fun acc r -> min acc r.t0_ns) max_int rs
-    in
-    let last =
-      List.fold_left
-        (fun acc r -> match r.ns_rev with ns :: _ -> max acc ns | [] -> acc)
-        t0 rs
-    in
-    Some
-      {
-        sampler = s;
-        clock = (fun () -> last);
-        t0_ns = t0;
-        ns_rev = [ last ];
-        stamped = 1;
-      }
-
 let to_json t =
   let at_s =
     List.rev_map

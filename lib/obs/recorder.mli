@@ -39,11 +39,6 @@ val counter_series : t -> (string * (int * int) list) list
 (** One [(ns, value)] series per source — the shape
     {!Span.add_counter_series} takes. *)
 
-val merged_final : t list -> t option
-(** {!Sampler.merged_final} over the underlying samplers; the merged
-    sample is stamped at the latest input reading.  [None] when no
-    input has a sample. *)
-
 val to_json : t -> Json.t
 (** {!Sampler.to_json} plus an ["at_s"] array: seconds since the
     recorder's epoch, one per sample. *)

@@ -56,39 +56,6 @@ let source_names t = Array.to_list t.names
 let length t = t.n_samples
 let samples t = List.rev t.samples_rev
 
-(* Collapse per-shard samplers into one final sample: values summed
-   element-wise over each input's last (flushed) sample, at_event the
-   total events ticked across inputs.  Intermediate samples are
-   per-shard local history and do not merge (shards progress
-   independently); the final sums are what sequential replay's last
-   sample reports for additive sources. *)
-let merged_final ts =
-  match ts with
-  | [] -> None
-  | t0 :: _ ->
-    let finals = List.filter_map (fun t -> match t.samples_rev with s :: _ -> Some s | [] -> None) ts in
-    if finals = [] then None
-    else begin
-      let values = Array.make (Array.length t0.names) 0 in
-      List.iter
-        (fun s ->
-          Array.iteri
-            (fun i v -> if i < Array.length values then values.(i) <- values.(i) + v)
-            s.values)
-        finals;
-      let at_event = List.fold_left (fun acc t -> acc + t.events) 0 ts in
-      Some
-        {
-          every = t0.every;
-          names = Array.copy t0.names;
-          reads = Array.map (fun v -> fun () -> v) values;
-          events = at_event;
-          until_next = t0.every;
-          samples_rev = [ { at_event; values } ];
-          n_samples = 1;
-        }
-    end
-
 let to_json t =
   Json.Obj
     [

@@ -36,15 +36,6 @@ val length : t -> int
 val samples : t -> sample list
 (** In chronological order. *)
 
-val merged_final : t list -> t option
-(** Merge per-shard samplers ([flush] them first) into one holding a
-    single sample: values summed element-wise over each input's last
-    sample, [at_event] the total events ticked.  For additive sources
-    (event and race counts) this equals the last sample of the
-    equivalent sequential run.  [None] when no input has a sample.
-    Sources are assumed congruent (same list, same order) — the engine
-    builds every shard's sampler from one source list. *)
-
 val to_json : t -> Json.t
 (** [{ "every": n, "sources": [..], "samples": [[at_event, v1, ..], ..] }]
     — samples as flat rows to keep large series compact. *)

@@ -1,7 +1,7 @@
 (* Span tracing: a flight recorder of begin/end/instant events in
    per-lane bounded rings.
 
-   One [buf] per lane (the main thread, each replay shard); every lane
+   One [buf] per lane (the main thread, the v2 decoder); every lane
    has exactly one writer — its own domain — so recording takes no
    lock.  Only lane registration and counter-track attachment go
    through the tracer's mutex.  The ring overwrites its oldest entries

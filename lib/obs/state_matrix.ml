@@ -39,11 +39,6 @@ let iter f t =
     done
   done
 
-let merge_into ~into src =
-  if into.states <> src.states then
-    invalid_arg "State_matrix.merge_into: different state sets";
-  Array.iteri (fun i n -> into.counts.(i) <- into.counts.(i) + n) src.counts
-
 let to_json t =
   let edges = ref [] in
   iter

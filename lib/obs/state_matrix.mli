@@ -29,11 +29,6 @@ val col_total : t -> int -> int
 val iter : (from_:int -> to_:int -> count:int -> unit) -> t -> unit
 (** Visit the non-zero edges in row-major order. *)
 
-val merge_into : into:t -> t -> unit
-(** Add [src]'s edge counts into [into].  Both matrices must have been
-    created over the same state-name array.
-    @raise Invalid_argument otherwise. *)
-
 val to_json : t -> Json.t
 (** [{ "states": [..], "total": n, "edges": [{"from","to","count"}..] }]
     with edges in row-major order (deterministic). *)

@@ -230,8 +230,12 @@ let to_file path f =
     close w;
     (v, n)
   | exception e ->
-    close w;
-    raise e
+    (* a failed producer leaves no file: a flushed prefix would replay
+       as a complete, valid-looking trace *)
+    let bt = Printexc.get_raw_backtrace () in
+    close_out_noerr w.oc;
+    (try Sys.remove path with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* decoding *)
@@ -304,8 +308,8 @@ let cur_take cur len =
 
 (* Decode one block body into [batch].  [base] is the body's absolute
    offset in the stream, used for error offsets.  Rows get
-   [off = events_read + i]: a monotone stream position, the same order
-   key the shard splitter uses, so races merge identically.
+   [off = events_read + i]: a monotone stream position, which race
+   reports carry as their order key.
 
    Every check runs in the order of the reference decoder kept in
    test/v2_oracle.ml, so a corrupt body fails with the same offset,

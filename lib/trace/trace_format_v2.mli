@@ -73,6 +73,10 @@ val events_written : writer -> int
 val close : writer -> unit
 
 val to_file : string -> ((Event.t -> unit) -> 'a) -> 'a * int
+(** [to_file path f] writes the events [f] feeds to its sink as a v2
+    trace at [path], returning [f]'s result and the event count.  If [f]
+    raises, the file is closed and removed before the exception
+    propagates: a flushed prefix would replay as a complete trace. *)
 
 (** {1 Decoding} *)
 

@@ -101,5 +101,9 @@ let to_file path f =
     close t;
     (v, n)
   | exception e ->
-    close t;
-    raise e
+    (* a failed producer leaves no file: a flushed prefix would replay
+       as a complete, valid-looking trace *)
+    let bt = Printexc.get_raw_backtrace () in
+    close_out_noerr t.oc;
+    (try Sys.remove path with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt

@@ -21,6 +21,6 @@ val close : t -> unit
 
 val to_file : string -> ((Event.t -> unit) -> 'a) -> 'a * int
 (** [to_file path f] opens [path], runs [f sink], closes, and returns
-    [f]'s result with the number of events written.  The file is closed
-    (and kept — partial traces are still replayable prefix-wise) even
-    if [f] raises. *)
+    [f]'s result with the number of events written.  If [f] raises, the
+    file is closed and removed before the exception propagates, so a
+    failed recording never leaves a valid-looking prefix behind. *)

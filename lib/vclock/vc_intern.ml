@@ -8,10 +8,9 @@
    copy.  Payload arrays of dead snapshots are pooled per length class
    and recycled, keeping the steady-state access path allocation-free.
 
-   The arena is single-domain by construction: the sharded analysis
-   (lib/par) builds one detector — and therefore one arena — per
-   shard, and gauges are max-merged afterwards like the shadow.* ones.
-   Only the uid counter is global, hence atomic. *)
+   The arena is single-domain by construction: each detector owns
+   one, and a detector runs on one domain.  Only the uid counter is
+   global, hence atomic. *)
 
 (* Hot-path convention: integer-only [min]/[max]. *)
 let[@warning "-32"] min = Int.min

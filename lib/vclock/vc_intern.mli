@@ -13,8 +13,7 @@
     are recycled through a per-length free list, so the steady-state
     capture path allocates nothing.
 
-    Arenas are per-detector and therefore per-shard under the sharded
-    analysis; they are not thread-safe.  See doc/vclock.md. *)
+    Arenas are per-detector; they are not thread-safe.  See doc/vclock.md. *)
 
 type t
 (** An arena. *)

@@ -118,14 +118,6 @@ let check_invalid name config source =
       (Dgrace_resilience.Error.to_string e)
   | Ok _ -> Alcotest.failf "%s: accepted" name
 
-let test_invalid_shards () =
-  List.iter
-    (fun source ->
-      check_invalid "shards = 0"
-        { (Engine.Config.make Spec.dynamic) with Engine.Config.shards = 0 }
-        source)
-    [ Tutil.program racy_prog; Tutil.event_list [] ]
-
 let test_invalid_progress () =
   check_invalid "progress period 0"
     {
@@ -139,26 +131,8 @@ let test_invalid_sample_every () =
     { (Engine.Config.make Spec.dynamic) with Engine.Config.sample_every = Some 0 }
     (Tutil.program racy_prog)
 
-let test_invalid_built_sharded () =
-  check_invalid "caller-built detector on 2 shards"
-    {
-      (Engine.Config.of_detector (Spec.to_detector Spec.dynamic)) with
-      Engine.Config.shards = 2;
-    }
-    (Tutil.event_list [])
-
-(* a program source on several shards is simulated once, then split *)
-let test_program_sharded () =
-  let one = Tutil.(analyze (config Spec.dynamic) (program racy_prog)) in
-  let two = Tutil.(analyze (config ~shards:2 Spec.dynamic) (program racy_prog)) in
-  Alcotest.(check (list string))
-    "same races"
-    (List.map Report.to_string one.races)
-    (List.map Report.to_string two.races);
-  Alcotest.(check int) "simulator result kept" 2 (Option.get two.sim).threads
-
 (* [elapsed] reads the configured clock on every path: two identical
-   ticker-driven runs report the same figure, sharded or not. *)
+   ticker-driven runs report the same figure, whatever the source. *)
 let test_elapsed_reads_clock () =
   let path = Filename.temp_file "dgrace" ".trace.v2" in
   let (), (_ : int) =
@@ -166,24 +140,23 @@ let test_elapsed_reads_clock () =
         ignore (Sim.run ~sink racy_prog))
   in
   let events = Dgrace_trace.Trace_format_v2.read_file path in
-  let elapsed shards source =
+  let elapsed source =
     let s =
       Tutil.analyze
         {
           (Engine.Config.make Spec.dynamic) with
-          Engine.Config.shards;
-          clock = Dgrace_obs.Clock.ticker ();
+          Engine.Config.clock = Dgrace_obs.Clock.ticker ();
         }
         source
     in
     s.elapsed
   in
-  let one = elapsed 1 (Tutil.event_list events) in
+  let one = elapsed (Tutil.event_list events) in
   List.iter
     (fun (name, source) ->
-      let a = elapsed 4 source and b = elapsed 4 source in
+      let a = elapsed source and b = elapsed source in
       Alcotest.(check (float 0.)) (name ^ ": identical runs") a b;
-      Alcotest.(check (float 0.)) (name ^ ": same as one shard") one a)
+      Alcotest.(check (float 0.)) (name ^ ": same as the event list") one a)
     [ ("events", Tutil.event_list events); ("v2 file", Engine.Source.V2_file path) ];
   Sys.remove path
 
@@ -205,14 +178,10 @@ let suites : unit Alcotest.test list =
       ] );
     ( "engine.analyze",
       [
-        Alcotest.test_case "shards < 1 is invalid input" `Quick test_invalid_shards;
+        Alcotest.test_case "elapsed reads the clock" `Quick test_elapsed_reads_clock;
         Alcotest.test_case "progress period 0 is invalid input" `Quick
           test_invalid_progress;
         Alcotest.test_case "sample_every 0 is invalid input" `Quick
           test_invalid_sample_every;
-        Alcotest.test_case "built detector cannot shard" `Quick
-          test_invalid_built_sharded;
-        Alcotest.test_case "program on two shards" `Quick test_program_sharded;
-        Alcotest.test_case "elapsed reads the clock" `Quick test_elapsed_reads_clock;
       ] );
   ]

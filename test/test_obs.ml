@@ -314,35 +314,6 @@ let test_recorder_tick_n () =
   (* one batch, one snapshot, one stamp *)
   Alcotest.(check (list int)) "batched stamp" [ 100 ] (Recorder.times_ns r)
 
-let test_recorder_merged_final () =
-  let mk start v =
-    let r =
-      Recorder.create
-        ~clock:(Clock.ticker ~start ~step:100 ())
-        ~every:2
-        ~sources:[ ("v", fun () -> v) ]
-        ()
-    in
-    for _ = 1 to 3 do
-      Recorder.tick r
-    done;
-    Recorder.flush r;
-    r
-  in
-  let r1 = mk 0 5 in
-  let r2 = mk 10_000 11 in
-  match Recorder.merged_final [ r1; r2 ] with
-  | None -> Alcotest.fail "merged_final: expected a sample"
-  | Some m ->
-    let s = Sampler.samples (Recorder.sampler m) in
-    Alcotest.(check int) "single merged sample" 1 (List.length s);
-    let s = List.hd s in
-    Alcotest.(check int) "events summed" 6 s.Sampler.at_event;
-    Alcotest.(check (array int)) "values summed" [| 16 |] s.Sampler.values;
-    Alcotest.(check (list int)) "stamped at the latest shard reading"
-      [ 10_200 ]
-      (Recorder.times_ns m)
-
 (* ------------------------------------------------------------------ *)
 (* Chrome export: golden aggregation over a deterministic clock *)
 
@@ -533,8 +504,6 @@ let suites : unit Alcotest.test list =
       [
         Alcotest.test_case "wall-clock stamps" `Quick test_recorder_stamps;
         Alcotest.test_case "batched tick_n" `Quick test_recorder_tick_n;
-        Alcotest.test_case "merged final sample" `Quick
-          test_recorder_merged_final;
       ] );
     ( "obs.chrome",
       [

@@ -2,14 +2,13 @@
    page-clustered batch application (doc/trace.md, doc/shadow.md):
 
    - the config-lattice law: every source (events, batches, v2 file)
-     x shard count x observer x detector must match per-event
-     dispatch of the same rows to a fresh detector on races (content
-     and order), transition counts and exit code, and on stream stats
-     on one shard;
+     x observer x detector must match per-event dispatch of the same
+     rows to a fresh detector on races (content and order),
+     transition counts, exit code and stream stats;
    - the pipelined replay must be bit-identical to the sequential
      batched path on races (content and order), stream stats,
      transition counts and exit code — corpus traces and random
-     streams, sequential and sharded;
+     streams;
    - a trace cut at EVERY byte offset must fail through the pipeline
      with exactly the sequential error (same absolute offset, same
      events_read) after exactly the sequential prefix;
@@ -41,8 +40,8 @@ let write_file path s =
 let fold_feed path consume =
   Trace_format_v2.fold_batches path (fun () b -> consume b) ()
 
-let run ?budget ?progress ?sample_every ?(shards = 1) spec source =
-  Tutil.(analyze (config ?budget ?progress ?sample_every ~shards spec) source)
+let run ?budget ?progress ?sample_every spec source =
+  Tutil.(analyze (config ?budget ?progress ?sample_every spec) source)
 
 let report = Alcotest.testable (Fmt.of_to_string Report.to_string) ( = )
 
@@ -179,7 +178,7 @@ let test_feed_matches_fold () =
     corpus_names
 
 (* ------------------------------------------------------------------ *)
-(* engine-level differential on the corpus, sequential and sharded *)
+(* engine-level differential on the corpus *)
 
 let diff_corpus name () =
   let path = corpus name in
@@ -193,16 +192,8 @@ let diff_corpus name () =
       (* the pipeline gauges land in the summary metrics *)
       Alcotest.(check bool) (ctx ^ ": pipeline.blocks gauge") true
         (List.mem_assoc "pipeline.blocks" (Metrics.gauges pipe.metrics));
-      List.iter
-        (fun shards ->
-          let base = run ~shards spec (Tutil.event_list events) in
-          let sp = run ~shards spec (Engine.Source.V2_file path) in
-          let ctx =
-            Printf.sprintf "%s %s sharded=%d pipelined" name (Spec.name spec)
-              shards
-          in
-          check_equivalent ~ctx base sp)
-        [ 1; 4 ])
+      let base = run spec (Tutil.event_list events) in
+      check_equivalent ~ctx:(ctx ^ " vs events") base pipe)
     [ Spec.dynamic; Spec.word ]
 
 (* ------------------------------------------------------------------ *)
@@ -255,17 +246,15 @@ let test_truncate_every_offset_pipelined () =
 let test_corrupt_corpus_error_identity () =
   (* the bundled truncated trace, through the full engine *)
   let path = corpus "truncated" in
-  let run ?(shards = 1) source =
-    match Engine.analyze (Tutil.config ~shards Spec.dynamic) source with
+  let run source =
+    match Engine.analyze (Tutil.config Spec.dynamic) source with
     | Ok _ -> None
     | Error e -> Some e
   in
   let seq = run (Tutil.v2_batches path) in
   let pipe = run (Engine.Source.V2_file path) in
-  let sp = run ~shards:4 (Engine.Source.V2_file path) in
   let err = Alcotest.testable (Fmt.of_to_string Error.to_string) ( = ) in
   Alcotest.(check (option err)) "pipelined error identical" seq pipe;
-  Alcotest.(check (option err)) "sharded pipelined error identical" seq sp;
   Alcotest.(check bool) "it is an error" true (seq <> None)
 
 (* ------------------------------------------------------------------ *)
@@ -432,27 +421,21 @@ let qcheck_config_lattice =
               List.for_all
                 (fun source ->
                   List.for_all
-                    (fun shards ->
-                      List.for_all
-                        (fun (budget, progress, sample_every) ->
-                          let got =
-                            run ?budget ?progress ?sample_every ~shards spec
-                              source
-                          in
-                          List.map Report.to_string want.races
-                          = List.map Report.to_string got.races
-                          && Dgrace_obs.Json.equal (transitions_json want)
-                               (transitions_json got)
-                          && Engine.exit_code_of_summary want
-                             = Engine.exit_code_of_summary got
-                          && (shards > 1 || stats_tuple want = stats_tuple got))
-                        [
-                          (None, None, None);
-                          (None, Some (7, fun (_ : int) -> ()), None);
-                          (None, None, Some 5);
-                          (Some never_spent, None, None);
-                        ])
-                    [ 1; 2; 4 ])
+                    (fun (budget, progress, sample_every) ->
+                      let got = run ?budget ?progress ?sample_every spec source in
+                      List.map Report.to_string want.races
+                      = List.map Report.to_string got.races
+                      && Dgrace_obs.Json.equal (transitions_json want)
+                           (transitions_json got)
+                      && Engine.exit_code_of_summary want
+                         = Engine.exit_code_of_summary got
+                      && stats_tuple want = stats_tuple got)
+                    [
+                      (None, None, None);
+                      (None, Some (7, fun (_ : int) -> ()), None);
+                      (None, None, Some 5);
+                      (Some never_spent, None, None);
+                    ])
                 [
                   Tutil.event_list events;
                   batches_of_rows ~rows:37 events;
@@ -468,8 +451,7 @@ let qcheck_pipelined_identical =
             (fun spec ->
               let seq = run spec (Tutil.v2_batches v2) in
               let pipe = run spec (Engine.Source.V2_file v2) in
-              let sharded = run ~shards:4 spec (Engine.Source.V2_file v2) in
-              equivalent seq pipe && equivalent seq sharded)
+              equivalent seq pipe)
             [ Spec.dynamic; Spec.word ]))
 
 (* ------------------------------------------------------------------ *)
@@ -478,7 +460,7 @@ let qcheck_pipelined_identical =
    batch, so they may fire up to one batch late *)
 
 let raytrace_events () =
-  Test_par.recorded (Option.get (Dgrace_workloads.Registry.find "raytrace")) 1
+  Tutil.recorded (Option.get (Dgrace_workloads.Registry.find "raytrace")) 1
 
 let stop_string (s : Engine.summary) =
   match s.partial with None -> "none" | Some st -> Budget.stop_to_string st

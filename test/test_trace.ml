@@ -49,8 +49,8 @@ let test_loc_interning_compact () =
   Alcotest.(check bool) "interned (well under 50 copies)" true (size < 100 * 10)
 
 (* The writer refuses a location the reader would reject as out of
-   range, so every trace it records replays; the events before the
-   refused one stay a readable trace. *)
+   range, so every trace it records replays; the refused recording
+   leaves no file, not a prefix that would pass for the whole trace. *)
 let test_long_location_rejected () =
   let path = tmp_file () in
   let long = String.make 70001 'x' in
@@ -62,10 +62,7 @@ let test_long_location_rejected () =
    | _ -> Alcotest.fail "an over-long location was recorded"
    | exception Error.E (Error.Invalid_input { what; _ }) ->
      Alcotest.(check string) "what" "trace location" what);
-  Alcotest.(check (list string)) "prefix replays"
-    (List.map Event.to_string sample_events)
-    (List.map Event.to_string (Trace_reader.read_file path));
-  Sys.remove path
+  Alcotest.(check bool) "no file left" false (Sys.file_exists path)
 
 let test_varint () =
   let buf = Buffer.create 16 in
@@ -342,33 +339,25 @@ let test_corpus_v2_truncated () =
     Alcotest.fail ("expected Corrupt_trace, got " ^ Printexc.to_string e)
 
 (* The straddling access welds the two 4 KiB lines it touches into one
-   super-granule, so the sharded replay keeps both racing accesses in
-   one shard and the verdict matches the sequential run. *)
+   super-granule, so an address-partitioned replay keeps both racing
+   accesses on one shard and the verdict matches the sequential run. *)
 let test_corpus_straddle_welds () =
   let events = Trace_reader.read_file (corpus "straddle.trace") in
   Alcotest.(check int) "pinned event count" 8 (List.length events);
   let seq = replay_corpus "straddle.trace" in
   Alcotest.(check int) "sequential sees the race" 1 seq.race_count;
-  let gauge (s : Dgrace_core.Engine.summary) name =
-    match List.assoc_opt name (Dgrace_obs.Metrics.gauges s.metrics) with
-    | Some v -> v
-    | None -> Alcotest.fail ("missing gauge " ^ name)
-  in
   List.iter
     (fun shards ->
-      let s =
-        Tutil.(analyze (config ~shards Dgrace_core.Spec.dynamic) (event_list events))
+      let r, _ =
+        Dgrace_par.Par.analyze_pipelined
+          ~make:(fun _ -> Dgrace_core.Spec.to_detector Dgrace_core.Spec.dynamic)
+          ~shards ~granule:Dgrace_detectors.Dynamic_granularity.share_granule
+          (corpus "straddle.trace.v2")
       in
-      let tag = Printf.sprintf "shards=%d: " shards in
-      Alcotest.(check int) (tag ^ "race survives sharding") 1 s.race_count;
       Alcotest.(check int)
-        (tag ^ "exactly the one straddling access")
+        (Printf.sprintf "shards=%d: race survives sharding" shards)
         1
-        (gauge s "par.straddling");
-      Alcotest.(check int)
-        (tag ^ "one welded super-granule")
-        1
-        (gauge s "par.super_granules"))
+        (List.length (Dgrace_par.Par.merged_races r)))
     [ 2; 4 ]
 
 let suites : unit Alcotest.test list =

@@ -215,10 +215,28 @@ let test_long_location_rejected () =
    | _ -> Alcotest.fail "an over-long location was recorded"
    | exception Error.E (Error.Invalid_input { what; _ }) ->
      Alcotest.(check string) "what" "trace location" what);
-  (* ... and the events before it stay a readable trace *)
-  Alcotest.(check (list string)) "prefix replays" (strings sample_events)
-    (strings (Trace_format_v2.read_file path));
-  Sys.remove path
+  (* ... and the refused recording leaves no file behind *)
+  Alcotest.(check bool) "no file left" false (Sys.file_exists path)
+
+(* A producer that raises part-way leaves no file with either writer:
+   several blocks (v2) or buffer flushes (v1) were already written, and
+   closing them would leave a valid-looking trace of the prefix. *)
+let test_failed_producer_leaves_no_file () =
+  List.iter
+    (fun (name, to_file) ->
+      let path = tmp_file () in
+      (match
+         to_file path (fun sink ->
+             for _ = 1 to 3000 do
+               List.iter sink sample_events
+             done;
+             failwith "producer died")
+       with
+       | _ -> Alcotest.failf "%s: the producer's failure was swallowed" name
+       | exception Failure msg ->
+         Alcotest.(check string) (name ^ ": exception kept") "producer died" msg);
+      Alcotest.(check bool) (name ^ ": no file left") false (Sys.file_exists path))
+    [ ("v1", Trace_writer.to_file); ("v2", Trace_format_v2.to_file) ]
 
 (* ... and a block closes early rather than outgrow [max_body_len]:
    4096 fresh 5 KB locations would make a 20 MB body. *)
@@ -522,6 +540,8 @@ let suites : unit Alcotest.test list =
           test_long_location_rejected;
         Alcotest.test_case "oversized block closes early" `Quick
           test_oversized_block_split;
+        Alcotest.test_case "failed producer leaves no file" `Quick
+          test_failed_producer_leaves_no_file;
       ] );
     ( "trace_v2.oracle",
       [

@@ -172,48 +172,26 @@ let test_accounting_callback () =
   Alcotest.(check int) "free reported" 0 !delta
 
 (* ------------------------------------------------------------------ *)
-(* the vclock.* gauges surface in summaries and survive the sharded
-   max-merge *)
+(* the vclock.* gauges and the interned peak surface in summaries *)
 
-let policy = Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 }
-
-let recorded (w : Workload.t) =
-  let p = Workload.with_params ~scale:1 ~seed:1 w in
-  let buf = ref [] in
-  ignore (Workload.run ~policy ~params:p ~sink:(fun ev -> buf := ev :: !buf) w);
-  Array.of_list (List.rev !buf)
-
-let test_gauges_exported_and_merged () =
-  let w = Option.get (Registry.find "raytrace") in
+let test_gauges_exported () =
   let gauge (s : Engine.summary) name =
     match List.assoc_opt name (Dgrace_obs.Metrics.gauges s.metrics) with
     | Some v -> v
     | None -> Alcotest.failf "gauge %s missing" name
   in
-  let events = recorded w in
-  let analyse shards =
-    Tutil.(analyze (config ~shards Spec.dynamic) (event_array events))
-  in
-  let s1 = analyse 1 in
+  let events = Tutil.recorded (Option.get (Registry.find "raytrace")) 1 in
+  let s = Tutil.(analyze (config Spec.dynamic) (event_array events)) in
   Alcotest.(check bool)
     "sequential run interned snapshots" true
-    (gauge s1 "vclock.interns" > 0);
+    (gauge s "vclock.interns" > 0);
   Alcotest.(check bool)
     "arena peak accounted" true
-    (gauge s1 "vclock.arena_peak_bytes" > 0);
-  let s4 = analyse 4 in
-  (* gauges are max-merged: the merged peak is the hottest shard's,
-     positive and never above the sequential arena's *)
-  Alcotest.(check bool)
-    "merged peak positive" true
-    (gauge s4 "vclock.arena_peak_bytes" > 0);
-  Alcotest.(check bool)
-    "merged peak <= sequential peak" true
-    (gauge s4 "vclock.arena_peak_bytes" <= gauge s1 "vclock.arena_peak_bytes");
+    (gauge s "vclock.arena_peak_bytes" > 0);
   (* interned memory also reaches the engine's memory summary *)
   Alcotest.(check bool)
     "peak_interned_bytes surfaced" true
-    (s1.mem.peak_interned_bytes > 0)
+    (s.mem.peak_interned_bytes > 0)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -236,7 +214,6 @@ let suites =
       ] );
     ( "vc_intern.gauges",
       [
-        Alcotest.test_case "exported and max-merged" `Quick
-          test_gauges_exported_and_merged;
+        Alcotest.test_case "exported in summaries" `Quick test_gauges_exported;
       ] );
   ]

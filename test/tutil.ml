@@ -76,13 +76,12 @@ let analyze config source =
   | Error e ->
     Alcotest.failf "Engine.analyze: %s" (Dgrace_resilience.Error.to_string e)
 
-let config ?(suppression = Suppression.empty) ?(shards = 1)
+let config ?(suppression = Suppression.empty)
     ?(budget = Dgrace_resilience.Budget.unlimited) ?sample_every ?progress
     ?tracer spec =
   {
     (Engine.Config.make spec) with
     Engine.Config.suppression;
-    shards;
     budget;
     sample_every;
     progress;
@@ -100,3 +99,24 @@ let v2_batches path =
   Engine.Source.Batches
     (fun consume ->
       Dgrace_trace.Trace_format_v2.fold_batches path (fun () b -> consume b) ())
+
+(* One scale-1 recording per (workload, seed), shared by every test
+   that replays it: the comparisons are about the analysis, not the
+   interleaving. *)
+let recordings : (string * int, Event.t array) Hashtbl.t = Hashtbl.create 64
+
+let recorded (w : Dgrace_workloads.Workload.t) seed =
+  match Hashtbl.find_opt recordings (w.name, seed) with
+  | Some a -> a
+  | None ->
+    let p = Dgrace_workloads.Workload.with_params ~scale:1 ~seed w in
+    let buf = ref [] in
+    ignore
+      (Dgrace_workloads.Workload.run
+         ~policy:(Scheduler.Chunked { seed; chunk = 64 })
+         ~params:p
+         ~sink:(fun ev -> buf := ev :: !buf)
+         w);
+    let a = Array.of_list (List.rev !buf) in
+    Hashtbl.replace recordings (w.name, seed) a;
+    a
