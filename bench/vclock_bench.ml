@@ -5,7 +5,9 @@
    Part 1 — operation throughput (ops/sec, best of [Measure.reps]
    timed batches) for the operations the access fast path leans on:
    join / leq / assign (array-reusing) / copy (the legacy allocating
-   path) and intern under memo hit, bucket hit and miss.
+   path) and intern under memo hit, bucket hit and miss.  Its last row
+   times a lock acquire+release in ns/op over 16K distinct lock ids
+   (canneal's per-element atomics), the lock-clock table in isolation.
 
    Part 2 — allocation profile of the read-capture loop: minor-GC
    words per million capture events, comparing hash-consed interning,
@@ -105,7 +107,30 @@ let micro () =
   Vc_intern.release s4;
   Vc_intern.release s16;
   Vc_intern.release base4;
-  Vc_intern.release base16
+  Vc_intern.release base16;
+  (* lock clocks: [Vc_env]'s acquire (C_t := C_t ⊔ L) and release
+     (L := L ⊔ C_t; tick) over 16K lock ids, visited in a scattered
+     order so consecutive operations rarely share a table slot *)
+  let locks = 16384 in
+  let lock_ns threads =
+    let env = Dgrace_detectors.Vc_env.create () in
+    let i = ref 0 in
+    let op () =
+      let tid = !i land (threads - 1) in
+      let lock = (!i * 7919) land (locks - 1) in
+      Dgrace_detectors.Vc_env.acquire env ~tid ~lock;
+      Dgrace_detectors.Vc_env.release env ~tid ~lock;
+      incr i
+    in
+    (* first touch creates every lock clock; time the steady state *)
+    for _ = 1 to locks do
+      op ()
+    done;
+    1e9 /. ops_per_sec op
+  in
+  Printf.printf "%-26s %11.1fns %11.1fns
+" "lock acq+rel (16K ids)" (lock_ns 4)
+    (lock_ns 16)
 
 (* Minor-GC words per million capture events.  The loop models the
    read-shared fast path: each "event" captures the reader's current

@@ -1,3 +1,4 @@
+open Dgrace_vclock
 open Dgrace_events
 open Dgrace_shadow
 module Metrics = Dgrace_obs.Metrics
@@ -63,7 +64,7 @@ type t = {
   mutable last_page : int;
   mutable last_row : int;
   mutable last_run : int;
-  welded : (int, unit) Hashtbl.t;
+  welded : unit Int_table.t;  (* pages a straddling access touched *)
   mutable weld_count : int;
   m_rows : Metrics.counter;
   m_pages : Metrics.counter;
@@ -193,14 +194,14 @@ let apply t (b : Batch.t) =
       if page <> last then begin
         if t.weld then
           for p = page to last do
-            if not (Hashtbl.mem t.welded p) then begin
-              Hashtbl.replace t.welded p ();
+            if not (Int_table.mem t.welded p) then begin
+              Int_table.replace t.welded p ();
               t.weld_count <- t.weld_count + 1
             end
           done;
         barrier t b i
       end
-      else if t.weld_count > 0 && Hashtbl.mem t.welded page then barrier t b i
+      else if t.weld_count > 0 && Int_table.mem t.welded page then barrier t b i
       else enqueue t b i page
     end
     else if k = Batch.code_alloc then
@@ -253,7 +254,7 @@ let make ~granularity ~weld ~metrics ~stats ~collector ~env ~bitmap ~on_boundary
       last_page = -1;
       last_row = -2;
       last_run = -1;
-      welded = Hashtbl.create 16;
+      welded = Int_table.create 16;
       weld_count = 0;
       m_rows = Metrics.counter metrics "cluster.rows";
       m_pages = Metrics.counter metrics "cluster.pages";

@@ -1,7 +1,6 @@
 open Dgrace_vclock
 open Dgrace_events
 open Dgrace_shadow
-module Vec = Dgrace_util.Vec
 
 type cell = {
   rvc : Vector_clock.t;
@@ -18,22 +17,11 @@ type state = {
   granularity : int;
   env : Vc_env.t;
   shadow : cell Shadow_table.t;
-  bitmaps : Epoch_bitmap.t option Vec.t;
+  bitmaps : Thread_bitmaps.t;
   account : Accounting.t;
   stats : Run_stats.t;
   collector : Report.Collector.t;
 }
-
-let bitmap st tid =
-  while Vec.length st.bitmaps <= tid do
-    Vec.push st.bitmaps None
-  done;
-  match Vec.get st.bitmaps tid with
-  | Some b -> b
-  | None ->
-    let b = Epoch_bitmap.create ~account:st.account () in
-    Vec.set st.bitmaps tid (Some b);
-    b
 
 (* [absent] sentinel of shadow lookups: never stored *)
 let no_cell =
@@ -86,7 +74,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
   let write = kind = Event.Write in
   if write then st.stats.writes <- st.stats.writes + 1
   else st.stats.reads <- st.stats.reads + 1;
-  let bm = bitmap st tid in
+  let bm = Thread_bitmaps.get st.bitmaps tid in
   if Epoch_bitmap.test bm ~write addr && Epoch_bitmap.test bm ~write (addr + size - 1)
   then st.stats.same_epoch <- st.stats.same_epoch + 1
   else begin
@@ -155,13 +143,13 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) () =
       env = Vc_env.create ();
       shadow =
         Shadow_table.create ~mode:(Shadow_table.Fixed_bytes granularity) ~account ();
-      bitmaps = Vec.create ();
+      bitmaps = Thread_bitmaps.create ~account;
       account;
       stats = Run_stats.create ();
       collector = Report.Collector.create ~suppression ();
     }
   in
-  let on_boundary tid = Epoch_bitmap.reset (bitmap st tid) in
+  let on_boundary tid = Epoch_bitmap.reset (Thread_bitmaps.get st.bitmaps tid) in
   let on_event ev =
     if Vc_env.handle st.env ev ~on_boundary then
       st.stats.sync_ops <- st.stats.sync_ops + 1

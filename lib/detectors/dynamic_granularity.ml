@@ -1,7 +1,6 @@
 open Dgrace_vclock
 open Dgrace_events
 open Dgrace_shadow
-module Vec = Dgrace_util.Vec
 module Metrics = Dgrace_obs.Metrics
 module Span = Dgrace_obs.Span
 module State_matrix = Dgrace_obs.State_matrix
@@ -45,7 +44,7 @@ let no_cell =
     cstate = Share_state.Race;
     born = Epoch.none;
     w = Epoch.none;
-    r = Read_state.No_reads;
+    r = Read_state.empty;
     loc = "";
     evidence = 0;
   }
@@ -87,7 +86,7 @@ type state = {
   mutable bitmaps_on : bool;
       (* flipped off by the first degradation stage: every access then
          takes the slow path, but the bitmap bytes are gone for good *)
-  bitmaps : Epoch_bitmap.t option Vec.t;
+  bitmaps : Thread_bitmaps.t;
   account : Accounting.t;
   stats : Run_stats.t;
   collector : Report.Collector.t;
@@ -140,17 +139,6 @@ let[@inline] decided st ~shared ~bytes =
 
 let plane st ~write = if write then st.wplane else st.rplane
 
-let[@inline] bitmap st tid =
-  while Vec.length st.bitmaps <= tid do
-    Vec.push st.bitmaps None
-  done;
-  match Vec.get st.bitmaps tid with
-  | Some b -> b
-  | None ->
-    let b = Epoch_bitmap.create ~account:st.account () in
-    Vec.set st.bitmaps tid (Some b);
-    b
-
 let fresh_cell st ~lo ~hi ~born ~state =
   Accounting.vc_created st.account;
   Accounting.bind_locations st.account (hi - lo);
@@ -162,7 +150,7 @@ let fresh_cell st ~lo ~hi ~born ~state =
     cstate = state;
     born;
     w = Epoch.none;
-    r = Read_state.No_reads;
+    r = Read_state.empty;
     loc = "";
     evidence = 0;
   }
@@ -174,7 +162,7 @@ let retire st c =
      clearing [c.r] keeps a double retire (possible when a free handler
      drops the refcount below zero twice) from double-releasing *)
   Read_state.release c.r;
-  c.r <- Read_state.No_reads
+  c.r <- Read_state.empty
 
 let hist_equal ~write a b =
   if write then Epoch.equal a.w b.w else Read_state.equal a.r b.r
@@ -183,9 +171,8 @@ let[@inline] update_hist st ~write c ~tid ~tvc ~here ~loc =
   if write then c.w <- here
   else begin
     c.r <- Read_state.update ~intern:st.intern c.r ~tid ~tvc;
-    match c.r with
-    | Read_state.Vc _ -> Metrics.incr st.m_vc_op
-    | Read_state.No_reads | Read_state.Ep _ -> Metrics.incr st.m_epoch_cmp
+    if Read_state.is_vc c.r then Metrics.incr st.m_vc_op
+    else Metrics.incr st.m_epoch_cmp
   end;
   c.loc <- loc
 
@@ -201,9 +188,8 @@ let rec find_conflict st pl ~write ~sub_hi ~tvc a =
     if c == no_cell || c.cstate = Share_state.Race then
       find_conflict st pl ~write ~sub_hi ~tvc ghi
     else begin
-      (match c.r with
-       | Read_state.Vc _ when write -> Metrics.incr st.m_vc_op
-       | _ -> Metrics.incr st.m_epoch_cmp);
+      if write && Read_state.is_vc c.r then Metrics.incr st.m_vc_op
+      else Metrics.incr st.m_epoch_cmp;
       if write then
         if not (Read_state.leq c.r tvc) then
           Some (Race_info.of_read_state c.r ~against:tvc ~loc:c.loc)
@@ -241,7 +227,7 @@ let rec reset_contained_reads st ~sub_lo ~sub_hi a =
       && rc.lo >= sub_lo && rc.hi <= sub_hi
     then begin
       Read_state.release rc.r;
-      rc.r <- Read_state.No_reads
+      rc.r <- Read_state.empty
     end;
     reset_contained_reads st ~sub_lo ~sub_hi ghi
   end
@@ -361,14 +347,9 @@ let split_off st ~write c ~sub_lo ~sub_hi =
     Metrics.incr st.m_splits;
     let l = fresh_cell st ~lo:sub_lo ~hi:sub_hi ~born:c.born ~state:c.cstate in
     l.w <- c.w;
-    l.r <-
-      (match c.r with
-       | Read_state.Vc s ->
-         (* O(1) share of the read-shared snapshot instead of a deep
-            copy — both halves keep observing the same clock value *)
-         Vc_intern.retain s;
-         Read_state.Vc s
-       | (Read_state.No_reads | Read_state.Ep _) as r -> r);
+    (* an O(1) share of a read-shared snapshot instead of a deep copy:
+       both halves keep observing the same clock value *)
+    l.r <- Read_state.retain c.r;
     l.loc <- c.loc;
     Shadow_table.set_range (plane st ~write) ~lo:sub_lo ~hi:sub_hi l;
     c.refs <- c.refs - (sub_hi - sub_lo);
@@ -503,16 +484,7 @@ let shed_bitmaps st =
   if not st.bitmaps_on then false
   else begin
     st.bitmaps_on <- false;
-    let freed = ref 0 in
-    for i = 0 to Vec.length st.bitmaps - 1 do
-      (match Vec.get st.bitmaps i with
-       | Some b ->
-         freed := !freed + Epoch_bitmap.bytes b;
-         Epoch_bitmap.reset b
-       | None -> ());
-      Vec.set st.bitmaps i None
-    done;
-    Metrics.add st.m_degrade_bitmap !freed;
+    Metrics.add st.m_degrade_bitmap (Thread_bitmaps.shed st.bitmaps);
     true
   end
 
@@ -565,12 +537,11 @@ let shed_read_vcs st =
   let dropped = ref 0 in
   Shadow_table.iter
     (fun _ _ c ->
-      match c.r with
-      | Read_state.Vc _ ->
+      if Read_state.is_vc c.r then begin
         Read_state.release c.r;
-        c.r <- Read_state.No_reads;
+        c.r <- Read_state.empty;
         incr dropped
-      | Read_state.No_reads | Read_state.Ep _ -> ())
+      end)
     st.rplane;
   !dropped
 
@@ -594,7 +565,7 @@ let degrade st =
    growing range would be quadratic. *)
 let[@inline] mark_covered st ~tid ~write c ~glo ~ghi =
   if st.bitmaps_on then begin
-    let bm = bitmap st tid in
+    let bm = Thread_bitmaps.get st.bitmaps tid in
     if Share_state.is_settled c.cstate && c.refs = c.hi - c.lo then
       Epoch_bitmap.mark bm ~write ~lo:c.lo ~hi:c.hi
     else Epoch_bitmap.mark bm ~write ~lo:glo ~hi:ghi
@@ -662,7 +633,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
   else st.stats.reads <- st.stats.reads + 1;
   if
     st.bitmaps_on
-    && Epoch_bitmap.test_range (bitmap st tid) ~write ~lo:addr
+    && Epoch_bitmap.test_range (Thread_bitmaps.get st.bitmaps tid) ~write ~lo:addr
          ~hi:(addr + size - 1)
   then st.stats.same_epoch <- st.stats.same_epoch + 1
   else analyse st ~tid ~write ~addr ~size ~loc
@@ -707,7 +678,7 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
       rplane = Shadow_table.create ~mode:index ~account ();
       wplane = Shadow_table.create ~mode:index ~account ();
       bitmaps_on = true;
-      bitmaps = Vec.create ();
+      bitmaps = Thread_bitmaps.create ~account;
       account;
       stats = Run_stats.create ();
       collector = Report.Collector.create ~suppression ();
@@ -743,7 +714,7 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
     }
   in
   let on_boundary tid =
-    if st.bitmaps_on then Epoch_bitmap.reset (bitmap st tid)
+    if st.bitmaps_on then Epoch_bitmap.reset (Thread_bitmaps.get st.bitmaps tid)
   in
   let on_event ev =
     if Vc_env.handle st.env ev ~on_boundary then
@@ -764,7 +735,8 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
   let process_batch =
     Batch_apply.make ~granularity:1 ~weld:true ~metrics ~stats:st.stats
       ~collector:st.collector ~env:st.env
-      ~bitmap:(fun tid -> if st.bitmaps_on then bitmap st tid else no_bitmap)
+      ~bitmap:(fun tid ->
+        if st.bitmaps_on then Thread_bitmaps.get st.bitmaps tid else no_bitmap)
       ~on_boundary ~on_access:(on_access st) ~on_free:(on_free st)
   in
   let name =
@@ -793,17 +765,9 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
     g "shadow.index_lookups" (s1.lookups + s2.lookups);
     g "shadow.mru_hits" (s1.mru_hits + s2.mru_hits);
     g "shadow.dir_bytes" (s1.dir_bytes + s2.dir_bytes);
-    let ca = ref 0 and cr = ref 0 in
-    for i = 0 to Vec.length st.bitmaps - 1 do
-      match Vec.get st.bitmaps i with
-      | Some b ->
-        let s : Epoch_bitmap.stats = Epoch_bitmap.stats b in
-        ca := !ca + s.chunk_allocs;
-        cr := !cr + s.chunk_recycles
-      | None -> ()
-    done;
-    g "shadow.bitmap_chunk_allocs" !ca;
-    g "shadow.bitmap_chunk_recycles" !cr;
+    let allocs, recycles = Thread_bitmaps.chunk_counts st.bitmaps in
+    g "shadow.bitmap_chunk_allocs" allocs;
+    g "shadow.bitmap_chunk_recycles" recycles;
     Vclock_obs.publish metrics st.intern
   in
   {

@@ -1,7 +1,6 @@
 open Dgrace_vclock
 open Dgrace_events
 open Dgrace_shadow
-module Vec = Dgrace_util.Vec
 module Metrics = Dgrace_obs.Metrics
 module Span = Dgrace_obs.Span
 
@@ -22,7 +21,7 @@ type state = {
   intern : Vc_intern.t;
   env : Vc_env.t;
   shadow : cell Shadow_table.t;
-  bitmaps : Epoch_bitmap.t option Vec.t;  (* per thread *)
+  bitmaps : Thread_bitmaps.t;
   account : Accounting.t;
   stats : Run_stats.t;
   collector : Report.Collector.t;
@@ -36,32 +35,21 @@ type state = {
   tm_vc : Span.timer;  (* epoch / vector-clock checks and updates *)
 }
 
-let bitmap st tid =
-  while Vec.length st.bitmaps <= tid do
-    Vec.push st.bitmaps None
-  done;
-  match Vec.get st.bitmaps tid with
-  | Some b -> b
-  | None ->
-    let b = Epoch_bitmap.create ~account:st.account () in
-    Vec.set st.bitmaps tid (Some b);
-    b
-
 let fresh_cell st =
   Accounting.vc_created st.account;
   Accounting.bind_locations st.account 1;
   Accounting.add_vc st.account cell_cost;
-  { w = Epoch.none; w_loc = ""; r = Read_state.No_reads; r_loc = ""; racy = false }
+  { w = Epoch.none; w_loc = ""; r = Read_state.empty; r_loc = ""; racy = false }
 
 let retire_cell st c =
   Accounting.vc_freed st.account;
   Accounting.add_vc st.account (-cell_cost);
   Read_state.release c.r;
-  c.r <- Read_state.No_reads
+  c.r <- Read_state.empty
 
 (* [absent] sentinel of shadow lookups: never stored *)
 let no_cell =
-  { w = Epoch.none; w_loc = ""; r = Read_state.No_reads; r_loc = ""; racy = false }
+  { w = Epoch.none; w_loc = ""; r = Read_state.empty; r_loc = ""; racy = false }
 
 let cell_at st a =
   let c = Shadow_table.find st.shadow a ~absent:no_cell in
@@ -75,9 +63,8 @@ let cell_at st a =
    representation are accounted by the arena. *)
 let record_read st c ~tid ~tvc ~loc =
   c.r <- Read_state.update ~intern:st.intern c.r ~tid ~tvc;
-  (match c.r with
-   | Read_state.Vc _ -> Metrics.incr st.m_vc_op
-   | Read_state.No_reads | Read_state.Ep _ -> Metrics.incr st.m_epoch_cmp);
+  if Read_state.is_vc c.r then Metrics.incr st.m_vc_op
+  else Metrics.incr st.m_epoch_cmp;
   c.r_loc <- loc
 
 let report_race st ~slot_lo ~current ~previous =
@@ -92,7 +79,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
   let write = kind = Event.Write in
   if write then st.stats.writes <- st.stats.writes + 1
   else st.stats.reads <- st.stats.reads + 1;
-  let bm = bitmap st tid in
+  let bm = Thread_bitmaps.get st.bitmaps tid in
   if Epoch_bitmap.test_range bm ~write ~lo:addr ~hi:(addr + size - 1) then
     st.stats.same_epoch <- st.stats.same_epoch + 1
   else begin
@@ -124,9 +111,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
         if write then begin
           if not (Epoch.equal c.w here) then begin
             Metrics.incr st.m_epoch_cmp;
-            (match c.r with
-             | Read_state.Vc _ -> Metrics.incr st.m_vc_op
-             | Read_state.No_reads | Read_state.Ep _ -> ());
+            if Read_state.is_vc c.r then Metrics.incr st.m_vc_op;
             if not (Vector_clock.epoch_leq c.w tvc) then
               race c ~previous:(Race_info.of_write ~w:c.w ~loc:c.w_loc) ~slot_lo
             else if not (Read_state.leq c.r tvc) then
@@ -138,11 +123,10 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
               c.w_loc <- loc;
               (* a write ordered after all reads lets the read history
                  collapse back to the cheap representation *)
-              match c.r with
-              | Read_state.Vc _ ->
+              if Read_state.is_vc c.r then begin
                 Read_state.release c.r;
-                c.r <- Read_state.No_reads
-              | Read_state.No_reads | Read_state.Ep _ -> ()
+                c.r <- Read_state.empty
+              end
             end
           end
         end
@@ -185,7 +169,7 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) ?tracer () =
       env = Vc_env.create ();
       shadow =
         Shadow_table.create ~mode:(Shadow_table.Fixed_bytes granularity) ~account ();
-      bitmaps = Vec.create ();
+      bitmaps = Thread_bitmaps.create ~account;
       account;
       stats = Run_stats.create ();
       collector = Report.Collector.create ~suppression ();
@@ -203,7 +187,7 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) ?tracer () =
          | None -> Span.disabled ());
     }
   in
-  let on_boundary tid = Epoch_bitmap.reset (bitmap st tid) in
+  let on_boundary tid = Epoch_bitmap.reset (Thread_bitmaps.get st.bitmaps tid) in
   let on_event ev =
     if Vc_env.handle st.env ev ~on_boundary then
       st.stats.sync_ops <- st.stats.sync_ops + 1
@@ -220,7 +204,7 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) ?tracer () =
      up to 4096 and no weld set is needed. *)
   let process_batch =
     Batch_apply.make ~granularity ~weld:false ~metrics ~stats:st.stats
-      ~collector:st.collector ~env:st.env ~bitmap:(bitmap st) ~on_boundary
+      ~collector:st.collector ~env:st.env ~bitmap:(Thread_bitmaps.get st.bitmaps) ~on_boundary
       ~on_access:(on_access st) ~on_free:(on_free st)
   in
   let finish () =
@@ -233,17 +217,9 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) ?tracer () =
     g "shadow.index_lookups" s.lookups;
     g "shadow.mru_hits" s.mru_hits;
     g "shadow.dir_bytes" s.dir_bytes;
-    let ca = ref 0 and cr = ref 0 in
-    for i = 0 to Vec.length st.bitmaps - 1 do
-      match Vec.get st.bitmaps i with
-      | Some b ->
-        let bs : Epoch_bitmap.stats = Epoch_bitmap.stats b in
-        ca := !ca + bs.chunk_allocs;
-        cr := !cr + bs.chunk_recycles
-      | None -> ()
-    done;
-    g "shadow.bitmap_chunk_allocs" !ca;
-    g "shadow.bitmap_chunk_recycles" !cr;
+    let allocs, recycles = Thread_bitmaps.chunk_counts st.bitmaps in
+    g "shadow.bitmap_chunk_allocs" allocs;
+    g "shadow.bitmap_chunk_recycles" recycles;
     Vclock_obs.publish metrics st.intern
   in
   {

@@ -23,11 +23,14 @@ let snap_conflicting_tid s ~against =
     s (-1)
 
 let of_read_state r ~against ~loc : Report.endpoint =
-  match r with
-  | Read_state.No_reads -> { tid = -1; kind = Event.Read; clock = 0; loc }
-  | Read_state.Ep e ->
-    { tid = Epoch.tid e; kind = Event.Read; clock = Epoch.clock e; loc }
-  | Read_state.Vc s ->
+  if Read_state.is_vc r then begin
+    let s = Read_state.snap r in
     let tid = snap_conflicting_tid s ~against in
     let tid = if tid >= 0 then tid else Vc_intern.max_tid_set s in
     { tid; kind = Event.Read; clock = Vc_intern.get s (max tid 0); loc }
+  end
+  else if Read_state.is_empty r then
+    { tid = -1; kind = Event.Read; clock = 0; loc }
+  else
+    let e = Read_state.epoch r in
+    { tid = Epoch.tid e; kind = Event.Read; clock = Epoch.clock e; loc }

@@ -1,7 +1,6 @@
 open Dgrace_vclock
 open Dgrace_events
 open Dgrace_shadow
-module Vec = Dgrace_util.Vec
 
 type cell = {
   mutable w : Epoch.t;
@@ -20,38 +19,27 @@ type state = {
   coarse : (int, cell) Hashtbl.t;  (* region base -> one clock *)
   refined : (int, unit) Hashtbl.t;  (* regions switched to fine mode *)
   fine : cell Shadow_table.t;  (* word-granule cells of refined regions *)
-  bitmaps : Epoch_bitmap.t option Vec.t;
+  bitmaps : Thread_bitmaps.t;
   account : Accounting.t;
   stats : Run_stats.t;
   collector : Report.Collector.t;
 }
 
-let bitmap st tid =
-  while Vec.length st.bitmaps <= tid do
-    Vec.push st.bitmaps None
-  done;
-  match Vec.get st.bitmaps tid with
-  | Some b -> b
-  | None ->
-    let b = Epoch_bitmap.create ~account:st.account () in
-    Vec.set st.bitmaps tid (Some b);
-    b
-
 let fresh_cell st n_locs =
   Accounting.vc_created st.account;
   Accounting.bind_locations st.account n_locs;
   Accounting.add_vc st.account cell_cost;
-  { w = Epoch.none; w_loc = ""; r = Read_state.No_reads; r_loc = ""; racy = false }
+  { w = Epoch.none; w_loc = ""; r = Read_state.empty; r_loc = ""; racy = false }
 
 (* [absent] sentinel of shadow lookups: never stored *)
 let no_cell =
-  { w = Epoch.none; w_loc = ""; r = Read_state.No_reads; r_loc = ""; racy = false }
+  { w = Epoch.none; w_loc = ""; r = Read_state.empty; r_loc = ""; racy = false }
 
 let retire_cell st c =
   Accounting.vc_freed st.account;
   Accounting.add_vc st.account (-cell_cost);
   Read_state.release c.r;
-  c.r <- Read_state.No_reads
+  c.r <- Read_state.empty
 
 (* FastTrack rules on one cell; [previous] reports the conflicting
    access when the result is [true]. *)
@@ -65,11 +53,10 @@ let ft_check_and_update st c ~write ~tid ~tvc ~here ~loc ~on_race =
       else begin
         c.w <- here;
         c.w_loc <- loc;
-        match c.r with
-        | Read_state.Vc _ ->
+        if Read_state.is_vc c.r then begin
           Read_state.release c.r;
-          c.r <- Read_state.No_reads
-        | Read_state.No_reads | Read_state.Ep _ -> ()
+          c.r <- Read_state.empty
+        end
       end
   end
   else if not (Read_state.same_epoch c.r here) then begin
@@ -96,7 +83,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
   let write = kind = Event.Write in
   if write then st.stats.writes <- st.stats.writes + 1
   else st.stats.reads <- st.stats.reads + 1;
-  let bm = bitmap st tid in
+  let bm = Thread_bitmaps.get st.bitmaps tid in
   if Epoch_bitmap.test bm ~write addr && Epoch_bitmap.test bm ~write (addr + size - 1)
   then st.stats.same_epoch <- st.stats.same_epoch + 1
   else begin
@@ -197,13 +184,13 @@ let create ?(region = 64) ?(suppression = Suppression.empty) () =
       coarse = Hashtbl.create 256;
       refined = Hashtbl.create 64;
       fine = Shadow_table.create ~mode:(Shadow_table.Fixed_bytes 4) ~account ();
-      bitmaps = Vec.create ();
+      bitmaps = Thread_bitmaps.create ~account;
       account;
       stats = Run_stats.create ();
       collector = Report.Collector.create ~suppression ();
     }
   in
-  let on_boundary tid = Epoch_bitmap.reset (bitmap st tid) in
+  let on_boundary tid = Epoch_bitmap.reset (Thread_bitmaps.get st.bitmaps tid) in
   let on_event ev =
     if Vc_env.handle st.env ev ~on_boundary then
       st.stats.sync_ops <- st.stats.sync_ops + 1

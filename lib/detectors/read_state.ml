@@ -4,32 +4,53 @@ open Dgrace_vclock
 let[@warning "-32"] min = Int.min
 let[@warning "-32"] max = Int.max
 
-type t = No_reads | Ep of Epoch.t | Vc of Vc_intern.snap
+(* One word, three states.  An immediate is either [empty] (-1) or the
+   epoch of the last read; an epoch is negative only past clock 2^52,
+   so the two cannot meet.  A heap block is the interned read-shared
+   snapshot.  Only the snapshot state is a block: a read that stays an
+   epoch allocates nothing, and testing it loads nothing. *)
+type t = Obj.t
 
-let[@inline] is_empty = function No_reads -> true | Ep _ | Vc _ -> false
+let empty : t = Obj.repr (-1)
+
+let[@inline] is_vc (r : t) = Obj.is_block r
+let[@inline] is_empty (r : t) = r == empty
+let[@inline] of_epoch (e : Epoch.t) : t = Obj.repr e
+let[@inline] of_snap (s : Vc_intern.snap) : t = Obj.repr s
+
+let epoch r =
+  if is_vc r then invalid_arg "Read_state.epoch: read-shared state"
+  else if is_empty r then Epoch.none
+  else (Obj.obj r : Epoch.t)
+
+let snap r =
+  if is_vc r then (Obj.obj r : Vc_intern.snap)
+  else invalid_arg "Read_state.snap: not read-shared"
 
 let equal a b =
-  match (a, b) with
-  | No_reads, No_reads -> true
-  | Ep e1, Ep e2 -> Epoch.equal e1 e2
-  | Vc s1, Vc s2 -> Vc_intern.equal s1 s2
-  | (No_reads | Ep _ | Vc _), _ -> false
+  if is_vc a then is_vc b && Vc_intern.equal (Obj.obj a) (Obj.obj b)
+  else a == b
 
+(* [empty] is [-1]: as an epoch it has clock [max_int lsr tid_bits],
+   which no clock reaches, so it needs its own test. *)
 let[@inline] leq r tvc =
-  match r with
-  | No_reads -> true
-  | Ep e -> Vector_clock.epoch_leq e tvc
-  | Vc s -> Vc_intern.leq_clock s tvc
+  if is_vc r then Vc_intern.leq_clock (Obj.obj r) tvc
+  else is_empty r || Vector_clock.epoch_leq (Obj.obj r) tvc
 
-let[@inline] same_epoch r e =
-  match r with Ep e' -> Epoch.equal e e' | No_reads | Vc _ -> false
+let[@inline] same_epoch r (e : Epoch.t) = r == Obj.repr e
 
 let[@inline] update ~intern r ~tid ~tvc =
   let here = Epoch.make ~tid ~clock:(Vector_clock.get tvc tid) in
-  match r with
-  | No_reads -> Ep here
-  | Ep e ->
-    if Vector_clock.epoch_leq e tvc then Ep here
+  if is_vc r then begin
+    let s = (Obj.obj r : Vc_intern.snap) in
+    let s' = Vc_intern.with_component s ~tid ~clock:(Epoch.clock here) in
+    Vc_intern.release s;
+    of_snap s'
+  end
+  else if is_empty r then of_epoch here
+  else begin
+    let e : Epoch.t = Obj.obj r in
+    if Vector_clock.epoch_leq e tvc then of_epoch here
     else begin
       (* read-shared: inflate to a snapshot holding both reads, staged
          through the arena's pooled scratch clock — no allocation on
@@ -38,22 +59,20 @@ let[@inline] update ~intern r ~tid ~tvc =
       Vector_clock.reset v;
       Vector_clock.set v (Epoch.tid e) (Epoch.clock e);
       Vector_clock.set v tid (Epoch.clock here);
-      Vc (Vc_intern.intern intern v)
+      of_snap (Vc_intern.intern intern v)
     end
-  | Vc s ->
-    let s' = Vc_intern.with_component s ~tid ~clock:(Epoch.clock here) in
-    Vc_intern.release s;
-    Vc s'
+  end
 
-let release = function
-  | No_reads | Ep _ -> ()
-  | Vc s -> Vc_intern.release s
+let release r = if is_vc r then Vc_intern.release (Obj.obj r)
 
-let bytes = function
-  | No_reads | Ep _ -> 0
-  | Vc s -> Vc_intern.snap_bytes s
+let retain r =
+  if is_vc r then Vc_intern.retain (Obj.obj r);
+  r
 
-let pp ppf = function
-  | No_reads -> Format.pp_print_string ppf "r:-"
-  | Ep e -> Format.fprintf ppf "r:%a" Epoch.pp e
-  | Vc s -> Format.fprintf ppf "r:%a" Vector_clock.pp (Vc_intern.to_clock s)
+let bytes r = if is_vc r then Vc_intern.snap_bytes (Obj.obj r) else 0
+
+let pp ppf r =
+  if is_vc r then
+    Format.fprintf ppf "r:%a" Vector_clock.pp (Vc_intern.to_clock (Obj.obj r))
+  else if is_empty r then Format.pp_print_string ppf "r:-"
+  else Format.fprintf ppf "r:%a" Epoch.pp (Obj.obj r)

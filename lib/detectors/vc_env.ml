@@ -1,43 +1,58 @@
 open Dgrace_vclock
 open Dgrace_events
-module Vec = Dgrace_util.Vec
 
 (* Hot-path convention: integer-only [min]/[max]. *)
 let[@warning "-32"] min = Int.min
 let[@warning "-32"] max = Int.max
 
+(* Slot of a thread not seen yet: compared physically, never mutated. *)
+let no_clock = Vector_clock.create ()
+
 type t = {
-  threads : Vector_clock.t option Vec.t;  (* indexed by tid *)
+  mutable threads : Vector_clock.t array;  (* indexed by tid; grown on demand *)
+  mutable seen : int;  (* 1 + the largest tid seen *)
   locks : Vector_clock.t Int_table.t;
 }
 
-let create () = { threads = Vec.create (); locks = Int_table.create 64 }
+let create () =
+  { threads = Array.make 8 no_clock; seen = 0; locks = Int_table.create 64 }
+
+let start_thread t tid =
+  if tid < 0 then invalid_arg "Vc_env: negative thread id";
+  let n = Array.length t.threads in
+  if tid >= n then begin
+    let a = Array.make (max (tid + 1) (2 * n)) no_clock in
+    Array.blit t.threads 0 a 0 n;
+    t.threads <- a
+  end;
+  t.seen <- max t.seen (tid + 1);
+  let vc = Vector_clock.create () in
+  Vector_clock.set vc tid 1;
+  t.threads.(tid) <- vc;
+  vc
 
 let[@inline] clock_of t tid =
-  while Vec.length t.threads <= tid do
-    Vec.push t.threads None
-  done;
-  match Vec.get t.threads tid with
-  | Some vc -> vc
-  | None ->
-    let vc = Vector_clock.create () in
-    Vector_clock.set vc tid 1;
-    Vec.set t.threads tid (Some vc);
-    vc
+  let a = t.threads in
+  if tid >= 0 && tid < Array.length a then begin
+    let vc = Array.unsafe_get a tid in
+    if vc != no_clock then vc else start_thread t tid
+  end
+  else start_thread t tid
 
 let[@inline] epoch_of t tid =
   let vc = clock_of t tid in
   Epoch.make ~tid ~clock:(Vector_clock.get vc tid)
 
-let thread_count t = Vec.length t.threads
+let thread_count t = t.seen
 
-let lock_vc t lock =
-  match Int_table.find t.locks lock with
-  | vc -> vc
-  | exception Not_found ->
+let[@inline] lock_vc t lock =
+  let vc = Int_table.find_or t.locks lock ~default:no_clock in
+  if vc != no_clock then vc
+  else begin
     let vc = Vector_clock.create () in
     Int_table.replace t.locks lock vc;
     vc
+  end
 
 let acquire t ~tid ~lock = Vector_clock.join (clock_of t tid) (lock_vc t lock)
 
@@ -104,6 +119,3 @@ let handle_coded t ~kind ~a ~b ~on_boundary =
     true
   end
   else false
-
-let lock_vc_bytes t =
-  Int_table.fold (fun _ vc acc -> acc + (8 * Vector_clock.heap_words vc)) t.locks 0

@@ -49,8 +49,3 @@ val handle_coded :
 (** {!handle} driven off a {!Batch.t} row's kind code and a/b columns
     (tid/lock or parent/child) without building an [Event.t] — the
     batched fast path's shape.  Returns [false] for non-sync codes. *)
-
-val lock_vc_bytes : t -> int
-(** Footprint of the lock clocks (they are part of detector memory but
-    identical across granularities, so the paper folds them into the
-    vector-clock column; we expose them separately for completeness). *)

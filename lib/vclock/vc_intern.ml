@@ -20,8 +20,8 @@ type t = {
   uid : int;  (* > 0; keyed into Vector_clock memo fields *)
   consing : bool;  (* false = the unconsed contrast arena (tests, bench) *)
   table : snap list Int_table.t;  (* content hash -> bucket *)
-  pool : int array list Int_table.t;  (* payload length -> spares *)
-  pool_count : int Int_table.t;
+  mutable pool : int array array array;  (* payload length -> stack of spares *)
+  mutable pool_count : int array;  (* payload length -> spares on its stack *)
   scratch : Vector_clock.t;  (* shared mutable staging clock *)
   on_bytes : (int -> unit) option;
   mutable live : int;
@@ -62,8 +62,8 @@ let create ?(hash_consing = true) ?on_bytes () =
     uid = Atomic.fetch_and_add next_uid 1;
     consing = hash_consing;
     table = Int_table.create 256;
-    pool = Int_table.create 16;
-    pool_count = Int_table.create 16;
+    pool = [||];
+    pool_count = [||];
     scratch = Vector_clock.create ();
     on_bytes;
     live = 0;
@@ -115,29 +115,43 @@ let matches_prefix s (raw : int array) len =
 
 let pool_cap = 64
 
-(* Table lookups below use [find] and a [Not_found] handler: unlike
-   [find_opt] they allocate nothing on a hit. *)
-let find_or tbl key default =
-  match Int_table.find tbl key with v -> v | exception Not_found -> default
-
 let alloc_payload t len =
-  match find_or t.pool len [] with
-  | a :: rest ->
-    Int_table.replace t.pool len rest;
-    Int_table.replace t.pool_count len (Int_table.find t.pool_count len - 1);
+  if len < Array.length t.pool_count && t.pool_count.(len) > 0 then begin
+    let n = t.pool_count.(len) - 1 in
+    let stack = t.pool.(len) in
+    let a = stack.(n) in
+    stack.(n) <- [||];
+    t.pool_count.(len) <- n;
     t.pool_bytes <- t.pool_bytes - (8 * (1 + len));
     t.payload_recycles <- t.payload_recycles + 1;
     a
-  | [] ->
+  end
+  else begin
     t.payload_allocs <- t.payload_allocs + 1;
     Array.make len 0
+  end
+
+(* Grow the length-indexed pool to cover [len]; a length's stack is
+   allocated when its first spare arrives. *)
+let pool_cover t len =
+  let n = Array.length t.pool_count in
+  if len >= n then begin
+    let n' = max (len + 1) (2 * n) in
+    let pool = Array.make n' [||] and count = Array.make n' 0 in
+    Array.blit t.pool 0 pool 0 n;
+    Array.blit t.pool_count 0 count 0 n;
+    t.pool <- pool;
+    t.pool_count <- count
+  end;
+  if Array.length t.pool.(len) = 0 then t.pool.(len) <- Array.make pool_cap [||]
 
 let recycle_payload t (a : int array) =
   let len = Array.length a in
-  let n = find_or t.pool_count len 0 in
+  pool_cover t len;
+  let n = t.pool_count.(len) in
   if n < pool_cap then begin
-    Int_table.replace t.pool len (a :: find_or t.pool len []);
-    Int_table.replace t.pool_count len (n + 1);
+    t.pool.(len).(n) <- a;
+    t.pool_count.(len) <- n + 1;
     t.pool_bytes <- t.pool_bytes + (8 * (1 + len))
   end
 
@@ -176,7 +190,7 @@ let intern t vc =
     let raw = Vector_clock.raw vc in
     let len = Vector_clock.max_tid_set vc + 1 in
     let h = hash_prefix raw len in
-    let bucket = if t.consing then find_or t.table h [] else [] in
+    let bucket = if t.consing then Int_table.find_or t.table h ~default:[] else [] in
     match bucket_find raw len bucket with
     | s :: _ ->
       t.hits <- t.hits + 1;
@@ -211,7 +225,7 @@ let release s =
     t.live <- t.live - 1;
     account t (-snap_bytes s);
     if t.consing then begin
-      match bucket_remove s (find_or t.table s.hash []) with
+      match bucket_remove s (Int_table.find_or t.table s.hash ~default:[]) with
       | [] -> Int_table.remove t.table s.hash
       | l' -> Int_table.replace t.table s.hash l'
     end;

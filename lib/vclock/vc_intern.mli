@@ -76,7 +76,7 @@ val refcount : snap -> int
 val scratch : t -> Vector_clock.t
 (** The arena's pooled staging clock: write a value into it (after
     {!Vector_clock.reset}) and {!intern} it — the allocation-free way
-    to build snapshots such as the [Ep -> Vc] read inflation.  The
+    to build snapshots such as the epoch -> read-shared inflation.  The
     scratch clock is shared; do not hold it across detector
     re-entry. *)
 

@@ -46,11 +46,14 @@ let words_per_event det events ~batched =
   let words = Gc.minor_words () -. before in
   words /. float_of_int (Array.length events)
 
-(* At the time of writing the twenty runs allocate 0.4-8.6 words per
-   event (ferret under byte is the highest; canneal and dedup read
-   58.7-80.5 before the analysed path stopped allocating).  The budget
-   was set at about 25% headroom over canneal and dedup's worst, 7.8. *)
-let alloc_budget = 10.
+(* At the time of writing the twenty runs allocate 0.4-7.6 words per
+   event (per run, batched and per event alike: canneal 4.7 dynamic /
+   5.8 byte, dedup 3.3 / 6.8, raytrace 2.3 / 5.8, ferret 4.0 / 7.6,
+   pbzip2 0.4 / 3.4).  They read 0.4-8.6 while a read epoch was a
+   boxed variant and 58.7-80.5 before the analysed path stopped
+   allocating.  The budget is about 25% headroom over the worst run,
+   ferret under byte at 7.6; it only ever goes down. *)
+let alloc_budget = 9.5
 
 let test_alloc_budget () =
   let over = ref [] in
@@ -74,7 +77,7 @@ let test_alloc_budget () =
         [ "dynamic"; "byte" ])
     [ "canneal"; "dedup"; "raytrace"; "ferret"; "pbzip2" ];
   List.iter
-    (fun label -> Printf.printf "over the budget of %.0f: %s\n" alloc_budget label)
+    (fun label -> Printf.printf "over the budget of %.1f: %s\n" alloc_budget label)
     (List.rev !over);
   check_int "runs over the budget" 0 (List.length !over)
 

@@ -160,6 +160,76 @@ let test_elapsed_reads_clock () =
     [ ("events", Tutil.event_list events); ("v2 file", Engine.Source.V2_file path) ];
   Sys.remove path
 
+(* A lock id is any [int] the caller's stream carries: a replay whose
+   locks are renamed to [min_int], [max_int], [0] and other negatives
+   reports exactly the races of the original, small-id stream, batched
+   and per event.  (Renaming is a bijection, so the happens-before
+   order is the same.)  The streams are replayed from memory: neither
+   trace format stores a negative lock id. *)
+let test_extreme_lock_ids () =
+  let extreme i =
+    match i with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> -1
+    | 3 -> 0
+    | 4 -> min_int + 1
+    | 5 -> max_int - 1
+    | i -> -7919 * i
+  in
+  let renamed events =
+    let ids = Hashtbl.create 64 in
+    let rename lock =
+      match Hashtbl.find_opt ids lock with
+      | Some l -> l
+      | None ->
+        let l = extreme (Hashtbl.length ids) in
+        Hashtbl.replace ids lock l;
+        l
+    in
+    let ev = function
+      | Event.Acquire { tid; lock; sync } ->
+        Event.Acquire { tid; lock = rename lock; sync }
+      | Event.Release { tid; lock; sync } ->
+        Event.Release { tid; lock = rename lock; sync }
+      | e -> e
+    in
+    let a = Array.map ev events in
+    (a, Hashtbl.length ids)
+  in
+  let replay spec events =
+    let summary source =
+      let s = Tutil.analyze (Tutil.config spec) source in
+      (List.map Report.to_string s.races, s.stats.sync_ops)
+    in
+    let per_event = summary (Tutil.event_array events) in
+    let batched =
+      summary
+        (Engine.Source.Batches
+           (fun consume -> List.iter consume (Detector_golden.batches events)))
+    in
+    Alcotest.(check (pair (list string) int)) "batched = per event" per_event batched;
+    batched
+  in
+  let total_races = ref 0 in
+  List.iter
+    (fun wname ->
+      let w = Option.get (Dgrace_workloads.Registry.find wname) in
+      let events = Tutil.recorded w 1 in
+      let events', locks = renamed events in
+      if locks < 7 then Alcotest.failf "%s: only %d lock ids" wname locks;
+      List.iter
+        (fun spec ->
+          let label = wname ^ "/" ^ Spec.name spec in
+          let races, syncs = replay spec events in
+          let races', syncs' = replay spec events' in
+          total_races := !total_races + List.length races;
+          Alcotest.(check int) (label ^ ": sync ops") syncs syncs';
+          Alcotest.(check (list string)) (label ^ ": races") races races')
+        [ Spec.dynamic; Spec.byte ])
+    [ "canneal"; "dedup"; "pbzip2"; "ffmpeg" ];
+  if !total_races = 0 then Alcotest.fail "no races: the comparison shows nothing"
+
 let suites : unit Alcotest.test list =
   [
     ( "engine.spec",
@@ -173,6 +243,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "null detector" `Quick test_engine_null;
         Alcotest.test_case "policy passthrough" `Quick test_engine_policy_passthrough;
         Alcotest.test_case "replay matches run" `Quick test_replay_matches_run;
+        Alcotest.test_case "extreme lock ids replay like small ones" `Quick
+          test_extreme_lock_ids;
         Alcotest.test_case "suppression passthrough" `Quick test_suppression_passthrough;
         Alcotest.test_case "summary printing" `Quick test_pp_summary;
       ] );

@@ -59,30 +59,30 @@ let vc_of l =
 let test_read_state_exclusive_stays_epoch () =
   let intern = Vc_intern.create () in
   let tvc1 = vc_of [ (0, 3) ] in
-  let r = Read_state.update ~intern Read_state.No_reads ~tid:0 ~tvc:tvc1 in
-  check_bool "epoch repr" true (match r with Read_state.Ep _ -> true | _ -> false);
+  let r = Read_state.update ~intern Read_state.empty ~tid:0 ~tvc:tvc1 in
+  check_bool "epoch repr" true
+    ((not (Read_state.is_vc r)) && not (Read_state.is_empty r));
   (* a later ordered read by another thread stays an epoch *)
   let tvc2 = vc_of [ (0, 4); (1, 2) ] in
   let r = Read_state.update ~intern r ~tid:1 ~tvc:tvc2 in
-  (match r with
-   | Read_state.Ep e ->
-     check_int "latest reader" 1 (Epoch.tid e);
-     check_int "latest clock" 2 (Epoch.clock e)
-   | _ -> Alcotest.fail "expected epoch");
+  if Read_state.is_vc r || Read_state.is_empty r then
+    Alcotest.fail "expected epoch";
+  let e = Read_state.epoch r in
+  check_int "latest reader" 1 (Epoch.tid e);
+  check_int "latest clock" 2 (Epoch.clock e);
   check_int "no extra bytes" 0 (Read_state.bytes r)
 
 let test_read_state_inflates_on_concurrent_reads () =
   let intern = Vc_intern.create () in
   let r =
-    Read_state.update ~intern Read_state.No_reads ~tid:0 ~tvc:(vc_of [ (0, 3) ])
+    Read_state.update ~intern Read_state.empty ~tid:0 ~tvc:(vc_of [ (0, 3) ])
   in
   (* t1 did not see t0's read: unordered -> vector clock *)
   let r = Read_state.update ~intern r ~tid:1 ~tvc:(vc_of [ (1, 5) ]) in
-  (match r with
-   | Read_state.Vc s ->
-     check_int "keeps t0" 3 (Vc_intern.get s 0);
-     check_int "keeps t1" 5 (Vc_intern.get s 1)
-   | _ -> Alcotest.fail "expected vector clock");
+  if not (Read_state.is_vc r) then Alcotest.fail "expected vector clock";
+  let s = Read_state.snap r in
+  check_int "keeps t0" 3 (Vc_intern.get s 0);
+  check_int "keeps t1" 5 (Vc_intern.get s 1);
   check_bool "vc costs bytes" true (Read_state.bytes r > 0);
   (* leq against a clock that saw both *)
   check_bool "leq both" true (Read_state.leq r (vc_of [ (0, 3); (1, 5) ]));
@@ -90,12 +90,34 @@ let test_read_state_inflates_on_concurrent_reads () =
 
 let test_read_state_same_epoch () =
   let e = Epoch.make ~tid:2 ~clock:7 in
-  check_bool "epoch matches" true (Read_state.same_epoch (Read_state.Ep e) e);
-  check_bool "no_reads never" false (Read_state.same_epoch Read_state.No_reads e);
+  check_bool "epoch matches" true (Read_state.same_epoch (Read_state.of_epoch e) e);
+  check_bool "no_reads never" false (Read_state.same_epoch Read_state.empty e);
   check_bool "equal variants" true
-    (Read_state.equal (Read_state.Ep e) (Read_state.Ep e));
+    (Read_state.equal (Read_state.of_epoch e) (Read_state.of_epoch e));
   check_bool "different variants" false
-    (Read_state.equal (Read_state.Ep e) Read_state.No_reads)
+    (Read_state.equal (Read_state.of_epoch e) Read_state.empty)
+
+(* Recording a read that stays an epoch allocates nothing: the first
+   read ([empty -> epoch]) and an ordered later read ([epoch -> epoch])
+   return an immediate. *)
+let test_read_state_epoch_updates_allocate_nothing () =
+  let intern = Vc_intern.create () in
+  let tvc0 = vc_of [ (0, 3) ] and tvc1 = vc_of [ (0, 4); (1, 2) ] in
+  let first () = Read_state.update ~intern Read_state.empty ~tid:0 ~tvc:tvc0 in
+  let r0 = first () in
+  let ordered () = Read_state.update ~intern r0 ~tid:1 ~tvc:tvc1 in
+  ignore (ordered () : Read_state.t);
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f ()) : Read_state.t)
+    done;
+    Gc.minor_words () -. w0
+  in
+  let w_first = words first and w_ordered = words ordered in
+  check_bool "ordered read stays an epoch" false (Read_state.is_vc (ordered ()));
+  Alcotest.(check (float 0.)) "empty -> epoch: minor words" 0. w_first;
+  Alcotest.(check (float 0.)) "epoch -> epoch: minor words" 0. w_ordered
 
 (* ------------------------------------------------------------------ *)
 (* Lock_tracker *)
@@ -225,6 +247,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "ordered reads stay epochs" `Quick test_read_state_exclusive_stays_epoch;
         Alcotest.test_case "concurrent reads inflate" `Quick test_read_state_inflates_on_concurrent_reads;
         Alcotest.test_case "same-epoch and equality" `Quick test_read_state_same_epoch;
+        Alcotest.test_case "epoch updates allocate nothing" `Quick
+          test_read_state_epoch_updates_allocate_nothing;
       ] );
     ( "units.lock-tracker",
       [ Alcotest.test_case "held sets" `Quick test_lock_tracker ] );

@@ -6,6 +6,7 @@ open Dgrace_vclock
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch *)
@@ -218,6 +219,130 @@ let law_epoch_leq_consistent =
       let e = Epoch.make ~tid ~clock in
       Vector_clock.epoch_leq e vc = Vector_clock.leq (Vector_clock.of_epoch e) vc)
 
+(* ------------------------------------------------------------------ *)
+(* Int_table against the Stdlib.Hashtbl model *)
+
+(* Keys whose home slot is the last one of a [cap]-slot table, found
+   with the table's own multiplicative mix: three or more of them make
+   a probe run that wraps round to slot 0, so removals there exercise
+   the backward shift across the wrap. *)
+let wrapping_keys cap n =
+  let home k =
+    let h = k * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land (cap - 1)
+  in
+  let rec go k acc =
+    if List.length acc = n then acc
+    else go (k + 1) (if home k = cap - 1 then k :: acc else acc)
+  in
+  go (-1000) []
+
+let key_pool =
+  Array.of_list
+    ([ min_int; max_int; 0; -1; 1; min_int + 1; max_int - 1; -4096; 4096 ]
+    @ wrapping_keys 8 4 @ wrapping_keys 16 5 @ wrapping_keys 32 6
+    @ List.init 12 (fun i -> i + 2))
+
+type table_op = Replace of int * int | Remove of int | Find of int
+
+let gen_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun i -> key_pool.(i)) (int_bound (Array.length key_pool - 1)));
+        (1, int);
+      ])
+
+let gen_table_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun k v -> Replace (k, v)) gen_key small_nat);
+        (3, map (fun k -> Remove k) gen_key);
+        (2, map (fun k -> Find k) gen_key);
+      ])
+
+let pp_table_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+
+let arb_table_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_table_op ops))
+    QCheck.Gen.(list_size (int_range 0 120) gen_table_op)
+
+let sorted_bindings iter t =
+  let l = ref [] in
+  iter (fun k v -> l := (k, v) :: !l) t;
+  List.sort compare !l
+
+(* Every lookup agrees with the model after every operation, and at the
+   end so do the length, the bindings [iter] visits, and every pool
+   key's [mem], [find_or] and [find_opt]. *)
+let law_int_table_model =
+  QCheck.Test.make ~name:"Int_table = Hashtbl model" ~count:500 arb_table_ops
+    (fun ops ->
+      let t = Int_table.create 1 and m = Hashtbl.create 16 in
+      let agrees k =
+        Int_table.find_opt t k = Hashtbl.find_opt m k
+        && Int_table.mem t k = Hashtbl.mem m k
+        && Int_table.find_or t k ~default:(-1)
+           = Option.value (Hashtbl.find_opt m k) ~default:(-1)
+        && (match Int_table.find t k with
+            | v -> Hashtbl.find_opt m k = Some v
+            | exception Not_found -> not (Hashtbl.mem m k))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Replace (k, v) ->
+             Int_table.replace t k v;
+             Hashtbl.replace m k v
+           | Remove k ->
+             Int_table.remove t k;
+             Hashtbl.remove m k
+           | Find _ -> ());
+          match op with Replace (k, _) | Remove k | Find k -> agrees k)
+        ops
+      && Int_table.length t = Hashtbl.length m
+      && sorted_bindings Int_table.iter t = sorted_bindings Hashtbl.iter m
+      && Array.for_all agrees key_pool)
+
+let test_int_table_extreme_keys () =
+  let t = Int_table.create 4 in
+  let keys = [ min_int; max_int; 0; -1; -7; 7 ] in
+  List.iteri (fun i k -> Int_table.replace t k i) keys;
+  check_int "all bound" (List.length keys) (Int_table.length t);
+  List.iteri (fun i k -> check_int (string_of_int k) i (Int_table.find t k)) keys;
+  Int_table.remove t min_int;
+  Int_table.remove t 0;
+  check_bool "min_int gone" false (Int_table.mem t min_int);
+  check_bool "0 gone" false (Int_table.mem t 0);
+  check_int "max_int kept" 1 (Int_table.find t max_int);
+  check_int "miss gives default" 42 (Int_table.find_or t 0 ~default:42);
+  let c = Int_table.copy t in
+  Int_table.clear t;
+  check_int "cleared" 0 (Int_table.length t);
+  check_int "copy unaffected" 4 (Int_table.length c);
+  Int_table.reset c;
+  check_bool "reset empties" false (Int_table.mem c max_int)
+
+let test_int_table_miss_allocation_free () =
+  let t = Int_table.create 64 in
+  for k = 0 to 40 do
+    Int_table.replace t (k * 3) k
+  done;
+  let words =
+    minor_words_of (fun () ->
+        for k = 0 to 999 do
+          ignore (Int_table.find_or t k ~default:(-1) : int);
+          ignore (Int_table.mem t (-k) : bool)
+        done)
+  in
+  if words >= 256. then
+    Alcotest.failf "find_or/mem allocated %.0f minor words / 1000 iters" words
+
 let suites : unit Alcotest.test list =
   let q = List.map QCheck_alcotest.to_alcotest in
   [
@@ -240,6 +365,14 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "steady-state paths allocation-free" `Quick test_steady_state_allocation_free;
           Alcotest.test_case "fold and pp" `Quick test_fold_pp;
         ] );
+      ( "vclock.int_table",
+        [
+          Alcotest.test_case "min_int, max_int, 0, negatives" `Quick
+            test_int_table_extreme_keys;
+          Alcotest.test_case "lookups allocation-free" `Quick
+            test_int_table_miss_allocation_free;
+        ]
+        @ q [ law_int_table_model ] );
       ( "vclock.laws",
         q
           [
