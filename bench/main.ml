@@ -25,7 +25,6 @@ let all_tables : (string * (unit -> unit)) list =
     ("table6", Tables.table6);
     ("trace", Tables.trace);
     ("batch", Tables.batch);
-    ("pipeline", Tables.pipeline);
     ("vclock", Vclock_bench.run);
     ("ext", Tables.ext);
     ("related", Tables.related);

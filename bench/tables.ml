@@ -15,35 +15,6 @@ let word = Spec.word
 let dynamic = Spec.dynamic
 let grans = [ ("Byte", byte); ("Word", word); ("Dynamic", dynamic) ]
 
-(* Recorded streams as trace-v2 files, for the tables that replay from
-   disk (the pipelined-replay gate and Table 1's footer).  One temp
-   file per workload, shared across tables, removed at exit. *)
-let v2_files : (string, string) Hashtbl.t = Hashtbl.create 16
-
-let v2_file (w : Workload.t) =
-  match Hashtbl.find_opt v2_files w.name with
-  | Some p -> p
-  | None ->
-    let events, _ = Measure.recorded w in
-    let p = Filename.temp_file ("dgrace_" ^ w.name) ".trace.v2" in
-    let (), _ =
-      Dgrace_trace.Trace_format_v2.to_file p (fun sink ->
-          Array.iter sink events)
-    in
-    at_exit (fun () -> try Sys.remove p with Sys_error _ -> ());
-    Hashtbl.replace v2_files w.name p;
-    p
-
-let replay_v2_inline ?suppression path =
-  (* decode and detect alternate on one domain: the clustered batch
-     path without the pipeline's overlap *)
-  Measure.analyze ?suppression Spec.dynamic
-    (Engine.Source.Batches
-       (fun consume ->
-         Dgrace_trace.Trace_format_v2.fold_batches path
-           (fun () b -> consume b)
-           ()))
-
 (* ------------------------------------------------------------------ *)
 
 let table1 () =
@@ -114,42 +85,6 @@ let table1 () =
   Printf.printf
     "detector-time-only (trace replay): dynamic is %.2fx faster than byte.\n"
     det_only;
-  (* detector time off disk: replaying the v2 trace file through the
-     decode→detect pipeline (PR 10) vs inline decode, small subset.
-     Modelled as in the `pipeline` table (which runs the full gated
-     comparison): the pipeline's critical path is max(decode-only,
-     detect-only), the time a machine with a free core for the
-     decoder would observe. *)
-  let det_pipe =
-    Measure.geomean
-      (List.filter_map
-         (fun name ->
-           Option.map
-             (fun w ->
-               let path = v2_file w in
-               let supp = Measure.suppression_for dynamic in
-               let events, _ = Measure.recorded w in
-               let bs = Measure.batches_of events in
-               let seq = replay_v2_inline ~suppression:supp path in
-               let t0 = Unix.gettimeofday () in
-               Dgrace_trace.Trace_format_v2.fold_batches path
-                 (fun () (_ : Dgrace_events.Batch.t) -> ())
-                 ();
-               let d = Unix.gettimeofday () -. t0 in
-               let det =
-                 Measure.analyze ~suppression:supp dynamic
-                   (Engine.Source.Batches (fun consume -> Array.iter consume bs))
-               in
-               let critical = Float.max d det.Engine.elapsed in
-               if critical > 0. then seq.elapsed /. critical else Float.nan)
-             (Registry.find name))
-         [ "ffmpeg"; "dedup"; "x264" ])
-  in
-  Printf.printf
-    "replayed from a v2 trace file, the decode→detect pipeline's critical \
-     path is a further %.2fx over inline decode (3-workload subset; see the \
-     `pipeline` table).\n"
-    det_pipe;
   (* interned-VC memory (PR 5): how much of the dynamic detector's
      clock storage is deduplicated snapshots, and how hard they share *)
   let interned_kb =
@@ -795,249 +730,6 @@ let batch () =
     Registry.all;
   if Measure.geomean !speedups < 1.0 then begin
     Printf.eprintf "bench: batch: geomean %.2fx does not favour batched\n"
-      (Measure.geomean !speedups);
-    bad := true
-  end;
-  if !bad then exit 1
-
-(* ------------------------------------------------------------------ *)
-
-(* Pipelined replay acceptance gate (doc/trace.md): replay the same
-   recorded stream from a trace-v2 file three ways —
-     S  inline:  decode and detect alternate on one domain
-                 (fold_batches feeding the clustered batch path);
-     D  decode:  fold the file into batches and drop them;
-     T  detect:  apply prebuilt batches, page clustering on.
-   The pipeline overlaps D with T on two domains, so its critical path
-   is max(D, T) — the analysis time a machine with a free core for the
-   decoder would observe (a box without a spare core measures
-   domain-spawn cost and GC cross-talk, not overlap).  The speedup
-   statistic is the median of ABBA-paired ratios S / max(D, T) exactly
-   as in the batch table; losing the geomean after the noise-retry
-   rounds exits 1 — this PR's acceptance criterion.  A live two-domain
-   replay still runs once per workload: it gates bit-identical races
-   and feeds the dstall% / clhit% columns.  The [pipestat] lines are
-   the machine-readable summary the CI pipeline job checks against
-   bench/pipeline_baseline_s1.txt. *)
-let pipeline () =
-  header
-    "Table Q. Pipelined replay: inline decode vs decode→detect pipeline \
-     (dynamic detector, modelled critical path)";
-  let supp = Measure.suppression_for Spec.dynamic in
-  let batches_for : (string, Dgrace_events.Batch.t array) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let batches (w : Workload.t) =
-    match Hashtbl.find_opt batches_for w.name with
-    | Some b -> b
-    | None ->
-      let events, _ = Measure.recorded w in
-      let b =
-        Measure.batches_of events
-      in
-      Hashtbl.replace batches_for w.name b;
-      b
-  in
-  let best_seq : (string, Engine.summary) Hashtbl.t = Hashtbl.create 16 in
-  let best_det : (string, Engine.summary) Hashtbl.t = Hashtbl.create 16 in
-  let decode_s : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
-  let ratios : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  let measure (w : Workload.t) =
-    let path = v2_file w in
-    let bs = batches w in
-    let rl =
-      match Hashtbl.find_opt ratios w.name with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.replace ratios w.name r;
-        r
-    in
-    let dref =
-      match Hashtbl.find_opt decode_s w.name with
-      | Some r -> r
-      | None ->
-        let r = ref infinity in
-        Hashtbl.replace decode_s w.name r;
-        r
-    in
-    let run_seq () =
-      Gc.full_major ();
-      replay_v2_inline ~suppression:supp path
-    in
-    let run_det () =
-      Gc.full_major ();
-      Measure.analyze ~suppression:supp Spec.dynamic (Engine.Source.Batches (fun consume -> Array.iter consume bs))
-    in
-    let run_decode () =
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      Dgrace_trace.Trace_format_v2.fold_batches path
-        (fun () (_ : Dgrace_events.Batch.t) -> ())
-        ();
-      Unix.gettimeofday () -. t0
-    in
-    let keep tbl (s : Engine.summary) =
-      match Hashtbl.find_opt tbl w.name with
-      | Some p when p.Engine.elapsed <= s.Engine.elapsed -> ()
-      | _ -> Hashtbl.replace tbl w.name s
-    in
-    for _ = 1 to max 1 !Measure.reps do
-      dref := Float.min !dref (run_decode ());
-      (* ABBA: linear load drift inside the block cancels out of the
-         paired ratio *)
-      let s1 = run_seq () in
-      let t1 = run_det () in
-      let t2 = run_det () in
-      let s2 = run_seq () in
-      keep best_seq s1;
-      keep best_seq s2;
-      keep best_det t1;
-      keep best_det t2;
-      let critical =
-        Float.max !dref (Float.min t1.Engine.elapsed t2.Engine.elapsed)
-      in
-      if critical > 0. then
-        rl :=
-          (Float.min s1.Engine.elapsed s2.Engine.elapsed /. critical) :: !rl
-    done
-  in
-  let speedup (w : Workload.t) =
-    match Hashtbl.find_opt ratios w.name with
-    | None | Some { contents = [] } -> Float.nan
-    | Some { contents = rs } ->
-      let a = Array.of_list rs in
-      Array.sort compare a;
-      let n = Array.length a in
-      if n land 1 = 1 then a.(n / 2)
-      else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
-  in
-  List.iter measure Registry.all;
-  let rounds = ref 0 in
-  while
-    List.exists (fun w -> speedup w < 1.005) Registry.all && !rounds < 10
-  do
-    incr rounds;
-    List.iter (fun w -> if speedup w < 1.02 then measure w) Registry.all
-  done;
-  if !rounds > 0 then
-    Printf.printf "(%d extra measurement round(s) for workloads over budget)\n"
-      !rounds;
-  (* one live two-domain run per workload: race identity + the stall
-     and cluster-hit instruments (not a timing source on a box with no
-     spare core for the decoder) *)
-  let pipe_run : (string, Engine.summary) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (w : Workload.t) ->
-      let path = v2_file w in
-      Gc.full_major ();
-      Hashtbl.replace pipe_run w.name
-        (Measure.analyze ~suppression:supp Spec.dynamic
-           (Engine.Source.V2_file path)))
-    Registry.all;
-  let gauge (s : Engine.summary) name =
-    Option.value ~default:0
-      (List.assoc_opt name (Dgrace_obs.Metrics.gauges s.Engine.metrics))
-  in
-  let counter (s : Engine.summary) name =
-    Option.value ~default:0
-      (Dgrace_obs.Metrics.find_counter s.Engine.metrics name)
-  in
-  (* decode-stall share of the decoder's wall time, and the fraction
-     of batch rows absorbed by an already-open page cluster *)
-  let dstall_pct (s : Engine.summary) =
-    let decode = gauge s "pipeline.decode_us" in
-    if decode = 0 then 0.
-    else
-      100.
-      *. float_of_int (gauge s "pipeline.decode_stall_us")
-      /. float_of_int decode
-  in
-  let clhit_pct (s : Engine.summary) =
-    let rows = counter s "cluster.rows" in
-    if rows = 0 then 0.
-    else
-      100.
-      *. (1.
-          -. float_of_int (counter s "cluster.pages") /. float_of_int rows)
-  in
-  Printf.printf "%-14s %10s %9s %9s %9s %8s %7s %7s | %6s %6s\n" "program"
-    "events" "seq(ms)" "dec(ms)" "det(ms)" "speedup" "dstall%" "clhit%"
-    "r-seq" "r-pipe";
-  let mismatches = ref 0 in
-  let speedups = ref [] in
-  List.iter
-    (fun (w : Workload.t) ->
-      let events, _ = Measure.recorded w in
-      let s = Hashtbl.find best_seq w.name in
-      let t = Hashtbl.find best_det w.name in
-      let p = Hashtbl.find pipe_run w.name in
-      let d = !(Hashtbl.find decode_s w.name) in
-      let races (x : Engine.summary) =
-        List.map Dgrace_events.Report.to_string x.races
-      in
-      let same =
-        s.race_count = p.race_count
-        && s.race_count = t.Engine.race_count
-        && races s = races p
-        && races s = races t
-      in
-      if not same then incr mismatches;
-      speedups := speedup w :: !speedups;
-      Printf.printf
-        "%-14s %10d %9.2f %9.2f %9.2f %7.2fx %6.1f%% %6.1f%% | %6d %6d%s\n"
-        w.name
-        (Array.length events)
-        (1000. *. s.elapsed) (1000. *. d)
-        (1000. *. t.Engine.elapsed)
-        (speedup w) (dstall_pct p) (clhit_pct p) s.race_count p.race_count
-        (if same then "" else "  RACE MISMATCH"))
-    Registry.all;
-  Printf.printf "%-14s %10s %9s %9s %9s %7.2fx  (geomean)\n" "geomean" "" ""
-    "" "" (Measure.geomean !speedups);
-  (* machine-readable rows for the CI guard: name, races on both
-     paths, modelled speedup x100 *)
-  List.iter
-    (fun (w : Workload.t) ->
-      Printf.printf "pipestat %s %d %d %.0f\n" w.name
-        (Hashtbl.find best_seq w.name).Engine.race_count
-        (Hashtbl.find pipe_run w.name).Engine.race_count
-        (100. *. speedup w))
-    Registry.all;
-  print_endline
-    "\nall three columns replay the identical v2 stream; seq decodes each";
-  print_endline
-    "block on the detecting domain, dec folds the file into batches and";
-  print_endline
-    "drops them, det applies prebuilt batches page-clustered.  speedup =";
-  print_endline
-    "seq / max(dec, det): the pipeline's critical path on a machine with";
-  print_endline
-    "a free core for the decoder.  dstall% / clhit%";
-  print_endline
-    "come from a live two-domain run that also gates race identity.";
-  if !mismatches > 0 then begin
-    Printf.eprintf
-      "bench: pipeline: %d race mismatch(es) vs inline decode\n" !mismatches;
-    exit 1
-  end;
-  let bad = ref false in
-  List.iter
-    (fun (w : Workload.t) ->
-      if speedup w < 0.90 then begin
-        Printf.eprintf
-          "bench: pipeline: %s: pipelined critical path slower than inline \
-           decode beyond noise (%.2fx)\n"
-          w.name (speedup w);
-        bad := true
-      end
-      else if speedup w < 1.0 then
-        Printf.eprintf "bench: pipeline: %s: within noise floor (%.2fx)\n"
-          w.name (speedup w))
-    Registry.all;
-  if Measure.geomean !speedups < 1.0 then begin
-    Printf.eprintf
-      "bench: pipeline: geomean %.2fx does not favour the pipeline\n"
       (Measure.geomean !speedups);
     bad := true
   end;

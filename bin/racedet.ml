@@ -271,8 +271,9 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Write the run's span timeline as Chrome trace_event JSON to \
-           $(docv): the main lane (plus a decoder lane for v2 replays), \
-           sampled per-phase detector timers, and counter tracks.  Load it \
+           $(docv): the main lane (with a $(b,replay.decode) span per \
+           trace read), sampled per-phase detector timers, and counter \
+           tracks.  Load it \
            in Perfetto (ui.perfetto.dev) or chrome://tracing, or summarise \
            it with $(b,racedet timings).")
 
@@ -776,15 +777,14 @@ let replay_cmd =
               be resynced: a v2 trace's error names the damaged byte \
               offset instead.";
            `P
-             "v2 traces replay through a two-stage pipeline: a decoder \
-              domain streams blocks into a bounded ring while the detector \
-              drains it.  Races, report offsets, corruption offsets and \
-              budget stop reasons are bit-identical to a per-event replay \
-              of the same events.  The summary \
-              metrics report $(b,pipeline.decode_stall_us) / \
-              $(b,pipeline.detect_stall_us) gauges, and with \
-              $(b,--trace-out) the decoder runs on its own $(b,decoder) \
-              timeline lane ($(b,racedet timings) then shows the \
+             "A v2 trace replays block by block on one domain: each block \
+              is decoded into a reused struct-of-arrays batch and \
+              analysed before the next is read, so memory stays bounded \
+              whatever the trace size.  Races, report offsets, corruption \
+              offsets and budget stop reasons are bit-identical to a \
+              per-event replay of the same events.  With \
+              $(b,--trace-out) each block decode is a $(b,replay.decode) \
+              span on the main lane ($(b,racedet timings) then shows the \
               decode-vs-detect split)." ])
     term
 

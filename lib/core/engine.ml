@@ -11,7 +11,7 @@ module State_matrix = Dgrace_obs.State_matrix
 module Export = Dgrace_obs.Export
 module Budget = Dgrace_resilience.Budget
 module Error = Dgrace_resilience.Error
-module Trace_pipeline = Dgrace_trace.Trace_pipeline
+module Trace_format_v2 = Dgrace_trace.Trace_format_v2
 module Clock = Dgrace_obs.Clock
 
 module Source = struct
@@ -201,19 +201,6 @@ let feed_counter_tracks ~tracer ~prefix recorder =
       (Recorder.counter_series r)
   | (Some _ | None), _ -> ()
 
-let pipeline_gauges metrics (p : Trace_pipeline.stats) =
-  let usec ns = ns / 1000 in
-  Metrics.set (Metrics.gauge metrics "pipeline.blocks") p.Trace_pipeline.blocks;
-  Metrics.set
-    (Metrics.gauge metrics "pipeline.decode_stall_us")
-    (usec p.Trace_pipeline.decode_stall_ns);
-  Metrics.set
-    (Metrics.gauge metrics "pipeline.detect_stall_us")
-    (usec p.Trace_pipeline.detect_stall_ns);
-  Metrics.set
-    (Metrics.gauge metrics "pipeline.decode_us")
-    (usec p.Trace_pipeline.decode_ns)
-
 (* ------------------------------------------------------------------ *)
 (* one detector, on the calling domain *)
 
@@ -255,7 +242,7 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
     match source with Source.Program _ -> "engine.run" | _ -> "engine.replay"
   in
   (match lane with Some b -> Span.begin_span b phase | None -> ());
-  let sim = ref None and pipe = ref None in
+  let sim = ref None in
   let partial =
     match
       match source with
@@ -264,29 +251,22 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
       | Source.Events events -> Seq.iter (sink ()) events
       | Source.Batches feed -> feed (consume ())
       | Source.V2_file path ->
-        (* decode on its own domain, detect here; block decodes land on
-           a "decoder" lane so [racedet timings] shows the split *)
-        let span =
-          Option.map
-            (fun t ->
-              let dl = Span.lane t "decoder" in
-              fun name f -> Span.span dl name f)
-            c.tracer
+        (* decode each block here, then detect it: a traced replay
+           spans the decodes as [replay.decode], as a v1 replay spans
+           its file read, so [racedet timings] shows the split *)
+        let wrap_decode =
+          Option.map (fun b -> Span.span b "replay.decode") lane
         in
-        let consumer_span =
-          Option.map (fun b -> fun name f -> Span.span b name f) lane
-        in
-        pipe :=
-          Some
-            (Trace_pipeline.feed ~clock:Clock.ns ?span ?consumer_span path
-               (consume ()))
+        let consume = consume () in
+        Trace_format_v2.fold_batches ?wrap_decode path
+          (fun () b -> consume b)
+          ()
     with
     | () -> None
     | exception Budget_guard.Stop stop ->
       (match lane with Some b -> Span.instant b "budget.stop" | None -> ());
       Some stop
   in
-  Option.iter (pipeline_gauges d.Detector.metrics) !pipe;
   (match lane with Some b -> Span.end_span b phase | None -> ());
   (match lane with
    | Some b -> Span.span b "engine.finish" d.finish

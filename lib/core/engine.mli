@@ -39,9 +39,7 @@
     and once when it ends — the difference is the summary's [elapsed]
     field, whatever the source — and by the budget's
     deadline check.  Under {!Dgrace_obs.Clock.ticker} both are
-    deterministic in tests; the default is {!Dgrace_obs.Clock.ns}.
-    The decode/detect pipeline's stall gauges always measure the real
-    wall clock. *)
+    deterministic in tests; the default is {!Dgrace_obs.Clock.ns}. *)
 
 open Dgrace_events
 open Dgrace_detectors
@@ -143,9 +141,9 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
       [on_event] as it arrives;
     - [Batches] and [V2_file] hand each batch to the
       detector's [process_batch] ({!Dgrace_detectors.Batch_apply});
-      [V2_file] decodes on its own domain into a bounded ring of
-      recycled batches ({!Dgrace_trace.Trace_pipeline}) so decode and
-      detect overlap.  A budget and a [progress] heartbeat keep this
+      [V2_file] decodes one block at a time on the calling domain into
+      one reused batch ({!Dgrace_trace.Trace_format_v2.fold_batches}),
+      so no source spawns a domain.  A budget and a [progress] heartbeat keep this
       path ({!Dgrace_detectors.Budget_guard.batch}): the event limit
       cuts the batch at the limit row, shadow bytes and the deadline
       are checked after each batch (up to one batch late), and the
@@ -164,14 +162,13 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
     [d.finish] as ["engine.finish"], budget shedding and stops as
     ["budget.degrade"]/["budget.stop"] instants, a sampled
     ["detector.on_event"] timer and the detector's per-phase timers;
-    v2 block decodes land on a ["decoder"] lane.  V2 replays gain [pipeline.blocks] /
-    [pipeline.decode_stall_us] / [pipeline.detect_stall_us] /
-    [pipeline.decode_us] gauges.  When nothing is observed the event
-    loop is exactly the detector's own handler.
+    each v2 block decode is a ["replay.decode"] span on the ["main"]
+    lane.  When nothing is observed the event loop is exactly the
+    detector's own handler.
 
     Every anticipated failure is an [Error]: a corrupt trace
-    ([Corrupt_trace], surfacing after the same prefix was analysed as
-    a sequential read), a deadlocked program ([Deadlock]), and an
+    ([Corrupt_trace], after every block before the damaged one was
+    analysed), a deadlocked program ([Deadlock]), and an
     invalid configuration ([Invalid_input]: a non-positive [progress]
     or [sample_every] period).  Budget stops are not
     errors: they give [Ok] with [partial] set. *)

@@ -3,8 +3,8 @@
     [trace_event] JSON by {!Chrome_trace}.
 
     A tracer ({!t}) owns a set of {e lanes} ({!buf}): the main thread
-    registers [main t], the v2 replay's decoder domain registers
-    [lane t "decoder"].  Every lane must have exactly one writing
+    registers [main t], and a second domain registers its own, say
+    [lane t "worker"].  Every lane must have exactly one writing
     domain — recording then needs no synchronisation; only lane
     registration takes the tracer's mutex.  Each lane is a bounded
     ring: when full, the oldest events are overwritten (and counted as

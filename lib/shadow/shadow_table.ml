@@ -10,7 +10,7 @@
    The root is a dense array of rows anchored at the first row ever
    touched; it grows geometrically toward whichever side a new
    address falls on, up to [max_window_rows].  Traces are untrusted
-   (the varint decoder admits any 62-bit address), so rows that would
+   (the trace readers admit any address below 2^61), so rows that would
    stretch the window past that cap land in a spill hash table
    instead of forcing a multi-gigabyte root.  Directory arrays are
    bookkeeping, not shadow state: they are *not* counted in [bytes]

@@ -14,7 +14,11 @@
     producer, whose next [acquire] returns [None].
 
     Batches taken from the ring obey the recycling contract in
-    [batch.mli]: a batch is invalid after it is recycled. *)
+    [batch.mli]: a batch is invalid after it is recycled.
+
+    {b Serve and benchmark only.}  Its users are a serve session's
+    decode pool ([Session.dpool]) and {!Trace_pipeline}, which only
+    bench/perf still runs; [racedet replay] decodes without it. *)
 
 open Dgrace_events
 

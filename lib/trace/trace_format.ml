@@ -19,6 +19,13 @@ let max_tid = 1023 (* Epoch.max_tid: the detectors' own thread ceiling *)
 let max_access_size = 1 lsl 30
 let max_loc_len = 1 lsl 16
 
+(* Addresses stay below 2^61, so an address plus a size, or a page or
+   chunk base plus its span, never overflows an int.  Past that, an
+   access in the top bytes of the int range sends the shadow table's
+   page loop round every negative address. *)
+let addr_bits = 61
+let max_addr = (1 lsl addr_bits) - 1
+
 (* A location the reader would reject as too long is refused when it
    is written, not discovered at replay. *)
 let check_loc loc =
@@ -34,19 +41,66 @@ let check_loc loc =
                   max_loc_len;
             }))
 
+let refuse_event reason =
+  raise
+    (Dgrace_resilience.Error.E
+       (Dgrace_resilience.Error.Invalid_input { what = "trace event"; reason }))
+
+let check_tid t =
+  if t < 0 || t > max_tid then
+    refuse_event (Printf.sprintf "tid %d outside 0..%d" t max_tid)
+
+let check_addr a =
+  if a lsr addr_bits <> 0 then
+    refuse_event (Printf.sprintf "address %d outside 0..%d" a max_addr)
+
+let check_size s =
+  if s < 0 || s > max_access_size then
+    refuse_event (Printf.sprintf "size %d outside 0..%d" s max_access_size)
+
+(* The bounds the readers enforce, checked before an event is written:
+   an event outside them would otherwise be written and then fail its
+   own replay as a corrupt trace.  Lock ids are the one field the two
+   formats differ on: v2's b column stores any int, v1 stores a lock
+   id as an unsigned varint. *)
+let check_event ~negative_locks (ev : Dgrace_events.Event.t) =
+  match ev with
+  | Access { tid; addr; size; loc; _ } ->
+    check_tid tid;
+    check_addr addr;
+    check_size size;
+    check_loc loc
+  | Acquire { tid; lock; _ } | Release { tid; lock; _ } ->
+    check_tid tid;
+    if lock < 0 && not negative_locks then
+      refuse_event
+        (Printf.sprintf
+           "negative lock id %d: a v1 trace stores lock ids unsigned (write \
+            v2)"
+           lock)
+  | Fork { parent; child } | Join { parent; child } ->
+    check_tid parent;
+    check_tid child
+  | Alloc { tid; addr; size } | Free { tid; addr; size } ->
+    check_tid tid;
+    check_addr addr;
+    check_size size
+  | Thread_exit { tid } -> check_tid tid
+
 exception Corrupt of string
 
-(* A top-level loop, so a write allocates no closure. *)
-let rec write_varint_loop buf n =
-  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+(* A top-level loop, so a write allocates no closure.  It reads [n] as
+   unsigned: a value with bit 62 set takes all nine bytes. *)
+let rec write_uvarint buf n =
+  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.unsafe_chr n)
   else begin
     Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-    write_varint_loop buf (n lsr 7)
+    write_uvarint buf (n lsr 7)
   end
 
 let write_varint buf n =
   if n < 0 then invalid_arg "Trace_format.write_varint: negative";
-  write_varint_loop buf n
+  write_uvarint buf n
 
 let read_varint ic =
   let rec loop acc shift =

@@ -23,9 +23,25 @@ val max_tid : int
 val max_access_size : int
 val max_loc_len : int
 
+val addr_bits : int
+(** Addresses are below [2^addr_bits] (61). *)
+
+val max_addr : int
+(** [2^addr_bits - 1]: with a size of at most [max_access_size], an
+    access's end and its pages' bounds stay far from [max_int]. *)
+
 val check_loc : string -> unit
 (** What both writers do before recording a location: refuse one
     longer than [max_loc_len], which the readers would reject.
+    @raise Dgrace_resilience.Error.E with [Invalid_input]. *)
+
+val check_event : negative_locks:bool -> Dgrace_events.Event.t -> unit
+(** What both writers do before recording an event: refuse one with a
+    field outside the bounds above (a tid outside [0 .. max_tid], an
+    address outside [0 .. max_addr], a size outside [0 .. max_access_size], an
+    over-long location), which the readers would reject.  A negative
+    lock id is refused unless [negative_locks] (v2 stores any lock id;
+    v1 stores them unsigned).
     @raise Dgrace_resilience.Error.E with [Invalid_input]. *)
 
 (** Event tag bytes. *)
@@ -45,6 +61,11 @@ val max_tag : int
 
 val write_varint : Buffer.t -> int -> unit
 (** Unsigned LEB128.  @raise Invalid_argument on negative input. *)
+
+val write_uvarint : Buffer.t -> int -> unit
+(** LEB128 of all 63 bits of the int read as unsigned: a negative
+    value takes nine bytes.  Equal to {!write_varint} on non-negative
+    input. *)
 
 val read_varint : in_channel -> int
 (** @raise End_of_file at end of stream.

@@ -11,7 +11,7 @@ module Error = Dgrace_resilience.Error
      body  := varint n                       (1 <= n <= block_events)
               kinds   — RLE (tag byte, varint run)
               a col   — RLE (varint value, varint run)   tids/parents
-              b col   — zigzag-delta varints, one/row    addrs/locks/children
+              b col   — zigzag-delta uvarints, one/row   addrs/locks/children
               c col   — RLE (varint value, varint run)   sizes/sync codes
               locs    — per access row: varint id,
                         fresh ids followed by varint len + bytes
@@ -33,8 +33,14 @@ let block_events = Batch.default_capacity
    any real block (4096 events * worst-case record size). *)
 let max_body_len = 1 lsl 24
 
-let zigzag d = if d >= 0 then d lsl 1 else (((-d) lsl 1) - 1)
-let[@inline] unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
+(* The b column is a bijection on every int: a row stores the
+   wrapping difference from the row before, zigzagged (0, -1, 1, -2
+   .. to 0, 1, 2, 3 ..) and written as an unsigned varint of up to
+   nine bytes, so a lock id of [max_int] after lock 0, or any negative
+   one, round-trips.  On the small deltas of real traces it is the
+   plain zigzag varint. *)
+let[@inline] zigzag d = (d lsl 1) lxor (d asr 62)
+let[@inline] unzigzag z = (z lsr 1) lxor (-(z land 1))
 
 (* ------------------------------------------------------------------ *)
 (* encoding *)
@@ -119,7 +125,7 @@ let encode_body enc (b : Batch.t) =
   let prev = ref 0 in
   for i = 0 to n - 1 do
     let v = b.Batch.b.(i) in
-    write_varint buf (zigzag (v - !prev));
+    write_uvarint buf (zigzag (v - !prev));
     prev := v
   done;
   write_rle buf b.Batch.c n;
@@ -155,10 +161,10 @@ let cutter ~rows =
   }
 
 let admit c ev =
+  check_event ~negative_locks:true ev;
   let bound =
     match ev with
     | Event.Access { loc; _ } ->
-      check_loc loc;
       if loc == c.last_loc then row_bound
       else begin
         c.last_loc <- loc;
@@ -224,14 +230,15 @@ let close w =
 let to_file path f =
   let oc = open_out_bin path in
   let w = create oc in
-  match f (sink w) with
-  | v ->
-    let n = w.count in
+  match
+    let v = f (sink w) in
     close w;
-    (v, n)
+    v
+  with
+  | v -> (v, w.count)
   | exception e ->
-    (* a failed producer leaves no file: a flushed prefix would replay
-       as a complete, valid-looking trace *)
+    (* a failed producer, or a failed final flush, leaves no file: a
+       flushed prefix would replay as a complete, valid-looking trace *)
     let bt = Printexc.get_raw_backtrace () in
     close_out_noerr w.oc;
     (try Sys.remove path with Sys_error _ -> ());
@@ -248,10 +255,18 @@ type stream_decoder = {
   mutable d_locs : string array;
   mutable d_next_loc : int;
   mutable events_read : int;
+  mutable d_body : Bytes.t;
+      (* [read_block]'s body buffer, grown to the largest body read *)
 }
 
 let stream_decoder ?path () =
-  { path; d_locs = Array.make 64 ""; d_next_loc = 0; events_read = 0 }
+  {
+    path;
+    d_locs = Array.make 64 "";
+    d_next_loc = 0;
+    events_read = 0;
+    d_body = Bytes.empty;
+  }
 
 let add_loc dec s =
   let id = dec.d_next_loc in
@@ -263,15 +278,16 @@ let add_loc dec s =
   Array.unsafe_set dec.d_locs id s;
   dec.d_next_loc <- id + 1
 
-(* In-body cursor; [Corrupt] carries the reason, the caller maps it to
-   an [Error.Corrupt_trace] at the cursor's absolute offset. *)
-type cursor = { s : string; mutable pos : int }
+(* In-body cursor over the first [lim] bytes of [s]; [Corrupt] carries
+   the reason, the caller maps it to an [Error.Corrupt_trace] at the
+   cursor's absolute offset. *)
+type cursor = { s : Bytes.t; lim : int; mutable pos : int }
 
 let cur_byte cur =
   let p = cur.pos in
-  if p >= String.length cur.s then raise (Corrupt "truncated block");
+  if p >= cur.lim then raise (Corrupt "truncated block");
   cur.pos <- p + 1;
-  Char.code (String.unsafe_get cur.s p)
+  Char.code (Bytes.unsafe_get cur.s p)
 
 (* Multi-byte varints: a top-level loop, so no closure is allocated
    per read. *)
@@ -285,13 +301,16 @@ let varint_slow cur =
   let n = varint_loop cur 0 0 in
   if n < 0 then raise (Corrupt "varint overflow") else n
 
+let uvarint_slow cur = varint_loop cur 0 0
+
 (* Most varints are one byte (RLE runs of 1, small deltas, location
    ids): read those inline; anything else, including a truncated
-   body, takes the loop, which raises exactly as a full read would. *)
+   body, takes the loop, which raises exactly as a full read would.
+   [cur_uvarint] is the b column's read, which keeps bit 62. *)
 let[@inline] cur_varint cur =
   let p = cur.pos in
-  if p < String.length cur.s then begin
-    let b = Char.code (String.unsafe_get cur.s p) in
+  if p < cur.lim then begin
+    let b = Char.code (Bytes.unsafe_get cur.s p) in
     if b < 0x80 then begin
       cur.pos <- p + 1;
       b
@@ -300,11 +319,27 @@ let[@inline] cur_varint cur =
   end
   else varint_slow cur
 
+let[@inline] cur_uvarint cur =
+  let p = cur.pos in
+  if p < cur.lim then begin
+    let b = Char.code (Bytes.unsafe_get cur.s p) in
+    if b < 0x80 then begin
+      cur.pos <- p + 1;
+      b
+    end
+    else uvarint_slow cur
+  end
+  else uvarint_slow cur
+
 let cur_take cur len =
-  if len > String.length cur.s - cur.pos then raise (Corrupt "truncated block");
-  let s = String.sub cur.s cur.pos len in
+  if len > cur.lim - cur.pos then raise (Corrupt "truncated block");
+  let s = Bytes.sub_string cur.s cur.pos len in
   cur.pos <- cur.pos + len;
   s
+
+let bad_address v =
+  if v < 0 then "negative address"
+  else Printf.sprintf "address %d out of range" v
 
 (* Decode one block body into [batch].  [base] is the body's absolute
    offset in the stream, used for error offsets.  Rows get
@@ -356,12 +391,14 @@ let decode_rows dec cur (batch : Batch.t) =
     done;
     i := !i + run
   done;
-  (* b column (addrs/locks/children), zigzag deltas *)
+  (* b column (addrs/locks/children), zigzag deltas; a lock id may be
+     any int, every other value lies in [0 .. max_addr] *)
   let prev = ref 0 in
   for i = 0 to n - 1 do
-    let v = !prev + unzigzag (cur_varint cur) in
-    if v < 0 then raise (Corrupt "negative address");
+    let v = !prev + unzigzag (cur_uvarint cur) in
     let k = Array.unsafe_get kind i in
+    if v lsr addr_bits <> 0 && k <> tag_acquire && k <> tag_release then
+      raise (Corrupt (bad_address v));
     if (k = tag_fork || k = tag_join) && v > max_tid then
       raise (Corrupt (Printf.sprintf "tid %d out of range" v));
     Array.unsafe_set b i v;
@@ -407,12 +444,12 @@ let decode_rows dec cur (batch : Batch.t) =
     in
     if Array.unsafe_get loc i != s then Array.unsafe_set loc i s
   done;
-  if cur.pos <> String.length cur.s then
-    raise (Corrupt "trailing bytes in block");
+  if cur.pos <> cur.lim then raise (Corrupt "trailing bytes in block");
   n
 
-let decode_body_exn dec ~base body (batch : Batch.t) =
-  let cur = { s = body; pos = 0 } in
+(* Decode the body in the first [len] bytes of [body]. *)
+let decode_exn dec ~base body len (batch : Batch.t) =
+  let cur = { s = body; lim = len; pos = 0 } in
   let old_len = batch.Batch.len in
   match decode_rows dec cur batch with
   | n ->
@@ -442,7 +479,10 @@ let decode_body_exn dec ~base body (batch : Batch.t) =
             }))
 
 let decode_body dec ~base body batch =
-  match decode_body_exn dec ~base body batch with
+  match
+    decode_exn dec ~base (Bytes.unsafe_of_string body) (String.length body)
+      batch
+  with
   | () -> Ok ()
   | exception Error.E e -> Error e
 
@@ -501,26 +541,32 @@ let read_block dec ic batch =
     if body_len < 1 || body_len > max_body_len then
       corrupt (Printf.sprintf "block length %d out of range" body_len);
     let base = pos_in ic in
-    let body =
-      match really_input_string ic body_len with
-      | exception End_of_file -> corrupt "truncated block"
-      | s -> s
-    in
-    decode_body_exn dec ~base body batch;
+    (* the body lands in the decoder's own buffer, not a fresh string
+       per block *)
+    if body_len > Bytes.length dec.d_body then
+      dec.d_body <- Bytes.create (max body_len (2 * Bytes.length dec.d_body));
+    (match really_input ic dec.d_body 0 body_len with
+     | exception End_of_file -> corrupt "truncated block"
+     | () -> ());
+    decode_exn dec ~base dec.d_body body_len batch;
     true
 
 (* Fold over blocks decoded into a single reused batch: the batched
    replay hot path.  The batch passed to [f] is overwritten by the
-   next block — consume it before returning. *)
-let fold_batches path f init =
+   next block — consume it before returning.  [wrap_decode] runs
+   around each block's read and decode (a tracing span). *)
+let fold_batches ?wrap_decode path f init =
   let ic = open_in_bin path in
   let run () =
     check_header ~path ic;
     let dec = stream_decoder ~path () in
     let batch = Batch.create () in
-    let rec loop acc =
-      if read_block dec ic batch then loop (f acc batch) else acc
+    let next =
+      match wrap_decode with
+      | None -> fun () -> read_block dec ic batch
+      | Some wrap -> fun () -> wrap (fun () -> read_block dec ic batch)
     in
+    let rec loop acc = if next () then loop (f acc batch) else acc in
     loop init
   in
   match run () with

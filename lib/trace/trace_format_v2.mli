@@ -10,6 +10,12 @@
               size RLE, access locations (interned across blocks)
     v}
 
+    The b column (addresses, lock ids, fork/join children) stores any
+    [int]: wrapping deltas, zigzagged, as unsigned varints of at most
+    nine bytes.  Writers refuse an event whose fields the decoder would
+    reject ({!Trace_format.check_event}); only lock ids may lie
+    outside [0 .. Trace_format.max_addr].
+
     Any malformed or truncated byte yields a structured
     {!Dgrace_resilience.Error.Corrupt_trace} with an absolute stream
     offset — never a bare exception. *)
@@ -101,12 +107,20 @@ val check_header : ?path:string -> in_channel -> unit
 
 (** [read_block dec ic batch] reads the next block into [batch];
     [false] on clean EOF at a block boundary.  Raises [Error.E] on
-    corruption. *)
+    corruption.  The body is read into a buffer the decoder owns and
+    reuses, so a block allocates only its new location strings. *)
 val read_block : stream_decoder -> in_channel -> Batch.t -> bool
 
-(** Fold over blocks decoded into one reused batch — the batched
-    replay hot path.  The batch is overwritten between calls. *)
-val fold_batches : string -> ('a -> Batch.t -> 'a) -> 'a -> 'a
+(** Fold over blocks decoded into one reused batch, on the calling
+    domain — the replay hot path.  The batch is overwritten between
+    calls.  [wrap_decode], if given, runs around each block's read and
+    decode and returns its result (the engine passes a tracing span). *)
+val fold_batches :
+  ?wrap_decode:((unit -> bool) -> bool) ->
+  string ->
+  ('a -> Batch.t -> 'a) ->
+  'a ->
+  'a
 
 (** Event-at-a-time surface for generic consumers; materializes each
     block once. *)

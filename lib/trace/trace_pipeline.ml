@@ -1,7 +1,8 @@
 (* The two-stage replay pipeline: a dedicated decoder domain pulls v2
    blocks off a file into a {!Batch_ring} while the calling domain
    drains the ring — decode and detect overlap instead of strictly
-   alternating as [Trace_format_v2.fold_batches] does.
+   alternating as [Trace_format_v2.fold_batches] does.  Only
+   bench/perf runs it now (see the interface).
 
    Semantics are anchored to the sequential path:
 
@@ -17,10 +18,7 @@
      engine's per-event fallback) aborts the ring, joins the decoder
      and re-raises — the decoder never outlives the call.
 
-   The optional [span] hook wraps each block decode so the decoder
-   domain lands its time on a tracing lane (the engine passes a
-   ["decoder"] lane; [racedet timings] then shows the decode-vs-detect
-   split).  [clock] feeds the ring's stall accounting. *)
+   [clock] feeds the ring's stall accounting. *)
 
 type stats = {
   blocks : int;  (* batches published by the decoder *)
@@ -31,21 +29,9 @@ type stats = {
 
 let default_slots = 4
 
-let feed ?(slots = default_slots) ?(clock = fun () -> 0) ?span ?consumer_span
-    path consume =
+let feed ?(slots = default_slots) ?(clock = fun () -> 0) path consume =
   let ring = Batch_ring.create ~slots ~clock () in
   let decode_ns = ref 0 in
-  let wrap = function
-    | None -> fun _name f -> f ()
-    | Some span -> span
-  in
-  let pspan = wrap span and cspan = wrap consumer_span in
-  let decode_block dec ic b =
-    let more = ref false in
-    pspan "pipeline.decode" (fun () ->
-        more := Trace_format_v2.read_block dec ic b);
-    !more
-  in
   let producer () =
     let t0 = clock () in
     (try
@@ -54,15 +40,11 @@ let feed ?(slots = default_slots) ?(clock = fun () -> 0) ?span ?consumer_span
            let dec = Trace_format_v2.stream_decoder ~path () in
            let rec loop () =
              (* the acquire is where ring backpressure blocks the
-                decoder, so its span total is the decode-stall time
-                (plus a cheap lock hit per non-blocked pass) *)
-             let slot = ref None in
-             pspan "pipeline.decode_stall" (fun () ->
-                 slot := Batch_ring.acquire ring);
-             match !slot with
+                decoder (the ring times it as decode stall) *)
+             match Batch_ring.acquire ring with
              | None -> ()  (* consumer aborted; stop quietly *)
              | Some b ->
-               if decode_block dec ic b then begin
+               if Trace_format_v2.read_block dec ic b then begin
                  Batch_ring.publish ring b;
                  loop ()
                end
@@ -84,10 +66,7 @@ let feed ?(slots = default_slots) ?(clock = fun () -> 0) ?span ?consumer_span
       end)
     (fun () ->
       let rec drain () =
-        (* mirror of the producer's stall span, on the consumer's lane *)
-        let slot = ref None in
-        cspan "pipeline.detect_stall" (fun () -> slot := Batch_ring.take ring);
-        match !slot with
+        match Batch_ring.take ring with
         | None -> ()
         | Some b ->
           consume b;

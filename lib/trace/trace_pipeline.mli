@@ -1,6 +1,13 @@
 (** Two-stage v2 replay: a decoder domain streams blocks into a
     bounded {!Batch_ring} while the calling domain consumes them.
 
+    {b Benchmark-only.}  [racedet] and [Engine] no longer use it: a
+    replay decodes inline ({!Trace_format_v2.fold_batches}), which
+    measured faster on one and on two cores (doc/trace.md, "Replay
+    decodes inline").  It stays for bench/perf's pipelined rows
+    ([bench/perf/traced.ml], and the [par.*] rows through
+    [Par.analyze_pipelined]) and goes with them.
+
     [feed path consume] spawns the decoder, applies [consume] to every
     batch in file order (same row numbering and decoder state as
     {!Trace_format_v2.fold_batches} — the batch is invalid once
@@ -12,13 +19,7 @@
     is aborted and joined before the exception escapes.
 
     [slots] sizes the ring (decoder runs ≤ [slots - 1] blocks ahead);
-    [clock] is a nanosecond source for stall accounting; [span] wraps
-    each block decode as ["pipeline.decode"] and each ring acquire as
-    ["pipeline.decode_stall"] on the decoder's lane, and
-    [consumer_span] wraps each ring take as ["pipeline.detect_stall"]
-    on the consumer's (the engine passes tracing-lane closures so
-    [racedet timings] shows the decode-vs-detect split and the stall
-    totals). *)
+    [clock] is a nanosecond source for stall accounting. *)
 
 open Dgrace_events
 
@@ -36,8 +37,6 @@ val default_slots : int
 val feed :
   ?slots:int ->
   ?clock:(unit -> int) ->
-  ?span:(string -> (unit -> unit) -> unit) ->
-  ?consumer_span:(string -> (unit -> unit) -> unit) ->
   string ->
   (Batch.t -> unit) ->
   stats

@@ -64,6 +64,12 @@ let read_tid st =
     raise (Corrupt (Printf.sprintf "tid %d out of range" tid));
   tid
 
+let read_addr st =
+  let addr = read_varint st.ic in
+  if addr > max_addr then
+    raise (Corrupt (Printf.sprintf "address %d out of range" addr));
+  addr
+
 let read_size st =
   let size = read_varint st.ic in
   if size > max_access_size then
@@ -89,7 +95,7 @@ let decode_event st =
     let ev =
       if tag = tag_read || tag = tag_write then begin
         let tid = read_tid st in
-        let addr = read_varint st.ic in
+        let addr = read_addr st in
         let size = read_size st in
         let loc = read_loc st in
         let kind = if tag = tag_read then Event.Read else Event.Write in
@@ -115,12 +121,12 @@ let decode_event st =
       end
       else if tag = tag_alloc then begin
         let tid = read_tid st in
-        let addr = read_varint st.ic in
+        let addr = read_addr st in
         Event.Alloc { tid; addr; size = read_size st }
       end
       else if tag = tag_free then begin
         let tid = read_tid st in
-        let addr = read_varint st.ic in
+        let addr = read_addr st in
         Event.Free { tid; addr; size = read_size st }
       end
       else if tag = tag_exit then Event.Thread_exit { tid = read_tid st }

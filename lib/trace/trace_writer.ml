@@ -35,11 +35,11 @@ let flush_buf t =
 
 let write t ev =
   let buf = t.buf in
+  (* before any byte of the record is buffered, so a refused event
+     leaves the trace readable up to the event before *)
+  check_event ~negative_locks:false ev;
   (match ev with
    | Event.Access { tid; kind; addr; size; loc } ->
-     (* before any byte of the record is buffered, so a refused
-        location leaves the trace readable up to the event before *)
-     check_loc loc;
      let tag = if kind = Event.Read then tag_read else tag_write in
      Buffer.add_char buf (Char.chr tag);
      write_varint buf tid;
@@ -95,14 +95,15 @@ let close t =
 let to_file path f =
   let oc = open_out_bin path in
   let t = create oc in
-  match f (sink t) with
-  | v ->
-    let n = t.count in
+  match
+    let v = f (sink t) in
     close t;
-    (v, n)
+    v
+  with
+  | v -> (v, t.count)
   | exception e ->
-    (* a failed producer leaves no file: a flushed prefix would replay
-       as a complete, valid-looking trace *)
+    (* a failed producer, or a failed final flush, leaves no file: a
+       flushed prefix would replay as a complete, valid-looking trace *)
     let bt = Printexc.get_raw_backtrace () in
     close_out_noerr t.oc;
     (try Sys.remove path with Sys_error _ -> ());

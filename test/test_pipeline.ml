@@ -1,20 +1,24 @@
-(* Differential proof for the pipelined decode→detect replay and the
-   page-clustered batch application (doc/trace.md, doc/shadow.md):
+(* Differential proof for the engine's v2 replay, which decodes each
+   block inline on the detecting domain, and the page-clustered batch
+   application (doc/trace.md, doc/shadow.md):
 
    - the config-lattice law: every source (events, batches, v2 file)
      x observer x detector must match per-event dispatch of the same
      rows to a fresh detector on races (content and order),
      transition counts, exit code and stream stats;
-   - the pipelined replay must be bit-identical to the sequential
-     batched path on races (content and order), stream stats,
-     transition counts and exit code — corpus traces and random
+   - a [V2_file] replay must be bit-identical to the batched replay of
+     the same file's blocks on races (content and order), stream
+     stats, transition counts and exit code — corpus traces and random
      streams;
-   - a trace cut at EVERY byte offset must fail through the pipeline
-     with exactly the sequential error (same absolute offset, same
-     events_read) after exactly the sequential prefix;
+   - a trace cut at EVERY byte offset must fail through the engine,
+     plain or budgeted, with exactly the error [fold_batches] gives
+     (same absolute offset, same events_read) after exactly the same
+     rows;
    - budget stops must pin the same stop_reason and partial summary;
-   - the batch ring honours its recycling protocol: FIFO, error only
-     after drain, abort releases a blocked producer. *)
+   - [Trace_pipeline], the two-domain decoder that bench/perf still
+     times, delivers exactly [fold_batches]' rows and errors, and its
+     batch ring honours its recycling protocol: FIFO, error only after
+     drain, abort releases a blocked producer. *)
 
 open Dgrace_events
 open Dgrace_trace
@@ -186,21 +190,29 @@ let diff_corpus name () =
   List.iter
     (fun spec ->
       let seq = run spec (Tutil.v2_batches path) in
-      let pipe = run spec (Engine.Source.V2_file path) in
-      let ctx = Printf.sprintf "%s %s pipelined" name (Spec.name spec) in
-      check_equivalent ~ctx seq pipe;
-      (* the pipeline gauges land in the summary metrics *)
-      Alcotest.(check bool) (ctx ^ ": pipeline.blocks gauge") true
-        (List.mem_assoc "pipeline.blocks" (Metrics.gauges pipe.metrics));
+      let file = run spec (Engine.Source.V2_file path) in
+      let ctx = Printf.sprintf "%s %s v2 file" name (Spec.name spec) in
+      check_equivalent ~ctx seq file;
       let base = run spec (Tutil.event_list events) in
-      check_equivalent ~ctx:(ctx ^ " vs events") base pipe)
+      check_equivalent ~ctx:(ctx ^ " vs events") base file)
     [ Spec.dynamic; Spec.word ]
 
 (* ------------------------------------------------------------------ *)
-(* corruption: every truncation offset, pipelined = sequential *)
+(* corruption: every truncation offset, engine and pipeline =
+   fold_batches *)
 
-type cut_outcome = Clean of int | Corrupt of int * int * int
-(* Clean rows | Corrupt (rows consumed, absolute offset, events_read) *)
+type cut_outcome =
+  | Clean of int
+  | Corrupt of int * int * int
+  | Stopped of int
+(* Clean rows | Corrupt (rows consumed, absolute offset, events_read) |
+   Stopped rows (a budget stop, Engine only) *)
+
+let show_outcome = function
+  | Clean r -> Printf.sprintf "clean after %d rows" r
+  | Corrupt (r, o, e) ->
+    Printf.sprintf "corrupt at byte %d (rows %d, events_read %d)" o r e
+  | Stopped r -> Printf.sprintf "budget stop after %d rows" r
 
 let cut_outcome feed path =
   let rows = ref 0 in
@@ -208,6 +220,76 @@ let cut_outcome feed path =
   | _ -> Clean !rows
   | exception Error.E (Error.Corrupt_trace c) ->
     Corrupt (!rows, c.offset, c.events_read)
+
+(* [Engine.analyze] of a v2 file, counting the rows its detector
+   consumed, batched or per event. *)
+let engine_outcome ?budget spec path =
+  let rows = ref 0 in
+  let d = Spec.to_detector spec in
+  let counted =
+    {
+      d with
+      Dgrace_detectors.Detector.on_event =
+        (fun ev ->
+          incr rows;
+          d.on_event ev);
+      process_batch =
+        Option.map
+          (fun pb b ->
+            rows := !rows + Batch.length b;
+            pb b)
+          d.process_batch;
+    }
+  in
+  let config =
+    match budget with
+    | None -> Engine.Config.of_detector counted
+    | Some budget -> { (Engine.Config.of_detector counted) with budget }
+  in
+  match Engine.analyze config (Engine.Source.V2_file path) with
+  | Ok { partial = None; _ } -> Clean !rows
+  | Ok { partial = Some _; _ } -> Stopped !rows
+  | Error (Error.Corrupt_trace c) -> Corrupt (!rows, c.offset, c.events_read)
+  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+
+(* A v2 stream of nine 5-row blocks, so a cut lands in any block and
+   the rows before it vary. *)
+let test_truncate_every_offset_engine () =
+  let full =
+    Test_trace_v2.v2_blocks
+      (List.concat (List.init 3 (fun _ -> Test_trace_v2.sample_events)))
+      (List.init 9 (fun _ -> 5))
+  in
+  let cut_path = tmp_file () in
+  for cut = 0 to String.length full do
+    write_file cut_path (String.sub full 0 cut);
+    let seq = cut_outcome fold_feed cut_path in
+    let check what want got =
+      if want <> got then
+        Alcotest.failf "cut at %d: fold_batches %s, engine%s %s" cut
+          (show_outcome want) what (show_outcome got)
+    in
+    List.iter
+      (fun spec ->
+        check "" seq (engine_outcome spec cut_path);
+        List.iter
+          (fun limit ->
+            (* the guard stops at event [limit + 1], once it is decoded;
+               a corrupt block right after [limit] rows still fails *)
+            let want =
+              match seq with
+              | Clean r | Corrupt (r, _, _) when r > limit -> Stopped limit
+              | o -> o
+            in
+            check
+              (Printf.sprintf " --max-events %d" limit)
+              want
+              (engine_outcome ~budget:(Budget.make ~max_events:limit ()) spec
+                 cut_path))
+          [ 20; 22 ])
+      [ Spec.dynamic; Spec.byte ]
+  done;
+  Sys.remove cut_path
 
 let test_truncate_every_offset_pipelined () =
   let path = tmp_file () in
@@ -227,19 +309,9 @@ let test_truncate_every_offset_pipelined () =
       cut_outcome (fun p consume -> ignore (Trace_pipeline.feed p consume))
         cut_path
     in
-    (match (seq, pipe) with
-     | Clean a, Clean b when a = b -> ()
-     | Corrupt (r1, o1, e1), Corrupt (r2, o2, e2)
-       when r1 = r2 && o1 = o2 && e1 = e2 ->
-       ()
-     | _ ->
-       let show = function
-         | Clean r -> Printf.sprintf "clean after %d rows" r
-         | Corrupt (r, o, e) ->
-           Printf.sprintf "corrupt at byte %d (rows %d, events_read %d)" o r e
-       in
-       Alcotest.failf "cut at %d: sequential %s, pipelined %s" cut (show seq)
-         (show pipe))
+    if seq <> pipe then
+      Alcotest.failf "cut at %d: sequential %s, pipelined %s" cut
+        (show_outcome seq) (show_outcome pipe)
   done;
   Sys.remove cut_path
 
@@ -252,9 +324,9 @@ let test_corrupt_corpus_error_identity () =
     | Error e -> Some e
   in
   let seq = run (Tutil.v2_batches path) in
-  let pipe = run (Engine.Source.V2_file path) in
+  let file = run (Engine.Source.V2_file path) in
   let err = Alcotest.testable (Fmt.of_to_string Error.to_string) ( = ) in
-  Alcotest.(check (option err)) "pipelined error identical" seq pipe;
+  Alcotest.(check (option err)) "v2 file error identical" seq file;
   Alcotest.(check bool) "it is an error" true (seq <> None)
 
 (* ------------------------------------------------------------------ *)
@@ -266,7 +338,7 @@ let test_budget_stop_identity () =
     (fun limit ->
       let budget = Budget.make ~max_events:limit () in
       let seq = run ~budget Spec.dynamic (Tutil.v2_batches path) in
-      let pipe = run ~budget Spec.dynamic (Engine.Source.V2_file path) in
+      let file = run ~budget Spec.dynamic (Engine.Source.V2_file path) in
       let stop = function
         | None -> "none"
         | Some s -> Budget.stop_to_string s
@@ -274,8 +346,8 @@ let test_budget_stop_identity () =
       let ctx = Printf.sprintf "max_events=%d" limit in
       Alcotest.(check string)
         (ctx ^ ": stop reason")
-        (stop seq.partial) (stop pipe.partial);
-      check_equivalent ~ctx seq pipe)
+        (stop seq.partial) (stop file.partial);
+      check_equivalent ~ctx seq file)
     [ 1; 5; 1_000_000 ]
 
 (* ------------------------------------------------------------------ *)
@@ -443,6 +515,8 @@ let qcheck_config_lattice =
                 ])
             [ Spec.dynamic; Spec.byte; Spec.word ]))
 
+(* The name predates inline decoding: [V2_file] once decoded on a
+   second domain. *)
 let qcheck_pipelined_identical =
   QCheck.Test.make ~name:"pipeline: pipelined replay = sequential batched"
     ~count:25 arb_events (fun events ->
@@ -450,8 +524,8 @@ let qcheck_pipelined_identical =
           List.for_all
             (fun spec ->
               let seq = run spec (Tutil.v2_batches v2) in
-              let pipe = run spec (Engine.Source.V2_file v2) in
-              equivalent seq pipe)
+              let file = run spec (Engine.Source.V2_file v2) in
+              equivalent seq file)
             [ Spec.dynamic; Spec.word ]))
 
 (* ------------------------------------------------------------------ *)
@@ -621,6 +695,8 @@ let suites : unit Alcotest.test list =
       @ [
           Alcotest.test_case "corrupt corpus error identity" `Quick
             test_corrupt_corpus_error_identity;
+          Alcotest.test_case "truncate at every offset" `Quick
+            test_truncate_every_offset_engine;
           Alcotest.test_case "budget stop identity" `Quick
             test_budget_stop_identity;
           QCheck_alcotest.to_alcotest qcheck_config_lattice;

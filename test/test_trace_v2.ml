@@ -417,24 +417,10 @@ let test_law_corpus () =
       ignore (check_law name full))
     [ "clean"; "racy"; "deadlock_adjacent"; "straddle" ]
 
-(* A recorded workload's first events as a stream of whole blocks;
-   the blocks are smaller than the writer's so that a stream crosses
-   block boundaries (and the location table spans blocks) within a few
-   hundred rows, including a one-row block. *)
-let recorded_prefix (w : Dgrace_workloads.Workload.t) sizes =
-  let want = List.fold_left ( + ) 0 sizes in
-  let evs = ref [] and n = ref 0 in
-  (try
-     ignore
-       (Dgrace_workloads.Workload.run
-          ~params:(Dgrace_workloads.Workload.with_params ~scale:1 w)
-          ~sink:(fun ev ->
-            if !n = want then raise Exit;
-            evs := ev :: !evs;
-            incr n)
-          w)
-   with Exit -> ());
-  let evs = ref (List.rev !evs) in
+(* [events] as a v2 stream of whole blocks of the given sizes, the
+   last one cut short if the events run out. *)
+let v2_blocks events sizes =
+  let evs = ref events in
   let enc = Trace_format_v2.block_encoder () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf Trace_format.magic;
@@ -453,6 +439,25 @@ let recorded_prefix (w : Dgrace_workloads.Workload.t) sizes =
       end)
     sizes;
   Buffer.contents buf
+
+(* A recorded workload's first events as a stream of whole blocks;
+   the blocks are smaller than the writer's so that a stream crosses
+   block boundaries (and the location table spans blocks) within a few
+   hundred rows, including a one-row block. *)
+let recorded_prefix (w : Dgrace_workloads.Workload.t) sizes =
+  let want = List.fold_left ( + ) 0 sizes in
+  let evs = ref [] and n = ref 0 in
+  (try
+     ignore
+       (Dgrace_workloads.Workload.run
+          ~params:(Dgrace_workloads.Workload.with_params ~scale:1 w)
+          ~sink:(fun ev ->
+            if !n = want then raise Exit;
+            evs := ev :: !evs;
+            incr n)
+          w)
+   with Exit -> ());
+  v2_blocks (List.rev !evs) sizes
 
 (* The format has no checksum, so some flips decode as valid rows; the
    count is printed for the record (ROADMAP item 4), not asserted. *)
@@ -518,6 +523,327 @@ let qcheck_batched_replay_identical =
       List.map Report.to_string per_event.races
       = List.map Report.to_string batched.races)
 
+(* ------------------------------------------------------------------ *)
+(* the b column over the whole int range *)
+
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* Widening the b column to every int must not change the bytes of
+   any trace the narrower encoding could write.  The digests are those
+   the narrower encoder wrote for the corpus files and the scale-1
+   recordings (seed 1); re-encoding reads each file back and writes it
+   again. *)
+let corpus_digests =
+  [
+    ("clean.trace", "de26a5ec9adf500df1e7b347cfd8fb7b");
+    ("deadlock_adjacent.trace", "20ecd286c10b6a6b1e6f04c413623262");
+    ("racy.trace", "0d5150869e8821690b0b54e1119454ac");
+    ("straddle.trace", "fb6c1acccb11425d832b0533fb568606");
+    ("clean.trace.v2", "45a14f1fc40a31f8a60fccf7b8c263d0");
+    ("deadlock_adjacent.trace.v2", "a62605e62c40a9a1fd66c9e8393e9a3a");
+    ("racy.trace.v2", "0688abd0ad5dda402f9ad6874da782ba");
+    ("straddle.trace.v2", "7a8a6a0e07e57fd515ae77c8b96201bd");
+  ]
+
+let recorded_v2_digests =
+  [
+    ("facesim", "5c707d9cec32cd8e32ee612d20dfe173");
+    ("ferret", "445cead9c5dc895d50f4ac23a6741a18");
+    ("fluidanimate", "25a1f6e75e895597283affe2a11818e4");
+    ("raytrace", "9913788250b911068def669aaa56ffd3");
+    ("x264", "4e27f6dc64d687025f12e016cc82875f");
+    ("canneal", "24d8cd405d45f3a1d4205bb3bae340fa");
+    ("dedup", "28521f4ccabcf90f489ac79cb14524be");
+    ("streamcluster", "7b1074e450d6d5ccb1caffeeca4d51bd");
+    ("ffmpeg", "d1d5af4c2d7a1ee84cb617030f3452d1");
+    ("pbzip2", "5177e502caf06a6a962cb19daac22772");
+    ("hmmsearch", "2a3e3f19d131c1a7797ba884f68146da")
+  ]
+
+(* A process numbers sync objects from one global counter, so a
+   recording's lock ids depend on what ran before it; renumbering them
+   by first use makes the stream, and its digest, the same in any
+   process. *)
+let renumber_locks events =
+  let ids = Hashtbl.create 64 in
+  let id l =
+    match Hashtbl.find_opt ids l with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids + 1 in
+      Hashtbl.replace ids l i;
+      i
+  in
+  List.map
+    (fun (ev : Event.t) ->
+      match ev with
+      | Acquire a -> Event.Acquire { a with lock = id a.lock }
+      | Release r -> Event.Release { r with lock = id r.lock }
+      | ev -> ev)
+    events
+
+let reencode ~v2 events =
+  let path = tmp_file () in
+  let to_file = if v2 then Trace_format_v2.to_file else Trace_writer.to_file in
+  let (), _ = to_file path (fun sink -> List.iter sink events) in
+  let bytes = file_bytes path in
+  Sys.remove path;
+  bytes
+
+let test_reencode_identical () =
+  List.iter
+    (fun (name, digest) ->
+      let path = Test_trace.corpus name in
+      let bytes = file_bytes path in
+      Alcotest.(check string) (name ^ ": pinned digest") digest
+        (Digest.to_hex (Digest.string bytes));
+      let v2 = Filename.check_suffix name ".v2" in
+      let events =
+        if v2 then Trace_format_v2.read_file path else Trace_reader.read_file path
+      in
+      if reencode ~v2 events <> bytes then
+        Alcotest.failf "%s: re-encoding changed the bytes" name)
+    corpus_digests;
+  List.iter
+    (fun (name, digest) ->
+      let w = Option.get (Dgrace_workloads.Registry.find name) in
+      let bytes =
+        reencode ~v2:true (renumber_locks (Array.to_list (Tutil.recorded w 1)))
+      in
+      Alcotest.(check string) (name ^ ": pinned v2 digest") digest
+        (Digest.to_hex (Digest.string bytes)))
+    recorded_v2_digests
+
+let lock_events lock =
+  [
+    Event.Acquire { tid = 0; lock = 0; sync = Event.Lock };
+    Event.Release { tid = 0; lock = 0; sync = Event.Lock };
+    Event.Acquire { tid = 0; lock; sync = Event.Lock };
+    Event.Release { tid = 0; lock; sync = Event.Lock };
+  ]
+
+(* Lock [max_int] right after lock 0 is a b-column delta of 2^62 - 1:
+   it round-trips through v2 and through a v1 -> v2 conversion. *)
+let test_extreme_lock_ids () =
+  List.iter
+    (fun lock ->
+      let events = lock_events lock in
+      let _, back = v2_roundtrip events in
+      Alcotest.(check (list string))
+        (Printf.sprintf "lock %d round-trips" lock)
+        (strings events) (strings back))
+    [ max_int; min_int; -1; max_int - 1; min_int + 1; 1 lsl 61; -(1 lsl 61) ];
+  let v1 = tmp_file () and v2 = tmp_file () in
+  let events = lock_events max_int in
+  let (), _ = Trace_writer.to_file v1 (fun sink -> List.iter sink events) in
+  let (), _ =
+    Trace_format_v2.to_file v2 (fun sink ->
+        Trace_reader.fold_file v1 (fun () ev -> sink ev) ())
+  in
+  Alcotest.(check (list string)) "v1 -> v2 conversion round-trips"
+    (strings events)
+    (strings (Trace_format_v2.read_file v2));
+  Sys.remove v1;
+  Sys.remove v2
+
+let refused f =
+  match f () with
+  | _ -> false
+  | exception Error.E (Error.Invalid_input _) -> true
+
+(* A negative address, or one past [max_addr], is refused before the
+   first byte of its block is written, and the failed write leaves no
+   file; so is a negative lock id in v1, which stores lock ids
+   unsigned. *)
+let test_writers_refuse () =
+  let access addr =
+    [ Event.Access { tid = 0; kind = Write; addr; size = 1; loc = "" } ]
+  in
+  let bad_addr = access (-8) and high_addr = access (max_int - 1) in
+  let neg_lock = lock_events (-3) in
+  List.iter
+    (fun (what, to_file, events) ->
+      let path = tmp_file () in
+      Alcotest.(check bool) (what ^ ": Invalid_input") true
+        (refused (fun () -> to_file path (fun sink -> List.iter sink events)));
+      Alcotest.(check bool) (what ^ ": no file left") false (Sys.file_exists path))
+    [
+      ("v2 negative address", Trace_format_v2.to_file, bad_addr);
+      ("v1 negative address", Trace_writer.to_file, bad_addr);
+      ("v2 address past max_addr", Trace_format_v2.to_file, high_addr);
+      ("v1 address past max_addr", Trace_writer.to_file, high_addr);
+      ("v1 negative lock id", Trace_writer.to_file, neg_lock);
+    ]
+
+(* The top of the address range the format admits replays: the bound
+   keeps range arithmetic from overflowing (an access near [max_int]
+   runs the shadow table's page loop out of memory). *)
+let test_top_address_replays () =
+  let top = Trace_format.max_addr in
+  let events =
+    [
+      Event.Alloc { tid = 0; addr = top - 63; size = 64 };
+      Event.Access { tid = 0; kind = Write; addr = top - 3; size = 4; loc = "" };
+      Event.Access { tid = 1; kind = Read; addr = top; size = 1; loc = "" };
+    ]
+  in
+  let path = tmp_file () in
+  let (), _ =
+    Trace_format_v2.to_file path (fun sink -> List.iter sink events)
+  in
+  List.iter
+    (fun spec ->
+      let s = Tutil.(analyze (config spec) (Engine.Source.V2_file path)) in
+      Alcotest.(check int) (Spec.name spec ^ ": one race") 1 s.race_count)
+    [ Spec.dynamic; Spec.byte ];
+  Sys.remove path
+
+(* Streams whose lock ids and addresses range over every int, with a
+   few out-of-bounds tids and sizes mixed in. *)
+let arb_wide_events =
+  let open QCheck.Gen in
+  let wide =
+    frequency
+      [
+        (3, int);
+        (2, oneofl [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1;
+                     (1 lsl 61) - 1; 1 lsl 61; -(1 lsl 61) ]);
+        (3, int_bound 0xffff);
+      ]
+  in
+  let tid = frequency [ (30, int_bound 3); (1, oneofl [ -1; 1024; max_int ]) ] in
+  let size =
+    frequency [ (30, oneofl [ 1; 2; 4; 8 ]); (1, oneofl [ -1; (1 lsl 30) + 1 ]) ]
+  in
+  let sync = oneofl Event.[ Lock; Barrier; Flag; Atomic ] in
+  let access kind =
+    map
+      (fun ((t, a), (s, loc)) -> Event.Access { tid = t; kind; addr = a; size = s; loc })
+      (pair (pair tid wide) (pair size (oneofl [ ""; "a"; "b" ])))
+  in
+  let event =
+    frequency
+      [
+        (2, access Event.Read);
+        (2, access Event.Write);
+        (3, map (fun (t, l, s) -> Event.Acquire { tid = t; lock = l; sync = s }) (triple tid wide sync));
+        (3, map (fun (t, l, s) -> Event.Release { tid = t; lock = l; sync = s }) (triple tid wide sync));
+        (1, map (fun (p, c) -> Event.Fork { parent = p; child = c }) (pair tid tid));
+        (1, map (fun (p, c) -> Event.Join { parent = p; child = c }) (pair tid tid));
+        (1, map (fun ((t, a), s) -> Event.Alloc { tid = t; addr = a; size = s }) (pair (pair tid wide) size));
+        (1, map (fun ((t, a), s) -> Event.Free { tid = t; addr = a; size = s }) (pair (pair tid wide) size));
+        (1, map (fun t -> Event.Thread_exit { tid = t }) tid);
+      ]
+  in
+  QCheck.make
+    ~print:(fun evs -> String.concat "\n" (List.map Event.to_string evs))
+    (list_size (int_range 0 40) event)
+
+(* The bounds, written out independently of [Trace_format.check_event]:
+   what v2 can store, and what v1 can (no negative lock id). *)
+let storable ~v1 (ev : Event.t) =
+  let tid t = t >= 0 && t <= Trace_format.max_tid in
+  let size s = s >= 0 && s <= Trace_format.max_access_size in
+  let addr a = a >= 0 && a < 1 lsl 61 in
+  match ev with
+  | Access { tid = t; addr = a; size = s; _ } -> tid t && addr a && size s
+  | Acquire { tid = t; lock; _ } | Release { tid = t; lock; _ } ->
+    tid t && ((not v1) || lock >= 0)
+  | Fork { parent; child } | Join { parent; child } -> tid parent && tid child
+  | Alloc { tid = t; addr = a; size = s } | Free { tid = t; addr = a; size = s }
+    ->
+    tid t && addr a && size s
+  | Thread_exit { tid = t } -> tid t
+
+(* [write path] either succeeds and [read path] gives back [events], or
+   is refused with [Invalid_input] and leaves no file. *)
+let round_trips_or_refused ~ok events write read =
+  let path = tmp_file () in
+  Sys.remove path;
+  match write path with
+  | () ->
+    let back = read path in
+    Sys.remove path;
+    ok && strings back = strings events
+  | exception Error.E (Error.Invalid_input _) ->
+    (not ok) && not (Sys.file_exists path)
+
+(* The client's cut: admit every row, then one BATCH frame per block
+   through a serve session's decoder. *)
+let via_batch_frames events =
+  let cut = Trace_format_v2.cutter ~rows:Trace_format_v2.block_events in
+  match List.map (fun ev -> Trace_format_v2.admit cut ev) events with
+  | exception Error.E (Error.Invalid_input _) -> None
+  | fits ->
+    let enc = Trace_format_v2.block_encoder () in
+    let session = Dgrace_serve.Session.open_ ~id:1 ~spec:Spec.dynamic () in
+    let back = ref [] in
+    let send block =
+      let body =
+        Trace_format_v2.encode_body enc (Batch.of_events (List.rev block))
+      in
+      match Dgrace_serve.Session.decode_batch_frame session body with
+      | Error e -> Alcotest.failf "frame decode: %s" (Error.to_string e)
+      | Ok b ->
+        Batch.iter_events (fun ev -> back := ev :: !back) b;
+        ignore (Dgrace_serve.Session.apply_decoded session b)
+    in
+    let last =
+      List.fold_left2
+        (fun block ev fit ->
+          if fit || block = [] then ev :: block
+          else begin
+            send block;
+            [ ev ]
+          end)
+        [] events fits
+    in
+    if last <> [] then send last;
+    ignore (Dgrace_serve.Session.finalize session);
+    Some (List.rev !back)
+
+let qcheck_full_range =
+  QCheck.Test.make ~name:"v2: full-range ints round-trip or are refused"
+    ~count:300 arb_wide_events (fun events ->
+      let ok_v2 = List.for_all (storable ~v1:false) events in
+      let ok_v1 = List.for_all (storable ~v1:true) events in
+      let write_v2 path =
+        ignore (Trace_format_v2.to_file path (fun sink -> List.iter sink events))
+      in
+      let write_v1 path =
+        ignore (Trace_writer.to_file path (fun sink -> List.iter sink events))
+      in
+      (* [racedet convert]: stream one file's events into the other
+         format's writer *)
+      let convert ~to_v2 src dst =
+        let feed sink =
+          if to_v2 then Trace_reader.fold_file src (fun () ev -> sink ev) ()
+          else Trace_format_v2.fold_file src (fun () ev -> sink ev) ()
+        in
+        ignore
+          (if to_v2 then Trace_format_v2.to_file dst feed
+           else Trace_writer.to_file dst feed)
+      in
+      let with_written write f =
+        let src = tmp_file () in
+        match write src with
+        | () ->
+          Fun.protect ~finally:(fun () -> Sys.remove src) (fun () -> f src)
+        | exception Error.E (Error.Invalid_input _) -> true
+      in
+      round_trips_or_refused ~ok:ok_v2 events write_v2 Trace_format_v2.read_file
+      && round_trips_or_refused ~ok:ok_v1 events write_v1 Trace_reader.read_file
+      && with_written write_v1 (fun v1 ->
+             round_trips_or_refused ~ok:ok_v2 events
+               (convert ~to_v2:true v1) Trace_format_v2.read_file)
+      && with_written write_v2 (fun v2 ->
+             round_trips_or_refused ~ok:ok_v1 events
+               (convert ~to_v2:false v2) Trace_reader.read_file)
+      &&
+      match via_batch_frames events with
+      | None -> not ok_v2
+      | Some back -> ok_v2 && strings back = strings events)
+
 let suites : unit Alcotest.test list =
   [
     ( "trace_v2.format",
@@ -542,6 +868,15 @@ let suites : unit Alcotest.test list =
           test_oversized_block_split;
         Alcotest.test_case "failed producer leaves no file" `Quick
           test_failed_producer_leaves_no_file;
+        Alcotest.test_case "existing traces re-encode identically" `Quick
+          test_reencode_identical;
+        Alcotest.test_case "extreme lock ids round-trip" `Quick
+          test_extreme_lock_ids;
+        Alcotest.test_case "writers refuse what readers reject" `Quick
+          test_writers_refuse;
+        Alcotest.test_case "top of the address range replays" `Quick
+          test_top_address_replays;
+        QCheck_alcotest.to_alcotest qcheck_full_range;
       ] );
     ( "trace_v2.oracle",
       [

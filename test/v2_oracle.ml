@@ -11,7 +11,10 @@ module Error = Dgrace_resilience.Error
 
 let block_events = Trace_format_v2.block_events
 let max_body_len = Trace_format_v2.max_body_len
-let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
+
+(* The b column's zigzag is a bijection on every int: even codes are
+   the non-negative deltas, odd codes the negative ones. *)
+let unzigzag z = if z land 1 = 0 then z lsr 1 else lnot (z lsr 1)
 
 type stream_decoder = {
   path : string option;
@@ -33,14 +36,18 @@ let cur_byte cur =
   cur.pos <- cur.pos + 1;
   b
 
-let cur_varint cur =
+(* All 63 bits, read as unsigned: the b column's varints. *)
+let cur_uvarint cur =
   let rec loop acc shift =
     if shift > 62 then raise (Corrupt "varint too long");
     let b = cur_byte cur in
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 = 0 then acc else loop acc (shift + 7)
   in
-  let n = loop 0 0 in
+  loop 0 0
+
+let cur_varint cur =
+  let n = cur_uvarint cur in
   if n < 0 then raise (Corrupt "varint overflow") else n
 
 let cur_take cur len =
@@ -101,11 +108,18 @@ let decode_body_exn dec ~base body (batch : Batch.t) =
       Array.fill a !i run v;
       i := !i + run
     done;
-    (* b column (addrs/locks/children), zigzag deltas *)
+    (* b column (addrs/locks/children), wrapping zigzag deltas; only
+       a lock id may lie outside [0 .. max_addr] *)
     let prev = ref 0 in
     for i = 0 to n - 1 do
-      let v = !prev + unzigzag (cur_varint cur) in
-      if v < 0 then raise (Corrupt "negative address");
+      let v = !prev + unzigzag (cur_uvarint cur) in
+      if (v < 0 || v > max_addr)
+         && kind.(i) <> tag_acquire && kind.(i) <> tag_release
+      then
+        raise
+          (Corrupt
+             (if v < 0 then "negative address"
+              else Printf.sprintf "address %d out of range" v));
       if (kind.(i) = tag_fork || kind.(i) = tag_join) && v > max_tid then
         raise (Corrupt (Printf.sprintf "tid %d out of range" v));
       b.(i) <- v;
