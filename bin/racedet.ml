@@ -260,7 +260,7 @@ let tracer_for trace_out = Option.map (fun _ -> Span.create ()) trace_out
 let write_trace tracer trace_out =
   match (tracer, trace_out) with
   | Some t, Some path ->
-    Json.to_file path (Chrome_trace.to_json t);
+    Chrome_trace.to_file path t;
     Stderr_line.line "trace written to %s" path
   | (Some _ | None), _ -> ()
 
@@ -271,9 +271,11 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Write the run's span timeline as Chrome trace_event JSON to \
-           $(docv): the main lane (with a $(b,replay.decode) span per \
-           trace read), sampled per-phase detector timers, and counter \
-           tracks.  Load it \
+           $(docv): one lane of measured spans (the run, a \
+           $(b,replay.decode) span per trace read, a $(b,detector.batch) \
+           span per batch on a v2 replay, $(b,engine.finish)) plus memory \
+           counter tracks.  Nothing is timed per event, so a traced run \
+           executes the same detector code as an untraced one.  Load it \
            in Perfetto (ui.perfetto.dev) or chrome://tracing, or summarise \
            it with $(b,racedet timings).")
 
@@ -287,11 +289,7 @@ let run_cmd =
     or_fail @@ fun () ->
     let p = params w threads scale seed in
     let tracer = tracer_for trace_out in
-    let d =
-      Spec.to_detector ~suppression:(suppression no_suppress)
-        ?tracer:(Option.map Span.main tracer)
-        spec
-    in
+    let d = Spec.to_detector ~suppression:(suppression no_suppress) spec in
     let s =
       analyze
         {
@@ -1097,10 +1095,9 @@ let timings_cmd =
           "total(us)";
         List.iter
           (fun (p : Chrome_trace.phase) ->
-            Format.printf "%-14s %-24s %10d %11d%s@." p.Chrome_trace.phase_lane
+            Format.printf "%-14s %-24s %10d %11d@." p.Chrome_trace.phase_lane
               p.Chrome_trace.phase_name p.Chrome_trace.count
-              p.Chrome_trace.total_us
-              (if p.Chrome_trace.estimated then "~" else ""))
+              p.Chrome_trace.total_us)
           r.Chrome_trace.phases)
   in
   let path_arg =
@@ -1119,10 +1116,8 @@ let timings_cmd =
            `P
              "Checks the trace is loadable (balanced begin/end pairs, \
               monotone per-lane timestamps, well-formed counters), then \
-              aggregates spans and sampled timers into one row per (lane, \
-              phase).  A trailing $(b,~) marks totals estimated from \
-              sampled timers rather than measured span pairs.  Exit 4 on \
-              an invalid document." ])
+              aggregates measured spans and instants into one row per \
+              (lane, phase).  Exit 4 on an invalid document." ])
     Term.(const action $ path_arg)
 
 (* ------------------------------------------------------------------ *)

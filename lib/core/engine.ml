@@ -118,67 +118,57 @@ let sampler_sources (d : Detector.t) =
     ("races", fun () -> Report.Collector.count d.collector);
   ]
 
-(* Compose the detector sink with the budget guard, recorder ticks
-   and the tracing timer; when none are requested the sink is the
-   detector's own handler and the event loop pays nothing.
+(* Every observer works per event on [Program]/[Events] sources and
+   per batch on [Batches]/[V2_file] ones.  With none requested the
+   sink is the detector's own handler, so an unobserved event loop
+   pays nothing. *)
+let event_sink (d : Detector.t) ~guard ~recorder =
+  let deliver =
+    match recorder with
+    | None -> d.on_event
+    | Some r ->
+      fun ev ->
+        d.on_event ev;
+        Recorder.tick r
+  in
+  match guard with None -> deliver | Some g -> Budget_guard.event g d deliver
 
-   A traced sink samples one event in [dispatch_stride]: only that
-   event is dispatched with the lane armed (timing the dispatch and
-   letting the detector's gated phase timers run), so the other
-   [dispatch_stride - 1] events pay one counter and one branch — the
-   mechanism behind the bench's tracing-overhead budget.  [exact]
-   states whether the recorder's samples are observable output
-   ([sample_every] was given): an exact recorder is ticked once per
-   event; a recorder that exists only to feed counter tracks is
-   batch-ticked on sampled events. *)
-let dispatch_stride = 64
-
-let make_sink (d : Detector.t) ~guard ~recorder ~exact ~lane =
-  match (guard, recorder, lane) with
-  | None, None, None -> d.on_event
-  | None, _, Some buf when not exact ->
-    (* the [--trace-out]-only shape (no budget, no heartbeat, no
-       [--metrics-out]): the whole traced loop is the dispatch
-       wrapper, with the counter-track recorder batch-ticked on
-       sampled events *)
-    let on_sample =
-      match recorder with
-      | Some r -> fun () -> Recorder.tick_n r dispatch_stride
-      | None -> fun () -> ()
-    in
-    Span.wrap_dispatch buf ~name:"detector.on_event" ~stride:dispatch_stride
-      ~on_sample d.on_event
-  | _ -> (
-    let on_event =
-      match lane with
-      | None -> d.on_event
-      | Some buf ->
-        (* per-event attribution cheap enough for the hot loop: the
-           sampled dispatch wrapper, not a span per event *)
-        Span.wrap_dispatch buf ~name:"detector.on_event"
-          ~stride:dispatch_stride
-          ~on_sample:(fun () -> ())
-          d.on_event
-    in
-    let deliver =
-      match recorder with
-      | None -> on_event
-      | Some r ->
-        fun ev ->
-          on_event ev;
-          Recorder.tick r
-    in
-    match guard with
-    | None -> deliver
-    | Some g -> Budget_guard.event g d deliver)
-
-(* A batch that had to unroll to the per-event loop (no
-   [process_batch], or a recorder or tracing lane needing per-event
-   samples) is surfaced as the [engine.batch_fallback] counter in the
-   detector's registry, once per unrolled batch.  Silent unrolling
-   made sampling-detector slowdowns invisible. *)
+(* A batch that has to unroll to the per-event loop — the detector has
+   no [process_batch] — is surfaced as the [engine.batch_fallback]
+   counter in the detector's registry, once per unrolled batch.
+   Silent unrolling made sampling-detector slowdowns invisible. *)
 let note_batch_fallback (d : Detector.t) =
   Metrics.incr (Metrics.counter d.Detector.metrics "engine.batch_fallback")
+
+(* The batch composition: [process_batch], then one recorder tick for
+   the batch's rows, inside one measured [detector.batch] span, inside
+   the budget guard (which may hand [apply] a prefix of the batch). *)
+let batch_sink (d : Detector.t) ~guard ~recorder ~lane =
+  match d.process_batch with
+  | None ->
+    let sink = event_sink d ~guard ~recorder in
+    fun b ->
+      note_batch_fallback d;
+      Batch.iter_events sink b
+  | Some pb -> (
+    let apply =
+      match recorder with
+      | None -> pb
+      | Some r ->
+        fun b ->
+          pb b;
+          Recorder.tick_n r (Batch.length b)
+    in
+    let apply =
+      match lane with
+      | None -> apply
+      | Some buf ->
+        fun b ->
+          Span.begin_span buf "detector.batch";
+          apply b;
+          Span.end_span buf "detector.batch"
+    in
+    match guard with None -> apply | Some g -> Budget_guard.batch g d apply)
 
 (* The flight recorder exists when the caller wants a sampled
    time-series ([sample_every], i.e. [--metrics-out]) or a trace
@@ -193,12 +183,12 @@ let make_recorder (d : Detector.t) ~sample_every ~tracer =
     Some (Recorder.create ~every:1024 ~sources:(sampler_sources d) ())
   | None, None -> None
 
-let feed_counter_tracks ~tracer ~prefix recorder =
+let feed_counter_track ~tracer ~name recorder =
   match (tracer, recorder) with
   | Some t, Some r ->
-    List.iter
-      (fun (nm, series) -> Span.add_counter_series t ~name:(prefix ^ "." ^ nm) series)
-      (Recorder.counter_series r)
+    Span.add_counters t ~name
+      ~series:(Sampler.source_names (Recorder.sampler r))
+      (Recorder.stamped r)
   | (Some _ | None), _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -209,12 +199,9 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
   let d =
     match c.detector with
     | Config.Detector d -> d
-    | Config.Spec spec ->
-      Spec.to_detector ~suppression:c.suppression ?tracer:lane spec
+    | Config.Spec spec -> Spec.to_detector ~suppression:c.suppression spec
   in
   let recorder = make_recorder d ~sample_every:c.sample_every ~tracer:c.tracer in
-  (* budgets and the heartbeat are batch-granular (Budget_guard), so
-     only a recorder — [sample_every] or [tracer] — unrolls batches *)
   let guard =
     if Budget.is_unlimited c.budget && c.progress = None then None
     else
@@ -225,19 +212,6 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
       in
       Some (Budget_guard.create ~note ?progress:c.progress ~now_s ~t0 c.budget)
   in
-  let sink () =
-    make_sink d ~guard ~recorder ~exact:(c.sample_every <> None) ~lane
-  in
-  let consume () =
-    match (d.Detector.process_batch, recorder, guard) with
-    | Some pb, None, None -> pb
-    | Some pb, None, Some g -> Budget_guard.batch g d pb
-    | Some _, Some _, _ | None, _, _ ->
-      let sink = sink () in
-      fun b ->
-        note_batch_fallback d;
-        Batch.iter_events sink b
-  in
   let phase =
     match source with Source.Program _ -> "engine.run" | _ -> "engine.replay"
   in
@@ -247,9 +221,9 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
     match
       match source with
       | Source.Program { policy; main } ->
-        sim := Some (Sim.run ~policy ~sink:(sink ()) main)
-      | Source.Events events -> Seq.iter (sink ()) events
-      | Source.Batches feed -> feed (consume ())
+        sim := Some (Sim.run ~policy ~sink:(event_sink d ~guard ~recorder) main)
+      | Source.Events events -> Seq.iter (event_sink d ~guard ~recorder) events
+      | Source.Batches feed -> feed (batch_sink d ~guard ~recorder ~lane)
       | Source.V2_file path ->
         (* decode each block here, then detect it: a traced replay
            spans the decodes as [replay.decode], as a v1 replay spans
@@ -257,7 +231,7 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
         let wrap_decode =
           Option.map (fun b -> Span.span b "replay.decode") lane
         in
-        let consume = consume () in
+        let consume = batch_sink d ~guard ~recorder ~lane in
         Trace_format_v2.fold_batches ?wrap_decode path
           (fun () b -> consume b)
           ()
@@ -272,7 +246,7 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
    | Some b -> Span.span b "engine.finish" d.finish
    | None -> d.finish ());
   Option.iter Recorder.flush recorder;
-  feed_counter_tracks ~tracer:c.tracer ~prefix:d.name recorder;
+  feed_counter_track ~tracer:c.tracer ~name:d.name recorder;
   let timeseries = match c.sample_every with Some _ -> recorder | None -> None in
   let degraded =
     match guard with Some g -> Budget_guard.degraded g | None -> false

@@ -103,8 +103,7 @@ module Config : sig
     | Detector of Detector.t
         (** a caller-built detector, for callers that hold on to it —
             a heartbeat that reads its stats, a sampling campaign.
-            [suppression] and the detector's phase timers
-            are the caller's business. *)
+            [suppression] is the caller's business. *)
 
   type t = {
     detector : detector;
@@ -114,7 +113,9 @@ module Config : sig
     sample_every : int option;
         (** snapshot shadow-memory accounting and stream counters every
             N events into [summary.timeseries] (a final sample is
-            always taken at end of stream) *)
+            always taken at end of stream).  On a batch source the
+            snapshot falls at the end of the batch that reaches the
+            next multiple of N ({!Dgrace_obs.Sampler.tick_n}). *)
     progress : (int * (int -> unit)) option;
         (** [(every, f)]: [f events] is called every [every] delivered
             events — the CLI heartbeat *)
@@ -143,14 +144,16 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
       detector's [process_batch] ({!Dgrace_detectors.Batch_apply});
       [V2_file] decodes one block at a time on the calling domain into
       one reused batch ({!Dgrace_trace.Trace_format_v2.fold_batches}),
-      so no source spawns a domain.  A budget and a [progress] heartbeat keep this
-      path ({!Dgrace_detectors.Budget_guard.batch}): the event limit
-      cuts the batch at the limit row, shadow bytes and the deadline
-      are checked after each batch (up to one batch late), and the
-      heartbeat fires once per multiple of its period.  With
-      [sample_every] or [tracer], or for a detector without
-      [process_batch], each batch is unrolled through the per-event
-      path and counted in [engine.batch_fallback].
+      so no source spawns a domain.  Every observer keeps this path:
+      a budget and a [progress] heartbeat work per batch
+      ({!Dgrace_detectors.Budget_guard.batch}: the event limit cuts
+      the batch at the limit row, shadow bytes and the deadline are
+      checked after each batch, up to one batch late, and the
+      heartbeat fires once per multiple of its period);
+      [sample_every] ticks the recorder once per batch; [tracer]
+      spans each batch.  Only a detector without [process_batch]
+      unrolls each batch through the per-event path, counted in
+      [engine.batch_fallback].
 
     Every path gives the same races (content and order), [Run_stats]
     and transition counts as dispatching the same events to a fresh
@@ -158,13 +161,15 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
     this lattice against that oracle.
 
     Observation: [tracer] records the run phase as an ["engine.run"]
-    (program) or ["engine.replay"] span on the ["main"] lane,
-    [d.finish] as ["engine.finish"], budget shedding and stops as
-    ["budget.degrade"]/["budget.stop"] instants, a sampled
-    ["detector.on_event"] timer and the detector's per-phase timers;
-    each v2 block decode is a ["replay.decode"] span on the ["main"]
-    lane.  When nothing is observed the event loop is exactly the
-    detector's own handler.
+    (program) or ["engine.replay"] span, [d.finish] as
+    ["engine.finish"], budget shedding and stops as
+    ["budget.degrade"]/["budget.stop"] instants, each v2 block decode
+    as a ["replay.decode"] span and, on a batch source, each
+    [process_batch] call as a ["detector.batch"] span.  Nothing is
+    recorded per event: the per-layer split comes from the detector's
+    counters ([phase.*], [sharing.*], [cells.*], [shadow.*]).  When
+    nothing is observed the event loop is exactly the detector's own
+    handler.
 
     Every anticipated failure is an [Error]: a corrupt trace
     ([Corrupt_trace], after every block before the damaged one was

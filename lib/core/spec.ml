@@ -105,29 +105,27 @@ let all_names =
     "sample:<rate>"; "sample-granule:<rate>";
   ]
 
-let rec to_detector ?suppression ?tracer spec =
+let rec to_detector ?suppression spec =
   match spec with
   | No_detection -> Detector.null ()
   | Fasttrack { granularity = 1 } ->
     (* the paper's byte detector: access-footprint locations with
        byte-resolution indexing (see Dynamic_granularity) *)
-    Dynamic_granularity.create ~sharing:false ~name:"ft-byte" ?suppression
-      ?tracer ()
+    Dynamic_granularity.create ~sharing:false ~name:"ft-byte" ?suppression ()
   | Fasttrack { granularity = 4 } ->
     (* the paper's word detector: the same machinery, addresses masked
        to word granules *)
     Dynamic_granularity.create ~sharing:false
       ~index:(Dgrace_shadow.Shadow_table.Fixed_bytes 4) ~name:"ft-word"
-      ?suppression ?tracer ()
+      ?suppression ()
   | Fasttrack { granularity } ->
-    Fasttrack.create ~granularity ?suppression ?tracer ()
+    Fasttrack.create ~granularity ?suppression ()
   | Djit { granularity } -> Djit.create ~granularity ?suppression ()
   | Dynamic { init_state; init_sharing } ->
-    Dynamic_granularity.create ~init_state ~init_sharing ?suppression ?tracer
-      ()
+    Dynamic_granularity.create ~init_state ~init_sharing ?suppression ()
   | Dynamic_ext ->
     Dynamic_granularity.create ~reshare_after:4 ~write_guided_reads:true
-      ?suppression ?tracer ()
+      ?suppression ()
   | Drd -> Drd_segment.create ?suppression ()
   | Inspector -> Hybrid_inspector.create ?suppression ()
   | Eraser -> Lockset.create ?suppression ()
@@ -137,7 +135,7 @@ let rec to_detector ?suppression ?tracer spec =
   | Sampling { rate; granule } ->
     (* the sampler wraps the full dynamic detector: granule-level
        sampling and dynamic granularity compose (doc/sampling.md) *)
-    let inner = to_detector ?suppression ?tracer dynamic in
+    let inner = to_detector ?suppression dynamic in
     Race_sampler.create
       ~mode:(if granule then Race_sampler.Granule else Race_sampler.Access)
       ~rate ~name:(name spec) ~inner ()

@@ -53,12 +53,5 @@ val of_string : string -> (t, string) result
 val all_names : string list
 (** Accepted [of_string] inputs, for CLI help. *)
 
-val to_detector :
-  ?suppression:Suppression.t ->
-  ?tracer:Dgrace_obs.Span.buf ->
-  t ->
-  Detector.t
-(** Instantiate a fresh detector.  [~tracer:lane] registers sampled
-    per-phase timers on the given tracing lane in the detectors that
-    support them (the FastTrack family — see
-    {!Dynamic_granularity.create}); other detectors ignore it. *)
+val to_detector : ?suppression:Suppression.t -> t -> Detector.t
+(** Instantiate a fresh detector. *)

@@ -2,7 +2,6 @@ open Dgrace_vclock
 open Dgrace_events
 open Dgrace_shadow
 module Metrics = Dgrace_obs.Metrics
-module Span = Dgrace_obs.Span
 module State_matrix = Dgrace_obs.State_matrix
 
 (* Hot-path convention: integer-only [min]/[max], so a polymorphic
@@ -109,15 +108,6 @@ type state = {
   m_degrade_bitmap : Metrics.counter;  (* bitmap bytes freed *)
   m_degrade_merged : Metrics.counter;  (* cells force-coarsened away *)
   m_degrade_reads : Metrics.counter;  (* read VCs collapsed *)
-  (* Per-phase sampled timers.  Real timers (registered on the tracing
-     lane, armed by its dispatch wrapper) when the engine threads a
-     lane through [create ~tracer]; [Span.disabled] stand-ins
-     otherwise.  Either way every per-access site is one unconditional
-     start/stop pair — a load and a branch when not sampling — so the
-     traced and untraced detectors run the same code. *)
-  tm_shadow : Span.timer;  (* shadow-table group lookups *)
-  tm_vc : Span.timer;  (* epoch / vector-clock race checks *)
-  tm_gran : Span.timer;  (* granularity transitions (first/second epoch) *)
 }
 
 (* Matrix row/column 0 is the virtual pre-first-access state; the
@@ -201,18 +191,13 @@ let rec find_conflict st pl ~write ~sub_hi ~tvc a =
   end
 
 let[@inline] check_races st ~write ~cell ~sub_lo ~sub_hi ~tvc =
-  Span.timer_start st.tm_vc;
   if write then Metrics.incr st.m_epoch_cmp;
-  let conflict =
-    if write && not (Vector_clock.epoch_leq cell.w tvc) then
-      Some (Race_info.of_write ~w:cell.w ~loc:cell.loc)
-    else
-      find_conflict st
-        (if write then st.rplane else st.wplane)
-        ~write ~sub_hi ~tvc sub_lo
-  in
-  Span.timer_stop st.tm_vc;
-  conflict
+  if write && not (Vector_clock.epoch_leq cell.w tvc) then
+    Some (Race_info.of_write ~w:cell.w ~loc:cell.loc)
+  else
+    find_conflict st
+      (if write then st.rplane else st.wplane)
+      ~write ~sub_hi ~tvc sub_lo
 
 (* A write that passed the read-write check dominates the reads of
    every read cell fully inside the written range: collapse them back
@@ -584,14 +569,10 @@ let analyse st ~tid ~write ~addr ~size ~loc =
   let access_hi = addr + size in
   let a = ref addr in
   while !a < access_hi do
-    Span.timer_start st.tm_shadow;
     let v = Shadow_table.group pl !a ~hi:access_hi ~absent:no_cell in
     let glo = Shadow_table.found_lo pl and ghi = Shadow_table.found_hi pl in
-    Span.timer_stop st.tm_shadow;
     if v == no_cell then begin
-      Span.timer_start st.tm_gran;
       let c = first_access st ~write ~ulo:glo ~uhi:ghi ~here ~tid ~tvc ~loc in
-      Span.timer_stop st.tm_gran;
       (match check_races st ~write ~cell:c ~sub_lo:glo ~sub_hi:ghi ~tvc with
        | Some previous ->
          dissolve_and_report st ~write c
@@ -607,15 +588,9 @@ let analyse st ~tid ~write ~addr ~size ~loc =
         if c.cstate = Share_state.Race then c
         else if Share_state.is_init c.cstate then
           if Epoch.equal here c.born then c (* first-epoch continuation *)
-          else begin
-            Span.timer_start st.tm_gran;
-            let c' =
-              second_epoch st ~write c ~sub_lo:glo ~sub_hi:ghi ~here ~tid ~tvc
-                ~loc
-            in
-            Span.timer_stop st.tm_gran;
-            c'
-          end
+          else
+            second_epoch st ~write c ~sub_lo:glo ~sub_hi:ghi ~here ~tid ~tvc
+              ~loc
         else begin
           steady st ~write c ~sub_lo:glo ~sub_hi:ghi ~here ~tid ~tvc ~loc;
           c
@@ -656,7 +631,7 @@ let on_free st ~addr ~size =
 let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
     ?(reshare_after = 0) ?(write_guided_reads = false)
     ?(index = Shadow_table.Adaptive) ?name ?(suppression = Suppression.empty)
-    ?tracer () =
+    () =
   let account = Accounting.create () in
   let metrics = Metrics.create () in
   let intern =
@@ -699,18 +674,6 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
       m_degrade_bitmap = Metrics.counter metrics "degrade.bitmap_bytes_freed";
       m_degrade_merged = Metrics.counter metrics "degrade.cells_merged";
       m_degrade_reads = Metrics.counter metrics "degrade.read_vcs_dropped";
-      tm_shadow =
-        (match tracer with
-         | Some buf -> Span.timer buf ~name:"phase.shadow_lookup" ~mask:7
-         | None -> Span.disabled ());
-      tm_vc =
-        (match tracer with
-         | Some buf -> Span.timer buf ~name:"phase.vc_check" ~mask:7
-         | None -> Span.disabled ());
-      tm_gran =
-        (match tracer with
-         | Some buf -> Span.timer buf ~name:"phase.granularity" ~mask:7
-         | None -> Span.disabled ());
     }
   in
   let on_boundary tid =

@@ -48,7 +48,6 @@ val create :
   ?index:Dgrace_shadow.Shadow_table.mode ->
   ?name:string ->
   ?suppression:Suppression.t ->
-  ?tracer:Dgrace_obs.Span.buf ->
   unit ->
   Detector.t
 (** The paper's tool is one implementation serving all three
@@ -80,9 +79,8 @@ val create :
     order (doc/shadow.md gives the argument; [cluster.rows] /
     [cluster.pages] / [cluster.barriers] count the grouping).
 
-    [~tracer:buf] registers sampled per-phase timers
-    ([phase.shadow_lookup], [phase.vc_check], [phase.granularity]) on
-    the given tracing lane.  They only run on events the lane's
-    dispatch wrapper arms ({!Dgrace_obs.Span.wrap_dispatch}); without a
-    tracer the same sites call {!Dgrace_obs.Span.disabled} stand-ins,
-    a load and a branch each. *)
+    The per-layer split of the analysed path is counted, not timed:
+    [accesses.analysed] (rows that missed the same-epoch bitmap),
+    [phase.epoch_compare], [phase.vc_op], [sharing.decisions],
+    [cells.first_access] / [cells.split] / [cells.adopted], and the
+    [shadow.*] gauges published by [finish]. *)

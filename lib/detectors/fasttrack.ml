@@ -2,7 +2,6 @@ open Dgrace_vclock
 open Dgrace_events
 open Dgrace_shadow
 module Metrics = Dgrace_obs.Metrics
-module Span = Dgrace_obs.Span
 
 type cell = {
   mutable w : Epoch.t;
@@ -29,10 +28,6 @@ type state = {
   m_analysed : Metrics.counter;  (* accesses that left the fast path *)
   m_epoch_cmp : Metrics.counter;  (* O(1) epoch comparisons *)
   m_vc_op : Metrics.counter;  (* full vector-clock reads/joins *)
-  (* Sampled phase timers: real under [create ~tracer], [Span.disabled]
-     stand-ins otherwise — see Dynamic_granularity for the rationale. *)
-  tm_shadow : Span.timer;  (* shadow cell lookups *)
-  tm_vc : Span.timer;  (* epoch / vector-clock checks and updates *)
 }
 
 let fresh_cell st =
@@ -103,11 +98,8 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
     let a = ref lo in
     while !a < hi do
       let slot_lo = !a in
-      Span.timer_start st.tm_shadow;
       let c = cell_at st slot_lo in
-      Span.timer_stop st.tm_shadow;
       if not c.racy then begin
-        Span.timer_start st.tm_vc;
         if write then begin
           if not (Epoch.equal c.w here) then begin
             Metrics.incr st.m_epoch_cmp;
@@ -135,8 +127,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
           if not (Vector_clock.epoch_leq c.w tvc) then
             race c ~previous:(Race_info.of_write ~w:c.w ~loc:c.w_loc) ~slot_lo
           else record_read st c ~tid ~tvc ~loc
-        end;
-        Span.timer_stop st.tm_vc
+        end
       end;
       a := !a + g
     done;
@@ -150,7 +141,7 @@ let on_free st ~addr ~size =
     st.shadow ~lo:addr ~hi:(addr + size);
   Shadow_table.remove_range st.shadow ~lo:addr ~hi:(addr + size)
 
-let create ?(granularity = 1) ?(suppression = Suppression.empty) ?tracer () =
+let create ?(granularity = 1) ?(suppression = Suppression.empty) () =
   if granularity <= 0 || granularity land (granularity - 1) <> 0 then
     invalid_arg "Fasttrack.create: granularity must be a power of two";
   let account = Accounting.create () in
@@ -177,14 +168,6 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) ?tracer () =
       m_analysed = Metrics.counter metrics "accesses.analysed";
       m_epoch_cmp = Metrics.counter metrics "phase.epoch_compare";
       m_vc_op = Metrics.counter metrics "phase.vc_op";
-      tm_shadow =
-        (match tracer with
-         | Some buf -> Span.timer buf ~name:"phase.shadow_lookup" ~mask:7
-         | None -> Span.disabled ());
-      tm_vc =
-        (match tracer with
-         | Some buf -> Span.timer buf ~name:"phase.vc_check" ~mask:7
-         | None -> Span.disabled ());
     }
   in
   let on_boundary tid = Epoch_bitmap.reset (Thread_bitmaps.get st.bitmaps tid) in

@@ -13,7 +13,6 @@ open Dgrace_events
 val create :
   ?granularity:int ->
   ?suppression:Suppression.t ->
-  ?tracer:Dgrace_obs.Span.buf ->
   unit ->
   Detector.t
 (** [create ~granularity ()] — granularity defaults to 1 (byte).  Must
@@ -21,5 +20,5 @@ val create :
     {!Dgrace_vclock.Vc_intern} arena.  [process_batch] applies a batch
     page-clustered ({!Batch_apply});
     above 4096 bytes every slot spans a page and rows apply in order.
-    [~tracer:buf] registers sampled [phase.*] timers on the tracing
-    lane, as in {!Dynamic_granularity.create}. *)
+    [accesses.analysed], [phase.epoch_compare] and [phase.vc_op] count
+    the analysed path. *)

@@ -1,13 +1,12 @@
 (* Chrome trace_event export (the JSON object format Perfetto and
-   chrome://tracing load): one timeline lane per Span lane, a
-   synthetic "<lane> phases" lane for sampled timers, and counter
-   tracks from Recorder series.
+   chrome://tracing load): the tracer's ring as one timeline lane, and
+   counter tracks from Recorder series.
 
    The exporter guarantees a valid trace whatever happened at record
-   time: timestamps are clamped monotone per lane by Span, orphan end
-   events (their begin was overwritten by the ring) are dropped, and
-   spans still open at export — budget early stop, an exception — get
-   a synthesised closing event at the lane's last timestamp.  The
+   time: timestamps are clamped monotone by Span, orphan end events
+   (their begin was overwritten by the ring) are dropped, and spans
+   still open at export — budget early stop, an exception — get a
+   synthesised closing event at the lane's last timestamp.  The
    [validate]/[phases] checker below is the other half of the
    contract; `racedet timings`, the test suite and the CI smoke job
    all run it. *)
@@ -24,7 +23,6 @@ and phase = {
   phase_name : string;
   count : int;
   total_us : int;
-  estimated : bool;  (* from a sampled-timer aggregate, not B/E pairs *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -32,100 +30,85 @@ and phase = {
 
 let us_of ~t0 ns = (ns - t0) / 1000
 
-let to_json (t : Span.t) =
+(* The document is printed straight into one buffer, never held as a
+   [Json.t] tree: a trace is written at the end of the run it traced,
+   so its export should cost little next to that run.  Every event
+   carries name, ph, ts, pid 1 and tid 0 (the one lane). *)
+let write buf (t : Span.t) =
   let t0 = Span.epoch_ns t in
-  let evs = ref [] in
-  let push e = evs := e :: !evs in
-  let ev ?(extra = []) ?(args = []) ~ph ~name ~tid ~ts () =
-    Json.Obj
-      ([
-         ("name", Json.String name);
-         ("ph", Json.String ph);
-         ("ts", Json.Int ts);
-         ("pid", Json.Int 1);
-         ("tid", Json.Int tid);
-       ]
-       @ extra
-       @ if args = [] then [] else [ ("args", Json.Obj args) ])
+  let add = Buffer.add_string buf in
+  let first = ref true in
+  let event ~ph ~name ~ts =
+    if !first then first := false else Buffer.add_char buf ',';
+    add {|{"name":|};
+    Json.add_string buf name;
+    add {|,"ph":"|};
+    add ph;
+    add {|","ts":|};
+    Json.add_int buf ts;
+    add {|,"pid":1,"tid":0|}
   in
-  let meta ~tid ~lane ~sort =
-    push
-      (ev ~ph:"M" ~name:"thread_name" ~tid ~ts:0
-         ~args:[ ("name", Json.String lane) ] ());
-    push
-      (ev ~ph:"M" ~name:"thread_sort_index" ~tid ~ts:0
-         ~args:[ ("sort_index", Json.Int sort) ] ())
-  in
+  add {|{"traceEvents":[|};
+  event ~ph:"M" ~name:"thread_name" ~ts:0;
+  add {|,"args":{"name":"main"}}|};
+  let stack = ref [] in
+  let last = ref 0 in
+  Span.iter_events t (fun (e : Span.event) ->
+      let ts = us_of ~t0 e.ns in
+      last := max !last ts;
+      match e.kind with
+      | Span.Begin ->
+        stack := e.name :: !stack;
+        event ~ph:"B" ~name:e.name ~ts;
+        add "}"
+      | Span.End -> (
+        match !stack with
+        | top :: rest ->
+          stack := rest;
+          event ~ph:"E" ~name:top ~ts;
+          add "}"
+        | [] -> () (* begin lost to the ring: drop the orphan end *))
+      | Span.Instant ->
+        event ~ph:"i" ~name:e.name ~ts;
+        add {|,"s":"t"}|});
+  (* close anything still open so begin/end pairs always balance *)
   List.iter
-    (fun (lv : Span.lane_view) ->
-      let tid = lv.id in
-      meta ~tid ~lane:lv.lane ~sort:tid;
-      let stack = ref [] in
-      let last = ref 0 in
-      List.iter
-        (fun (e : Span.event) ->
-          let ts = us_of ~t0 e.ns in
-          last := max !last ts;
-          match e.kind with
-          | Span.Begin ->
-            stack := e.name :: !stack;
-            push (ev ~ph:"B" ~name:e.name ~tid ~ts ())
-          | Span.End -> (
-            match !stack with
-            | top :: rest ->
-              stack := rest;
-              push (ev ~ph:"E" ~name:top ~tid ~ts ())
-            | [] -> () (* begin lost to the ring: drop the orphan end *))
-          | Span.Instant ->
-            push
-              (ev ~ph:"i" ~name:e.name ~tid ~ts
-                 ~extra:[ ("s", Json.String "t") ] ()))
-        lv.events;
-      (* close anything still open so begin/end pairs always balance *)
-      List.iter (fun name -> push (ev ~ph:"E" ~name ~tid ~ts:!last ())) !stack;
-      (* sampled timers: one complete event each, laid out sequentially
-         on a synthetic lane (durations are estimates, not a timeline) *)
-      if lv.timers <> [] then begin
-        let ptid = 1000 + lv.id in
-        meta ~tid:ptid ~lane:(lv.lane ^ " phases") ~sort:ptid;
-        let cursor = ref 0 in
-        List.iter
-          (fun (tv : Span.timer_view) ->
-            let dur = tv.estimate_ns / 1000 in
-            push
-              (ev ~ph:"X" ~name:tv.timer_name ~tid:ptid ~ts:!cursor
-                 ~extra:[ ("dur", Json.Int dur) ]
-                 ~args:
-                   [
-                     ("ops", Json.Int tv.ops);
-                     ("sampled", Json.Int tv.sampled);
-                     ("estimated", Json.Bool true);
-                   ]
-                 ());
-            cursor := !cursor + dur)
-          lv.timers
-      end)
-    (Span.lane_views t);
+    (fun name ->
+      event ~ph:"E" ~name ~ts:!last;
+      add "}")
+    !stack;
+  (* one counter event per sample, one arg per series: a single
+     multi-line track per recorder *)
   List.iter
-    (fun (name, series) ->
+    (fun (c : Span.counters) ->
       List.iter
-        (fun (ns, v) ->
-          push
-            (ev ~ph:"C" ~name ~tid:0 ~ts:(us_of ~t0 ns)
-               ~args:[ ("value", Json.Int v) ] ()))
-        series)
+        (fun (ns, values) ->
+          event ~ph:"C" ~name:c.track ~ts:(us_of ~t0 ns);
+          add {|,"args":{|};
+          List.iteri
+            (fun i s ->
+              if i > 0 then add ",";
+              Json.add_string buf s;
+              add ":";
+              Json.add_int buf values.(i))
+            c.series;
+          add "}}")
+        c.samples)
     (Span.counter_tracks t);
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.rev !evs));
-      ("displayTimeUnit", Json.String "ms");
-      ( "otherData",
-        Json.Obj
-          [
-            ("generator", Json.String "dgrace");
-            ("dropped_events", Json.Int (Span.dropped t));
-          ] );
-    ]
+  add {|],"displayTimeUnit":"ms","otherData":{"generator":"dgrace","dropped_events":|};
+  Json.add_int buf (Span.dropped t);
+  add "}}"
+
+let to_string t =
+  let buf = Buffer.create 65536 in
+  write buf t;
+  Buffer.contents buf
+
+let to_file path t =
+  let buf = Buffer.create 65536 in
+  write buf t;
+  Buffer.add_char buf '\n';
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
 
 (* ------------------------------------------------------------------ *)
 (* validation + per-phase aggregation over a parsed trace document *)
@@ -160,21 +143,19 @@ let phases (doc : Json.t) =
       Hashtbl.replace lanes key st;
       (key, st)
   in
-  let agg : (string * string, int ref * int ref * bool ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let bump ~lane ~name ~dur ~estimated =
-    let count, total, est =
+  let agg : (string * string, int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
+  let bump st ~name ~dur =
+    let lane = Option.value st.lane_label ~default:"?" in
+    let count, total =
       match Hashtbl.find_opt agg (lane, name) with
       | Some cell -> cell
       | None ->
-        let cell = (ref 0, ref 0, ref false) in
+        let cell = (ref 0, ref 0) in
         Hashtbl.replace agg (lane, name) cell;
         cell
     in
     incr count;
-    total := !total + dur;
-    if estimated then est := true
+    total := !total + dur
   in
   let lo = ref max_int and hi = ref min_int in
   let n_events = ref 0 in
@@ -215,29 +196,19 @@ let phases (doc : Json.t) =
           match st.stack with
           | (top, t0) :: rest when top = name ->
             st.stack <- rest;
-            bump
-              ~lane:(Option.value st.lane_label ~default:"?")
-              ~name ~dur:(ts - t0) ~estimated:false
+            bump st ~name ~dur:(ts - t0)
           | (top, _) :: _ ->
             fail i (Printf.sprintf "end %S does not match open span %S" name top)
           | [] -> fail i (Printf.sprintf "end %S with no open span" name))
         | "i" | "I" ->
           let _ = span_ts () in
-          bump
-            ~lane:(Option.value st.lane_label ~default:"?")
-            ~name ~dur:0 ~estimated:false
-        | "X" ->
-          let ts = span_ts () in
-          let dur = int_ i "dur" ev in
-          if dur < 0 then fail i "negative duration";
-          hi := max !hi (ts + dur);
-          bump
-            ~lane:(Option.value st.lane_label ~default:"?")
-            ~name ~dur ~estimated:true
+          bump st ~name ~dur:0
         | "C" -> (
-          match Option.bind (Json.member "args" ev) (Json.member "value") with
-          | Some (Json.Int _) -> ()
-          | _ -> fail i "counter without an integer args.value")
+          match Json.member "args" ev with
+          | Some (Json.Obj (_ :: _ as series))
+            when List.for_all (function _, Json.Int _ -> true | _ -> false) series
+            -> ()
+          | _ -> fail i "counter without integer args")
         | ph -> fail i (Printf.sprintf "unknown phase %S" ph))
       events;
     Hashtbl.iter
@@ -251,14 +222,8 @@ let phases (doc : Json.t) =
       lanes;
     let phases =
       Hashtbl.fold
-        (fun (lane, name) (count, total, est) acc ->
-          {
-            phase_lane = lane;
-            phase_name = name;
-            count = !count;
-            total_us = !total;
-            estimated = !est;
-          }
+        (fun (lane, name) (count, total) acc ->
+          { phase_lane = lane; phase_name = name; count = !count; total_us = !total }
           :: acc)
         agg []
       |> List.sort (fun a b ->

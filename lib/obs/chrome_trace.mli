@@ -3,19 +3,24 @@
     load — plus the validator/aggregator behind [racedet timings] and
     the CI smoke check.
 
-    Output layout (see doc/observability.md for the walkthrough): one
-    timeline lane per Span lane (named via thread metadata, ordered by
-    registration), a synthetic ["<lane> phases"] lane of complete
-    events for each lane's sampled timers, and one counter track per
-    attached series.  Timestamps are microseconds relative to the
-    tracer's epoch.  The exporter repairs what recording could not
-    know: orphan end events are dropped and still-open spans are
-    closed at the lane's last timestamp, so the output always passes
-    {!validate} — even for a run stopped mid-stream by a budget. *)
+    Output layout (see doc/observability.md for the walkthrough): the
+    tracer's ring as one timeline lane named ["main"] (thread id 0),
+    and one counter track per {!Span.add_counters} call, one counter
+    event per sample with one arg per series.  Timestamps are
+    microseconds relative to the tracer's epoch.  The exporter repairs
+    what recording could not know: orphan end events are dropped and
+    still-open spans are closed at the lane's last timestamp, so the
+    output always passes {!validate} — even for a run stopped
+    mid-stream by a budget. *)
 
-val to_json : Span.t -> Json.t
-(** [{ "traceEvents": [...], "displayTimeUnit": "ms",
-      "otherData": { "generator", "dropped_events" } }] *)
+val to_string : Span.t -> string
+(** One line of JSON: [{ "traceEvents": [...], "displayTimeUnit":
+    "ms", "otherData": { "generator", "dropped_events" } }], printed
+    straight into a buffer (never held as a {!Json.t} tree);
+    {!Json.parse} reads it back. *)
+
+val to_file : string -> Span.t -> unit
+(** Write {!to_string} plus a trailing newline to a file. *)
 
 (** {1 Validation and aggregation} *)
 
@@ -30,19 +35,17 @@ and phase = {
   phase_lane : string;
   phase_name : string;
   count : int;
-  total_us : int;
-  estimated : bool;
-      (** from a sampled-timer aggregate ("X"), not begin/end pairs *)
+  total_us : int;  (** summed begin/end durations; 0 for instants *)
 }
 
 val phases : Json.t -> (report, string) result
 (** Validate a parsed trace document and aggregate per-phase totals.
     Checks: ["traceEvents"] list present; every event has string
     [ph]/[name] and integer [ts]/[pid]/[tid]; [ph] is one of
-    B/E/i/I/X/C/M; timestamps are monotone per lane (counters and
+    B/E/i/I/C/M; timestamps are monotone per lane (counters and
     metadata exempt); begin/end pairs balance with matching names;
-    complete events carry a non-negative [dur]; counters carry an
-    integer [args.value]. *)
+    counters carry a non-empty [args] object of integers (one per
+    series). *)
 
 val validate : Json.t -> (unit, string) result
 (** {!phases} without the aggregation. *)

@@ -1,6 +1,6 @@
 (* Wall-clock nanoseconds for the tracing layer.  [Unix.gettimeofday]
    is the only portable time source available without C stubs; it can
-   step backwards under NTP, so [Span] clamps per-lane timestamps to
+   step backwards under NTP, so [Span] clamps its timestamps to
    keep exported traces monotone.  Plain [int] nanoseconds: 63 bits
    hold wall-clock epochs until the year 2262, and unboxed ints keep
    the hot recording path allocation-free. *)

@@ -9,8 +9,8 @@ type source = unit -> int
 
 val ns : source
 (** The real wall clock ([Unix.gettimeofday], scaled).  May step
-    backwards under clock adjustment; {!Span} clamps per-lane
-    timestamps so exported traces stay monotone regardless. *)
+    backwards under clock adjustment; {!Span} clamps its timestamps
+    so exported traces stay monotone regardless. *)
 
 val ticker : ?start:int -> ?step:int -> unit -> source
 (** [ticker ()] is a deterministic source for tests: the first reading

@@ -10,23 +10,41 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* printing *)
 
-let escape_string buf s =
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
+
+(* [string_of_int] goes through C's printf; an export prints
+   thousands of ints, so their digits are written directly *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
 
 let float_to_string f =
   if Float.is_nan f then "null" (* JSON has no NaN *)
@@ -34,8 +52,7 @@ let float_to_string f =
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
-let to_string ?(minify = false) v =
-  let buf = Buffer.create 256 in
+let print ~minify buf v =
   let nl indent =
     if not minify then begin
       Buffer.add_char buf '\n';
@@ -45,9 +62,9 @@ let to_string ?(minify = false) v =
   let rec go indent = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Int i -> add_int buf i
     | Float f -> Buffer.add_string buf (float_to_string f)
-    | String s -> escape_string buf s
+    | String s -> add_string buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
       Buffer.add_char buf '[';
@@ -66,23 +83,25 @@ let to_string ?(minify = false) v =
         (fun i (k, item) ->
           if i > 0 then Buffer.add_char buf ',';
           nl (indent + 2);
-          escape_string buf k;
+          add_string buf k;
           Buffer.add_string buf (if minify then ":" else ": ");
           go (indent + 2) item)
         fields;
       nl indent;
       Buffer.add_char buf '}'
   in
-  go 0 v;
+  go 0 v
+
+let to_string ?(minify = false) v =
+  let buf = Buffer.create 4096 in
+  print ~minify buf v;
   Buffer.contents buf
 
 let to_file path v =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string v);
-      output_char oc '\n')
+  let buf = Buffer.create 4096 in
+  print ~minify:false buf v;
+  Buffer.add_char buf '\n';
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
 
 (* ------------------------------------------------------------------ *)
 (* parsing *)

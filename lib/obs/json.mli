@@ -18,6 +18,14 @@ type t =
 val to_string : ?minify:bool -> t -> string
 (** Render; the default is indented, [~minify:true] is single-line. *)
 
+val add_string : Buffer.t -> string -> unit
+(** Append a quoted, escaped JSON string literal. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append an integer literal.  With {!add_string}, for writers that
+    print a large document straight into a buffer instead of building
+    a {!t}. *)
+
 val to_file : string -> t -> unit
 (** Write [to_string] plus a trailing newline. *)
 

@@ -30,13 +30,11 @@ let stamp t =
     t.stamped <- t.stamped + 1
   done
 
-let tick t =
-  Sampler.tick t.sampler;
-  if Sampler.length t.sampler > t.stamped then stamp t
-
 let tick_n t n =
   Sampler.tick_n t.sampler n;
   if Sampler.length t.sampler > t.stamped then stamp t
+
+let tick t = tick_n t 1
 
 let flush t =
   Sampler.flush t.sampler;
@@ -46,23 +44,12 @@ let sampler t = t.sampler
 let epoch_ns t = t.t0_ns
 let times_ns t = List.rev t.ns_rev
 
-(* One series per source, each sample as (absolute ns, value): the
-   shape Span.add_counter_series takes. *)
-let counter_series t =
-  let names = Array.of_list (Sampler.source_names t.sampler) in
-  let rec zip ss ts =
-    match (ss, ts) with
-    | s :: ss', n :: ts' -> (n, s) :: zip ss' ts'
-    | _ -> []
-  in
-  let stamped = zip (Sampler.samples t.sampler) (times_ns t) in
-  Array.to_list
-    (Array.mapi
-       (fun i name ->
-         ( name,
-           List.map (fun (ns, (s : Sampler.sample)) -> (ns, s.values.(i))) stamped
-         ))
-       names)
+(* Each sample as (absolute ns, one value per source): the shape
+   Span.add_counters takes. *)
+let stamped t =
+  List.map2
+    (fun ns (s : Sampler.sample) -> (ns, s.values))
+    (times_ns t) (Sampler.samples t.sampler)
 
 let to_json t =
   let at_s =

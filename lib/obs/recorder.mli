@@ -2,7 +2,7 @@
     dimension.  Each sample the sampler takes is stamped with the
     clock, giving memory-over-time series a real x-axis (the sampler
     alone only knows event counts) and feeding Chrome counter tracks
-    via {!counter_series}. *)
+    via {!stamped}. *)
 
 type t
 
@@ -21,8 +21,7 @@ val tick : t -> unit
     one extra comparison on the non-sampling path. *)
 
 val tick_n : t -> int -> unit
-(** {!Sampler.tick_n} with the same stamping — for sampled event loops
-    that batch their recorder bookkeeping. *)
+(** {!Sampler.tick_n} with the same stamping — one call per batch. *)
 
 val flush : t -> unit
 (** {!Sampler.flush}, stamping the tail sample. *)
@@ -35,9 +34,9 @@ val times_ns : t -> int list
 (** Absolute clock reading of each sample, chronological; same length
     as [Sampler.samples (sampler t)]. *)
 
-val counter_series : t -> (string * (int * int) list) list
-(** One [(ns, value)] series per source — the shape
-    {!Span.add_counter_series} takes. *)
+val stamped : t -> (int * int array) list
+(** Each sample as its absolute clock reading and one value per source,
+    chronological — the shape {!Span.add_counters} takes. *)
 
 val to_json : t -> Json.t
 (** {!Sampler.to_json} plus an ["at_s"] array: seconds since the

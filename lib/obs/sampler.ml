@@ -5,7 +5,7 @@ type t = {
   names : string array;
   reads : (unit -> int) array;
   mutable events : int;
-  mutable until_next : int;  (* countdown to the next snapshot *)
+  mutable next_at : int;  (* event count at which the next snapshot falls due *)
   mutable samples_rev : sample list;
   mutable n_samples : int;
 }
@@ -18,7 +18,7 @@ let create ~every ~sources =
     names = Array.of_list (List.map fst sources);
     reads = Array.of_list (List.map snd sources);
     events = 0;
-    until_next = every;
+    next_at = every;
     samples_rev = [];
     n_samples = 0;
   }
@@ -28,23 +28,19 @@ let snapshot t =
   t.samples_rev <- { at_event = t.events; values } :: t.samples_rev;
   t.n_samples <- t.n_samples + 1
 
-let tick t =
-  t.events <- t.events + 1;
-  t.until_next <- t.until_next - 1;
-  if t.until_next = 0 then begin
-    t.until_next <- t.every;
-    snapshot t
+(* [n] events land at once (one per call on a per-event loop, one
+   batch per call on a batched one).  At most one snapshot is taken,
+   and the next falls due at the first multiple of [every] above the
+   count, so batches keep the period's phase instead of drifting by
+   the overshoot. *)
+let[@inline] tick_n t n =
+  t.events <- t.events + n;
+  if t.events >= t.next_at then begin
+    snapshot t;
+    t.next_at <- ((t.events / t.every) + 1) * t.every
   end
 
-(* Batched tick for sampled event loops: [n] events land at once, at
-   most one snapshot is taken (callers batch with n << every). *)
-let tick_n t n =
-  t.events <- t.events + n;
-  t.until_next <- t.until_next - n;
-  if t.until_next <= 0 then begin
-    t.until_next <- t.every;
-    snapshot t
-  end
+let tick t = tick_n t 1
 
 let flush t =
   match t.samples_rev with

@@ -1,8 +1,9 @@
 (** Periodic snapshotting of integer-valued sources into an in-memory
     time-series.
 
-    The engine ticks the sampler once per event; every [every] events
-    the sampler reads each source and appends one sample.  This turns
+    The engine ticks the sampler once per event, or once per batch on
+    a batched source; each time the count reaches the next multiple of
+    [every] the sampler reads each source and appends one sample.  This turns
     the end-of-run aggregates (peak bytes, live vector clocks) into the
     paper's memory-over-time behaviour.  [tick] is one integer
     increment and compare until a sample is due. *)
@@ -21,9 +22,12 @@ val tick : t -> unit
 (** Count one event; snapshots when the period elapses. *)
 
 val tick_n : t -> int -> unit
-(** Count [n] events at once, taking at most one snapshot — for
-    sampled event loops that only call in every [n] events.  With
-    [n = 1] this is exactly {!tick}. *)
+(** Count [n] events at once (a batch), taking at most one snapshot:
+    one when the count reaches or passes the next multiple of
+    [every].  The next snapshot then falls due at the first multiple
+    of [every] above the new count, so the [k]-th sample has
+    [at_event >= k * every] whatever the batch size.  With [n = 1]
+    this is exactly {!tick}. *)
 
 val flush : t -> unit
 (** Take a final sample at the current event count (end of run) unless

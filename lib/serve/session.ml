@@ -78,8 +78,8 @@ let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
     reported = 0;
   }
 
-let open_ ?budget ?clock ?suppression ?tracer ~id ~spec () =
-  of_detector ?budget ?clock ~id (Spec.to_detector ?suppression ?tracer spec)
+let open_ ?budget ?clock ?suppression ~id ~spec () =
+  of_detector ?budget ?clock ~id (Spec.to_detector ?suppression spec)
 
 let locked t f =
   Mutex.lock t.mu;

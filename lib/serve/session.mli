@@ -43,7 +43,6 @@ val open_ :
   ?budget:Budget.t ->
   ?clock:Dgrace_obs.Clock.source ->
   ?suppression:Suppression.t ->
-  ?tracer:Dgrace_obs.Span.buf ->
   id:int ->
   spec:Spec.t ->
   unit ->

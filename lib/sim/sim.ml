@@ -2,11 +2,6 @@ open Dgrace_events
 module Vec = Dgrace_util.Vec
 module Epoch = Dgrace_vclock.Epoch
 
-(* Sync-object ids are unique across the process; they live in a
-   namespace separate from memory addresses. *)
-let sync_counter = ref 0
-let fresh_sync_id () = incr sync_counter; !sync_counter
-
 (* A thread that is not running: parked on a wait queue, or runnable
    in the ready queue.  [wake] resumes it. *)
 type waiter = { wtid : int; wake : unit -> unit }
@@ -20,21 +15,6 @@ type semaphore = { smid : int; mutable count : int; swaiters : waiter Vec.t }
 type deadlock_info = { blocked : int list; held : (int * int) list }
 
 exception Deadlock of deadlock_info
-
-let mutex () = { lid = fresh_sync_id (); owner = -1; waiters = Vec.create () }
-
-let barrier parties =
-  if parties <= 0 then invalid_arg "Sim.barrier: non-positive party count";
-  { bid = fresh_sync_id (); parties; arrived = Vec.create () }
-
-let event () = { eid = fresh_sync_id (); is_set = false; ewaiters = Vec.create () }
-let condition () = { cid = fresh_sync_id (); cwaiters = Vec.create () }
-
-let semaphore count =
-  if count < 0 then invalid_arg "Sim.semaphore: negative count";
-  { smid = fresh_sync_id (); count; swaiters = Vec.create () }
-
-let mutex_id m = m.lid
 
 type result = {
   threads : int;
@@ -61,6 +41,7 @@ type world = {
   mutable live : int;
   mutable events : int;
   mutable accesses : int;
+  mutable syncs : int;  (* sync-object ids handed out by this run *)
 }
 
 (* Operations run on the calling thread's fiber and perform an effect
@@ -82,6 +63,35 @@ let world () =
   | None -> raise (Effect.Unhandled Yield)
 
 let reraise e = Effect.perform (Reraise e)
+
+(* Sync-object ids are numbered per run, from 1, so a run's event
+   stream does not depend on what ran before it in the process; they
+   live in a namespace separate from memory addresses.  A sync object
+   made outside a run would alias the next run's ids, so it is an
+   error. *)
+let fresh_sync_id what =
+  match Domain.DLS.get current_world with
+  | Some w ->
+    w.syncs <- w.syncs + 1;
+    w.syncs
+  | None -> invalid_arg (what ^ ": sync objects must be created inside Sim.run")
+
+let mutex () = { lid = fresh_sync_id "Sim.mutex"; owner = -1; waiters = Vec.create () }
+
+let barrier parties =
+  if parties <= 0 then invalid_arg "Sim.barrier: non-positive party count";
+  { bid = fresh_sync_id "Sim.barrier"; parties; arrived = Vec.create () }
+
+let event () =
+  { eid = fresh_sync_id "Sim.event"; is_set = false; ewaiters = Vec.create () }
+
+let condition () = { cid = fresh_sync_id "Sim.condition"; cwaiters = Vec.create () }
+
+let semaphore count =
+  if count < 0 then invalid_arg "Sim.semaphore: negative count";
+  { smid = fresh_sync_id "Sim.semaphore"; count; swaiters = Vec.create () }
+
+let mutex_id m = m.lid
 
 let thread w tid = Vec.get w.threads tid
 
@@ -287,7 +297,7 @@ let atomic_sync_id w addr =
   match Hashtbl.find_opt w.atomic_syncs addr with
   | Some id -> id
   | None ->
-    let id = fresh_sync_id () in
+    let id = fresh_sync_id "Sim.atomic" in
     Hashtbl.replace w.atomic_syncs addr id;
     id
 
@@ -399,6 +409,7 @@ let run ?(policy = Scheduler.default) ?(sink = fun (_ : Event.t) -> ()) main =
       live = 0;
       events = 0;
       accesses = 0;
+      syncs = 0;
     }
   in
   let outer = Domain.DLS.get current_world in

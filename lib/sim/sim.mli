@@ -13,10 +13,11 @@
     and performs an effect only when the thread gives up the CPU (the
     policy switches away, or the operation blocks).
 
-    All operations except {!mutex}, {!barrier} and {!event} must be
-    called from inside {!run}, which makes the running simulator
-    reachable through domain-local state.  Calling them elsewhere
-    raises [Effect.Unhandled]. *)
+    Every operation, sync-object constructors included, must be called
+    from inside {!run}, which makes the running simulator reachable
+    through domain-local state.  Calling an operation elsewhere raises
+    [Effect.Unhandled]; calling a constructor elsewhere raises
+    [Invalid_argument]. *)
 
 open Dgrace_events
 
@@ -54,23 +55,24 @@ exception Deadlock of deadlock_info
     a structured report of who is stuck and which locks are held,
     instead of a hang. *)
 
-(** {1 Sync object constructors (usable anywhere)} *)
+(** {1 Sync object constructors (inside [run] only)}
+
+    Sync-object ids are numbered per {!run}, from 1, in creation
+    order (atomic operations number their hidden sync objects on first
+    use), so two identical runs emit identical event streams whatever
+    ran before them in the process.  A sync object belongs to the run
+    that made it: create it inside the program body.
+    @raise Invalid_argument when called outside {!run}. *)
 
 val mutex : unit -> mutex
 val barrier : int -> barrier
 (** [barrier n] for [n] participating threads. *)
 
 val event : unit -> event_flag
-(** Note: an event flag is stateful across {!run} invocations (it stays
-    set).  Create sync objects inside the program body when the same
-    program value is run more than once. *)
-
 val condition : unit -> condition
 
 val semaphore : int -> semaphore
-(** [semaphore n] with initial count [n] (>= 0).  Like event flags,
-    semaphore counts persist across runs: create them inside the
-    program body. *)
+(** [semaphore n] with initial count [n] (>= 0). *)
 
 val mutex_id : mutex -> int
 (** The sync-object id carried by [Acquire]/[Release] events. *)

@@ -15,8 +15,8 @@
    - the sharing-state transition matrix;
    - the [sharing.*], [cells.*], [phase.*] and [cluster.*] counters.
 
-   Shadow lookup and MRU gauges and the phase timers are left out:
-   they describe how the index was walked, not what it answered.
+   Shadow lookup and MRU gauges are left out: they describe how the
+   index was walked, not what it answered.
 
    The checked-in table (detector_golden.txt) is the oracle of the
    [detector.golden] test.  It was produced by gen_detector_golden.exe

@@ -1,7 +1,7 @@
 (* Dgrace_obs: registry semantics, sampler cadence, matrix accounting,
    the JSON printer/parser round-trip behind --metrics-out, and the
-   span-tracing flight recorder behind --trace-out (rings, sampled
-   timers, wall-clock recorder, Chrome export + validator). *)
+   span-tracing flight recorder behind --trace-out (the ring,
+   wall-clock recorder, Chrome export + validator). *)
 
 open Dgrace_obs
 
@@ -123,7 +123,7 @@ let test_sampler_tick_n () =
   (* a batch crossing the boundary takes exactly one snapshot *)
   Sampler.tick_n s 10;
   Alcotest.(check int) "one snapshot for a big batch" 1 (Sampler.length s);
-  (* the countdown resets to a full period after the batch *)
+  (* the next snapshot falls due at the next multiple of 4 above 10 *)
   Sampler.tick_n s 4;
   Alcotest.(check (list (pair int int)))
     "batched boundaries"
@@ -131,6 +131,33 @@ let test_sampler_tick_n () =
     (List.map
        (fun (x : Sampler.sample) -> (x.at_event, Array.length x.values - 1))
        (Sampler.samples s))
+
+let test_sampler_tick_n_phase () =
+  (* 4096-row batches against a 5000-event period: one sample per
+     batch that crosses a multiple of 5000, the k-th at or past
+     k * 5000 — not one every two batches *)
+  let _, s = mk_sampler 5000 in
+  for _ = 1 to 10 do
+    Sampler.tick_n s 4096
+  done;
+  let at = List.map (fun (x : Sampler.sample) -> x.at_event) (Sampler.samples s) in
+  Alcotest.(check (list int))
+    "one sample per crossed multiple"
+    [ 8192; 12288; 16384; 20480; 28672; 32768; 36864; 40960 ]
+    at;
+  List.iteri
+    (fun k a ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sample %d at or past %d" (k + 1) ((k + 1) * 5000))
+        true
+        (a >= (k + 1) * 5000))
+    at;
+  (* a batch spanning several multiples still takes one sample *)
+  Sampler.tick_n s 20_000;
+  Alcotest.(check int) "at most one sample per call" 9 (Sampler.length s);
+  Sampler.tick_n s 4040;
+  Alcotest.(check int) "next due at the multiple above the count" 10
+    (Sampler.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Clock *)
@@ -145,42 +172,27 @@ let test_ticker () =
   Alcotest.(check (list int)) "custom" [ 5; 7; 9 ] [ a; b; c () ]
 
 (* ------------------------------------------------------------------ *)
-(* Span lanes: bounded rings, sampled timers, dispatch wrapper *)
-
-let lane_named t name =
-  match
-    List.find_opt (fun (lv : Span.lane_view) -> lv.lane = name)
-      (Span.lane_views t)
-  with
-  | Some lv -> lv
-  | None -> Alcotest.failf "no lane %S" name
-
-let timer_named (lv : Span.lane_view) name =
-  match
-    List.find_opt (fun (tv : Span.timer_view) -> tv.timer_name = name)
-      lv.timers
-  with
-  | Some tv -> tv
-  | None -> Alcotest.failf "no timer %S on lane %S" name lv.lane
+(* Span: the bounded ring *)
 
 let test_span_ring () =
-  let t = Span.create ~capacity_per_lane:16 ~clock:(Clock.ticker ()) () in
+  let t = Span.create ~capacity:16 ~clock:(Clock.ticker ()) () in
   let b = Span.main t in
   for i = 1 to 20 do
     Span.instant b (string_of_int i)
   done;
-  let lv = lane_named t "main" in
+  let events = ref [] in
+  Span.iter_events t (fun e -> events := e :: !events);
+  let events = List.rev !events in
   Alcotest.(check int) "ring keeps the last cap events" 16
-    (List.length lv.events);
-  Alcotest.(check string) "oldest survivor" "5"
-    (List.hd lv.events).Span.name;
-  Alcotest.(check int) "overwrites counted" 4 (Span.dropped t);
-  (* a second lane is independent and registration is idempotent *)
-  let b2 = Span.lane t "shard0" in
-  Span.instant b2 "x";
-  Alcotest.(check bool) "same buf for the same name" true
-    (b2 == Span.lane t "shard0");
-  Alcotest.(check int) "two lanes" 2 (List.length (Span.lane_views t))
+    (List.length events);
+  Alcotest.(check string) "oldest survivor" "5" (List.hd events).Span.name;
+  Alcotest.(check int) "overwrites counted" 4 (Span.dropped t)
+
+(* the exported document, read back as JSON *)
+let export t =
+  match Json.parse (Chrome_trace.to_string t) with
+  | Ok d -> d
+  | Error e -> Alcotest.failf "export does not parse: %s" e
 
 let test_span_export_repairs () =
   (* spans left open (budget stop) and orphan ends (begin lost to the
@@ -192,10 +204,10 @@ let test_span_export_repairs () =
   Span.begin_span b "inner";
   Span.instant b "mark";
   (* neither span closed *)
-  (match Chrome_trace.validate (Chrome_trace.to_json t) with
+  (match Chrome_trace.validate (export t) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "repaired trace must validate: %s" e);
-  match Chrome_trace.phases (Chrome_trace.to_json t) with
+  match Chrome_trace.phases (export t) with
   | Error e -> Alcotest.failf "phases: %s" e
   | Ok r ->
     (* both spans were closed by the exporter, the orphan end dropped *)
@@ -206,82 +218,6 @@ let test_span_export_repairs () =
       "closed spans + instant, no orphan"
       [ "inner"; "mark"; "outer" ]
       (List.sort compare names)
-
-let test_timer_sampling () =
-  (* default-armed lane: one op in (mask+1) is clocked and the
-     estimate scales the sampled mean to the full op count *)
-  let t = Span.create ~clock:(Clock.ticker ()) () in
-  let b = Span.main t in
-  let tm = Span.timer b ~name:"phase.x" ~mask:1 in
-  for _ = 1 to 8 do
-    Span.timer_start tm;
-    Span.timer_stop tm
-  done;
-  let tv = timer_named (lane_named t "main") "phase.x" in
-  Alcotest.(check int) "all ops counted" 8 tv.Span.ops;
-  Alcotest.(check int) "every 2nd op clocked" 4 tv.Span.sampled;
-  (* each sampled op spans one 1000 ns tick: mean 1000 x 8 ops *)
-  Alcotest.(check int) "estimate scaled to ops" 8000 tv.Span.estimate_ns;
-  Alcotest.check_raises "mask must be 2^k - 1"
-    (Invalid_argument "Span.timer: mask must be 2^k - 1") (fun () ->
-      ignore (Span.timer b ~name:"bad" ~mask:2))
-
-let test_wrap_dispatch () =
-  let t = Span.create ~clock:(Clock.ticker ()) () in
-  let b = Span.main t in
-  let inner = Span.timer b ~name:"inner" ~mask:0 in
-  let hits = ref 0 in
-  let samples = ref 0 in
-  let body () =
-    incr hits;
-    Span.timer_start inner;
-    Span.timer_stop inner
-  in
-  let dispatch =
-    Span.wrap_dispatch b ~name:"dispatch" ~stride:4
-      ~on_sample:(fun () -> incr samples)
-      (fun () -> body ())
-  in
-  for _ = 1 to 8 do
-    dispatch ()
-  done;
-  Alcotest.(check int) "every event dispatched" 8 !hits;
-  Alcotest.(check int) "on_sample once per armed event" 2 !samples;
-  (* taking over the lane disarms it for direct (unsampled) calls *)
-  body ();
-  let lv = lane_named t "main" in
-  let d = timer_named lv "dispatch" in
-  Alcotest.(check int) "dispatch ops scaled by stride" 8 d.Span.ops;
-  Alcotest.(check int) "one sample per armed event" 2 d.Span.sampled;
-  (* each armed dispatch reads the clock twice around a body that
-     reads it twice more: 3000 ns per sample, scaled to 8 events *)
-  Alcotest.(check int) "dispatch estimate" 24000 d.Span.estimate_ns;
-  let i = timer_named lv "inner" in
-  Alcotest.(check int) "inner sees only armed events, scaled back" 8
-    i.Span.ops;
-  Alcotest.(check int) "inner sampled under the wrapper only" 2 i.Span.sampled;
-  Alcotest.(check int) "inner estimate" 8000 i.Span.estimate_ns;
-  Alcotest.check_raises "stride must be a power of two"
-    (Invalid_argument "Span.wrap_dispatch: stride must be a power of two")
-    (fun () ->
-      ignore
-        (Span.wrap_dispatch b ~name:"bad" ~stride:3
-           ~on_sample:(fun () -> ())
-           (fun () -> ())
-          : unit -> unit))
-
-let test_disabled_timer () =
-  let tm = Span.disabled () in
-  Span.timer_start tm;
-  Span.timer_stop tm;
-  Alcotest.(check int) "timer_time passes the result through" 7
-    (Span.timer_time tm (fun () -> 7));
-  (* a disabled timer is not registered anywhere: a fresh tracer's
-     lanes are unaffected *)
-  let t = Span.create ~clock:(Clock.ticker ()) () in
-  ignore (Span.main t);
-  Alcotest.(check int) "no timers on the lane" 0
-    (List.length (lane_named t "main").timers)
 
 (* ------------------------------------------------------------------ *)
 (* Recorder: wall-clock stamps over the sampler *)
@@ -301,11 +237,10 @@ let test_recorder_stamps () =
   Recorder.flush r;
   Alcotest.(check (list int)) "flush stamps the tail" [ 1500; 2000; 2500 ]
     (Recorder.times_ns r);
-  Alcotest.(check
-              (list (pair string (list (pair int int)))))
-    "counter series in Span.add_counter_series shape"
-    [ ("v", [ (1500, 7); (2000, 7); (2500, 7) ]) ]
-    (Recorder.counter_series r)
+  Alcotest.(check (list (pair int (array int))))
+    "stamped samples in Span.add_counters shape"
+    [ (1500, [| 7 |]); (2000, [| 7 |]); (2500, [| 7 |]) ]
+    (Recorder.stamped r)
 
 let test_recorder_tick_n () =
   let clock = Clock.ticker ~start:0 ~step:100 () in
@@ -323,23 +258,13 @@ let test_chrome_export () =
   Span.begin_span b "work";
   Span.instant b "mark";
   Span.end_span b "work";
-  let tm = Span.timer b ~name:"phase.x" ~mask:0 in
-  Span.timer_start tm;
-  Span.timer_stop tm;
-  Span.timer_start tm;
-  Span.timer_stop tm;
-  Span.add_counter_series t ~name:"bytes" [ (1000, 5); (3000, 9) ];
-  let doc = Chrome_trace.to_json t in
-  (* the export must itself survive a JSON print/parse round-trip *)
-  let doc =
-    match Json.parse (Json.to_string doc) with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "export round-trip: %s" e
-  in
+  Span.add_counters t ~name:"mem" ~series:[ "bytes"; "vcs" ]
+    [ (1000, [| 5; 1 |]); (3000, [| 9; 2 |]) ];
+  let doc = export t in
   match Chrome_trace.phases doc with
   | Error e -> Alcotest.failf "phases: %s" e
   | Ok r ->
-    Alcotest.(check int) "timeline lanes (main + its phases)" 2 r.lanes;
+    Alcotest.(check int) "one timeline lane" 1 r.lanes;
     let phase name =
       match
         List.find_opt
@@ -352,14 +277,24 @@ let test_chrome_export () =
     let w = phase "work" in
     Alcotest.(check (pair int int)) "work: count, measured us" (1, 2)
       (w.count, w.total_us);
-    Alcotest.(check bool) "work is measured, not estimated" false
-      w.estimated;
-    let x = phase "phase.x" in
-    Alcotest.(check string) "timers land on the synthetic lane"
-      "main phases" x.phase_lane;
-    Alcotest.(check bool) "timer totals are estimates" true x.estimated;
-    (* two ops x one 1000 ns tick each *)
-    Alcotest.(check int) "timer estimate in us" 2 x.total_us
+    Alcotest.(check string) "spans land on the main lane" "main" w.phase_lane;
+    (* one counter event per sample, one arg per series *)
+    let counters =
+      match Json.member "traceEvents" doc with
+      | Some (Json.List evs) ->
+        List.filter (fun e -> Json.member "ph" e = Some (Json.String "C")) evs
+      | _ -> []
+    in
+    Alcotest.(check (list (option json)))
+      "counter args"
+      [
+        Some (Json.Obj [ ("bytes", Json.Int 5); ("vcs", Json.Int 1) ]);
+        Some (Json.Obj [ ("bytes", Json.Int 9); ("vcs", Json.Int 2) ]);
+      ]
+      (List.map (Json.member "args") counters);
+    Alcotest.(check (list string)) "measured spans and instants only"
+      [ "mark"; "work" ]
+      (List.map (fun (p : Chrome_trace.phase) -> p.phase_name) r.phases)
 
 let test_chrome_rejects () =
   let bad =
@@ -382,6 +317,30 @@ let test_chrome_rejects () =
   (match Chrome_trace.validate bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "unbalanced end must not validate");
+  (* complete ("X") events are not part of the format dgrace writes *)
+  let complete =
+    Json.Obj
+      [
+        ( "traceEvents",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("name", Json.String "x");
+                  ("ph", Json.String "X");
+                  ("ts", Json.Int 1);
+                  ("dur", Json.Int 2);
+                  ("pid", Json.Int 1);
+                  ("tid", Json.Int 0);
+                ];
+            ] );
+      ]
+  in
+  (match Chrome_trace.validate complete with
+  | Error e ->
+    Alcotest.(check string) "X is an unknown phase"
+      "event 0: unknown phase \"X\"" e
+  | Ok () -> Alcotest.fail "a complete event must not validate");
   match Chrome_trace.validate (Json.Obj []) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "missing traceEvents must not validate"
@@ -488,6 +447,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "empty run" `Quick test_sampler_empty_run;
         Alcotest.test_case "invalid args" `Quick test_sampler_invalid;
         Alcotest.test_case "batched tick_n" `Quick test_sampler_tick_n;
+        Alcotest.test_case "tick_n keeps the period's phase" `Quick
+          test_sampler_tick_n_phase;
       ] );
     ("obs.clock", [ Alcotest.test_case "ticker" `Quick test_ticker ]);
     ( "obs.span",
@@ -495,10 +456,6 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "ring wrap + dropped" `Quick test_span_ring;
         Alcotest.test_case "export repairs unbalanced spans" `Quick
           test_span_export_repairs;
-        Alcotest.test_case "timer sampling + scaling" `Quick
-          test_timer_sampling;
-        Alcotest.test_case "wrap_dispatch arming" `Quick test_wrap_dispatch;
-        Alcotest.test_case "disabled timer" `Quick test_disabled_timer;
       ] );
     ( "obs.recorder",
       [

@@ -44,8 +44,8 @@ let write_file path s =
 let fold_feed path consume =
   Trace_format_v2.fold_batches path (fun () b -> consume b) ()
 
-let run ?budget ?progress ?sample_every spec source =
-  Tutil.(analyze (config ?budget ?progress ?sample_every spec) source)
+let run ?budget ?progress ?sample_every ?tracer spec source =
+  Tutil.(analyze (config ?budget ?progress ?sample_every ?tracer spec) source)
 
 let report = Alcotest.testable (Fmt.of_to_string Report.to_string) ( = )
 
@@ -493,8 +493,14 @@ let qcheck_config_lattice =
               List.for_all
                 (fun source ->
                   List.for_all
-                    (fun (budget, progress, sample_every) ->
-                      let got = run ?budget ?progress ?sample_every spec source in
+                    (fun (budget, progress, sample_every, traced) ->
+                      (* a fresh tracer per run *)
+                      let tracer =
+                        if traced then Some (Dgrace_obs.Span.create ()) else None
+                      in
+                      let got =
+                        run ?budget ?progress ?sample_every ?tracer spec source
+                      in
                       List.map Report.to_string want.races
                       = List.map Report.to_string got.races
                       && Dgrace_obs.Json.equal (transitions_json want)
@@ -503,10 +509,12 @@ let qcheck_config_lattice =
                          = Engine.exit_code_of_summary got
                       && stats_tuple want = stats_tuple got)
                     [
-                      (None, None, None);
-                      (None, Some (7, fun (_ : int) -> ()), None);
-                      (None, None, Some 5);
-                      (Some never_spent, None, None);
+                      (None, None, None, false);
+                      (None, Some (7, fun (_ : int) -> ()), None, false);
+                      (None, None, Some 5, false);
+                      (Some never_spent, None, None, false);
+                      (None, None, None, true);
+                      (None, None, Some 5, true);
                     ])
                 [
                   Tutil.event_list events;

@@ -314,7 +314,40 @@ let test_batch_fallback_counter () =
       "dynamic-no-init-state"; "dynamic-ext"; "djit"; "drd"; "inspector";
       "eraser"; "multirace"; "racetrack"; "literace"; "sample:0.5";
       "sample-granule:0.5";
-    ]
+    ];
+  (* every observer is per batch: a detector with [process_batch] keeps
+     it under [sample_every], a tracer, budget + heartbeat, and all of
+     them at once *)
+  let observed name what source (obs, budget, progress, sample_every, traced) =
+    let tracer = if traced then Some (Dgrace_obs.Span.create ()) else None in
+    let s =
+      analyze
+        (config ?budget ?progress ?sample_every ?tracer
+           (Result.get_ok (Spec.of_string name)))
+        source
+    in
+    let ctx = Printf.sprintf "%s under %s (%s)" name obs what in
+    if has_batch name then Alcotest.(check int) ctx 0 (fallback_of s)
+    else
+      Alcotest.(check bool) (ctx ^ ": fallback surfaced") true (fallback_of s > 0)
+  in
+  let heartbeat = Some (1000, fun (_ : int) -> ()) in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (what, source) ->
+          List.iter (observed name what source)
+            [
+              ("sample_every", None, None, Some 100, false);
+              ("tracer", None, None, None, true);
+              ("budget+heartbeat", Some watched, heartbeat, None, false);
+              ("all observers", Some watched, heartbeat, Some 100, true);
+            ])
+        [
+          ("batches", Engine.Source.Batches feed);
+          ("v2 file", Engine.Source.V2_file (corpus "racy.trace.v2"));
+        ])
+    [ "dynamic"; "byte"; "word"; "sample-granule:0.5"; "literace"; "drd" ]
 
 (* ------------------------------------------------------------------ *)
 (* spec strings *)

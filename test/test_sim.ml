@@ -49,36 +49,44 @@ let test_determinism () =
     in
     List.iter Sim.join ts
   in
-  (* sync-object ids are globally unique, so two runs differ in raw
-     ids; compare the streams with lock ids renamed to first-use order *)
-  let normalize evs =
-    let ids = Hashtbl.create 8 in
-    let rename l =
-      match Hashtbl.find_opt ids l with
-      | Some x -> x
-      | None ->
-        let x = Hashtbl.length ids in
-        Hashtbl.replace ids l x;
-        x
-    in
-    List.map
-      (fun e ->
-        match e with
-        | Event.Acquire a -> Event.Acquire { a with lock = rename a.lock }
-        | Event.Release r -> Event.Release { r with lock = rename r.lock }
-        | e -> e)
-      evs
-  in
   let same policy =
     let _, e1 = record ~policy prog in
     let _, e2 = record ~policy prog in
-    List.map Event.to_string (normalize e1)
-    = List.map Event.to_string (normalize e2)
+    List.map Event.to_string e1 = List.map Event.to_string e2
   in
   check_bool "round robin deterministic" true (same Scheduler.Round_robin);
   check_bool "random deterministic per seed" true (same (Scheduler.Random_each 7));
   check_bool "chunked deterministic per seed" true
     (same (Scheduler.Chunked { seed = 3; chunk = 16 }))
+
+
+(* Sync-object ids are numbered per run: the same program emits the
+   same raw stream (lock, barrier, flag and atomic ids included)
+   whatever ran before it in the process. *)
+let test_sync_ids_per_run () =
+  let prog () =
+    let a = Sim.static_alloc 16 in
+    let m = Sim.mutex () and b = Sim.barrier 2 and f = Sim.event () in
+    let t = Sim.spawn (fun () ->
+        Sim.with_lock m (fun () -> Sim.write a 4);
+        Sim.atomic_store (a + 8) 4;
+        Sim.event_set f;
+        Sim.barrier_wait b)
+    in
+    Sim.event_wait f;
+    Sim.atomic_rmw (a + 8) 4;
+    Sim.barrier_wait b;
+    Sim.with_lock m (fun () -> Sim.read a 4);
+    Sim.join t
+  in
+  let stream () = List.map Event.to_string (snd (record prog)) in
+  let first = stream () in
+  (* an unrelated run that makes sync objects of its own *)
+  ignore (Sim.run (fun () -> ignore (List.init 50 (fun _ -> Sim.mutex ()))));
+  Alcotest.(check (list string)) "identical raw streams" first (stream ());
+  Alcotest.check_raises "constructor outside a run"
+    (Invalid_argument "Sim.mutex: sync objects must be created inside Sim.run")
+    (fun () -> ignore (Sim.mutex ()))
 
 let test_policies_differ () =
   let prog () =
@@ -545,6 +553,7 @@ let suites : unit Alcotest.test list =
       ( "sim.scheduling",
         [
           Alcotest.test_case "determinism per seed" `Quick test_determinism;
+          Alcotest.test_case "sync ids per run" `Quick test_sync_ids_per_run;
           Alcotest.test_case "seeds differ" `Quick test_policies_differ;
           Alcotest.test_case "self ids" `Quick test_self_ids;
         ] );
