@@ -647,8 +647,9 @@ let convert_cmd =
       if to_v2 then Dgrace_trace.Trace_format_v2.to_file dst feed
       else Dgrace_trace.Trace_writer.to_file dst feed
     in
-    Format.printf "converted %s (v%d) -> %s (v%d): %d events@." src src_version
-      dst
+    (* the format, not the v2 block revision the header names *)
+    Format.printf "converted %s (v%d) -> %s (v%d): %d events@." src
+      (min src_version 2) dst
       (if to_v2 then 2 else 1)
       n
   in

@@ -102,7 +102,11 @@ let request t frame ~expect =
 let open_session ?(spec = "dynamic") ?max_events ?deadline_s
     ?max_shadow_bytes t =
   let fields =
-    [ ("spec", Json.String spec) ]
+    [
+      ("spec", Json.String spec);
+      (* the block revision of this connection's B bodies *)
+      ("revision", Json.Int Trace_format_v2.version);
+    ]
     @ (match max_events with Some n -> [ ("max_events", Json.Int n) ] | None -> [])
     @ (match deadline_s with
        | Some s -> [ ("deadline_s", Json.Float s) ]

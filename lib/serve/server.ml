@@ -226,9 +226,27 @@ let open_session t ~(respond : Wire.frame -> unit) j =
     | Some (Json.String s) -> s
     | _ -> "dynamic"
   in
-  match Spec.of_string spec_name with
-  | Error reason -> Error (Error.Invalid_input { what = "open.spec"; reason })
-  | Ok spec -> (
+  (* the block revision of the session's B bodies; a client that
+     names none predates the field and writes revision 2 *)
+  let revision =
+    match Json.member "revision" j with
+    | Some (Json.Int r) when Dgrace_trace.Trace_format_v2.readable r -> Ok r
+    | None -> Ok 2
+    | Some r ->
+      Error
+        (Error.Invalid_input
+           {
+             what = "open.revision";
+             reason =
+               Printf.sprintf
+                 "unsupported block revision %s (this server reads 2 and 3)"
+                 (Json.to_string ~minify:true r);
+           })
+  in
+  match (Spec.of_string spec_name, revision) with
+  | Error reason, _ -> Error (Error.Invalid_input { what = "open.spec"; reason })
+  | _, Error e -> Error e
+  | Ok spec, Ok revision -> (
     match budget_of_open j with
     | exception Invalid_argument reason ->
       Error (Error.Invalid_input { what = "open.budget"; reason })
@@ -240,7 +258,7 @@ let open_session t ~(respond : Wire.frame -> unit) j =
         t.next_id <- id + 1;
         t.opened_total <- t.opened_total + 1;
         let session =
-          Session.open_ ~budget ~clock:t.cfg.clock ~id ~spec ()
+          Session.open_ ~budget ~clock:t.cfg.clock ~revision ~id ~spec ()
         in
         let entry =
           {

@@ -59,7 +59,9 @@ let decode_pool_slots = 4
 (* Build a session around a detector.  [open_] passes a fresh one
    from its spec; the test suite passes one that raises, to prove the
    crash-only contract contains it. *)
-let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
+let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?revision ~id
+    d =
+  let v2 = Trace_format_v2.stream_decoder ?revision () in
   let now_s () = float_of_int (clock ()) *. 1e-9 in
   let t0 = now_s () in
   {
@@ -67,7 +69,7 @@ let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
     guard = Budget_guard.create ~now_s ~t0 budget;
     now_s;
     t0;
-    v2 = Trace_format_v2.stream_decoder ();
+    v2;
     v2_base = 0;
     dmu = Mutex.create ();
     dpool = Batch_ring.create ~slots:decode_pool_slots ();
@@ -78,8 +80,8 @@ let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ~id d =
     reported = 0;
   }
 
-let open_ ?budget ?clock ?suppression ~id ~spec () =
-  of_detector ?budget ?clock ~id (Spec.to_detector ?suppression spec)
+let open_ ?budget ?clock ?suppression ?revision ~id ~spec () =
+  of_detector ?budget ?clock ?revision ~id (Spec.to_detector ?suppression spec)
 
 let locked t f =
   Mutex.lock t.mu;

@@ -43,6 +43,7 @@ val open_ :
   ?budget:Budget.t ->
   ?clock:Dgrace_obs.Clock.source ->
   ?suppression:Suppression.t ->
+  ?revision:int ->
   id:int ->
   spec:Spec.t ->
   unit ->
@@ -50,11 +51,15 @@ val open_ :
 (** Fresh session around a fresh detector:
     [of_detector] over {!Dgrace_core.Spec.to_detector}.  [clock] drives
     both the budget deadline and summary elapsed time — pass
-    {!Dgrace_obs.Clock.ticker} in tests for deterministic expiry. *)
+    {!Dgrace_obs.Clock.ticker} in tests for deterministic expiry.
+    [revision] is the block revision of the session's batch-frame
+    bodies (default {!Dgrace_trace.Trace_format_v2.version}).
+    @raise Invalid_argument unless the decoder reads [revision]. *)
 
 val of_detector :
   ?budget:Budget.t ->
   ?clock:Dgrace_obs.Clock.source ->
+  ?revision:int ->
   id:int ->
   Dgrace_detectors.Detector.t ->
   t

@@ -4,17 +4,28 @@ module Error = Dgrace_resilience.Error
 
 (* Trace format v2: the batched binary encoding.
 
-   Same "DGRT" magic as v1 with version byte 2, then a sequence of
-   length-prefixed blocks:
+   Same "DGRT" magic as v1; the version byte is the block revision,
+   2 or 3.  Then a sequence of length-prefixed blocks:
 
      block := varint body_len, body_len bytes of body
      body  := varint n                       (1 <= n <= block_events)
-              kinds   — RLE (tag byte, varint run)
+              kinds   — mode byte (rev 3), then
+                        mode 0: RLE (tag byte, varint run)
+                        mode 1: packed nibbles, row 2i low, 2i+1 high
               a col   — RLE (varint value, varint run)   tids/parents
               b col   — zigzag-delta uvarints, one/row   addrs/locks/children
               c col   — RLE (varint value, varint run)   sizes/sync codes
-              locs    — per access row: varint id,
-                        fresh ids followed by varint len + bytes
+              locs    — mode byte (rev 3), then per access row a value,
+                        fresh ids followed by varint len + bytes;
+                        mode 0: plain values
+                        mode 1: RLE (value, [fresh], varint run)
+
+   A revision-3 location value is 0 for "the site of the previous
+   access of this row's kind in this block", else id + 1; a
+   revision-2 value is the id itself, and revision 2 has no mode
+   bytes (its kinds are RLE and its locations plain).  Writers emit
+   revision 3 and pick each column's smaller mode; the one decoder
+   reads both revisions.
 
    Columns use the Batch.t layout (kind codes = v1 tags).  The
    location intern table persists across blocks, exactly like the v1
@@ -26,7 +37,8 @@ module Error = Dgrace_resilience.Error
 
    See doc/trace.md for the worked layout. *)
 
-let version = 2
+let version = 3
+let readable revision = revision = 2 || revision = 3
 let block_events = Batch.default_capacity
 
 (* A corrupt varint could name a multi-gigabyte body; cap well above
@@ -45,30 +57,43 @@ let[@inline] unzigzag z = (z lsr 1) lxor (-(z land 1))
 (* ------------------------------------------------------------------ *)
 (* encoding *)
 
-(* [e_last_loc]/[e_last_id] memoize the last location written, by
-   pointer: consecutive accesses from one site share one string, so
-   most access rows skip hashing it.  The initial sentinel is private,
-   so no caller's string can match it. *)
+(* [e_memo_loc.(k)]/[e_memo_id.(k)] memoize, by pointer, the location
+   of the last access of kind [k] (read or write): a site repeats
+   within its kind, so most access rows skip hashing their string.
+   The initial sentinels are private, so no caller's string matches
+   them.  [e_names] maps ids back to strings, for writing a fresh id's
+   bytes after its value; [e_vals] holds one block's location values
+   while the encoder sizes both modes. *)
 type block_encoder = {
   e_locs : (string, int) Hashtbl.t;
   mutable e_next_loc : int;
-  mutable e_last_loc : string;
-  mutable e_last_id : int;
+  mutable e_names : string array;
+  e_memo_loc : string array;
+  e_memo_id : int array;
+  e_vals : int array;
 }
 
 let block_encoder () =
   {
     e_locs = Hashtbl.create 64;
     e_next_loc = 0;
-    e_last_loc = String.make 1 '\000';
-    e_last_id = -1;
+    e_names = Array.make 64 "";
+    e_memo_loc = [| String.make 1 '\000'; String.make 1 '\000' |];
+    e_memo_id = [| -1; -1 |];
+    e_vals = Array.make block_events 0;
   }
 
-(* End of the run of equal values that starts at row [i]. *)
-let run_end (col : int array) i n =
-  let v = col.(i) in
+(* Bytes of [write_varint v], [v >= 0]. *)
+let rec varint_len_from v len =
+  if v < 0x80 then len else varint_len_from (v lsr 7) (len + 1)
+
+let[@inline] varint_len v = if v < 0x80 then 1 else varint_len_from (v lsr 7) 2
+
+(* End of the run of equal values that starts at row [i < n]. *)
+let[@inline] run_end (col : int array) i n =
+  let v = Array.unsafe_get col i in
   let j = ref (i + 1) in
-  while !j < n && col.(!j) = v do
+  while !j < n && Array.unsafe_get col !j = v do
     incr j
   done;
   !j
@@ -83,27 +108,120 @@ let write_rle buf (col : int array) n =
     i := j
   done
 
-let write_loc enc buf loc =
-  if loc == enc.e_last_loc then write_varint buf enc.e_last_id
-  else begin
-    let id =
-      match Hashtbl.find_opt enc.e_locs loc with
-      | Some id ->
-        write_varint buf id;
-        id
-      | None ->
-        check_loc loc;
-        let id = enc.e_next_loc in
-        enc.e_next_loc <- id + 1;
-        Hashtbl.replace enc.e_locs loc id;
-        write_varint buf id;
-        write_varint buf (String.length loc);
-        Buffer.add_string buf loc;
-        id
-    in
-    enc.e_last_loc <- loc;
-    enc.e_last_id <- id
+(* Kinds: RLE (mode 0) or packed nibbles (mode 1), whichever is
+   smaller; a tie keeps RLE.  The RLE size is counted only until it
+   passes the nibbles' (a run of at most 4096 rows takes a tag byte
+   and one or two varint bytes). *)
+let write_kinds buf (kind : int array) n =
+  let nibbles = (n + 1) / 2 in
+  let rle = ref 0 and start = ref 0 and i = ref 1 in
+  while !rle <= nibbles && !i <= n do
+    if !i = n || Array.unsafe_get kind !i <> Array.unsafe_get kind !start
+    then begin
+      rle := !rle + if !i - !start < 0x80 then 2 else 3;
+      start := !i
+    end;
+    incr i
+  done;
+  if nibbles < !rle then begin
+    Buffer.add_char buf '\001';
+    let i = ref 0 in
+    while !i + 1 < n do
+      Buffer.add_char buf
+        (Char.unsafe_chr (kind.(!i) lor (kind.(!i + 1) lsl 4)));
+      i := !i + 2
+    done;
+    if !i < n then Buffer.add_char buf (Char.unsafe_chr kind.(!i))
   end
+  else begin
+    Buffer.add_char buf '\000';
+    let i = ref 0 in
+    while !i < n do
+      let j = run_end kind !i n in
+      Buffer.add_char buf (Char.unsafe_chr kind.(!i));
+      write_varint buf (j - !i);
+      i := j
+    done
+  end
+
+(* The id of access location [loc] of kind [k], interning it if it is
+   new. *)
+let loc_id enc k loc =
+  if loc == Array.unsafe_get enc.e_memo_loc k then Array.unsafe_get enc.e_memo_id k
+  else begin
+    let other = 1 - k in
+    let id =
+      if loc == Array.unsafe_get enc.e_memo_loc other then
+        Array.unsafe_get enc.e_memo_id other
+      else
+        match Hashtbl.find_opt enc.e_locs loc with
+        | Some id -> id
+        | None ->
+          check_loc loc;
+          let id = enc.e_next_loc in
+          if id = Array.length enc.e_names then begin
+            let grown = Array.make (2 * id) "" in
+            Array.blit enc.e_names 0 grown 0 id;
+            enc.e_names <- grown
+          end;
+          enc.e_names.(id) <- loc;
+          enc.e_next_loc <- id + 1;
+          Hashtbl.replace enc.e_locs loc id;
+          id
+    in
+    Array.unsafe_set enc.e_memo_loc k loc;
+    Array.unsafe_set enc.e_memo_id k id;
+    id
+  end
+
+(* Locations of the access rows: each value predicted from the
+   previous access of the same kind in this block (0) or the id + 1,
+   written plain (mode 0) or as RLE runs (mode 1), whichever is
+   smaller; a tie keeps plain. *)
+let write_locs enc buf (kind : int array) (loc : string array) n =
+  let vals = enc.e_vals and pred = [| -1; -1 |] in
+  let fresh = ref enc.e_next_loc in
+  (* the values, and the bytes of both modes' varints ([run] equal
+     values of [last] so far close the RLE count) *)
+  let m = ref 0 and plain = ref 0 and rle = ref 0 in
+  let last = ref (-1) and run = ref 0 in
+  for i = 0 to n - 1 do
+    let k = Array.unsafe_get kind i in
+    if k <= tag_write then begin
+      let id = loc_id enc k (Array.unsafe_get loc i) in
+      let v = if id = Array.unsafe_get pred k then 0 else id + 1 in
+      Array.unsafe_set vals !m v;
+      Array.unsafe_set pred k id;
+      incr m;
+      let len = varint_len v in
+      plain := !plain + len;
+      if v = !last then incr run
+      else begin
+        if !run > 0 then rle := !rle + varint_len !last + varint_len !run;
+        last := v;
+        run := 1
+      end
+    end
+  done;
+  if !run > 0 then rle := !rle + varint_len !last + varint_len !run;
+  (* a value, then the bytes of the id it introduces if it is the next
+     fresh one, then (mode 1) its run *)
+  let m = !m and runs = !rle < !plain in
+  Buffer.add_char buf (if runs then '\001' else '\000');
+  let j = ref 0 in
+  while !j < m do
+    let v = Array.unsafe_get vals !j in
+    write_varint buf v;
+    if v - 1 = !fresh then begin
+      let name = enc.e_names.(!fresh) in
+      write_varint buf (String.length name);
+      Buffer.add_string buf name;
+      incr fresh
+    end;
+    let e = if runs then run_end vals !j m else !j + 1 in
+    if runs then write_varint buf (e - !j);
+    j := e
+  done
 
 (* Encode one batch as a block body (no length prefix): the serve 'B'
    frame payload is exactly one body. *)
@@ -111,16 +229,10 @@ let encode_body enc (b : Batch.t) =
   let n = Batch.length b in
   if n < 1 || n > block_events then
     invalid_arg "Trace_format_v2.encode_body: 1 <= batch length <= 4096 required";
-  let buf = Buffer.create (n * 4) in
+  let buf = Buffer.create (n * 2) in
   write_varint buf n;
   let kind = b.Batch.kind in
-  let i = ref 0 in
-  while !i < n do
-    let j = run_end kind !i n in
-    Buffer.add_char buf (Char.chr kind.(!i));
-    write_varint buf (j - !i);
-    i := j
-  done;
+  write_kinds buf kind n;
   write_rle buf b.Batch.a n;
   let prev = ref 0 in
   for i = 0 to n - 1 do
@@ -129,9 +241,7 @@ let encode_body enc (b : Batch.t) =
     prev := v
   done;
   write_rle buf b.Batch.c n;
-  for i = 0 to n - 1 do
-    if kind.(i) <= tag_write then write_loc enc buf b.Batch.loc.(i)
-  done;
+  write_locs enc buf kind b.Batch.loc n;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -249,23 +359,31 @@ let to_file path f =
 
 (* The location table is id-indexed: ids are dense (0 ..
    d_next_loc-1, each fresh id is exactly the next one), so a string
-   array that doubles when full replaces a hash table. *)
+   array that doubles when full replaces a hash table.  [rev3] is the
+   stream's block revision: 3, or 2 with its implied modes. *)
 type stream_decoder = {
   path : string option;
+  rev3 : bool;
   mutable d_locs : string array;
   mutable d_next_loc : int;
   mutable events_read : int;
   mutable d_body : Bytes.t;
       (* [read_block]'s body buffer, grown to the largest body read *)
+  mutable d_reads : int;
 }
 
-let stream_decoder ?path () =
+let stream_decoder ?path ?(revision = version) () =
+  if not (readable revision) then
+    invalid_arg
+      (Printf.sprintf "Trace_format_v2.stream_decoder: revision %d" revision);
   {
     path;
+    rev3 = revision = 3;
     d_locs = Array.make 64 "";
     d_next_loc = 0;
     events_read = 0;
     d_body = Bytes.empty;
+    d_reads = 0;
   }
 
 let add_loc dec s =
@@ -280,14 +398,21 @@ let add_loc dec s =
 
 (* In-body cursor over the first [lim] bytes of [s]; [Corrupt] carries
    the reason, the caller maps it to an [Error.Corrupt_trace] at the
-   cursor's absolute offset. *)
+   cursor's absolute offset.  The hot column loops keep the position
+   in a local ref (a register) and store it back into [pos] before
+   anything that raises or reads through the cursor. *)
 type cursor = { s : Bytes.t; lim : int; mutable pos : int }
 
-let cur_byte cur =
+let[@inline] cur_byte cur =
   let p = cur.pos in
   if p >= cur.lim then raise (Corrupt "truncated block");
   cur.pos <- p + 1;
   Char.code (Bytes.unsafe_get cur.s p)
+
+(* [Corrupt reason] with the cursor at [p]. *)
+let corrupt_at cur p reason =
+  cur.pos <- p;
+  raise (Corrupt reason)
 
 (* Multi-byte varints: a top-level loop, so no closure is allocated
    per read. *)
@@ -301,35 +426,35 @@ let varint_slow cur =
   let n = varint_loop cur 0 0 in
   if n < 0 then raise (Corrupt "varint overflow") else n
 
-let uvarint_slow cur = varint_loop cur 0 0
+(* The slow reads from position [p] of a register-held cursor; the
+   position after the varint is left in [cur.pos]. *)
+let varint_at cur p =
+  cur.pos <- p;
+  varint_slow cur
+
+let uvarint_at cur p =
+  cur.pos <- p;
+  varint_loop cur 0 0
+
+(* The one-byte varint at [q] of [s], or -1 when the varint there is
+   longer or runs past [lim]: the register-cursor loops' inline read. *)
+let[@inline] short_varint s lim q =
+  if q < lim then begin
+    let x = Char.code (Bytes.unsafe_get s q) in
+    if x < 0x80 then x else -1
+  end
+  else -1
 
 (* Most varints are one byte (RLE runs of 1, small deltas, location
    ids): read those inline; anything else, including a truncated
-   body, takes the loop, which raises exactly as a full read would.
-   [cur_uvarint] is the b column's read, which keeps bit 62. *)
+   body, takes the loop, which raises exactly as a full read would. *)
 let[@inline] cur_varint cur =
-  let p = cur.pos in
-  if p < cur.lim then begin
-    let b = Char.code (Bytes.unsafe_get cur.s p) in
-    if b < 0x80 then begin
-      cur.pos <- p + 1;
-      b
-    end
-    else varint_slow cur
+  let v = short_varint cur.s cur.lim cur.pos in
+  if v >= 0 then begin
+    cur.pos <- cur.pos + 1;
+    v
   end
   else varint_slow cur
-
-let[@inline] cur_uvarint cur =
-  let p = cur.pos in
-  if p < cur.lim then begin
-    let b = Char.code (Bytes.unsafe_get cur.s p) in
-    if b < 0x80 then begin
-      cur.pos <- p + 1;
-      b
-    end
-    else uvarint_slow cur
-  end
-  else uvarint_slow cur
 
 let cur_take cur len =
   if len > cur.lim - cur.pos then raise (Corrupt "truncated block");
@@ -337,48 +462,195 @@ let cur_take cur len =
   cur.pos <- cur.pos + len;
   s
 
-let bad_address v =
-  if v < 0 then "negative address"
-  else Printf.sprintf "address %d out of range" v
+(* The b column's errors, at position [p]. *)
+let bad_address cur p v =
+  corrupt_at cur p
+    (if v < 0 then "negative address"
+     else Printf.sprintf "address %d out of range" v)
 
-(* Decode one block body into [batch].  [base] is the body's absolute
-   offset in the stream, used for error offsets.  Rows get
-   [off = events_read + i]: a monotone stream position, which race
-   reports carry as their order key.
+let bad_tid cur p v = corrupt_at cur p (Printf.sprintf "tid %d out of range" v)
 
-   Every check runs in the order of the reference decoder kept in
-   test/v2_oracle.ml, so a corrupt body fails with the same offset,
-   reason and events_read; run bounds are compared as [run > n - i]
-   so a huge varint cannot overflow past them.  Each row's location
-   is stored once, and only when the pointer changes; rows past [n]
-   left from the previous block are blanked so a parked batch pins no
-   strings. *)
-let decode_rows dec cur (batch : Batch.t) =
-  let n = cur_varint cur in
-  if n < 1 || n > block_events then
-    raise (Corrupt (Printf.sprintf "block event count %d out of range" n));
-  if n > Batch.capacity batch then
-    invalid_arg "Trace_format_v2.decode_body: batch capacity too small";
-  batch.Batch.len <- 0;
-  let kind = batch.Batch.kind
-  and a = batch.Batch.a
-  and b = batch.Batch.b
-  and c = batch.Batch.c
-  and loc = batch.Batch.loc in
-  (* kinds *)
-  let i = ref 0 in
+(* A fresh location's length and bytes, at the cursor. *)
+let fresh_loc dec cur =
+  let len = cur_varint cur in
+  if len > max_loc_len then
+    raise (Corrupt (Printf.sprintf "location length %d out of range" len));
+  let s = cur_take cur len in
+  add_loc dec s;
+  s
+
+let mode_byte dec cur column =
+  if dec.rev3 then begin
+    let m = cur_byte cur in
+    if m > 1 then raise (Corrupt (Printf.sprintf "%s column mode %d" column m));
+    m
+  end
+  else 0
+
+let no_repeat = "location repeat before any access of its kind"
+
+(* No location yet: a private string, so no decoded one is [==] it. *)
+let none = String.make 1 '\000'
+
+(* The location a value read up to position [p] names, [none] for a
+   prediction; the cursor is left after the value and, for a fresh id,
+   after its string. *)
+let named dec cur p v =
+  cur.pos <- p;
+  if v = 0 && dec.rev3 then none
+  else begin
+    let id = if dec.rev3 then v - 1 else v in
+    if id > dec.d_next_loc then
+      raise (Corrupt (Printf.sprintf "location id %d from the future" id));
+    if id < dec.d_next_loc then Array.unsafe_get dec.d_locs id
+    else fresh_loc dec cur
+  end
+
+(* Fills the [r] access rows from row [i] on: a read gets [nr], a
+   write [nw], the rows between them "".  Returns the row after the
+   last; [dec.d_reads] is how many of the [r] were reads. *)
+let fill_run dec kind loc i r nr nw =
+  let i = ref i and r = ref r and reads = ref 0 in
+  while !r > 0 do
+    let k = Array.unsafe_get kind !i in
+    let name =
+      if k <= tag_write then begin
+        reads := !reads + (1 - k);
+        decr r;
+        if k = tag_read then nr else nw
+      end
+      else ""
+    in
+    if Array.unsafe_get loc !i != name then Array.unsafe_set loc !i name;
+    incr i
+  done;
+  dec.d_reads <- !reads;
+  !i
+
+(* [fill_run] for a run of 0s once the block has had a read and a
+   write: nothing to count, the common case. *)
+let fill_known kind loc i r nr nw =
+  let i = ref i and r = ref r in
+  while !r > 0 do
+    let k = Array.unsafe_get kind !i in
+    let name =
+      if k <= tag_write then begin
+        decr r;
+        if k = tag_read then nr else nw
+      end
+      else ""
+    in
+    if Array.unsafe_get loc !i != name then Array.unsafe_set loc !i name;
+    incr i
+  done;
+  !i
+
+(* The b column (addrs/locks/children): a zigzag delta per row; a
+   lock id may be any int, every other value lies in
+   [0 .. max_addr].  Addresses jump far often enough that longer
+   varints are read inline too, when all nine bytes a varint may take
+   lie in the body; the loop reads any other, a tenth byte included,
+   and raises as a full read would. *)
+let b_column cur (kind : int array) (b : int array) n =
+  let s = cur.s and lim = cur.lim in
+  let p = ref cur.pos in
+  let prev = ref 0 in
+  for i = 0 to n - 1 do
+    let q = !p in
+    let z =
+      if q + 9 <= lim then begin
+        let x = Char.code (Bytes.unsafe_get s q) in
+        if x < 0x80 then begin
+          p := q + 1;
+          x
+        end
+        else begin
+          let acc = ref (x land 0x7f) and q' = ref (q + 1) and shift = ref 7 in
+          let x = ref (Char.code (Bytes.unsafe_get s !q')) in
+          while !x >= 0x80 && !shift < 56 do
+            acc := !acc lor ((!x land 0x7f) lsl !shift);
+            shift := !shift + 7;
+            incr q';
+            x := Char.code (Bytes.unsafe_get s !q')
+          done;
+          if !x < 0x80 then begin
+            p := !q' + 1;
+            !acc lor (!x lsl !shift)
+          end
+          else begin
+            let z = uvarint_at cur q in
+            p := cur.pos;
+            z
+          end
+        end
+      end
+      else begin
+        let z = uvarint_at cur q in
+        p := cur.pos;
+        z
+      end
+    in
+    let v = !prev + unzigzag z in
+    let k = Array.unsafe_get kind i in
+    if v lsr addr_bits <> 0 && k <> tag_acquire && k <> tag_release then
+      bad_address cur !p v;
+    if (k = tag_fork || k = tag_join) && v > max_tid then
+      bad_tid cur !p v;
+    Array.unsafe_set b i v;
+    prev := v
+  done;
+  cur.pos <- !p
+
+(* Kinds, RLE (mode 0): (tag byte, varint run) pairs. *)
+let kinds_rle cur (kind : int array) n =
+  let s = cur.s and lim = cur.lim in
+  let p = ref cur.pos and i = ref 0 in
   while !i < n do
-    let tag = cur_byte cur in
+    let q = !p in
+    if q >= lim then corrupt_at cur q "truncated block";
+    let tag = Char.code (Bytes.unsafe_get s q) in
+    p := q + 1;
     if tag > max_tag then
-      raise (Corrupt (Printf.sprintf "unknown tag %d" tag));
-    let run = cur_varint cur in
-    if run < 1 || run > n - !i then raise (Corrupt "kind run out of range");
+      corrupt_at cur !p (Printf.sprintf "unknown tag %d" tag);
+    let run = short_varint s lim !p in
+    let run =
+      if run >= 0 then (incr p; run)
+      else (let run = varint_at cur !p in p := cur.pos; run)
+    in
+    if run < 1 || run > n - !i then corrupt_at cur !p "kind run out of range";
     for j = !i to !i + run - 1 do
       Array.unsafe_set kind j tag
     done;
     i := !i + run
   done;
-  (* a column (tids/parents) *)
+  cur.pos <- !p
+
+(* Kinds, packed (mode 1): two tags a byte, low nibble first, and a
+   last high nibble of 0 when [n] is odd. *)
+let kinds_nibbles cur (kind : int array) n =
+  let s = cur.s and lim = cur.lim in
+  let p = ref cur.pos and i = ref 0 in
+  while !i < n do
+    let q = !p in
+    if q >= lim then corrupt_at cur q "truncated block";
+    let x = Char.code (Bytes.unsafe_get s q) in
+    p := q + 1;
+    let lo = x land 0xf and hi = x lsr 4 in
+    if lo > max_tag then corrupt_at cur !p (Printf.sprintf "unknown tag %d" lo);
+    Array.unsafe_set kind !i lo;
+    if !i + 1 < n then begin
+      if hi > max_tag then
+        corrupt_at cur !p (Printf.sprintf "unknown tag %d" hi);
+      Array.unsafe_set kind (!i + 1) hi
+    end
+    else if hi <> 0 then
+      corrupt_at cur !p (Printf.sprintf "kind padding nibble %d" hi);
+    i := !i + 2
+  done;
+  cur.pos <- !p
+
+(* The a column (tids/parents). *)
+let a_column cur (a : int array) n =
   let i = ref 0 in
   while !i < n do
     let v = cur_varint cur in
@@ -390,21 +662,11 @@ let decode_rows dec cur (batch : Batch.t) =
       Array.unsafe_set a j v
     done;
     i := !i + run
-  done;
-  (* b column (addrs/locks/children), zigzag deltas; a lock id may be
-     any int, every other value lies in [0 .. max_addr] *)
-  let prev = ref 0 in
-  for i = 0 to n - 1 do
-    let v = !prev + unzigzag (cur_uvarint cur) in
-    let k = Array.unsafe_get kind i in
-    if v lsr addr_bits <> 0 && k <> tag_acquire && k <> tag_release then
-      raise (Corrupt (bad_address v));
-    if (k = tag_fork || k = tag_join) && v > max_tid then
-      raise (Corrupt (Printf.sprintf "tid %d out of range" v));
-    Array.unsafe_set b i v;
-    prev := v
-  done;
-  (* c column (sizes/sync codes); a value <= 3 is valid for every kind *)
+  done
+
+(* The c column (sizes/sync codes); a value <= 3 is valid for every
+   kind. *)
+let c_column cur (kind : int array) (c : int array) n =
   let i = ref 0 in
   while !i < n do
     let v = cur_varint cur in
@@ -421,29 +683,109 @@ let decode_rows dec cur (batch : Batch.t) =
       Array.unsafe_set c j v
     done;
     i := !i + run
-  done;
-  (* locations, access rows only *)
+  done
+
+(* Locations, plain (mode 0): one value per access row; a known id is
+   looked up inline.  [prev_r]/[prev_w] are what a 0 repeats. *)
+let locs_plain dec cur (kind : int array) (loc : string array) n =
+  let s = cur.s and lim = cur.lim in
+  let off = if dec.rev3 then 1 else 0 in
+  let p = ref cur.pos and prev_r = ref none and prev_w = ref none in
   for i = 0 to n - 1 do
-    let s =
-      if Array.unsafe_get kind i <= tag_write then begin
-        let id = cur_varint cur in
-        if id < dec.d_next_loc then Array.unsafe_get dec.d_locs id
-        else if id = dec.d_next_loc then begin
-          let len = cur_varint cur in
-          if len > max_loc_len then
-            raise
-              (Corrupt (Printf.sprintf "location length %d out of range" len));
-          let s = cur_take cur len in
-          add_loc dec s;
-          s
+    let k = Array.unsafe_get kind i in
+    let name =
+      if k > tag_write then ""
+      else begin
+        let v = short_varint s lim !p in
+        let v =
+          if v >= 0 then (incr p; v)
+          else (let v = varint_at cur !p in p := cur.pos; v)
+        in
+        let id = v - off in
+        let name =
+          if id >= 0 && id < dec.d_next_loc then Array.unsafe_get dec.d_locs id
+          else (let name = named dec cur !p v in p := cur.pos; name)
+        in
+        if name != none then begin
+          if k = tag_read then prev_r := name else prev_w := name;
+          name
         end
-        else
-          raise (Corrupt (Printf.sprintf "location id %d from the future" id))
+        else begin
+          let name = if k = tag_read then !prev_r else !prev_w in
+          if name == none then corrupt_at cur !p no_repeat;
+          name
+        end
       end
-      else ""
     in
-    if Array.unsafe_get loc i != s then Array.unsafe_set loc i s
+    if Array.unsafe_get loc i != name then Array.unsafe_set loc i name
   done;
+  cur.pos <- !p
+
+(* Locations, RLE (mode 1): runs of one value over the access rows.
+   [prev_r]/[prev_w] are what a read and a write of a run of 0s get:
+   the block's previous read's and write's location, [none] before
+   the first; [left] counts the access rows no run has claimed yet. *)
+let locs_runs dec cur (kind : int array) (loc : string array) n =
+  let prev_r = ref none and prev_w = ref none in
+  let left = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get kind i <= tag_write then incr left
+  done;
+  let i = ref 0 in
+  while !left > 0 do
+    let v = cur_varint cur in
+    let name = named dec cur cur.pos v in
+    let r = cur_varint cur in
+    if r < 1 || r > !left then raise (Corrupt "location run out of range");
+    left := !left - r;
+    if name == none && !prev_r != none && !prev_w != none then
+      i := fill_known kind loc !i r !prev_r !prev_w
+    else if name == none then begin
+      i := fill_run dec kind loc !i r !prev_r !prev_w;
+      if (dec.d_reads > 0 && !prev_r == none)
+         || (dec.d_reads < r && !prev_w == none)
+      then raise (Corrupt no_repeat)
+    end
+    else begin
+      (* the run's reads and writes get [name], which the next 0 then
+         repeats for each kind the run had *)
+      i := fill_run dec kind loc !i r name name;
+      if dec.d_reads > 0 then prev_r := name;
+      if dec.d_reads < r then prev_w := name
+    end
+  done;
+  for i = !i to n - 1 do
+    if Array.unsafe_get loc i != "" then Array.unsafe_set loc i ""
+  done
+
+(* Decode one block body into [batch].  [base] is the body's absolute
+   offset in the stream, used for error offsets.  Rows get
+   [off = events_read + i]: a monotone stream position, which race
+   reports carry as their order key.
+
+   Every check runs in the order of the reference decoder kept in
+   test/v2_oracle.ml, so a corrupt body fails with the same offset,
+   reason and events_read; run bounds are compared as [run > n - i]
+   so a huge varint cannot overflow past them.  Each row's location
+   is stored once, and only when the pointer changes; rows past [n]
+   left from the previous block are blanked so a parked batch pins no
+   strings.  One function per column keeps each loop's state in
+   registers. *)
+let decode_rows dec cur (batch : Batch.t) =
+  let n = cur_varint cur in
+  if n < 1 || n > block_events then
+    raise (Corrupt (Printf.sprintf "block event count %d out of range" n));
+  if n > Batch.capacity batch then
+    invalid_arg "Trace_format_v2.decode_body: batch capacity too small";
+  batch.Batch.len <- 0;
+  let kind = batch.Batch.kind in
+  if mode_byte dec cur "kind" = 1 then kinds_nibbles cur kind n
+  else kinds_rle cur kind n;
+  a_column cur batch.Batch.a n;
+  b_column cur kind batch.Batch.b n;
+  c_column cur kind batch.Batch.c n;
+  if mode_byte dec cur "location" = 1 then locs_runs dec cur kind batch.Batch.loc n
+  else locs_plain dec cur kind batch.Batch.loc n;
   if cur.pos <> cur.lim then raise (Corrupt "trailing bytes in block");
   n
 
@@ -501,9 +843,10 @@ let check_header ?path ic =
   | exception End_of_file ->
     fail ~offset:(String.length magic) "missing version byte"
   | v ->
-    if v <> version then
+    if not (readable v) then
       fail ~offset:(String.length magic)
-        (Printf.sprintf "unsupported version %d" v)
+        (Printf.sprintf "unsupported version %d" v);
+    v
 
 (* Read one block into [batch]; false on clean EOF at a block
    boundary.  Truncation anywhere inside the length prefix or body is
@@ -558,8 +901,8 @@ let read_block dec ic batch =
 let fold_batches ?wrap_decode path f init =
   let ic = open_in_bin path in
   let run () =
-    check_header ~path ic;
-    let dec = stream_decoder ~path () in
+    let revision = check_header ~path ic in
+    let dec = stream_decoder ~path ~revision () in
     let batch = Batch.create () in
     let next =
       match wrap_decode with
@@ -581,8 +924,8 @@ let fold_batches ?wrap_decode path f init =
    per-event differential replays).  Each block is materialized once;
    not the hot path. *)
 let read ?path ic =
-  check_header ?path ic;
-  let dec = stream_decoder ?path () in
+  let revision = check_header ?path ic in
+  let dec = stream_decoder ?path ~revision () in
   let batch = Batch.create () in
   let rec block () =
     if read_block dec ic batch then begin

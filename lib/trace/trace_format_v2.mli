@@ -4,11 +4,17 @@
 
     Layout (see doc/trace.md for the worked example):
     {v
-    header := "DGRT" 0x02
+    header := "DGRT" revision          (0x03 written; 0x02 still read)
     block  := varint body_len, body
-    body   := varint n, kinds RLE, tid RLE, addr zigzag-deltas,
-              size RLE, access locations (interned across blocks)
+    body   := varint n, kinds (mode: RLE | nibbles), tid RLE,
+              addr zigzag-deltas, size RLE,
+              access locations (mode: plain | RLE; interned across
+              blocks, each predicted from the block's previous access
+              of the same kind)
     v}
+
+    Revision 2 has no mode bytes: its kinds are RLE and its location
+    values plain, unpredicted ids.  One decoder reads both revisions.
 
     The b column (addresses, lock ids, fork/join children) stores any
     [int]: wrapping deltas, zigzagged, as unsigned varints of at most
@@ -23,7 +29,11 @@
 open Dgrace_events
 module Error := Dgrace_resilience.Error
 
+(** The block revision every writer emits: 3. *)
 val version : int
+
+(** The block revisions the decoder reads: 2 and 3. *)
+val readable : int -> bool
 
 (** Events per block: {!Batch.default_capacity} (4096). *)
 val block_events : int
@@ -90,7 +100,10 @@ val to_file : string -> ((Event.t -> unit) -> 'a) -> 'a * int
     running event count (which numbers batch rows). *)
 type stream_decoder
 
-val stream_decoder : ?path:string -> unit -> stream_decoder
+(** [stream_decoder ?path ?revision ()] decodes bodies of block
+    revision [revision] (default {!version}).
+    @raise Invalid_argument unless [readable revision]. *)
+val stream_decoder : ?path:string -> ?revision:int -> unit -> stream_decoder
 
 (** [decode_body dec ~base body batch] decodes one block body into
     [batch] (cleared first).  [base] is the body's absolute offset in
@@ -101,9 +114,10 @@ val decode_body :
 
 (** {1 File reading} *)
 
-(** Raises [Error.E (Corrupt_trace _)] unless the channel starts with
-    a v2 header. *)
-val check_header : ?path:string -> in_channel -> unit
+(** The block revision named by the channel's v2 header.  Raises
+    [Error.E (Corrupt_trace _)] unless the channel starts with a
+    header of a {!readable} revision. *)
+val check_header : ?path:string -> in_channel -> int
 
 (** [read_block dec ic batch] reads the next block into [batch];
     [false] on clean EOF at a block boundary.  Raises [Error.E] on

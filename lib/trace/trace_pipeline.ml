@@ -36,8 +36,8 @@ let feed ?(slots = default_slots) ?(clock = fun () -> 0) path consume =
     let t0 = clock () in
     (try
        In_channel.with_open_bin path (fun ic ->
-           Trace_format_v2.check_header ~path ic;
-           let dec = Trace_format_v2.stream_decoder ~path () in
+           let revision = Trace_format_v2.check_header ~path ic in
+           let dec = Trace_format_v2.stream_decoder ~path ~revision () in
            let rec loop () =
              (* the acquire is where ring backpressure blocks the
                 decoder (the ring times it as decode stall) *)

@@ -21,7 +21,8 @@ open Dgrace_events
 val probe_version : string -> int
 (** Read just the header and report the container version byte, so
     callers can pick the v1 ({!Trace_reader}) or v2
-    ({!Trace_format_v2}) decode path.
+    ({!Trace_format_v2}) decode path: 1 is v1, 2 and up is v2, where
+    the byte is the block revision ({!Trace_format_v2.version}).
     @raise Dgrace_resilience.Error.E on a bad magic or missing
     version. *)
 

@@ -25,6 +25,7 @@ type slot = { _never_built : unit }
 type 'a t = {
   mutable slots : slot array;  (* 2 * capacity, capacity a power of two *)
   mutable mask : int;  (* capacity - 1 *)
+  mutable shift : int;  (* 63 - log2 capacity: [home]'s top-bits shift *)
   mutable size : int;
   initial : int;  (* capacity [reset] returns to *)
 }
@@ -35,13 +36,14 @@ let[@inline] to_key (s : slot) : int = Obj.magic s
 let[@inline] of_value (v : 'a) : slot = Obj.magic v
 let[@inline] to_value (s : slot) : 'a = Obj.magic s
 
-(* Multiplicative hashing: multiply by an odd constant (xorshift64*'s,
-   which fits OCaml's 63-bit int) and fold the well-mixed high bits
-   down, so sequential keys — lock ids, page numbers — and FNV content
-   hashes alike spread over the low bits the table indexes with. *)
-let[@inline] home mask k =
-  let h = k * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 32)) land mask
+(* Fibonacci hashing: multiply by 2^63 / phi (rounded to odd) and
+   keep the product's top log2(capacity) bits.  Consecutive keys —
+   lock ids, which a run numbers from 1, and page numbers — land about
+   capacity / phi slots apart, so they fill the table evenly instead of
+   forming long probe runs; FNV content hashes spread as well. *)
+let[@inline] home shift k = (k * 0x4F1BBCDCBFA53E0B) lsr shift
+
+let rec log2 c = if c = 1 then 0 else 1 + log2 (c lsr 1)
 
 (* Room for [size] bindings in [cap] slots. *)
 let[@inline] fits size cap = 4 * size <= 3 * cap
@@ -50,7 +52,13 @@ let rec cap_for n c = if fits n c then c else cap_for n (2 * c)
 
 let create n =
   let cap = cap_for n 8 in
-  { slots = Array.make (2 * cap) free; mask = cap - 1; size = 0; initial = cap }
+  {
+    slots = Array.make (2 * cap) free;
+    mask = cap - 1;
+    shift = 63 - log2 cap;
+    size = 0;
+    initial = cap;
+  }
 
 let length t = t.size
 
@@ -62,7 +70,7 @@ let rec probe slots mask k i =
   else if s == free then -1 - i
   else probe slots mask k ((i + 1) land mask)
 
-let[@inline] index t k = probe t.slots t.mask k (home t.mask k)
+let[@inline] index t k = probe t.slots t.mask k (home t.shift k)
 
 let[@inline] find_or t k ~default =
   let i = index t k in
@@ -98,6 +106,7 @@ let resize t cap =
   let old = t.slots in
   t.slots <- Array.make (2 * cap) free;
   t.mask <- cap - 1;
+  t.shift <- 63 - log2 cap;
   t.size <- 0;
   for i = 0 to (Array.length old / 2) - 1 do
     let s = Array.unsafe_get old (2 * i) in
@@ -121,10 +130,10 @@ let replace t k v =
 let remove t k =
   let i = index t k in
   if i >= 0 then begin
-    let slots = t.slots and mask = t.mask in
+    let slots = t.slots and mask = t.mask and shift = t.shift in
     let hole = ref i and j = ref ((i + 1) land mask) in
     while Array.unsafe_get slots (2 * !j) != free do
-      let h = home mask (to_key (Array.unsafe_get slots (2 * !j))) in
+      let h = home shift (to_key (Array.unsafe_get slots (2 * !j))) in
       if (!j - h) land mask >= (!j - !hole) land mask then begin
         Array.unsafe_set slots (2 * !hole) (Array.unsafe_get slots (2 * !j));
         Array.unsafe_set slots ((2 * !hole) + 1)
@@ -149,7 +158,18 @@ let reset t =
   else begin
     t.slots <- Array.make (2 * t.initial) free;
     t.mask <- t.initial - 1;
+    t.shift <- 63 - log2 t.initial;
     t.size <- 0
   end
+
+let longest_probe t =
+  let longest = ref 0 in
+  for i = 0 to t.mask do
+    let s = Array.unsafe_get t.slots (2 * i) in
+    if s != free then
+      longest :=
+        max !longest (((i - home t.shift (to_key s)) land t.mask) + 1)
+  done;
+  !longest
 
 let copy t = { t with slots = Array.copy t.slots }

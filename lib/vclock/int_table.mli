@@ -3,7 +3,7 @@
 
     A monomorphic open-addressing table: keys and values sit side by
     side in one flat array, probed linearly from an inline
-    multiplicative hash with an integer compare.  A binding costs no
+    Fibonacci hash with an integer compare.  A binding costs no
     heap block of its own, and {!find_or} misses without raising or
     allocating.  Every [int] is a valid key — lock ids come straight
     from untrusted traces, so no key value is reserved.
@@ -46,3 +46,7 @@ val reset : 'a t -> unit
 (** Remove every binding and shrink back to the initial capacity. *)
 
 val copy : 'a t -> 'a t
+
+val longest_probe : 'a t -> int
+(** The most slots a lookup of a bound key probes (0 when empty): a
+    diagnostic for the hash's spread, not a hot-path call. *)

@@ -191,9 +191,10 @@ let test_codec_corruption_absolute_offset () =
   (match Trace_format_v2.decode_body dec ~base:0 first b with
    | Ok () -> ()
    | Error e -> Alcotest.fail (Error.to_string e));
-  (* one row whose kind tag is no kind *)
+  (* one row, RLE kinds, whose kind tag is no kind *)
   match
-    Trace_format_v2.decode_body dec ~base:(String.length first) "\x01\xee\x01" b
+    Trace_format_v2.decode_body dec ~base:(String.length first)
+      "\x01\x00\xee\x01" b
   with
   | Ok () -> Alcotest.fail "garbage decoded"
   | Error (Error.Corrupt_trace { offset; reason; _ }) ->
@@ -617,7 +618,9 @@ let test_server_inbox_backpressure () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           Unix.connect fd (Unix.ADDR_UNIX socket);
-          Wire.write fd (Wire.Open (Json.Obj []));
+          Wire.write fd
+            (Wire.Open
+               (Json.Obj [ ("revision", Json.Int Trace_format_v2.version) ]));
           (match Wire.read fd with
            | Ok (Some (Wire.Opened _)) -> ()
            | _ -> Alcotest.fail "open failed");
@@ -666,6 +669,70 @@ let test_server_inbox_backpressure () =
             true (!overloaded >= 1);
           Alcotest.(check bool) "shed counter" true
             (Server.shed_total server >= !overloaded)))
+
+(* The open frame names the block revision of the session's B bodies:
+   the server refuses one its decoder cannot read, and an open frame
+   without the field (a client that predates it) gets revision-2
+   decoding, so such a client's bodies still replay to the one-shot
+   races. *)
+let test_server_refuses_unknown_revision () =
+  let events = racy_events () in
+  let oracle = baseline_lines events in
+  with_server (fun _server socket ->
+      let session fields ~feed =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            Wire.write fd (Wire.Open (Json.Obj fields));
+            match Wire.read fd with
+            | Ok (Some (Wire.Err j)) -> Error j
+            | Ok (Some (Wire.Opened _)) ->
+              Wire.write fd (Wire.Feed_batch (feed events));
+              Wire.write fd Wire.Finish;
+              let rec races acc =
+                match Wire.read fd with
+                | Ok (Some (Wire.Race line)) -> races (line :: acc)
+                | Ok (Some (Wire.Ack _)) -> races acc
+                | Ok (Some (Wire.Summary _)) -> Ok (List.rev acc)
+                | Ok (Some (Wire.Err j)) -> Error j
+                | _ -> Alcotest.fail "session ended without a summary"
+              in
+              races []
+            | _ -> Alcotest.fail "expected Opened or Err")
+      in
+      let rev2 evs =
+        Test_trace_v2.encode_rev2 (Hashtbl.create 8) (Batch.of_events evs)
+      in
+      let rev3 evs = body evs in
+      List.iter
+        (fun (what, fields) ->
+          match session fields ~feed:rev3 with
+          | Ok _ -> Alcotest.failf "%s: opened" what
+          | Error j ->
+            Alcotest.(check (option int)) (what ^ ": input error") (Some 4)
+              (match Json.member "code" j with
+               | Some (Json.Int c) -> Some c
+               | _ -> None);
+            Alcotest.(check bool) (what ^ ": names the field") true
+              (contains ~affix:"open.revision" (Json.to_string ~minify:true j)))
+        [
+          ("revision 4", [ ("revision", Json.Int 4) ]);
+          ("revision 1", [ ("revision", Json.Int 1) ]);
+          ("revision \"3\"", [ ("revision", Json.String "3") ]);
+        ];
+      List.iter
+        (fun (what, fields, feed) ->
+          match session fields ~feed with
+          | Ok races -> Alcotest.(check (list string)) what oracle races
+          | Error j ->
+            Alcotest.failf "%s: %s" what (Json.to_string ~minify:true j))
+        [
+          ("revision 3", [ ("revision", Json.Int 3) ], rev3);
+          ("revision 2", [ ("revision", Json.Int 2) ], rev2);
+          ("no revision field", [], rev2);
+        ])
 
 let test_server_drain_seals_partial () =
   let cfg =
@@ -887,6 +954,8 @@ let suites : unit Alcotest.test list =
           test_server_admission_overload;
         Alcotest.test_case "inbox backpressure" `Slow
           test_server_inbox_backpressure;
+        Alcotest.test_case "open refuses an unknown block revision" `Quick
+          test_server_refuses_unknown_revision;
         Alcotest.test_case "drain seals partial" `Quick
           test_server_drain_seals_partial;
         Alcotest.test_case "watchdog on a mock clock" `Quick

@@ -112,7 +112,8 @@ let test_v1_interchange () =
     Trace_format_v2.to_file v2 (fun sink -> List.iter sink events)
   in
   Alcotest.(check int) "v1 is v1" 1 (Trace_reader.probe_version v1);
-  Alcotest.(check int) "v2 is v2" 2 (Trace_reader.probe_version v2);
+  Alcotest.(check int) "v2 is revision 3" Trace_format_v2.version
+    (Trace_reader.probe_version v2);
   let per_event = Tutil.(analyze (config Spec.dynamic) (event_list events)) in
   let batched = Tutil.(analyze (config Spec.dynamic) (v2_batches v2)) in
   Sys.remove v1;
@@ -182,22 +183,113 @@ let test_corrupt_block_offset () =
 
 (* A run varint near max_int must not overflow past the run bound:
    kinds (read, run 1) then (read, run max_int) in a 2-row block is a
-   Corrupt_trace at the offending run, not an Array.fill exception. *)
+   Corrupt_trace at the offending run, not an Array.fill exception —
+   in a revision-2 body and in a revision-3 one (RLE mode byte). *)
 let test_huge_run_rejected () =
-  let buf = Buffer.create 16 in
-  Trace_format.write_varint buf 2;
-  Buffer.add_char buf (Char.chr Trace_format.tag_read);
-  Trace_format.write_varint buf 1;
-  Buffer.add_char buf (Char.chr Trace_format.tag_read);
-  Trace_format.write_varint buf max_int;
-  let body = Buffer.contents buf in
-  let dec = Trace_format_v2.stream_decoder () in
-  match Trace_format_v2.decode_body dec ~base:100 body (Batch.create ()) with
-  | Ok () -> Alcotest.fail "a run past the block decoded"
-  | Error (Error.Corrupt_trace c) ->
-    Alcotest.(check string) "reason" "kind run out of range" c.reason;
-    Alcotest.(check int) "offset" (100 + String.length body) c.offset
-  | Error e -> Alcotest.failf "unexpected %s" (Error.to_string e)
+  List.iter
+    (fun revision ->
+      let buf = Buffer.create 16 in
+      Trace_format.write_varint buf 2;
+      if revision = 3 then Buffer.add_char buf '\000';
+      Buffer.add_char buf (Char.chr Trace_format.tag_read);
+      Trace_format.write_varint buf 1;
+      Buffer.add_char buf (Char.chr Trace_format.tag_read);
+      Trace_format.write_varint buf max_int;
+      let body = Buffer.contents buf in
+      let dec = Trace_format_v2.stream_decoder ~revision () in
+      match
+        Trace_format_v2.decode_body dec ~base:100 body (Batch.create ())
+      with
+      | Ok () -> Alcotest.fail "a run past the block decoded"
+      | Error (Error.Corrupt_trace c) ->
+        Alcotest.(check string) "reason" "kind run out of range" c.reason;
+        Alcotest.(check int) "offset" (100 + String.length body) c.offset
+      | Error e -> Alcotest.failf "unexpected %s" (Error.to_string e))
+    [ 2; 3 ]
+
+(* doc/trace.md's worked example, byte for byte: a stencil's twelve
+   accesses take nibble kinds and run-length locations. *)
+let test_doc_example () =
+  let events =
+    List.concat
+      (List.init 4 (fun i ->
+           [
+             Event.Access
+               { tid = 1; kind = Read; addr = 0x100 + (4 * i); size = 4; loc = "s.c:7" };
+             Event.Access
+               { tid = 1; kind = Read; addr = 0x104 + (4 * i); size = 4; loc = "s.c:7" };
+             Event.Access
+               { tid = 1; kind = Write; addr = 0x180 + (4 * i); size = 4; loc = "s.c:8" };
+           ]))
+  in
+  let body =
+    Trace_format_v2.encode_body (Trace_format_v2.block_encoder ())
+      (Batch.of_events events)
+  in
+  let hex =
+    String.concat " "
+      (List.of_seq
+         (Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+            (String.to_seq body)))
+  in
+  Alcotest.(check string) "body"
+    ("0c 01 00 01 10 00 01 10 01 0c 80 04 08 f8 01 f7 01 08 f8 01 f7 01 08 f8 "
+   ^ "01 f7 01 08 f8 01 04 0c 01 01 05 73 2e 63 3a 37 01 00 01 02 05 73 2e 63 "
+   ^ "3a 38 01 00 09")
+    hex;
+  let back = Batch.create () in
+  (match
+     Trace_format_v2.decode_body (Trace_format_v2.stream_decoder ()) ~base:0
+       body back
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Error.to_string e));
+  Alcotest.(check (list string)) "decodes" (strings events)
+    (strings (List.init (Batch.length back) (Batch.event back)))
+
+(* A revision-3 mode byte is 0 or 1; any other value in either moded
+   column is a Corrupt_trace at the byte after it. *)
+let test_bad_mode_rejected () =
+  let body ~kind_mode ~loc_mode =
+    (* one write row: kinds, a, b, c, then its location (fresh id 0) *)
+    let buf = Buffer.create 16 in
+    let varint = Trace_format.write_varint buf in
+    varint 1;
+    Buffer.add_char buf (Char.chr kind_mode);
+    if kind_mode = 0 then (varint Trace_format.tag_write; varint 1)
+    else Buffer.add_char buf (Char.chr Trace_format.tag_write);
+    List.iter varint [ 0; 1; 0x80; 4; 1 ];
+    let loc_at = Buffer.length buf in
+    Buffer.add_char buf (Char.chr loc_mode);
+    List.iter varint [ 1; 1; Char.code 'x' ];
+    if loc_mode = 1 then varint 1;
+    (Buffer.contents buf, loc_at)
+  in
+  let decode (s, _) =
+    Trace_format_v2.decode_body (Trace_format_v2.stream_decoder ()) ~base:0 s
+      (Batch.create ())
+  in
+  List.iter
+    (fun (kind_mode, loc_mode) ->
+      match decode (body ~kind_mode ~loc_mode) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "modes %d/%d: %s" kind_mode loc_mode (Error.to_string e))
+    [ (0, 0); (0, 1); (1, 0); (1, 1) ];
+  List.iter
+    (fun (kind_mode, loc_mode, reason, at) ->
+      match decode (body ~kind_mode ~loc_mode) with
+      | Ok () -> Alcotest.failf "%s decoded" reason
+      | Error (Error.Corrupt_trace c) ->
+        Alcotest.(check string) "reason" reason c.reason;
+        Alcotest.(check int) (reason ^ ": offset") at c.offset
+      | Error e -> Alcotest.failf "unexpected %s" (Error.to_string e))
+    [
+      (2, 0, "kind column mode 2", 2);
+      (0xff, 0, "kind column mode 255", 2);
+      (0, 2, "location column mode 2", snd (body ~kind_mode:0 ~loc_mode:2) + 1);
+      (1, 0x80, "location column mode 128",
+       snd (body ~kind_mode:1 ~loc_mode:0x80) + 1);
+    ]
 
 (* The writer enforces the reader's bounds, so every trace it records
    replays: a location longer than [max_loc_len] is refused when it is
@@ -310,12 +402,16 @@ let via_bodies decode batch bodies =
   in
   go [] bodies
 
-let decode_new () =
-  let d = Trace_format_v2.stream_decoder () in
+let decode_new revision =
+  let d = Trace_format_v2.stream_decoder ~revision () in
   fun ~base body b -> Trace_format_v2.decode_body d ~base body b
 
-let decode_oracle () =
-  let d = V2_oracle.stream_decoder () in
+(* the oracle's decoders, kept to read the column modes they saw *)
+let oracles = ref []
+
+let decode_oracle revision =
+  let d = V2_oracle.stream_decoder ~revision () in
+  oracles := d :: !oracles;
   fun ~base body b -> V2_oracle.decode_body d ~base body b
 
 (* (absolute offset, body) of each block of a valid stream *)
@@ -373,6 +469,7 @@ let decoder_law full =
       xors
   done;
   Sys.remove tmp;
+  let revision = Char.code full.[4] in
   let blocks = Array.of_list (blocks_of full) in
   (* reused across variants, as the serve path reuses its batches *)
   let new_batch = Batch.create () and oracle_batch = Batch.create () in
@@ -385,8 +482,8 @@ let decoder_law full =
       let serve what b =
         let bodies = with_body b in
         agree what
-          (via_bodies (decode_new ()) new_batch bodies)
-          (via_bodies (decode_oracle ()) oracle_batch bodies)
+          (via_bodies (decode_new revision) new_batch bodies)
+          (via_bodies (decode_oracle revision) oracle_batch bodies)
       in
       for cut = 0 to String.length body - 1 do
         serve
@@ -409,22 +506,71 @@ let check_law name full =
   | None, valid -> valid
   | Some m, _ -> Alcotest.failf "%s: %s" name m
 
+(* The generated corpus is revision 3; corpus/rev2 holds the same
+   traces as the revision-2 encoder wrote them. *)
 let test_law_corpus () =
   List.iter
     (fun name ->
-      let path = Test_trace.corpus (name ^ ".trace.v2") in
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      ignore (check_law name full))
+      List.iter
+        (fun path ->
+          let full = In_channel.with_open_bin path In_channel.input_all in
+          ignore (check_law path full))
+        [
+          Test_trace.corpus (name ^ ".trace.v2");
+          Test_trace.corpus (Filename.concat "rev2" (name ^ ".trace.v2"));
+        ])
     [ "clean"; "racy"; "deadlock_adjacent"; "straddle" ]
 
+(* A revision-2 block body, as the revision-2 encoder wrote it: RLE
+   kinds and plain location ids, no mode bytes.  [ids] is the stream's
+   location table. *)
+let encode_rev2 ids (b : Batch.t) =
+  let n = Batch.length b in
+  let buf = Buffer.create (n * 4) in
+  let varint = Trace_format.write_varint buf in
+  let rle col ~tag =
+    let i = ref 0 in
+    while !i < n do
+      let j = ref (!i + 1) in
+      while !j < n && col.(!j) = col.(!i) do incr j done;
+      if tag then Buffer.add_char buf (Char.chr col.(!i)) else varint col.(!i);
+      varint (!j - !i);
+      i := !j
+    done
+  in
+  varint n;
+  rle b.kind ~tag:true;
+  rle b.a ~tag:false;
+  for i = 0 to n - 1 do
+    let d = b.b.(i) - if i = 0 then 0 else b.b.(i - 1) in
+    Trace_format.write_uvarint buf ((d lsl 1) lxor (d asr 62))
+  done;
+  rle b.c ~tag:false;
+  for i = 0 to n - 1 do
+    if b.kind.(i) <= Trace_format.tag_write then
+      match Hashtbl.find_opt ids b.loc.(i) with
+      | Some id -> varint id
+      | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.replace ids b.loc.(i) id;
+        varint id;
+        varint (String.length b.loc.(i));
+        Buffer.add_string buf b.loc.(i)
+  done;
+  Buffer.contents buf
+
 (* [events] as a v2 stream of whole blocks of the given sizes, the
-   last one cut short if the events run out. *)
-let v2_blocks events sizes =
+   last one cut short if the events run out, in block revision
+   [revision] (default: the one writers emit). *)
+let v2_blocks ?(revision = Trace_format_v2.version) events sizes =
   let evs = ref events in
-  let enc = Trace_format_v2.block_encoder () in
+  let encode =
+    if revision = 2 then encode_rev2 (Hashtbl.create 16)
+    else Trace_format_v2.encode_body (Trace_format_v2.block_encoder ())
+  in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf Trace_format.magic;
-  Buffer.add_char buf (Char.chr Trace_format_v2.version);
+  Buffer.add_char buf (Char.chr revision);
   List.iter
     (fun size ->
       let b = Batch.create ~capacity:size () in
@@ -433,7 +579,7 @@ let v2_blocks events sizes =
         evs := List.tl !evs
       done;
       if Batch.length b > 0 then begin
-        let body = Trace_format_v2.encode_body enc b in
+        let body = encode b in
         Trace_format.write_varint buf (String.length body);
         Buffer.add_string buf body
       end)
@@ -444,7 +590,7 @@ let v2_blocks events sizes =
    the blocks are smaller than the writer's so that a stream crosses
    block boundaries (and the location table spans blocks) within a few
    hundred rows, including a one-row block. *)
-let recorded_prefix (w : Dgrace_workloads.Workload.t) sizes =
+let recorded_prefix ?revision (w : Dgrace_workloads.Workload.t) sizes =
   let want = List.fold_left ( + ) 0 sizes in
   let evs = ref [] and n = ref 0 in
   (try
@@ -457,20 +603,34 @@ let recorded_prefix (w : Dgrace_workloads.Workload.t) sizes =
             incr n)
           w)
    with Exit -> ());
-  v2_blocks (List.rev !evs) sizes
+  v2_blocks ?revision (List.rev !evs) sizes
 
 (* The format has no checksum, so some flips decode as valid rows; the
-   count is printed for the record (ROADMAP item 4), not asserted. *)
+   count is printed for the record (ROADMAP item 6), not asserted.
+   Both revisions run, and the revision-3 prefixes cover every mode
+   of both moded columns. *)
 let test_law_recorded () =
-  let valid, flips =
-    List.fold_left
-      (fun (valid, flips) (w : Dgrace_workloads.Workload.t) ->
-        let full = recorded_prefix w [ 32; 1; 48 ] in
-        ( valid + check_law w.name full,
-          flips + (List.length xors * String.length full) ))
-      (0, 0) Dgrace_workloads.Registry.all
-  in
-  Printf.printf "%d of %d single-byte xors decoded as valid rows\n" valid flips
+  oracles := [];
+  List.iter
+    (fun revision ->
+      let valid, flips =
+        List.fold_left
+          (fun (valid, flips) (w : Dgrace_workloads.Workload.t) ->
+            let full = recorded_prefix ~revision w [ 32; 1; 48 ] in
+            ( valid + check_law w.name full,
+              flips + (List.length xors * String.length full) ))
+          (0, 0) Dgrace_workloads.Registry.all
+      in
+      Printf.printf
+        "revision %d: %d of %d single-byte xors decoded as valid rows\n"
+        revision valid flips)
+    [ 2; 3 ];
+  let seen = List.concat_map V2_oracle.modes_seen !oracles in
+  List.iter
+    (fun (column, mode) ->
+      if not (List.mem (column, mode) seen) then
+        Alcotest.failf "no revision-3 block used %s mode %d" column mode)
+    [ ("kind", 0); ("kind", 1); ("location", 0); ("location", 1) ]
 
 let qcheck_decoder_law =
   QCheck.Test.make ~name:"v2: decoder law on random event lists" ~count:12
@@ -481,9 +641,10 @@ let qcheck_decoder_law =
       in
       let full = In_channel.with_open_bin path In_channel.input_all in
       Sys.remove path;
-      match decoder_law full with
-      | None, _ -> true
-      | Some m, _ -> QCheck.Test.fail_report m)
+      let rev2 = v2_blocks ~revision:2 events [ 7; 1; 40 ] in
+      match (decoder_law full, decoder_law rev2) with
+      | (None, _), (None, _) -> true
+      | (Some m, _), _ | _, (Some m, _) -> QCheck.Test.fail_report m)
 
 (* qcheck laws (fixed seed in CI via QCHECK_SEED) *)
 
@@ -528,59 +689,65 @@ let qcheck_batched_replay_identical =
 
 let file_bytes path = In_channel.with_open_bin path In_channel.input_all
 
-(* Widening the b column to every int must not change the bytes of
-   any trace the narrower encoding could write.  The digests are those
-   the narrower encoder wrote for the corpus files and the scale-1
-   recordings (seed 1); re-encoding reads each file back and writes it
-   again. *)
-let corpus_digests =
+(* A format change must not change what any trace decodes to, and
+   the bytes writers emit are pinned.  The v1 corpus files keep their
+   bytes.  corpus/rev2 holds the v2 corpus as the revision-2 encoder
+   wrote it: pinned by the MD5 of its bytes and of its decoded rows
+   (one [Event.to_string] line per event, as [racedet trace-dump]
+   prints them), both taken from that encoder's build; re-encoding it
+   writes revision 3, which is pinned byte for byte and must be the
+   v2 corpus the current writer generates.  The scale-1 recordings
+   (seed 1) are pinned the same way: rows from the revision-2 build,
+   revision-3 bytes from this one. *)
+let v1_corpus_digests =
   [
     ("clean.trace", "de26a5ec9adf500df1e7b347cfd8fb7b");
     ("deadlock_adjacent.trace", "20ecd286c10b6a6b1e6f04c413623262");
     ("racy.trace", "0d5150869e8821690b0b54e1119454ac");
     ("straddle.trace", "fb6c1acccb11425d832b0533fb568606");
-    ("clean.trace.v2", "45a14f1fc40a31f8a60fccf7b8c263d0");
-    ("deadlock_adjacent.trace.v2", "a62605e62c40a9a1fd66c9e8393e9a3a");
-    ("racy.trace.v2", "0688abd0ad5dda402f9ad6874da782ba");
-    ("straddle.trace.v2", "7a8a6a0e07e57fd515ae77c8b96201bd");
   ]
 
-let recorded_v2_digests =
+(* name, revision-2 bytes, rows, revision-3 bytes *)
+let rev2_fixtures =
   [
-    ("facesim", "5c707d9cec32cd8e32ee612d20dfe173");
-    ("ferret", "445cead9c5dc895d50f4ac23a6741a18");
-    ("fluidanimate", "25a1f6e75e895597283affe2a11818e4");
-    ("raytrace", "9913788250b911068def669aaa56ffd3");
-    ("x264", "4e27f6dc64d687025f12e016cc82875f");
-    ("canneal", "24d8cd405d45f3a1d4205bb3bae340fa");
-    ("dedup", "28521f4ccabcf90f489ac79cb14524be");
-    ("streamcluster", "7b1074e450d6d5ccb1caffeeca4d51bd");
-    ("ffmpeg", "d1d5af4c2d7a1ee84cb617030f3452d1");
-    ("pbzip2", "5177e502caf06a6a962cb19daac22772");
-    ("hmmsearch", "2a3e3f19d131c1a7797ba884f68146da")
+    ( "clean.trace.v2",
+      "45a14f1fc40a31f8a60fccf7b8c263d0",
+      "0203a40e4826fb4647d7cbb5ac6bedf1",
+      "0c847c4c9210f483564ef44b782ea579" );
+    ( "deadlock_adjacent.trace.v2",
+      "a62605e62c40a9a1fd66c9e8393e9a3a",
+      "b10cc78d4c8b26476ba4dd295b4c707b",
+      "04302419de7927218dd9d0a16fee6bc0" );
+    ( "racy.trace.v2",
+      "0688abd0ad5dda402f9ad6874da782ba",
+      "6c25fd5bc68f3e00b819a3c0940ba636",
+      "a6854f802096895d89008f506141ae57" );
+    ( "straddle.trace.v2",
+      "7a8a6a0e07e57fd515ae77c8b96201bd",
+      "d10e66ba6347f108882ca7d38b8aef76",
+      "d2cabcae296829bf96ff77b05dfff03a" );
   ]
 
-(* A process numbers sync objects from one global counter, so a
-   recording's lock ids depend on what ran before it; renumbering them
-   by first use makes the stream, and its digest, the same in any
-   process. *)
-let renumber_locks events =
-  let ids = Hashtbl.create 64 in
-  let id l =
-    match Hashtbl.find_opt ids l with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids + 1 in
-      Hashtbl.replace ids l i;
-      i
-  in
-  List.map
-    (fun (ev : Event.t) ->
-      match ev with
-      | Acquire a -> Event.Acquire { a with lock = id a.lock }
-      | Release r -> Event.Release { r with lock = id r.lock }
-      | ev -> ev)
-    events
+(* name, rows, revision-3 bytes *)
+let recorded_digests =
+  [
+    ("facesim", "344d1d79bb414e1ba037116808d6f8bb", "5fcac4990f05951772ebe2068503fd2a");
+    ("ferret", "b48978fe16ac237d664c031abeb1c976", "2017753d8795d827bdb60ca1f53cf379");
+    ("fluidanimate", "81ea5b44d01df9c115bf0cf2e6701dde", "39d93999a353f758012e4862e0b2d640");
+    ("raytrace", "f86ca629108507f76b46adc02bae11e7", "5963bfe8459bea8821ce7688287d1035");
+    ("x264", "a44104c5792595cb56a509a7f23d74a8", "08a78591c865453ce91d69a369309d2d");
+    ("canneal", "f9b539c9695d9774298edc83afa229bf", "3756ad88309df4b9a2fc786006713c66");
+    ("dedup", "1a0c6371aa2b70dc4f98fa85e0489137", "542c819005e24f4738a45c028f14110b");
+    ("streamcluster", "e7959908ff3c40860cc7ecb1895538a2", "da78f93bbdecd5c58406f257b1c02256");
+    ("ffmpeg", "2b0d2e117b10376abc040e82679f933b", "fabab08b171761f84801656f2feb03ad");
+    ("pbzip2", "d06bea1a6ee3b8c7973940f3442fda0f", "4f469250bbf3730e4d123a4b41e762a8");
+    ("hmmsearch", "0b62f184c9db8e9153d28226d1ef5826", "a4643afd3ba759295fc3f8695a11ee7e");
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let rows_digest events =
+  md5 (String.concat "" (List.map (fun ev -> Event.to_string ev ^ "\n") events))
 
 let reencode ~v2 events =
   let path = tmp_file () in
@@ -593,26 +760,41 @@ let reencode ~v2 events =
 let test_reencode_identical () =
   List.iter
     (fun (name, digest) ->
-      let path = Test_trace.corpus name in
-      let bytes = file_bytes path in
-      Alcotest.(check string) (name ^ ": pinned digest") digest
-        (Digest.to_hex (Digest.string bytes));
-      let v2 = Filename.check_suffix name ".v2" in
-      let events =
-        if v2 then Trace_format_v2.read_file path else Trace_reader.read_file path
-      in
-      if reencode ~v2 events <> bytes then
+      let bytes = file_bytes (Test_trace.corpus name) in
+      Alcotest.(check string) (name ^ ": pinned digest") digest (md5 bytes);
+      let events = Trace_reader.read_file (Test_trace.corpus name) in
+      if reencode ~v2:false events <> bytes then
         Alcotest.failf "%s: re-encoding changed the bytes" name)
-    corpus_digests;
+    v1_corpus_digests;
   List.iter
-    (fun (name, digest) ->
+    (fun (name, rev2, rows, rev3) ->
+      let path = Test_trace.corpus (Filename.concat "rev2" name) in
+      Alcotest.(check string) (name ^ ": revision-2 bytes") rev2
+        (md5 (file_bytes path));
+      Alcotest.(check int) (name ^ ": revision 2") 2
+        (Trace_reader.probe_version path);
+      let events = Trace_format_v2.read_file path in
+      Alcotest.(check string) (name ^ ": rows") rows (rows_digest events);
+      let bytes = reencode ~v2:true events in
+      Alcotest.(check string) (name ^ ": revision-3 bytes") rev3 (md5 bytes);
+      Alcotest.(check string) (name ^ ": the corpus is revision 3") rev3
+        (md5 (file_bytes (Test_trace.corpus name))))
+    rev2_fixtures;
+  List.iter
+    (fun (name, rows, rev3) ->
       let w = Option.get (Dgrace_workloads.Registry.find name) in
-      let bytes =
-        reencode ~v2:true (renumber_locks (Array.to_list (Tutil.recorded w 1)))
+      let events = Array.to_list (Tutil.recorded w 1) in
+      Alcotest.(check string) (name ^ ": rows") rows (rows_digest events);
+      let path = tmp_file () in
+      let (), _ =
+        Trace_format_v2.to_file path (fun sink -> List.iter sink events)
       in
-      Alcotest.(check string) (name ^ ": pinned v2 digest") digest
-        (Digest.to_hex (Digest.string bytes)))
-    recorded_v2_digests
+      Alcotest.(check string) (name ^ ": revision-3 bytes") rev3
+        (md5 (file_bytes path));
+      Alcotest.(check string) (name ^ ": decodes to its rows") rows
+        (rows_digest (Trace_format_v2.read_file path));
+      Sys.remove path)
+    recorded_digests
 
 let lock_events lock =
   [
@@ -862,6 +1044,10 @@ let suites : unit Alcotest.test list =
         QCheck_alcotest.to_alcotest qcheck_v1_v2_agree;
         QCheck_alcotest.to_alcotest qcheck_batched_replay_identical;
         Alcotest.test_case "huge run rejected" `Quick test_huge_run_rejected;
+        Alcotest.test_case "mode byte other than 0 or 1 rejected" `Quick
+          test_bad_mode_rejected;
+        Alcotest.test_case "doc/trace.md worked example" `Quick
+          test_doc_example;
         Alcotest.test_case "over-long location rejected" `Quick
           test_long_location_rejected;
         Alcotest.test_case "oversized block closes early" `Quick

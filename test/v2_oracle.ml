@@ -1,8 +1,10 @@
 (* Reference v2 block decoder: the straightforward Hashtbl-and-closure
-   decoder that Trace_format_v2's table-driven one replaced, kept
-   verbatim as the oracle for the decoder law in test_trace_v2.  It
-   must give the same rows, or the same Corrupt_trace (offset, reason,
-   events_read), on every input. *)
+   decoder that Trace_format_v2's table-driven one replaced, kept as
+   the oracle for the decoder law in test_trace_v2, and taught block
+   revision 3 (mode bytes, packed kinds, predicted and run-length
+   locations) in the same plain style.  It must give the same rows,
+   or the same Corrupt_trace (offset, reason, events_read), on every
+   input of either revision. *)
 
 open Dgrace_events
 open Dgrace_trace
@@ -18,13 +20,24 @@ let unzigzag z = if z land 1 = 0 then z lsr 1 else lnot (z lsr 1)
 
 type stream_decoder = {
   path : string option;
+  revision : int;
   d_locs : (int, string) Hashtbl.t;
   mutable d_next_loc : int;
   mutable events_read : int;
+  mutable modes : (string * int) list;  (* column modes read, newest first *)
 }
 
-let stream_decoder ?path () =
-  { path; d_locs = Hashtbl.create 64; d_next_loc = 0; events_read = 0 }
+let stream_decoder ?path ?(revision = Trace_format_v2.version) () =
+  {
+    path;
+    revision;
+    d_locs = Hashtbl.create 64;
+    d_next_loc = 0;
+    events_read = 0;
+    modes = [];
+  }
+
+let modes_seen dec = dec.modes
 
 (* In-body cursor; [Corrupt] carries the reason, the caller maps it to
    an [Error.Corrupt_trace] at the cursor's absolute offset. *)
@@ -86,17 +99,47 @@ let decode_body_exn dec ~base body (batch : Batch.t) =
     and c = batch.Batch.c
     and loc = batch.Batch.loc
     and off = batch.Batch.off in
-    (* kinds *)
-    let i = ref 0 in
-    while !i < n do
-      let tag = cur_byte cur in
-      if tag > max_tag then
-        raise (Corrupt (Printf.sprintf "unknown tag %d" tag));
-      let run = cur_varint cur in
-      if run < 1 || !i + run > n then raise (Corrupt "kind run out of range");
-      Array.fill kind !i run tag;
-      i := !i + run
-    done;
+    (* a revision-3 column's mode byte; revision 2 has none (mode 0) *)
+    let mode column =
+      if dec.revision = 2 then 0
+      else begin
+        let m = cur_byte cur in
+        if m <> 0 && m <> 1 then
+          raise (Corrupt (Printf.sprintf "%s column mode %d" column m));
+        dec.modes <- (column, m) :: dec.modes;
+        m
+      end
+    in
+    (* kinds: RLE, or two 4-bit tags per byte, low nibble first *)
+    if mode "kind" = 0 then begin
+      let i = ref 0 in
+      while !i < n do
+        let tag = cur_byte cur in
+        if tag > max_tag then
+          raise (Corrupt (Printf.sprintf "unknown tag %d" tag));
+        let run = cur_varint cur in
+        if run < 1 || !i + run > n then raise (Corrupt "kind run out of range");
+        Array.fill kind !i run tag;
+        i := !i + run
+      done
+    end
+    else begin
+      let i = ref 0 in
+      while !i < n do
+        let byte = cur_byte cur in
+        List.iter
+          (fun (row, tag) ->
+            if row < n then begin
+              if tag > max_tag then
+                raise (Corrupt (Printf.sprintf "unknown tag %d" tag));
+              kind.(row) <- tag
+            end
+            else if tag <> 0 then
+              raise (Corrupt (Printf.sprintf "kind padding nibble %d" tag)))
+          [ (!i, byte land 15); (!i + 1, byte lsr 4) ];
+        i := !i + 2
+      done
+    end;
     (* a column (tids/parents) *)
     let i = ref 0 in
     while !i < n do
@@ -142,24 +185,67 @@ let decode_body_exn dec ~base body (batch : Batch.t) =
       done;
       i := !i + run
     done;
-    (* locations, access rows only *)
-    for i = 0 to n - 1 do
-      if kind.(i) <= tag_write then begin
-        let id = cur_varint cur in
-        if id < dec.d_next_loc then loc.(i) <- Hashtbl.find dec.d_locs id
-        else if id = dec.d_next_loc then begin
+    (* locations, access rows only.  A value names an id (revision 2:
+       the id; revision 3: id + 1, or 0 for the id of the block's
+       previous access of the row's kind); a fresh id is followed by
+       its string *)
+    let runs = mode "location" = 1 in
+    let previous = Hashtbl.create 2 in
+    let id_of_value v =
+      if dec.revision = 3 && v = 0 then None
+      else begin
+        let id = if dec.revision = 3 then v - 1 else v in
+        if id = dec.d_next_loc then begin
           let len = cur_varint cur in
           if len > max_loc_len then
             raise (Corrupt (Printf.sprintf "location length %d out of range" len));
-          let s = cur_take cur len in
-          Hashtbl.replace dec.d_locs id s;
-          dec.d_next_loc <- id + 1;
-          loc.(i) <- s
+          Hashtbl.replace dec.d_locs id (cur_take cur len);
+          dec.d_next_loc <- id + 1
         end
-        else raise (Corrupt (Printf.sprintf "location id %d from the future" id))
+        else if id > dec.d_next_loc then
+          raise (Corrupt (Printf.sprintf "location id %d from the future" id));
+        Some id
       end
-      else loc.(i) <- ""
-    done;
+    in
+    let assign i named =
+      let id =
+        match named with
+        | Some id -> id
+        | None -> (
+          match Hashtbl.find_opt previous kind.(i) with
+          | Some id -> id
+          | None ->
+            raise (Corrupt "location repeat before any access of its kind"))
+      in
+      Hashtbl.replace previous kind.(i) id;
+      loc.(i) <- Hashtbl.find dec.d_locs id
+    in
+    let access_rows =
+      List.filter (fun i -> kind.(i) <= tag_write) (List.init n Fun.id)
+    in
+    Array.fill loc 0 n "";
+    if not runs then
+      List.iter (fun i -> assign i (id_of_value (cur_varint cur))) access_rows
+    else begin
+      let rec go rows =
+        if rows <> [] then begin
+          let named = id_of_value (cur_varint cur) in
+          let run = cur_varint cur in
+          if run < 1 || run > List.length rows then
+            raise (Corrupt "location run out of range");
+          go
+            (List.filteri
+               (fun j i ->
+                 if j < run then begin
+                   assign i named;
+                   false
+                 end
+                 else true)
+               rows)
+        end
+      in
+      go access_rows
+    end;
     if cur.pos <> String.length body then
       raise (Corrupt "trailing bytes in block");
     for i = 0 to n - 1 do
@@ -225,8 +311,8 @@ let fold_batch = Batch.create ()
 let fold_batches path f init =
   let ic = open_in_bin path in
   let run () =
-    Trace_format_v2.check_header ~path ic;
-    let dec = stream_decoder ~path () in
+    let revision = Trace_format_v2.check_header ~path ic in
+    let dec = stream_decoder ~path ~revision () in
     let batch = fold_batch in
     let rec loop acc =
       if read_block dec ic batch then loop (f acc batch) else acc
