@@ -1,24 +1,20 @@
-(** The page-clustered [process_batch] of the FastTrack family
+(** The row-order [process_batch] of the FastTrack family
     (doc/shadow.md).
 
-    Access rows are grouped by aligned 4 KiB page and applied page by
-    page; sync rows, frees and accesses whose slot range straddles a
-    page are barriers applied in row order.  The same-epoch test runs
-    inline with the thread's bitmap cached across same-tid rows, so a
-    hit costs two bit tests and three stat bumps and never calls back
-    into the detector.  Reports come out in row order (the collector
-    is re-sorted by row offset after each batch), and the result —
-    reports, [Run_stats], accounting — equals dispatching every row to
-    the detector's [on_event] in order.  [cluster.rows],
-    [cluster.pages] and [cluster.barriers] count the grouping in
-    [metrics]. *)
+    One pass over the batch in row order.  Access rows take the
+    same-epoch test inline, with the thread's bitmap cached across
+    same-tid rows of one batch, so a hit costs two bit tests and never
+    calls back into the detector; hit counts reach [Run_stats] once per
+    batch.  Alloc, free and sync rows are applied where they stand.
+    Because no row moves, the result — reports and their order,
+    [Run_stats], [Accounting] peaks and every counter — equals
+    dispatching each row to the detector's [on_event] in order (the
+    config-lattice law in test/test_pipeline.ml and the
+    [detector.golden] table check this). *)
 
 open Dgrace_events
 
 val make :
-  granularity:int ->
-  weld:bool ->
-  metrics:Dgrace_obs.Metrics.t ->
   stats:Run_stats.t ->
   collector:Report.Collector.t ->
   env:Vc_env.t ->
@@ -31,19 +27,11 @@ val make :
   unit
 (** [make ... ] is a detector's [process_batch].
 
-    - [granularity] (a power of two) is the slot width the detector
-      rounds an access out to; the rounded range decides the page and
-      whether the row straddles.  Above 4096 every access straddles
-      and the batch applies in row order.
-    - [weld] keeps every later access to a page touched by a
-      straddling access in row order too — needed when one cell can
-      span two pages (the dynamic detector), not when cells are fixed
-      aligned slots (FastTrack).
-    - [bitmap tid] is the thread's same-epoch bitmap; a bitmap that is
-      never marked turns the fast path off.
+    - [bitmap tid] is the thread's same-epoch bitmap, fetched at most
+      once per run of same-tid rows in a batch; a bitmap that is never
+      marked turns the fast path off.
     - [on_access] is the detector's per-event access handler, called
       on a fast-path miss after the row's offset is stamped as the
       collector tag; [on_free] likewise for free rows.
     - [env] and [on_boundary] run sync rows through
-      {!Vc_env.handle_coded}.
-    @raise Invalid_argument if [granularity] is not a power of two. *)
+      {!Vc_env.handle_coded}. *)

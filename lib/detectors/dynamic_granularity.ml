@@ -691,13 +691,11 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
       | Event.Acquire _ | Event.Release _ | Event.Fork _ | Event.Join _
       | Event.Thread_exit _ -> ()
   in
-  (* A cell created by a line-straddling access may span two pages,
-     so such pages are welded.  With the bitmaps shed every access
-     takes the analysed path: a never-marked bitmap always misses. *)
+  (* With the bitmaps shed every access takes the analysed path: a
+     never-marked bitmap always misses. *)
   let no_bitmap = Epoch_bitmap.create () in
   let process_batch =
-    Batch_apply.make ~granularity:1 ~weld:true ~metrics ~stats:st.stats
-      ~collector:st.collector ~env:st.env
+    Batch_apply.make ~stats:st.stats ~collector:st.collector ~env:st.env
       ~bitmap:(fun tid ->
         if st.bitmaps_on then Thread_bitmaps.get st.bitmaps tid else no_bitmap)
       ~on_boundary ~on_access:(on_access st) ~on_free:(on_free st)

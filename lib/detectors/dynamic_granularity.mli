@@ -72,12 +72,10 @@ val create :
     lets a read location with no read history of its own join a
     neighbour when their {e write} clocks are already shared.
 
-    [process_batch] applies a batch page-clustered ({!Batch_apply}):
-    access rows are grouped by aligned share-granule line and applied
-    line-by-line — sync rows, frees and line-straddling accesses act
-    as in-order barriers — which is report- and stats-identical to row
-    order (doc/shadow.md gives the argument; [cluster.rows] /
-    [cluster.pages] / [cluster.barriers] count the grouping).
+    [process_batch] applies a batch in row order ({!Batch_apply}),
+    testing the same-epoch bitmap inline, so its reports, statistics,
+    accounting peaks and counters equal those of [on_event] over the
+    same rows (doc/shadow.md).
 
     The per-layer split of the analysed path is counted, not timed:
     [accesses.analysed] (rows that missed the same-epoch bitmap),

@@ -183,11 +183,9 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) () =
       | Event.Acquire _ | Event.Release _ | Event.Fork _ | Event.Join _
       | Event.Thread_exit _ -> ()
   in
-  (* Slots are [granularity] bytes, aligned, so no cell spans a page
-     up to 4096 and no weld set is needed. *)
   let process_batch =
-    Batch_apply.make ~granularity ~weld:false ~metrics ~stats:st.stats
-      ~collector:st.collector ~env:st.env ~bitmap:(Thread_bitmaps.get st.bitmaps) ~on_boundary
+    Batch_apply.make ~stats:st.stats ~collector:st.collector ~env:st.env
+      ~bitmap:(Thread_bitmaps.get st.bitmaps) ~on_boundary
       ~on_access:(on_access st) ~on_free:(on_free st)
   in
   let finish () =

@@ -18,7 +18,6 @@ val create :
 (** [create ~granularity ()] — granularity defaults to 1 (byte).  Must
     be a power of two.  Read-shared snapshots are hash-consed in a
     {!Dgrace_vclock.Vc_intern} arena.  [process_batch] applies a batch
-    page-clustered ({!Batch_apply});
-    above 4096 bytes every slot spans a page and rows apply in order.
+    in row order with the same-epoch test inline ({!Batch_apply}).
     [accesses.analysed], [phase.epoch_compare] and [phase.vc_op] count
     the analysed path. *)

@@ -75,35 +75,6 @@ module Collector = struct
       end
     end
 
-  (* Restore tag order over the reports recorded since [count c] was
-     [n0].  Page-clustered batch application visits a batch's rows out
-     of stream order, so races inside one batch can be recorded with
-     descending tags; resorting just that prefix (the list is
-     newest-first, so the prefix is exactly this batch's reports)
-     makes the final order byte-identical to row-order application.
-     Earlier batches are untouched — a streaming reader that already
-     consumed them (serve's incremental race frames) stays consistent.
-     The sort is descending and stable: equal tags (several reports
-     from one row) keep their detection order. *)
-  let resort_since c n0 =
-    let added = c.count - n0 in
-    if added > 1 then begin
-      let rec split k acc l =
-        if k = 0 then (acc, l)
-        else
-          match l with
-          | x :: tl -> split (k - 1) (x :: acc) tl
-          | [] -> (acc, l)
-      in
-      let rev_head, tail = split added [] c.races in
-      let head =
-        List.stable_sort
-          (fun (a, _) (b, _) -> compare (b : int) a)
-          (List.rev rev_head)
-      in
-      c.races <- head @ tail
-    end
-
   let count c = c.count
   let suppressed c = c.suppressed
   let races c = List.rev_map snd c.races

@@ -67,14 +67,6 @@ module Collector : sig
   val tagged_races : t -> (int * report) list
   (** Recorded races with their tags, in detection order. *)
 
-  val resort_since : t -> int -> unit
-  (** [resort_since c n0] re-establishes ascending tag order over the
-      reports recorded since [count c] returned [n0], leaving earlier
-      reports untouched.  Page-clustered batch application calls this
-      once per batch so its out-of-row-order dispatch still yields the
-      exact report order of row-order application (stable for equal
-      tags). *)
-
   val racy_addrs : t -> int list
   (** Sorted distinct racy byte addresses. *)
 end

@@ -1,5 +1,5 @@
 (** Hash tables keyed by [int], for the clock machinery's hot lookups
-    (lock clocks, interned-snapshot buckets, welded pages).
+    (lock clocks, interned-snapshot buckets).
 
     A monomorphic open-addressing table: keys and values sit side by
     side in one flat array, probed linearly from an inline

@@ -1,4 +1,5 @@
-(* Prints the detector golden table (one line per run) on stdout:
+(* Prints the detector golden table (one line per case, its per-event
+   digest) on stdout:
 
      dune exec test/golden/gen_detector_golden.exe > test/golden/detector_golden.txt
 
@@ -8,5 +9,5 @@
 
 let () =
   List.iter
-    (fun c -> print_endline (Detector_golden.line c))
+    (fun c -> print_endline (Detector_golden.line c (c.event ())))
     (Detector_golden.cases ())

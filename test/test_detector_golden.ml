@@ -7,23 +7,29 @@ module Registry = Dgrace_workloads.Registry
 let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* golden results: every digest matches the checked-in table *)
+(* golden results: both shapes of every case match the checked-in
+   per-event line *)
 
 let test_golden () =
   let expected =
     String.split_on_char '\n' Detector_golden_table.text
     |> List.filter (( <> ) "")
   in
-  let actual = List.map Detector_golden.line (Detector_golden.cases ()) in
-  check_int "table size" (List.length expected) (List.length actual);
+  let cases = Detector_golden.cases () in
+  check_int "table size" (List.length expected) (List.length cases);
   let mismatches =
-    List.filter_map
-      (fun (e, a) -> if e = a then None else Some (e, a))
-      (List.combine expected actual)
+    List.concat_map
+      (fun (e, (c : Detector_golden.case)) ->
+        List.filter_map
+          (fun (shape, run) ->
+            let a = Detector_golden.line c (run ()) in
+            if e = a then None else Some (shape, e, a))
+          [ ("event", c.event); ("batch", c.batch) ])
+      (List.combine expected cases)
   in
   List.iteri
-    (fun i (e, a) ->
-      if i < 5 then Printf.printf "expected: %s\nactual:   %s\n" e a)
+    (fun i (shape, e, a) ->
+      if i < 5 then Printf.printf "expected: %s\nactual:   %s (%s)\n" e a shape)
     mismatches;
   check_int "mismatched runs" 0 (List.length mismatches)
 

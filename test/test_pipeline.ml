@@ -1,11 +1,12 @@
 (* Differential proof for the engine's v2 replay, which decodes each
-   block inline on the detecting domain, and the page-clustered batch
+   block inline on the detecting domain, and the row-order batch
    application (doc/trace.md, doc/shadow.md):
 
    - the config-lattice law: every source (events, batches, v2 file)
      x observer x detector must match per-event dispatch of the same
      rows to a fresh detector on races (content and order),
-     transition counts, exit code and stream stats;
+     transition counts, exit code, stream stats, [Accounting] peaks
+     and the [sharing.*] / [cells.*] / [phase.*] counters;
    - a [V2_file] replay must be bit-identical to the batched replay of
      the same file's blocks on races (content and order), stream
      stats, transition counts and exit code — corpus traces and random
@@ -419,9 +420,10 @@ let with_v2 events f =
   Fun.protect ~finally:(fun () -> Sys.remove v2) (fun () -> f v2)
 
 (* The config lattice against the per-event oracle.  Accesses crowd
-   the edges of three pages, so batches hold page runs, straddles and
-   welds; a handful of threads, locks and access locations keeps
-   clocks interacting and reorderings visible in the reports.
+   the edges of three pages, so batches hold page runs and
+   page-straddling accesses; a handful of threads, locks and access
+   locations keeps clocks interacting and reorderings visible in the
+   reports.
    The [Batches] source cuts the rows into 37-row batches so batch
    boundaries fall mid-run. *)
 let arb_lattice_events =
@@ -477,6 +479,13 @@ let oracle spec events =
   d.finish ();
   Engine.summarize_detector d ~elapsed:0. ~partial:None ~degraded:false
 
+(* The counters of what the detector decided, as opposed to how it
+   walked its index: the set the detector golden table pins. *)
+let pinned_counters (s : Engine.summary) =
+  List.filter
+    (fun (name, _) -> Detector_golden.pinned_counter name)
+    (Metrics.counters s.metrics)
+
 (* a budget on all three dimensions that no test stream reaches: the
    guard runs its checks, and the result must not move *)
 let never_spent =
@@ -507,7 +516,9 @@ let qcheck_config_lattice =
                            (transitions_json got)
                       && Engine.exit_code_of_summary want
                          = Engine.exit_code_of_summary got
-                      && stats_tuple want = stats_tuple got)
+                      && stats_tuple want = stats_tuple got
+                      && compare want.mem got.mem = 0
+                      && pinned_counters want = pinned_counters got)
                     [
                       (None, None, None, false);
                       (None, Some (7, fun (_ : int) -> ()), None, false);
@@ -522,6 +533,30 @@ let qcheck_config_lattice =
                   Engine.Source.V2_file v2;
                 ])
             [ Spec.dynamic; Spec.byte; Spec.word ]))
+
+(* The same figures on recorded workloads, whose batches are full
+   4096-row blocks with many pages and threads in flight: the
+   accounting peaks are the figures a reordering of rows would move
+   first. *)
+let test_recorded_figures () =
+  List.iter
+    (fun (wname, seed) ->
+      let w = Option.get (Dgrace_workloads.Registry.find wname) in
+      let events = Array.to_list (Tutil.recorded w seed) in
+      with_v2 events (fun v2 ->
+          List.iter
+            (fun spec ->
+              let want = oracle spec events in
+              let ctx = Printf.sprintf "%s/s%d/%s" wname seed want.detector in
+              let got = run spec (Engine.Source.V2_file v2) in
+              check_equivalent ~ctx want got;
+              if compare want.mem got.mem <> 0 then
+                Alcotest.failf "%s: accounting peaks differ (peak VCs %d vs %d)"
+                  ctx want.mem.peak_vcs got.mem.peak_vcs;
+              Alcotest.(check (list (pair string int)))
+                (ctx ^ ": counters") (pinned_counters want) (pinned_counters got))
+            [ Spec.dynamic; Spec.byte ]))
+    [ ("raytrace", 1); ("canneal", 2); ("x264", 1) ]
 
 (* The name predates inline decoding: [V2_file] once decoded on a
    second domain. *)
@@ -708,6 +743,8 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "budget stop identity" `Quick
             test_budget_stop_identity;
           QCheck_alcotest.to_alcotest qcheck_config_lattice;
+          Alcotest.test_case "recorded workloads = per-event oracle" `Quick
+            test_recorded_figures;
           QCheck_alcotest.to_alcotest qcheck_pipelined_identical;
         ] );
     ( "pipeline.budget",

@@ -608,46 +608,103 @@ let test_server_admission_overload () =
         | Ok _ -> ()
         | Error f -> Alcotest.fail (Client.failure_to_string f))
 
+(* A clock that blocks its readers while held; released, it is the
+   real clock.  [await_parked] returns once a reader is blocked on it. *)
+type gate = {
+  clock : Dgrace_obs.Clock.source;
+  hold : unit -> unit;
+  release : unit -> unit;
+  await_parked : unit -> unit;
+}
+
+let gate_clock () =
+  let mu = Mutex.create () and cond = Condition.create () in
+  let held = ref false and parked = ref 0 in
+  let set v =
+    Mutex.lock mu;
+    held := v;
+    Condition.broadcast cond;
+    Mutex.unlock mu
+  in
+  {
+    clock =
+      (fun () ->
+        Mutex.lock mu;
+        if !held then begin
+          incr parked;
+          Condition.broadcast cond;
+          while !held do
+            Condition.wait cond mu
+          done;
+          decr parked
+        end;
+        Mutex.unlock mu;
+        Dgrace_obs.Clock.ns ());
+    hold = (fun () -> set true);
+    release = (fun () -> set false);
+    await_parked =
+      (fun () ->
+        Mutex.lock mu;
+        while !parked = 0 do
+          Condition.wait cond mu
+        done;
+        Mutex.unlock mu);
+  }
+
+(* The only worker is parked on the gate: a session opened with a
+   deadline reads the clock after each applied batch, so one batch of
+   a first session ("blocker") holds the worker there.  The session
+   under test then queues exactly [inbox_frames] frames and every
+   other frame is shed with [Overloaded], whatever the relative speed
+   of the connection threads and the worker. *)
 let test_server_inbox_backpressure () =
+  let gate = gate_clock () in
+  let inbox_frames = 2 in
   let cfg =
-    { Server.default_config with domains = 1; inbox_frames = 2 }
+    { Server.default_config with domains = 1; inbox_frames; clock = gate.clock }
   in
   with_server ~cfg (fun server socket ->
+      let blocker = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        ~finally:(fun () ->
+          gate.release ();
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            [ blocker; fd ])
         (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX socket);
-          Wire.write fd
-            (Wire.Open
-               (Json.Obj [ ("revision", Json.Int Trace_format_v2.version) ]));
-          (match Wire.read fd with
-           | Ok (Some (Wire.Opened _)) -> ()
-           | _ -> Alcotest.fail "open failed");
-          (* full blocks of fresh addresses keep the only worker busy;
-             frames behind them overflow the 2-deep inbox.  One encoder
-             for the whole connection, and one location, interned by
-             the first frame (which is never shed): a shed frame must
-             not leave later frames naming a location the server never
-             saw. *)
-          let enc = Trace_format_v2.block_encoder () in
-          let rows = Trace_format_v2.block_events in
-          let big k =
-            body ~enc
-              (List.init rows (fun i ->
-                   Tutil.wr 0 (0x100000 + (((k * rows) + i) * 64))))
+          (* both sessions read the clock when they open, so open them
+             before the gate closes *)
+          let open_session fd budget =
+            (* a stuck server fails the test instead of hanging it *)
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            Wire.write fd
+              (Wire.Open
+                 (Json.Obj (("revision", Json.Int Trace_format_v2.version) :: budget)));
+            match Wire.read fd with
+            | Ok (Some (Wire.Opened _)) -> ()
+            | _ -> Alcotest.fail "open failed"
           in
-          let bigs = 8 in
-          for k = 0 to bigs - 1 do
-            Wire.write fd (Wire.Feed_batch (big k))
-          done;
+          open_session blocker [ ("deadline_s", Json.Float 3600.) ];
+          open_session fd [];
+          gate.hold ();
+          Wire.write blocker (Wire.Feed_batch (body [ Tutil.wr 0 0x10 ]));
+          gate.await_parked ();
+          (* one encoder for the whole connection, and one location,
+             interned by the first frame (which is never shed): a shed
+             frame must not leave later frames naming a location the
+             server never saw *)
+          let enc = Trace_format_v2.block_encoder () in
+          let first = body ~enc [ Tutil.wr 0 0x10 ] in
           let tiny = body ~enc [ Tutil.wr 0 0x10 ] in
-          let sent = bigs + 24 in
-          for _ = bigs + 1 to sent do
+          let sent = 32 in
+          Wire.write fd (Wire.Feed_batch first);
+          for _ = 2 to sent do
             Wire.write fd (Wire.Feed_batch tiny)
           done;
           let acks = ref 0 and overloaded = ref 0 in
-          for _ = 1 to sent do
+          let read_one () =
             match Wire.read fd with
             | Ok (Some (Wire.Ack _)) -> incr acks
             | Ok (Some (Wire.Overloaded _)) -> incr overloaded
@@ -662,13 +719,20 @@ let test_server_inbox_backpressure () =
                    (Wire.type_byte f))
             | Ok None -> Alcotest.fail "unexpected EOF under backpressure"
             | Error e -> Alcotest.fail e
+          in
+          (* while the worker is parked only sheds are answered *)
+          let shed = sent - inbox_frames in
+          while !overloaded < shed do
+            read_one ();
+            if !acks > 0 then Alcotest.fail "a batch was acked past the gate"
           done;
-          Alcotest.(check bool)
-            (Printf.sprintf "some feeds shed (acks=%d overloaded=%d)" !acks
-               !overloaded)
-            true (!overloaded >= 1);
-          Alcotest.(check bool) "shed counter" true
-            (Server.shed_total server >= !overloaded)))
+          gate.release ();
+          while !acks + !overloaded < sent do
+            read_one ()
+          done;
+          Alcotest.(check int) "queued feeds acked" inbox_frames !acks;
+          Alcotest.(check int) "other feeds shed" shed !overloaded;
+          Alcotest.(check int) "shed counter" shed (Server.shed_total server)))
 
 (* The open frame names the block revision of the session's B bodies:
    the server refuses one its decoder cannot read, and an open frame
