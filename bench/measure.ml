@@ -72,13 +72,15 @@ let recorded (w : Workload.t) =
     Hashtbl.replace recordings w.name r;
     r
 
-(* One recording packed into struct-of-arrays batches for the
-   detectors' [process_batch] path; row offsets are stream positions. *)
+(* One recording packed into struct-of-arrays batches over one
+   location table for the detectors' [process_batch] path; row offsets
+   are stream positions. *)
 let batches_of events =
   let n = Array.length events in
   let cap = Batch.default_capacity in
+  let locs = Loc_table.create () in
   Array.init ((n + cap - 1) / cap) (fun bi ->
-      let b = Batch.create ~capacity:cap () in
+      let b = Batch.create ~capacity:cap ~locs () in
       for i = bi * cap to min n ((bi + 1) * cap) - 1 do
         Batch.push b ~off:i events.(i)
       done;

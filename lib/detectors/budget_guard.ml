@@ -104,7 +104,7 @@ let batch g d apply b =
     (* event [max_events + 1] is in this batch: apply the rows before
        it, run the checks a per-event stream would have run, stop *)
     if room > 0 then begin
-      let prefix = Batch.create ~capacity:room () in
+      let prefix = Batch.create ~capacity:room ~locs:(Batch.locs b) () in
       for i = 0 to room - 1 do
         Batch.copy_row ~src:b i ~dst:prefix
       done;

@@ -23,7 +23,7 @@ type cell = {
   mutable born : Epoch.t;
   mutable w : Epoch.t;
   mutable r : Read_state.t;
-  mutable loc : string;
+  mutable loc : int;  (* location id in the detector's table *)
   mutable evidence : int;
       (* §VII extension: consecutive steady-state accesses whose clock
          matched a settled neighbour's; reaching the threshold re-opens
@@ -44,7 +44,7 @@ let no_cell =
     born = Epoch.none;
     w = Epoch.none;
     r = Read_state.empty;
-    loc = "";
+    loc = Loc_table.empty;
     evidence = 0;
   }
 
@@ -89,6 +89,7 @@ type state = {
   account : Accounting.t;
   stats : Run_stats.t;
   collector : Report.Collector.t;
+  mutable locs : Loc_table.t;  (* what the cells' location ids mean *)
   (* telemetry: the sharing-state transition matrix plus direct-held
      instruments, so each hot-path update is one integer store *)
   metrics : Metrics.t;
@@ -141,7 +142,7 @@ let fresh_cell st ~lo ~hi ~born ~state =
     born;
     w = Epoch.none;
     r = Read_state.empty;
-    loc = "";
+    loc = Loc_table.empty;
     evidence = 0;
   }
 
@@ -182,10 +183,12 @@ let rec find_conflict st pl ~write ~sub_hi ~tvc a =
       else Metrics.incr st.m_epoch_cmp;
       if write then
         if not (Read_state.leq c.r tvc) then
-          Some (Race_info.of_read_state c.r ~against:tvc ~loc:c.loc)
+          Some
+            (Race_info.of_read_state c.r ~against:tvc
+               ~loc:(Loc_table.name st.locs c.loc))
         else find_conflict st pl ~write ~sub_hi ~tvc ghi
       else if not (Vector_clock.epoch_leq c.w tvc) then
-        Some (Race_info.of_write ~w:c.w ~loc:c.loc)
+        Some (Race_info.of_write ~w:c.w ~loc:(Loc_table.name st.locs c.loc))
       else find_conflict st pl ~write ~sub_hi ~tvc ghi
     end
   end
@@ -193,7 +196,7 @@ let rec find_conflict st pl ~write ~sub_hi ~tvc a =
 let[@inline] check_races st ~write ~cell ~sub_lo ~sub_hi ~tvc =
   if write then Metrics.incr st.m_epoch_cmp;
   if write && not (Vector_clock.epoch_leq cell.w tvc) then
-    Some (Race_info.of_write ~w:cell.w ~loc:cell.loc)
+    Some (Race_info.of_write ~w:cell.w ~loc:(Loc_table.name st.locs cell.loc))
   else
     find_conflict st
       (if write then st.rplane else st.wplane)
@@ -346,10 +349,10 @@ let split_off st ~write c ~sub_lo ~sub_hi =
 
 (* The endpoint of the access being analysed; built on the race path
    only. *)
-let current ~tid ~write ~here ~loc =
+let current st ~tid ~write ~here ~loc =
   Race_info.current ~tid
     ~kind:(if write then Event.Write else Event.Read)
-    ~clock:(Epoch.clock here) ~loc
+    ~clock:(Epoch.clock here) ~loc:(Loc_table.name st.locs loc)
 
 (* Reads may share when the write plane is already shared across the
    boundary and the neighbour has no conflicting read info. *)
@@ -380,7 +383,7 @@ let second_epoch st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc =
   match check_races st ~write ~cell:l ~sub_lo ~sub_hi ~tvc with
   | Some previous ->
     dissolve_and_report st ~write l
-      ~current:(current ~tid ~write ~here ~loc)
+      ~current:(current st ~tid ~write ~here ~loc)
       ~previous;
     l
   | None ->
@@ -448,7 +451,7 @@ let steady st ~write c ~sub_lo ~sub_hi ~here ~tid ~tvc ~loc =
     match check_races st ~write ~cell:c ~sub_lo ~sub_hi ~tvc with
     | Some previous ->
       dissolve_and_report st ~write c
-        ~current:(current ~tid ~write ~here ~loc)
+        ~current:(current st ~tid ~write ~here ~loc)
         ~previous
     | None ->
       update_hist st ~write c ~tid ~tvc ~here ~loc;
@@ -576,7 +579,7 @@ let analyse st ~tid ~write ~addr ~size ~loc =
       (match check_races st ~write ~cell:c ~sub_lo:glo ~sub_hi:ghi ~tvc with
        | Some previous ->
          dissolve_and_report st ~write c
-           ~current:(current ~tid ~write ~here ~loc)
+           ~current:(current st ~tid ~write ~here ~loc)
            ~previous
        | None ->
          if write then reset_contained_reads st ~sub_lo:glo ~sub_hi:ghi glo);
@@ -601,6 +604,8 @@ let analyse st ~tid ~write ~addr ~size ~loc =
     a := ghi
   done
 
+(* One access event: count it, then the same-epoch test, then the
+   analysed path on a miss. *)
 let on_access st ~tid ~kind ~addr ~size ~loc =
   st.stats.accesses <- st.stats.accesses + 1;
   let write = kind = Event.Write in
@@ -611,7 +616,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
     && Epoch_bitmap.test_range (Thread_bitmaps.get st.bitmaps tid) ~write ~lo:addr
          ~hi:(addr + size - 1)
   then st.stats.same_epoch <- st.stats.same_epoch + 1
-  else analyse st ~tid ~write ~addr ~size ~loc
+  else analyse st ~tid ~write ~addr ~size ~loc:(Loc_table.intern st.locs loc)
 
 let on_free st ~addr ~size =
   st.stats.frees <- st.stats.frees + 1;
@@ -657,6 +662,7 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
       account;
       stats = Run_stats.create ();
       collector = Report.Collector.create ~suppression ();
+      locs = Loc_table.create ();
       metrics;
       transitions = State_matrix.create ~states:matrix_states;
       m_analysed = Metrics.counter metrics "accesses.analysed";
@@ -694,11 +700,15 @@ let create ?(sharing = true) ?(init_state = true) ?(init_sharing = true)
   (* With the bitmaps shed every access takes the analysed path: a
      never-marked bitmap always misses. *)
   let no_bitmap = Epoch_bitmap.create () in
-  let process_batch =
+  let apply =
     Batch_apply.make ~stats:st.stats ~collector:st.collector ~env:st.env
       ~bitmap:(fun tid ->
         if st.bitmaps_on then Thread_bitmaps.get st.bitmaps tid else no_bitmap)
-      ~on_boundary ~on_access:(on_access st) ~on_free:(on_free st)
+      ~on_boundary ~on_miss:(analyse st) ~on_free:(on_free st)
+  in
+  let process_batch b =
+    st.locs <- Loc_table.adopt (Batch.locs b) ~own:st.locs;
+    apply b
   in
   let name =
     match name with

@@ -3,11 +3,12 @@ open Dgrace_events
 open Dgrace_shadow
 module Metrics = Dgrace_obs.Metrics
 
+(* [w_loc]/[r_loc] are location ids of the detector's table *)
 type cell = {
   mutable w : Epoch.t;
-  mutable w_loc : string;
+  mutable w_loc : int;
   mutable r : Read_state.t;
-  mutable r_loc : string;
+  mutable r_loc : int;
   mutable racy : bool;
 }
 
@@ -24,17 +25,22 @@ type state = {
   account : Accounting.t;
   stats : Run_stats.t;
   collector : Report.Collector.t;
+  mutable locs : Loc_table.t;  (* what the cells' location ids mean *)
   metrics : Metrics.t;
   m_analysed : Metrics.counter;  (* accesses that left the fast path *)
   m_epoch_cmp : Metrics.counter;  (* O(1) epoch comparisons *)
   m_vc_op : Metrics.counter;  (* full vector-clock reads/joins *)
 }
 
+let blank_cell () =
+  { w = Epoch.none; w_loc = Loc_table.empty; r = Read_state.empty;
+    r_loc = Loc_table.empty; racy = false }
+
 let fresh_cell st =
   Accounting.vc_created st.account;
   Accounting.bind_locations st.account 1;
   Accounting.add_vc st.account cell_cost;
-  { w = Epoch.none; w_loc = ""; r = Read_state.empty; r_loc = ""; racy = false }
+  blank_cell ()
 
 let retire_cell st c =
   Accounting.vc_freed st.account;
@@ -43,8 +49,7 @@ let retire_cell st c =
   c.r <- Read_state.empty
 
 (* [absent] sentinel of shadow lookups: never stored *)
-let no_cell =
-  { w = Epoch.none; w_loc = ""; r = Read_state.empty; r_loc = ""; racy = false }
+let no_cell = blank_cell ()
 
 let cell_at st a =
   let c = Shadow_table.find st.shadow a ~absent:no_cell in
@@ -69,70 +74,87 @@ let report_race st ~slot_lo ~current ~previous =
   in
   ignore (Report.Collector.add st.collector r : bool)
 
+(* The analysed path: every granule the access covers, then the
+   access's marks in the thread's bitmap. *)
+let analyse st ~tid ~write ~addr ~size ~loc =
+  Metrics.incr st.m_analysed;
+  let tvc = Vc_env.clock_of st.env tid in
+  let here = Epoch.make ~tid ~clock:(Vector_clock.get tvc tid) in
+  let g = st.granularity in
+  let lo = addr land lnot (g - 1) in
+  let hi = (addr + size + g - 1) land lnot (g - 1) in
+  let reported = ref false in
+  let race c ~previous ~slot_lo =
+    c.racy <- true;
+    if not !reported then begin
+      reported := true;
+      let current =
+        Race_info.current ~tid
+          ~kind:(if write then Event.Write else Event.Read)
+          ~clock:(Epoch.clock here) ~loc:(Loc_table.name st.locs loc)
+      in
+      report_race st ~slot_lo ~current ~previous
+    end
+  in
+  let a = ref lo in
+  while !a < hi do
+    let slot_lo = !a in
+    let c = cell_at st slot_lo in
+    if not c.racy then begin
+      if write then begin
+        if not (Epoch.equal c.w here) then begin
+          Metrics.incr st.m_epoch_cmp;
+          if Read_state.is_vc c.r then Metrics.incr st.m_vc_op;
+          if not (Vector_clock.epoch_leq c.w tvc) then
+            race c
+              ~previous:
+                (Race_info.of_write ~w:c.w ~loc:(Loc_table.name st.locs c.w_loc))
+              ~slot_lo
+          else if not (Read_state.leq c.r tvc) then
+            race c
+              ~previous:
+                (Race_info.of_read_state c.r ~against:tvc
+                   ~loc:(Loc_table.name st.locs c.r_loc))
+              ~slot_lo;
+          if not c.racy then begin
+            c.w <- here;
+            c.w_loc <- loc;
+            (* a write ordered after all reads lets the read history
+               collapse back to the cheap representation *)
+            if Read_state.is_vc c.r then begin
+              Read_state.release c.r;
+              c.r <- Read_state.empty
+            end
+          end
+        end
+      end
+      else if not (Read_state.same_epoch c.r here) then begin
+        Metrics.incr st.m_epoch_cmp;
+        if not (Vector_clock.epoch_leq c.w tvc) then
+          race c
+            ~previous:
+              (Race_info.of_write ~w:c.w ~loc:(Loc_table.name st.locs c.w_loc))
+            ~slot_lo
+        else record_read st c ~tid ~tvc ~loc
+      end
+    end;
+    a := !a + g
+  done;
+  Epoch_bitmap.mark (Thread_bitmaps.get st.bitmaps tid) ~write ~lo:addr
+    ~hi:(addr + size)
+
+(* One access event: count it, then the same-epoch test, then the
+   analysed path on a miss. *)
 let on_access st ~tid ~kind ~addr ~size ~loc =
   st.stats.accesses <- st.stats.accesses + 1;
   let write = kind = Event.Write in
   if write then st.stats.writes <- st.stats.writes + 1
   else st.stats.reads <- st.stats.reads + 1;
-  let bm = Thread_bitmaps.get st.bitmaps tid in
-  if Epoch_bitmap.test_range bm ~write ~lo:addr ~hi:(addr + size - 1) then
-    st.stats.same_epoch <- st.stats.same_epoch + 1
-  else begin
-    Metrics.incr st.m_analysed;
-    let tvc = Vc_env.clock_of st.env tid in
-    let here = Epoch.make ~tid ~clock:(Vector_clock.get tvc tid) in
-    let g = st.granularity in
-    let lo = addr land lnot (g - 1) in
-    let hi = (addr + size + g - 1) land lnot (g - 1) in
-    let reported = ref false in
-    let race c ~previous ~slot_lo =
-      c.racy <- true;
-      if not !reported then begin
-        reported := true;
-        let current =
-          Race_info.current ~tid ~kind ~clock:(Epoch.clock here) ~loc
-        in
-        report_race st ~slot_lo ~current ~previous
-      end
-    in
-    let a = ref lo in
-    while !a < hi do
-      let slot_lo = !a in
-      let c = cell_at st slot_lo in
-      if not c.racy then begin
-        if write then begin
-          if not (Epoch.equal c.w here) then begin
-            Metrics.incr st.m_epoch_cmp;
-            if Read_state.is_vc c.r then Metrics.incr st.m_vc_op;
-            if not (Vector_clock.epoch_leq c.w tvc) then
-              race c ~previous:(Race_info.of_write ~w:c.w ~loc:c.w_loc) ~slot_lo
-            else if not (Read_state.leq c.r tvc) then
-              race c
-                ~previous:(Race_info.of_read_state c.r ~against:tvc ~loc:c.r_loc)
-                ~slot_lo;
-            if not c.racy then begin
-              c.w <- here;
-              c.w_loc <- loc;
-              (* a write ordered after all reads lets the read history
-                 collapse back to the cheap representation *)
-              if Read_state.is_vc c.r then begin
-                Read_state.release c.r;
-                c.r <- Read_state.empty
-              end
-            end
-          end
-        end
-        else if not (Read_state.same_epoch c.r here) then begin
-          Metrics.incr st.m_epoch_cmp;
-          if not (Vector_clock.epoch_leq c.w tvc) then
-            race c ~previous:(Race_info.of_write ~w:c.w ~loc:c.w_loc) ~slot_lo
-          else record_read st c ~tid ~tvc ~loc
-        end
-      end;
-      a := !a + g
-    done;
-    Epoch_bitmap.mark bm ~write ~lo:addr ~hi:(addr + size)
-  end
+  if
+    Epoch_bitmap.test_range (Thread_bitmaps.get st.bitmaps tid) ~write ~lo:addr
+      ~hi:(addr + size - 1)
+  then st.stats.same_epoch <- st.stats.same_epoch + 1
+  else analyse st ~tid ~write ~addr ~size ~loc:(Loc_table.intern st.locs loc)
 
 let on_free st ~addr ~size =
   st.stats.frees <- st.stats.frees + 1;
@@ -164,6 +186,7 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) () =
       account;
       stats = Run_stats.create ();
       collector = Report.Collector.create ~suppression ();
+      locs = Loc_table.create ();
       metrics;
       m_analysed = Metrics.counter metrics "accesses.analysed";
       m_epoch_cmp = Metrics.counter metrics "phase.epoch_compare";
@@ -183,10 +206,14 @@ let create ?(granularity = 1) ?(suppression = Suppression.empty) () =
       | Event.Acquire _ | Event.Release _ | Event.Fork _ | Event.Join _
       | Event.Thread_exit _ -> ()
   in
-  let process_batch =
+  let apply =
     Batch_apply.make ~stats:st.stats ~collector:st.collector ~env:st.env
       ~bitmap:(Thread_bitmaps.get st.bitmaps) ~on_boundary
-      ~on_access:(on_access st) ~on_free:(on_free st)
+      ~on_miss:(analyse st) ~on_free:(on_free st)
+  in
+  let process_batch b =
+    st.locs <- Loc_table.adopt (Batch.locs b) ~own:st.locs;
+    apply b
   in
   let finish () =
     let g name v = Metrics.set (Metrics.gauge metrics name) v in

@@ -10,7 +10,8 @@ type region = {
 type state = {
   floor_log2 : int;
   decay_every : int;
-  regions : (string, region) Hashtbl.t;
+  mutable locs : Loc_table.t;  (* what the region keys mean *)
+  mutable regions : region array;  (* by location id; [no_region] if none *)
   inner : Detector.t;
   stats : Run_stats.t;
   analysed_c : Metrics.counter;
@@ -34,13 +35,23 @@ let effective_floor ~floor_rate =
   check_floor_rate floor_rate;
   1. /. float_of_int (1 lsl floor_log2_of_rate floor_rate)
 
-let region_of st loc =
-  match Hashtbl.find_opt st.regions loc with
-  | Some r -> r
-  | None ->
+let no_region = { rate_log2 = 0; analysed = 0; counter = 0 }
+
+(* The region of location id [id], created on its first access. *)
+let region_of st id =
+  let n = Array.length st.regions in
+  if id >= n then begin
+    let grown = Array.make (max (2 * n) (id + 1)) no_region in
+    Array.blit st.regions 0 grown 0 n;
+    st.regions <- grown
+  end;
+  let r = st.regions.(id) in
+  if r != no_region then r
+  else begin
     let r = { rate_log2 = 0; analysed = 0; counter = 0 } in
-    Hashtbl.replace st.regions loc r;
+    st.regions.(id) <- r;
     r
+  end
 
 (* deterministic sampling: the first of every 2^rate_log2 accesses *)
 let sampled st r =
@@ -66,7 +77,8 @@ let create ?(floor_rate = 0.02) ?(decay_every = 64)
     {
       floor_log2 = floor_log2_of_rate floor_rate;
       decay_every;
-      regions = Hashtbl.create 64;
+      locs = Loc_table.create ();
+      regions = Array.make 64 no_region;
       inner;
       stats = Run_stats.create ();
       analysed_c = Metrics.counter inner.Detector.metrics "sampling.analysed";
@@ -79,7 +91,7 @@ let create ?(floor_rate = 0.02) ?(decay_every = 64)
       st.stats.accesses <- st.stats.accesses + 1;
       if kind = Event.Write then st.stats.writes <- st.stats.writes + 1
       else st.stats.reads <- st.stats.reads + 1;
-      if sampled st (region_of st loc) then begin
+      if sampled st (region_of st (Loc_table.intern st.locs loc)) then begin
         Metrics.incr st.analysed_c;
         st.inner.on_event ev
       end
@@ -98,10 +110,14 @@ let create ?(floor_rate = 0.02) ?(decay_every = 64)
       st.stats.frees <- st.stats.frees + 1;
       st.inner.on_event ev
   in
-  let process_batch =
+  let filter =
     Race_sampler.filtering_batch ~inner ~stats:st.stats ~analysed:st.analysed_c
       ~skipped:st.skipped_c ~keep:(fun b i ->
         sampled st (region_of st b.Batch.loc.(i)))
+  in
+  let process_batch b =
+    st.locs <- Loc_table.adopt (Batch.locs b) ~own:st.locs;
+    filter b
   in
   {
     Detector.name = "literace-sampling";

@@ -41,7 +41,9 @@ let selected ~rate ~seed id = mix ~seed id < threshold_of_rate rate
    {!Dgrace_trace.Batch_ring} and is invalid once this callback
    returns, so every surviving row is copied into the sampler-owned
    [out] buffer and [out] is flushed to the inner detector before the
-   callback returns — no reference to [b] or its arrays escapes. *)
+   callback returns — no reference to [b] or its arrays escapes.  [out]
+   takes [b]'s location table as it fills ({!Batch.copy_row}), so the
+   inner detector resolves ids through the source's table. *)
 
 let filtering_batch ~(inner : Detector.t) ~(stats : Run_stats.t) ~analysed
     ~skipped ~keep =
@@ -60,14 +62,7 @@ let filtering_batch ~(inner : Detector.t) ~(stats : Run_stats.t) ~analysed
   in
   let copy (b : Batch.t) i =
     if Batch.is_full out then flush ();
-    let j = out.Batch.len in
-    out.Batch.kind.(j) <- b.Batch.kind.(i);
-    out.Batch.a.(j) <- b.Batch.a.(i);
-    out.Batch.b.(j) <- b.Batch.b.(i);
-    out.Batch.c.(j) <- b.Batch.c.(i);
-    out.Batch.loc.(j) <- b.Batch.loc.(i);
-    out.Batch.off.(j) <- b.Batch.off.(i);
-    out.Batch.len <- j + 1
+    Batch.copy_row ~src:b i ~dst:out
   in
   fun (b : Batch.t) ->
     let n = Batch.length b in

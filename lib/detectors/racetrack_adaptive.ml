@@ -84,8 +84,7 @@ let on_access st ~tid ~kind ~addr ~size ~loc =
   if write then st.stats.writes <- st.stats.writes + 1
   else st.stats.reads <- st.stats.reads + 1;
   let bm = Thread_bitmaps.get st.bitmaps tid in
-  if Epoch_bitmap.test bm ~write addr && Epoch_bitmap.test bm ~write (addr + size - 1)
-  then st.stats.same_epoch <- st.stats.same_epoch + 1
+  if Epoch_bitmap.test_range bm ~write ~lo:addr ~hi:(addr + size - 1) then st.stats.same_epoch <- st.stats.same_epoch + 1
   else begin
     let tvc = Vc_env.clock_of st.env tid in
     let here = Epoch.make ~tid ~clock:(Vector_clock.get tvc tid) in

@@ -1,8 +1,9 @@
 (* Struct-of-arrays event batches: the unit of work for the batched
    detector fast path.  A batch holds up to [capacity] decoded events
-   as parallel int arrays plus a string array of location pointers —
-   no per-event allocation on the hot path, and a detector's
-   [process_batch] can walk the columns with plain array loads.
+   as parallel int arrays — the location column holds ids of the
+   batch's {!Loc_table} — so there is no per-event allocation and no
+   pointer store on the hot path, and a detector's [process_batch] can
+   walk the columns with plain array loads.
 
    The [kind] column uses the same numeric codes as the v1/v2 trace
    tags (0=read .. 8=exit) so trace decoders can fill batches without
@@ -10,11 +11,11 @@
    meaning per kind:
 
      kind         a        b      c           loc
-     read/write   tid      addr   size        location ("" if none)
-     acq/rel      tid      lock   sync code   ""
-     fork/join    parent   child  0           ""
-     alloc/free   tid      addr   size        ""
-     exit         tid      0      0           ""
+     read/write   tid      addr   size        location id (0 = "")
+     acq/rel      tid      lock   sync code   0
+     fork/join    parent   child  0           0
+     alloc/free   tid      addr   size        0
+     exit         tid      0      0           0
 
    [off] carries each record's absolute offset in the source trace
    (or -1 when the producer has no byte offsets); race reports from a
@@ -52,11 +53,12 @@ type t = {
   a : int array;
   b : int array;
   c : int array;
-  loc : string array;
+  loc : int array;
   off : int array;
+  mutable locs : Loc_table.t;
 }
 
-let create ?(capacity = default_capacity) () =
+let create ?(capacity = default_capacity) ?locs () =
   if capacity <= 0 then invalid_arg "Batch.create: capacity must be positive";
   {
     len = 0;
@@ -64,18 +66,19 @@ let create ?(capacity = default_capacity) () =
     a = Array.make capacity 0;
     b = Array.make capacity 0;
     c = Array.make capacity 0;
-    loc = Array.make capacity "";
+    loc = Array.make capacity Loc_table.empty;
     off = Array.make capacity (-1);
+    locs = (match locs with Some l -> l | None -> Loc_table.create ());
   }
 
 let capacity t = Array.length t.kind
 let length t = t.len
 let is_full t = t.len >= Array.length t.kind
 
-let clear t =
-  (* drop location pointers so a parked batch doesn't pin strings *)
-  Array.fill t.loc 0 t.len "";
-  t.len <- 0
+let locs t = t.locs
+
+(* Ids hold no pointers: a parked batch pins nothing. *)
+let clear t = t.len <- 0
 
 (* Append a decoded event.  [off] is the record's absolute offset in
    the source stream; defaults to -1 (unknown). *)
@@ -88,58 +91,62 @@ let push t ?(off = -1) ev =
      t.a.(i) <- tid;
      t.b.(i) <- addr;
      t.c.(i) <- size;
-     t.loc.(i) <- loc
+     t.loc.(i) <- Loc_table.intern t.locs loc
    | Event.Acquire { tid; lock; sync } ->
      t.kind.(i) <- code_acquire;
      t.a.(i) <- tid;
      t.b.(i) <- lock;
      t.c.(i) <- sync_code sync;
-     t.loc.(i) <- ""
+     t.loc.(i) <- Loc_table.empty
    | Event.Release { tid; lock; sync } ->
      t.kind.(i) <- code_release;
      t.a.(i) <- tid;
      t.b.(i) <- lock;
      t.c.(i) <- sync_code sync;
-     t.loc.(i) <- ""
+     t.loc.(i) <- Loc_table.empty
    | Event.Fork { parent; child } ->
      t.kind.(i) <- code_fork;
      t.a.(i) <- parent;
      t.b.(i) <- child;
      t.c.(i) <- 0;
-     t.loc.(i) <- ""
+     t.loc.(i) <- Loc_table.empty
    | Event.Join { parent; child } ->
      t.kind.(i) <- code_join;
      t.a.(i) <- parent;
      t.b.(i) <- child;
      t.c.(i) <- 0;
-     t.loc.(i) <- ""
+     t.loc.(i) <- Loc_table.empty
    | Event.Alloc { tid; addr; size } ->
      t.kind.(i) <- code_alloc;
      t.a.(i) <- tid;
      t.b.(i) <- addr;
      t.c.(i) <- size;
-     t.loc.(i) <- ""
+     t.loc.(i) <- Loc_table.empty
    | Event.Free { tid; addr; size } ->
      t.kind.(i) <- code_free;
      t.a.(i) <- tid;
      t.b.(i) <- addr;
      t.c.(i) <- size;
-     t.loc.(i) <- ""
+     t.loc.(i) <- Loc_table.empty
    | Event.Thread_exit { tid } ->
      t.kind.(i) <- code_exit;
      t.a.(i) <- tid;
      t.b.(i) <- 0;
      t.c.(i) <- 0;
-     t.loc.(i) <- "");
+     t.loc.(i) <- Loc_table.empty);
   t.off.(i) <- off;
   t.len <- i + 1
 
 (* Copy one row between batches, e.g. out of a recycled decoder batch.
    The copy is columnar (six array stores), so it costs no
-   allocation. *)
+   allocation; an empty [dst] takes [src]'s table. *)
 let copy_row ~src i ~dst =
   let j = dst.len in
   if j >= Array.length dst.kind then invalid_arg "Batch.copy_row: batch full";
+  if dst.locs != src.locs then begin
+    if j > 0 then invalid_arg "Batch.copy_row: batches of two location tables";
+    dst.locs <- src.locs
+  end;
   dst.kind.(j) <- src.kind.(i);
   dst.a.(j) <- src.a.(i);
   dst.b.(j) <- src.b.(i);
@@ -160,7 +167,7 @@ let event t i =
         kind = (if k = code_read then Event.Read else Event.Write);
         addr = t.b.(i);
         size = t.c.(i);
-        loc = t.loc.(i);
+        loc = Loc_table.name t.locs t.loc.(i);
       }
   else if k = code_acquire then
     Event.Acquire { tid = t.a.(i); lock = t.b.(i); sync = sync_of_code t.c.(i) }
@@ -179,8 +186,8 @@ let iter_events f t =
     f (event t i)
   done
 
-let of_events ?(capacity = default_capacity) evs =
+let of_events ?(capacity = default_capacity) ?locs evs =
   let n = List.length evs in
-  let b = create ~capacity:(max capacity n) () in
+  let b = create ~capacity:(max capacity n) ?locs () in
   List.iter (fun ev -> push b ev) evs;
   b

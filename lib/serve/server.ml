@@ -625,9 +625,10 @@ let process_one_spool ~cfg ~id path =
   match
     (* spool directories may mix v1 and v2 traces *)
     if Dgrace_trace.Trace_reader.probe_version path >= 2 then
-      Dgrace_trace.Trace_format_v2.fold_batches path feed ()
+      Dgrace_trace.Trace_format_v2.fold_batches ~locs:(Session.locs session)
+        path feed ()
     else begin
-      let b = Batch.create () in
+      let b = Batch.create ~locs:(Session.locs session) () in
       List.iter
         (fun ev ->
           Batch.push b ev;

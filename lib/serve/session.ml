@@ -37,6 +37,7 @@ type t = {
   guard : Budget_guard.t;  (* event count, degraded flag, budget checks *)
   now_s : unit -> float;
   t0 : float;
+  locs : Loc_table.t;  (* the session's one location id space *)
   v2 : Trace_format_v2.stream_decoder;  (* B-frame (batch) decoder *)
   mutable v2_base : int;  (* bytes of v2 bodies consumed so far *)
   dmu : Mutex.t;  (* serialises reader-side B-frame decodes *)
@@ -61,7 +62,8 @@ let decode_pool_slots = 4
    crash-only contract contains it. *)
 let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?revision ~id
     d =
-  let v2 = Trace_format_v2.stream_decoder ?revision () in
+  let locs = Loc_table.create () in
+  let v2 = Trace_format_v2.stream_decoder ?revision ~locs () in
   let now_s () = float_of_int (clock ()) *. 1e-9 in
   let t0 = now_s () in
   {
@@ -69,6 +71,7 @@ let of_detector ?(budget = Budget.unlimited) ?(clock = Clock.ns) ?revision ~id
     guard = Budget_guard.create ~now_s ~t0 budget;
     now_s;
     t0;
+    locs;
     v2;
     v2_base = 0;
     dmu = Mutex.create ();
@@ -88,6 +91,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let id t = t.id
+let locs t = t.locs
 let events t = Budget_guard.events t.guard
 let degraded t = locked t (fun () -> Budget_guard.degraded t.guard)
 let elapsed_s t = t.now_s () -. t.t0

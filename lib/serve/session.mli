@@ -82,7 +82,15 @@ val feed_batch : t -> Dgrace_events.Batch.t -> (ack, Error.t) result
 (** Deliver an already-decoded batch (the spool path) under the same
     per-batch budget.  A budget stop seals the partial summary (fetch
     it with {!finalize}) and this call, like every later feed, returns
-    the [Budget_exhausted] error so the caller stops sending. *)
+    the [Budget_exhausted] error so the caller stops sending.  Build
+    the batch over {!locs} when the session also takes BATCH frames or
+    other batches: one session has one location id space, and a batch
+    over another table than the one the detector already resolves
+    through poisons it ([Internal], "foreign location table"). *)
+
+val locs : t -> Dgrace_events.Loc_table.t
+(** The session's location table: its batch-frame decoder interns
+    into it, and the detector resolves every id through it. *)
 
 (** {2 Pipelined BATCH feeding}
 

@@ -243,51 +243,63 @@ let[@inline] mark t ~write ~lo ~hi =
     addr := upper
   done
 
-let[@inline] test t ~write addr =
+(* The chunk holding [addr] for a probe, [no_chunk] if none: a probe
+   never allocates. *)
+let[@inline] probe_chunk t addr =
   let base = addr land lnot (t.block - 1) in
-  let c =
-    if base = t.cached_base then t.cached_chunk
-    else begin
-      let r = row_for t (row_of t addr) in
-      if r == no_row then no_chunk else r.(row_slot t addr)
-    end
-  in
-  if c == no_chunk then false
+  if base = t.cached_base then t.cached_chunk
   else begin
-    let off = addr land (t.block - 1) in
-    let i = off lsr 2 and shift = (off land 3) * 2 in
-    let b = Char.code (Bytes.get c i) in
-    b land (plane_bit write lsl shift) <> 0
+    let r = row_for t (row_of t addr) in
+    if r == no_row then no_chunk else r.(row_slot t addr)
   end
 
-let[@inline] probe t c bit addr =
-  let off = addr land (t.block - 1) in
-  let i = off lsr 2 and shift = (off land 3) * 2 in
-  Char.code (Bytes.get c i) land (bit lsl shift) <> 0
+(* Whole bytes [i, j) of [c] all carry the plane [pattern]. *)
+let rec bytes_covered c pattern i j =
+  i >= j
+  || (Char.code (Bytes.unsafe_get c i) land pattern = pattern
+      && bytes_covered c pattern (i + 1) j)
 
-(* One lookup for the common whole-access probe: when [lo] and [hi]
-   (inclusive) land in the same chunk — any access up to the block
-   size that doesn't straddle a boundary — both bits come out of a
-   single cached-chunk fetch; a straddling probe falls back to two
-   independent tests. *)
-let[@inline] test_range t ~write ~lo ~hi =
+(* Every address of chunk offsets [o0, o1] (inclusive) has its bit in
+   the plane [pattern]: one mask test per bitmap byte, the first and
+   last masked down to the addresses they hold. *)
+let[@inline] covered c pattern o0 o1 =
+  let i0 = o0 lsr 2 and i1 = o1 lsr 2 in
+  let first = pattern land (0xff lsl ((o0 land 3) * 2)) in
+  let last = pattern land (0xff lsr ((3 - (o1 land 3)) * 2)) in
+  if i0 = i1 then begin
+    let m = first land last in
+    Char.code (Bytes.unsafe_get c i0) land m = m
+  end
+  else
+    Char.code (Bytes.unsafe_get c i0) land first = first
+    && Char.code (Bytes.unsafe_get c i1) land last = last
+    && bytes_covered c pattern (i0 + 1) i1
+
+(* A probe that straddles chunks: chunk by chunk. *)
+let rec test_chunks t pattern lo hi =
   let base = lo land lnot (t.block - 1) in
-  if hi land lnot (t.block - 1) <> base then
-    test t ~write lo && test t ~write hi
+  let c = probe_chunk t lo in
+  c != no_chunk
+  &&
+  let upper = min hi (base + t.block - 1) in
+  covered c pattern (lo - base) (upper - base)
+  && (upper = hi || test_chunks t pattern (upper + 1) hi)
+
+(* The whole-access probe: every address of [lo, hi] (inclusive), not
+   only the two ends — an access is same-epoch only if all its bytes
+   were analysed this epoch.  An access inside one chunk (any access
+   up to the block size that does not straddle a boundary) takes a
+   single chunk fetch and a mask test per byte of 4 addresses. *)
+let[@inline] test_range t ~write ~lo ~hi =
+  let pattern = plane_bit write * 0x55 in
+  let base = lo land lnot (t.block - 1) in
+  if hi land lnot (t.block - 1) <> base then test_chunks t pattern lo hi
   else begin
-    let c =
-      if base = t.cached_base then t.cached_chunk
-      else begin
-        let r = row_for t (row_of t lo) in
-        if r == no_row then no_chunk else r.(row_slot t lo)
-      end
-    in
-    if c == no_chunk then false
-    else begin
-      let bit = plane_bit write in
-      probe t c bit lo && (hi = lo || probe t c bit hi)
-    end
+    let c = probe_chunk t lo in
+    c != no_chunk && covered c pattern (lo - base) (hi - base)
   end
+
+let[@inline] test t ~write addr = test_range t ~write ~lo:addr ~hi:addr
 
 (* Epoch boundary: detach every live chunk from its row, zero it into
    the pool, and charge the footprint back down to zero.  The rows

@@ -28,9 +28,10 @@ val test : t -> write:bool -> int -> bool
     the current epoch? *)
 
 val test_range : t -> write:bool -> lo:int -> hi:int -> bool
-(** [test lo && test hi] ([hi] inclusive) in one chunk lookup when
-    both fall in the same chunk — the whole-access same-epoch probe on
-    the detectors' fast path. *)
+(** [test a] for every [a] in [\[lo, hi\]] ([hi] inclusive) — the
+    whole-access same-epoch probe on the detectors' fast path.  One
+    chunk lookup when the range lies in one chunk, then one mask test
+    per bitmap byte (4 addresses). *)
 
 val reset : t -> unit
 (** Epoch boundary: clear all marks and release chunk storage.  The

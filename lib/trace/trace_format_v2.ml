@@ -57,29 +57,31 @@ let[@inline] unzigzag z = (z lsr 1) lxor (-(z land 1))
 (* ------------------------------------------------------------------ *)
 (* encoding *)
 
-(* [e_memo_loc.(k)]/[e_memo_id.(k)] memoize, by pointer, the location
-   of the last access of kind [k] (read or write): a site repeats
-   within its kind, so most access rows skip hashing their string.
-   The initial sentinels are private, so no caller's string matches
-   them.  [e_names] maps ids back to strings, for writing a fresh id's
-   bytes after its value; [e_vals] holds one block's location values
-   while the encoder sizes both modes. *)
+(* Stream ids are numbered in order of first appearance.  [e_sid]
+   maps ids of [e_src], the table of the batches being encoded, to
+   stream ids ([-1]: not yet seen), so an access row costs one array
+   load.  [e_streams] maps every label the stream has named to its
+   stream id: a batch over another table starts [e_sid] afresh and
+   finds the labels the stream already named there.  [e_names] maps
+   stream ids back to labels, for writing a fresh id's bytes after
+   its value; [e_vals] holds one block's location values while the
+   encoder sizes both modes. *)
 type block_encoder = {
-  e_locs : (string, int) Hashtbl.t;
+  e_streams : (string, int) Hashtbl.t;
   mutable e_next_loc : int;
   mutable e_names : string array;
-  e_memo_loc : string array;
-  e_memo_id : int array;
+  mutable e_src : Loc_table.t;
+  mutable e_sid : int array;
   e_vals : int array;
 }
 
 let block_encoder () =
   {
-    e_locs = Hashtbl.create 64;
+    e_streams = Hashtbl.create 64;
     e_next_loc = 0;
     e_names = Array.make 64 "";
-    e_memo_loc = [| String.make 1 '\000'; String.make 1 '\000' |];
-    e_memo_id = [| -1; -1 |];
+    e_src = Loc_table.create ();
+    e_sid = Array.make 64 (-1);
     e_vals = Array.make block_events 0;
   }
 
@@ -144,41 +146,48 @@ let write_kinds buf (kind : int array) n =
     done
   end
 
-(* The id of access location [loc] of kind [k], interning it if it is
-   new. *)
-let loc_id enc k loc =
-  if loc == Array.unsafe_get enc.e_memo_loc k then Array.unsafe_get enc.e_memo_id k
-  else begin
-    let other = 1 - k in
-    let id =
-      if loc == Array.unsafe_get enc.e_memo_loc other then
-        Array.unsafe_get enc.e_memo_id other
-      else
-        match Hashtbl.find_opt enc.e_locs loc with
-        | Some id -> id
-        | None ->
-          check_loc loc;
-          let id = enc.e_next_loc in
-          if id = Array.length enc.e_names then begin
-            let grown = Array.make (2 * id) "" in
-            Array.blit enc.e_names 0 grown 0 id;
-            enc.e_names <- grown
-          end;
-          enc.e_names.(id) <- loc;
-          enc.e_next_loc <- id + 1;
-          Hashtbl.replace enc.e_locs loc id;
-          id
-    in
-    Array.unsafe_set enc.e_memo_loc k loc;
-    Array.unsafe_set enc.e_memo_id k id;
-    id
+(* The stream id of table id [id], numbering its label if the stream
+   has not named it yet. *)
+let sid_slow enc id =
+  let name = Loc_table.name enc.e_src id in
+  let sid =
+    match Hashtbl.find_opt enc.e_streams name with
+    | Some sid -> sid
+    | None ->
+      check_loc name;
+      let sid = enc.e_next_loc in
+      if sid = Array.length enc.e_names then begin
+        let grown = Array.make (2 * sid) "" in
+        Array.blit enc.e_names 0 grown 0 sid;
+        enc.e_names <- grown
+      end;
+      enc.e_names.(sid) <- name;
+      enc.e_next_loc <- sid + 1;
+      Hashtbl.replace enc.e_streams name sid;
+      sid
+  in
+  let len = Array.length enc.e_sid in
+  if id >= len then begin
+    let grown = Array.make (max (2 * len) (id + 1)) (-1) in
+    Array.blit enc.e_sid 0 grown 0 len;
+    enc.e_sid <- grown
+  end;
+  enc.e_sid.(id) <- sid;
+  sid
+
+let[@inline] stream_id enc id =
+  let sids = enc.e_sid in
+  if id < Array.length sids then begin
+    let sid = Array.unsafe_get sids id in
+    if sid >= 0 then sid else sid_slow enc id
   end
+  else sid_slow enc id
 
 (* Locations of the access rows: each value predicted from the
    previous access of the same kind in this block (0) or the id + 1,
    written plain (mode 0) or as RLE runs (mode 1), whichever is
    smaller; a tie keeps plain. *)
-let write_locs enc buf (kind : int array) (loc : string array) n =
+let write_locs enc buf (kind : int array) (loc : int array) n =
   let vals = enc.e_vals and pred = [| -1; -1 |] in
   let fresh = ref enc.e_next_loc in
   (* the values, and the bytes of both modes' varints ([run] equal
@@ -188,7 +197,7 @@ let write_locs enc buf (kind : int array) (loc : string array) n =
   for i = 0 to n - 1 do
     let k = Array.unsafe_get kind i in
     if k <= tag_write then begin
-      let id = loc_id enc k (Array.unsafe_get loc i) in
+      let id = stream_id enc (Array.unsafe_get loc i) in
       let v = if id = Array.unsafe_get pred k then 0 else id + 1 in
       Array.unsafe_set vals !m v;
       Array.unsafe_set pred k id;
@@ -229,6 +238,11 @@ let encode_body enc (b : Batch.t) =
   let n = Batch.length b in
   if n < 1 || n > block_events then
     invalid_arg "Trace_format_v2.encode_body: 1 <= batch length <= 4096 required";
+  let locs = Batch.locs b in
+  if locs != enc.e_src then begin
+    enc.e_src <- locs;
+    Array.fill enc.e_sid 0 (Array.length enc.e_sid) (-1)
+  end;
   let buf = Buffer.create (n * 2) in
   write_varint buf n;
   let kind = b.Batch.kind in
@@ -357,14 +371,16 @@ let to_file path f =
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
-(* The location table is id-indexed: ids are dense (0 ..
-   d_next_loc-1, each fresh id is exactly the next one), so a string
-   array that doubles when full replaces a hash table.  [rev3] is the
-   stream's block revision: 3, or 2 with its implied modes. *)
+(* Stream ids are dense (0 .. d_next_loc-1, each fresh id is exactly
+   the next one), so [d_ids], an int array that doubles when full, maps
+   them to ids of [locs], the table the decoded batches carry: a row's
+   location costs one load and an int store.  [rev3] is the stream's
+   block revision: 3, or 2 with its implied modes. *)
 type stream_decoder = {
   path : string option;
   rev3 : bool;
-  mutable d_locs : string array;
+  locs : Loc_table.t;
+  mutable d_ids : int array;
   mutable d_next_loc : int;
   mutable events_read : int;
   mutable d_body : Bytes.t;
@@ -372,29 +388,33 @@ type stream_decoder = {
   mutable d_reads : int;
 }
 
-let stream_decoder ?path ?(revision = version) () =
+let stream_decoder ?path ?(revision = version) ?locs () =
   if not (readable revision) then
     invalid_arg
       (Printf.sprintf "Trace_format_v2.stream_decoder: revision %d" revision);
   {
     path;
     rev3 = revision = 3;
-    d_locs = Array.make 64 "";
+    locs = (match locs with Some l -> l | None -> Loc_table.create ());
+    d_ids = [||];
     d_next_loc = 0;
     events_read = 0;
     d_body = Bytes.empty;
     d_reads = 0;
   }
 
+(* Number a fresh stream id: intern its label, once per stream. *)
 let add_loc dec s =
-  let id = dec.d_next_loc in
-  if id = Array.length dec.d_locs then begin
-    let grown = Array.make (2 * id) "" in
-    Array.blit dec.d_locs 0 grown 0 id;
-    dec.d_locs <- grown
+  let sid = dec.d_next_loc in
+  if sid = Array.length dec.d_ids then begin
+    let grown = Array.make (Int.max 16 (2 * sid)) Loc_table.empty in
+    Array.blit dec.d_ids 0 grown 0 sid;
+    dec.d_ids <- grown
   end;
-  Array.unsafe_set dec.d_locs id s;
-  dec.d_next_loc <- id + 1
+  let id = Loc_table.intern_once dec.locs s in
+  Array.unsafe_set dec.d_ids sid id;
+  dec.d_next_loc <- sid + 1;
+  id
 
 (* In-body cursor over the first [lim] bytes of [s]; [Corrupt] carries
    the reason, the caller maps it to an [Error.Corrupt_trace] at the
@@ -470,14 +490,12 @@ let bad_address cur p v =
 
 let bad_tid cur p v = corrupt_at cur p (Printf.sprintf "tid %d out of range" v)
 
-(* A fresh location's length and bytes, at the cursor. *)
+(* A fresh location's length and bytes, at the cursor; its table id. *)
 let fresh_loc dec cur =
   let len = cur_varint cur in
   if len > max_loc_len then
     raise (Corrupt (Printf.sprintf "location length %d out of range" len));
-  let s = cur_take cur len in
-  add_loc dec s;
-  s
+  add_loc dec (cur_take cur len)
 
 let mode_byte dec cur column =
   if dec.rev3 then begin
@@ -489,39 +507,43 @@ let mode_byte dec cur column =
 
 let no_repeat = "location repeat before any access of its kind"
 
-(* No location yet: a private string, so no decoded one is [==] it. *)
-let none = String.make 1 '\000'
+(* No location yet: no table id is negative. *)
+let none = -1
 
-(* The location a value read up to position [p] names, [none] for a
-   prediction; the cursor is left after the value and, for a fresh id,
-   after its string. *)
-let named dec cur p v =
+(* The table id a stream id [sid] read up to position [p] names; the
+   cursor is left after it and, for a fresh id, after its string. *)
+let named_sid dec cur p sid =
   cur.pos <- p;
-  if v = 0 && dec.rev3 then none
-  else begin
-    let id = if dec.rev3 then v - 1 else v in
-    if id > dec.d_next_loc then
-      raise (Corrupt (Printf.sprintf "location id %d from the future" id));
-    if id < dec.d_next_loc then Array.unsafe_get dec.d_locs id
-    else fresh_loc dec cur
+  if sid > dec.d_next_loc then
+    raise (Corrupt (Printf.sprintf "location id %d from the future" sid));
+  if sid < dec.d_next_loc then Array.unsafe_get dec.d_ids sid
+  else fresh_loc dec cur
+
+(* The table id a value read up to position [p] names, [none] for a
+   revision-3 prediction. *)
+let named dec cur p v =
+  if v = 0 && dec.rev3 then begin
+    cur.pos <- p;
+    none
   end
+  else named_sid dec cur p (if dec.rev3 then v - 1 else v)
 
 (* Fills the [r] access rows from row [i] on: a read gets [nr], a
-   write [nw], the rows between them "".  Returns the row after the
+   write [nw], the rows between them 0.  Returns the row after the
    last; [dec.d_reads] is how many of the [r] were reads. *)
-let fill_run dec kind loc i r nr nw =
+let fill_run dec kind (loc : int array) i r nr nw =
   let i = ref i and r = ref r and reads = ref 0 in
   while !r > 0 do
     let k = Array.unsafe_get kind !i in
-    let name =
+    let id =
       if k <= tag_write then begin
         reads := !reads + (1 - k);
         decr r;
         if k = tag_read then nr else nw
       end
-      else ""
+      else Loc_table.empty
     in
-    if Array.unsafe_get loc !i != name then Array.unsafe_set loc !i name;
+    Array.unsafe_set loc !i id;
     incr i
   done;
   dec.d_reads <- !reads;
@@ -529,18 +551,18 @@ let fill_run dec kind loc i r nr nw =
 
 (* [fill_run] for a run of 0s once the block has had a read and a
    write: nothing to count, the common case. *)
-let fill_known kind loc i r nr nw =
+let fill_known kind (loc : int array) i r nr nw =
   let i = ref i and r = ref r in
   while !r > 0 do
     let k = Array.unsafe_get kind !i in
-    let name =
+    let id =
       if k <= tag_write then begin
         decr r;
         if k = tag_read then nr else nw
       end
-      else ""
+      else Loc_table.empty
     in
-    if Array.unsafe_get loc !i != name then Array.unsafe_set loc !i name;
+    Array.unsafe_set loc !i id;
     incr i
   done;
   !i
@@ -685,39 +707,61 @@ let c_column cur (kind : int array) (c : int array) n =
     i := !i + run
   done
 
-(* Locations, plain (mode 0): one value per access row; a known id is
-   looked up inline.  [prev_r]/[prev_w] are what a 0 repeats. *)
-let locs_plain dec cur (kind : int array) (loc : string array) n =
+(* Revision-2 locations: one stream id per access row, a known one
+   looked up inline. *)
+let locs_rev2 dec cur (kind : int array) (loc : int array) n =
   let s = cur.s and lim = cur.lim in
-  let off = if dec.rev3 then 1 else 0 in
-  let p = ref cur.pos and prev_r = ref none and prev_w = ref none in
+  let p = ref cur.pos in
   for i = 0 to n - 1 do
     let k = Array.unsafe_get kind i in
-    let name =
-      if k > tag_write then ""
+    let id =
+      if k > tag_write then Loc_table.empty
       else begin
         let v = short_varint s lim !p in
         let v =
           if v >= 0 then (incr p; v)
           else (let v = varint_at cur !p in p := cur.pos; v)
         in
-        let id = v - off in
-        let name =
-          if id >= 0 && id < dec.d_next_loc then Array.unsafe_get dec.d_locs id
-          else (let name = named dec cur !p v in p := cur.pos; name)
+        if v < dec.d_next_loc then Array.unsafe_get dec.d_ids v
+        else (let id = named_sid dec cur !p v in p := cur.pos; id)
+      end
+    in
+    Array.unsafe_set loc i id
+  done;
+  cur.pos <- !p
+
+(* Revision-3 locations, plain (mode 0): one value per access row; a
+   known id is looked up inline.  [prev_r]/[prev_w] are what a 0
+   repeats. *)
+let locs_plain dec cur (kind : int array) (loc : int array) n =
+  let s = cur.s and lim = cur.lim in
+  let p = ref cur.pos and prev_r = ref none and prev_w = ref none in
+  for i = 0 to n - 1 do
+    let k = Array.unsafe_get kind i in
+    let id =
+      if k > tag_write then Loc_table.empty
+      else begin
+        let v = short_varint s lim !p in
+        let v =
+          if v >= 0 then (incr p; v)
+          else (let v = varint_at cur !p in p := cur.pos; v)
         in
-        if name != none then begin
-          if k = tag_read then prev_r := name else prev_w := name;
-          name
+        if v = 0 then begin
+          let id = if k = tag_read then !prev_r else !prev_w in
+          if id = none then corrupt_at cur !p no_repeat;
+          id
         end
         else begin
-          let name = if k = tag_read then !prev_r else !prev_w in
-          if name == none then corrupt_at cur !p no_repeat;
-          name
+          let id =
+            if v <= dec.d_next_loc then Array.unsafe_get dec.d_ids (v - 1)
+            else (let id = named_sid dec cur !p (v - 1) in p := cur.pos; id)
+          in
+          if k = tag_read then prev_r := id else prev_w := id;
+          id
         end
       end
     in
-    if Array.unsafe_get loc i != name then Array.unsafe_set loc i name
+    Array.unsafe_set loc i id
   done;
   cur.pos <- !p
 
@@ -725,7 +769,7 @@ let locs_plain dec cur (kind : int array) (loc : string array) n =
    [prev_r]/[prev_w] are what a read and a write of a run of 0s get:
    the block's previous read's and write's location, [none] before
    the first; [left] counts the access rows no run has claimed yet. *)
-let locs_runs dec cur (kind : int array) (loc : string array) n =
+let locs_runs dec cur (kind : int array) (loc : int array) n =
   let prev_r = ref none and prev_w = ref none in
   let left = ref 0 in
   for i = 0 to n - 1 do
@@ -734,29 +778,27 @@ let locs_runs dec cur (kind : int array) (loc : string array) n =
   let i = ref 0 in
   while !left > 0 do
     let v = cur_varint cur in
-    let name = named dec cur cur.pos v in
+    let id = named dec cur cur.pos v in
     let r = cur_varint cur in
     if r < 1 || r > !left then raise (Corrupt "location run out of range");
     left := !left - r;
-    if name == none && !prev_r != none && !prev_w != none then
+    if id = none && !prev_r <> none && !prev_w <> none then
       i := fill_known kind loc !i r !prev_r !prev_w
-    else if name == none then begin
+    else if id = none then begin
       i := fill_run dec kind loc !i r !prev_r !prev_w;
-      if (dec.d_reads > 0 && !prev_r == none)
-         || (dec.d_reads < r && !prev_w == none)
+      if (dec.d_reads > 0 && !prev_r = none)
+         || (dec.d_reads < r && !prev_w = none)
       then raise (Corrupt no_repeat)
     end
     else begin
-      (* the run's reads and writes get [name], which the next 0 then
+      (* the run's reads and writes get [id], which the next 0 then
          repeats for each kind the run had *)
-      i := fill_run dec kind loc !i r name name;
-      if dec.d_reads > 0 then prev_r := name;
-      if dec.d_reads < r then prev_w := name
+      i := fill_run dec kind loc !i r id id;
+      if dec.d_reads > 0 then prev_r := id;
+      if dec.d_reads < r then prev_w := id
     end
   done;
-  for i = !i to n - 1 do
-    if Array.unsafe_get loc i != "" then Array.unsafe_set loc i ""
-  done
+  Array.fill loc !i (n - !i) Loc_table.empty
 
 (* Decode one block body into [batch].  [base] is the body's absolute
    offset in the stream, used for error offsets.  Rows get
@@ -767,9 +809,8 @@ let locs_runs dec cur (kind : int array) (loc : string array) n =
    test/v2_oracle.ml, so a corrupt body fails with the same offset,
    reason and events_read; run bounds are compared as [run > n - i]
    so a huge varint cannot overflow past them.  Each row's location
-   is stored once, and only when the pointer changes; rows past [n]
-   left from the previous block are blanked so a parked batch pins no
-   strings.  One function per column keeps each loop's state in
+   is stored once, as an id of the decoder's table, which the batch
+   then carries.  One function per column keeps each loop's state in
    registers. *)
 let decode_rows dec cur (batch : Batch.t) =
   let n = cur_varint cur in
@@ -778,13 +819,16 @@ let decode_rows dec cur (batch : Batch.t) =
   if n > Batch.capacity batch then
     invalid_arg "Trace_format_v2.decode_body: batch capacity too small";
   batch.Batch.len <- 0;
+  batch.Batch.locs <- dec.locs;
   let kind = batch.Batch.kind in
   if mode_byte dec cur "kind" = 1 then kinds_nibbles cur kind n
   else kinds_rle cur kind n;
   a_column cur batch.Batch.a n;
   b_column cur kind batch.Batch.b n;
   c_column cur kind batch.Batch.c n;
-  if mode_byte dec cur "location" = 1 then locs_runs dec cur kind batch.Batch.loc n
+  if not dec.rev3 then locs_rev2 dec cur kind batch.Batch.loc n
+  else if mode_byte dec cur "location" = 1 then
+    locs_runs dec cur kind batch.Batch.loc n
   else locs_plain dec cur kind batch.Batch.loc n;
   if cur.pos <> cur.lim then raise (Corrupt "trailing bytes in block");
   n
@@ -792,13 +836,9 @@ let decode_rows dec cur (batch : Batch.t) =
 (* Decode the body in the first [len] bytes of [body]. *)
 let decode_exn dec ~base body len (batch : Batch.t) =
   let cur = { s = body; lim = len; pos = 0 } in
-  let old_len = batch.Batch.len in
   match decode_rows dec cur batch with
   | n ->
-    let loc = batch.Batch.loc and off = batch.Batch.off in
-    for i = n to old_len - 1 do
-      Array.unsafe_set loc i ""
-    done;
+    let off = batch.Batch.off in
     let first = dec.events_read in
     for i = 0 to n - 1 do
       Array.unsafe_set off i (first + i)
@@ -806,10 +846,7 @@ let decode_exn dec ~base body len (batch : Batch.t) =
     batch.Batch.len <- n;
     dec.events_read <- first + n
   | exception Corrupt reason ->
-    (* once rows are being overwritten the batch reads as empty: drop
-       every location pointer it holds *)
-    if batch.Batch.len = 0 then
-      Array.fill batch.Batch.loc 0 (Array.length batch.Batch.loc) "";
+    (* once rows are being overwritten the batch reads as empty *)
     raise
       (Error.E
          (Error.Corrupt_trace
@@ -898,11 +935,11 @@ let read_block dec ic batch =
    replay hot path.  The batch passed to [f] is overwritten by the
    next block — consume it before returning.  [wrap_decode] runs
    around each block's read and decode (a tracing span). *)
-let fold_batches ?wrap_decode path f init =
+let fold_batches ?wrap_decode ?locs path f init =
   let ic = open_in_bin path in
   let run () =
     let revision = check_header ~path ic in
-    let dec = stream_decoder ~path ~revision () in
+    let dec = stream_decoder ~path ~revision ?locs () in
     let batch = Batch.create () in
     let next =
       match wrap_decode with

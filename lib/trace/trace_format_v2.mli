@@ -96,19 +96,23 @@ val to_file : string -> ((Event.t -> unit) -> 'a) -> 'a * int
 
 (** {1 Decoding} *)
 
-(** Persistent per-stream decoder state: the location table and the
-    running event count (which numbers batch rows). *)
+(** Persistent per-stream decoder state: the stream's location ids,
+    mapped to ids of one {!Loc_table.t}, and the running event count
+    (which numbers batch rows). *)
 type stream_decoder
 
-(** [stream_decoder ?path ?revision ()] decodes bodies of block
-    revision [revision] (default {!version}).
+(** [stream_decoder ?path ?revision ?locs ()] decodes bodies of block
+    revision [revision] (default {!version}), interning each location
+    the stream names into [locs] (default: a fresh table) once.
     @raise Invalid_argument unless [readable revision]. *)
-val stream_decoder : ?path:string -> ?revision:int -> unit -> stream_decoder
+val stream_decoder :
+  ?path:string -> ?revision:int -> ?locs:Loc_table.t -> unit -> stream_decoder
 
 (** [decode_body dec ~base body batch] decodes one block body into
-    [batch] (cleared first).  [base] is the body's absolute offset in
-    the overall stream; error offsets are [base]-relative absolute.
-    Rows are numbered [off.(i) = events so far + i]. *)
+    [batch] (cleared first, then pointed at the decoder's table).
+    [base] is the body's absolute offset in the overall stream; error
+    offsets are [base]-relative absolute.  Rows are numbered
+    [off.(i) = events so far + i]. *)
 val decode_body :
   stream_decoder -> base:int -> string -> Batch.t -> (unit, Error.t) result
 
@@ -128,9 +132,11 @@ val read_block : stream_decoder -> in_channel -> Batch.t -> bool
 (** Fold over blocks decoded into one reused batch, on the calling
     domain — the replay hot path.  The batch is overwritten between
     calls.  [wrap_decode], if given, runs around each block's read and
-    decode and returns its result (the engine passes a tracing span). *)
+    decode and returns its result (the engine passes a tracing span).
+    Location ids are those of [locs] (default: a fresh table). *)
 val fold_batches :
   ?wrap_decode:((unit -> bool) -> bool) ->
+  ?locs:Loc_table.t ->
   string ->
   ('a -> Batch.t -> 'a) ->
   'a ->

@@ -53,13 +53,15 @@ let record (w : Workload.t) ~seed =
           : Dgrace_sim.Sim.result);
   Array.of_list (List.rev !events)
 
-(* The stream cut into full [Batch.default_capacity] batches, each row
-   tagged with its stream index — the engine's batching sink. *)
+(* The stream cut into full [Batch.default_capacity] batches over one
+   location table, each row tagged with its stream index — the
+   engine's batching sink. *)
 let batches events =
   let n = Array.length events in
   let cap = Batch.default_capacity in
+  let locs = Loc_table.create () in
   List.init ((n + cap - 1) / cap) (fun k ->
-      let b = Batch.create ~capacity:cap () in
+      let b = Batch.create ~capacity:cap ~locs () in
       for i = k * cap to min n ((k + 1) * cap) - 1 do
         Batch.push b ~off:i events.(i)
       done;

@@ -88,6 +88,127 @@ let test_report_pp () =
     "race on 0x1000 (size 4, granule 0x1000-0x1004): W by t1@3 at b conflicts with R by t0@2 at a"
     (Report.to_string r)
 
+(* ------------------------------------------------------------------ *)
+(* Location ids *)
+
+(* A copy of [s] at another address, so only the hash can find it. *)
+let fresh_copy s = Bytes.to_string (Bytes.of_string s)
+
+let arb_label = QCheck.(string_gen_of_size Gen.(int_bound 12) Gen.printable)
+
+(* Interning then naming gives the label back, ids are dense, and a
+   label at another address finds the same id. *)
+let loc_table_roundtrip =
+  QCheck.Test.make ~name:"loc_table: intern then name round-trips" ~count:300
+    QCheck.(small_list arb_label)
+    (fun labels ->
+      let t = Loc_table.create () in
+      let ids = List.map (fun l -> (l, Loc_table.intern t l)) labels in
+      List.for_all
+        (fun (l, id) ->
+          id >= 0 && id < Loc_table.length t
+          && Loc_table.name t id = l
+          && Loc_table.intern t (fresh_copy l) = id)
+        ids
+      && Loc_table.name t Loc_table.empty = ""
+      && Loc_table.length t
+         = 1 + List.length (List.sort_uniq compare (List.filter (( <> ) "") labels)))
+
+(* The pointer memo answers as the hash would: over 100 label
+   constants (more than the memo holds, so sets overflow and evict),
+   their copies at other addresses, and [""], in any order, every
+   call gets the id a memo-free table gives. *)
+let loc_table_memo =
+  let labels = Array.init 100 (Printf.sprintf "w.c:%d") in
+  QCheck.Test.make ~name:"loc_table: pointer memo agrees with the hash"
+    ~count:300
+    QCheck.(small_list (pair (int_bound 100) bool))
+    (fun picks ->
+      let t = Loc_table.create () in
+      let model = Hashtbl.create 8 in
+      List.for_all
+        (fun (k, copy) ->
+          let l = if k = 100 then "" else labels.(k) in
+          let id = Loc_table.intern t (if copy then fresh_copy l else l) in
+          let want =
+            if l = "" then Loc_table.empty
+            else
+              match Hashtbl.find_opt model l with
+              | Some id -> id
+              | None ->
+                let id = 1 + Hashtbl.length model in
+                Hashtbl.replace model l id;
+                id
+          in
+          id = want && Loc_table.name t id = l)
+        picks)
+
+let test_loc_table_growth () =
+  let t = Loc_table.create () in
+  let labels = Array.init 1000 (Printf.sprintf "site-%d") in
+  let first = Array.map (Loc_table.intern t) labels in
+  (* the table grew several times; every id still names its label *)
+  Array.iteri
+    (fun i id ->
+      check_int "dense" (i + 1) id;
+      check_str "old id keeps its label" labels.(i) (Loc_table.name t id))
+    first;
+  check_int "length" 1001 (Loc_table.length t);
+  Alcotest.check_raises "an unknown id"
+    (Invalid_argument "Loc_table.name: unknown id") (fun () ->
+      ignore (Loc_table.name t 1001))
+
+let wr_at loc = Event.Access { tid = 1; kind = Event.Write; addr = 0x40; size = 4; loc }
+
+(* A batch resolves its rows through its own table; copying a row into
+   an empty batch carries the table along, into a non-empty batch of
+   another table is refused. *)
+let test_batch_tables () =
+  let b = Batch.of_events [ wr_at "a.c:1"; wr_at "b.c:2" ] in
+  check_str "resolved" "W t1 0x40+4 (b.c:2)" (Event.to_string (Batch.event b 1));
+  let dst = Batch.create () in
+  Batch.copy_row ~src:b 1 ~dst;
+  check_bool "empty batch takes the source table" true
+    (Batch.locs dst == Batch.locs b);
+  let other = Batch.of_events [ wr_at "c.c:3" ] in
+  Alcotest.check_raises "rows of two tables"
+    (Invalid_argument "Batch.copy_row: batches of two location tables")
+    (fun () -> Batch.copy_row ~src:other 0 ~dst);
+  Batch.clear dst;
+  Batch.copy_row ~src:other 0 ~dst;
+  check_str "cleared batch rebinds" "W t1 0x40+4 (c.c:3)"
+    (Event.to_string (Batch.event dst 0))
+
+(* One run has one id space: a detector that resolved locations
+   through one table refuses a batch from another, whichever way the
+   first ids arrived. *)
+let test_foreign_batch_refused () =
+  let refused = Invalid_argument "Loc_table.adopt: a batch from a foreign location table" in
+  List.iter
+    (fun spec ->
+      let name = Dgrace_core.Spec.name spec in
+      let fresh () = Dgrace_core.Spec.to_detector spec in
+      let batch loc = Batch.of_events [ wr_at loc ] in
+      let pb (d : Dgrace_detectors.Detector.t) = Option.get d.process_batch in
+      (* batches first *)
+      let d = fresh () in
+      pb d (batch "a.c:1");
+      Alcotest.check_raises (name ^ ": batch after batch") refused (fun () ->
+          pb d (batch "a.c:1"));
+      (* events first *)
+      let d = fresh () in
+      d.on_event (wr_at "a.c:1");
+      Alcotest.check_raises (name ^ ": batch after events") refused (fun () ->
+          pb d (batch "a.c:1"));
+      (* one table throughout is fine, and so is a detector that has
+         named no location yet *)
+      let d = fresh () in
+      d.on_event (wr_at "");
+      let locs = Loc_table.create () in
+      pb d (Batch.of_events ~locs [ wr_at "a.c:1" ]);
+      pb d (Batch.of_events ~locs [ wr_at "b.c:2" ]))
+    Dgrace_core.Spec.[ byte; dynamic; Literace ]
+
 let suites : unit Alcotest.test list =
     [
       ( "events.event",
@@ -107,4 +228,12 @@ let suites : unit Alcotest.test list =
         ] );
       ( "events.suppression",
         [ Alcotest.test_case "rule semantics" `Quick test_suppression_rules ] );
+      ( "events.loc_table",
+        [
+          QCheck_alcotest.to_alcotest loc_table_roundtrip;
+          QCheck_alcotest.to_alcotest loc_table_memo;
+          Alcotest.test_case "growth keeps old ids" `Quick test_loc_table_growth;
+          Alcotest.test_case "batches carry their table" `Quick test_batch_tables;
+          Alcotest.test_case "foreign batch refused" `Quick test_foreign_batch_refused;
+        ] );
     ]

@@ -158,6 +158,42 @@ let test_accounting_lifecycle () =
   Alcotest.(check int) "peak vcs" 4 (Accounting.peak_vcs d.Detector.account);
   Alcotest.(check int) "all retired" 0 (Accounting.live_vcs d.Detector.account)
 
+(* A same-epoch probe must cover every byte of the access.  t1's two
+   one-byte writes mark 0x1000 and 0x1003; its 4-byte write then
+   covers 0x1001, which t2 wrote concurrently.  A probe of the two
+   ends alone called it same-epoch and missed the race. *)
+let missed_race_events =
+  [
+    fork 0 1; fork 0 2;
+    wr ~size:1 2 0x1001;
+    wr ~size:1 1 0x1000;
+    wr ~size:1 1 0x1003;
+    wr ~size:4 1 0x1000;
+  ]
+
+let covers addr (r : Dgrace_events.Report.t) = r.granule_lo <= addr && addr < r.granule_hi
+
+let test_interior_byte_race () =
+  let module Spec = Dgrace_core.Spec in
+  List.iter
+    (fun spec ->
+      let check what races =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: race on 0x1001" (Spec.name spec) what)
+          true
+          (List.exists (covers 0x1001) races)
+      in
+      check "per event"
+        (Tutil.analyze (Tutil.config spec) (Tutil.event_list missed_race_events))
+          .races;
+      check "batched"
+        (Tutil.analyze (Tutil.config spec)
+           (Dgrace_core.Engine.Source.Batches
+              (fun consume ->
+                consume (Dgrace_events.Batch.of_events missed_race_events))))
+          .races)
+    Spec.[ byte; Djit { granularity = 1 }; dynamic ]
+
 let suites : unit Alcotest.test list =
   [
     ( "fasttrack.rules",
@@ -180,5 +216,6 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "word conflation" `Quick test_word_conflation;
         Alcotest.test_case "free retires shadow" `Quick test_free_resets;
         Alcotest.test_case "accounting lifecycle" `Quick test_accounting_lifecycle;
+        Alcotest.test_case "interior byte of a probe" `Quick test_interior_byte_race;
       ] );
   ]

@@ -37,7 +37,8 @@ let racy_events () =
       (List.init 100 Fun.id)
   @ [ Event.Thread_exit { tid = 1 }; Event.Thread_exit { tid = 2 } ]
 
-let race_lines (s : Engine.summary) = List.map Report.to_string s.races
+let race_lines_of races = List.map Report.to_string races
+let race_lines (s : Engine.summary) = race_lines_of s.races
 
 let baseline_lines events =
   race_lines Tutil.(analyze (config Spec.dynamic) (event_list events))
@@ -228,6 +229,56 @@ let test_session_matches_oneshot () =
        Alcotest.(check (list string))
          "idempotent" (race_lines summary) (race_lines again)
      | Error e -> Alcotest.fail (Error.to_string e))
+
+(* One session, one location id space: BATCH frames (decoded into the
+   session's table) alternating with in-process batches built over
+   {!Session.locs} — per event inside the session for a detector
+   without a batch path — give a one-shot replay's report text.  A
+   batch over a foreign table then poisons a session whose detector
+   keeps location ids (one without a batch path resolves each row). *)
+let test_session_mixed_delivery () =
+  let events = racy_events () in
+  let rec chunks = function
+    | [] -> []
+    | evs ->
+      let rec take n acc = function
+        | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let c, rest = take 37 [] evs in
+      c :: chunks rest
+  in
+  List.iter
+    (fun spec ->
+      let name = Spec.name spec in
+      let s = Session.open_ ~id:9 ~spec () in
+      let enc = Trace_format_v2.block_encoder () in
+      List.iteri
+        (fun k chunk ->
+          match
+            if k mod 2 = 0 then Session.feed_batch_frame s (body ~enc chunk)
+            else
+              Session.feed_batch s (Batch.of_events ~locs:(Session.locs s) chunk)
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s, chunk %d: %s" name k (Error.to_string e))
+        (chunks events);
+      let want = race_lines Tutil.(analyze (config spec) (event_list events)) in
+      Alcotest.(check bool) (name ^ ": the stream races") true (want <> []);
+      Alcotest.(check (list string))
+        (name ^ ": same report text as one-shot")
+        want
+        (race_lines_of (Session.races_so_far s));
+      let keeps_ids = spec <> Spec.Djit { granularity = 1 } in
+      match
+        Session.feed_batch s (Batch.of_events [ Tutil.wr ~loc:"elsewhere" 1 0x40 ])
+      with
+      | Error (Error.Internal { reason; _ })
+        when keeps_ids && contains ~affix:"foreign location table" reason -> ()
+      | Ok _ when not keeps_ids -> ()
+      | Ok _ -> Alcotest.failf "%s: a foreign batch was applied" name
+      | Error e -> Alcotest.failf "%s: %s" name (Error.to_string e))
+    [ Spec.dynamic; Spec.byte; Spec.Djit { granularity = 1 } ]
 
 let test_session_poisoned_by_corrupt_frame () =
   let s = Session.open_ ~id:1 ~spec:Spec.dynamic () in
@@ -997,6 +1048,8 @@ let suites : unit Alcotest.test list =
           test_session_expiry_watchdog_hook;
         Alcotest.test_case "event budget is exact" `Quick
           test_session_event_budget_exact;
+        Alcotest.test_case "mixed delivery, one id space" `Quick
+          test_session_mixed_delivery;
       ] );
     ( "serve.pool",
       [

@@ -585,6 +585,58 @@ let bitmap_model =
       done;
       !ok)
 
+(* [test_range] is exact: over random marks, resets and probes (small
+   chunks, so probes straddle them), a probe of [lo, hi] holds iff
+   every address in it is marked in that plane. *)
+let bitmap_range_law =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, map3 (fun w lo len -> `Mark (w, lo, len)) bool (int_bound 700) (int_bound 40));
+          (1, return `Reset);
+          (6, map3 (fun w lo len -> `Test (w, lo, len)) bool (int_bound 700) (int_range 1 40));
+        ])
+  in
+  Test.make ~name:"bitmap test_range = per-address conjunction" ~count:300
+    (make Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let b = Epoch_bitmap.create ~block:64 () in
+      let model = Hashtbl.create 64 in
+      List.for_all
+        (function
+          | `Mark (write, lo, len) ->
+            Epoch_bitmap.mark b ~write ~lo ~hi:(lo + len);
+            for a = lo to lo + len - 1 do Hashtbl.replace model (write, a) () done;
+            true
+          | `Reset ->
+            Epoch_bitmap.reset b;
+            Hashtbl.reset model;
+            true
+          | `Test (write, lo, len) ->
+            let hi = lo + len - 1 in
+            let all = ref true in
+            for a = lo to hi do
+              if not (Hashtbl.mem model (write, a)) then all := false
+            done;
+            Epoch_bitmap.test_range b ~write ~lo ~hi = !all)
+        ops)
+
+(* The probe's interior counts: both ends marked, a byte between them
+   not, is a miss (the bit pattern a missed race left behind). *)
+let test_bitmap_range_interior () =
+  let b = Epoch_bitmap.create () in
+  Epoch_bitmap.mark b ~write:true ~lo:0x1000 ~hi:0x1001;
+  Epoch_bitmap.mark b ~write:true ~lo:0x1003 ~hi:0x1004;
+  check_bool "ends marked, middle not" false
+    (Epoch_bitmap.test_range b ~write:true ~lo:0x1000 ~hi:0x1003);
+  Epoch_bitmap.mark b ~write:true ~lo:0x1001 ~hi:0x1003;
+  check_bool "all marked" true
+    (Epoch_bitmap.test_range b ~write:true ~lo:0x1000 ~hi:0x1003);
+  check_bool "other plane" false
+    (Epoch_bitmap.test_range b ~write:false ~lo:0x1000 ~hi:0x1003)
+
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
 
@@ -646,6 +698,8 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "planes and reset" `Quick test_bitmap_planes;
           Alcotest.test_case "reset recycles chunks" `Quick test_bitmap_reset_recycles;
           QCheck_alcotest.to_alcotest bitmap_model;
+          Alcotest.test_case "range probe tests the interior" `Quick test_bitmap_range_interior;
+          QCheck_alcotest.to_alcotest bitmap_range_law;
         ] );
       ( "shadow.accounting",
         [ Alcotest.test_case "peaks and sharing" `Quick test_accounting_peaks ] );

@@ -373,7 +373,9 @@ type outcome =
 
 let rows (b : Batch.t) : row array =
   Array.init (Batch.length b) (fun i ->
-      (b.kind.(i), b.a.(i), b.b.(i), b.c.(i), b.loc.(i), b.off.(i)))
+      (* locations compare as the strings their ids name *)
+      ( b.kind.(i), b.a.(i), b.b.(i), b.c.(i),
+        Loc_table.name (Batch.locs b) b.loc.(i), b.off.(i) ))
 
 let describe = function
   | Decoded bs -> Printf.sprintf "decoded %d blocks" (List.length bs)
@@ -548,14 +550,15 @@ let encode_rev2 ids (b : Batch.t) =
   rle b.c ~tag:false;
   for i = 0 to n - 1 do
     if b.kind.(i) <= Trace_format.tag_write then
-      match Hashtbl.find_opt ids b.loc.(i) with
+      let loc = Loc_table.name (Batch.locs b) b.loc.(i) in
+      match Hashtbl.find_opt ids loc with
       | Some id -> varint id
       | None ->
         let id = Hashtbl.length ids in
-        Hashtbl.replace ids b.loc.(i) id;
+        Hashtbl.replace ids loc id;
         varint id;
-        varint (String.length b.loc.(i));
-        Buffer.add_string buf b.loc.(i)
+        varint (String.length loc);
+        Buffer.add_string buf loc
   done;
   Buffer.contents buf
 

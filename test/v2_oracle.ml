@@ -218,12 +218,12 @@ let decode_body_exn dec ~base body (batch : Batch.t) =
             raise (Corrupt "location repeat before any access of its kind"))
       in
       Hashtbl.replace previous kind.(i) id;
-      loc.(i) <- Hashtbl.find dec.d_locs id
+      loc.(i) <- Loc_table.intern (Batch.locs batch) (Hashtbl.find dec.d_locs id)
     in
     let access_rows =
       List.filter (fun i -> kind.(i) <= tag_write) (List.init n Fun.id)
     in
-    Array.fill loc 0 n "";
+    Array.fill loc 0 n Loc_table.empty;
     if not runs then
       List.iter (fun i -> assign i (id_of_value (cur_varint cur))) access_rows
     else begin
