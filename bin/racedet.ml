@@ -592,13 +592,15 @@ let record_cmd =
   let action w threads scale seed sched_seed v2 path =
     or_fail @@ fun () ->
     let p = params w threads scale seed in
-    let to_file =
-      if v2 then Dgrace_trace.Trace_format_v2.to_file
-      else Dgrace_trace.Trace_writer.to_file
-    in
+    let policy = policy sched_seed in
     let sim, n =
-      to_file path (fun sink ->
-          Workload.run ~policy:(policy sched_seed) ~params:p ~sink w)
+      if v2 then
+        (* simulator rows straight into v2 blocks: no event per access *)
+        Dgrace_trace.Trace_format_v2.batches_to_file path (fun consume ->
+            Workload.run_batches ~policy ~params:p ~consume w)
+      else
+        Dgrace_trace.Trace_writer.to_file path (fun sink ->
+            Workload.run ~policy ~params:p ~sink w)
     in
     Format.printf "recorded %d events (%d accesses, %d threads) to %s%s@." n
       sim.accesses sim.threads path

@@ -183,6 +183,22 @@ let make_recorder (d : Detector.t) ~sample_every ~tracer =
     Some (Recorder.create ~every:1024 ~sources:(sampler_sources d) ())
   | None, None -> None
 
+(* A [Program] source's batches end at every multiple of the sampling
+   and heartbeat periods (the recorder's and [progress]'s), so each
+   sample and heartbeat reads the state a per-event run shows at that
+   event. *)
+let program_rows ~recorder ~progress =
+  let periods =
+    (match recorder with
+     | Some r -> [ Sampler.every (Recorder.sampler r) ]
+     | None -> [])
+    @ match progress with Some (every, _) -> [ every ] | None -> []
+  in
+  fun n ->
+    List.fold_left
+      (fun rows p -> Int.min rows (p - (n mod p)))
+      Batch.default_capacity periods
+
 let feed_counter_track ~tracer ~name recorder =
   match (tracer, recorder) with
   | Some t, Some r ->
@@ -220,8 +236,15 @@ let run (c : Config.t) ~now_s ~t0 (source : Source.t) =
   let partial =
     match
       match source with
-      | Source.Program { policy; main } ->
-        sim := Some (Sim.run ~policy ~sink:(event_sink d ~guard ~recorder) main)
+      | Source.Program { policy; main } -> (
+        match d.process_batch with
+        | Some _ ->
+          (* the simulator's rows go straight to [process_batch] *)
+          let rows = program_rows ~recorder ~progress:c.progress in
+          let consume = batch_sink d ~guard ~recorder ~lane in
+          sim := Some (Sim.run_batches ~policy ~rows ~consume main)
+        | None ->
+          sim := Some (Sim.run ~policy ~sink:(event_sink d ~guard ~recorder) main))
       | Source.Events events -> Seq.iter (event_sink d ~guard ~recorder) events
       | Source.Batches feed -> feed (batch_sink d ~guard ~recorder ~lane)
       | Source.V2_file path ->

@@ -85,7 +85,9 @@ module Source : sig
   type t =
     | Program of { policy : Scheduler.policy; main : unit -> unit }
         (** execute [main] under the simulator with [policy], feeding
-            every event to the detector as it happens *)
+            the detector its events as they happen: as the simulator's
+            own batch rows when it has [process_batch], one event at a
+            time otherwise *)
     | Events of Event.t Seq.t
         (** a recorded stream, e.g. a v1 trace
             ({!Dgrace_trace.Trace_reader.read}) *)
@@ -138,8 +140,15 @@ val analyze : Config.t -> Source.t -> (summary, Dgrace_resilience.Error.t) resul
     limited budget, [sample_every], [progress] or [tracer] — is
     present:
 
-    - [Program] and [Events] dispatch every event to the detector's
-      [on_event] as it arrives;
+    - [Events] dispatches every event to the detector's [on_event] as
+      it arrives, and so does [Program] for a detector without
+      [process_batch];
+    - [Program] hands a detector with [process_batch] the simulator's
+      rows ({!Dgrace_sim.Sim.run_batches}) in batches of up to 4096
+      that end at every multiple of the sampling period (the
+      recorder's, also under a tracer) and of the [progress] period,
+      so samples and heartbeats read the state a per-event run had at
+      the same event; the observers then work per batch as below;
     - [Batches] and [V2_file] hand each batch to the
       detector's [process_batch] ({!Dgrace_detectors.Batch_apply});
       [V2_file] decodes one block at a time on the calling domain into

@@ -21,7 +21,7 @@ let null () =
   {
     name = "none";
     on_event = (fun (_ : Event.t) -> ());
-    process_batch = None;
+    process_batch = Some (fun (_ : Batch.t) -> ());
     finish = (fun () -> ());
     collector = Report.Collector.create ();
     account = Accounting.create ();

@@ -55,4 +55,7 @@ val race_count : t -> int
 
 val null : unit -> t
 (** A detector that ignores everything — the "base time" measurement of
-    the paper's slowdown columns (the workload running uninstrumented). *)
+    the paper's slowdown columns (the workload running uninstrumented).
+    Its [process_batch] ignores the batch too, so a batch source's base
+    time is the producer's (decoding or simulating) alone, with no
+    {!Dgrace_events.Batch.event} per row. *)

@@ -137,6 +137,21 @@ let push t ?(off = -1) ev =
   t.off.(i) <- off;
   t.len <- i + 1
 
+(* Raised, not built by a call: a call on [add]'s path would make
+   its callers spill their live values around it. *)
+let full = Invalid_argument "Batch.add: batch full"
+
+let[@inline] add t ~off kind a b c loc =
+  let i = t.len in
+  if i >= Array.length t.kind then raise full;
+  Array.unsafe_set t.kind i kind;
+  Array.unsafe_set t.a i a;
+  Array.unsafe_set t.b i b;
+  Array.unsafe_set t.c i c;
+  Array.unsafe_set t.loc i loc;
+  Array.unsafe_set t.off i off;
+  t.len <- i + 1
+
 (* Copy one row between batches, e.g. out of a recycled decoder batch.
    The copy is columnar (six array stores), so it costs no
    allocation; an empty [dst] takes [src]'s table. *)

@@ -71,6 +71,12 @@ val clear : t -> unit
     absolute offset in the source stream. *)
 val push : t -> ?off:int -> Event.t -> unit
 
+(** [add t ~off kind a b c loc] appends one row given as its columns
+    (see the layout in doc/trace.md; [loc] an id of [locs t]) — the
+    producer's fast path, with no {!Event.t}.  Nothing is checked but
+    the capacity: raises [Invalid_argument] when full. *)
+val add : t -> off:int -> int -> int -> int -> int -> int -> unit
+
 (** [copy_row ~src i ~dst] appends row [i] of [src] to [dst] — six
     columnar stores, no allocation.  An empty [dst] takes [src]'s
     table; raises [Invalid_argument] when [dst] is full or holds rows

@@ -1,6 +1,10 @@
 (* Append-only location table.  [names] is id-indexed and doubles when
-   full; [ids] is the reverse hash of every label but [""] (id 0 in
-   every table, answered without hashing).
+   full; [slots] is an open-addressing hash of every label but [""]
+   (id 0 in every table, answered without hashing): a power-of-two
+   array of ids, 0 for a free slot, probed linearly from the label's
+   hash and kept at most half full.  A label costs one hash whether it
+   is found or added: the probe that misses ends at the free slot the
+   new id goes into.
 
    The memo is two-way set-associative: the set at [memo_entry s]
    holds the last two string pointers interned there, most recent
@@ -17,7 +21,7 @@
    a serve session opens are short. *)
 
 type t = {
-  ids : (string, int) Hashtbl.t;
+  mutable slots : int array;
   mutable names : string array;
   mutable next : int;
   mutable memo_s : string array;  (* entries [2k], [2k+1] form set [k] *)
@@ -33,12 +37,13 @@ let no_string = String.make 1 '\000'
 
 (* The arrays every table starts on; never written. *)
 let no_names = [| "" |]
+let no_slots = [| 0 |]
 let no_memo_s = Array.make memo_len no_string
 let no_memo_id = Array.make memo_len empty
 
 let create () =
   {
-    ids = Hashtbl.create 8;
+    slots = no_slots;
     names = no_names;
     next = 1;
     memo_s = no_memo_s;
@@ -58,7 +63,25 @@ let[@inline] memo_entry s =
   in
   ((tail lxor n) * 0x4F1BBCDCBFA53E0B) lsr (62 - memo_bits) land lnot 1
 
-let add t s =
+(* The slot of label [s] (hash [h]) in [slots]: its id's, or the free
+   slot that ends its probe. *)
+let rec probe names slots mask s i =
+  let id = Array.unsafe_get slots i in
+  if id = empty || String.equal (Array.unsafe_get names id) s then i
+  else probe names slots mask s ((i + 1) land mask)
+
+(* Twice the slots, every id re-placed; the first growth replaces the
+   shared array. *)
+let grow_slots t =
+  let slots = Array.make (Int.max 32 (2 * Array.length t.slots)) empty in
+  let mask = Array.length slots - 1 in
+  for id = 1 to t.next - 1 do
+    let s = t.names.(id) in
+    slots.(probe t.names slots mask s (Hashtbl.hash s land mask)) <- id
+  done;
+  t.slots <- slots
+
+let add t s i =
   let id = t.next in
   if id = Array.length t.names then begin
     let grown = Array.make (Int.max 16 (2 * id)) "" in
@@ -67,12 +90,20 @@ let add t s =
   end;
   t.names.(id) <- s;
   t.next <- id + 1;
-  Hashtbl.add t.ids s id;
+  t.slots.(i) <- id;
   id
 
 let intern_once t s =
   if String.length s = 0 then empty
-  else match Hashtbl.find t.ids s with id -> id | exception Not_found -> add t s
+  else begin
+    (* room for one more id, before the probe that places it *)
+    if 2 * t.next >= Array.length t.slots then grow_slots t;
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
+    let i = probe t.names slots mask s (Hashtbl.hash s land mask) in
+    let id = Array.unsafe_get slots i in
+    if id = empty then add t s i else id
+  end
 
 (* A memo miss: hash (no allocation on a hit), then make [s] the set's
    most recent entry. *)

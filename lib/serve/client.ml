@@ -123,56 +123,40 @@ let open_session ?(spec = "dynamic") ?max_events ?deadline_s
       | _ -> None)
     | _ -> None)
 
-(* One BATCH frame: the batch encodes to a v2 block body once, so an
-   Overloaded retry resends the identical bytes (the encoder's intern
-   table advanced exactly once). *)
-let feed_frame t frame =
-  let body = Trace_format_v2.encode_body t.benc frame in
+(* One BATCH frame of an encoded block body.  A body is encoded once,
+   so an Overloaded retry resends the identical bytes (the encoder's
+   intern table advanced exactly once). *)
+let feed_body t body =
   request t (Wire.Feed_batch body) ~expect:(function
     | Wire.Ack j -> Some j
     | _ -> None)
 
+exception Send_failed of failure
+
 (* The client's one cut rule: [batch] goes out as the BATCH frames the
    v2 writer would cut it into blocks, each of at most [rows] rows and
    closed before its body could outgrow the server's frame limit
-   (distinct long locations make big bodies).  Every row is admitted
+   (distinct long locations make big bodies).  Every row is checked
    before the first frame is encoded, so a row no frame can hold (a
    location over the trace format's limit) fails the call with the
-   connection's location table untouched.  [send] sends one frame;
-   the result is the last frame's. *)
-let feed_cut ~rows ~send batch =
-  let n = Batch.length batch in
-  if n = 0 then Error (Protocol "empty batch")
+   connection's location table untouched.  [send] sends one frame
+   body; the result is the last frame's. *)
+let feed_cut t ~rows ~send batch =
+  if Batch.length batch = 0 then Error (Protocol "empty batch")
   else
-    let cut = Trace_format_v2.cutter ~rows in
-    match
-      (* the rows that open a new frame *)
-      let cuts = ref [] in
-      for i = 0 to n - 1 do
-        if not (Trace_format_v2.admit cut (Batch.event batch i)) then
-          cuts := i :: !cuts
-      done;
-      List.rev !cuts
-    with
+    let last = ref (Error (Protocol "no frame")) in
+    let emit body len =
+      match send (Bytes.sub_string body 0 len) with
+      | Ok _ as ok -> last := ok
+      | Error f -> raise (Send_failed f)
+    in
+    match Trace_format_v2.encode_blocks ~rows t.benc batch emit with
+    | () -> !last
     | exception Error.E e -> Error (Protocol (Error.to_string e))
-    | cuts ->
-      let frame = Batch.create () in
-      let send_rows lo hi =
-        Batch.clear frame;
-        for i = lo to hi - 1 do
-          Batch.copy_row ~src:batch i ~dst:frame
-        done;
-        send frame
-      in
-      let rec go lo = function
-        | [] -> send_rows lo n
-        | hi :: rest -> (
-          match send_rows lo hi with Ok _ -> go hi rest | e -> e)
-      in
-      go 0 cuts
+    | exception Send_failed f -> Error f
 
 let feed_batch t batch =
-  feed_cut ~rows:Trace_format_v2.block_events ~send:(feed_frame t) batch
+  feed_cut t ~rows:Trace_format_v2.block_events ~send:(feed_body t) batch
 
 let finish t =
   request t Wire.Finish ~expect:(function
@@ -242,20 +226,20 @@ let replay ?spec ?max_events ?deadline_s ?max_shadow_bytes
      | Error f -> finally_close (Error f)
      | Ok _id ->
        let sent = ref 0 in
-       let send frame =
+       let send body =
          match fault with
          | Some f when !sent = fault_after_frames ->
            inject t f;
            Error (Protocol "fault injected")
          | _ ->
            incr sent;
-           feed_frame t frame
+           feed_body t body
        in
        let fed =
          if events = [] then Ok ()
          else
            Result.map ignore
-             (feed_cut ~rows:chunk_events ~send (Batch.of_events events))
+             (feed_cut t ~rows:chunk_events ~send (Batch.of_events events))
        in
        (match fed with
         | Error f -> finally_close (Error f)

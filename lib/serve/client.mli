@@ -37,7 +37,7 @@ val feed_batch : t -> Dgrace_events.Batch.t -> (Json.t, failure) result
 (** Send a non-empty batch of any length as BATCH frames (v2 block
     bodies) and return the last frame's [Ack] body.  The batch is cut
     where the v2 writer would close its blocks
-    ({!Dgrace_trace.Trace_format_v2.admit}: at most
+    ({!Dgrace_trace.Trace_format_v2.encode_blocks}: at most
     {!Dgrace_trace.Trace_format_v2.block_events} rows, and before a
     body could outgrow the server's frame limit), the same rule
     {!replay} cuts by.  Locations intern per connection across frames.

@@ -29,9 +29,29 @@ type thread_info = {
   joiners : waiter Vec.t;
 }
 
+(* Where a run's events go: one at a time to a sink, or as rows of a
+   batch the run owns, handed to [consume] whenever it holds [cut]
+   rows ([next n] is the length of the batch that starts after event
+   [n]) and once more, with whatever is pending, before [run] returns
+   or raises.  [last_loc] and [last_id] are the previous access's
+   label and its id: a loop's accesses repeat one label constant, so
+   most rows take their id with one pointer compare. *)
+type out =
+  | Sink of (Event.t -> unit)
+  | Rows of rows
+
+and rows = {
+  batch : Batch.t;
+  consume : Batch.t -> unit;
+  next : int -> int;
+  mutable cut : int;
+  mutable last_loc : string;
+  mutable last_id : int;
+}
+
 type world = {
   mem : Memory.t;
-  sink : Event.t -> unit;
+  out : out;
   threads : thread_info Vec.t;
   ready : waiter Vec.t;
   sched : Scheduler.t;
@@ -95,22 +115,105 @@ let mutex_id m = m.lid
 
 let thread w tid = Vec.get w.threads tid
 
+let batch_rows r n = Int.max 1 (Int.min (r.next n) (Batch.capacity r.batch))
+
+(* Hand the pending rows to the consumer; they are gone afterwards,
+   also when it raises, so no row is delivered twice. *)
+let deliver w r =
+  let b = r.batch in
+  r.cut <- batch_rows r w.events;
+  match r.consume b with
+  | () -> Batch.clear b
+  | exception e ->
+    Batch.clear b;
+    raise e
+
+let flush w =
+  match w.out with
+  | Rows r when Batch.length r.batch > 0 -> deliver w r
+  | Rows _ | Sink _ -> ()
+
+(* Mutex ownership, so a deadlock report can name the held locks
+   (barrier/flag/atomic sync objects are not "held"). *)
+let track_lock w ~acquire tid lock =
+  if acquire then Hashtbl.replace w.held_locks lock tid
+  else Hashtbl.remove w.held_locks lock
+
 let emit w e =
-  w.events <- w.events + 1;
+  let off = w.events in
+  w.events <- off + 1;
   (match e with
    | Event.Access _ -> w.accesses <- w.accesses + 1
-   (* track mutex ownership so a deadlock report can name the held
-      locks (barrier/flag/atomic sync objects are not "held") *)
    | Event.Acquire { tid; lock; sync = Event.Lock } ->
-     Hashtbl.replace w.held_locks lock tid
-   | Event.Release { lock; sync = Event.Lock; _ } ->
-     Hashtbl.remove w.held_locks lock
+     track_lock w ~acquire:true tid lock
+   | Event.Release { tid; lock; sync = Event.Lock } ->
+     track_lock w ~acquire:false tid lock
    | _ -> ());
-  w.sink e
+  match w.out with
+  | Sink sink -> sink e
+  | Rows r ->
+    Batch.push r.batch ~off e;
+    if Batch.length r.batch >= r.cut then deliver w r
 
 (* [emit] from thread code: a sink exception (a budget stop, a detector
    error) ends the run without unwinding through the workload. *)
 let emit_here w e = try emit w e with ex -> reraise ex
+
+(* The rare ends of a row, out of line: the row emitters below make
+   no call but a tail call, so their hot path spills nothing. *)
+let[@inline never] deliver_here w r = try deliver w r with ex -> reraise ex
+
+let[@inline never] check_cut w r =
+  if Batch.length r.batch >= r.cut then deliver_here w r
+
+(* The row just added names [loc], not the previous access's label. *)
+let[@inline never] relabel w r loc =
+  let b = r.batch in
+  let id = Loc_table.intern (Batch.locs b) loc in
+  r.last_loc <- loc;
+  r.last_id <- id;
+  Array.unsafe_set b.Batch.loc (Batch.length b - 1) id;
+  check_cut w r
+
+(* An access from thread code: a row straight into the batch, with no
+   [Event.t], when the run emits rows.  The row takes the previous
+   access's label id, which a loop's repeated label constant keeps
+   with one pointer compare. *)
+let emit_access w tid kind loc addr size =
+  match w.out with
+  | Rows r ->
+    let off = w.events in
+    w.events <- off + 1;
+    w.accesses <- w.accesses + 1;
+    let b = r.batch in
+    Batch.add b ~off
+      (match kind with Event.Read -> Batch.code_read | Event.Write -> Batch.code_write)
+      tid addr size r.last_id;
+    if loc != r.last_loc then relabel w r loc
+    else if Batch.length b >= r.cut then deliver_here w r
+  | Sink _ -> emit_here w (Event.Access { tid; kind; addr; size; loc })
+
+let[@inline never] track_then_check w r ~acquire tid lock =
+  track_lock w ~acquire tid lock;
+  check_cut w r
+
+(* An acquire or release from thread code, likewise a row when the
+   run emits rows. *)
+let emit_sync w ~acquire tid lock sync =
+  match w.out with
+  | Rows r ->
+    let off = w.events in
+    w.events <- off + 1;
+    let b = r.batch in
+    Batch.add b ~off
+      (if acquire then Batch.code_acquire else Batch.code_release)
+      tid lock (Batch.sync_code sync) Loc_table.empty;
+    if sync = Event.Lock then track_then_check w r ~acquire tid lock
+    else if Batch.length b >= r.cut then deliver_here w r
+  | Sink _ ->
+    emit_here w
+      (if acquire then Event.Acquire { tid; lock; sync }
+       else Event.Release { tid; lock; sync })
 
 (* The preemption point every non-blocking operation ends with: keep
    running when the policy would pick this thread again, otherwise
@@ -187,7 +290,7 @@ let join target =
 
 let access kind loc addr size =
   let w = world () in
-  emit_here w (Event.Access { tid = w.current; kind; addr; size; loc });
+  emit_access w w.current kind loc addr size;
   switch w
 
 let read ?(loc = "") addr size = access Event.Read loc addr size
@@ -196,7 +299,7 @@ let write ?(loc = "") addr size = access Event.Write loc addr size
 let lock m =
   let w = world () in
   let tid = w.current in
-  let acquire () = emit_here w (Event.Acquire { tid; lock = m.lid; sync = Event.Lock }) in
+  let acquire () = emit_sync w ~acquire:true tid m.lid Event.Lock in
   if m.owner < 0 then begin
     m.owner <- tid;
     acquire ();
@@ -222,7 +325,7 @@ let unlock m =
   let w = world () in
   let tid = w.current in
   if m.owner <> tid then invalid_arg "Sim.unlock: mutex not held by caller";
-  emit_here w (Event.Release { tid; lock = m.lid; sync = Event.Lock });
+  emit_sync w ~acquire:false tid m.lid Event.Lock;
   hand_off w m;
   switch w
 
@@ -238,7 +341,7 @@ let try_lock m =
   let acquired = m.owner < 0 in
   if acquired then begin
     m.owner <- tid;
-    emit_here w (Event.Acquire { tid; lock = m.lid; sync = Event.Lock })
+    emit_sync w ~acquire:true tid m.lid Event.Lock
   end;
   switch w;
   acquired
@@ -270,18 +373,18 @@ let static_alloc ?(align = 8) size =
 let barrier_wait b =
   let w = world () in
   let tid = w.current in
-  emit_here w (Event.Release { tid; lock = b.bid; sync = Event.Barrier });
+  emit_sync w ~acquire:false tid b.bid Event.Barrier;
   if Vec.length b.arrived + 1 < b.parties then Effect.perform (Suspend b.arrived)
   else begin
     Vec.iter (Vec.push w.ready) b.arrived;
     Vec.clear b.arrived;
     switch w
   end;
-  emit_here w (Event.Acquire { tid; lock = b.bid; sync = Event.Barrier })
+  emit_sync w ~acquire:true tid b.bid Event.Barrier
 
 let event_set f =
   let w = world () in
-  emit_here w (Event.Release { tid = w.current; lock = f.eid; sync = Event.Flag });
+  emit_sync w ~acquire:false w.current f.eid Event.Flag;
   f.is_set <- true;
   Vec.iter (Vec.push w.ready) f.ewaiters;
   Vec.clear f.ewaiters;
@@ -291,7 +394,7 @@ let event_wait f =
   let w = world () in
   let tid = w.current in
   if f.is_set then switch w else Effect.perform (Suspend f.ewaiters);
-  emit_here w (Event.Acquire { tid; lock = f.eid; sync = Event.Flag })
+  emit_sync w ~acquire:true tid f.eid Event.Flag
 
 let atomic_sync_id w addr =
   match Hashtbl.find_opt w.atomic_syncs addr with
@@ -307,11 +410,9 @@ let atomic kinds loc addr size =
   let w = world () in
   let tid = w.current in
   let sid = atomic_sync_id w addr in
-  emit_here w (Event.Acquire { tid; lock = sid; sync = Event.Atomic });
-  List.iter
-    (fun kind -> emit_here w (Event.Access { tid; kind; addr; size; loc }))
-    kinds;
-  emit_here w (Event.Release { tid; lock = sid; sync = Event.Atomic });
+  emit_sync w ~acquire:true tid sid Event.Atomic;
+  List.iter (fun kind -> emit_access w tid kind loc addr size) kinds;
+  emit_sync w ~acquire:false tid sid Event.Atomic;
   switch w
 
 let atomic_rmw ?(loc = "") addr size = atomic [ Event.Read; Event.Write ] loc addr size
@@ -324,16 +425,16 @@ let cond_wait c m =
   if m.owner <> tid then invalid_arg "Sim.cond_wait: mutex not held by caller";
   (* unlock the mutex (with hand-off), park on the condition, then
      re-acquire the mutex before returning *)
-  emit_here w (Event.Release { tid; lock = m.lid; sync = Event.Lock });
+  emit_sync w ~acquire:false tid m.lid Event.Lock;
   hand_off w m;
   Effect.perform (Suspend c.cwaiters);
-  emit_here w (Event.Acquire { tid; lock = c.cid; sync = Event.Flag });
+  emit_sync w ~acquire:true tid c.cid Event.Flag;
   if m.owner < 0 then m.owner <- tid else Effect.perform (Suspend m.waiters);
-  emit_here w (Event.Acquire { tid; lock = m.lid; sync = Event.Lock })
+  emit_sync w ~acquire:true tid m.lid Event.Lock
 
 let cond_wake c ~broadcast =
   let w = world () in
-  emit_here w (Event.Release { tid = w.current; lock = c.cid; sync = Event.Flag });
+  emit_sync w ~acquire:false w.current c.cid Event.Flag;
   if broadcast then begin
     Vec.iter (Vec.push w.ready) c.cwaiters;
     Vec.clear c.cwaiters
@@ -347,7 +448,7 @@ let cond_broadcast c = cond_wake c ~broadcast:true
 let sem_wait s =
   let w = world () in
   let tid = w.current in
-  let acquire () = emit_here w (Event.Acquire { tid; lock = s.smid; sync = Event.Flag }) in
+  let acquire () = emit_sync w ~acquire:true tid s.smid Event.Flag in
   if s.count > 0 then begin
     s.count <- s.count - 1;
     acquire ();
@@ -361,7 +462,7 @@ let sem_wait s =
 
 let sem_post s =
   let w = world () in
-  emit_here w (Event.Release { tid = w.current; lock = s.smid; sync = Event.Flag });
+  emit_sync w ~acquire:false w.current s.smid Event.Flag;
   if Vec.length s.swaiters > 0 then Vec.push w.ready (Vec.remove_ordered s.swaiters 0)
   else s.count <- s.count + 1;
   switch w
@@ -395,11 +496,11 @@ let rec loop w =
     loop w
   end
 
-let run ?(policy = Scheduler.default) ?(sink = fun (_ : Event.t) -> ()) main =
+let run_to out ~policy main =
   let w =
     {
       mem = Memory.create ();
-      sink;
+      out;
       threads = Vec.create ();
       ready = Vec.create ();
       sched = Scheduler.create policy;
@@ -419,10 +520,35 @@ let run ?(policy = Scheduler.default) ?(sink = fun (_ : Event.t) -> ()) main =
     (fun () ->
       let main_tid = new_thread w in
       Vec.push w.ready { wtid = main_tid; wake = (fun () -> exec w main_tid main) };
-      loop w;
+      (match loop w with
+       | () -> flush w
+       | exception e ->
+         (* the rows before the failure reach the consumer first; an
+            exception it raises (a budget stop) replaces [e] *)
+         let bt = Printexc.get_raw_backtrace () in
+         flush w;
+         Printexc.raise_with_backtrace e bt);
       {
         threads = Vec.length w.threads;
         events = w.events;
         accesses = w.accesses;
         total_allocated = Memory.total_allocated w.mem;
       })
+
+let run ?(policy = Scheduler.default) ?(sink = fun (_ : Event.t) -> ()) main =
+  run_to (Sink sink) ~policy main
+
+let run_batches ?(policy = Scheduler.default)
+    ?(rows = fun (_ : int) -> Batch.default_capacity) ~consume main =
+  let r =
+    {
+      batch = Batch.create ();
+      consume;
+      next = rows;
+      cut = 0;
+      last_loc = "";
+      last_id = Loc_table.empty;
+    }
+  in
+  r.cut <- batch_rows r 0;
+  run_to (Rows r) ~policy main

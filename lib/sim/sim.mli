@@ -192,3 +192,32 @@ val run :
     mutex, [unlock] or [cond_wait] without the mutex, a bad [free])
     raises [Invalid_argument] in the calling thread instead.
     @raise Deadlock on global deadlock. *)
+
+val run_batches :
+  ?policy:Scheduler.policy ->
+  ?rows:(int -> int) ->
+  consume:(Batch.t -> unit) ->
+  (unit -> unit) ->
+  result
+(** [run_batches ~consume main] is {!run} with the events delivered as
+    rows of one {!Batch.t} that the run owns, instead of one
+    {!Event.t} each: an access becomes a row with no event allocated
+    (its location interned into the batch's table), and the schedule
+    and stream are exactly {!run}'s.  Row [i] of the stream carries
+    [off = i].
+
+    [consume] gets the batch each time it holds [rows n] rows, where
+    [n] is the number of events before the batch's first row ([rows]
+    is clamped to [1 .. Batch.default_capacity], its default), and
+    once more with the pending rows, if any, before [run_batches]
+    returns or raises: rows emitted before a [Deadlock], an invalid
+    allocation size or [join] target, the thread-id limit, or a misuse
+    exception that escapes a thread reach [consume] before that
+    exception escapes.  An exception [consume] raises there replaces
+    it (a budget stop inside the pending rows wins).  The batch
+    follows {!Batch}'s recycling contract: it is cleared once
+    [consume] returns or raises, so no row is delivered twice.
+
+    If [consume] raises on a full batch, the run stops there as it
+    does for a raising sink in {!run}: the exception escapes
+    unchanged, and thread code never sees it. *)

@@ -87,6 +87,59 @@ let check_event ~negative_locks (ev : Dgrace_events.Event.t) =
     check_size size
   | Thread_exit { tid } -> check_tid tid
 
+(* The same bounds over a batch's columns, for a writer that checks
+   rows rather than events.  Per kind code (a trace tag), the bounds
+   of the b column (an address, a child tid, or any lock id; an exit
+   row's b is the 0 a batch stores) and of the c column (a size, or a
+   sync code). *)
+let row_b_lo =
+  Array.init (max_tag + 1) (fun k ->
+      if k = tag_acquire || k = tag_release then min_int else 0)
+
+let row_b_hi =
+  Array.init (max_tag + 1) (fun k ->
+      if k = tag_acquire || k = tag_release then max_int
+      else if k = tag_fork || k = tag_join then max_tid
+      else max_addr)
+
+let row_c_hi =
+  Array.init (max_tag + 1) (fun k ->
+      if k = tag_acquire || k = tag_release then 3 else max_access_size)
+
+(* One pass over the kind, a, b and c columns, the kind-dependent
+   bounds read from the tables so the loop has no branch on the kind.
+   A row's location is left to the caller, which reads its label's
+   length anyway. *)
+let first_bad_row (b : Dgrace_events.Batch.t) =
+  let open Dgrace_events in
+  let n = Batch.length b in
+  let kind = b.Batch.kind and a = b.Batch.a and bc = b.Batch.b and c = b.Batch.c in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let k = Array.unsafe_get kind !i and t = Array.unsafe_get a !i in
+    k >= 0 && k <= max_tag && t >= 0 && t <= max_tid
+    &&
+    let v = Array.unsafe_get bc !i and w = Array.unsafe_get c !i in
+    v >= Array.unsafe_get row_b_lo k
+    && v <= Array.unsafe_get row_b_hi k
+    && w >= 0
+    && w <= Array.unsafe_get row_c_hi k
+  do
+    incr i
+  done;
+  !i
+
+(* A row [check_event] refuses raises its error; a row whose fault no
+   event can carry (a kind or sync code outside the wire's) raises one
+   of its own. *)
+let refuse_row (b : Dgrace_events.Batch.t) i =
+  check_event ~negative_locks:true (Dgrace_events.Batch.event b i);
+  refuse_event
+    (Printf.sprintf "row %d: kind %d with c = %d is not a trace event" i
+       b.Dgrace_events.Batch.kind.(i) b.Dgrace_events.Batch.c.(i))
+
 exception Corrupt of string
 
 (* A top-level loop, so a write allocates no closure.  It reads [n] as

@@ -44,6 +44,18 @@ val check_event : negative_locks:bool -> Dgrace_events.Event.t -> unit
     v1 stores them unsigned).
     @raise Dgrace_resilience.Error.E with [Invalid_input]. *)
 
+val first_bad_row : Dgrace_events.Batch.t -> int
+(** The first row of a batch whose kind, a, b or c column breaks
+    {!check_event}'s bounds (v2's, where any lock id is allowed), or
+    the batch's length when none does.  Row locations are not checked
+    (see {!check_loc}). *)
+
+val refuse_row : Dgrace_events.Batch.t -> int -> 'a
+(** [refuse_row b i] raises the error {!check_event} raises for row
+    [i] of [b], or an [Invalid_input] naming the row when its fault
+    (a kind or sync code outside the wire's) has no event form.
+    @raise Dgrace_resilience.Error.E with [Invalid_input]. *)
+
 (** Event tag bytes. *)
 
 val tag_read : int

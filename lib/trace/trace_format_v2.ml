@@ -65,7 +65,8 @@ let[@inline] unzigzag z = (z lsr 1) lxor (-(z land 1))
    finds the labels the stream already named there.  [e_names] maps
    stream ids back to labels, for writing a fresh id's bytes after
    its value; [e_vals] holds one block's location values while the
-   encoder sizes both modes. *)
+   encoder sizes both modes.  [out] is the byte cursor every body is
+   encoded into: its first [len] bytes, reused from block to block. *)
 type block_encoder = {
   e_streams : (string, int) Hashtbl.t;
   mutable e_next_loc : int;
@@ -73,6 +74,8 @@ type block_encoder = {
   mutable e_src : Loc_table.t;
   mutable e_sid : int array;
   e_vals : int array;
+  mutable out : Bytes.t;
+  mutable len : int;
 }
 
 let block_encoder () =
@@ -83,68 +86,134 @@ let block_encoder () =
     e_src = Loc_table.create ();
     e_sid = Array.make 64 (-1);
     e_vals = Array.make block_events 0;
+    out = Bytes.create 4096;
+    len = 0;
   }
 
-(* Bytes of [write_varint v], [v >= 0]. *)
+(* Room for [n] more bytes after [len]: the cursor's one capacity check
+   per column, whose stores then go unchecked.  A row's varint takes at
+   most nine bytes (a 63-bit value), and a run length at most two. *)
+let reserve enc n =
+  let need = enc.len + n in
+  if need > Bytes.length enc.out then begin
+    let grown = Bytes.create (Int.max need (2 * Bytes.length enc.out)) in
+    Bytes.blit enc.out 0 grown 0 enc.len;
+    enc.out <- grown
+  end
+
+let max_varint = 9
+let max_pair = max_varint + 2
+
+let[@inline] put s p v = Bytes.unsafe_set s p (Char.unsafe_chr v)
+
+(* [v] read as unsigned, as a varint at [p] of [s]; the position after
+   it. *)
+let rec put_uvarint_slow s p v =
+  if v land lnot 0x7f = 0 then begin
+    put s p v;
+    p + 1
+  end
+  else begin
+    put s p (0x80 lor (v land 0x7f));
+    put_uvarint_slow s (p + 1) (v lsr 7)
+  end
+
+let[@inline] put_uvarint s p v =
+  if v land lnot 0x7f = 0 then begin
+    put s p v;
+    p + 1
+  end
+  else put_uvarint_slow s p v
+
+let negative () = invalid_arg "Trace_format_v2: negative varint"
+let[@inline] put_varint s p v = if v < 0 then negative () else put_uvarint s p v
+
+(* Bytes of [put_uvarint v], [v >= 0]. *)
 let rec varint_len_from v len =
   if v < 0x80 then len else varint_len_from (v lsr 7) (len + 1)
 
 let[@inline] varint_len v = if v < 0x80 then 1 else varint_len_from (v lsr 7) 2
 
-(* End of the run of equal values that starts at row [i < n]. *)
-let[@inline] run_end (col : int array) i n =
+(* End of the run of equal values that starts at row [i < hi]. *)
+let[@inline] run_end (col : int array) i hi =
   let v = Array.unsafe_get col i in
   let j = ref (i + 1) in
-  while !j < n && Array.unsafe_get col !j = v do
+  while !j < hi && Array.unsafe_get col !j = v do
     incr j
   done;
   !j
 
-(* An RLE column of (varint value, varint run) pairs. *)
-let write_rle buf (col : int array) n =
-  let i = ref 0 in
-  while !i < n do
-    let j = run_end col !i n in
-    write_varint buf col.(!i);
-    write_varint buf (j - !i);
+(* An RLE column of (varint value, varint run) pairs over rows
+   [lo, hi). *)
+let put_rle enc (col : int array) lo hi =
+  reserve enc (max_pair * (hi - lo));
+  let s = enc.out in
+  let p = ref enc.len and i = ref lo in
+  while !i < hi do
+    let j = run_end col !i hi in
+    p := put_varint s !p (Array.unsafe_get col !i);
+    p := put_uvarint s !p (j - !i);
     i := j
-  done
+  done;
+  enc.len <- !p
 
 (* Kinds: RLE (mode 0) or packed nibbles (mode 1), whichever is
    smaller; a tie keeps RLE.  The RLE size is counted only until it
    passes the nibbles' (a run of at most 4096 rows takes a tag byte
    and one or two varint bytes). *)
-let write_kinds buf (kind : int array) n =
+let put_kinds enc (kind : int array) lo hi =
+  let n = hi - lo in
   let nibbles = (n + 1) / 2 in
-  let rle = ref 0 and start = ref 0 and i = ref 1 in
-  while !rle <= nibbles && !i <= n do
-    if !i = n || Array.unsafe_get kind !i <> Array.unsafe_get kind !start
+  let rle = ref 0 and start = ref lo and i = ref (lo + 1) in
+  while !rle <= nibbles && !i <= hi do
+    if !i = hi || Array.unsafe_get kind !i <> Array.unsafe_get kind !start
     then begin
       rle := !rle + if !i - !start < 0x80 then 2 else 3;
       start := !i
     end;
     incr i
   done;
+  reserve enc (1 + (3 * n));
+  let s = enc.out in
+  let p = ref enc.len and i = ref lo in
   if nibbles < !rle then begin
-    Buffer.add_char buf '\001';
-    let i = ref 0 in
-    while !i + 1 < n do
-      Buffer.add_char buf
-        (Char.unsafe_chr (kind.(!i) lor (kind.(!i + 1) lsl 4)));
+    put s !p 1;
+    incr p;
+    while !i + 1 < hi do
+      put s !p
+        (Array.unsafe_get kind !i lor (Array.unsafe_get kind (!i + 1) lsl 4));
+      incr p;
       i := !i + 2
     done;
-    if !i < n then Buffer.add_char buf (Char.unsafe_chr kind.(!i))
+    if !i < hi then begin
+      put s !p (Array.unsafe_get kind !i);
+      incr p
+    end
   end
   else begin
-    Buffer.add_char buf '\000';
-    let i = ref 0 in
-    while !i < n do
-      let j = run_end kind !i n in
-      Buffer.add_char buf (Char.unsafe_chr kind.(!i));
-      write_varint buf (j - !i);
+    put s !p 0;
+    incr p;
+    while !i < hi do
+      let j = run_end kind !i hi in
+      put s !p (Array.unsafe_get kind !i);
+      p := put_uvarint s (!p + 1) (j - !i);
       i := j
     done
-  end
+  end;
+  enc.len <- !p
+
+(* The b column: a zigzagged wrapping delta per row, from 0 at the
+   block's first row. *)
+let put_deltas enc (b : int array) lo hi =
+  reserve enc (max_varint * (hi - lo));
+  let s = enc.out in
+  let p = ref enc.len and prev = ref 0 in
+  for i = lo to hi - 1 do
+    let v = Array.unsafe_get b i in
+    p := put_uvarint s !p (zigzag (v - !prev));
+    prev := v
+  done;
+  enc.len <- !p
 
 (* The stream id of table id [id], numbering its label if the stream
    has not named it yet. *)
@@ -187,14 +256,14 @@ let[@inline] stream_id enc id =
    previous access of the same kind in this block (0) or the id + 1,
    written plain (mode 0) or as RLE runs (mode 1), whichever is
    smaller; a tie keeps plain. *)
-let write_locs enc buf (kind : int array) (loc : int array) n =
+let put_locs enc (kind : int array) (loc : int array) lo hi =
   let vals = enc.e_vals and pred = [| -1; -1 |] in
   let fresh = ref enc.e_next_loc in
   (* the values, and the bytes of both modes' varints ([run] equal
      values of [last] so far close the RLE count) *)
   let m = ref 0 and plain = ref 0 and rle = ref 0 in
   let last = ref (-1) and run = ref 0 in
-  for i = 0 to n - 1 do
+  for i = lo to hi - 1 do
     let k = Array.unsafe_get kind i in
     if k <= tag_write then begin
       let id = stream_id enc (Array.unsafe_get loc i) in
@@ -216,21 +285,49 @@ let write_locs enc buf (kind : int array) (loc : int array) n =
   (* a value, then the bytes of the id it introduces if it is the next
      fresh one, then (mode 1) its run *)
   let m = !m and runs = !rle < !plain in
-  Buffer.add_char buf (if runs then '\001' else '\000');
+  reserve enc (1 + (max_pair * m));
+  let s = ref enc.out and p = ref enc.len in
+  put !s !p (if runs then 1 else 0);
+  incr p;
   let j = ref 0 in
   while !j < m do
     let v = Array.unsafe_get vals !j in
-    write_varint buf v;
+    p := put_uvarint !s !p v;
     if v - 1 = !fresh then begin
       let name = enc.e_names.(!fresh) in
-      write_varint buf (String.length name);
-      Buffer.add_string buf name;
+      let len = String.length name in
+      (* a label's bytes, with room kept for the values still to come *)
+      enc.len <- !p;
+      reserve enc (max_varint + len + (max_pair * (m - !j)));
+      s := enc.out;
+      p := put_uvarint !s !p len;
+      Bytes.unsafe_blit_string name 0 !s !p len;
+      p := !p + len;
       incr fresh
     end;
     let e = if runs then run_end vals !j m else !j + 1 in
-    if runs then write_varint buf (e - !j);
+    if runs then p := put_uvarint !s !p (e - !j);
     j := e
-  done
+  done;
+  enc.len <- !p
+
+(* Encode rows [lo, hi) of a batch as a block body (no length prefix)
+   into the first [enc.len] bytes of [enc.out]. *)
+let encode_rows enc (b : Batch.t) lo hi =
+  let locs = Batch.locs b in
+  if locs != enc.e_src then begin
+    enc.e_src <- locs;
+    Array.fill enc.e_sid 0 (Array.length enc.e_sid) (-1)
+  end;
+  enc.len <- 0;
+  reserve enc max_varint;
+  enc.len <- put_uvarint enc.out 0 (hi - lo);
+  let kind = b.Batch.kind in
+  put_kinds enc kind lo hi;
+  put_rle enc b.Batch.a lo hi;
+  put_deltas enc b.Batch.b lo hi;
+  put_rle enc b.Batch.c lo hi;
+  put_locs enc kind b.Batch.loc lo hi
 
 (* Encode one batch as a block body (no length prefix): the serve 'B'
    frame payload is exactly one body. *)
@@ -238,83 +335,126 @@ let encode_body enc (b : Batch.t) =
   let n = Batch.length b in
   if n < 1 || n > block_events then
     invalid_arg "Trace_format_v2.encode_body: 1 <= batch length <= 4096 required";
-  let locs = Batch.locs b in
-  if locs != enc.e_src then begin
-    enc.e_src <- locs;
-    Array.fill enc.e_sid 0 (Array.length enc.e_sid) (-1)
-  end;
-  let buf = Buffer.create (n * 2) in
-  write_varint buf n;
-  let kind = b.Batch.kind in
-  write_kinds buf kind n;
-  write_rle buf b.Batch.a n;
-  let prev = ref 0 in
-  for i = 0 to n - 1 do
-    let v = b.Batch.b.(i) in
-    write_uvarint buf (zigzag (v - !prev));
-    prev := v
-  done;
-  write_rle buf b.Batch.c n;
-  write_locs enc buf kind b.Batch.loc n;
-  Buffer.contents buf
+  encode_rows enc b 0 n;
+  Bytes.sub_string enc.out 0 enc.len
 
 (* ------------------------------------------------------------------ *)
-(* block cutting *)
+(* row checks and block cutting *)
 
-(* [bytes] bounds the encoded size of the [rows] counted so far: at most
-   [row_bound] bytes of varints per row, plus the bytes of every
-   access's location unless it repeats the previous access's string
-   (which the encoder has then already interned).  A block closes
-   before it could outgrow [max_body_len], the largest body the reader
-   accepts, or hold more than [limit] rows. *)
-type cutter = {
+(* Where blocks close.  A block holds at most [limit] rows, and closes
+   before a row that would take a bound on its encoded body past
+   [max_body_len]: a fixed varint allowance per row plus the bytes of
+   an access's label unless it repeats the previous access's (which
+   the encoder has then already interned).  A stream's [cuts] carries
+   [rows], [bytes] and [last] (a label id of [last_src]) from batch to
+   batch; [cut_at.(0 .. cut_n - 1)] are the rows of the last scanned
+   batch before which a block closes, ascending, a row index [n]
+   closing a block at the batch's end. *)
+type cuts = {
   limit : int;
   mutable rows : int;
   mutable bytes : int;
-  mutable last_loc : string;
+  mutable last : int;
+  mutable last_src : Loc_table.t;
+  mutable cut_at : int array;
+  mutable cut_n : int;
 }
 
 let row_bound = 64
 
-let cutter ~rows =
+(* [last_src] before any label: no id of it is ever [last]. *)
+let no_src = Loc_table.create ()
+
+let cuts ~rows =
   {
-    limit = max 1 (min rows block_events);
+    limit = Int.max 1 (Int.min rows block_events);
     rows = 0;
     bytes = row_bound;
-    last_loc = "";
+    last = -1;
+    last_src = no_src;
+    cut_at = [||];
+    cut_n = 0;
   }
 
-let admit c ev =
-  check_event ~negative_locks:true ev;
-  let bound =
-    match ev with
-    | Event.Access { loc; _ } ->
-      if loc == c.last_loc then row_bound
-      else begin
-        c.last_loc <- loc;
-        row_bound + String.length loc
+(* Check every row of [b] and find where its blocks close.  Nothing
+   changes before every row has passed: the first bad row, in stream
+   order, raises [Error.E (Invalid_input _)]. *)
+let scan c (b : Batch.t) =
+  let n = Batch.length b in
+  let bad = first_bad_row b in
+  let src = Batch.locs b in
+  let kind = b.Batch.kind and loc = b.Batch.loc in
+  if Array.length c.cut_at <= n then c.cut_at <- Array.make (n + 1) 0;
+  let cut_at = c.cut_at in
+  let rows = ref c.rows and bytes = ref c.bytes and cut_n = ref 0 in
+  let last = ref (if src == c.last_src then c.last else -1) in
+  for i = 0 to n - 1 do
+    if i = bad then refuse_row b i;
+    let bound =
+      if Array.unsafe_get kind i <= tag_write then begin
+        let id = Array.unsafe_get loc i in
+        if id = !last then row_bound
+        else begin
+          let len = String.length (Loc_table.name src id) in
+          if len > max_loc_len then refuse_row b i;
+          last := id;
+          row_bound + len
+        end
       end
-    | _ -> row_bound
+      else row_bound
+    in
+    if !bytes + bound <= max_body_len then begin
+      incr rows;
+      bytes := !bytes + bound
+    end
+    else begin
+      Array.unsafe_set cut_at !cut_n i;
+      incr cut_n;
+      rows := 1;
+      bytes := row_bound + bound
+    end;
+    if !rows = c.limit then begin
+      Array.unsafe_set cut_at !cut_n (i + 1);
+      incr cut_n;
+      rows := 0;
+      bytes := row_bound
+    end
+  done;
+  c.rows <- !rows;
+  c.bytes <- !bytes;
+  c.last <- !last;
+  c.last_src <- src;
+  c.cut_n <- !cut_n
+
+let encode_blocks ?(rows = block_events) enc (b : Batch.t) emit =
+  let c = cuts ~rows in
+  scan c b;
+  let lo = ref 0 in
+  let block hi =
+    if hi > !lo then begin
+      encode_rows enc b !lo hi;
+      emit enc.out enc.len;
+      lo := hi
+    end
   in
-  if c.rows < c.limit && c.bytes + bound <= max_body_len then begin
-    c.rows <- c.rows + 1;
-    c.bytes <- c.bytes + bound;
-    true
-  end
-  else begin
-    c.rows <- 1;
-    c.bytes <- row_bound + bound;
-    false
-  end
+  for k = 0 to c.cut_n - 1 do
+    block c.cut_at.(k)
+  done;
+  block (Batch.length b)
 
 (* ------------------------------------------------------------------ *)
-(* writer: the v1 Trace_writer surface over block buffering *)
+(* writer *)
 
+(* [cut] places the stream's blocks; [open_] holds the rows of the
+   block still open when a batch ends, copied out of it (a batch is
+   only valid during the call that hands it over).  A block that
+   closes inside a batch and has no earlier rows is encoded straight
+   from the batch. *)
 type writer = {
   oc : out_channel;
   enc : block_encoder;
-  pending : Batch.t;
-  cut : cutter;
+  cut : cuts;
+  open_ : Batch.t;
   mutable count : int;
 }
 
@@ -324,38 +464,62 @@ let create oc =
   {
     oc;
     enc = block_encoder ();
-    pending = Batch.create ();
-    cut = cutter ~rows:block_events;
+    cut = cuts ~rows:block_events;
+    open_ = Batch.create ();
     count = 0;
   }
 
-let flush_block w =
-  if Batch.length w.pending > 0 then begin
-    let body = encode_body w.enc w.pending in
-    let hdr = Buffer.create 4 in
-    write_varint hdr (String.length body);
-    Buffer.output_buffer w.oc hdr;
-    output_string w.oc body;
-    Batch.clear w.pending
+let rec output_uvarint oc v =
+  if v < 0x80 then output_byte oc v
+  else begin
+    output_byte oc (0x80 lor (v land 0x7f));
+    output_uvarint oc (v lsr 7)
   end
 
-let write w ev =
-  if not (admit w.cut ev) then flush_block w;
-  Batch.push w.pending ev;
-  w.count <- w.count + 1
+let output_block w (b : Batch.t) lo hi =
+  encode_rows w.enc b lo hi;
+  output_uvarint w.oc w.enc.len;
+  output w.oc w.enc.out 0 w.enc.len
 
-let sink w ev = write w ev
-let events_written w = w.count
+(* Rows [lo, hi) of [b] join the open block.  A stream's batches
+   share one location table; [Batch.copy_row] refuses a row of
+   another while the open block holds rows. *)
+let keep w (b : Batch.t) lo hi =
+  for i = lo to hi - 1 do
+    Batch.copy_row ~src:b i ~dst:w.open_
+  done
+
+let close_block w (b : Batch.t) lo hi =
+  if Batch.length w.open_ = 0 then begin
+    if hi > lo then output_block w b lo hi
+  end
+  else begin
+    keep w b lo hi;
+    output_block w w.open_ 0 (Batch.length w.open_);
+    Batch.clear w.open_
+  end
+
+let write_batch w (b : Batch.t) =
+  scan w.cut b;
+  let lo = ref 0 in
+  for k = 0 to w.cut.cut_n - 1 do
+    let hi = w.cut.cut_at.(k) in
+    close_block w b !lo hi;
+    lo := hi
+  done;
+  keep w b !lo (Batch.length b);
+  w.count <- w.count + Batch.length b
 
 let close w =
-  flush_block w;
+  if Batch.length w.open_ > 0 then
+    output_block w w.open_ 0 (Batch.length w.open_);
   close_out w.oc
 
-let to_file path f =
+let batches_to_file path f =
   let oc = open_out_bin path in
   let w = create oc in
   match
-    let v = f (sink w) in
+    let v = f (write_batch w) in
     close w;
     v
   with
@@ -367,6 +531,24 @@ let to_file path f =
     close_out_noerr w.oc;
     (try Sys.remove path with Sys_error _ -> ());
     Printexc.raise_with_backtrace e bt
+
+(* The event surface, a thin adapter: an event is checked as it
+   arrives, so a refused one stops its producer there, and joins a
+   batch that goes to the writer when full. *)
+let to_file path f =
+  batches_to_file path (fun write ->
+      let staged = Batch.create () in
+      let v =
+        f (fun ev ->
+            check_event ~negative_locks:true ev;
+            Batch.push staged ev;
+            if Batch.is_full staged then begin
+              write staged;
+              Batch.clear staged
+            end)
+      in
+      if Batch.length staged > 0 then write staged;
+      v)
 
 (* ------------------------------------------------------------------ *)
 (* decoding *)

@@ -43,8 +43,9 @@ val max_body_len : int
 
 (** {1 Encoding} *)
 
-(** Persistent per-stream encoder state (the location intern table
-    spans blocks). *)
+(** Persistent per-stream encoder state: the location intern table,
+    which spans blocks, and the byte buffer every body is encoded
+    into, reused from block to block. *)
 type block_encoder
 
 val block_encoder : unit -> block_encoder
@@ -54,45 +55,57 @@ val block_encoder : unit -> block_encoder
     exactly one body. *)
 val encode_body : block_encoder -> Batch.t -> string
 
-(** {1 Block cutting}
+(** {1 Batch writing}
 
-    Where a producer of block bodies closes a block: the {!writer}
-    and the serve client's batch frames cut by the same rule. *)
+    Where a producer of block bodies closes a block, one rule for the
+    file writer ({!batches_to_file}) and the serve client's batch
+    frames: at most [rows] rows
+    (clamped to [1 .. block_events]), and closed before a bound on the
+    encoded body (a fixed varint allowance per row plus the bytes of
+    each access's label unless it repeats the previous access's)
+    could pass {!max_body_len}.  The bound assumes the blocks go
+    through one {!block_encoder}, in order.
 
-type cutter
+    Every row is checked against the bounds the decoder enforces
+    ({!Trace_format.check_event}, over the columns) before anything is
+    encoded: the first row that breaks one, in stream order, raises
+    {!Dgrace_resilience.Error.E} ([Invalid_input], the message
+    [check_event] gives that row's event), and nothing of the batch is
+    written. *)
 
-(** [cutter ~rows] starts an empty block of at most [rows] rows
-    ([rows] is clamped to [1 .. block_events]). *)
-val cutter : rows:int -> cutter
+(** [encode_blocks ?rows enc batch emit] cuts [batch] into blocks by
+    that rule and calls [emit body len] with each block's body, in the
+    first [len] bytes of [body] (the encoder's buffer, overwritten by
+    the next block).  The last block ends with the batch.
+    @raise Dgrace_resilience.Error.E on a row a trace cannot store;
+    [enc] is then untouched. *)
+val encode_blocks :
+  ?rows:int -> block_encoder -> Batch.t -> (Bytes.t -> int -> unit) -> unit
 
-(** [admit c ev] counts [ev] into the block being filled and is [true]
-    while it fits: at most [rows] rows, and a bound on the encoded body
-    (a fixed varint allowance per row plus each new location's bytes)
-    no larger than {!max_body_len}.  [false] means [ev] does not fit:
-    close the pending block, and [ev] opens the next one (it is
-    already counted there).  The bound assumes the blocks go through
-    one {!block_encoder}, in order.
-    @raise Dgrace_resilience.Error.E on a location longer than
-    [Trace_format.max_loc_len]; nothing is counted then. *)
-val admit : cutter -> Event.t -> bool
+(** {1 Writer}
 
-(** {1 Writer} — the {!Trace_writer} surface over block buffering. *)
-
-type writer
-
-val create : out_channel -> writer
-val write : writer -> Event.t -> unit
-val sink : writer -> Event.t -> unit
-val events_written : writer -> int
-
-(** Flushes the final partial block and closes the channel. *)
-val close : writer -> unit
+    A file writer takes rows: a block that closes inside a batch with
+    no rows from an earlier batch is encoded straight from the batch,
+    the rows of a block still open when a batch ends are copied out
+    of it, so a batch is free again when the call that hands it over
+    returns ({!Batch}'s recycling contract).  The blocks do not depend
+    on where batches end. *)
 
 val to_file : string -> ((Event.t -> unit) -> 'a) -> 'a * int
 (** [to_file path f] writes the events [f] feeds to its sink as a v2
-    trace at [path], returning [f]'s result and the event count.  If [f]
-    raises, the file is closed and removed before the exception
-    propagates: a flushed prefix would replay as a complete trace. *)
+    trace at [path], returning [f]'s result and the event count.  The
+    sink checks each event as it arrives (a refused one raises there)
+    and hands the writer full batches.  If [f] raises, the file is
+    closed and removed before the exception propagates: a flushed
+    prefix would replay as a complete trace. *)
+
+val batches_to_file : string -> ((Batch.t -> unit) -> 'a) -> 'a * int
+(** {!to_file} for a producer of batches: the same bytes as {!to_file}
+    over the same rows.  A batch with a row a trace cannot store
+    raises before any of its rows is written.  The batch is free again
+    when the call returns.  A producer's batches share one location
+    table ({!Batch.create} [~locs]): rows of two tables in one block
+    raise [Invalid_argument], as {!Batch.copy_row} does. *)
 
 (** {1 Decoding} *)
 

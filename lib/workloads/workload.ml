@@ -21,3 +21,7 @@ let with_params ?threads ?scale ?seed w =
 let run ?policy ?params ~sink w =
   let params = Option.value params ~default:w.defaults in
   Sim.run ?policy ~sink (w.program params)
+
+let run_batches ?policy ?params ~consume w =
+  let params = Option.value params ~default:w.defaults in
+  Sim.run_batches ?policy ~consume (w.program params)

@@ -39,3 +39,12 @@ val run :
   t ->
   Sim.result
 (** Run once under the simulator, delivering events to [sink]. *)
+
+val run_batches :
+  ?policy:Scheduler.policy ->
+  ?params:params ->
+  consume:(Dgrace_events.Batch.t -> unit) ->
+  t ->
+  Sim.result
+(** {!run} with the events delivered as batch rows
+    ({!Dgrace_sim.Sim.run_batches}). *)

@@ -158,6 +158,34 @@ let test_loc_table_growth () =
     (Invalid_argument "Loc_table.name: unknown id") (fun () ->
       ignore (Loc_table.name t 1001))
 
+(* [intern_once] (a decoder's fresh labels: one hash, whether the
+   label is found or added) and [intern] hand out the ids a
+   [Hashtbl] model does, over labels that repeat, collide in the memo
+   and force the table to grow. *)
+let loc_table_once =
+  QCheck.Test.make ~name:"loc_table: intern_once agrees with the model"
+    ~count:200
+    QCheck.(list (pair bool (int_bound 300)))
+    (fun calls ->
+      let t = Loc_table.create () in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun (once, k) ->
+          let l = if k = 0 then "" else Printf.sprintf "site:%d" (k * 7919) in
+          let id = if once then Loc_table.intern_once t l else Loc_table.intern t l in
+          let want =
+            if l = "" then Loc_table.empty
+            else
+              match Hashtbl.find_opt model l with
+              | Some id -> id
+              | None ->
+                let id = Hashtbl.length model + 1 in
+                Hashtbl.replace model l id;
+                id
+          in
+          id = want && Loc_table.name t id = l)
+        calls)
+
 let wr_at loc = Event.Access { tid = 1; kind = Event.Write; addr = 0x40; size = 4; loc }
 
 (* A batch resolves its rows through its own table; copying a row into
@@ -232,6 +260,7 @@ let suites : unit Alcotest.test list =
         [
           QCheck_alcotest.to_alcotest loc_table_roundtrip;
           QCheck_alcotest.to_alcotest loc_table_memo;
+          QCheck_alcotest.to_alcotest loc_table_once;
           Alcotest.test_case "growth keeps old ids" `Quick test_loc_table_growth;
           Alcotest.test_case "batches carry their table" `Quick test_batch_tables;
           Alcotest.test_case "foreign batch refused" `Quick test_foreign_batch_refused;

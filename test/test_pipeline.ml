@@ -410,6 +410,152 @@ let test_session_decode_error_poisons_in_order () =
     | _ -> Alcotest.fail "session not poisoned")
 
 (* ------------------------------------------------------------------ *)
+(* the [Program] source on the batch path *)
+
+(* A detector with [process_batch] takes a [Program]'s simulator rows
+   in batches cut at every sampling and heartbeat multiple; the oracle
+   is the same detector with its [process_batch] removed, which the
+   engine feeds event by event, as every [Program] was fed before.
+   Every figure must agree: races, transitions, [Run_stats], the
+   [Accounting] peaks, every counter, the stop, each sample's event
+   count and readings, and the state each heartbeat sees. *)
+let program_run ~batched ~spec ~budget ~progress ~sample_every ~traced main =
+  let d = Spec.to_detector spec in
+  let d = if batched then d else { d with Dgrace_detectors.Detector.process_batch = None } in
+  let beats = ref [] in
+  let progress =
+    Option.map
+      (fun every ->
+        ( every,
+          fun n ->
+            beats :=
+              ( n,
+                d.stats.Dgrace_detectors.Run_stats.accesses,
+                Report.Collector.count d.collector,
+                Dgrace_shadow.Accounting.current_bytes d.account )
+              :: !beats ))
+      progress
+  in
+  let config =
+    {
+      (Engine.Config.of_detector d) with
+      budget;
+      progress;
+      sample_every;
+      tracer = (if traced then Some (Dgrace_obs.Span.create ()) else None);
+    }
+  in
+  let s =
+    Tutil.analyze config
+      (Engine.Source.Program
+         { policy = Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 }; main })
+  in
+  (s, List.rev !beats)
+
+let samples (s : Engine.summary) =
+  match s.timeseries with
+  | None -> []
+  | Some r ->
+    List.map
+      (fun (x : Dgrace_obs.Sampler.sample) -> (x.at_event, Array.to_list x.values))
+      (Dgrace_obs.Sampler.samples (Dgrace_obs.Recorder.sampler r))
+
+let test_program_batched () =
+  let observers =
+    [
+      ("plain", Budget.unlimited, None, None, false);
+      ("max-events 37", Budget.make ~max_events:37 (), None, None, false);
+      ("max-events inside a batch", Budget.make ~max_events:5000 (), None, None, false);
+      ("sampled", Budget.unlimited, None, Some 1000, false);
+      ("traced", Budget.unlimited, None, None, true);
+      ("heartbeat", Budget.unlimited, Some 777, None, false);
+      ( "everything",
+        Budget.make ~max_events:9000 ~max_shadow_bytes:max_int ~deadline_s:1e9 (),
+        Some 500,
+        Some 300,
+        true );
+    ]
+  in
+  List.iter
+    (fun wname ->
+      let w = Option.get (Dgrace_workloads.Registry.find wname) in
+      let main = w.program (Dgrace_workloads.Workload.with_params ~scale:1 w) in
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun (oname, budget, progress, sample_every, traced) ->
+              let go batched =
+                program_run ~batched ~spec ~budget ~progress ~sample_every ~traced main
+              in
+              let want, want_beats = go false and got, got_beats = go true in
+              let ctx = Printf.sprintf "%s/%s/%s" wname want.detector oname in
+              check_equivalent ~ctx want got;
+              if compare want.mem got.mem <> 0 then
+                Alcotest.failf "%s: accounting peaks differ" ctx;
+              Alcotest.(check (list (pair string int)))
+                (ctx ^ ": counters") (Metrics.counters want.metrics)
+                (Metrics.counters got.metrics);
+              Alcotest.(check (option string))
+                (ctx ^ ": stop")
+                (Option.map Budget.stop_to_string want.partial)
+                (Option.map Budget.stop_to_string got.partial);
+              Alcotest.(check bool) (ctx ^ ": degraded") want.degraded got.degraded;
+              if samples want <> samples got then
+                Alcotest.failf "%s: samples differ (%d vs %d)" ctx
+                  (List.length (samples want)) (List.length (samples got));
+              if want_beats <> got_beats then
+                Alcotest.failf "%s: heartbeats differ" ctx;
+              Alcotest.(check bool) (ctx ^ ": same sim result") true (want.sim = got.sim))
+            observers)
+        [ Spec.dynamic; Spec.byte; Spec.word ])
+    [ "ffmpeg"; "raytrace"; "dedup" ]
+
+(* A budget stop inside the rows a deadlocking program emits before it
+   deadlocks wins over the deadlock, on the batch path as per event. *)
+let test_program_stop_before_deadlock () =
+  let main () =
+    let m1 = Dgrace_sim.Sim.mutex () and m2 = Dgrace_sim.Sim.mutex () in
+    let a = Dgrace_sim.Sim.static_alloc 8 in
+    Dgrace_sim.Sim.lock m1;
+    let t =
+      Dgrace_sim.Sim.spawn (fun () ->
+          Dgrace_sim.Sim.lock m2;
+          Dgrace_sim.Sim.yield ();
+          Dgrace_sim.Sim.lock m1)
+    in
+    for _ = 1 to 20 do Dgrace_sim.Sim.write a 4 done;
+    Dgrace_sim.Sim.yield ();
+    Dgrace_sim.Sim.lock m2;
+    Dgrace_sim.Sim.join t
+  in
+  let stopped =
+    List.map
+    (fun batched ->
+      let ctx = if batched then "batched" else "per event" in
+      let run budget =
+        let d = Spec.to_detector Spec.dynamic in
+        let d = if batched then d else { d with Dgrace_detectors.Detector.process_batch = None } in
+        Engine.analyze { (Engine.Config.of_detector d) with budget }
+          (Engine.Source.Program { policy = Dgrace_sim.Scheduler.Round_robin; main })
+      in
+      (match run Budget.unlimited with
+       | Error (Error.Deadlock _) -> ()
+       | _ -> Alcotest.failf "%s: no deadlock" ctx);
+      match run (Budget.make ~max_events:10 ()) with
+      | Ok s ->
+        Alcotest.(check (option string))
+          (ctx ^ ": the stop wins")
+          (Some (Budget.stop_to_string (Budget.Max_events { limit = 10 })))
+          (Option.map Budget.stop_to_string s.partial);
+        s
+      | Error e -> Alcotest.failf "%s: %s" ctx (Error.to_string e))
+    [ false; true ]
+  in
+  match stopped with
+  | [ want; got ] -> check_equivalent ~ctx:"stopped" want got
+  | _ -> assert false
+
+(* ------------------------------------------------------------------ *)
 (* qcheck laws (fixed seed in CI via QCHECK_SEED) *)
 
 let arb_events = QCheck.small_list Test_trace.arb_event
@@ -743,6 +889,10 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "budget stop identity" `Quick
             test_budget_stop_identity;
           QCheck_alcotest.to_alcotest qcheck_config_lattice;
+          Alcotest.test_case "batched program = per-event oracle" `Quick
+            test_program_batched;
+          Alcotest.test_case "a stop before a deadlock wins" `Quick
+            test_program_stop_before_deadlock;
           Alcotest.test_case "recorded workloads = per-event oracle" `Quick
             test_recorded_figures;
           QCheck_alcotest.to_alcotest qcheck_pipelined_identical;

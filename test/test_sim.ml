@@ -535,6 +535,179 @@ let test_sink_exception_contract () =
       done)
     [ Scheduler.Chunked { seed = 1; chunk = 64 }; Scheduler.Round_robin ]
 
+(* The row emitter: [run_batches] delivers exactly [run]'s stream and
+   outcome, whatever the batch lengths.  Over the workloads and the
+   golden table's random programs (misuse, bad joins, deadlocks), the
+   rows it hands over, read back as events, are the sink's events, in
+   order and numbered by [off]; rows emitted before a raising escape
+   reach the consumer first. *)
+
+let outcome_of run =
+  match run () with
+  | (r : Sim.result) ->
+    Printf.sprintf "ok threads=%d events=%d accesses=%d allocated=%d" r.threads
+      r.events r.accesses r.total_allocated
+  | exception Sim.Deadlock { blocked; held } ->
+    Printf.sprintf "deadlock %s %s"
+      (String.concat ";" (List.map string_of_int blocked))
+      (String.concat ";" (List.map (fun (l, o) -> Printf.sprintf "%d@%d" l o) held))
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let batched_stream ?policy ~rows program =
+  let events = ref [] and offs_ok = ref true and next = ref 0 in
+  let short = ref false in
+  let consume b =
+    (* only the last delivery may end before its length *)
+    if !short || Batch.length b > rows !next then offs_ok := false;
+    short := Batch.length b < rows !next;
+    for i = 0 to Batch.length b - 1 do
+      if b.Batch.off.(i) <> !next then offs_ok := false;
+      incr next;
+      events := Batch.event b i :: !events
+    done
+  in
+  let outcome = outcome_of (fun () -> Sim.run_batches ?policy ~rows ~consume program) in
+  (outcome, List.rev !events, !offs_ok)
+
+let sink_stream ?policy program =
+  let events = ref [] in
+  let outcome =
+    outcome_of (fun () -> Sim.run ?policy ~sink:(fun e -> events := e :: !events) program)
+  in
+  (outcome, List.rev !events)
+
+let row_lengths =
+  [
+    ("4096", fun (_ : int) -> Batch.default_capacity);
+    ("1", fun _ -> 1);
+    ("37", fun _ -> 37);
+    ("to multiples of 100", fun n -> 100 - (n mod 100));
+  ]
+
+let check_batched_stream ~ctx ?policy program =
+  let want_outcome, want = sink_stream ?policy program in
+  List.iter
+    (fun (rname, rows) ->
+      let outcome, got, offs_ok = batched_stream ?policy ~rows program in
+      let ctx = ctx ^ " rows=" ^ rname in
+      Alcotest.(check string) (ctx ^ ": outcome") want_outcome outcome;
+      check_int (ctx ^ ": events") (List.length want) (List.length got);
+      if List.map Event.to_string want <> List.map Event.to_string got then
+        Alcotest.failf "%s: rows differ from the sink's events" ctx;
+      check_bool (ctx ^ ": offsets number the stream, batches end on time")
+        true offs_ok)
+    row_lengths
+
+let test_batched_equals_sink () =
+  List.iter
+    (fun (w : Dgrace_workloads.Workload.t) ->
+      let params = Dgrace_workloads.Workload.with_params ~scale:1 w in
+      check_batched_stream ~ctx:w.name
+        ~policy:(Scheduler.Chunked { seed = 1; chunk = 64 })
+        (w.program params))
+    Dgrace_workloads.Registry.all;
+  for i = 0 to 59 do
+    let shape = Sim_golden.gen_shape (Random.State.make [| 0x5eed; i |]) in
+    List.iter
+      (fun (pname, policy) ->
+        check_batched_stream
+          ~ctx:(Printf.sprintf "prog%03d/%s" i pname)
+          ~policy (Sim_golden.program shape))
+      (Sim_golden.program_policies i)
+  done
+
+(* A program that emits [k] accesses and then deadlocks: lock m1, let
+   the child lock m2, then each waits for the other's lock. *)
+let deadlocking k () =
+  let m1 = Sim.mutex () and m2 = Sim.mutex () in
+  let a = Sim.static_alloc 8 in
+  Sim.lock m1;
+  let t = Sim.spawn (fun () -> Sim.lock m2; Sim.yield (); Sim.lock m1) in
+  for _ = 1 to k do Sim.write a 4 done;
+  Sim.yield ();
+  Sim.lock m2;
+  Sim.join t
+
+exception Budget_stop
+
+let test_pending_rows_before_escape () =
+  let policy = Scheduler.Round_robin in
+  let escapes =
+    [
+      ("deadlock", deadlocking 10, (function Sim.Deadlock _ -> true | _ -> false));
+      ( "bad join target",
+        (fun () -> Sim.write (Sim.static_alloc 4) 4; Sim.join 7),
+        function Invalid_argument _ -> true | _ -> false );
+      ( "bad allocation size",
+        (fun () -> Sim.write (Sim.static_alloc 4) 4; ignore (Sim.malloc (-1))),
+        function Invalid_argument _ -> true | _ -> false );
+      ( "misuse escaping a thread",
+        (fun () -> Sim.write (Sim.static_alloc 4) 4; Sim.unlock (Sim.mutex ())),
+        function Invalid_argument _ -> true | _ -> false );
+    ]
+  in
+  List.iter
+    (fun (name, program, expected) ->
+      let _, want = sink_stream ~policy program in
+      check_bool (name ^ ": some events first") true (want <> []);
+      (* every pending row reaches the consumer, then the escape *)
+      let got = ref [] and calls = ref 0 in
+      let consume b =
+        incr calls;
+        Batch.iter_events (fun e -> got := e :: !got) b
+      in
+      (match Sim.run_batches ~policy ~consume program with
+       | _ -> Alcotest.failf "%s: run completed" name
+       | exception e -> check_bool (name ^ ": the escape") true (expected e));
+      check_int (name ^ ": one delivery") 1 !calls;
+      Alcotest.(check (list string))
+        (name ^ ": pending rows delivered")
+        (List.map Event.to_string want)
+        (List.map Event.to_string (List.rev !got));
+      (* a stop the consumer raises inside those rows wins *)
+      let consume (_ : Batch.t) = raise Budget_stop in
+      match Sim.run_batches ~policy ~consume program with
+      | _ -> Alcotest.failf "%s: run completed" name
+      | exception Budget_stop -> ()
+      | exception e ->
+        Alcotest.failf "%s: %s escaped, not the consumer's stop" name
+          (Printexc.to_string e))
+    escapes
+
+(* [test_sink_exception_contract] for a raising batch consumer: the
+   run stops at that batch, the exception escapes unchanged, no row is
+   delivered twice, thread code never sees it. *)
+let test_batch_exception_contract () =
+  let policy = Scheduler.Chunked { seed = 1; chunk = 64 } in
+  let full = (Sim.run ~policy (contract_program (ref false))).events in
+  List.iter
+    (fun per ->
+      let batches = (full + per - 1) / per in
+      for k = 1 to batches do
+        let delivered = ref 0 and calls = ref 0 in
+        let raised = Sink_stop k in
+        let consume b =
+          incr calls;
+          delivered := !delivered + Batch.length b;
+          if !calls = k then raise raised
+        in
+        let unwound = ref false in
+        (match
+           Sim.run_batches ~policy ~rows:(fun _ -> per) ~consume
+             (contract_program unwound)
+         with
+         | _ -> Alcotest.failf "per=%d k=%d: run completed" per k
+         | exception e ->
+           check_bool (Printf.sprintf "per=%d k=%d: same exception" per k) true
+             (e == raised));
+        check_int (Printf.sprintf "per=%d k=%d: calls" per k) k !calls;
+        check_int (Printf.sprintf "per=%d k=%d: rows" per k)
+          (Int.min full (k * per)) !delivered;
+        check_bool (Printf.sprintf "per=%d k=%d: thread code unwound" per k)
+          false !unwound
+      done)
+    [ 1; 5 ]
+
 let test_outside_run () =
   match Sim.yield () with
   | () -> Alcotest.fail "an operation outside Sim.run returned"
@@ -591,5 +764,11 @@ let suites : unit Alcotest.test list =
           Alcotest.test_case "sink exception contract" `Quick
             test_sink_exception_contract;
           Alcotest.test_case "operation outside run" `Quick test_outside_run;
+          Alcotest.test_case "batched rows = sink events" `Quick
+            test_batched_equals_sink;
+          Alcotest.test_case "pending rows before an escape" `Quick
+            test_pending_rows_before_escape;
+          Alcotest.test_case "batch consumer exception contract" `Quick
+            test_batch_exception_contract;
         ] );
     ]

@@ -953,39 +953,204 @@ let round_trips_or_refused ~ok events write read =
   | exception Error.E (Error.Invalid_input _) ->
     (not ok) && not (Sys.file_exists path)
 
-(* The client's cut: admit every row, then one BATCH frame per block
+(* The client's cut: every row checked, then one BATCH frame per block
    through a serve session's decoder. *)
 let via_batch_frames events =
-  let cut = Trace_format_v2.cutter ~rows:Trace_format_v2.block_events in
-  match List.map (fun ev -> Trace_format_v2.admit cut ev) events with
+  let enc = Trace_format_v2.block_encoder () in
+  let session = Dgrace_serve.Session.open_ ~id:1 ~spec:Spec.dynamic () in
+  let back = ref [] in
+  let send body len =
+    match
+      Dgrace_serve.Session.decode_batch_frame session (Bytes.sub_string body 0 len)
+    with
+    | Error e -> Alcotest.failf "frame decode: %s" (Error.to_string e)
+    | Ok b ->
+      Batch.iter_events (fun ev -> back := ev :: !back) b;
+      ignore (Dgrace_serve.Session.apply_decoded session b)
+  in
+  match
+    if events <> [] then
+      Trace_format_v2.encode_blocks enc (Batch.of_events events) send
+  with
   | exception Error.E (Error.Invalid_input _) -> None
-  | fits ->
-    let enc = Trace_format_v2.block_encoder () in
-    let session = Dgrace_serve.Session.open_ ~id:1 ~spec:Spec.dynamic () in
-    let back = ref [] in
-    let send block =
-      let body =
-        Trace_format_v2.encode_body enc (Batch.of_events (List.rev block))
-      in
-      match Dgrace_serve.Session.decode_batch_frame session body with
-      | Error e -> Alcotest.failf "frame decode: %s" (Error.to_string e)
-      | Ok b ->
-        Batch.iter_events (fun ev -> back := ev :: !back) b;
-        ignore (Dgrace_serve.Session.apply_decoded session b)
-    in
-    let last =
-      List.fold_left2
-        (fun block ev fit ->
-          if fit || block = [] then ev :: block
-          else begin
-            send block;
-            [ ev ]
-          end)
-        [] events fits
-    in
-    if last <> [] then send last;
+  | () ->
     ignore (Dgrace_serve.Session.finalize session);
     Some (List.rev !back)
+
+(* A crafted body whose stream ids 0 and 1 both introduce "x" (no
+   writer names a label twice): both rows decode to "x", through one
+   id of the decoder's table. *)
+let test_label_named_twice () =
+  let body =
+    String.concat ""
+      (List.map (String.make 1)
+         (List.map Char.chr
+            [ 2; (* n *) 0; 0; 2; (* kinds: RLE, read x2 *) 0; 2; (* tids *)
+              0; 16; (* addrs 0, 8 *) 4; 2; (* sizes *)
+              0; (* locations: plain *) 1; 1; Char.code 'x'; 2; 1; Char.code 'x' ]))
+  in
+  let locs = Loc_table.create () in
+  let dec = Trace_format_v2.stream_decoder ~locs () in
+  let b = Batch.create () in
+  (match Trace_format_v2.decode_body dec ~base:5 body b with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "decode: %s" (Error.to_string e));
+  Alcotest.(check (list string)) "rows"
+    [ "R t0 0x0+4 (x)"; "R t0 0x8+4 (x)" ]
+    (List.init (Batch.length b) (fun i -> Event.to_string (Batch.event b i)));
+  Alcotest.(check int) "one id" b.Batch.loc.(0) b.Batch.loc.(1);
+  Alcotest.(check int) "table" 2 (Loc_table.length locs)
+
+(* ------------------------------------------------------------------ *)
+(* the batch writer *)
+
+(* What a writer leaves: the file's bytes, or the exception its
+   producer raised (and then no file). *)
+let written write =
+  let path = tmp_file () in
+  match write path with
+  | () ->
+    let bytes = file_bytes path in
+    Sys.remove path;
+    Ok bytes
+  | exception e -> if Sys.file_exists path then Error "file left" else Error (Printexc.to_string e)
+
+let via_to_file run path = ignore (Trace_format_v2.to_file path (fun sink -> run sink))
+
+let via_batches run path =
+  ignore (Trace_format_v2.batches_to_file path (fun consume -> run consume))
+
+(* [events] in batches of [rows] rows over one location table. *)
+let feed_rows ~rows events consume =
+  let locs = Loc_table.create () in
+  let b = Batch.create ~capacity:rows ~locs () in
+  List.iter
+    (fun ev ->
+      Batch.push b ev;
+      if Batch.is_full b then begin
+        consume b;
+        Batch.clear b
+      end)
+    events;
+  if Batch.length b > 0 then consume b
+
+let row_lengths =
+  [
+    ("4096", fun (_ : int) -> Trace_format_v2.block_events);
+    ("1", fun _ -> 1);
+    ("1000", fun _ -> 1000);
+    ("varying", fun n -> 1 + (n mod 4093));
+  ]
+
+let check_same ~ctx want got =
+  match (want, got) with
+  | Ok a, Ok b ->
+    if a <> b then
+      Alcotest.failf "%s: %d bytes vs %d, first difference at %d" ctx
+        (String.length a) (String.length b)
+        (let i = ref 0 in
+         while !i < String.length a && !i < String.length b && a.[!i] = b.[!i] do incr i done;
+         !i)
+  | Error a, Error b -> Alcotest.(check string) (ctx ^ ": same failure") a b
+  | Ok _, Error e -> Alcotest.failf "%s: the batch writer failed: %s" ctx e
+  | Error e, Ok _ -> Alcotest.failf "%s: to_file failed (%s), the batch writer did not" ctx e
+
+(* Simulator rows through [batches_to_file] (what [racedet record
+   --trace-v2] runs) give the bytes [to_file] gives the same run's
+   events, over every workload at scale 1 and the golden table's
+   random programs (whose misuse and deadlocks must fail both writers
+   alike), for batches of any length. *)
+let test_batch_writer_programs () =
+  let programs =
+    List.map
+      (fun (w : Dgrace_workloads.Workload.t) ->
+        (w.name, w.program (Dgrace_workloads.Workload.with_params ~scale:1 w)))
+      Dgrace_workloads.Registry.all
+    @ List.init 40 (fun i ->
+          ( Printf.sprintf "prog%03d" i,
+            Sim_golden.program (Sim_golden.gen_shape (Random.State.make [| 0x5eed; i |])) ))
+  in
+  List.iter
+    (fun (name, main) ->
+      let policy = Dgrace_sim.Scheduler.Chunked { seed = 1; chunk = 64 } in
+      let want =
+        written (via_to_file (fun sink -> ignore (Dgrace_sim.Sim.run ~policy ~sink main)))
+      in
+      List.iter
+        (fun (rname, rows) ->
+          check_same ~ctx:(name ^ " rows=" ^ rname) want
+            (written
+               (via_batches (fun consume ->
+                    ignore (Dgrace_sim.Sim.run_batches ~policy ~rows ~consume main)))))
+        row_lengths)
+    programs
+
+(* Labels long enough that blocks close on [max_body_len], not on
+   rows: each pair of accesses shares a 30,000-byte label, so a block
+   is cut after about 560 labels. *)
+let test_batch_writer_long_labels () =
+  let labels = Array.init 600 (fun i -> Printf.sprintf "%05d%s" i (String.make 30000 'l')) in
+  let events =
+    List.init 1200 (fun i ->
+        Event.Access
+          { tid = i mod 3; kind = (if i mod 5 = 0 then Write else Read); addr = 8 * i; size = 8; loc = labels.(i / 2) })
+  in
+  let want = written (via_to_file (fun sink -> List.iter sink events)) in
+  (match want with
+   | Ok bytes ->
+     let path = tmp_file () in
+     write_file path bytes;
+     let blocks = Trace_format_v2.fold_batches path (fun k _ -> k + 1) 0 in
+     Sys.remove path;
+     Alcotest.(check bool) "cut on the body bound" true (blocks > 1)
+   | Error e -> Alcotest.failf "to_file: %s" e);
+  List.iter
+    (fun rows ->
+      check_same ~ctx:(Printf.sprintf "rows=%d" rows) want
+        (written (via_batches (feed_rows ~rows events))))
+    [ 4096; 7 ]
+
+(* A producer's batches share one location table: rows of a second
+   table that would join an open block are refused, and no file is
+   left. *)
+let test_batch_writer_two_tables () =
+  let batch () =
+    let b = Batch.create ~locs:(Loc_table.create ()) () in
+    Batch.push b (Event.Access { tid = 0; kind = Read; addr = 8; size = 4; loc = "x" });
+    b
+  in
+  let path = tmp_file () in
+  (match
+     Trace_format_v2.batches_to_file path (fun consume ->
+         consume (batch ());
+         consume (batch ()))
+   with
+   | _ -> Alcotest.fail "a batch over a second table was accepted"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no file left" false (Sys.file_exists path)
+
+(* The same over hand-made streams: random events, refused ones
+   included (out-of-range fields, and with [long] an over-long label
+   midway), in batches of random lengths: the same bytes, or the same
+   refusal. *)
+let qcheck_batch_writer =
+  let too_long = String.make (Trace_format.max_loc_len + 1) 'x' in
+  QCheck.Test.make ~name:"v2: batch writer = to_file" ~count:200
+    QCheck.(triple (int_range 1 50) arb_wide_events bool)
+    (fun (rows, events, long) ->
+      let events =
+        if not long then events
+        else
+          List.concat
+            (List.mapi
+               (fun i ev ->
+                 if i = List.length events / 2 then
+                   [ Event.Access { tid = 0; kind = Write; addr = 0; size = 1; loc = too_long }; ev ]
+                 else [ ev ])
+               events)
+      in
+      written (via_to_file (fun sink -> List.iter sink events))
+      = written (via_batches (feed_rows ~rows events)))
 
 let qcheck_full_range =
   QCheck.Test.make ~name:"v2: full-range ints round-trip or are refused"
@@ -1066,6 +1231,15 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "top of the address range replays" `Quick
           test_top_address_replays;
         QCheck_alcotest.to_alcotest qcheck_full_range;
+        Alcotest.test_case "a label named twice decodes as one" `Quick
+          test_label_named_twice;
+        Alcotest.test_case "batch writer = to_file: programs" `Quick
+          test_batch_writer_programs;
+        Alcotest.test_case "batch writer = to_file: long labels" `Quick
+          test_batch_writer_long_labels;
+        Alcotest.test_case "batch writer: one location table" `Quick
+          test_batch_writer_two_tables;
+        QCheck_alcotest.to_alcotest qcheck_batch_writer;
       ] );
     ( "trace_v2.oracle",
       [

@@ -1,15 +1,18 @@
 (* pcprof: a PC-sampling profiler for one process.
 
-     pcprof [--interval-us N] [--top N] -- PROGRAM ARGS...
+     pcprof [--interval-us N] [--top N] [--runs N] -- PROGRAM ARGS...
 
    runs PROGRAM under ptrace, reads its main thread's program counter
    every N microseconds (default 1000), and prints, on stderr, the
    share of samples ("self %") that fell in each function once it
-   exits.  Symbols come from [nm -n] of the executable; the load base
-   of a position-independent executable comes from /proc/<pid>/maps,
-   read at the exec.  Samples outside the executable are charged to
-   the mapping they fall in ([libc.so.6], [vdso], ...).  The exit code
-   is PROGRAM's.
+   exits.  With [--runs N] it runs PROGRAM N times, one after the
+   other, and sums the samples of all runs, so a command that lasts a
+   few tens of milliseconds still gives a usable profile.  Symbols
+   come from [nm -n] of the executable; the load base of a
+   position-independent executable comes from /proc/<pid>/maps, read
+   at the exec of each run.  Samples outside the executable are
+   charged to the mapping they fall in ([libc.so.6], [vdso], ...).
+   The exit code is PROGRAM's (its last run's).
 
    Linux on x86-64 only (pcprof_stubs.c), and the kernel must allow
    ptrace of a child. *)
@@ -70,25 +73,10 @@ let symbol_at syms addr =
   if Array.length syms = 0 || addr < fst syms.(0) then None
   else Some (go 0 (Array.length syms))
 
-let () =
-  let interval = ref 1000 and top = ref 30 and cmd = ref [] in
-  let spec =
-    [
-      ("--interval-us", Arg.Set_int interval, "N  sampling interval (default 1000)");
-      ("--top", Arg.Set_int top, "N  rows to print (default 30)");
-      ("--", Arg.Rest (fun a -> cmd := a :: !cmd), "PROGRAM ARGS...  the command to profile");
-    ]
-  in
-  let usage = "pcprof [--interval-us N] [--top N] -- PROGRAM ARGS..." in
-  Arg.parse spec (fun a -> cmd := a :: !cmd) usage;
-  let cmd = Array.of_list (List.rev !cmd) in
-  if Array.length cmd = 0 || !interval < 1 then begin
-    Arg.usage spec usage;
-    exit 2
-  end;
-  let code, pcs, maps, exe = run cmd !interval in
+(* Charge one run's samples to [counts], through that run's mappings
+   (each exec may load the executable at another base). *)
+let attribute counts syms (pcs, maps, exe) =
   let maps = parse_maps maps in
-  let syms = if exe = "" then [||] else symbols exe in
   (* a PIE's symbols are relative to the mapping of file offset 0; a
      fixed-address executable's are absolute *)
   let base =
@@ -96,7 +84,6 @@ let () =
     | Some m when Array.length syms > 0 && fst syms.(0) < m.lo -> m.lo
     | _ -> 0
   in
-  let counts = Hashtbl.create 256 in
   Array.iter
     (fun pc ->
       let name =
@@ -111,14 +98,50 @@ let () =
       in
       Hashtbl.replace counts name
         (1 + Option.value (Hashtbl.find_opt counts name) ~default:0))
-    pcs;
-  let total = Array.length pcs in
+    pcs
+
+let () =
+  let interval = ref 1000 and top = ref 30 and runs = ref 1 and cmd = ref [] in
+  let spec =
+    [
+      ("--interval-us", Arg.Set_int interval, "N  sampling interval (default 1000)");
+      ("--top", Arg.Set_int top, "N  rows to print (default 30)");
+      ("--runs", Arg.Set_int runs, "N  run the command N times and sum the samples (default 1)");
+      ("--", Arg.Rest (fun a -> cmd := a :: !cmd), "PROGRAM ARGS...  the command to profile");
+    ]
+  in
+  let usage = "pcprof [--interval-us N] [--top N] [--runs N] -- PROGRAM ARGS..." in
+  Arg.parse spec (fun a -> cmd := a :: !cmd) usage;
+  let cmd = Array.of_list (List.rev !cmd) in
+  if Array.length cmd = 0 || !interval < 1 || !runs < 1 then begin
+    Arg.usage spec usage;
+    exit 2
+  end;
+  let counts = Hashtbl.create 256 in
+  let syms = ref None and total = ref 0 and code = ref 0 in
+  for _ = 1 to !runs do
+    let c, pcs, maps, exe = run cmd !interval in
+    let s =
+      match !syms with
+      | Some s -> s
+      | None ->
+        let s = if exe = "" then [||] else symbols exe in
+        syms := Some s;
+        s
+    in
+    attribute counts s (pcs, maps, exe);
+    total := !total + Array.length pcs;
+    code := c
+  done;
+  let total = !total and code = !code in
   let rows =
     Hashtbl.fold (fun name n acc -> (n, name) :: acc) counts []
     |> List.sort (fun (a, x) (b, y) -> if a <> b then compare b a else compare x y)
   in
-  Printf.eprintf "pcprof: %d samples every %d us of %s (exit %d)\n" total
-    !interval cmd.(0) code;
+  Printf.eprintf "pcprof: %d samples every %d us of %s over %d run%s (exit %d)\n"
+    total !interval cmd.(0) !runs
+    (if !runs = 1 then "" else "s")
+    code;
   Printf.eprintf "%7s %8s  %s\n" "self%" "samples" "symbol";
   List.iteri
     (fun i (n, name) ->
