@@ -54,13 +54,16 @@ let[@inline] add c d =
 
 let[@inline] set g v = g.g_value <- v
 
-(* floor(log2 v) without allocation; v >= 2 *)
+(* floor(log2 v) in six halving steps, with no loop and no
+   allocation; v >= 1 *)
 let log2_floor v =
-  let b = ref 0 and v = ref v in
-  while !v > 1 do
-    v := !v lsr 1;
-    b := !b + 1
-  done;
+  let v = ref v and b = ref 0 in
+  if !v lsr 32 <> 0 then (v := !v lsr 32; b := 32);
+  if !v lsr 16 <> 0 then (v := !v lsr 16; b := !b + 16);
+  if !v lsr 8 <> 0 then (v := !v lsr 8; b := !b + 8);
+  if !v lsr 4 <> 0 then (v := !v lsr 4; b := !b + 4);
+  if !v lsr 2 <> 0 then (v := !v lsr 2; b := !b + 2);
+  if !v lsr 1 <> 0 then b := !b + 1;
   !b
 
 let[@inline] observe h v =

@@ -39,6 +39,10 @@ val add : counter -> int -> unit
 val set : gauge -> int -> unit
 val observe : histogram -> int -> unit
 
+val log2_floor : int -> int
+(** [log2_floor v] is floor(log2 v) for [v >= 1]: the histogram
+    bucket {!observe} counts [v] in (below the last bucket). *)
+
 (** {1 Readouts} *)
 
 val value : counter -> int

@@ -58,15 +58,12 @@ val exit_partial : int
 val exit_input_error : int
 (** 4 — input could not be used (corrupt trace, bad file). *)
 
-val exit_internal : int
-(** 5 — an internal component crashed and the failure was contained as
-    a structured {!Internal} error (crash-only session isolation, not
-    silent data loss). *)
-
 val exit_code : t -> int
 (** The table above applied to an error: corrupt/invalid input maps to
     {!exit_input_error}; deadlock and budget exhaustion to
-    {!exit_partial}; contained crashes to {!exit_internal}. *)
+    {!exit_partial}; an {!Internal} error — an internal component
+    crashed and the failure was contained (crash-only session
+    isolation, not silent data loss) — to 5. *)
 
 val to_string : t -> string
 (** One line, human-readable, stable across runs of the same input. *)

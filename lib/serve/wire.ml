@@ -29,12 +29,6 @@ type frame =
   | Overloaded of Json.t  (* { "retry_after_s": s } *)
   | Status_doc of Json.t
 
-(* Frames a client may send; everything else arriving on the server
-   side is a protocol error. *)
-let is_request = function
-  | Open _ | Feed_batch _ | Finish | Status -> true
-  | _ -> false
-
 let default_max_frame_bytes = 16 * 1024 * 1024
 
 (* A peer that vanishes must surface as EPIPE on the write (which the

@@ -29,8 +29,6 @@ type frame =
   | Overloaded of Json.t  (** backpressure: [{"retry_after_s": s}] *)
   | Status_doc of Json.t
 
-val is_request : frame -> bool
-
 val default_max_frame_bytes : int
 (** 16 MiB — the reader rejects longer frames as a protocol error. *)
 

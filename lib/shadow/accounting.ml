@@ -68,7 +68,6 @@ let peak_bytes t = t.peak_total
 let peak_hash_bytes t = t.peak_hash
 let peak_vc_bytes t = t.peak_vc
 let peak_bitmap_bytes t = t.peak_bitmap
-let interned_bytes t = t.interned
 let peak_interned_bytes t = t.peak_interned
 let live_vcs t = t.live_vcs
 let peak_vcs t = t.peak_vcs

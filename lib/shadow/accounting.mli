@@ -57,7 +57,6 @@ val peak_bitmap_bytes : t -> int
 (** Per-factor peaks (each factor's own maximum; they need not occur
     simultaneously, mirroring the paper's per-column maxima). *)
 
-val interned_bytes : t -> int
 val peak_interned_bytes : t -> int
 (** Live/peak bytes of deduplicated clock snapshots (subset of the
     vector-clock factor). *)

@@ -191,9 +191,10 @@ let[@inline] chunk t addr =
 
 let plane_bit write = if write then 2 else 1
 
+(* [b] and [m] are bytes, so [b lor m] is at most 255. *)
 let[@inline] orset c i m =
   let b = Char.code (Bytes.get c i) in
-  if b lor m <> b then Bytes.set c i (Char.chr (b lor m))
+  if b lor m <> b then Bytes.set c i (Char.unsafe_chr (b lor m))
 
 (* Marking can cover whole shared granules, so it works on the chunk
    in bulk rather than per address: partial bytes at the two ends of

@@ -1,8 +1,10 @@
+module Int_table = Dgrace_vclock.Int_table
+
 type t = {
   mutable heap_next : int;
   mutable static_next : int;
-  live : (int, int) Hashtbl.t;  (* addr -> size *)
-  free_lists : (int, int list ref) Hashtbl.t;  (* size class -> addrs *)
+  live : int Int_table.t;  (* addr -> size (> 0) *)
+  free_lists : int list ref Int_table.t;  (* size class -> addrs *)
   mutable live_bytes : int;
   mutable total_allocated : int;
   mutable alloc_count : int;
@@ -12,12 +14,16 @@ let create ?(heap_base = 0x1000_0000) ?(static_base = 0x1000) () =
   {
     heap_next = heap_base;
     static_next = static_base;
-    live = Hashtbl.create 1024;
-    free_lists = Hashtbl.create 32;
+    live = Int_table.create 64;  (* grows; a run starts with few blocks *)
+    free_lists = Int_table.create 32;
     live_bytes = 0;
     total_allocated = 0;
     alloc_count = 0;
   }
+
+(* The answer of a free-list lookup that finds no list; never bound,
+   never written. *)
+let no_free : int list ref = ref []
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -35,8 +41,8 @@ let alloc t ?(align = 8) n =
   check_alloc_args n align;
   let cls = size_class n in
   let addr =
-    match Hashtbl.find_opt t.free_lists cls with
-    | Some ({ contents = a :: rest } as cell) when a land (align - 1) = 0 ->
+    match Int_table.find_or t.free_lists cls ~default:no_free with
+    | { contents = a :: rest } as cell when a land (align - 1) = 0 ->
       cell := rest;
       a
     | _ ->
@@ -45,7 +51,7 @@ let alloc t ?(align = 8) n =
       t.heap_next <- a + cls;
       a
   in
-  Hashtbl.replace t.live addr n;
+  Int_table.replace t.live addr n;
   t.live_bytes <- t.live_bytes + n;
   t.total_allocated <- t.total_allocated + n;
   t.alloc_count <- t.alloc_count + 1;
@@ -58,18 +64,18 @@ let alloc_static t ?(align = 8) n =
   a
 
 let free t addr =
-  match Hashtbl.find_opt t.live addr with
-  | None -> invalid_arg (Printf.sprintf "Memory.free: unknown address 0x%x" addr)
-  | Some n ->
-    Hashtbl.remove t.live addr;
+  match Int_table.find_or t.live addr ~default:0 with
+  | 0 -> invalid_arg (Printf.sprintf "Memory.free: unknown address 0x%x" addr)
+  | n ->
+    Int_table.remove t.live addr;
     t.live_bytes <- t.live_bytes - n;
     let cls = size_class n in
-    (match Hashtbl.find_opt t.free_lists cls with
-     | Some cell -> cell := addr :: !cell
-     | None -> Hashtbl.replace t.free_lists cls (ref [ addr ]));
+    let cell = Int_table.find_or t.free_lists cls ~default:no_free in
+    if cell == no_free then Int_table.replace t.free_lists cls (ref [ addr ])
+    else cell := addr :: !cell;
     n
 
-let size_of t addr = Hashtbl.find_opt t.live addr
+let size_of t addr = Int_table.find_opt t.live addr
 let live_bytes t = t.live_bytes
 let total_allocated t = t.total_allocated
 let alloc_count t = t.alloc_count

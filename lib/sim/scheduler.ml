@@ -50,13 +50,17 @@ let pick t ~current ~ready_tids ~n =
 (* A yielding thread re-enters the ready queue at the back.  With
    budget left, [pick] finds it there; alone, it is index 0 under
    every policy, after the budget reset and draw a one-element [pick]
-   makes.  Any other answer depends on a draw the loop must make. *)
-let stay t ~others =
+   makes.  Any other answer depends on a draw the loop must make.
+   The budget test is inlined into every operation's preemption
+   point; the rest is out of line. *)
+let[@inline never] stay_slow t ~others =
+  others = 0
+  && (ignore (pick t ~current:(-1) ~ready_tids:(fun _ -> -1) ~n:1);
+      true)
+
+let[@inline] stay t ~others =
   match t.policy with
   | Chunked _ when t.budget > 0 ->
     t.budget <- t.budget - 1;
     true
-  | _ ->
-    others = 0
-    && (ignore (pick t ~current:(-1) ~ready_tids:(fun _ -> -1) ~n:1);
-        true)
+  | _ -> stay_slow t ~others

@@ -1,6 +1,7 @@
 open Dgrace_events
 module Vec = Dgrace_util.Vec
 module Epoch = Dgrace_vclock.Epoch
+module Int_table = Dgrace_vclock.Int_table
 
 (* A thread that is not running: parked on a wait queue, or runnable
    in the ready queue.  [wake] resumes it. *)
@@ -55,8 +56,8 @@ type world = {
   threads : thread_info Vec.t;
   ready : waiter Vec.t;
   sched : Scheduler.t;
-  atomic_syncs : (int, int) Hashtbl.t;
-  held_locks : (int, int) Hashtbl.t;  (* mutex id -> owner tid *)
+  atomic_syncs : int Int_table.t;  (* address -> sync id *)
+  held_locks : int Int_table.t;  (* mutex id -> owner tid *)
   mutable current : int;
   mutable live : int;
   mutable events : int;
@@ -74,13 +75,26 @@ type _ Effect.t +=
   | Suspend : waiter Vec.t -> unit Effect.t
   | Reraise : exn -> 'a Effect.t
 
-(* The running simulator, set by [run] for its duration. *)
-let current_world : world option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* The running simulator, set by [run] for its duration, or [no_world]
+   between runs, so an operation finds its world with one load and one
+   compare and no domain-local lookup.  One domain at a time simulates:
+   [owner] holds its id (-1 when no run is live), claimed by the
+   outermost [run] and given back when it ends.
 
-let world () =
-  match Domain.DLS.get current_world with
-  | Some w -> w
-  | None -> raise (Effect.Unhandled Yield)
+   [no_world] is a private block that only stands for "no run" (as
+   [Int_table]'s [free] slot does): every reader of [running] compares
+   it with [no_world] before using it, so its fields are never read.
+   A [world option] costs every operation one more load, and a real
+   empty world would allocate its tables in every process. *)
+let no_world : world = Obj.magic (ref ())
+let running = ref no_world
+let owner = Atomic.make (-1)
+
+let[@inline never] outside_run () = raise (Effect.Unhandled Yield)
+
+let[@inline] world () =
+  let w = !running in
+  if w == no_world then outside_run () else w
 
 let reraise e = Effect.perform (Reraise e)
 
@@ -90,11 +104,10 @@ let reraise e = Effect.perform (Reraise e)
    made outside a run would alias the next run's ids, so it is an
    error. *)
 let fresh_sync_id what =
-  match Domain.DLS.get current_world with
-  | Some w ->
-    w.syncs <- w.syncs + 1;
-    w.syncs
-  | None -> invalid_arg (what ^ ": sync objects must be created inside Sim.run")
+  let w = !running in
+  if w == no_world then invalid_arg (what ^ ": sync objects must be created inside Sim.run");
+  w.syncs <- w.syncs + 1;
+  w.syncs
 
 let mutex () = { lid = fresh_sync_id "Sim.mutex"; owner = -1; waiters = Vec.create () }
 
@@ -136,8 +149,8 @@ let flush w =
 (* Mutex ownership, so a deadlock report can name the held locks
    (barrier/flag/atomic sync objects are not "held"). *)
 let track_lock w ~acquire tid lock =
-  if acquire then Hashtbl.replace w.held_locks lock tid
-  else Hashtbl.remove w.held_locks lock
+  if acquire then Int_table.replace w.held_locks lock tid
+  else Int_table.remove w.held_locks lock
 
 let emit w e =
   let off = w.events in
@@ -218,7 +231,7 @@ let emit_sync w ~acquire tid lock sync =
 (* The preemption point every non-blocking operation ends with: keep
    running when the policy would pick this thread again, otherwise
    yield to the scheduler loop. *)
-let switch w =
+let[@inline] switch w =
   if not (Scheduler.stay w.sched ~others:(Vec.length w.ready)) then
     Effect.perform Yield
 
@@ -288,7 +301,7 @@ let join target =
     emit_here w (Event.Join { parent; child = target })
   end
 
-let access kind loc addr size =
+let[@inline] access kind loc addr size =
   let w = world () in
   emit_access w w.current kind loc addr size;
   switch w
@@ -396,13 +409,14 @@ let event_wait f =
   if f.is_set then switch w else Effect.perform (Suspend f.ewaiters);
   emit_sync w ~acquire:true tid f.eid Event.Flag
 
+(* Sync ids start at 1, so 0 marks an address with none yet. *)
 let atomic_sync_id w addr =
-  match Hashtbl.find_opt w.atomic_syncs addr with
-  | Some id -> id
-  | None ->
+  match Int_table.find_or w.atomic_syncs addr ~default:0 with
+  | 0 ->
     let id = fresh_sync_id "Sim.atomic" in
-    Hashtbl.replace w.atomic_syncs addr id;
+    Int_table.replace w.atomic_syncs addr id;
     id
+  | id -> id
 
 (* One access per [kinds] entry, bracketed by an acquire/release on
    [addr]'s atomic sync object. *)
@@ -475,10 +489,9 @@ let deadlock w =
       (fun acc ti -> if ti.exited then acc else ti.tid :: acc)
       [] w.threads
   in
-  let held =
-    Hashtbl.fold (fun lock owner acc -> (lock, owner) :: acc) w.held_locks []
-    |> List.sort compare
-  in
+  let held = ref [] in
+  Int_table.iter (fun lock owner -> held := (lock, owner) :: !held) w.held_locks;
+  let held = List.sort compare !held in
   Deadlock { blocked = List.rev blocked; held }
 
 let rec loop w =
@@ -496,6 +509,13 @@ let rec loop w =
     loop w
   end
 
+(* Claim the world for this domain: the outermost run takes [owner],
+   a nested run on the same domain already holds it. *)
+let claim () =
+  let me = (Domain.self () :> int) in
+  if Atomic.get owner <> me && not (Atomic.compare_and_set owner (-1) me) then
+    invalid_arg "Sim.run: another domain is running a simulation"
+
 let run_to out ~policy main =
   let w =
     {
@@ -504,8 +524,8 @@ let run_to out ~policy main =
       threads = Vec.create ();
       ready = Vec.create ();
       sched = Scheduler.create policy;
-      atomic_syncs = Hashtbl.create 64;
-      held_locks = Hashtbl.create 16;
+      atomic_syncs = Int_table.create 64;
+      held_locks = Int_table.create 16;
       current = -1;
       live = 0;
       events = 0;
@@ -513,10 +533,13 @@ let run_to out ~policy main =
       syncs = 0;
     }
   in
-  let outer = Domain.DLS.get current_world in
-  Domain.DLS.set current_world (Some w);
+  claim ();
+  let outer = !running in
+  running := w;
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set current_world outer)
+    ~finally:(fun () ->
+      running := outer;
+      if outer == no_world then Atomic.set owner (-1))
     (fun () ->
       let main_tid = new_thread w in
       Vec.push w.ready { wtid = main_tid; wake = (fun () -> exec w main_tid main) };

@@ -15,9 +15,14 @@
 
     Every operation, sync-object constructors included, must be called
     from inside {!run}, which makes the running simulator reachable
-    through domain-local state.  Calling an operation elsewhere raises
+    through one global slot.  Calling an operation elsewhere raises
     [Effect.Unhandled]; calling a constructor elsewhere raises
-    [Invalid_argument]. *)
+    [Invalid_argument].
+
+    One domain at a time simulates: a {!run} from a second domain while
+    a run is live raises [Invalid_argument], and only the running
+    domain may call operations.  A {!run} nested inside a running
+    program restores the outer run's state when it ends. *)
 
 open Dgrace_events
 
@@ -191,7 +196,8 @@ val run :
     the thread-id limit.  Misuse of a sync object ([lock] of a held
     mutex, [unlock] or [cond_wait] without the mutex, a bad [free])
     raises [Invalid_argument] in the calling thread instead.
-    @raise Deadlock on global deadlock. *)
+    @raise Deadlock on global deadlock.
+    @raise Invalid_argument if another domain's run is live. *)
 
 val run_batches :
   ?policy:Scheduler.policy ->

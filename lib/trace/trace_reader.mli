@@ -11,7 +11,7 @@
     Two reading modes:
     - {b strict} ({!read}, {!fold_file}, {!read_file}): the first bad
       record aborts with the structured error;
-    - {b resync} ({!fold_file_resync}, {!read_file_resync}): a bad
+    - {b resync} ({!read_file_resync}): a bad
       record is skipped by scanning forward to the next offset where a
       whole record decodes, and the {!recovery} report says exactly
       what was dropped. *)
@@ -52,10 +52,8 @@ type recovery = {
 val clean : recovery
 (** The no-corruption report ([gaps = 0]). *)
 
-val fold_file_resync : string -> ('a -> Event.t -> 'a) -> 'a -> 'a * recovery
-(** Like {!fold_file} but never raises on corrupt input: decodable
-    events around each corrupt region are still delivered, and the
+val read_file_resync : string -> Event.t list * recovery
+(** Like {!read_file} but never raises on corrupt input: decodable
+    events around each corrupt region are still returned, and the
     report accounts for every byte skipped.  A trace with a bad header
     yields no events and one gap spanning the whole file. *)
-
-val read_file_resync : string -> Event.t list * recovery

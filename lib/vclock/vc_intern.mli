@@ -97,9 +97,6 @@ val fold : (int -> int -> 'a -> 'a) -> snap -> 'a -> 'a
 (** Over non-zero components in increasing tid order, matching
     {!Vector_clock.fold}. *)
 
-val load_into : snap -> Vector_clock.t -> unit
-(** Materialise the snapshot into a mutable clock. *)
-
 val to_clock : snap -> Vector_clock.t
 (** A fresh deep copy (tests and diagnostics; not on hot paths). *)
 

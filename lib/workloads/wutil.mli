@@ -1,7 +1,5 @@
 (** Building blocks shared by the workload programs. *)
 
-open Dgrace_sim
-
 val rng : int -> Random.State.t
 (** Deterministic PRNG for a workload seed. *)
 
@@ -30,7 +28,9 @@ module Handoff : sig
       writes the slot, then signals. *)
 
   val take : t -> int -> int
-  (** Wait for item [i] and read its value. *)
+  (** Wait for item [i] and read its value.  A take with no put
+      blocks: the run ends in [Sim.Deadlock] once nothing else can
+      run. *)
 end
 
 (** A counter in simulated shared memory. *)
@@ -39,11 +39,6 @@ module Counter : sig
 
   val create : ?loc:string -> unit -> t
 
-  val incr_locked : t -> Sim.mutex -> unit
-  (** Read-modify-write under the given lock — race-free. *)
-
   val incr_racy : t -> unit
   (** Read-modify-write with no protection — one seeded racy word. *)
-
-  val addr : t -> int
 end

@@ -61,6 +61,30 @@ let test_histogram () =
     [ (0, 1, 3); (2, 3, 2); (4, 7, 2); (8, 15, 1); (1024, 2047, 1) ]
     (Metrics.histogram_buckets h)
 
+(* [log2_floor] in constant steps answers what the shift loop it
+   replaced answered. *)
+let test_log2_floor () =
+  let loop v =
+    let b = ref 0 and v = ref v in
+    while !v > 1 do
+      v := !v lsr 1;
+      incr b
+    done;
+    !b
+  in
+  let check v =
+    if Metrics.log2_floor v <> loop v then
+      Alcotest.failf "log2_floor %d = %d, the loop says %d" v (Metrics.log2_floor v) (loop v)
+  in
+  check 1;
+  for v = 2 to 1 lsl 20 do check v done;
+  for i = 0 to Sys.int_size - 2 do
+    let p = 1 lsl i in
+    check p;
+    check (p - 1 + p)  (* 2^(i+1) - 1, the top of bucket i *)
+  done;
+  check max_int
+
 (* ------------------------------------------------------------------ *)
 (* Sampler cadence *)
 
@@ -438,6 +462,7 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "gauge" `Quick test_gauge;
         Alcotest.test_case "counters sorted" `Quick test_counters_sorted;
         Alcotest.test_case "histogram buckets" `Quick test_histogram;
+        Alcotest.test_case "log2_floor = shift loop" `Quick test_log2_floor;
       ] );
     ( "obs.sampler",
       [

@@ -713,6 +713,91 @@ let test_outside_run () =
   | () -> Alcotest.fail "an operation outside Sim.run returned"
   | exception Effect.Unhandled _ -> ()
 
+(* One domain simulates at a time; the world is global, claimed by
+   the outermost [run] and given back when it ends. *)
+let test_world_one_domain () =
+  let tiny () = Sim.write (Sim.static_alloc 4) 4 in
+  let from_other_domain () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match Sim.run tiny with
+           | r -> Ok r.Sim.events
+           | exception Invalid_argument msg -> Error msg))
+  in
+  let refused = ref (Ok 0) in
+  let r =
+    Sim.run (fun () ->
+        Sim.write (Sim.static_alloc 4) 4;
+        refused := from_other_domain ();
+        Sim.write (Sim.static_alloc 4) 4)
+  in
+  (match !refused with
+   | Error msg ->
+     Alcotest.(check string) "refusal" "Sim.run: another domain is running a simulation" msg
+   | Ok _ -> Alcotest.fail "a second domain ran while a run was live");
+  check_int "the live run was not disturbed" 3 r.events;
+  (match from_other_domain () with
+   | Ok n -> check_int "accepted after the run ended" 2 n
+   | Error msg -> Alcotest.failf "refused after the run ended: %s" msg);
+  (* a run that raises gives the world back too *)
+  (match Sim.run (fun () -> failwith "boom") with
+   | _ -> Alcotest.fail "the failing run returned"
+   | exception Failure _ -> ());
+  match from_other_domain () with
+  | Ok n -> check_int "accepted after a failed run" 2 n
+  | Error msg -> Alcotest.failf "refused after a failed run: %s" msg
+
+let test_world_nested () =
+  let inner = ref [] in
+  let r, outer =
+    record (fun () ->
+        let m = Sim.mutex () in
+        Sim.write ~loc:"outer" 0x100 4;
+        let t = Sim.spawn (fun () -> Sim.read ~loc:"child" 0x200 4) in
+        let ir =
+          Sim.run
+            ~sink:(fun e -> inner := e :: !inner)
+            (fun () ->
+              let im = Sim.mutex () in
+              Sim.with_lock im (fun () -> Sim.write ~loc:"inner" 0x300 4))
+        in
+        check_int "inner events" 4 ir.events;
+        (* the outer world is back: same thread, same sync numbering *)
+        check_int "outer thread" 0 (Sim.self ());
+        check_int "outer sync ids continue" 2 (Sim.mutex_id (Sim.mutex ()));
+        Sim.with_lock m (fun () -> Sim.write ~loc:"outer" 0x100 4);
+        Sim.join t)
+  in
+  let locs evs =
+    List.filter_map (function Event.Access { loc; _ } -> Some loc | _ -> None) evs
+  in
+  Alcotest.(check (list string)) "inner accesses" [ "inner" ] (locs (List.rev !inner));
+  check_bool "inner lock is id 1" true
+    (List.exists
+       (function Event.Acquire { lock = 1; tid = 0; _ } -> true | _ -> false)
+       !inner);
+  Alcotest.(check (list string)) "outer accesses, the child's included"
+    [ "child"; "outer"; "outer" ]
+    (List.sort compare (locs outer));
+  check_int "outer accesses" 3 r.accesses;
+  check_bool "outer lock is id 1" true
+    (List.exists (function Event.Acquire { lock = 1; _ } -> true | _ -> false) outer)
+
+let test_world_outside () =
+  ignore (Sim.run (fun () -> Sim.yield ()));
+  (match Sim.read 0x100 4 with
+   | () -> Alcotest.fail "an access outside Sim.run returned"
+   | exception Effect.Unhandled _ -> ());
+  (match Sim.run (fun () -> Sim.free 0x100) with
+   | _ -> Alcotest.fail "a bad free returned"
+   | exception Invalid_argument _ -> ());
+  (match Sim.self () with
+   | _ -> Alcotest.fail "an operation after a failed run returned"
+   | exception Effect.Unhandled _ -> ());
+  Alcotest.check_raises "constructor after a failed run"
+    (Invalid_argument "Sim.event: sync objects must be created inside Sim.run")
+    (fun () -> ignore (Sim.event ()))
+
 let suites : unit Alcotest.test list =
     [
       ( "sim.events",
@@ -770,5 +855,12 @@ let suites : unit Alcotest.test list =
             test_pending_rows_before_escape;
           Alcotest.test_case "batch consumer exception contract" `Quick
             test_batch_exception_contract;
+        ] );
+      ( "sim.world",
+        [
+          Alcotest.test_case "one simulating domain" `Quick test_world_one_domain;
+          Alcotest.test_case "nested run restores the outer world" `Quick
+            test_world_nested;
+          Alcotest.test_case "operation outside any run" `Quick test_world_outside;
         ] );
     ]

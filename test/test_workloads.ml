@@ -166,12 +166,33 @@ let test_all_run_everywhere () =
           Spec.Dynamic { init_state = false; init_sharing = false } ])
     Registry.all
 
+(* A handoff channel's values belong to its run: a put reaches the
+   matching take, also across stages, and a take with no put blocks
+   until the run deadlocks. *)
+let test_handoff () =
+  let open Dgrace_sim in
+  let got = ref [] in
+  ignore
+    (Sim.run (fun () ->
+         let q = Wutil.Handoff.create 3 in
+         let t =
+           Sim.spawn (fun () ->
+               for i = 0 to 2 do got := Wutil.Handoff.take q i :: !got done)
+         in
+         List.iteri (fun i v -> Wutil.Handoff.put q i ~value:v) [ 7; -1; max_int ];
+         Sim.join t));
+  Alcotest.(check (list int)) "values in order" [ 7; -1; max_int ] (List.rev !got);
+  match Sim.run (fun () -> ignore (Wutil.Handoff.take (Wutil.Handoff.create 1) 0)) with
+  | _ -> Alcotest.fail "a take with no put returned"
+  | exception Sim.Deadlock { blocked = [ 0 ]; _ } -> ()
+
 let suites : unit Alcotest.test list =
   [
     ( "workloads.registry",
       [
         Alcotest.test_case "registry" `Quick test_registry;
         Alcotest.test_case "with_params" `Quick test_with_params;
+        Alcotest.test_case "handoff channel" `Quick test_handoff;
       ] );
     ( "workloads.races",
       [
